@@ -1,4 +1,4 @@
-//! Criterion benchmarks for the design-choice ablations DESIGN.md calls out:
+//! Criterion benchmarks for the paper's design-choice ablations:
 //! group size (Appendix A.1.1), number of hash images `m` (Section 3.3), and
 //! the word-filter itself (Algorithm 5 line 3).
 

@@ -25,7 +25,7 @@ use fsi_bench::{min_time, HarnessArgs, Table};
 use fsi_core::HashContext;
 use fsi_index::{Corpus, CorpusConfig, Planner, SearchEngine};
 use fsi_query::{ExprPlan, ExprPlanner, NormExpr};
-use fsi_serve::{PlannerProfile, Request, ServeConfig, Server};
+use fsi_serve::{Request, ServeConfig, Server};
 use fsi_workloads::stream::{generate_boolean_stream, BooleanStreamConfig};
 
 struct ShapeRow {
@@ -202,7 +202,6 @@ fn main() {
         ServeConfig {
             num_shards: 4,
             cache_capacity: 8192,
-            mode: PlannerProfile::auto().mode(),
             ..ServeConfig::default()
         },
     );

@@ -4,9 +4,9 @@
 //! traced query allocates a handful of spans and formats a few attribute
 //! strings, all dwarfed by the intersection work itself. This binary puts
 //! a number on that claim. It builds the boolean-bench Zipf corpus, replays
-//! an AND-only query stream through a planned `Server` twice — once via
-//! `query_expr` (untraced) and once via `query_expr_traced` — with the
-//! result cache disabled so every query exercises parse → rewrite → plan →
+//! an AND-only query stream through a `Server` twice — once as plain
+//! `Request::expr` requests and once `.traced()` — with the result cache
+//! disabled so every query exercises parse → rewrite → plan →
 //! per-shard exec, and records min-over-reps throughput for both paths.
 //!
 //! `overhead_pct` is asserted at most 5% in full mode (10% in smoke, where
@@ -25,7 +25,7 @@ use fsi_bench::{HarnessArgs, Table};
 use fsi_core::HashContext;
 use fsi_index::{Corpus, CorpusConfig, SearchEngine};
 use fsi_obs::{Registry, SnapshotValue};
-use fsi_serve::{PlannerProfile, Request, ServeConfig, Server};
+use fsi_serve::{Request, ServeConfig, Server};
 use fsi_workloads::stream::{generate_boolean_stream, BooleanStreamConfig};
 
 const NUM_SHARDS: usize = 4;
@@ -57,7 +57,6 @@ fn main() {
         ServeConfig {
             num_shards: NUM_SHARDS,
             cache_capacity: 0, // every query must run the full pipeline
-            mode: PlannerProfile::auto().mode(),
             ..ServeConfig::default()
         },
     );

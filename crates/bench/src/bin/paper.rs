@@ -410,7 +410,7 @@ fn space(opts: &Opts) {
         ]);
     }
     t.print();
-    println!("(the paper counted one machine word per element; with 4-byte IDs the m hash words weigh relatively more — see EXPERIMENTS.md)");
+    println!("(the paper counted one machine word per element; with 4-byte IDs the m hash words weigh relatively more)");
 }
 
 // ---------------------------------------------------------------- fig7 / fig12

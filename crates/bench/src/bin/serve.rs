@@ -1,8 +1,9 @@
 //! Serving-layer cache benchmark.
 //!
-//! Builds a Zipf corpus, shards it, and replays a Zipf-skewed query
-//! stream through the worker pool twice — cold, then warm — recording
-//! the result cache's throughput effect and hit rate into
+//! Builds a Zipf corpus, serves it under the default planner, and replays
+//! a Zipf-skewed query stream through `Server::execute_batch` twice —
+//! cold, then warm — recording the result cache's throughput effect and
+//! hit rate into
 //! `BENCH_serve.json` (hand-rolled JSON: this environment has no registry
 //! access, so no serde).
 //!
@@ -18,8 +19,8 @@
 
 use fsi_bench::{ms, HarnessArgs};
 use fsi_core::HashContext;
-use fsi_index::{Corpus, CorpusConfig, SearchEngine, Strategy};
-use fsi_serve::{ExecMode, QueryCache, QueryPool, ShardedEngine};
+use fsi_index::{Corpus, CorpusConfig};
+use fsi_serve::{CacheOutcome, Request, ServeConfig, Server};
 use fsi_workloads::stream::{generate_stream, repeat_rate, QueryStreamConfig};
 
 const NUM_SHARDS: usize = 4;
@@ -56,28 +57,37 @@ fn main() {
     let stream_repeat_rate = repeat_rate(&stream);
     println!("stream repeat rate: {stream_repeat_rate:.3}\n");
 
-    let strategy = Strategy::RanGroupScan { m: 2 };
-    // One prepared sharded engine for both passes: only the cache state
-    // varies, so the compared runs measure the identical index.
-    let engine = SearchEngine::from_corpus(ctx, corpus);
-    let sharded = ShardedEngine::build(&engine, NUM_SHARDS, ExecMode::Fixed(strategy));
-
-    let cache = QueryCache::new(8192, 8);
-    let pool = QueryPool::new(NUM_WORKERS);
-    // Warm-up pass (cache off) settles the allocator before measuring.
-    let _ = pool.run_batch(&sharded, None, &stream[..stream.len() / 4]);
-    let cold = pool.run_batch(&sharded, Some(&cache), &stream);
-    let warm = pool.run_batch(&sharded, Some(&cache), &stream);
-    let cache_stats = cache.stats();
+    // One server for both passes: only the cache state varies, so the
+    // compared runs measure the identical index.
+    let server = Server::from_corpus(
+        ctx,
+        corpus,
+        ServeConfig {
+            num_shards: NUM_SHARDS,
+            num_workers: NUM_WORKERS,
+            cache_capacity: 8192,
+            ..ServeConfig::default()
+        },
+    );
+    let requests: Vec<Request> = stream.iter().cloned().map(Request::terms).collect();
+    let hits = |batch: &fsi_serve::BatchResponse| {
+        batch
+            .responses
+            .iter()
+            .filter(|r| matches!(r, Ok(resp) if resp.cache == CacheOutcome::Hit))
+            .count()
+    };
+    let cold = server.execute_batch(&requests);
+    let warm = server.execute_batch(&requests);
+    let (cold_hits, warm_hits) = (hits(&cold), hits(&warm));
+    let cache_stats = server.stats().cache;
     println!(
-        "cache: cold {:.0} q/s ({:.1} ms, hits {}), warm {:.0} q/s ({:.1} ms, hits {}), \
-         hit rate {:.3}",
+        "cache: cold {:.0} q/s ({:.1} ms, hits {cold_hits}), \
+         warm {:.0} q/s ({:.1} ms, hits {warm_hits}), hit rate {:.3}",
         cold.throughput_qps,
         ms(cold.wall),
-        cold.cache_hits,
         warm.throughput_qps,
         ms(warm.wall),
-        warm.cache_hits,
         cache_stats.hit_rate()
     );
 
@@ -88,16 +98,13 @@ fn main() {
          \"num_docs\": {num_docs},\n    \"num_terms\": {num_terms},\n    \
          \"num_queries\": {num_queries},\n    \
          \"num_shards\": {NUM_SHARDS},\n    \"available_cores\": {cores},\n    \
-         \"strategy\": \"{}\",\n    \
          \"stream_repeat_rate\": {stream_repeat_rate:.4}\n  }},\n  \
          \"cache\": {{\n    \"capacity\": 8192,\n    \"workers\": {NUM_WORKERS},\n    \
-         \"cold_qps\": {:.1},\n    \"warm_qps\": {:.1},\n    \"warm_hits\": {},\n    \
+         \"cold_qps\": {:.1},\n    \"warm_qps\": {:.1},\n    \"warm_hits\": {warm_hits},\n    \
          \"hit_rate\": {:.4},\n    \"evictions\": {}\n  }}\n}}\n",
         args.smoke,
-        strategy.name(),
         cold.throughput_qps,
         warm.throughput_qps,
-        warm.cache_hits,
         cache_stats.hit_rate(),
         cache_stats.evictions,
     );

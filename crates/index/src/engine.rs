@@ -55,6 +55,19 @@ impl SearchEngine {
         self.postings.iter().filter_map(|p| p.max()).max()
     }
 
+    /// The document space cut into `n` (≥ 1) equal contiguous ranges,
+    /// ascending — the partition document-range sharding serves. `u64`
+    /// throughout: `max_doc` can be `u32::MAX`, whose successor (the
+    /// exclusive end of the document space) does not fit an [`Elem`].
+    pub fn doc_ranges(&self, n: usize) -> Vec<Range<u64>> {
+        let n = n.max(1) as u64;
+        let end = self.max_doc().map_or(0u64, |m| m as u64 + 1);
+        let span = end.div_ceil(n).max(1);
+        (0..n)
+            .map(|i| (i * span).min(end)..((i + 1) * span).min(end))
+            .collect()
+    }
+
     /// A sub-engine whose posting lists are clipped to the document-ID
     /// range `docs` (what a document-partitioned shard holds). The hash
     /// context is shared, so prepared lists from different sub-engines stay
@@ -101,20 +114,6 @@ impl SearchEngine {
     pub fn planned_executor(&self, planner: Planner) -> PlannedExecutor {
         PlannedExecutor::build(self, planner)
     }
-
-    /// Like [`SearchEngine::executor`], but consumes the engine, keeping
-    /// only the prepared structures — the self-contained (`'static`) form
-    /// a serving shard stores. The raw posting lists are dropped:
-    /// [`PreparedList`] owns everything queries need, so retaining them
-    /// would roughly double resident memory per shard.
-    pub fn into_executor(self, strategy: Strategy) -> OwnedExecutor {
-        let prepared = self
-            .postings
-            .iter()
-            .map(|p| strategy.prepare(&self.ctx, p))
-            .collect();
-        OwnedExecutor { strategy, prepared }
-    }
 }
 
 /// A fully preprocessed index under one strategy.
@@ -158,63 +157,6 @@ impl Executor<'_> {
 
     /// Answers the query in the algorithm's natural output order (what the
     /// benchmarks time; see `fsi_core::traits` on output order).
-    pub fn query_unsorted(&self, terms: &[usize]) -> Vec<Elem> {
-        let lists: Vec<&PreparedList> = terms.iter().map(|&t| &self.prepared[t]).collect();
-        let mut out = Vec::new();
-        intersect_into(&lists, &mut out);
-        out
-    }
-}
-
-/// A fully preprocessed, self-contained index — the `'static` sibling of
-/// [`Executor`], storable inside long-lived serving structures (each shard
-/// of a sharded serving engine holds one). Holds only the prepared lists,
-/// not the source posting lists.
-#[derive(Debug, Clone)]
-pub struct OwnedExecutor {
-    strategy: Strategy,
-    prepared: Vec<PreparedList>,
-}
-
-impl OwnedExecutor {
-    /// The strategy this executor runs.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    /// Number of terms.
-    pub fn num_terms(&self) -> usize {
-        self.prepared.len()
-    }
-
-    /// The prepared list of a term.
-    pub fn prepared(&self, term: usize) -> &PreparedList {
-        // audit:allow(hot_path_index): public accessor with a documented term-id contract; a bounds panic is the misuse signal
-        &self.prepared[term]
-    }
-
-    /// Total heap footprint of the preprocessed index.
-    pub fn size_in_bytes(&self) -> usize {
-        self.prepared.iter().map(|p| p.size_in_bytes()).sum()
-    }
-
-    /// Answers the conjunctive query `terms`, ascending document order.
-    pub fn query(&self, terms: &[usize]) -> Vec<Elem> {
-        let mut out = Vec::new();
-        self.query_into(terms, &mut out);
-        out
-    }
-
-    /// Appends the (ascending) answer to `out` without allocating — the
-    /// hot-path form serving shards use to share one output buffer.
-    pub fn query_into(&self, terms: &[usize], out: &mut Vec<Elem>) {
-        let lists: Vec<&PreparedList> = terms.iter().map(|&t| &self.prepared[t]).collect();
-        let start = out.len();
-        intersect_into(&lists, out);
-        out[start..].sort_unstable();
-    }
-
-    /// Answers the query in the algorithm's natural output order.
     pub fn query_unsorted(&self, terms: &[usize]) -> Vec<Elem> {
         let lists: Vec<&PreparedList> = terms.iter().map(|&t| &self.prepared[t]).collect();
         let mut out = Vec::new();
@@ -325,28 +267,13 @@ mod tests {
         let max = engine.max_doc().unwrap() as u64 + 1;
         let mid = max / 2;
         let whole = engine.executor(Strategy::RanGroupScan { m: 2 });
-        let low = engine
-            .restricted(0..mid)
-            .into_executor(Strategy::RanGroupScan { m: 2 });
-        let high = engine
-            .restricted(mid..max)
-            .into_executor(Strategy::RanGroupScan { m: 2 });
+        let (low, high) = (engine.restricted(0..mid), engine.restricted(mid..max));
+        let low = low.executor(Strategy::RanGroupScan { m: 2 });
+        let high = high.executor(Strategy::RanGroupScan { m: 2 });
         for q in [vec![0usize, 1], vec![3, 10, 40], vec![5]] {
             let mut merged = low.query(&q);
             merged.extend(high.query(&q));
             assert_eq!(merged, whole.query(&q), "{q:?}");
-        }
-    }
-
-    #[test]
-    fn owned_executor_matches_borrowed() {
-        let engine = engine();
-        let borrowed = engine.executor(Strategy::Lookup);
-        let owned = engine.clone().into_executor(Strategy::Lookup);
-        assert_eq!(owned.strategy(), Strategy::Lookup);
-        assert_eq!(owned.size_in_bytes(), borrowed.size_in_bytes());
-        for q in [vec![0usize, 1], vec![3, 10, 40], vec![]] {
-            assert_eq!(owned.query(&q), borrowed.query(&q));
         }
     }
 

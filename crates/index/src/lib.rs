@@ -27,6 +27,6 @@ pub mod strategy;
 pub use bag::BagIndex;
 pub use corpus::{Corpus, CorpusConfig};
 pub use daat::{top_k, DaatStats, Hit, ScoredIndex};
-pub use engine::{Executor, OwnedExecutor, SearchEngine};
+pub use engine::{Executor, SearchEngine};
 pub use planner::{MultiwayPlan, OperandStats, PlanKind, PlannedExecutor, PlannedList, Planner};
 pub use strategy::{intersect_into, intersect_sorted, PreparedList, Strategy};

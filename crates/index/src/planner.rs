@@ -37,7 +37,7 @@
 //! the ~4–10× smaller compressed operands — see `docs/compress.md`.
 //!
 //! The default constants reflect *this repository's measured* crossovers
-//! (see EXPERIMENTS.md, `BENCH_kernels.json` and `BENCH_multiway.json`):
+//! (see `docs/benchmarks.md`, `BENCH_kernels.json` and `BENCH_multiway.json`):
 //! hash probing overtakes galloping near ratio 64, galloping overtakes
 //! RanGroupScan near ratio 8, and the bitmap sweep wins whenever it is
 //! admissible at all. They are tunables because the right answers are
@@ -540,9 +540,8 @@ impl Planner {
 }
 
 /// A fully planned, self-contained index: every term prepared for every
-/// representation, queries answered through the cost-model planner. The
-/// planner-mode sibling of [`crate::engine::OwnedExecutor`] — serving
-/// shards hold one per document range.
+/// representation, queries answered through the cost-model planner.
+/// Serving shards hold one per document range.
 #[derive(Debug, Clone)]
 pub struct PlannedExecutor {
     planner: Planner,

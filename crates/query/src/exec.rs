@@ -1,27 +1,20 @@
-//! Expression execution over the two prepared-index forms:
+//! Expression execution over an [`fsi_index::PlannedExecutor`]:
+//! [`eval_planned_into`] plans and runs the full cost-based path.
+//! `AND`-of-terms nodes run the embedded [`fsi_index::MultiwayPlan`]
+//! directly on the prepared lists (zero materialization), `OR` nodes
+//! dispatch between the heap union and the chunked-bitmap `OR`,
+//! differences gallop. Term operands of unions and differences borrow the
+//! prepared flat slices — only genuine sub-expression results are
+//! materialized.
 //!
-//! * [`eval_planned_into`] — over an [`fsi_index::PlannedExecutor`]: the
-//!   full cost-based path. `AND`-of-terms nodes run the embedded
-//!   [`fsi_index::MultiwayPlan`] directly on the prepared lists (zero
-//!   materialization), `OR` nodes dispatch between the heap union and the
-//!   chunked-bitmap `OR`, differences gallop. Term operands of unions and
-//!   differences borrow the prepared flat slices — only genuine
-//!   sub-expression results are materialized.
-//! * [`eval_owned_into`] — over an [`fsi_index::OwnedExecutor`] (one fixed
-//!   [`fsi_index::Strategy`]): structural evaluation. Conjunctions of
-//!   terms reuse the executor's own k-way path, so a fixed-strategy shard
-//!   answers boolean queries with the same kernel family it answers flat
-//!   queries with; unions and differences run the slice kernels over
-//!   materialized children.
-//!
-//! Both append ascending, duplicate-free output and are safe to call with
-//! a non-empty `out` holding strictly smaller values — the contract
+//! Output is appended ascending and duplicate-free, and it is safe to call
+//! with a non-empty `out` holding strictly smaller values — the contract
 //! document-range sharding relies on to concatenate per-shard results.
 
 use crate::plan::{AndKind, ExprPlan, ExprPlanner, PlanNode, UnionKind};
 use crate::rewrite::NormExpr;
 use fsi_core::elem::Elem;
-use fsi_index::{OwnedExecutor, PlanKind, PlannedExecutor, PlannedList};
+use fsi_index::{PlanKind, PlannedExecutor, PlannedList};
 use fsi_kernels::{gallop_diff_into, gallop_probe_into, heap_union_into, BitmapSet};
 
 /// A child result: borrowed straight from a prepared list when the child
@@ -39,10 +32,6 @@ impl Operand<'_> {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Planned (cost-model) execution
-// ---------------------------------------------------------------------------
 
 /// Plans and evaluates `expr` against a prepared planned index, returning
 /// the ascending result.
@@ -184,88 +173,6 @@ fn run_and_base(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fixed-strategy (owned) execution
-// ---------------------------------------------------------------------------
-
-/// Evaluates `expr` against a fixed-strategy owned index, returning the
-/// ascending result.
-pub fn eval_owned(exec: &OwnedExecutor, expr: &NormExpr) -> Vec<Elem> {
-    let mut out = Vec::new();
-    eval_owned_into(exec, expr, &mut out);
-    out
-}
-
-/// Structurally evaluates `expr`, appending the ascending result to `out`.
-/// Conjunctions whose operands are all terms run the executor's own k-way
-/// strategy path; everything else composes the slice kernels.
-pub fn eval_owned_into(exec: &OwnedExecutor, expr: &NormExpr, out: &mut Vec<Elem>) {
-    match expr {
-        NormExpr::Term(t) => exec.query_into(&[*t], out),
-        NormExpr::And { pos, neg } => {
-            if neg.is_empty() {
-                eval_owned_and_base(exec, pos, out);
-            } else {
-                let mut base = Vec::new();
-                eval_owned_and_base(exec, pos, &mut base);
-                if base.is_empty() {
-                    return;
-                }
-                let negs: Vec<Vec<Elem>> = neg
-                    .iter()
-                    .map(|n| {
-                        let mut v = Vec::new();
-                        eval_owned_into(exec, n, &mut v);
-                        v
-                    })
-                    .collect();
-                // Probe the most-excluding subtrahend first.
-                let mut refs: Vec<&[Elem]> = negs.iter().map(Vec::as_slice).collect();
-                refs.sort_by_key(|s| std::cmp::Reverse(s.len()));
-                gallop_diff_into(&base, &refs, out);
-            }
-        }
-        NormExpr::Or(children) => {
-            let parts: Vec<Vec<Elem>> = children
-                .iter()
-                .map(|c| {
-                    let mut v = Vec::new();
-                    eval_owned_into(exec, c, &mut v);
-                    v
-                })
-                .collect();
-            let slices: Vec<&[Elem]> = parts.iter().map(Vec::as_slice).collect();
-            heap_union_into(&slices, out);
-        }
-    }
-}
-
-fn eval_owned_and_base(exec: &OwnedExecutor, pos: &[NormExpr], out: &mut Vec<Elem>) {
-    let terms: Option<Vec<usize>> = pos
-        .iter()
-        .map(|c| match c {
-            NormExpr::Term(t) => Some(*t),
-            _ => None,
-        })
-        .collect();
-    match terms {
-        // All-term conjunction: the executor's existing strategy path.
-        Some(terms) => exec.query_into(&terms, out),
-        None => {
-            let parts: Vec<Vec<Elem>> = pos
-                .iter()
-                .map(|c| {
-                    let mut v = Vec::new();
-                    eval_owned_into(exec, c, &mut v);
-                    v
-                })
-                .collect();
-            let slices: Vec<&[Elem]> = parts.iter().map(Vec::as_slice).collect();
-            gallop_probe_into(&slices, out);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,7 +180,7 @@ mod tests {
     use crate::parse;
     use crate::rewrite::normalize;
     use fsi_core::{HashContext, SortedSet};
-    use fsi_index::{Planner, SearchEngine, Strategy};
+    use fsi_index::{Planner, SearchEngine};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -297,9 +204,7 @@ mod tests {
         let expect: Vec<Elem> = naive_eval(&slices, &norm).into_iter().collect();
         let planned = engine.planned_executor(Planner::default());
         let got = eval_planned(&planned, &ExprPlanner::default(), &norm);
-        assert_eq!(got, expect, "planned: {src}");
-        let owned = engine.clone().into_executor(Strategy::Merge);
-        assert_eq!(eval_owned(&owned, &norm), expect, "owned: {src}");
+        assert_eq!(got, expect, "{src}");
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //!   (heap k-way union vs chunked-bitmap `OR`) and `AND NOT` (galloping
 //!   multi-subtrahend difference), ordering evaluation by estimated
 //!   result cardinality;
-//! * [`eval_planned_into`] / [`eval_owned_into`] — execution over the two
-//!   prepared-index forms (`fsi_index::PlannedExecutor` and
-//!   `fsi_index::OwnedExecutor`), bottoming out in the `fsi_kernels`
+//! * [`eval_planned_into`] — execution over the prepared index
+//!   (`fsi_index::PlannedExecutor`), bottoming out in the `fsi_kernels`
 //!   intersection/union/difference slice kernels;
 //! * [`naive`] — `BTreeSet` reference evaluators the differential suites
 //!   pin all of the above against.
@@ -46,7 +45,7 @@ pub mod plan;
 pub mod rewrite;
 
 pub use ast::Expr;
-pub use exec::{eval_owned, eval_owned_into, eval_planned, eval_planned_into, execute_plan};
+pub use exec::{eval_planned, eval_planned_into, execute_plan};
 pub use explain::{analyze_plan, explain, report_plan, strip_explain, ExplainMode, NodeReport};
 pub use parse::{parse, ParseError};
 pub use plan::{AndKind, ExprPlan, ExprPlanner, PlanNode, UnionKind};

@@ -3,8 +3,10 @@
 //! Ding & König motivate set intersection as the inner loop of query
 //! serving; real query streams are heavily skewed (Zipfian term
 //! popularity), so a small result cache absorbs a large fraction of
-//! traffic. Keys are `(canonical expression encoding, execution mode)`;
-//! values are `Arc`-shared result vectors so hits never copy documents.
+//! traffic. Keys are the canonical expression encoding (the planner picks
+//! the physical algorithm per query, but the *result* is the same
+//! whichever plan runs); values are `Arc`-shared result vectors so hits
+//! never copy documents.
 //!
 //! The cache is split into independently locked segments (selected by key
 //! hash) so concurrent workers rarely contend; each segment runs an exact
@@ -15,9 +17,7 @@
 //! duplicated, De Morgan'd — produce bit-identical keys, so `a b`, `b a`,
 //! and `b AND a AND b` all share one entry.
 
-use crate::config::ExecMode;
 use fsi_core::Elem;
-use fsi_index::Strategy;
 use fsi_query::NormExpr;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -25,61 +25,25 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The execution-mode component of a cache key. Planned mode is a single
-/// key space: the planner picks the physical algorithm per query, but the
-/// *result* is the same whichever plan runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ModeKey {
-    /// Results computed under one fixed strategy.
-    Fixed(Strategy),
-    /// Results computed under planner dispatch.
-    Planned,
-}
-
-impl From<&ExecMode> for ModeKey {
-    fn from(mode: &ExecMode) -> Self {
-        match mode {
-            ExecMode::Fixed(s) => ModeKey::Fixed(*s),
-            ExecMode::Planned(_) => ModeKey::Planned,
-        }
-    }
-}
-
-/// A cache key: the canonical encoding of the query expression plus the
-/// execution mode the result was computed under.
+/// A cache key: the canonical encoding of the query expression.
 ///
-/// Flat conjunctions and parsed boolean expressions share one key space:
-/// `CacheKey::new` encodes a term list exactly as `CacheKey::from_norm`
-/// encodes the equivalent normalized conjunction
-/// (`fsi_query::encode_flat_and` is definitionally consistent with
-/// `fsi_query::encode ∘ normalize`), so a flat `[a, b]` query hits an
-/// entry inserted by the expression `b AND a` and vice versa.
+/// Every request is keyed through its normalized expression, so a flat
+/// `[a, b]` query hits an entry inserted by the expression `b AND a` and
+/// vice versa.
 ///
-/// Keys are derived only inside the crate (from a [`crate::Request`] or a
-/// pool worker) — callers never hand-build them, so the derivation can
-/// evolve without breaking the public API.
+/// Keys are derived only inside the crate (from a [`crate::Request`]) —
+/// callers never hand-build them, so the derivation can evolve without
+/// breaking the public API.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     expr: Box<[u32]>,
-    mode: ModeKey,
 }
 
 impl CacheKey {
-    /// The key of a flat conjunctive query: canonicalizes `terms`
-    /// (sort + dedup — conjunctions are order-insensitive and idempotent)
-    /// into the shared expression encoding and attaches the mode.
-    pub(crate) fn new(terms: &[usize], mode: ModeKey) -> Self {
-        Self {
-            expr: fsi_query::encode_flat_and(terms).into_boxed_slice(),
-            mode,
-        }
-    }
-
     /// The key of a normalized boolean expression.
-    pub(crate) fn from_norm(expr: &NormExpr, mode: ModeKey) -> Self {
+    pub(crate) fn from_norm(expr: &NormExpr) -> Self {
         Self {
             expr: fsi_query::encode(expr).into_boxed_slice(),
-            mode,
         }
     }
 
@@ -410,8 +374,8 @@ impl QueryCache {
     /// Inserts a computed result, possibly evicting the segment's LRU
     /// entry, and reports what happened. Re-inserting a live key replaces
     /// its value in place and counts as a *refresh*, not an insertion —
-    /// `len == insertions - evictions` holds even when the same (term set,
-    /// mode) key is recomputed with a different-sized result.
+    /// `len == insertions - evictions` holds even when the same key is
+    /// recomputed with a different-sized result.
     pub fn insert(&self, key: CacheKey, value: Arc<Vec<Elem>>) -> InsertOutcome {
         if !self.is_enabled() {
             return InsertOutcome {
@@ -496,8 +460,12 @@ impl QueryCache {
 mod tests {
     use super::*;
 
+    /// The key of a flat conjunction (`encode_flat_and ≡ encode ∘
+    /// normalize`, and unlike the latter it can spell the empty query).
     fn key(terms: &[usize]) -> CacheKey {
-        CacheKey::new(terms, ModeKey::Fixed(Strategy::Merge))
+        CacheKey {
+            expr: fsi_query::encode_flat_and(terms).into_boxed_slice(),
+        }
     }
 
     fn val(xs: &[Elem]) -> Arc<Vec<Elem>> {
@@ -510,14 +478,6 @@ mod tests {
         assert_eq!(key(&[5, 5, 1]), key(&[1, 5]));
         assert_ne!(key(&[1, 2]), key(&[1, 3]));
         assert_ne!(key(&[]), key(&[1]));
-        assert_ne!(
-            CacheKey::new(&[1, 2], ModeKey::Fixed(Strategy::Merge)),
-            CacheKey::new(&[1, 2], ModeKey::Fixed(Strategy::Hash)),
-        );
-        assert_ne!(
-            CacheKey::new(&[1, 2], ModeKey::Fixed(Strategy::Merge)),
-            CacheKey::new(&[1, 2], ModeKey::Planned),
-        );
     }
 
     #[test]
@@ -525,19 +485,16 @@ mod tests {
         // The canonical-keying satellite: a flat `[a, b]` query, its
         // reordered-duplicated variant, and any equivalent parsed boolean
         // expression must all land on the same cache slot.
-        let mode = ModeKey::Planned;
-        let flat = CacheKey::new(&[4, 2], mode);
-        let shuffled = CacheKey::new(&[2, 4, 2], mode);
-        let expr = CacheKey::from_norm(&fsi_query::compile("4 AND 2").expect("ok"), mode);
-        let de_morgan = CacheKey::from_norm(
-            &fsi_query::compile("NOT (NOT 2 OR NOT 4)").expect("ok"),
-            mode,
-        );
+        let flat = key(&[4, 2]);
+        let shuffled = key(&[2, 4, 2]);
+        let expr = CacheKey::from_norm(&fsi_query::compile("4 AND 2").expect("ok"));
+        let de_morgan =
+            CacheKey::from_norm(&fsi_query::compile("NOT (NOT 2 OR NOT 4)").expect("ok"));
         assert_eq!(flat, shuffled);
         assert_eq!(flat, expr);
         assert_eq!(flat, de_morgan);
         // …and a genuinely different expression does not.
-        let other = CacheKey::from_norm(&fsi_query::compile("4 OR 2").expect("ok"), mode);
+        let other = CacheKey::from_norm(&fsi_query::compile("4 OR 2").expect("ok"));
         assert_ne!(flat, other);
         let cache = QueryCache::new(8, 2);
         cache.insert(flat, val(&[1, 2, 3]));

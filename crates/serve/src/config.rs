@@ -1,113 +1,7 @@
 //! Serving configuration: how many shards and workers, how large a result
-//! cache, and which physical execution mode queries run under.
+//! cache, and which cost-model planner shards plan queries under.
 
-use fsi_index::{Planner, Strategy};
-
-/// How a shard answers a conjunctive query.
-#[derive(Debug, Clone)]
-pub enum ExecMode {
-    /// Every posting list preprocessed under one fixed [`Strategy`].
-    Fixed(Strategy),
-    /// Whole-query cost-model planning: every query's term list is planned
-    /// at once into a k-way [`fsi_index::MultiwayPlan`] (the paper's
-    /// "choose online" pitch, see [`fsi_index::planner`]).
-    Planned(Planner),
-}
-
-impl ExecMode {
-    /// A short label for telemetry and cache keys.
-    pub fn label(&self) -> String {
-        match self {
-            ExecMode::Fixed(s) => s.name(),
-            ExecMode::Planned(_) => "Planned(multiway)".to_string(),
-        }
-    }
-
-    /// Planner-mode execution with SIMD-tuned cost constants.
-    #[deprecated(since = "0.2.0", note = "use `PlannerProfile::auto().mode()`")]
-    pub fn planned_auto() -> Self {
-        PlannerProfile::auto().mode()
-    }
-
-    /// Planner-mode execution under memory pressure.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `PlannerProfile::auto().memory_pressured(..).mode()`"
-    )]
-    pub fn planned_memory_pressured(bytes_per_elem_unit: f64) -> Self {
-        PlannerProfile::auto()
-            .memory_pressured(bytes_per_elem_unit)
-            .mode()
-    }
-}
-
-/// A builder for planner-dispatched execution modes — the one place the
-/// serving stack derives a [`Planner`] from operator intent, replacing the
-/// old `ExecMode::planned_auto()` / `planned_memory_pressured(..)`
-/// constructor sprawl (one constructor per knob combination did not
-/// scale).
-///
-/// ```
-/// use fsi_serve::{PlannerProfile, ServeConfig};
-///
-/// let config = ServeConfig::default()
-///     .with_profile(PlannerProfile::auto().memory_pressured(1.5));
-/// assert!(config.mode.label().starts_with("Planned"));
-/// ```
-#[derive(Debug, Clone)]
-pub struct PlannerProfile {
-    base: Planner,
-}
-
-impl PlannerProfile {
-    /// Cost constants tuned for the SIMD tier this process dispatches to
-    /// ([`Planner::auto`]) — the serving-stack default, so plans favour
-    /// the vectorized bitmap sweep exactly where `BENCH_simd.json`
-    /// measured it winning.
-    pub fn auto() -> Self {
-        Self {
-            base: Planner::auto(),
-        }
-    }
-
-    /// The paper-era reference constants ([`Planner::default`]),
-    /// independent of the host's SIMD tier — for reproducing the paper's
-    /// crossovers rather than serving fast.
-    pub fn reference() -> Self {
-        Self {
-            base: Planner::default(),
-        }
-    }
-
-    /// Charge every candidate its resident byte footprint
-    /// ([`Planner::bytes_unit`]), so queries over compressible lists run
-    /// in the compressed domain
-    /// ([`fsi_index::PlanKind::CompressedGallop`]) instead of walking the
-    /// 4-bytes-per-id flat representations. `bytes_per_elem_unit` is the
-    /// cost of one resident byte relative to the compute units — `0.0`
-    /// reproduces the pure-compute model; values ≥ ~1 make footprint
-    /// dominate for all but the most selective plans.
-    pub fn memory_pressured(mut self, bytes_per_elem_unit: f64) -> Self {
-        self.base.bytes_unit = bytes_per_elem_unit;
-        self
-    }
-
-    /// The resulting planner.
-    pub fn planner(&self) -> Planner {
-        self.base.clone()
-    }
-
-    /// The resulting execution mode.
-    pub fn mode(&self) -> ExecMode {
-        ExecMode::Planned(self.planner())
-    }
-}
-
-impl Default for PlannerProfile {
-    fn default() -> Self {
-        Self::auto()
-    }
-}
+use fsi_index::Planner;
 
 /// Configuration of a serving engine.
 #[derive(Debug, Clone)]
@@ -122,8 +16,12 @@ pub struct ServeConfig {
     /// Number of independently locked cache segments (≥ 1); higher values
     /// reduce lock contention under concurrent batches.
     pub cache_segments: usize,
-    /// Physical execution mode.
-    pub mode: ExecMode,
+    /// The cost-model planner every shard plans queries under. Set a dial
+    /// directly to express operator intent — e.g.
+    /// `Planner { bytes_unit: 1.5, ..Planner::auto() }` charges every
+    /// candidate its resident footprint, so queries over compressible
+    /// lists run in the compressed domain.
+    pub planner: Planner,
 }
 
 impl Default for ServeConfig {
@@ -133,11 +31,10 @@ impl Default for ServeConfig {
             num_workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
             cache_capacity: 4096,
             cache_segments: 8,
-            // Whole-query cost-model planning with constants tuned for the
-            // SIMD tier this process dispatches to. Fix a strategy (e.g.
-            // the paper's `Strategy::RanGroupScan { m: 2 }`) to pin one
-            // algorithm instead.
-            mode: PlannerProfile::auto().mode(),
+            // Cost constants tuned for the SIMD tier this process
+            // dispatches to, so plans favour the vectorized bitmap sweep
+            // exactly where `BENCH_simd.json` measured it winning.
+            planner: Planner::auto(),
         }
     }
 }
@@ -148,12 +45,6 @@ impl ServeConfig {
         self.num_shards = self.num_shards.max(1);
         self.num_workers = self.num_workers.max(1);
         self.cache_segments = self.cache_segments.max(1);
-        self
-    }
-
-    /// Sets planner-dispatched execution from a [`PlannerProfile`].
-    pub fn with_profile(mut self, profile: PlannerProfile) -> Self {
-        self.mode = profile.mode();
         self
     }
 }
@@ -168,6 +59,7 @@ mod tests {
         assert!(c.num_shards >= 1);
         assert!(c.num_workers >= 1);
         assert!(c.cache_segments >= 1);
+        assert_eq!(c.planner.gallop_unit, Planner::auto().gallop_unit);
     }
 
     #[test]
@@ -180,56 +72,5 @@ mod tests {
         }
         .normalized();
         assert_eq!((c.num_shards, c.num_workers, c.cache_segments), (1, 1, 1));
-    }
-
-    #[test]
-    fn mode_labels() {
-        assert_eq!(ExecMode::Fixed(Strategy::Merge).label(), "Merge");
-        assert!(ExecMode::Planned(Planner::default())
-            .label()
-            .starts_with("Planned"));
-    }
-
-    #[test]
-    fn memory_pressured_profile_sets_only_the_bytes_dial() {
-        let ExecMode::Planned(p) = PlannerProfile::auto().memory_pressured(2.5).mode() else {
-            panic!("planned mode expected");
-        };
-        let auto = Planner::auto();
-        assert_eq!(p.bytes_unit, 2.5);
-        assert_eq!(p.gallop_unit, auto.gallop_unit);
-        assert_eq!(p.bitmap_word_unit, auto.bitmap_word_unit);
-        assert_eq!(p.decode_unit, auto.decode_unit);
-    }
-
-    #[test]
-    fn deprecated_mode_constructors_match_profiles() {
-        #[allow(deprecated)]
-        let (old_auto, old_pressured) = (
-            ExecMode::planned_auto(),
-            ExecMode::planned_memory_pressured(2.5),
-        );
-        for (old, new) in [
-            (old_auto, PlannerProfile::auto().mode()),
-            (
-                old_pressured,
-                PlannerProfile::auto().memory_pressured(2.5).mode(),
-            ),
-        ] {
-            let (ExecMode::Planned(a), ExecMode::Planned(b)) = (old, new) else {
-                panic!("planned modes expected");
-            };
-            assert_eq!(a.bytes_unit, b.bytes_unit);
-            assert_eq!(a.gallop_unit, b.gallop_unit);
-        }
-    }
-
-    #[test]
-    fn with_profile_sets_the_mode() {
-        let c = ServeConfig::default().with_profile(PlannerProfile::reference());
-        let ExecMode::Planned(p) = c.mode else {
-            panic!("planned mode expected");
-        };
-        assert_eq!(p.gallop_unit, Planner::default().gallop_unit);
     }
 }

@@ -15,42 +15,40 @@
 //!   metadata (served vs shed, cache outcome, chosen plan kind, measured
 //!   latency).
 //! * [`server`] — [`Server`]: the assembled stack behind the single
-//!   [`Server::execute`] entry point. Parse → canonical rewrite →
-//!   validate → cache → per-shard cost-based plan, with malformed or
-//!   unbounded queries rejected as [`QueryError`]s and
+//!   [`Server::execute`] entry point. Every input — term list, query
+//!   string, pre-compiled expression — becomes one canonical expression,
+//!   then takes one path: validate → cache → per-shard cost-based plan,
+//!   with malformed or unbounded queries rejected as [`QueryError`]s and
 //!   already-expired deadlines shed ([`Disposition::Shed`]) instead of
 //!   executed. [`Server::execute_batch`] drains a whole batch through the
 //!   same path on the worker pool.
 //! * [`shard`] — [`ShardedEngine`]: posting lists partitioned into
-//!   contiguous document-ID ranges, one prepared index per shard; results
-//!   merge by concatenation, so sorted output is free;
-//! * [`pool`] — [`QueryPool`]: scoped-thread batch execution with
+//!   contiguous document-ID ranges, one planner-dispatched prepared index
+//!   per shard; results merge by concatenation, so sorted output is free;
+//! * [`pool`] — [`QueryPool`]: scoped-thread batch scheduling with
 //!   round-robin dealing and work stealing, reporting per-query latency
 //!   order statistics and batch throughput;
-//! * [`cache`] — [`QueryCache`]: a segmented LRU over intersection
-//!   results keyed by `(canonical expression encoding, execution mode)`
-//!   with hit/miss/eviction counters — Zipf-skewed query streams (the
-//!   realistic case) hit it hard, and flat conjunctions share the key
-//!   space with every equivalent boolean spelling. Keys are derived
-//!   internally; callers never build a cache key;
+//! * [`cache`] — [`QueryCache`]: a segmented LRU over results keyed by
+//!   the canonical expression encoding, with hit/miss/eviction counters —
+//!   Zipf-skewed query streams (the realistic case) hit it hard, and flat
+//!   conjunctions share the key space with every equivalent boolean
+//!   spelling. Keys are derived internally; callers never build a cache
+//!   key;
 //! * [`config`] / [`stats`] — [`ServeConfig`] admission knobs (shards,
-//!   workers, cache capacity, fixed-[`fsi_index::Strategy`] vs
-//!   [`PlannerProfile`]-derived planner-dispatched execution) and
-//!   [`ServeStats`] snapshots.
+//!   workers, cache capacity, the [`fsi_index::Planner`] shards plan
+//!   under) and [`ServeStats`] snapshots.
 //!
 //! The network front door over this API — TCP framing, admission control,
 //! deadline-aware load shedding — lives in `fsi-net`, one crate up.
 //!
 //! ## Correctness contract
 //!
-//! For every strategy and shard count, `Server::execute` on a flat
-//! conjunction returns exactly the bytes `fsi_index::Executor::query`
-//! returns on the unsharded engine — asserted by the differential test
-//! suite (`tests/serve_differential.rs` at the workspace root). Boolean
-//! expressions are likewise pinned to a naive set-semantics evaluator
-//! across shard counts and planners (`tests/query_differential.rs`), and
-//! the deprecated pre-`execute` methods are pinned byte-identical to their
-//! `execute` equivalents (`tests/execute_differential.rs`).
+//! For every shard count, `Server::execute` returns exactly the bytes the
+//! naive set-semantics evaluator (`fsi_query::naive`) returns on the
+//! unsharded postings, whether a conjunction arrives as a term list or as
+//! an expression — asserted by the differential test suites at the
+//! workspace root (`tests/serve_differential.rs`,
+//! `tests/query_differential.rs`).
 //!
 //! ## Quick start
 //!
@@ -89,8 +87,8 @@ pub mod shard;
 pub mod stats;
 
 pub use cache::{CacheStats, InsertOutcome, QueryCache, SegmentCacheStats};
-pub use config::{ExecMode, PlannerProfile, ServeConfig};
-pub use pool::{BatchOutcome, QueryPool};
+pub use config::ServeConfig;
+pub use pool::QueryPool;
 pub use request::{
     CacheOutcome, Disposition, QueryInput, QueryOptions, Request, Response, ShedReason,
 };

@@ -1,65 +1,24 @@
-//! Batched parallel query execution: a worker pool that drains a batch of
-//! conjunctive queries over a [`ShardedEngine`] with work stealing.
+//! Batched parallel execution: a worker pool that drains a batch of
+//! requests with work stealing.
 //!
-//! Queries are dealt round-robin onto per-worker deques; a worker pops its
+//! Items are dealt round-robin onto per-worker deques; a worker pops its
 //! own queue from the front and, when empty, steals from the back of its
 //! siblings' queues — cheap load balancing for skewed batches where a few
 //! giant queries would otherwise idle most workers. All threads are scoped
 //! (`std::thread::scope`, nothing outlives the batch), and the crate is
 //! `#![forbid(unsafe_code)]`, so the borrow checker vouches for the pool.
 //!
-//! The pool is cache-aware: when handed a [`QueryCache`] it consults it
-//! before dispatching to shards and fills it on miss. Two workers racing on
-//! the same (rare) duplicate query may both compute it — a benign stampede
-//! that keeps the hot path lock-free between cache segments.
+//! The pool schedules; it does not execute. [`crate::Server::execute_batch`]
+//! hands it the per-request [`crate::Server::execute`] closure, so batched
+//! requests take the same cache-fronted path as single ones. Two workers
+//! racing on the same (rare) duplicate query may both compute it — a
+//! benign stampede that keeps the hot path lock-free between cache
+//! segments.
 
-use crate::cache::{CacheKey, ModeKey, QueryCache};
-use crate::shard::ShardedEngine;
-use crate::stats::LatencySummary;
-use fsi_core::Elem;
-use fsi_obs::{HistSnapshot, Histogram};
+use fsi_obs::Histogram;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// The result of draining one batch.
-#[derive(Debug, Clone)]
-pub struct BatchOutcome {
-    /// Per-query results, parallel to the input batch, ascending document
-    /// order. `Arc`-shared with the cache: hits cost no copy.
-    pub results: Vec<Arc<Vec<Elem>>>,
-    /// Per-query wall-clock latency, parallel to the input batch.
-    ///
-    /// Measured from the moment a worker *picks the query up*, so this is
-    /// service time, not queue wait. When more workers run than cores
-    /// exist, the OS timeslices them and service times inflate — check
-    /// [`BatchOutcome::queue_depths`] against the machine's parallelism
-    /// before reading tail latencies as algorithmic.
-    pub latencies: Vec<Duration>,
-    /// Order statistics over `latencies`, computed from
-    /// [`BatchOutcome::latency_hist`].
-    pub latency: LatencySummary,
-    /// The merged per-worker latency histogram (nanosecond samples). Each
-    /// worker records into its own histogram lock-free; the pool merges
-    /// them bucket-wise after the batch — the server folds this into its
-    /// registry so batch latencies and single-query latencies share one
-    /// distribution.
-    pub latency_hist: HistSnapshot,
-    /// How many queries were dealt to each worker's queue before the batch
-    /// started (round-robin; length = workers actually used).
-    pub queue_depths: Vec<usize>,
-    /// How many queries each worker actually completed — the difference
-    /// from [`BatchOutcome::queue_depths`] is work stealing.
-    pub executed_per_worker: Vec<usize>,
-    /// Wall-clock duration of the whole batch.
-    pub wall: Duration,
-    /// Queries per second over the batch.
-    pub throughput_qps: f64,
-    /// Queries answered from the result cache.
-    pub cache_hits: u64,
-    /// Queries computed by the shards.
-    pub cache_misses: u64,
-}
 
 /// A fixed-width worker pool for batch execution.
 #[derive(Debug, Clone)]
@@ -98,79 +57,6 @@ impl QueryPool {
     /// Number of worker threads per batch.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Answers one query, consulting/filling `cache` when given — the one
-    /// cache-fronting path, shared by batch workers and `Server::query`.
-    pub(crate) fn answer(
-        engine: &ShardedEngine,
-        cache: Option<&QueryCache>,
-        terms: &[usize],
-    ) -> (Arc<Vec<Elem>>, bool) {
-        let key = cache.map(|_| CacheKey::new(terms, ModeKey::from(engine.mode())));
-        if let (Some(cache), Some(key)) = (cache, &key) {
-            if let Some(hit) = cache.get(key) {
-                return (hit, true);
-            }
-        }
-        let result = Arc::new(engine.query(terms));
-        if let (Some(cache), Some(key)) = (cache, key) {
-            cache.insert(key, Arc::clone(&result));
-        }
-        (result, false)
-    }
-
-    /// Drains `queries` across the pool and returns per-query results plus
-    /// batch statistics. Results are positionally parallel to the input.
-    ///
-    /// This is the flat-conjunction face of the one batch scheduler
-    /// (`QueryPool::run_indexed`); `Server::execute_batch` drives the
-    /// same scheduler with full [`crate::Request`]s.
-    pub fn run_batch(
-        &self,
-        engine: &ShardedEngine,
-        cache: Option<&QueryCache>,
-        queries: &[Vec<usize>],
-    ) -> BatchOutcome {
-        let batch_start = Instant::now();
-        let run = self.run_indexed(queries.len(), |i| {
-            // Dealt indices are always in-bounds; `.get` keeps the worker
-            // panic-free regardless.
-            queries
-                .get(i)
-                .map(|terms| Self::answer(engine, cache, terms))
-        });
-        let wall = batch_start.elapsed();
-
-        let empty = Arc::new(Vec::new());
-        let mut results = Vec::with_capacity(queries.len());
-        let mut latencies = Vec::with_capacity(queries.len());
-        let mut cache_hits = 0u64;
-        for (item, latency) in run.items {
-            let (result, cache_hit) = item.unwrap_or((Arc::clone(&empty), false));
-            cache_hits += cache_hit as u64;
-            results.push(result);
-            latencies.push(latency);
-        }
-        let latency_hist = run.hist.snapshot();
-        let latency = LatencySummary::from_histogram(&latency_hist);
-        let throughput_qps = if wall.as_secs_f64() > 0.0 {
-            queries.len() as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        };
-        BatchOutcome {
-            results,
-            latencies,
-            latency,
-            latency_hist,
-            wall,
-            throughput_qps,
-            cache_hits,
-            cache_misses: queries.len() as u64 - cache_hits,
-            queue_depths: run.queue_depths,
-            executed_per_worker: run.executed_per_worker,
-        }
     }
 
     /// The one batch scheduler: runs `f(0..n)` across the pool —
@@ -286,73 +172,86 @@ impl QueryPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ExecMode;
-    use fsi_core::HashContext;
-    use fsi_index::{Corpus, CorpusConfig, SearchEngine, Strategy};
+    use crate::{CacheOutcome, Request, ServeConfig, Server};
+    use fsi_core::{Elem, HashContext};
+    use fsi_index::{Corpus, CorpusConfig};
 
-    fn sharded(shards: usize) -> ShardedEngine {
+    fn server(workers: usize, cache_capacity: usize) -> Server {
         let corpus = Corpus::generate(CorpusConfig {
             num_docs: 20_000,
             num_terms: 32,
             ..CorpusConfig::default()
         });
-        let engine = SearchEngine::from_corpus(HashContext::new(5), corpus);
-        ShardedEngine::build(
-            &engine,
-            shards,
-            ExecMode::Fixed(Strategy::RanGroupScan { m: 2 }),
+        Server::from_corpus(
+            HashContext::new(5),
+            corpus,
+            ServeConfig {
+                num_shards: 3,
+                num_workers: workers,
+                cache_capacity,
+                ..ServeConfig::default()
+            },
         )
     }
 
-    fn batch() -> Vec<Vec<usize>> {
+    fn batch() -> Vec<Request> {
         (0..40)
-            .map(|i| vec![i % 8, (i + 3) % 16, (i * 5 + 1) % 32])
+            .map(|i| Request::terms(vec![i % 8, (i + 3) % 16, (i * 5 + 1) % 32]))
+            .collect()
+    }
+
+    fn docs(server: &Server, requests: &[Request]) -> Vec<std::sync::Arc<Vec<Elem>>> {
+        let outcome = server.execute_batch(requests);
+        outcome
+            .responses
+            .into_iter()
+            .map(|r| r.expect("valid").docs)
             .collect()
     }
 
     #[test]
     fn batch_results_match_direct_queries() {
-        let engine = sharded(3);
-        let queries = batch();
+        let requests = batch();
         for workers in [1usize, 2, 4] {
-            let outcome = QueryPool::new(workers).run_batch(&engine, None, &queries);
-            assert_eq!(outcome.results.len(), queries.len());
-            for (q, r) in queries.iter().zip(&outcome.results) {
-                assert_eq!(r.as_slice(), engine.query(q), "workers={workers} q={q:?}");
+            let server = server(workers, 0);
+            let outcome = server.execute_batch(&requests);
+            assert_eq!(outcome.responses.len(), requests.len());
+            for (req, r) in requests.iter().zip(&outcome.responses) {
+                let direct = server.execute(req).expect("valid");
+                let batched = r.as_ref().expect("valid");
+                assert_eq!(batched.docs, direct.docs, "workers={workers} {req:?}");
+                assert_eq!(batched.cache, CacheOutcome::Disabled);
             }
-            assert_eq!(outcome.cache_hits, 0);
-            assert_eq!(outcome.cache_misses, queries.len() as u64);
-            assert_eq!(outcome.latency.count, queries.len());
+            assert_eq!(outcome.latency.count, requests.len());
             assert!(outcome.throughput_qps > 0.0);
         }
     }
 
     #[test]
     fn cache_front_serves_repeats() {
-        let engine = sharded(2);
-        let cache = QueryCache::new(128, 4);
-        let queries: Vec<Vec<usize>> = (0..30).map(|i| vec![i % 3, 10 + i % 2]).collect();
-        let pool = QueryPool::new(4);
-        let first = pool.run_batch(&engine, Some(&cache), &queries);
-        // 6 distinct term sets; every later repeat in the second pass hits.
-        let second = pool.run_batch(&engine, Some(&cache), &queries);
-        assert_eq!(second.cache_hits, queries.len() as u64);
-        for (a, b) in first.results.iter().zip(&second.results) {
-            assert_eq!(a, b);
+        let server = server(4, 128);
+        let requests: Vec<Request> = (0..30)
+            .map(|i| Request::terms(vec![i % 3, 10 + i % 2]))
+            .collect();
+        let first = docs(&server, &requests);
+        // 6 distinct term sets; every request in the second pass hits.
+        let second = server.execute_batch(&requests);
+        for (a, b) in first.iter().zip(&second.responses) {
+            let b = b.as_ref().expect("valid");
+            assert_eq!(b.cache, CacheOutcome::Hit);
+            assert_eq!(a, &b.docs);
         }
-        assert!(cache.stats().hit_rate() > 0.5);
+        assert!(server.stats().cache.hit_rate() > 0.5);
     }
 
     #[test]
     fn cached_results_equal_uncached() {
-        let engine = sharded(3);
-        let cache = QueryCache::new(64, 2);
-        let queries = batch();
-        let pool = QueryPool::new(3);
-        let warm = pool.run_batch(&engine, Some(&cache), &queries);
-        let hot = pool.run_batch(&engine, Some(&cache), &queries);
-        let cold = pool.run_batch(&engine, None, &queries);
-        for ((w, h), c) in warm.results.iter().zip(&hot.results).zip(&cold.results) {
+        let requests = batch();
+        let cached = server(3, 64);
+        let warm = docs(&cached, &requests);
+        let hot = docs(&cached, &requests);
+        let cold = docs(&server(3, 0), &requests);
+        for ((w, h), c) in warm.iter().zip(&hot).zip(&cold) {
             assert_eq!(w, h);
             assert_eq!(w, c);
         }
@@ -360,35 +259,29 @@ mod tests {
 
     #[test]
     fn queue_depths_and_executed_counts_cover_the_batch() {
-        let engine = sharded(2);
-        let queries = batch();
+        let n = 40;
         for workers in [1usize, 3, 4] {
-            let outcome = QueryPool::new(workers).run_batch(&engine, None, &queries);
-            let used = workers.min(queries.len());
-            assert_eq!(outcome.queue_depths.len(), used, "workers={workers}");
-            assert_eq!(outcome.executed_per_worker.len(), used);
-            assert_eq!(outcome.queue_depths.iter().sum::<usize>(), queries.len());
-            assert_eq!(
-                outcome.executed_per_worker.iter().sum::<usize>(),
-                queries.len()
-            );
+            let run = QueryPool::new(workers).run_indexed(n, |i| i);
+            let used = workers.min(n);
+            assert_eq!(run.queue_depths.len(), used, "workers={workers}");
+            assert_eq!(run.executed_per_worker.len(), used);
+            assert_eq!(run.queue_depths.iter().sum::<usize>(), n);
+            assert_eq!(run.executed_per_worker.iter().sum::<usize>(), n);
             // Round-robin deal: initial depths differ by at most one.
-            let mn = *outcome.queue_depths.iter().min().expect("non-empty");
-            let mx = *outcome.queue_depths.iter().max().expect("non-empty");
-            assert!(
-                mx - mn <= 1,
-                "deal not round-robin: {:?}",
-                outcome.queue_depths
-            );
+            let mn = *run.queue_depths.iter().min().expect("non-empty");
+            let mx = *run.queue_depths.iter().max().expect("non-empty");
+            assert!(mx - mn <= 1, "deal not round-robin: {:?}", run.queue_depths);
+            // Results are positional whichever worker ran them.
+            let items: Vec<usize> = run.items.into_iter().map(|(i, _)| i).collect();
+            assert_eq!(items, (0..n).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let engine = sharded(2);
-        let outcome = QueryPool::new(4).run_batch(&engine, None, &[]);
-        assert!(outcome.results.is_empty());
-        assert_eq!(outcome.latency.count, 0);
+        let run = QueryPool::new(4).run_indexed(0, |i| i);
+        assert!(run.items.is_empty());
+        assert_eq!(run.hist.snapshot().count, 0);
     }
 
     #[test]
@@ -396,21 +289,17 @@ mod tests {
         // Regression: the steal path used to hold the worker's own queue
         // lock while locking siblings, deadlocking two simultaneously
         // drained workers. Many tiny batches maximize simultaneous drains.
-        let engine = sharded(2);
         let pool = QueryPool::new(2);
-        let queries = vec![vec![0usize, 1], vec![2, 3], vec![4, 5], vec![6, 7]];
         for _ in 0..200 {
-            let outcome = pool.run_batch(&engine, None, &queries);
-            assert_eq!(outcome.results.len(), 4);
+            let run = pool.run_indexed(4, |i| i);
+            assert_eq!(run.items.len(), 4);
         }
     }
 
     #[test]
     fn more_workers_than_queries_is_fine() {
-        let engine = sharded(2);
-        let queries = vec![vec![0usize, 1], vec![2, 3]];
-        let outcome = QueryPool::new(16).run_batch(&engine, None, &queries);
-        assert_eq!(outcome.results.len(), 2);
-        assert_eq!(outcome.results[0].as_slice(), engine.query(&[0, 1]));
+        let run = QueryPool::new(16).run_indexed(2, |i| i * 10);
+        let items: Vec<usize> = run.items.into_iter().map(|(i, _)| i).collect();
+        assert_eq!(items, vec![0, 10]);
     }
 }

@@ -1,17 +1,12 @@
 //! The request-lifetime serving API: one [`Request`] in, one [`Response`]
 //! out.
 //!
-//! Earlier revisions grew a method per capability on `Server` —
-//! `query`, `query_expr`, `query_norm`, `query_expr_traced`, `explain` —
-//! which meant every new per-request concern (deadlines, tenants, planner
-//! overrides) would have multiplied the surface. [`crate::Server::execute`]
-//! collapses the zoo: a [`Request`] names *what* to answer
-//! ([`QueryInput`]) and *how* ([`QueryOptions`]), and the [`Response`]
-//! carries the documents plus per-request metadata (cache outcome, chosen
-//! plan kind, served/shed disposition, measured latency, optional trace
-//! and `EXPLAIN` rendering). The old methods survive as `#[deprecated]`
-//! delegating shims, pinned byte-identical to `execute` by
-//! `tests/execute_differential.rs`.
+//! [`crate::Server::execute`] is the one entry point: a [`Request`] names
+//! *what* to answer ([`QueryInput`]) and *how* ([`QueryOptions`]), and the
+//! [`Response`] carries the documents plus per-request metadata (cache
+//! outcome, chosen plan kind, served/shed disposition, measured latency,
+//! optional trace and `EXPLAIN` rendering). Every per-request concern
+//! (deadlines, tenants, planner overrides) is an option, not a method.
 
 use fsi_core::Elem;
 use fsi_index::Planner;
@@ -23,7 +18,8 @@ use std::time::{Duration, Instant};
 /// What a request asks the engine to answer.
 #[derive(Debug, Clone)]
 pub enum QueryInput {
-    /// A flat conjunctive query: intersect these posting lists.
+    /// A flat conjunctive query: intersect these posting lists. Served as
+    /// the equivalent `AND` expression — same plan, same cache entry.
     Terms(Vec<usize>),
     /// A boolean query string in the [`fsi_query`] language
     /// (`AND`/`OR`/`NOT`, parentheses, implicit `AND`, optional
@@ -33,16 +29,13 @@ pub enum QueryInput {
     Norm(NormExpr),
 }
 
-/// Per-request execution options. Everything defaults off: a default
-/// `QueryOptions` executes exactly like the pre-redesign methods did.
+/// Per-request execution options. Everything defaults off.
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     /// Run this request under a different [`Planner`] than the engine was
-    /// built with (planned-mode engines only — a fixed-strategy engine has
-    /// no planner to override and rejects with
-    /// [`crate::QueryError::NeedsPlanner`]). Results are invariant across
-    /// planners — only the physical plan changes — so overridden requests
-    /// still share the result cache.
+    /// built with. Results are invariant across planners — only the
+    /// physical plan changes — so overridden requests still share the
+    /// result cache.
     pub planner_override: Option<Planner>,
     /// Record a [`QueryTrace`] (one span per stage, one per shard) into
     /// [`Response::trace`].
@@ -107,7 +100,7 @@ impl Request {
         }
     }
 
-    /// Override the planner for this request (planned-mode engines only).
+    /// Override the planner for this request.
     pub fn planner(mut self, planner: Planner) -> Self {
         self.options.planner_override = Some(planner);
         self
@@ -153,7 +146,8 @@ pub enum CacheOutcome {
     Miss,
     /// The cache is disabled (`cache_capacity: 0`).
     Disabled,
-    /// The request never consulted the cache (shed, or `EXPLAIN`).
+    /// The request never consulted the cache (shed, `EXPLAIN`, or the
+    /// empty conjunction).
     Bypassed,
 }
 
@@ -201,8 +195,8 @@ pub struct Response {
     pub cache: CacheOutcome,
     /// The root operator of the executed plan (shard 0's plan label —
     /// shards plan independently, and per-shard detail is the trace's
-    /// job). `None` for cache hits, fixed-strategy engines, and shed
-    /// requests.
+    /// job). `None` when nothing was planned: cache hits, shed requests,
+    /// `EXPLAIN`, and the empty conjunction.
     pub plan_kind: Option<&'static str>,
     /// Wall-clock service time of this request as the server measured it.
     pub latency: Duration,
@@ -218,10 +212,12 @@ impl Response {
         matches!(self.disposition, Disposition::Served)
     }
 
-    pub(crate) fn shed(reason: ShedReason, latency: Duration) -> Self {
+    /// A response that carries no documents and never consulted the cache
+    /// or the engine: shed requests, `EXPLAIN`, the empty conjunction.
+    pub(crate) fn bypassed(disposition: Disposition, latency: Duration) -> Self {
         Self {
             docs: Arc::new(Vec::new()),
-            disposition: Disposition::Shed(reason),
+            disposition,
             cache: CacheOutcome::Bypassed,
             plan_kind: None,
             latency,
@@ -233,8 +229,8 @@ impl Response {
 
 /// Canonical [`NormExpr`] of a non-empty flat conjunction: sorted,
 /// deduplicated; one term collapses to [`NormExpr::Term`]. Returns `None`
-/// for the empty query (the canonical language has no ⊤ — flat execution
-/// handles it directly).
+/// for the empty query (the canonical language has no ⊤ — the server
+/// answers it empty without consulting the engine).
 pub(crate) fn flat_to_norm(terms: &[usize]) -> Option<NormExpr> {
     let mut sorted = terms.to_vec();
     sorted.sort_unstable();

@@ -2,23 +2,39 @@
 //! a [`QueryPool`] assembled from one [`ServeConfig`], answering
 //! [`Request`]s through the single [`Server::execute`] entry point.
 
-use crate::cache::{CacheKey, ModeKey, QueryCache};
-use crate::config::{ExecMode, ServeConfig};
-use crate::pool::{BatchOutcome, QueryPool};
+use crate::cache::{CacheKey, QueryCache};
+use crate::config::ServeConfig;
+use crate::pool::QueryPool;
 use crate::request::{
     flat_to_norm, CacheOutcome, Disposition, QueryInput, Request, Response, ShedReason,
 };
 use crate::shard::ShardedEngine;
 use crate::stats::{LatencySummary, ServeStats};
-use fsi_core::{Elem, HashContext};
+use fsi_core::HashContext;
 use fsi_index::{Corpus, SearchEngine};
 use fsi_kernels::SimdLevel;
 use fsi_obs::{
-    Counter, HistSnapshot, Histogram, LabelCap, QueryTrace, Registry, Snapshot, TraceBuilder,
+    Counter, HistSnapshot, Histogram, LabelCap, Registry, Snapshot, Span, SpanStart, TraceBuilder,
 };
-use fsi_query::{CompileError, ExplainMode, NormExpr};
+use fsi_query::{CompileError, NormExpr};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Starts a span on a traced request; free on an untraced one.
+fn span_start(tb: &Option<TraceBuilder>) -> Option<SpanStart> {
+    tb.as_ref().map(TraceBuilder::start_span)
+}
+
+/// Ends a span started with [`span_start`]; the span, when there is one,
+/// takes attributes.
+fn span_end<'a>(
+    tb: &'a mut Option<TraceBuilder>,
+    start: Option<SpanStart>,
+    name: &str,
+) -> Option<&'a mut Span> {
+    Some(tb.as_mut()?.end_span(start?, name))
+}
 
 /// Why the server rejected a query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,10 +48,6 @@ pub enum QueryError {
         /// The vocabulary size (valid ids are `0..num_terms`).
         num_terms: usize,
     },
-    /// The operation needs the cost-based planner (`ExecMode::Planned`) —
-    /// `EXPLAIN` has no estimates to render and a per-request planner
-    /// override has no planner to replace under a fixed strategy.
-    NeedsPlanner,
     /// The requested option combination is not expressible — e.g.
     /// `EXPLAIN` of the empty conjunction, which the canonical expression
     /// language cannot represent.
@@ -48,12 +60,6 @@ impl std::fmt::Display for QueryError {
             QueryError::Compile(e) => write!(f, "{e}"),
             QueryError::UnknownTerm { term, num_terms } => {
                 write!(f, "unknown term t{term} (index has {num_terms} terms)")
-            }
-            QueryError::NeedsPlanner => {
-                write!(
-                    f,
-                    "operation requires planner-dispatched execution (ExecMode::Planned)"
-                )
             }
             QueryError::Unsupported(what) => write!(f, "unsupported request: {what}"),
         }
@@ -147,7 +153,7 @@ impl Server {
         let queries_shed = registry.counter("fsi_queries_shed_total", &[]);
         let latency_ns = registry.histogram("fsi_query_latency_ns", &[]);
         Self {
-            engine: ShardedEngine::build(engine, config.num_shards, config.mode.clone()),
+            engine: ShardedEngine::build(engine, config.num_shards, config.planner.clone()),
             cache: QueryCache::new(config.cache_capacity, config.cache_segments),
             pool: QueryPool::new(config.num_workers),
             registry,
@@ -173,13 +179,13 @@ impl Server {
     ///    is shed (an `Ok` response with
     ///    [`Disposition::Shed`]`(`[`ShedReason::DeadlineExpired`]`)`,
     ///    nothing executed).
-    /// 2. **Compile & validate** — textual queries parse and normalize
-    ///    (an `EXPLAIN [ANALYZE]` prefix turns the request into an
-    ///    explain); out-of-vocabulary terms are rejected. Rejected
-    ///    requests count toward no serving counter.
-    /// 3. **Cache** — the canonical-encoding cache key is derived
-    ///    internally; flat conjunctions and equivalent boolean spellings
-    ///    share entries.
+    /// 2. **Compile & validate** — every input becomes one canonical
+    ///    expression: textual queries parse and normalize (an
+    ///    `EXPLAIN [ANALYZE]` prefix turns the request into an explain),
+    ///    a flat term list is its `AND`; out-of-vocabulary terms are
+    ///    rejected. Rejected requests count toward no serving counter.
+    /// 3. **Cache** — keyed by the canonical encoding, so flat
+    ///    conjunctions and equivalent boolean spellings share entries.
     /// 4. **Execute** — per-shard, under the engine's planner or the
     ///    request's override; the response reports the chosen plan kind,
     ///    cache outcome, and measured service time, plus a trace or a
@@ -206,73 +212,70 @@ impl Server {
     pub fn execute(&self, req: &Request) -> Result<Response, QueryError> {
         let start = Instant::now();
         if let Some(deadline) = req.options.deadline {
-            if Instant::now() >= deadline {
+            if start >= deadline {
                 self.queries_shed.inc();
                 self.note_tenant(req);
-                return Ok(Response::shed(ShedReason::DeadlineExpired, start.elapsed()));
+                let shed = Disposition::Shed(ShedReason::DeadlineExpired);
+                return Ok(Response::bypassed(shed, start.elapsed()));
             }
         }
-        if req.options.planner_override.is_some()
-            && !matches!(self.engine.mode(), ExecMode::Planned(_))
-        {
-            return Err(QueryError::NeedsPlanner);
-        }
-        match &req.input {
+        let mut explain = req.options.explain;
+        let mut tb = None;
+        let norm = match &req.input {
             QueryInput::Text(src) => {
                 let (prefix_mode, rest) = fsi_query::strip_explain(src);
-                let explain_mode = prefix_mode.or(req.options.explain);
-                if req.options.trace && explain_mode.is_none() {
-                    return self.execute_traced_text(rest, req, start);
+                explain = prefix_mode.or(explain);
+                if req.options.trace && explain.is_none() {
+                    tb = Some(TraceBuilder::new(rest));
                 }
-                let norm = fsi_query::compile(rest)?;
-                self.validate(&norm)?;
-                match explain_mode {
-                    Some(mode) => self.execute_explain(&norm, mode, req, start),
-                    None => self.execute_norm(&norm, req, start, true),
+                let s = span_start(&tb);
+                let ast = fsi_query::parse(rest).map_err(CompileError::from)?;
+                span_end(&mut tb, s, "parse");
+                let s = span_start(&tb);
+                let norm = fsi_query::normalize(&ast).map_err(CompileError::from)?;
+                if let Some(span) = span_end(&mut tb, s, "rewrite") {
+                    let fingerprint = format!("{:016x}", fsi_query::fingerprint(&norm));
+                    span.attr("canonical", &norm)
+                        .attr("fingerprint", fingerprint);
                 }
+                Cow::Owned(norm)
             }
-            QueryInput::Norm(expr) => {
-                self.validate(expr)?;
-                match req.options.explain {
-                    Some(mode) => self.execute_explain(expr, mode, req, start),
-                    None if req.options.trace => {
-                        let tb = TraceBuilder::new(expr.to_string());
-                        self.finish_traced(expr, tb, req, start, true)
-                    }
-                    None => self.execute_norm(expr, req, start, true),
-                }
-            }
-            QueryInput::Terms(terms) => {
-                let num_terms = self.engine.num_terms();
-                if let Some(&term) = terms.iter().find(|&&t| t >= num_terms) {
-                    return Err(QueryError::UnknownTerm { term, num_terms });
-                }
-                let needs_expr_route = req.options.explain.is_some()
-                    || req.options.trace
-                    || req.options.planner_override.is_some();
-                if !needs_expr_route {
-                    return self.execute_terms(terms, req, start);
-                }
-                // Options that need the expression engine route through the
-                // canonical conjunction — byte-identical results and the
-                // same cache entry (`encode_flat_and ≡ encode ∘ normalize`).
-                // The flat counter semantics are kept: these are not
-                // "expression queries served".
-                let Some(norm) = flat_to_norm(terms) else {
+            QueryInput::Norm(expr) => Cow::Borrowed(expr),
+            QueryInput::Terms(terms) => match flat_to_norm(terms) {
+                Some(norm) => Cow::Owned(norm),
+                None if req.options.trace || explain.is_some() => {
                     return Err(QueryError::Unsupported(
-                        "the empty conjunction has no expression form to explain, trace, or re-plan",
+                        "the empty conjunction has no expression form to explain or trace",
                     ));
-                };
-                match req.options.explain {
-                    Some(mode) => self.execute_explain(&norm, mode, req, start),
-                    None if req.options.trace => {
-                        let tb = TraceBuilder::new(norm.to_string());
-                        self.finish_traced(&norm, tb, req, start, false)
-                    }
-                    None => self.execute_norm(&norm, req, start, false),
                 }
-            }
+                // The canonical language has no ⊤: the empty conjunction
+                // is served empty by convention, nothing planned or cached.
+                None => {
+                    self.queries_served.inc();
+                    self.note_tenant(req);
+                    return Ok(Response::bypassed(Disposition::Served, self.record(start)));
+                }
+            },
+        };
+        let num_terms = self.engine.num_terms();
+        if let Some(&term) = norm.terms().iter().find(|&&t| t >= num_terms) {
+            return Err(QueryError::UnknownTerm { term, num_terms });
         }
+        if let Some(mode) = explain {
+            // Renders one plan tree per shard instead of serving documents,
+            // so it counts toward no serving counter.
+            let planner = req.options.planner_override.as_ref();
+            let text = self.engine.explain(&norm, mode, planner);
+            self.note_tenant(req);
+            return Ok(Response {
+                explain: Some(text),
+                ..Response::bypassed(Disposition::Served, start.elapsed())
+            });
+        }
+        if req.options.trace && tb.is_none() {
+            tb = Some(TraceBuilder::new(norm.to_string()));
+        }
+        Ok(self.serve(&norm, tb, req, start))
     }
 
     /// Executes a batch of requests across the worker pool — round-robin
@@ -307,14 +310,73 @@ impl Server {
         }
     }
 
-    // -- the execute stages -------------------------------------------------
-
-    fn validate(&self, norm: &NormExpr) -> Result<(), QueryError> {
-        let num_terms = self.engine.num_terms();
-        if let Some(&term) = norm.terms().iter().find(|&&t| t >= num_terms) {
-            return Err(QueryError::UnknownTerm { term, num_terms });
+    /// The one cache-fronted execution routine every served request ends
+    /// in: cache probe → per-shard evaluation → cache insert. On a traced
+    /// request `tb` records a span around each step; result and cache
+    /// interaction are identical either way, so traced and untraced runs
+    /// compare for overhead directly.
+    fn serve(
+        &self,
+        norm: &NormExpr,
+        mut tb: Option<TraceBuilder>,
+        req: &Request,
+        start: Instant,
+    ) -> Response {
+        self.queries_served.inc();
+        // A flat request is a served query, not an expression query.
+        if !matches!(req.input, QueryInput::Terms(_)) {
+            self.expr_queries_served.inc();
         }
-        Ok(())
+        self.note_tenant(req);
+        let key = self.cache.is_enabled().then(|| CacheKey::from_norm(norm));
+        let s = span_start(&tb);
+        let hit = key.as_ref().and_then(|k| self.cache.get(k));
+        if let Some(span) = span_end(&mut tb, s, "cache") {
+            span.attr(
+                "outcome",
+                match (&hit, &key) {
+                    (Some(_), _) => "hit",
+                    (None, Some(_)) => "miss",
+                    (None, None) => "disabled",
+                },
+            );
+        }
+        let (docs, cache, plan_kind) = match hit {
+            Some(docs) => (docs, CacheOutcome::Hit, None),
+            None => {
+                let s = span_start(&tb);
+                let planner = req.options.planner_override.as_ref();
+                let (docs, kind) = self.engine.eval(norm, planner, tb.as_mut());
+                let docs = Arc::new(docs);
+                if let Some(span) = span_end(&mut tb, s, "exec") {
+                    span.attr("simd", SimdLevel::active().name())
+                        .attr("shards", self.engine.num_shards())
+                        .attr("rows", docs.len());
+                }
+                let cache = match key {
+                    Some(key) => {
+                        let outcome = self.cache.insert(key, Arc::clone(&docs));
+                        if let Some(tb) = &mut tb {
+                            tb.event("cache_insert")
+                                .attr("fresh", outcome.fresh)
+                                .attr("evicted", outcome.evicted);
+                        }
+                        CacheOutcome::Miss
+                    }
+                    None => CacheOutcome::Disabled,
+                };
+                (docs, cache, kind)
+            }
+        };
+        Response {
+            docs,
+            disposition: Disposition::Served,
+            cache,
+            plan_kind,
+            latency: self.record(start),
+            trace: tb.map(TraceBuilder::finish),
+            explain: None,
+        }
     }
 
     /// Bills the request to its tenant, if any. The tenant label is
@@ -335,294 +397,6 @@ impl Server {
         let latency = start.elapsed();
         self.latency_ns.record_duration(latency);
         latency
-    }
-
-    /// The flat conjunctive path (no trace/explain/override): cache-fronted
-    /// intersection, exactly the pool workers' `answer` discipline.
-    fn execute_terms(
-        &self,
-        terms: &[usize],
-        req: &Request,
-        start: Instant,
-    ) -> Result<Response, QueryError> {
-        self.queries_served.inc();
-        self.note_tenant(req);
-        let enabled = self.cache.is_enabled();
-        let key = enabled.then(|| CacheKey::new(terms, ModeKey::from(self.engine.mode())));
-        if let Some(key) = &key {
-            if let Some(hit) = self.cache.get(key) {
-                return Ok(self.served(hit, CacheOutcome::Hit, None, self.record(start)));
-            }
-        }
-        let (result, kind) = self.engine.query_kind(terms);
-        let result = Arc::new(result);
-        if let Some(key) = key {
-            self.cache.insert(key, Arc::clone(&result));
-        }
-        let cache = if enabled {
-            CacheOutcome::Miss
-        } else {
-            CacheOutcome::Disabled
-        };
-        Ok(self.served(result, cache, kind, self.record(start)))
-    }
-
-    /// The expression path: cache-fronted per-shard evaluation, with the
-    /// request's planner override when present. `count_expr` is false when
-    /// a flat request routed here for its options — it still counts as a
-    /// served query, not as an expression query.
-    fn execute_norm(
-        &self,
-        expr: &NormExpr,
-        req: &Request,
-        start: Instant,
-        count_expr: bool,
-    ) -> Result<Response, QueryError> {
-        self.queries_served.inc();
-        if count_expr {
-            self.expr_queries_served.inc();
-        }
-        self.note_tenant(req);
-        let enabled = self.cache.is_enabled();
-        let key = enabled.then(|| CacheKey::from_norm(expr, ModeKey::from(self.engine.mode())));
-        if let Some(key) = &key {
-            if let Some(hit) = self.cache.get(key) {
-                return Ok(self.served(hit, CacheOutcome::Hit, None, self.record(start)));
-            }
-        }
-        let (result, kind) = self
-            .engine
-            .query_expr_with(expr, req.options.planner_override.as_ref());
-        let result = Arc::new(result);
-        if let Some(key) = key {
-            self.cache.insert(key, Arc::clone(&result));
-        }
-        let cache = if enabled {
-            CacheOutcome::Miss
-        } else {
-            CacheOutcome::Disabled
-        };
-        Ok(self.served(result, cache, kind, self.record(start)))
-    }
-
-    /// The `EXPLAIN` path: renders one plan tree per shard instead of
-    /// serving documents. Does not count toward the serving counters (no
-    /// documents served), exactly like the legacy `explain` method.
-    fn execute_explain(
-        &self,
-        expr: &NormExpr,
-        mode: ExplainMode,
-        req: &Request,
-        start: Instant,
-    ) -> Result<Response, QueryError> {
-        let text = self
-            .engine
-            .explain_expr_with(expr, mode, req.options.planner_override.as_ref())
-            .ok_or(QueryError::NeedsPlanner)?;
-        self.note_tenant(req);
-        Ok(Response {
-            docs: Arc::new(Vec::new()),
-            disposition: Disposition::Served,
-            cache: CacheOutcome::Bypassed,
-            plan_kind: None,
-            latency: start.elapsed(),
-            trace: None,
-            explain: Some(text),
-        })
-    }
-
-    /// The traced textual path: parse and rewrite under their own spans,
-    /// then the shared traced tail.
-    fn execute_traced_text(
-        &self,
-        query: &str,
-        req: &Request,
-        start: Instant,
-    ) -> Result<Response, QueryError> {
-        let mut tb = TraceBuilder::new(query);
-        let s = tb.start_span();
-        let ast = fsi_query::parse(query).map_err(CompileError::from)?;
-        tb.end_span(s, "parse");
-        let s = tb.start_span();
-        let norm = fsi_query::normalize(&ast).map_err(CompileError::from)?;
-        tb.end_span(s, "rewrite").attr("canonical", &norm).attr(
-            "fingerprint",
-            format!("{:016x}", fsi_query::fingerprint(&norm)),
-        );
-        self.validate(&norm)?;
-        self.finish_traced(&norm, tb, req, start, true)
-    }
-
-    /// The shared traced tail: cache span, traced per-shard execution,
-    /// cache-insert event. Identical result and identical cache
-    /// interaction to the untraced path — only the span bookkeeping is
-    /// added, so traced and untraced runs compare for overhead directly.
-    fn finish_traced(
-        &self,
-        norm: &NormExpr,
-        mut tb: TraceBuilder,
-        req: &Request,
-        start: Instant,
-        count_expr: bool,
-    ) -> Result<Response, QueryError> {
-        self.queries_served.inc();
-        if count_expr {
-            self.expr_queries_served.inc();
-        }
-        self.note_tenant(req);
-        let key = self
-            .cache
-            .is_enabled()
-            .then(|| CacheKey::from_norm(norm, ModeKey::from(self.engine.mode())));
-        let s = tb.start_span();
-        let hit = key.as_ref().and_then(|k| self.cache.get(k));
-        if let Some(hit) = hit {
-            tb.end_span(s, "cache").attr("outcome", "hit");
-            let latency = self.record(start);
-            let mut resp = self.served(hit, CacheOutcome::Hit, None, latency);
-            resp.trace = Some(tb.finish());
-            return Ok(resp);
-        }
-        tb.end_span(s, "cache")
-            .attr("outcome", if key.is_some() { "miss" } else { "disabled" });
-        let s = tb.start_span();
-        let (result, kind) = self.engine.query_expr_traced_with(
-            norm,
-            &mut tb,
-            req.options.planner_override.as_ref(),
-        );
-        let result = Arc::new(result);
-        tb.end_span(s, "exec")
-            .attr("simd", SimdLevel::active().name())
-            .attr("shards", self.engine.num_shards())
-            .attr("rows", result.len());
-        let cache = if let Some(key) = key {
-            let outcome = self.cache.insert(key, Arc::clone(&result));
-            tb.event("cache_insert")
-                .attr("fresh", outcome.fresh)
-                .attr("evicted", outcome.evicted);
-            CacheOutcome::Miss
-        } else {
-            CacheOutcome::Disabled
-        };
-        let latency = self.record(start);
-        let mut resp = self.served(result, cache, kind, latency);
-        resp.trace = Some(tb.finish());
-        Ok(resp)
-    }
-
-    fn served(
-        &self,
-        docs: Arc<Vec<Elem>>,
-        cache: CacheOutcome,
-        plan_kind: Option<&'static str>,
-        latency: Duration,
-    ) -> Response {
-        Response {
-            docs,
-            disposition: Disposition::Served,
-            cache,
-            plan_kind,
-            latency,
-            trace: None,
-            explain: None,
-        }
-    }
-
-    // -- deprecated delegating shims ---------------------------------------
-    //
-    // Each shim is pinned byte-identical to the `execute` path it delegates
-    // to by `tests/execute_differential.rs`.
-
-    /// Answers one conjunctive query (cache-fronted), ascending document
-    /// order.
-    #[deprecated(since = "0.2.0", note = "use `Server::execute(&Request::terms(..))`")]
-    pub fn query(&self, terms: &[usize]) -> Arc<Vec<Elem>> {
-        match self.execute(&Request::terms(terms.to_vec())) {
-            Ok(resp) => resp.docs,
-            // audit:allow(hot_path_panic): the legacy API has no error channel — out-of-vocabulary terms panicked inside the engine before this shim existed
-            Err(e) => panic!("legacy Server::query: {e}"),
-        }
-    }
-
-    /// Parses, rewrites, and answers one boolean query string
-    /// (cache-fronted), ascending document order.
-    #[deprecated(since = "0.2.0", note = "use `Server::execute(&Request::expr(..))`")]
-    pub fn query_expr(&self, query: &str) -> Result<Arc<Vec<Elem>>, QueryError> {
-        self.execute(&Request::expr(query)).map(|resp| resp.docs)
-    }
-
-    /// Answers one pre-compiled boolean expression (cache-fronted).
-    #[deprecated(since = "0.2.0", note = "use `Server::execute(&Request::norm(..))`")]
-    pub fn query_norm(&self, expr: &NormExpr) -> Arc<Vec<Elem>> {
-        match self.execute(&Request::norm(expr.clone())) {
-            Ok(resp) => resp.docs,
-            // audit:allow(hot_path_panic): the legacy API has no error channel — its contract was "caller guarantees every term is in vocabulary"
-            Err(e) => panic!("legacy Server::query_norm: {e}"),
-        }
-    }
-
-    /// Drains a batch of flat conjunctive queries across the worker pool.
-    #[deprecated(since = "0.2.0", note = "use `Server::execute_batch`")]
-    pub fn run_batch(&self, queries: &[Vec<usize>]) -> BatchOutcome {
-        let requests: Vec<Request> = queries.iter().cloned().map(Request::terms).collect();
-        let batch = self.execute_batch(&requests);
-        let mut results = Vec::with_capacity(queries.len());
-        let mut latencies = Vec::with_capacity(queries.len());
-        let mut cache_hits = 0u64;
-        for r in batch.responses {
-            let resp = match r {
-                Ok(resp) => resp,
-                // audit:allow(hot_path_panic): the legacy batch API has no error channel — invalid terms panicked inside the engine before this shim existed
-                Err(e) => panic!("legacy Server::run_batch: {e}"),
-            };
-            cache_hits += (resp.cache == CacheOutcome::Hit) as u64;
-            latencies.push(resp.latency);
-            results.push(resp.docs);
-        }
-        BatchOutcome {
-            results,
-            latencies,
-            latency: batch.latency,
-            latency_hist: batch.latency_hist,
-            queue_depths: batch.queue_depths,
-            executed_per_worker: batch.executed_per_worker,
-            wall: batch.wall,
-            throughput_qps: batch.throughput_qps,
-            cache_hits,
-            cache_misses: queries.len() as u64 - cache_hits,
-        }
-    }
-
-    /// Parses, plans, executes, and fully traces one boolean query.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Server::execute(&Request::expr(..).traced())`"
-    )]
-    pub fn query_expr_traced(
-        &self,
-        query: &str,
-    ) -> Result<(Arc<Vec<Elem>>, QueryTrace), QueryError> {
-        let resp = self.execute(&Request::expr(query).traced())?;
-        match resp.trace {
-            Some(trace) => Ok((resp.docs, trace)),
-            None => Err(QueryError::Unsupported("traced request carried no trace")),
-        }
-    }
-
-    /// Renders `EXPLAIN` or `EXPLAIN ANALYZE` for a boolean query. The
-    /// string may carry the `EXPLAIN [ANALYZE]` prefix (as a user would
-    /// type it) or be a bare query, in which case `default_mode` applies.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Server::execute(&Request::expr(..).explain(mode))`"
-    )]
-    pub fn explain(&self, query: &str, default_mode: ExplainMode) -> Result<String, QueryError> {
-        let resp = self.execute(&Request::expr(query).explain(default_mode))?;
-        match resp.explain {
-            Some(text) => Ok(text),
-            None => Err(QueryError::Unsupported("explain request carried no plan")),
-        }
     }
 
     // -- accessors & telemetry ---------------------------------------------
@@ -710,16 +484,20 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PlannerProfile;
     use fsi_index::{CorpusConfig, Planner, Strategy};
+    use fsi_query::ExplainMode;
 
-    fn server(config: ServeConfig) -> Server {
+    fn engine() -> SearchEngine {
         let corpus = Corpus::generate(CorpusConfig {
             num_docs: 15_000,
             num_terms: 24,
             ..CorpusConfig::default()
         });
-        Server::from_corpus(HashContext::new(77), corpus, config)
+        SearchEngine::from_corpus(HashContext::new(77), corpus)
+    }
+
+    fn server(config: ServeConfig) -> Server {
+        Server::new(&engine(), config)
     }
 
     #[test]
@@ -814,12 +592,9 @@ mod tests {
 
     #[test]
     fn expression_matches_flat_conjunction_results() {
-        for mode in [
-            ExecMode::Fixed(Strategy::Merge),
-            ExecMode::Planned(Planner::default()),
-        ] {
+        for planner in [Planner::default(), Planner::auto()] {
             let s = server(ServeConfig {
-                mode,
+                planner,
                 cache_capacity: 0,
                 ..ServeConfig::default()
             });
@@ -866,7 +641,7 @@ mod tests {
     #[test]
     fn traced_request_matches_untraced_and_carries_spans() {
         let s = server(ServeConfig {
-            mode: ExecMode::Planned(Planner::default()),
+            planner: Planner::default(),
             num_shards: 3,
             cache_capacity: 16,
             ..ServeConfig::default()
@@ -884,7 +659,6 @@ mod tests {
             let span = trace
                 .span(&format!("shard{i}.exec"))
                 .unwrap_or_else(|| panic!("missing shard{i}.exec"));
-            assert_eq!(span.get("mode"), Some("planned"));
             assert!(span.get("kind").is_some());
             assert!(span.get("est_rows").is_some());
             assert!(span.get("rows").is_some());
@@ -913,7 +687,7 @@ mod tests {
     #[test]
     fn traced_miss_records_exec_and_insert() {
         let s = server(ServeConfig {
-            mode: ExecMode::Planned(Planner::default()),
+            planner: Planner::default(),
             num_shards: 2,
             cache_capacity: 8,
             ..ServeConfig::default()
@@ -938,7 +712,7 @@ mod tests {
     #[test]
     fn explain_renders_per_shard_plans_in_planned_mode_only() {
         let planned = server(ServeConfig {
-            mode: ExecMode::Planned(Planner::default()),
+            planner: Planner::default(),
             num_shards: 2,
             ..ServeConfig::default()
         });
@@ -961,24 +735,13 @@ mod tests {
         assert!(analyzed.contains("rows"), "{analyzed}");
         // Bare queries take the option's default mode.
         let defaulted = planned
-            .execute(&Request::expr("0 AND 5").explain(fsi_query::ExplainMode::Analyze))
+            .execute(&Request::expr("0 AND 5").explain(ExplainMode::Analyze))
             .expect("valid")
             .explain
             .expect("explain rendered");
         assert!(defaulted.contains("EXPLAIN ANALYZE"), "{defaulted}");
         // EXPLAIN does not serve documents.
         assert_eq!(planned.stats().queries_served, 0);
-        // Fixed mode has no cost model to render.
-        let fixed = server(ServeConfig {
-            mode: ExecMode::Fixed(Strategy::Merge),
-            ..ServeConfig::default()
-        });
-        assert_eq!(
-            fixed
-                .execute(&Request::expr("EXPLAIN 0 AND 1"))
-                .expect_err("no planner"),
-            QueryError::NeedsPlanner
-        );
     }
 
     #[test]
@@ -1009,28 +772,20 @@ mod tests {
     #[test]
     fn planner_override_changes_plans_not_results() {
         let s = server(ServeConfig {
-            mode: ExecMode::Planned(Planner::default()),
+            planner: Planner::default(),
             cache_capacity: 0,
             ..ServeConfig::default()
         });
         let base = s.execute(&Request::expr("0 AND 1 AND 9")).expect("valid");
-        let pressured = PlannerProfile::auto().memory_pressured(100.0).planner();
+        let pressured = Planner {
+            bytes_unit: 100.0,
+            ..Planner::auto()
+        };
         let overridden = s
             .execute(&Request::expr("0 AND 1 AND 9").planner(pressured))
             .expect("valid");
         assert_eq!(base.docs, overridden.docs, "plans vary, results never");
         assert!(overridden.plan_kind.is_some());
-        // Fixed engines have no planner to override.
-        let fixed = server(ServeConfig {
-            mode: ExecMode::Fixed(Strategy::Merge),
-            ..ServeConfig::default()
-        });
-        assert_eq!(
-            fixed
-                .execute(&Request::terms(vec![0, 1]).planner(Planner::default()))
-                .expect_err("no planner"),
-            QueryError::NeedsPlanner
-        );
     }
 
     #[test]
@@ -1089,10 +844,13 @@ mod tests {
     #[test]
     fn empty_conjunction_options_are_rejected_cleanly() {
         let s = server(ServeConfig::default());
-        // The empty flat query itself executes (every document matches
-        // nothing — an empty result by convention of the engine).
+        // The empty flat query itself is served — an empty result by
+        // convention — and counts like any other flat query.
         let resp = s.execute(&Request::terms(vec![])).expect("valid");
         assert!(resp.is_served());
+        assert!(resp.docs.is_empty());
+        assert_eq!(s.stats().queries_served, 1);
+        assert_eq!(s.stats().expr_queries_served, 0);
         // But it has no expression form to explain or trace.
         assert!(matches!(
             s.execute(&Request::terms(vec![]).explain(ExplainMode::Plan)),
@@ -1107,7 +865,7 @@ mod tests {
     #[test]
     fn flat_options_route_through_the_expression_engine() {
         let s = server(ServeConfig {
-            mode: ExecMode::Planned(Planner::default()),
+            planner: Planner::default(),
             num_shards: 2,
             cache_capacity: 16,
             ..ServeConfig::default()
@@ -1218,23 +976,23 @@ mod tests {
 
     #[test]
     fn planned_mode_end_to_end() {
-        let s = server(ServeConfig {
-            mode: ExecMode::Planned(Planner::default()),
-            num_shards: 3,
-            ..ServeConfig::default()
-        });
-        let fixed = server(ServeConfig {
-            mode: ExecMode::Fixed(Strategy::Merge),
-            num_shards: 1,
-            ..ServeConfig::default()
-        });
+        let engine = engine();
+        let s = Server::new(
+            &engine,
+            ServeConfig {
+                planner: Planner::default(),
+                num_shards: 3,
+                ..ServeConfig::default()
+            },
+        );
+        let fixed = engine.executor(Strategy::Merge);
         for q in [vec![0usize, 1], vec![2, 3, 10], vec![20]] {
             assert_eq!(
-                s.execute(&Request::terms(q.clone())).expect("valid").docs,
-                fixed
-                    .execute(&Request::terms(q.clone()))
+                s.execute(&Request::terms(q.clone()))
                     .expect("valid")
-                    .docs,
+                    .docs
+                    .as_slice(),
+                fixed.query(&q),
                 "{q:?}"
             );
         }

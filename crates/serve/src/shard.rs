@@ -1,22 +1,22 @@
 //! Document-partitioned sharding over [`fsi_index::SearchEngine`].
 //!
 //! Posting lists are split into `N` contiguous document-ID ranges; each
-//! shard preprocesses its slice of every posting list under the configured
-//! execution mode. A conjunctive query runs independently per shard, and
-//! because the ranges are disjoint and ascending, the global result is the
-//! plain concatenation of per-shard results — sorted output is preserved
-//! with zero merge cost.
+//! shard preprocesses its slice of every posting list for the cost-model
+//! planner. A query runs independently per shard, and because the ranges
+//! are disjoint and ascending, the global result is the plain
+//! concatenation of per-shard results — sorted output is preserved with
+//! zero merge cost.
 //!
 //! Every prepared structure is immutable and `Send + Sync` (the paper
 //! treats multi-core parallelism as orthogonal to the algorithms; sharding
 //! is where this repository cashes that in), so shards can be queried from
 //! any number of threads concurrently.
 
-use crate::config::ExecMode;
 use fsi_core::Elem;
-use fsi_index::{OwnedExecutor, PlannedExecutor, Planner, SearchEngine};
+use fsi_index::{PlannedExecutor, Planner, SearchEngine};
 use fsi_obs::TraceBuilder;
 use fsi_query::{ExplainMode, ExprPlan, ExprPlanner, NormExpr, PlanNode};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// The top-level operator label of a plan (what the trace span reports as
@@ -35,24 +35,14 @@ fn plan_kind_label(plan: &ExprPlan) -> &'static str {
     }
 }
 
-/// Per-shard prepared state under one execution mode.
-#[derive(Debug)]
-enum ShardIndex {
-    /// All terms preprocessed under one fixed strategy.
-    Fixed(OwnedExecutor),
-    /// All terms preprocessed for every representation the cost-model
-    /// planner can bind; each query runs one whole-list
-    /// [`fsi_index::MultiwayPlan`].
-    Planned(PlannedExecutor),
-}
-
-/// One document shard: prepared state plus the ID range it covers.
+/// One document shard: every term prepared for every representation the
+/// planner can bind, plus the ID range it covers.
 ///
 /// Ranges are `u64` so the exclusive end can express "past `u32::MAX`"
 /// (document ID `u32::MAX` is a legal [`Elem`]).
 #[derive(Debug)]
 struct Shard {
-    index: ShardIndex,
+    exec: PlannedExecutor,
     docs: Range<u64>,
     /// Trace span name (`shard{idx}.exec`) and document-range attribute,
     /// rendered once at build time: traced queries clone them instead of
@@ -62,136 +52,37 @@ struct Shard {
 }
 
 impl Shard {
-    /// Sorted intersection of `terms` within this shard's document range.
-    fn query(&self, terms: &[usize]) -> Vec<Elem> {
-        let mut out = Vec::new();
-        self.query_into(terms, &mut out);
-        out
-    }
-
-    /// Appends the shard's sorted result to `out` — shards share one
-    /// output buffer on the sequential path instead of allocating each.
-    fn query_into(&self, terms: &[usize], out: &mut Vec<Elem>) {
-        self.query_into_kind(terms, out);
-    }
-
-    /// Like [`Shard::query_into`], but reports the chosen kernel of the
-    /// executed multiway plan (`None` under a fixed strategy, which plans
-    /// nothing).
-    fn query_into_kind(&self, terms: &[usize], out: &mut Vec<Elem>) -> Option<&'static str> {
-        match &self.index {
-            ShardIndex::Fixed(exec) => {
-                exec.query_into(terms, out);
-                None
-            }
-            ShardIndex::Planned(exec) => Some(exec.query_into(terms, out).kind.name()),
-        }
-    }
-
-    /// Sorted evaluation of a boolean expression within this shard's
-    /// document range.
-    fn query_expr(&self, expr: &NormExpr) -> Vec<Elem> {
-        let mut out = Vec::new();
-        self.query_expr_into(expr, &mut out);
-        out
-    }
-
-    /// Appends the shard's expression result to `out`. Planned shards run
-    /// the full cost-based expression plan over shard-local statistics;
-    /// fixed shards evaluate structurally through their own strategy.
-    fn query_expr_into(&self, expr: &NormExpr, out: &mut Vec<Elem>) {
-        self.query_expr_into_with(expr, out, None);
-    }
-
-    /// Like [`Shard::query_expr_into`], but optionally planning under a
-    /// per-request `planner` override instead of the shard's own, and
-    /// reporting the plan's root operator label (`None` under a fixed
-    /// strategy, where the override — validated away by the server — is
-    /// ignored).
-    fn query_expr_into_with(
+    /// Plans `expr` over shard-local statistics, runs the plan, appends
+    /// the ascending result to `out` (shards share one output buffer) and
+    /// returns the plan's root operator label. With a trace builder, adds
+    /// one span carrying the chosen plan, its estimates, and the observed
+    /// result size — the planner-misprediction signal at per-shard
+    /// granularity.
+    fn eval_into(
         &self,
+        planner: &ExprPlanner,
         expr: &NormExpr,
         out: &mut Vec<Elem>,
-        planner: Option<&Planner>,
-    ) -> Option<&'static str> {
-        match &self.index {
-            ShardIndex::Fixed(exec) => {
-                fsi_query::eval_owned_into(exec, expr, out);
-                None
-            }
-            ShardIndex::Planned(exec) => {
-                let planner = ExprPlanner::new(planner.unwrap_or_else(|| exec.planner()).clone());
-                let plan = fsi_query::eval_planned_into(exec, &planner, expr, out);
-                Some(plan_kind_label(&plan))
-            }
-        }
-    }
-
-    /// The traced twin of [`Shard::query_expr_into`]: identical execution,
-    /// plus one span per shard carrying the chosen plan, its estimates,
-    /// and the observed result size — the planner-misprediction signal at
-    /// per-shard granularity.
-    fn query_expr_into_traced(
-        &self,
-        expr: &NormExpr,
-        out: &mut Vec<Elem>,
-        tb: &mut TraceBuilder,
-        planner: Option<&Planner>,
-    ) -> Option<&'static str> {
+        tb: Option<&mut TraceBuilder>,
+    ) -> &'static str {
         let before = out.len();
-        let start = tb.start_span();
-        match &self.index {
-            ShardIndex::Fixed(exec) => {
-                fsi_query::eval_owned_into(exec, expr, out);
-                tb.end_span(start, &self.span_name)
-                    .attr("mode", "fixed")
-                    .attr("docs", &self.docs_label)
-                    .attr("rows", out.len() - before);
-                None
-            }
-            ShardIndex::Planned(exec) => {
-                let planner = ExprPlanner::new(planner.unwrap_or_else(|| exec.planner()).clone());
-                let plan = fsi_query::eval_planned_into(exec, &planner, expr, out);
-                // The chosen root operator rides along as a cheap static
-                // label, and the estimates round to integers; the full plan
-                // tree is deliberately NOT rendered here (that is EXPLAIN's
-                // job) — a `describe()` per shard per query costs more than
-                // the tracing budget allows.
-                let kind = plan_kind_label(&plan);
-                tb.end_span(start, &self.span_name)
-                    .attr("mode", "planned")
-                    .attr("docs", &self.docs_label)
-                    .attr("kind", kind)
-                    .attr("est_rows", plan.est_rows.round() as u64)
-                    .attr("est_cost", plan.est_cost.round() as u64)
-                    .attr("rows", out.len() - before);
-                Some(kind)
-            }
+        let start = tb.as_ref().map(|tb| tb.start_span());
+        let plan = fsi_query::eval_planned_into(&self.exec, planner, expr, out);
+        let kind = plan_kind_label(&plan);
+        if let (Some(tb), Some(start)) = (tb, start) {
+            // The chosen root operator rides along as a cheap static
+            // label, and the estimates round to integers; the full plan
+            // tree is deliberately NOT rendered here (that is EXPLAIN's
+            // job) — a `describe()` per shard per query costs more than
+            // the tracing budget allows.
+            tb.end_span(start, &self.span_name)
+                .attr("docs", &self.docs_label)
+                .attr("kind", kind)
+                .attr("est_rows", plan.est_rows.round() as u64)
+                .attr("est_cost", plan.est_cost.round() as u64)
+                .attr("rows", out.len() - before);
         }
-    }
-
-    /// Shard-local `EXPLAIN` (planned shards only — the fixed path has no
-    /// cost model to render), optionally under a per-request planner.
-    fn explain_expr(
-        &self,
-        expr: &NormExpr,
-        mode: ExplainMode,
-        planner: Option<&Planner>,
-    ) -> Option<String> {
-        match &self.index {
-            ShardIndex::Fixed(_) => None,
-            ShardIndex::Planned(exec) => {
-                let planner = ExprPlanner::new(planner.unwrap_or_else(|| exec.planner()).clone());
-                Some(fsi_query::explain(exec, &planner, expr, mode))
-            }
-        }
-    }
-
-    fn size_in_bytes(&self) -> usize {
-        match &self.index {
-            ShardIndex::Fixed(exec) => exec.size_in_bytes(),
-            ShardIndex::Planned(exec) => exec.size_in_bytes(),
-        }
+        kind
     }
 }
 
@@ -200,40 +91,32 @@ impl Shard {
 pub struct ShardedEngine {
     shards: Vec<Shard>,
     num_terms: usize,
-    mode: ExecMode,
+    /// The expression planner every shard plans under, built once here
+    /// rather than per shard per query.
+    planner: ExprPlanner,
 }
 
 impl ShardedEngine {
     /// Partitions `engine` into `num_shards` equal document-ID ranges and
-    /// preprocesses each under `mode`.
-    pub fn build(engine: &SearchEngine, num_shards: usize, mode: ExecMode) -> Self {
-        let num_shards = num_shards.max(1);
-        // u64 throughout: `max_doc` can be `u32::MAX`, whose successor (the
-        // exclusive end of the document space) does not fit an Elem.
-        let end = engine.max_doc().map_or(0u64, |m| m as u64 + 1);
-        let span = end.div_ceil(num_shards as u64).max(1);
-        let shards = (0..num_shards as u64)
-            .map(|i| {
-                let docs = (i * span).min(end)..((i + 1) * span).min(end);
-                let sub = engine.restricted(docs.clone());
-                let index = match &mode {
-                    ExecMode::Fixed(strategy) => ShardIndex::Fixed(sub.into_executor(*strategy)),
-                    ExecMode::Planned(planner) => {
-                        ShardIndex::Planned(sub.planned_executor(planner.clone()))
-                    }
-                };
-                Shard {
-                    index,
-                    span_name: format!("shard{i}.exec"),
-                    docs_label: format!("{}..{}", docs.start, docs.end),
-                    docs,
-                }
+    /// prepares each for queries planned under `planner`.
+    pub fn build(engine: &SearchEngine, num_shards: usize, planner: Planner) -> Self {
+        let shards = engine
+            .doc_ranges(num_shards)
+            .into_iter()
+            .enumerate()
+            .map(|(i, docs)| Shard {
+                exec: engine
+                    .restricted(docs.clone())
+                    .planned_executor(planner.clone()),
+                span_name: format!("shard{i}.exec"),
+                docs_label: format!("{}..{}", docs.start, docs.end),
+                docs,
             })
             .collect();
         Self {
             shards,
             num_terms: engine.num_terms(),
-            mode,
+            planner: ExprPlanner::new(planner),
         }
     }
 
@@ -247,11 +130,6 @@ impl ShardedEngine {
         self.num_terms
     }
 
-    /// The execution mode shards were prepared under.
-    pub fn mode(&self) -> &ExecMode {
-        &self.mode
-    }
-
     /// The document-ID range shard `i` covers (`u64` because the exclusive
     /// end of the last shard can be `u32::MAX as u64 + 1`).
     pub fn shard_range(&self, i: usize) -> Range<u64> {
@@ -261,58 +139,7 @@ impl ShardedEngine {
 
     /// Total heap footprint of all prepared shard indexes.
     pub fn size_in_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.size_in_bytes()).sum()
-    }
-
-    /// Answers the conjunctive query `terms` in ascending document order,
-    /// running shards sequentially on the calling thread.
-    ///
-    /// The result is identical to `SearchEngine::executor(strategy).query`
-    /// on the unsharded engine (the differential tests assert byte
-    /// equality).
-    pub fn query(&self, terms: &[usize]) -> Vec<Elem> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            // Disjoint ascending ranges: appending preserves order.
-            shard.query_into(terms, &mut out);
-        }
-        out
-    }
-
-    /// Like [`ShardedEngine::query`], but reports the chosen kernel of
-    /// shard 0's plan alongside the result (`None` under a fixed
-    /// strategy). Shards plan independently; the first shard's label is
-    /// the response-metadata representative, per-shard detail being the
-    /// trace's job.
-    pub(crate) fn query_kind(&self, terms: &[usize]) -> (Vec<Elem>, Option<&'static str>) {
-        let mut out = Vec::new();
-        let mut kind = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let k = shard.query_into_kind(terms, &mut out);
-            if i == 0 {
-                kind = k;
-            }
-        }
-        (out, kind)
-    }
-
-    /// Expression evaluation with an optional per-request planner override
-    /// and shard 0's plan-kind label (the [`ShardedEngine::query_kind`]
-    /// sibling).
-    pub(crate) fn query_expr_with(
-        &self,
-        expr: &NormExpr,
-        planner: Option<&Planner>,
-    ) -> (Vec<Elem>, Option<&'static str>) {
-        let mut out = Vec::new();
-        let mut kind = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let k = shard.query_expr_into_with(expr, &mut out, planner);
-            if i == 0 {
-                kind = k;
-            }
-        }
-        (out, kind)
+        self.shards.iter().map(|s| s.exec.size_in_bytes()).sum()
     }
 
     /// Evaluates a boolean expression in ascending document order, running
@@ -320,63 +147,57 @@ impl ShardedEngine {
     ///
     /// Union, intersection, and difference all distribute over restriction
     /// to a document range (`(A ∪ B)|ᵣ = A|ᵣ ∪ B|ᵣ`, likewise `∩`/`∖`), and
-    /// shard ranges are disjoint and ascending — so, exactly as with flat
-    /// conjunctions, the global result is the plain concatenation of
-    /// per-shard results (asserted shard-count-invariant by
-    /// `tests/query_differential.rs`).
+    /// shard ranges are disjoint and ascending — so the global result is
+    /// the plain concatenation of per-shard results (asserted
+    /// shard-count-invariant by `tests/query_differential.rs`).
     pub fn query_expr(&self, expr: &NormExpr) -> Vec<Elem> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            shard.query_expr_into(expr, &mut out);
-        }
-        out
+        self.eval(expr, None, None).0
     }
 
-    /// The traced twin of [`ShardedEngine::query_expr`]: identical result,
-    /// one trace span per shard carrying the planned-mode attributes
-    /// (`kind`, `est_rows`, `est_cost`, observed `rows`). Sequential —
-    /// spans on one builder need one
-    /// thread; the untraced parallel path stays available for serving.
-    pub fn query_expr_traced(&self, expr: &NormExpr, tb: &mut TraceBuilder) -> Vec<Elem> {
-        self.query_expr_traced_with(expr, tb, None).0
+    /// The engine's own expression planner, or one built from a per-request
+    /// override.
+    fn planner_for(&self, planner: Option<&Planner>) -> Cow<'_, ExprPlanner> {
+        planner.map_or(Cow::Borrowed(&self.planner), |p| {
+            Cow::Owned(ExprPlanner::new(p.clone()))
+        })
     }
 
-    /// The override-aware, kind-reporting twin of
-    /// [`ShardedEngine::query_expr_traced`].
-    pub(crate) fn query_expr_traced_with(
+    /// The one evaluation routine behind [`ShardedEngine::query_expr`] and
+    /// [`crate::Server::execute`]: every shard in turn, optionally planning
+    /// under a per-request `planner` override instead of the engine's own
+    /// and optionally recording one trace span per shard. Also returns
+    /// shard 0's root operator label — shards plan independently; the
+    /// first shard's label is the response-metadata representative,
+    /// per-shard detail being the trace's job.
+    pub(crate) fn eval(
         &self,
         expr: &NormExpr,
-        tb: &mut TraceBuilder,
         planner: Option<&Planner>,
+        mut tb: Option<&mut TraceBuilder>,
     ) -> (Vec<Elem>, Option<&'static str>) {
+        let planner = self.planner_for(planner);
         let mut out = Vec::new();
         let mut kind = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let k = shard.query_expr_into_traced(expr, &mut out, tb, planner);
-            if i == 0 {
-                kind = k;
-            }
+        for shard in &self.shards {
+            // Disjoint ascending ranges: appending preserves order.
+            let k = shard.eval_into(&planner, expr, &mut out, tb.as_deref_mut());
+            kind.get_or_insert(k);
         }
         (out, kind)
     }
 
     /// Renders `EXPLAIN`/`EXPLAIN ANALYZE` for every shard, concatenated
-    /// with per-shard headers. Returns `None` in fixed-strategy mode,
-    /// which has no cost model to render.
-    pub fn explain_expr(&self, expr: &NormExpr, mode: ExplainMode) -> Option<String> {
-        self.explain_expr_with(expr, mode, None)
-    }
-
-    /// The override-aware twin of [`ShardedEngine::explain_expr`].
-    pub(crate) fn explain_expr_with(
+    /// with per-shard headers, optionally under a per-request planner.
+    pub(crate) fn explain(
         &self,
         expr: &NormExpr,
         mode: ExplainMode,
         planner: Option<&Planner>,
-    ) -> Option<String> {
+    ) -> String {
+        let planner = self.planner_for(planner);
         let mut out = String::new();
         for (idx, shard) in self.shards.iter().enumerate() {
-            let section = shard.explain_expr(expr, mode, planner)?;
+            let section = fsi_query::explain(&shard.exec, &planner, expr, mode);
             out.push_str(&format!(
                 "-- shard {idx} [docs {}..{}] --\n{section}",
                 shard.docs.start, shard.docs.end
@@ -385,59 +206,6 @@ impl ShardedEngine {
                 out.push('\n');
             }
         }
-        Some(out)
-    }
-
-    /// Like [`ShardedEngine::query_expr`], but fans the shards out over
-    /// scoped threads (one per shard) — the expression sibling of
-    /// [`ShardedEngine::query_parallel`].
-    pub fn query_expr_parallel(&self, expr: &NormExpr) -> Vec<Elem> {
-        if self.shards.len() == 1 {
-            return self.query_expr(expr);
-        }
-        let partials: Vec<Vec<Elem>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(move || shard.query_expr(expr)))
-                .collect();
-            handles
-                .into_iter()
-                // audit:allow(hot_path_panic): a panicked shard query must fail the whole fan-out
-                .map(|h| h.join().expect("shard query panicked"))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(partials.iter().map(Vec::len).sum());
-        for p in partials {
-            out.extend(p);
-        }
-        out
-    }
-
-    /// Like [`ShardedEngine::query`], but fans the shards out over scoped
-    /// threads (one per shard) — intra-query parallelism for latency-bound
-    /// callers; [`crate::pool::QueryPool`] provides inter-query parallelism
-    /// for throughput-bound batches.
-    pub fn query_parallel(&self, terms: &[usize]) -> Vec<Elem> {
-        if self.shards.len() == 1 {
-            return self.query(terms);
-        }
-        let partials: Vec<Vec<Elem>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(move || shard.query(terms)))
-                .collect();
-            handles
-                .into_iter()
-                // audit:allow(hot_path_panic): a panicked shard query must fail the whole fan-out
-                .map(|h| h.join().expect("shard query panicked"))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(partials.iter().map(Vec::len).sum());
-        for p in partials {
-            out.extend(p);
-        }
         out
     }
 }
@@ -445,8 +213,9 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::flat_to_norm;
     use fsi_core::HashContext;
-    use fsi_index::{Corpus, CorpusConfig, Planner, Strategy};
+    use fsi_index::{Corpus, CorpusConfig, Strategy};
 
     fn engine() -> SearchEngine {
         let corpus = Corpus::generate(CorpusConfig {
@@ -455,6 +224,11 @@ mod tests {
             ..CorpusConfig::default()
         });
         SearchEngine::from_corpus(HashContext::new(3), corpus)
+    }
+
+    /// A non-empty flat conjunction through the one evaluation path.
+    fn flat(sharded: &ShardedEngine, terms: &[usize]) -> Vec<Elem> {
+        sharded.query_expr(&flat_to_norm(terms).expect("non-empty conjunction"))
     }
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -467,7 +241,7 @@ mod tests {
     #[test]
     fn shard_ranges_tile_the_document_space() {
         let engine = engine();
-        let sharded = ShardedEngine::build(&engine, 5, ExecMode::Fixed(Strategy::Merge));
+        let sharded = ShardedEngine::build(&engine, 5, Planner::auto());
         let end = engine.max_doc().unwrap() as u64 + 1;
         let mut expect_start = 0u64;
         for i in 0..sharded.num_shards() {
@@ -491,9 +265,9 @@ mod tests {
         let engine = SearchEngine::from_postings(ctx, postings);
         let reference = engine.executor(Strategy::Merge);
         for shards in [1usize, 2, 5] {
-            let sharded = ShardedEngine::build(&engine, shards, ExecMode::Fixed(Strategy::Merge));
-            assert_eq!(sharded.query(&[0, 1]), reference.query(&[0, 1]));
-            assert_eq!(sharded.query(&[0, 1]), vec![7, u32::MAX]);
+            let sharded = ShardedEngine::build(&engine, shards, Planner::auto());
+            assert_eq!(flat(&sharded, &[0, 1]), reference.query(&[0, 1]));
+            assert_eq!(flat(&sharded, &[0, 1]), vec![7, u32::MAX]);
         }
     }
 
@@ -501,12 +275,12 @@ mod tests {
     fn sharded_matches_unsharded_executor() {
         let engine = engine();
         let reference = engine.executor(Strategy::Merge);
-        let queries = [vec![0usize, 1], vec![2, 9, 30], vec![7], vec![]];
+        let queries = [vec![0usize, 1], vec![2, 9, 30], vec![7], vec![4, 4, 12]];
         for shards in [1usize, 2, 3, 7] {
-            let sharded = ShardedEngine::build(&engine, shards, ExecMode::Fixed(Strategy::Merge));
+            let sharded = ShardedEngine::build(&engine, shards, Planner::auto());
             for q in &queries {
                 assert_eq!(
-                    sharded.query(q),
+                    flat(&sharded, q),
                     reference.query(q),
                     "shards={shards} q={q:?}"
                 );
@@ -517,10 +291,10 @@ mod tests {
     #[test]
     fn planned_mode_matches_fixed_results() {
         let engine = engine();
-        let fixed = ShardedEngine::build(&engine, 3, ExecMode::Fixed(Strategy::Merge));
-        let planned = ShardedEngine::build(&engine, 3, ExecMode::Planned(Planner::default()));
+        let fixed = engine.executor(Strategy::Merge);
+        let planned = ShardedEngine::build(&engine, 3, Planner::default());
         for q in [vec![0usize, 1], vec![2, 9, 30], vec![40, 41], vec![6]] {
-            assert_eq!(planned.query(&q), fixed.query(&q), "{q:?}");
+            assert_eq!(flat(&planned, &q), fixed.query(&q), "{q:?}");
         }
     }
 
@@ -530,30 +304,16 @@ mod tests {
         // (CompressedGallop over block postings); answers must stay
         // byte-identical to the flat reference across shard counts.
         let engine = engine();
-        let fixed = ShardedEngine::build(&engine, 1, ExecMode::Fixed(Strategy::Merge));
+        let fixed = engine.executor(Strategy::Merge);
+        let pressured = Planner {
+            bytes_unit: 100.0,
+            ..Planner::auto()
+        };
         for shards in [1usize, 2, 3, 7] {
-            let pressured = ShardedEngine::build(
-                &engine,
-                shards,
-                crate::PlannerProfile::auto().memory_pressured(100.0).mode(),
-            );
+            let sharded = ShardedEngine::build(&engine, shards, pressured.clone());
             for q in [vec![0usize, 1], vec![2, 9, 30], vec![40, 41], vec![6]] {
-                assert_eq!(
-                    pressured.query(&q),
-                    fixed.query(&q),
-                    "shards={shards} {q:?}"
-                );
+                assert_eq!(flat(&sharded, &q), fixed.query(&q), "shards={shards} {q:?}");
             }
-        }
-    }
-
-    #[test]
-    fn parallel_query_equals_sequential() {
-        let engine = engine();
-        let sharded =
-            ShardedEngine::build(&engine, 4, ExecMode::Fixed(Strategy::RanGroupScan { m: 2 }));
-        for q in [vec![0usize, 1], vec![2, 9, 30], vec![]] {
-            assert_eq!(sharded.query_parallel(&q), sharded.query(&q), "{q:?}");
         }
     }
 
@@ -570,23 +330,15 @@ mod tests {
         .iter()
         .map(|s| fsi_query::compile(s).expect("compiles"))
         .collect();
-        for mode in [
-            ExecMode::Fixed(Strategy::Merge),
-            ExecMode::Planned(Planner::default()),
-        ] {
-            let single = ShardedEngine::build(&engine, 1, mode.clone());
+        for planner in [Planner::default(), Planner::auto()] {
+            let single = ShardedEngine::build(&engine, 1, planner.clone());
             for shards in [2usize, 3, 7] {
-                let sharded = ShardedEngine::build(&engine, shards, mode.clone());
+                let sharded = ShardedEngine::build(&engine, shards, planner.clone());
                 for e in &exprs {
                     assert_eq!(
                         sharded.query_expr(e),
                         single.query_expr(e),
                         "shards={shards} expr={e}"
-                    );
-                    assert_eq!(
-                        sharded.query_expr_parallel(e),
-                        single.query_expr(e),
-                        "parallel shards={shards} expr={e}"
                     );
                 }
             }
@@ -595,22 +347,17 @@ mod tests {
 
     #[test]
     fn expression_conjunctions_match_the_flat_path() {
-        // `a AND b` through the expression engine must be byte-identical
-        // to the flat `[a, b]` path on the same shards.
+        // `a AND b` compiled from text must be byte-identical to the flat
+        // `[a, b]` term list on the same shards.
         let engine = engine();
-        for mode in [
-            ExecMode::Fixed(Strategy::RanGroupScan { m: 2 }),
-            ExecMode::Planned(Planner::default()),
+        let sharded = ShardedEngine::build(&engine, 3, Planner::default());
+        for (src, terms) in [
+            ("0 AND 1", vec![0usize, 1]),
+            ("9 AND 2 AND 30", vec![2, 9, 30]),
+            ("7", vec![7]),
         ] {
-            let sharded = ShardedEngine::build(&engine, 3, mode);
-            for (src, terms) in [
-                ("0 AND 1", vec![0usize, 1]),
-                ("9 AND 2 AND 30", vec![2, 9, 30]),
-                ("7", vec![7]),
-            ] {
-                let expr = fsi_query::compile(src).expect("compiles");
-                assert_eq!(sharded.query_expr(&expr), sharded.query(&terms), "{src}");
-            }
+            let expr = fsi_query::compile(src).expect("compiles");
+            assert_eq!(sharded.query_expr(&expr), flat(&sharded, &terms), "{src}");
         }
     }
 
@@ -622,14 +369,14 @@ mod tests {
             fsi_core::SortedSet::from_unsorted(vec![1, 2]),
         ];
         let engine = SearchEngine::from_postings(ctx, postings);
-        let sharded = ShardedEngine::build(&engine, 64, ExecMode::Fixed(Strategy::Merge));
-        assert_eq!(sharded.query(&[0, 1]), vec![1, 2]);
+        let sharded = ShardedEngine::build(&engine, 64, Planner::auto());
+        assert_eq!(flat(&sharded, &[0, 1]), vec![1, 2]);
     }
 
     #[test]
     fn size_accounting_sums_shards() {
         let engine = engine();
-        let sharded = ShardedEngine::build(&engine, 4, ExecMode::Fixed(Strategy::Lookup));
+        let sharded = ShardedEngine::build(&engine, 4, Planner::auto());
         assert!(sharded.size_in_bytes() > 0);
         assert_eq!(sharded.num_terms(), engine.num_terms());
     }

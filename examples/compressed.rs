@@ -8,8 +8,8 @@
 //! 2. intersect *in the compressed domain* — pair and k-way — and check
 //!    the result against the flat kernels;
 //! 3. watch the cost-model planner flip to `CompressedGallop` when memory
-//!    bytes are made expensive (`Planner::bytes_unit`), the dial
-//!    `PlannerProfile::memory_pressured` exposes to the serving layer.
+//!    bytes are made expensive (`Planner::bytes_unit`), the dial the
+//!    serving layer sets through `ServeConfig::planner`.
 //!
 //! Run with: `cargo run --release --example compressed`
 

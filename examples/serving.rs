@@ -1,17 +1,16 @@
-//! The full serving path: build a sharded engine over a Zipf corpus,
+//! The full serving path: build a sharded server over a Zipf corpus,
 //! replay a Zipf-skewed query stream through the worker pool, and report
-//! throughput scaling against thread count plus the result-cache hit rate.
+//! cold vs warm throughput plus the result-cache hit rate.
 //!
 //! This is the end-to-end demo of the `fsi-serve` subsystem: sharding
-//! (document-partitioned prepared indexes), batching (work-stealing scoped
-//! threads) and caching (segmented LRU over intersection results).
+//! (document-partitioned planner-dispatched indexes), batching
+//! (work-stealing scoped threads) and caching (segmented LRU over
+//! results).
 //!
 //! Run with: `cargo run --release --example serving`
 
-use fast_set_intersection::index::{Corpus, CorpusConfig, SearchEngine, Strategy};
-use fast_set_intersection::serve::{
-    ExecMode, QueryPool, Request, ServeConfig, Server, ShardedEngine,
-};
+use fast_set_intersection::index::{Corpus, CorpusConfig};
+use fast_set_intersection::serve::{Request, ServeConfig, Server};
 use fast_set_intersection::workloads::{generate_stream, repeat_rate, QueryStreamConfig};
 use fast_set_intersection::HashContext;
 
@@ -33,22 +32,7 @@ fn main() {
         repeat_rate(&stream)
     );
 
-    // Throughput scaling, cache off: every query runs the shards. One
-    // prepared engine, varying only the pool width, so the compared runs
-    // share the identical index.
-    println!("\nscaling (cache off, 4 shards):");
-    let engine = SearchEngine::from_corpus(HashContext::new(17), corpus.clone());
-    let sharded =
-        ShardedEngine::build(&engine, 4, ExecMode::Fixed(Strategy::RanGroupScan { m: 2 }));
-    for workers in [1usize, 2, 4] {
-        let outcome = QueryPool::new(workers).run_batch(&sharded, None, &stream);
-        println!(
-            "  {workers} worker(s): {:>7.0} q/s  (p50 {:>5.0} us, p99 {:>6.0} us)",
-            outcome.throughput_qps, outcome.latency.p50_us, outcome.latency.p99_us
-        );
-    }
-
-    // Cache on: the Zipf head repeats, the LRU absorbs it.
+    // The Zipf head repeats; on the second pass the LRU absorbs it.
     let server = Server::from_corpus(
         HashContext::new(17),
         corpus,
@@ -56,7 +40,6 @@ fn main() {
             num_shards: 4,
             num_workers: 4,
             cache_capacity: 4096,
-            mode: ExecMode::Fixed(Strategy::RanGroupScan { m: 2 }),
             ..ServeConfig::default()
         },
     );
@@ -65,8 +48,11 @@ fn main() {
     let warm = server.execute_batch(&requests);
     let stats = server.stats();
     println!(
-        "\ncache (capacity 4096): cold {:.0} q/s, warm {:.0} q/s, hit rate {:.2}",
-        cold.throughput_qps,
+        "\ncold: {:>7.0} q/s  (p50 {:>5.0} us, p99 {:>6.0} us)",
+        cold.throughput_qps, cold.latency.p50_us, cold.latency.p99_us
+    );
+    println!(
+        "warm: {:>7.0} q/s  (cache capacity 4096, hit rate {:.2})",
         warm.throughput_qps,
         stats.cache.hit_rate()
     );

@@ -51,10 +51,9 @@
 //! assert_eq!(a.intersect_pair_sorted(&b), vec![5, 9]);
 //! ```
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the system
-//! inventory, and `EXPERIMENTS.md` for the paper-vs-measured comparison. The
-//! benchmark harness lives in the `fsi-bench` crate
-//! (`cargo run --release -p fsi-bench --bin paper -- all`).
+//! See `README.md` for the architecture overview and `docs/benchmarks.md`
+//! for the measured numbers. The benchmark harness lives in the `fsi-bench`
+//! crate (`cargo run --release -p fsi-bench --bin paper -- all`).
 
 #![forbid(unsafe_code)]
 

@@ -6,7 +6,7 @@
 //! stack — must be byte-identical to the flat reference.
 
 use fast_set_intersection::index::{PlannedList, Planner, SearchEngine, Strategy};
-use fast_set_intersection::serve::{ExecMode, PlannerProfile, ShardedEngine};
+use fast_set_intersection::serve::{Request, ServeConfig, Server};
 use fast_set_intersection::{reference_intersection, HashContext, SortedSet};
 use fsi_compress::{BlockCodec, BlockPostings, BLOCK_LEN};
 use fsi_core::{KIntersect, PairIntersect, SetIndex};
@@ -209,7 +209,7 @@ fn compressed_serving_is_shard_count_invariant() {
         .map(|_| zipf_set(&mut rng, n, 20_000))
         .collect();
     let engine = SearchEngine::from_postings(HashContext::new(7), postings);
-    let reference = ShardedEngine::build(&engine, 1, ExecMode::Fixed(Strategy::Merge));
+    let reference = engine.executor(Strategy::Merge);
     let queries: Vec<Vec<usize>> = (0..if cfg!(miri) { 4 } else { 12 })
         .map(|_| {
             let k = rng.gen_range(1..4usize);
@@ -217,20 +217,48 @@ fn compressed_serving_is_shard_count_invariant() {
         })
         .collect();
     for shards in [1usize, 2, 7] {
-        for mode in [
-            ExecMode::Fixed(Strategy::CompressedGallop(BlockCodec::Packed)),
-            ExecMode::Fixed(Strategy::CompressedGallop(BlockCodec::Delta)),
-            PlannerProfile::auto().memory_pressured(100.0).mode(),
-        ] {
-            let sharded = ShardedEngine::build(&engine, shards, mode.clone());
+        // Per-codec compressed-domain executors over the shard partition.
+        let parts: Vec<SearchEngine> = engine
+            .doc_ranges(shards)
+            .into_iter()
+            .map(|docs| engine.restricted(docs))
+            .collect();
+        for codec in [BlockCodec::Packed, BlockCodec::Delta] {
+            let strategy = Strategy::CompressedGallop(codec);
+            let execs: Vec<_> = parts.iter().map(|p| p.executor(strategy)).collect();
             for q in &queries {
+                let sharded: Vec<u32> = execs.iter().flat_map(|e| e.query(q)).collect();
                 assert_eq!(
-                    sharded.query(q),
+                    sharded,
                     reference.query(q),
-                    "shards={shards} mode={} q={q:?}",
-                    mode.label()
+                    "shards={shards} {} q={q:?}",
+                    strategy.name()
                 );
             }
+        }
+        // The serving stack with the planner pushed into the compressed
+        // domain by a hot bytes_unit.
+        let pressured = Server::new(
+            &engine,
+            ServeConfig {
+                num_shards: shards,
+                cache_capacity: 0,
+                planner: Planner {
+                    bytes_unit: 100.0,
+                    ..Planner::auto()
+                },
+                ..ServeConfig::default()
+            },
+        );
+        for q in &queries {
+            let served = pressured
+                .execute(&Request::terms(q.clone()))
+                .expect("valid");
+            assert_eq!(
+                served.docs.as_slice(),
+                reference.query(q),
+                "shards={shards} memory-pressured q={q:?}"
+            );
         }
     }
 }

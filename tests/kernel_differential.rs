@@ -3,7 +3,6 @@
 //! `Executor` on synthetic and Zipf workloads, across shard counts 1/2/7.
 
 use fast_set_intersection::index::{Corpus, CorpusConfig, SearchEngine, Strategy};
-use fast_set_intersection::serve::{ExecMode, ShardedEngine};
 use fast_set_intersection::{reference_intersection, HashContext, SortedSet};
 use fsi_kernels::{
     AutoKernel, BitmapKernel, BranchlessMerge, Galloping, Kernel, ScalarMerge, SigFilterKernel,
@@ -24,6 +23,15 @@ fn slice_kernels() -> Vec<Box<dyn Kernel>> {
         Box::new(SigFilterKernel::default()),
         Box::new(AutoKernel::default()),
     ]
+}
+
+/// `engine` cut into the `shards` document ranges a sharded server holds.
+fn partition(engine: &SearchEngine, shards: usize) -> Vec<SearchEngine> {
+    engine
+        .doc_ranges(shards)
+        .into_iter()
+        .map(|docs| engine.restricted(docs))
+        .collect()
 }
 
 /// A Zipf-clustered set: dense head, sparse tail — the document-frequency
@@ -89,10 +97,12 @@ fn kernel_strategies_match_scalar_executor_across_shard_counts() {
             );
         }
         for shards in [1usize, 2, 7] {
-            let sharded = ShardedEngine::build(&engine, shards, ExecMode::Fixed(strategy));
+            let parts = partition(&engine, shards);
+            let execs: Vec<_> = parts.iter().map(|p| p.executor(strategy)).collect();
             for q in &queries {
+                let sharded: Vec<u32> = execs.iter().flat_map(|e| e.query(q)).collect();
                 assert_eq!(
-                    sharded.query(q),
+                    sharded,
                     reference.query(q),
                     "strategy {} shards {shards} q {q:?}",
                     strategy.name()
@@ -121,10 +131,12 @@ fn kernel_strategies_match_executor_on_zipf_query_stream() {
     let reference = engine.executor(Strategy::Merge);
     for strategy in KERNEL_STRATEGIES {
         for shards in [1usize, 2, 7] {
-            let sharded = ShardedEngine::build(&engine, shards, ExecMode::Fixed(strategy));
+            let parts = partition(&engine, shards);
+            let execs: Vec<_> = parts.iter().map(|p| p.executor(strategy)).collect();
             for q in &stream {
+                let sharded: Vec<u32> = execs.iter().flat_map(|e| e.query(q)).collect();
                 assert_eq!(
-                    sharded.query(q),
+                    sharded,
                     reference.query(q),
                     "strategy {} shards {shards} q {q:?}",
                     strategy.name()

@@ -6,7 +6,7 @@
 use fast_set_intersection::index::{
     Corpus, CorpusConfig, MultiwayPlan, PlanKind, PlannedList, Planner, SearchEngine, Strategy,
 };
-use fast_set_intersection::serve::{ExecMode, ShardedEngine};
+use fast_set_intersection::serve::{Request, ServeConfig, Server};
 use fast_set_intersection::{reference_intersection, HashContext, SortedSet};
 use fsi_kernels::{
     pairwise_fold_into, BitmapAnd, GallopProbe, HeapMerge, MultiwayAuto, MultiwayKernel,
@@ -15,6 +15,24 @@ use fsi_kernels::{
 use fsi_workloads::{generate_stream, QueryStreamConfig, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A cache-off server planning under the scalar-calibrated default.
+fn planned_server(engine: &SearchEngine, shards: usize) -> Server {
+    Server::new(
+        engine,
+        ServeConfig {
+            num_shards: shards,
+            cache_capacity: 0,
+            planner: Planner::default(),
+            ..ServeConfig::default()
+        },
+    )
+}
+
+fn served(server: &Server, q: &[usize]) -> Vec<u32> {
+    let resp = server.execute(&Request::terms(q)).expect("valid");
+    resp.docs.to_vec()
+}
 
 fn multiway_kernels() -> Vec<Box<dyn MultiwayKernel>> {
     vec![
@@ -122,17 +140,12 @@ fn planned_mode_matches_scalar_executor_across_shard_counts() {
         assert_eq!(exec.query(q), reference.query(q), "unsharded planned {q:?}");
     }
     for shards in [1usize, 2, 7] {
-        let sharded = ShardedEngine::build(&engine, shards, ExecMode::Planned(Planner::default()));
+        let server = planned_server(&engine, shards);
         for q in &queries {
             assert_eq!(
-                sharded.query(q),
+                served(&server, q),
                 reference.query(q),
                 "planned shards {shards} q {q:?}"
-            );
-            assert_eq!(
-                sharded.query_parallel(q),
-                reference.query(q),
-                "planned parallel shards {shards} q {q:?}"
             );
         }
     }
@@ -155,10 +168,10 @@ fn planned_mode_matches_executor_on_zipf_query_stream() {
     });
     let reference = engine.executor(Strategy::Merge);
     for shards in [1usize, 2, 7] {
-        let sharded = ShardedEngine::build(&engine, shards, ExecMode::Planned(Planner::default()));
+        let server = planned_server(&engine, shards);
         for q in &stream {
             assert_eq!(
-                sharded.query(q),
+                served(&server, q),
                 reference.query(q),
                 "planned shards {shards} q {q:?}"
             );

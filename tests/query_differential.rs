@@ -6,10 +6,10 @@
 //! that canonical hashes collide exactly for equivalent expressions.
 
 use fsi_core::{Elem, HashContext, SortedSet};
-use fsi_index::{Planner, SearchEngine, Strategy};
+use fsi_index::{Planner, SearchEngine};
 use fsi_query::naive::{naive_eval, naive_eval_universe};
 use fsi_query::{compile, encode, fingerprint, normalize, parse, Expr, NormExpr, RewriteError};
-use fsi_serve::{ExecMode, Request, ServeConfig, Server, ShardedEngine};
+use fsi_serve::{Request, ServeConfig, Server, ShardedEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -155,23 +155,11 @@ fn expression_engine_matches_naive_semantics_across_shards_and_planners() {
         .map(|_| random_bounded_expr(&mut rng, NUM_TERMS, 3).1)
         .collect();
     // "Both planners": the scalar-calibrated default and the SIMD-tier
-    // auto calibration (identical answers, possibly different plans),
-    // plus two fixed strategies through the structural evaluator.
-    let modes: Vec<(String, ExecMode)> = vec![
-        (
-            "planned-default".into(),
-            ExecMode::Planned(Planner::default()),
-        ),
-        ("planned-auto".into(), ExecMode::Planned(Planner::auto())),
-        ("fixed-merge".into(), ExecMode::Fixed(Strategy::Merge)),
-        (
-            "fixed-rgs".into(),
-            ExecMode::Fixed(Strategy::RanGroupScan { m: 2 }),
-        ),
-    ];
-    for (label, mode) in &modes {
+    // auto calibration (identical answers, possibly different plans).
+    let planners = [("default", Planner::default()), ("auto", Planner::auto())];
+    for (label, planner) in &planners {
         for shards in [1usize, 2, 7] {
-            let sharded = ShardedEngine::build(&engine, shards, mode.clone());
+            let sharded = ShardedEngine::build(&engine, shards, planner.clone());
             for expr in &exprs {
                 let expect: Vec<Elem> = naive_eval(&slices, expr).into_iter().collect();
                 assert_eq!(
@@ -206,7 +194,7 @@ fn generated_boolean_streams_run_end_to_end() {
         ServeConfig {
             num_shards: 3,
             cache_capacity: 256,
-            mode: ExecMode::Planned(Planner::default()),
+            planner: Planner::default(),
             ..ServeConfig::default()
         },
     );

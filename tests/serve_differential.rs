@@ -1,15 +1,20 @@
 //! Differential correctness of the serving layer against the
-//! single-threaded `Executor`:
+//! single-threaded `Executor` and the naive evaluator:
 //!
-//! * for **every** strategy and shard counts 1/2/7, `ShardedEngine` returns
+//! * for **every** strategy and shard counts 1/2/7, the per-shard
+//!   executors over the serving layer's document partition concatenate to
 //!   byte-identical results;
+//! * for shard counts 1/2/3/7, a conjunction served as a term list and as
+//!   an expression returns identical documents and plan kind, equal to
+//!   `naive_eval`;
 //! * the cache hit path returns exactly what the miss path computed;
 //! * concurrent batches over one shared server agree with serial queries.
 
 use fast_set_intersection::index::{Corpus, CorpusConfig, SearchEngine, Strategy};
-use fast_set_intersection::serve::{ExecMode, Request, ServeConfig, Server, ShardedEngine};
+use fast_set_intersection::query::{compile, naive::naive_eval};
+use fast_set_intersection::serve::{Request, ServeConfig, Server};
+use fast_set_intersection::workloads::{generate_stream, QueryStreamConfig};
 use fast_set_intersection::HashContext;
-use fsi_index::Planner;
 
 fn engine() -> SearchEngine {
     let corpus = Corpus::generate(CorpusConfig {
@@ -40,10 +45,16 @@ fn every_strategy_and_shard_count_matches_executor() {
     for strategy in Strategy::full_lineup() {
         let reference = engine.executor(strategy);
         for shards in [1usize, 2, 7] {
-            let sharded = ShardedEngine::build(&engine, shards, ExecMode::Fixed(strategy));
+            let parts: Vec<SearchEngine> = engine
+                .doc_ranges(shards)
+                .into_iter()
+                .map(|docs| engine.restricted(docs))
+                .collect();
+            let execs: Vec<_> = parts.iter().map(|p| p.executor(strategy)).collect();
             for q in &queries {
+                let sharded: Vec<u32> = execs.iter().flat_map(|e| e.query(q)).collect();
                 assert_eq!(
-                    sharded.query(q),
+                    sharded,
                     reference.query(q),
                     "strategy {} shards {shards} q {q:?}",
                     strategy.name()
@@ -57,14 +68,46 @@ fn every_strategy_and_shard_count_matches_executor() {
 fn planned_mode_matches_executor_across_shard_counts() {
     let engine = engine();
     let reference = engine.executor(Strategy::Merge);
-    for shards in [1usize, 2, 7] {
-        let sharded = ShardedEngine::build(&engine, shards, ExecMode::Planned(Planner::default()));
-        for q in &queries() {
+    let slices: Vec<&[u32]> = engine.postings().iter().map(|p| p.as_slice()).collect();
+    let mut conjunctions = queries();
+    conjunctions.extend(generate_stream(&QueryStreamConfig {
+        num_queries: 40,
+        num_terms: engine.num_terms(),
+        seed: 0x5E12,
+        ..QueryStreamConfig::default()
+    }));
+    for shards in [1usize, 2, 3, 7] {
+        // Cache off: both spellings must plan, not hit each other's entry.
+        let server = Server::new(
+            &engine,
+            ServeConfig {
+                num_shards: shards,
+                cache_capacity: 0,
+                ..ServeConfig::default()
+            },
+        );
+        for q in &conjunctions {
+            let flat = server.execute(&Request::terms(q.clone())).expect("valid");
             assert_eq!(
-                sharded.query(q),
+                flat.docs.as_slice(),
                 reference.query(q),
                 "shards {shards} q {q:?}"
             );
+            // The empty conjunction has no expression spelling.
+            if q.is_empty() {
+                assert!(flat.docs.is_empty());
+                continue;
+            }
+            let text: Vec<String> = q.iter().map(usize::to_string).collect();
+            let text = text.join(" AND ");
+            let expr = server.execute(&Request::expr(&*text)).expect("valid");
+            let naive: Vec<u32> = naive_eval(&slices, &compile(&text).expect("compiles"))
+                .into_iter()
+                .collect();
+            assert_eq!(flat.docs, expr.docs, "shards {shards} q {q:?}");
+            assert_eq!(flat.plan_kind, expr.plan_kind, "shards {shards} q {q:?}");
+            assert!(flat.plan_kind.is_some(), "shards {shards} q {q:?}");
+            assert_eq!(expr.docs.as_slice(), naive, "shards {shards} q {q:?}");
         }
     }
 }
@@ -72,14 +115,13 @@ fn planned_mode_matches_executor_across_shard_counts() {
 #[test]
 fn cache_hit_path_equals_miss_path() {
     let engine = engine();
-    let reference = engine.executor(Strategy::RanGroupScan { m: 2 });
+    let reference = engine.executor(Strategy::Merge);
     let server = Server::new(
         &engine,
         ServeConfig {
             num_shards: 3,
             num_workers: 2,
             cache_capacity: 64,
-            mode: ExecMode::Fixed(Strategy::RanGroupScan { m: 2 }),
             ..ServeConfig::default()
         },
     );
@@ -90,14 +132,15 @@ fn cache_hit_path_equals_miss_path() {
         assert_eq!(miss.docs, hit.docs, "{q:?}");
         assert_eq!(hit.docs.as_slice(), reference.query(q), "{q:?}");
     }
+    // Every query but the empty one (nothing to cache) hit on its repeat.
     let stats = server.stats();
-    assert_eq!(stats.cache.hits, queries().len() as u64);
+    assert_eq!(stats.cache.hits, queries().len() as u64 - 1);
 }
 
 #[test]
 fn sharded_and_cached_batches_match_executor() {
     let engine = engine();
-    let reference = engine.executor(Strategy::Lookup);
+    let reference = engine.executor(Strategy::Merge);
     let server = Server::new(
         &engine,
         ServeConfig {
@@ -105,7 +148,7 @@ fn sharded_and_cached_batches_match_executor() {
             num_workers: 4,
             cache_capacity: 32, // small: forces evictions mid-batch
             cache_segments: 2,
-            mode: ExecMode::Fixed(Strategy::Lookup),
+            ..ServeConfig::default()
         },
     );
     let batch: Vec<Request> = (0..200)
@@ -126,14 +169,13 @@ fn sharded_and_cached_batches_match_executor() {
 #[test]
 fn concurrent_clients_smoke() {
     let engine = engine();
-    let reference = engine.executor(Strategy::RanGroupScan { m: 2 });
+    let reference = engine.executor(Strategy::Merge);
     let server = Server::new(
         &engine,
         ServeConfig {
             num_shards: 2,
             num_workers: 2,
             cache_capacity: 128,
-            mode: ExecMode::Fixed(Strategy::RanGroupScan { m: 2 }),
             ..ServeConfig::default()
         },
     );
