@@ -200,7 +200,6 @@ fn main() {
     let server = Server::new(
         &engine,
         ServeConfig {
-            num_shards: 4,
             cache_capacity: 8192,
             ..ServeConfig::default()
         },

@@ -1,7 +1,7 @@
 //! Kernel-layer throughput benchmark: the `fsi-kernels` primitives against
 //! the scalar merge baseline, on synthetic and Zipf-shaped pairs.
 //!
-//! Structures are prepared outside the timed region (what a serving shard
+//! Structures are prepared outside the timed region (what a server
 //! amortizes across queries); each row reports microseconds per
 //! intersection, million input elements scanned per second, and the
 //! speedup over the scalar merge on the same pair. Results land in

@@ -4,7 +4,7 @@
 //! result.
 //!
 //! For each shape and k ∈ {2, 3, 5, 8}, all prepared structures are built
-//! outside the timed region (what a serving shard amortizes across
+//! outside the timed region (what a server amortizes across
 //! queries); each row reports microseconds per k-way intersection and the
 //! speedup over `PairwiseFold(Merge)` — sort by length, intersect the two
 //! smallest with a scalar merge, fold each remaining list in — on the same

@@ -6,8 +6,8 @@
 //! a number on that claim. It builds the boolean-bench Zipf corpus, replays
 //! an AND-only query stream through a `Server` twice — once as plain
 //! `Request::expr` requests and once `.traced()` — with the result cache
-//! disabled so every query exercises parse → rewrite → plan →
-//! per-shard exec, and records min-over-reps throughput for both paths.
+//! disabled so every query exercises parse → rewrite → plan → exec, and
+//! records min-over-reps throughput for both paths.
 //!
 //! `overhead_pct` is asserted at most 5% in full mode (10% in smoke, where
 //! single-rep jitter on shared CI hardware is the dominant term) and the
@@ -28,8 +28,6 @@ use fsi_obs::{Registry, SnapshotValue};
 use fsi_serve::{Request, ServeConfig, Server};
 use fsi_workloads::stream::{generate_boolean_stream, BooleanStreamConfig};
 
-const NUM_SHARDS: usize = 4;
-
 fn main() {
     let args = HarnessArgs::parse("BENCH_obs.json");
     // Like the boolean bench, smoke keeps the full corpus and stream (the
@@ -41,7 +39,7 @@ fn main() {
     let reps = args.pick(5, 2);
 
     println!(
-        "corpus: {num_docs} docs x {num_terms} terms, {NUM_SHARDS} shards; \
+        "corpus: {num_docs} docs x {num_terms} terms; \
          {num_queries} AND-only queries, {reps} rep(s){}",
         if args.smoke { " [smoke]" } else { "" }
     );
@@ -55,7 +53,6 @@ fn main() {
     let server = Server::new(
         &engine,
         ServeConfig {
-            num_shards: NUM_SHARDS,
             cache_capacity: 0, // every query must run the full pipeline
             ..ServeConfig::default()
         },
@@ -204,7 +201,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"obs\",\n  \"smoke\": {},\n  {env},\n  \"config\": {{\n    \
          \"num_docs\": {num_docs},\n    \"num_terms\": {num_terms},\n    \
-         \"num_queries\": {num_queries},\n    \"num_shards\": {NUM_SHARDS},\n    \
+         \"num_queries\": {num_queries},\n    \
          \"reps\": {reps}\n  }},\n  \"overhead\": {{\n    \
          \"untraced_qps\": {untraced_qps:.1},\n    \"traced_qps\": {traced_qps:.1},\n    \
          \"qps_ratio\": {qps_ratio:.4},\n    \"overhead_pct\": {overhead_pct:.2},\n    \

@@ -1,11 +1,10 @@
 //! Serving-layer cache benchmark.
 //!
 //! Builds a Zipf corpus, serves it under the default planner, and replays
-//! a Zipf-skewed query stream through `Server::execute_batch` twice —
-//! cold, then warm — recording the result cache's throughput effect and
-//! hit rate into
-//! `BENCH_serve.json` (hand-rolled JSON: this environment has no registry
-//! access, so no serde).
+//! a Zipf-skewed query stream through `Server::execute` twice on the
+//! calling thread — cold, then warm — recording the result cache's
+//! throughput effect and hit rate into `BENCH_serve.json` (hand-rolled
+//! JSON: this environment has no registry access, so no serde).
 //!
 //! The closed-loop worker-scaling rows this file used to carry are gone:
 //! a closed-loop generator collapses offered load to whatever the server
@@ -22,9 +21,7 @@ use fsi_core::HashContext;
 use fsi_index::{Corpus, CorpusConfig};
 use fsi_serve::{CacheOutcome, Request, ServeConfig, Server};
 use fsi_workloads::stream::{generate_stream, repeat_rate, QueryStreamConfig};
-
-const NUM_SHARDS: usize = 4;
-const NUM_WORKERS: usize = 4;
+use std::time::Instant;
 
 fn main() {
     let args = HarnessArgs::parse("BENCH_serve.json");
@@ -39,7 +36,7 @@ fn main() {
     let num_queries: usize = 4_000;
 
     println!(
-        "corpus: {num_docs} docs x {num_terms} terms, {NUM_SHARDS} shards; \
+        "corpus: {num_docs} docs x {num_terms} terms; \
          stream: {num_queries} Zipf queries{}",
         if args.smoke { " [smoke]" } else { "" }
     );
@@ -63,48 +60,44 @@ fn main() {
         ctx,
         corpus,
         ServeConfig {
-            num_shards: NUM_SHARDS,
-            num_workers: NUM_WORKERS,
             cache_capacity: 8192,
             ..ServeConfig::default()
         },
     );
     let requests: Vec<Request> = stream.iter().cloned().map(Request::terms).collect();
-    let hits = |batch: &fsi_serve::BatchResponse| {
-        batch
-            .responses
+    // One pass over the stream: (wall-clock, cache hits).
+    let pass = || {
+        let start = Instant::now();
+        let hits = requests
             .iter()
-            .filter(|r| matches!(r, Ok(resp) if resp.cache == CacheOutcome::Hit))
-            .count()
+            .filter(|req| server.execute(req).expect("valid").cache == CacheOutcome::Hit)
+            .count();
+        (start.elapsed(), hits)
     };
-    let cold = server.execute_batch(&requests);
-    let warm = server.execute_batch(&requests);
-    let (cold_hits, warm_hits) = (hits(&cold), hits(&warm));
+    let (cold_wall, cold_hits) = pass();
+    let (warm_wall, warm_hits) = pass();
+    let qps = |wall: std::time::Duration| requests.len() as f64 / wall.as_secs_f64();
+    let (cold_qps, warm_qps) = (qps(cold_wall), qps(warm_wall));
     let cache_stats = server.stats().cache;
     println!(
-        "cache: cold {:.0} q/s ({:.1} ms, hits {cold_hits}), \
-         warm {:.0} q/s ({:.1} ms, hits {warm_hits}), hit rate {:.3}",
-        cold.throughput_qps,
-        ms(cold.wall),
-        warm.throughput_qps,
-        ms(warm.wall),
+        "cache: cold {cold_qps:.0} q/s ({:.1} ms, hits {cold_hits}), \
+         warm {warm_qps:.0} q/s ({:.1} ms, hits {warm_hits}), hit rate {:.3}",
+        ms(cold_wall),
+        ms(warm_wall),
         cache_stats.hit_rate()
     );
 
     let env = fsi_bench::env_json();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"smoke\": {},\n  {env},\n  \"config\": {{\n    \
          \"num_docs\": {num_docs},\n    \"num_terms\": {num_terms},\n    \
          \"num_queries\": {num_queries},\n    \
-         \"num_shards\": {NUM_SHARDS},\n    \"available_cores\": {cores},\n    \
          \"stream_repeat_rate\": {stream_repeat_rate:.4}\n  }},\n  \
-         \"cache\": {{\n    \"capacity\": 8192,\n    \"workers\": {NUM_WORKERS},\n    \
-         \"cold_qps\": {:.1},\n    \"warm_qps\": {:.1},\n    \"warm_hits\": {warm_hits},\n    \
+         \"cache\": {{\n    \"capacity\": 8192,\n    \
+         \"cold_qps\": {cold_qps:.1},\n    \"warm_qps\": {warm_qps:.1},\n    \
+         \"warm_hits\": {warm_hits},\n    \
          \"hit_rate\": {:.4},\n    \"evictions\": {}\n  }}\n}}\n",
         args.smoke,
-        cold.throughput_qps,
-        warm.throughput_qps,
         cache_stats.hit_rate(),
         cache_stats.evictions,
     );

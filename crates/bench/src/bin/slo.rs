@@ -55,7 +55,6 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const NUM_SHARDS: usize = 4;
 const CONNS: usize = 4;
 const DEADLINE_MS: u64 = 20;
 const OFFERED_MULTS: [f64; 3] = [0.5, 1.0, 4.0];
@@ -275,7 +274,7 @@ fn main() {
     let max_requests: usize = args.pick(40_000, 2_000);
 
     println!(
-        "corpus: {num_docs} docs x {num_terms} terms, {NUM_SHARDS} shards; \
+        "corpus: {num_docs} docs x {num_terms} terms; \
          deadline {DEADLINE_MS} ms, {CONNS} conns{}",
         if args.smoke { " [smoke]" } else { "" }
     );
@@ -288,7 +287,6 @@ fn main() {
         HashContext::new(fsi_bench::HARNESS_SEED),
         corpus,
         ServeConfig {
-            num_shards: NUM_SHARDS,
             cache_capacity: 8192,
             ..ServeConfig::default()
         },
@@ -503,8 +501,8 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"slo\",\n  \"smoke\": {},\n  {env},\n  \"config\": {{\n    \
          \"num_docs\": {num_docs},\n    \"num_terms\": {num_terms},\n    \
-         \"num_shards\": {NUM_SHARDS},\n    \"conns\": {CONNS},\n    \
-         \"deadline_ms\": {DEADLINE_MS},\n    \"available_cores\": {cores},\n    \
+         \"conns\": {CONNS},\n    \
+         \"deadline_ms\": {DEADLINE_MS},\n    \
          \"calibration_queries\": {cal_queries}\n  }},\n  \
          \"capacity_qps\": {capacity_qps:.1},\n  \"response_accounting\": 1.0,\n  \
          \"lifecycle\": {{\n    \"instrumented_qps\": {instrumented_qps:.1},\n    \

@@ -142,9 +142,25 @@ pub fn run_strategy(
 /// Standard harness seed so every experiment is reproducible.
 pub const HARNESS_SEED: u64 = 0x2011_0404;
 
+/// The checked-out revision as `git describe --always --dirty` prints it
+/// (a `-dirty` suffix marks uncommitted changes), or `"unknown"` when the
+/// binary runs outside a git checkout.
+fn git_commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty() && rev.chars().all(|c| c.is_ascii_alphanumeric() || c == '-'))
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// The `"env": {...}` JSON entry every benchmark binary stamps into its
-/// output: the SIMD tier this process actually dispatches to and the
-/// planner unit constants in force ([`fsi_index::Planner::auto`] /
+/// output: the revision and core count of the box it ran on, the SIMD
+/// tier this process actually dispatches to and the planner unit
+/// constants in force ([`fsi_index::Planner::auto`] /
 /// [`fsi_query::ExprPlanner::auto`]). Two baseline files that disagree
 /// here were measured on different effective machines — the regression
 /// gate's tolerance exists for jitter, not for silently comparing an AVX2
@@ -156,11 +172,14 @@ pub fn env_json() -> String {
     let p = fsi_index::Planner::auto();
     let xp = fsi_query::ExprPlanner::auto();
     format!(
-        "\"env\": {{\n    \"simd_level\": \"{}\",\n    \"planner_units\": {{\n      \
+        "\"env\": {{\n    \"commit\": \"{}\",\n    \"available_cores\": {},\n    \
+         \"simd_level\": \"{}\",\n    \"planner_units\": {{\n      \
          \"gallop_unit\": {}, \"hash_unit\": {}, \"bitmap_word_unit\": {}, \
          \"rgs_unit\": {}, \"heap_unit\": {},\n      \
          \"decode_unit\": {}, \"bytes_unit\": {},\n      \
          \"union_unit\": {}, \"union_bitmap_word_unit\": {}, \"diff_unit\": {}\n    }}\n  }}",
+        git_commit(),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         fsi_kernels::SimdLevel::active().name(),
         p.gallop_unit,
         p.hash_unit,

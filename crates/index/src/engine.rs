@@ -9,7 +9,6 @@ use crate::planner::{PlannedExecutor, Planner};
 use crate::strategy::{intersect_into, PreparedList, Strategy};
 use fsi_core::elem::{Elem, SortedSet};
 use fsi_core::hash::HashContext;
-use std::ops::Range;
 
 /// An in-memory inverted index with pluggable intersection strategies.
 #[derive(Debug, Clone)]
@@ -53,44 +52,6 @@ impl SearchEngine {
     /// The largest document ID present in any posting list, if any.
     pub fn max_doc(&self) -> Option<Elem> {
         self.postings.iter().filter_map(|p| p.max()).max()
-    }
-
-    /// The document space cut into `n` (≥ 1) equal contiguous ranges,
-    /// ascending — the partition document-range sharding serves. `u64`
-    /// throughout: `max_doc` can be `u32::MAX`, whose successor (the
-    /// exclusive end of the document space) does not fit an [`Elem`].
-    pub fn doc_ranges(&self, n: usize) -> Vec<Range<u64>> {
-        let n = n.max(1) as u64;
-        let end = self.max_doc().map_or(0u64, |m| m as u64 + 1);
-        let span = end.div_ceil(n).max(1);
-        (0..n)
-            .map(|i| (i * span).min(end)..((i + 1) * span).min(end))
-            .collect()
-    }
-
-    /// A sub-engine whose posting lists are clipped to the document-ID
-    /// range `docs` (what a document-partitioned shard holds). The hash
-    /// context is shared, so prepared lists from different sub-engines stay
-    /// mutually consistent.
-    ///
-    /// The range is `u64` so the half-open end can express "past
-    /// `u32::MAX`" — document ID `u32::MAX` is a legal [`Elem`], and an
-    /// exclusive `u32` bound could never include it.
-    pub fn restricted(&self, docs: Range<u64>) -> SearchEngine {
-        let postings = self
-            .postings
-            .iter()
-            .map(|p| {
-                let s = p.as_slice();
-                let lo = s.partition_point(|&d| (d as u64) < docs.start);
-                let hi = s.partition_point(|&d| (d as u64) < docs.end);
-                SortedSet::from_sorted_unchecked(s[lo..hi].to_vec())
-            })
-            .collect();
-        SearchEngine {
-            ctx: self.ctx.clone(),
-            postings,
-        }
     }
 
     /// Preprocesses **all** terms under `strategy` and returns an executor.
@@ -225,56 +186,6 @@ mod tests {
         let exec = engine.executor(Strategy::Merge);
         assert_eq!(exec.query(&[7]), engine.posting(7).as_slice());
         assert!(exec.query(&[]).is_empty());
-    }
-
-    #[test]
-    fn restricted_engine_partitions_postings() {
-        let engine = engine();
-        let max = engine.max_doc().expect("non-empty corpus") as u64 + 1;
-        let mid = max / 2;
-        let low = engine.restricted(0..mid);
-        let high = engine.restricted(mid..max);
-        for t in 0..engine.num_terms() {
-            assert!(low.posting(t).max().is_none_or(|d| (d as u64) < mid));
-            assert!(high.posting(t).min().is_none_or(|d| (d as u64) >= mid));
-            let mut rejoined: Vec<Elem> = low.posting(t).as_slice().to_vec();
-            rejoined.extend_from_slice(high.posting(t).as_slice());
-            assert_eq!(rejoined, engine.posting(t).as_slice());
-        }
-    }
-
-    #[test]
-    fn restricted_covers_the_full_u32_universe() {
-        let ctx = HashContext::new(1);
-        let engine = SearchEngine::from_postings(
-            ctx,
-            vec![
-                SortedSet::from_unsorted(vec![0, 5, u32::MAX - 1, u32::MAX]),
-                SortedSet::from_unsorted(vec![5, u32::MAX]),
-            ],
-        );
-        let end = engine.max_doc().unwrap() as u64 + 1; // 2^32: > any u32
-        let whole = engine.restricted(0..end);
-        assert_eq!(whole.posting(0).as_slice(), engine.posting(0).as_slice());
-        assert_eq!(whole.posting(1).as_slice(), engine.posting(1).as_slice());
-        let top = engine.restricted((u32::MAX as u64)..end);
-        assert_eq!(top.posting(0).as_slice(), &[u32::MAX]);
-    }
-
-    #[test]
-    fn restricted_halves_answer_like_the_whole() {
-        let engine = engine();
-        let max = engine.max_doc().unwrap() as u64 + 1;
-        let mid = max / 2;
-        let whole = engine.executor(Strategy::RanGroupScan { m: 2 });
-        let (low, high) = (engine.restricted(0..mid), engine.restricted(mid..max));
-        let low = low.executor(Strategy::RanGroupScan { m: 2 });
-        let high = high.executor(Strategy::RanGroupScan { m: 2 });
-        for q in [vec![0usize, 1], vec![3, 10, 40], vec![5]] {
-            let mut merged = low.query(&q);
-            merged.extend(high.query(&q));
-            assert_eq!(merged, whole.query(&q), "{q:?}");
-        }
     }
 
     #[test]

@@ -540,8 +540,8 @@ impl Planner {
 }
 
 /// A fully planned, self-contained index: every term prepared for every
-/// representation, queries answered through the cost-model planner.
-/// Serving shards hold one per document range.
+/// representation the cost-model planner can bind. The serving layer
+/// holds one per server; `fsi_query` plans and runs expressions on it.
 #[derive(Debug, Clone)]
 pub struct PlannedExecutor {
     planner: Planner,
@@ -592,32 +592,10 @@ impl PlannedExecutor {
         self.lists.iter().map(|l| l.size_in_bytes()).sum()
     }
 
-    /// The plan the executor would run for this term list (telemetry; the
-    /// query paths compute the same thing).
+    /// The plan the planner picks for this term list.
     pub fn plan(&self, terms: &[usize]) -> MultiwayPlan {
         let refs: Vec<&PlannedList> = terms.iter().map(|&t| &self.lists[t]).collect();
         self.planner.plan_for_lists(&refs)
-    }
-
-    /// Answers the conjunctive query `terms`, ascending document order.
-    pub fn query(&self, terms: &[usize]) -> Vec<Elem> {
-        let mut out = Vec::new();
-        self.query_into(terms, &mut out);
-        out
-    }
-
-    /// Appends the (ascending) answer to `out` — the hot-path form serving
-    /// shards use to share one output buffer. Returns the plan that ran.
-    pub fn query_into(&self, terms: &[usize], out: &mut Vec<Elem>) -> MultiwayPlan {
-        let refs: Vec<&PlannedList> = terms.iter().map(|&t| &self.lists[t]).collect();
-        let start = out.len();
-        let plan = self.planner.intersect(&refs, out);
-        // Every kernel emits ascending output already except RanGroupScan,
-        // which emits in g-order — only that plan pays the sort.
-        if plan.kind == PlanKind::RanGroupScan {
-            out[start..].sort_unstable();
-        }
-        plan
     }
 }
 
@@ -1034,12 +1012,15 @@ mod tests {
                 .map(|&t| engine.posting(t).as_slice())
                 .collect();
             let expect = reference_intersection(&slices);
-            assert_eq!(exec.query(&terms), expect, "{terms:?}");
+            let lists: Vec<&PlannedList> = terms.iter().map(|&t| exec.list(t)).collect();
             let plan = exec.plan(&terms);
-            let mut out = vec![1234u32]; // prefix must survive query_into
-            let ran = exec.query_into(&terms, &mut out);
-            assert_eq!(ran, plan);
-            assert_eq!(&out[..1], &[1234]);
+            assert_eq!(plan, exec.planner().plan_for_lists(&lists));
+            let mut out = vec![0u32]; // `execute` appends: the prefix survives
+            exec.planner().execute(&plan, &lists, &mut out);
+            // RanGroupScan emits g-order; sorting is the caller's job
+            // (`fsi_query::exec` owns that rule).
+            out[1..].sort_unstable();
+            assert_eq!(&out[..1], &[0]);
             assert_eq!(&out[1..], expect.as_slice(), "{terms:?}");
         }
     }

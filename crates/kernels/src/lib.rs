@@ -3,8 +3,8 @@
 //! Ding & König's speedup comes from packing group signatures into machine
 //! words and intersecting them with single `AND` instructions. This crate
 //! generalizes that trick into a layer of standalone *kernels* the layers
-//! above (`fsi-index`'s `Strategy` dispatch and `Planner`, `fsi-serve`'s
-//! shards) can pick per query:
+//! above (`fsi-index`'s `Strategy` dispatch and `Planner`, `fsi-query`'s
+//! expression executor) can pick per query:
 //!
 //! * [`bitmap`] — [`BitmapSet`]: a chunked bitmap (Roaring-style dense
 //!   containers: 2¹⁶-value chunks of 1024 64-bit words). Intersection is a

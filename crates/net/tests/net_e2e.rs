@@ -20,10 +20,7 @@ fn serving_stack(net: NetConfig) -> (Arc<Server>, NetServer) {
     let serve = Arc::new(Server::from_corpus(
         HashContext::new(0x2011),
         corpus,
-        ServeConfig {
-            num_shards: 2,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
     ));
     let net = NetServer::start(Arc::clone(&serve), net).expect("bind loopback");
     (serve, net)

@@ -22,10 +22,9 @@
 //!
 //! Every cell is a relaxed `AtomicU64`: recording is wait-free and
 //! `merge_from` is plain bucket-wise addition, which makes merging
-//! associative and commutative — per-worker histograms in
-//! `fsi_serve::QueryPool` and per-shard histograms merge into one total in
-//! any grouping with an identical result (asserted by the registry merge
-//! proptests).
+//! associative and commutative — per-thread histograms merge into one
+//! total in any grouping with an identical result (asserted by the
+//! registry merge proptests).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -167,8 +166,8 @@ impl Histogram {
     }
 
     /// Adds every sample of `other` into `self` (bucket-wise addition —
-    /// associative and commutative, so per-worker and per-shard histograms
-    /// merge in any grouping).
+    /// associative and commutative, so per-thread histograms merge in any
+    /// grouping).
     pub fn merge_from(&self, other: &Histogram) {
         for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
             let n = theirs.load(Ordering::Relaxed);

@@ -6,7 +6,7 @@
 //!
 //! * [`Histogram`] — a streaming log₂-bucket latency histogram: wait-free
 //!   concurrent recording, bucket-wise (associative, commutative) merging
-//!   across `QueryPool` workers and shards, exact `count`/`sum`/`max`, and
+//!   across recording threads, exact `count`/`sum`/`max`, and
 //!   nearest-rank-compatible percentile estimates with a documented
 //!   ≤ 1/32 one-sided relative error ([`Histogram::MAX_RELATIVE_ERROR`]).
 //! * [`Registry`] — named, labeled counters (striped atomics), gauges, and
@@ -16,7 +16,7 @@
 //!   Point-in-time [`Snapshot`]s render as Prometheus exposition text or
 //!   JSON and merge like histograms do.
 //! * [`TraceBuilder`] / [`QueryTrace`] — per-query structured spans
-//!   (parse → rewrite → plan → per-shard exec) with string attributes for
+//!   (parse → rewrite → cache → exec) with string attributes for
 //!   the chosen `PlanKind`/`Kernel`/`SimdLevel`, estimated vs observed
 //!   cardinalities, and cache attribution.
 //! * [`SlowLog`] / [`TailSampler`] — the request-lifecycle layer: a

@@ -11,7 +11,7 @@
 //!
 //! Snapshots are mergeable ([`Snapshot::merge_from`]): counters and gauges
 //! add, histograms merge bucket-wise — associative and commutative, so
-//! per-worker or per-shard registries can be combined in any grouping with
+//! per-worker or per-process registries can be combined in any grouping with
 //! an identical result (the merge-associativity proptests pin this).
 
 use crate::hist::{HistSnapshot, Histogram};
@@ -370,7 +370,7 @@ impl Snapshot {
 
     /// Merges `other` into `self`: counters and gauges add, histograms
     /// merge bucket-wise, metrics present on one side only carry over.
-    /// Associative and commutative — worker/shard snapshots combine in any
+    /// Associative and commutative — per-worker snapshots combine in any
     /// grouping to the same total.
     pub fn merge_from(&mut self, other: &Snapshot) {
         for theirs in &other.entries {

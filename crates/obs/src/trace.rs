@@ -2,8 +2,8 @@
 //! string attributes, built cheaply while a query runs and rendered as
 //! text or JSON afterwards.
 //!
-//! The model is deliberately flat (parse → rewrite → plan → one span per
-//! shard): the serving stack's per-query stages are sequential, so a flat
+//! The model is deliberately flat (parse → rewrite → cache → exec): the
+//! serving stack's per-query stages are sequential, so a flat
 //! span list with start offsets reconstructs the timeline exactly, without
 //! the allocation churn of a span tree. Attributes carry the attribution
 //! payload — chosen `PlanKind`, SIMD tier, estimated vs observed rows,
@@ -15,7 +15,7 @@ use std::time::Instant;
 /// One timed stage of a traced query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    /// Stage name (`parse`, `plan`, `shard0`, …).
+    /// Stage name (`parse`, `cache`, `exec`, …).
     pub name: String,
     /// Start offset from the trace's origin, nanoseconds.
     pub start_ns: u64,
@@ -64,8 +64,8 @@ impl TraceBuilder {
         Self {
             origin: Instant::now(),
             query: query.into(),
-            // One span per stage plus one per shard: 8 covers the serving
-            // stack's default shape without a mid-query regrow.
+            // One span per stage: 8 covers the serving stack's shape
+            // without a mid-query regrow.
             spans: Vec::with_capacity(8),
         }
     }
@@ -133,8 +133,8 @@ impl QueryTrace {
     /// ```text
     /// trace "0 AND 1" total 182.4µs
     ///   parse        1.2µs
-    ///   plan         3.4µs  plan=And[GallopProbe]
-    ///   shard0      88.0µs  plan_kind=GallopProbe est_rows=120 rows=117
+    ///   cache        0.4µs  outcome=miss
+    ///   exec        88.0µs  kind=GallopProbe est_rows=120 rows=117
     /// ```
     pub fn render(&self) -> String {
         let mut out = format!("trace {:?} total {}\n", self.query, fmt_ns(self.total_ns));

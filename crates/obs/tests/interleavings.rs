@@ -74,7 +74,7 @@ fn enumerator_visits_the_full_multinomial() {
 // API granularity: real types, every ordering of public calls.
 // ---------------------------------------------------------------------------
 
-/// The QueryPool pattern: workers record into private histograms, a
+/// The fan-in pattern: workers record into private histograms, a
 /// coordinator snapshots each worker once and merges. Under **every**
 /// interleaving the merged aggregate must equal exactly the records
 /// that preceded each worker's snapshot — nothing lost, nothing
@@ -175,7 +175,7 @@ fn registry_snapshot_merge_vs_concurrent_increments() {
 }
 
 /// Merging per-worker snapshots must be insensitive to merge order and
-/// grouping (the shard fan-in can combine partials in any tree shape),
+/// grouping (a fan-in can combine partials in any tree shape),
 /// and must equal the snapshot of one histogram that saw everything.
 #[test]
 fn snapshot_merge_is_order_and_grouping_invariant() {

@@ -7,9 +7,8 @@
 //! prepared flat slices — only genuine sub-expression results are
 //! materialized.
 //!
-//! Output is appended ascending and duplicate-free, and it is safe to call
-//! with a non-empty `out` holding strictly smaller values — the contract
-//! document-range sharding relies on to concatenate per-shard results.
+//! Output is appended ascending and duplicate-free; pre-existing `out`
+//! content is left untouched.
 
 use crate::plan::{AndKind, ExprPlan, ExprPlanner, PlanNode, UnionKind};
 use crate::rewrite::NormExpr;
@@ -160,7 +159,7 @@ fn run_and_base(
                 .collect();
             planner.and.execute(mplan, &lists, out);
             // Every kernel emits ascending output except RanGroupScan's
-            // g-order — the same rule `PlannedExecutor::query_into` applies.
+            // g-order — only that plan pays the sort.
             if mplan.kind == PlanKind::RanGroupScan {
                 out[start..].sort_unstable();
             }
@@ -228,7 +227,7 @@ mod tests {
 
     #[test]
     fn appending_after_existing_content_is_safe() {
-        // The shard-concatenation contract: pre-existing `out` content
+        // The append contract: pre-existing `out` content
         // survives untouched and the fresh result lands after it — even
         // when the prefix ends in a value equal to the first emitted
         // document (the heap union must not dedup across the boundary).

@@ -27,12 +27,6 @@
 //!   intersection/union/difference slice kernels;
 //! * [`naive`] — `BTreeSet` reference evaluators the differential suites
 //!   pin all of the above against.
-//!
-//! Per-shard evaluation composes: restricted to any document range,
-//! unions, intersections, and differences all distribute
-//! (`(A ∪ B)|ᵣ = A|ᵣ ∪ B|ᵣ`, likewise for `∩` and `∖`), so
-//! document-partitioned serving concatenates per-shard expression results
-//! exactly as it concatenates flat-query results.
 
 #![forbid(unsafe_code)]
 

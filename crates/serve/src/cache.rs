@@ -1,4 +1,4 @@
-//! A sharded LRU cache for intersection results.
+//! A segmented LRU cache for intersection results.
 //!
 //! Ding & König motivate set intersection as the inner loop of query
 //! serving; real query streams are heavily skewed (Zipfian term
@@ -293,7 +293,7 @@ fn value_bytes(value: &Arc<Vec<Elem>>) -> usize {
     value.len() * std::mem::size_of::<Elem>()
 }
 
-/// The sharded, counter-instrumented result cache.
+/// The segmented, counter-instrumented result cache.
 pub struct QueryCache {
     segments: Vec<Mutex<Segment>>,
     capacity: usize,

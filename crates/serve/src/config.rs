@@ -1,22 +1,17 @@
-//! Serving configuration: how many shards and workers, how large a result
-//! cache, and which cost-model planner shards plan queries under.
+//! Serving configuration: how large a result cache, and which cost-model
+//! planner queries are planned under.
 
 use fsi_index::Planner;
 
 /// Configuration of a serving engine.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Number of document shards (≥ 1). Posting lists are partitioned into
-    /// contiguous document-ID ranges, one per shard.
-    pub num_shards: usize,
-    /// Worker threads draining query batches (≥ 1).
-    pub num_workers: usize,
     /// Total result-cache capacity in entries; `0` disables caching.
     pub cache_capacity: usize,
     /// Number of independently locked cache segments (≥ 1); higher values
-    /// reduce lock contention under concurrent batches.
+    /// reduce lock contention between concurrent callers.
     pub cache_segments: usize,
-    /// The cost-model planner every shard plans queries under. Set a dial
+    /// The cost-model planner queries are planned under. Set a dial
     /// directly to express operator intent — e.g.
     /// `Planner { bytes_unit: 1.5, ..Planner::auto() }` charges every
     /// candidate its resident footprint, so queries over compressible
@@ -27,8 +22,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            num_shards: 4,
-            num_workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
             cache_capacity: 4096,
             cache_segments: 8,
             // Cost constants tuned for the SIMD tier this process
@@ -40,10 +33,9 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Validates the configuration, normalizing zero counts up to one.
+    /// Validates the configuration, normalizing a zero segment count up
+    /// to one.
     pub fn normalized(mut self) -> Self {
-        self.num_shards = self.num_shards.max(1);
-        self.num_workers = self.num_workers.max(1);
         self.cache_segments = self.cache_segments.max(1);
         self
     }
@@ -56,8 +48,6 @@ mod tests {
     #[test]
     fn default_is_sane() {
         let c = ServeConfig::default();
-        assert!(c.num_shards >= 1);
-        assert!(c.num_workers >= 1);
         assert!(c.cache_segments >= 1);
         assert_eq!(c.planner.gallop_unit, Planner::auto().gallop_unit);
     }
@@ -65,12 +55,10 @@ mod tests {
     #[test]
     fn normalized_lifts_zeros() {
         let c = ServeConfig {
-            num_shards: 0,
-            num_workers: 0,
             cache_segments: 0,
             ..ServeConfig::default()
         }
         .normalized();
-        assert_eq!((c.num_shards, c.num_workers, c.cache_segments), (1, 1, 1));
+        assert_eq!(c.cache_segments, 1);
     }
 }

@@ -1,0 +1,152 @@
+//! The server's one prepared index: every posting list of a
+//! [`fsi_index::SearchEngine`] preprocessed once for every representation
+//! the cost-model planner can bind, plus the expression planner queries
+//! plan under.
+//!
+//! Every prepared structure is immutable and `Send + Sync` (the paper
+//! treats multi-core parallelism as orthogonal to the algorithms), so one
+//! index answers queries from any number of threads concurrently.
+
+use fsi_core::Elem;
+use fsi_index::{PlannedExecutor, Planner, SearchEngine};
+use fsi_query::{ExplainMode, ExprPlan, ExprPlanner, NormExpr};
+use std::borrow::Cow;
+
+/// A whole index prepared for planned evaluation — what
+/// [`crate::Server::engine`] hands out.
+#[derive(Debug)]
+pub struct PreparedIndex {
+    exec: PlannedExecutor,
+    planner: ExprPlanner,
+    /// Heap footprint of `exec`, summed once at build: the index is
+    /// immutable, and every metrics scrape reads this.
+    size_in_bytes: usize,
+}
+
+impl PreparedIndex {
+    /// Prepares every posting list of `engine` for queries planned under
+    /// `planner`.
+    pub(crate) fn build(engine: &SearchEngine, planner: Planner) -> Self {
+        let exec = engine.planned_executor(planner.clone());
+        Self {
+            size_in_bytes: exec.size_in_bytes(),
+            exec,
+            planner: ExprPlanner::new(planner),
+        }
+    }
+
+    /// Number of terms in the index.
+    pub fn num_terms(&self) -> usize {
+        self.exec.num_terms()
+    }
+
+    /// Total heap footprint of the prepared representations.
+    pub fn size_in_bytes(&self) -> usize {
+        self.size_in_bytes
+    }
+
+    /// Evaluates a boolean expression in ascending document order on the
+    /// calling thread.
+    pub fn query_expr(&self, expr: &NormExpr) -> Vec<Elem> {
+        self.eval(expr, None).0
+    }
+
+    /// The index's own expression planner, or one built from a per-request
+    /// override.
+    fn planner_for(&self, planner: Option<&Planner>) -> Cow<'_, ExprPlanner> {
+        planner.map_or(Cow::Borrowed(&self.planner), |p| {
+            Cow::Owned(ExprPlanner::new(p.clone()))
+        })
+    }
+
+    /// The one evaluation routine behind [`PreparedIndex::query_expr`] and
+    /// [`crate::Server::execute`]: plans `expr` over whole-index
+    /// statistics — under a per-request `planner` override when given —
+    /// runs the plan, and returns the ascending result with the plan that
+    /// produced it.
+    pub(crate) fn eval(&self, expr: &NormExpr, planner: Option<&Planner>) -> (Vec<Elem>, ExprPlan) {
+        let mut out = Vec::new();
+        let planner = self.planner_for(planner);
+        let plan = fsi_query::eval_planned_into(&self.exec, &planner, expr, &mut out);
+        (out, plan)
+    }
+
+    /// Renders `EXPLAIN`/`EXPLAIN ANALYZE` for `expr`, optionally under a
+    /// per-request planner.
+    pub(crate) fn explain(
+        &self,
+        expr: &NormExpr,
+        mode: ExplainMode,
+        planner: Option<&Planner>,
+    ) -> String {
+        fsi_query::explain(&self.exec, &self.planner_for(planner), expr, mode)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::flat_to_norm;
+    use fsi_core::{HashContext, SortedSet};
+    use fsi_index::{Corpus, CorpusConfig, Strategy};
+
+    fn engine() -> SearchEngine {
+        let corpus = Corpus::generate(CorpusConfig {
+            num_docs: 30_000,
+            num_terms: 48,
+            ..CorpusConfig::default()
+        });
+        SearchEngine::from_corpus(HashContext::new(3), corpus)
+    }
+
+    /// A non-empty flat conjunction through the one evaluation path.
+    fn flat(index: &PreparedIndex, terms: &[usize]) -> Vec<Elem> {
+        index.query_expr(&flat_to_norm(terms).expect("non-empty conjunction"))
+    }
+
+    fn assert_send_sync<T: Send + Sync>() {}
+
+    #[test]
+    fn prepared_index_is_send_sync() {
+        assert_send_sync::<PreparedIndex>();
+    }
+
+    #[test]
+    fn max_document_id_is_served() {
+        // Regression: document-space arithmetic used to run in u32, so a
+        // corpus containing document u32::MAX overflowed `max_doc + 1`.
+        let postings = vec![
+            SortedSet::from_unsorted(vec![0, 7, u32::MAX - 1, u32::MAX]),
+            SortedSet::from_unsorted(vec![7, u32::MAX]),
+        ];
+        let engine = SearchEngine::from_postings(HashContext::new(8), postings);
+        let index = PreparedIndex::build(&engine, Planner::auto());
+        assert_eq!(flat(&index, &[0, 1]), vec![7, u32::MAX]);
+    }
+
+    #[test]
+    fn memory_pressured_planner_matches_merge_results() {
+        // A hot bytes_unit pushes plans into the compressed domain
+        // (CompressedGallop over block postings); answers must stay
+        // byte-identical to the flat reference.
+        let engine = engine();
+        let merge = engine.executor(Strategy::Merge);
+        let pressured = Planner {
+            bytes_unit: 100.0,
+            ..Planner::auto()
+        };
+        let index = PreparedIndex::build(&engine, pressured);
+        for q in [vec![0usize, 1], vec![2, 9, 30], vec![40, 41], vec![6]] {
+            assert_eq!(flat(&index, &q), merge.query(&q), "{q:?}");
+        }
+    }
+
+    #[test]
+    fn size_is_summed_once_at_build() {
+        let engine = engine();
+        let index = PreparedIndex::build(&engine, Planner::auto());
+        assert_eq!(index.size_in_bytes(), index.exec.size_in_bytes());
+        assert!(index.size_in_bytes() > 0);
+        assert_eq!(index.num_terms(), engine.num_terms());
+    }
+}

@@ -37,7 +37,7 @@ pub struct QueryOptions {
     /// physical plan changes — so overridden requests still share the
     /// result cache.
     pub planner_override: Option<Planner>,
-    /// Record a [`QueryTrace`] (one span per stage, one per shard) into
+    /// Record a [`QueryTrace`] (one span per stage) into
     /// [`Response::trace`].
     pub trace: bool,
     /// Render the plan instead of serving documents: `Some(mode)` turns
@@ -142,7 +142,7 @@ impl Request {
 pub enum CacheOutcome {
     /// Answered from the cache.
     Hit,
-    /// Computed by the shards and inserted.
+    /// Computed by the planner's kernels and inserted.
     Miss,
     /// The cache is disabled (`cache_capacity: 0`).
     Disabled,
@@ -193,10 +193,9 @@ pub struct Response {
     pub disposition: Disposition,
     /// How the result cache participated.
     pub cache: CacheOutcome,
-    /// The root operator of the executed plan (shard 0's plan label —
-    /// shards plan independently, and per-shard detail is the trace's
-    /// job). `None` when nothing was planned: cache hits, shed requests,
-    /// `EXPLAIN`, and the empty conjunction.
+    /// The root operator of the executed plan. `None` when nothing was
+    /// planned: cache hits, shed requests, `EXPLAIN`, and the empty
+    /// conjunction.
     pub plan_kind: Option<&'static str>,
     /// Wall-clock service time of this request as the server measured it.
     pub latency: Duration,

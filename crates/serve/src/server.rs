@@ -1,14 +1,13 @@
-//! The top-level serving facade: a [`ShardedEngine`], a [`QueryCache`] and
-//! a [`QueryPool`] assembled from one [`ServeConfig`], answering
-//! [`Request`]s through the single [`Server::execute`] entry point.
+//! The top-level serving facade: a [`PreparedIndex`] and a [`QueryCache`]
+//! assembled from one [`ServeConfig`], answering [`Request`]s through the
+//! single [`Server::execute`] entry point.
 
 use crate::cache::{CacheKey, QueryCache};
 use crate::config::ServeConfig;
-use crate::pool::QueryPool;
+use crate::index::PreparedIndex;
 use crate::request::{
     flat_to_norm, CacheOutcome, Disposition, QueryInput, Request, Response, ShedReason,
 };
-use crate::shard::ShardedEngine;
 use crate::stats::{LatencySummary, ServeStats};
 use fsi_core::HashContext;
 use fsi_index::{Corpus, SearchEngine};
@@ -16,7 +15,7 @@ use fsi_kernels::SimdLevel;
 use fsi_obs::{
     Counter, HistSnapshot, Histogram, LabelCap, Registry, Snapshot, Span, SpanStart, TraceBuilder,
 };
-use fsi_query::{CompileError, NormExpr};
+use fsi_query::{CompileError, ExprPlan, NormExpr, PlanNode};
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,6 +33,22 @@ fn span_end<'a>(
     name: &str,
 ) -> Option<&'a mut Span> {
     Some(tb.as_mut()?.end_span(start?, name))
+}
+
+/// The top-level operator label of a plan — what [`Response::plan_kind`]
+/// and the `exec` trace span report.
+fn plan_kind_label(plan: &ExprPlan) -> &'static str {
+    match &plan.node {
+        PlanNode::Term(_) => "Term",
+        PlanNode::And { kind, .. } => match kind {
+            fsi_query::AndKind::Multiway(m) => m.kind.name(),
+            fsi_query::AndKind::SliceProbe => "SliceProbe",
+        },
+        PlanNode::Or { kind, .. } => match kind {
+            fsi_query::UnionKind::HeapMerge => "HeapMerge",
+            fsi_query::UnionKind::BitmapOr => "BitmapOr",
+        },
+    }
 }
 
 /// Why the server rejected a query.
@@ -74,27 +89,6 @@ impl From<CompileError> for QueryError {
     }
 }
 
-/// The result of [`Server::execute_batch`]: per-request responses plus
-/// batch-level scheduling statistics.
-#[derive(Debug)]
-pub struct BatchResponse {
-    /// Per-request outcomes, positionally parallel to the input batch.
-    pub responses: Vec<Result<Response, QueryError>>,
-    /// Order statistics over per-request service times.
-    pub latency: LatencySummary,
-    /// The merged per-worker service-time histogram (nanosecond samples).
-    pub latency_hist: HistSnapshot,
-    /// Requests dealt to each worker's queue (round-robin).
-    pub queue_depths: Vec<usize>,
-    /// Requests each worker actually completed — the difference from
-    /// `queue_depths` is work stealing.
-    pub executed_per_worker: Vec<usize>,
-    /// Wall-clock duration of the whole batch.
-    pub wall: Duration,
-    /// Requests per second over the batch.
-    pub throughput_qps: f64,
-}
-
 /// A self-contained query-serving engine. [`Server::execute`] is the one
 /// execution entry point; everything a request needs rides on the
 /// [`Request`] it submits.
@@ -119,9 +113,8 @@ pub struct BatchResponse {
 #[derive(Debug)]
 pub struct Server {
     config: ServeConfig,
-    engine: ShardedEngine,
+    engine: PreparedIndex,
     cache: QueryCache,
-    pool: QueryPool,
     /// The server's own metrics registry. Serving counters live here (not
     /// on the process-global registry) so two servers in one process never
     /// alias; [`Server::metrics`] folds the global registry's kernel- and
@@ -134,8 +127,7 @@ pub struct Server {
     expr_queries_served: Arc<Counter>,
     queries_shed: Arc<Counter>,
     /// Per-query service-time distribution in nanoseconds: every executed
-    /// request records here — single and batch requests share one
-    /// distribution.
+    /// request records here.
     latency_ns: Arc<Histogram>,
 }
 
@@ -152,10 +144,15 @@ impl Server {
         let expr_queries_served = registry.counter("fsi_expr_queries_served_total", &[]);
         let queries_shed = registry.counter("fsi_queries_shed_total", &[]);
         let latency_ns = registry.histogram("fsi_query_latency_ns", &[]);
+        let engine = PreparedIndex::build(engine, config.planner.clone());
+        // The index is immutable: its footprint is a gauge set once here,
+        // not re-derived on every scrape.
+        registry
+            .gauge("fsi_index_bytes", &[])
+            .set(engine.size_in_bytes() as u64);
         Self {
-            engine: ShardedEngine::build(engine, config.num_shards, config.planner.clone()),
+            engine,
             cache: QueryCache::new(config.cache_capacity, config.cache_segments),
-            pool: QueryPool::new(config.num_workers),
             registry,
             tenant_labels: LabelCap::new(Self::TENANT_LABEL_CAP),
             queries_served,
@@ -186,8 +183,9 @@ impl Server {
     ///    rejected. Rejected requests count toward no serving counter.
     /// 3. **Cache** — keyed by the canonical encoding, so flat
     ///    conjunctions and equivalent boolean spellings share entries.
-    /// 4. **Execute** — per-shard, under the engine's planner or the
-    ///    request's override; the response reports the chosen plan kind,
+    /// 4. **Execute** — one plan over the whole index, under the server's
+    ///    planner or the request's override; the response reports the
+    ///    plan's root operator,
     ///    cache outcome, and measured service time, plus a trace or a
     ///    rendered plan when asked.
     ///
@@ -262,8 +260,8 @@ impl Server {
             return Err(QueryError::UnknownTerm { term, num_terms });
         }
         if let Some(mode) = explain {
-            // Renders one plan tree per shard instead of serving documents,
-            // so it counts toward no serving counter.
+            // Renders the plan tree instead of serving documents, so it
+            // counts toward no serving counter.
             let planner = req.options.planner_override.as_ref();
             let text = self.engine.explain(&norm, mode, planner);
             self.note_tenant(req);
@@ -278,40 +276,8 @@ impl Server {
         Ok(self.serve(&norm, tb, req, start))
     }
 
-    /// Executes a batch of requests across the worker pool — round-robin
-    /// dealt, work-stealing — and reports batch scheduling statistics
-    /// alongside the per-request responses. This drives the same
-    /// per-request [`Server::execute`] path workers use for single
-    /// requests; there is no separate batch execution surface.
-    pub fn execute_batch(&self, requests: &[Request]) -> BatchResponse {
-        let batch_start = Instant::now();
-        let run = self
-            .pool
-            .run_indexed(requests.len(), |i| match requests.get(i) {
-                Some(req) => self.execute(req),
-                None => Err(QueryError::Unsupported("request index out of range")),
-            });
-        let wall = batch_start.elapsed();
-        let latency_hist = run.hist.snapshot();
-        let latency = LatencySummary::from_histogram(&latency_hist);
-        let throughput_qps = if wall.as_secs_f64() > 0.0 {
-            requests.len() as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        };
-        BatchResponse {
-            responses: run.items.into_iter().map(|(item, _)| item).collect(),
-            latency,
-            latency_hist,
-            queue_depths: run.queue_depths,
-            executed_per_worker: run.executed_per_worker,
-            wall,
-            throughput_qps,
-        }
-    }
-
     /// The one cache-fronted execution routine every served request ends
-    /// in: cache probe → per-shard evaluation → cache insert. On a traced
+    /// in: cache probe → planned evaluation → cache insert. On a traced
     /// request `tb` records a span around each step; result and cache
     /// interaction are identical either way, so traced and untraced runs
     /// compare for overhead directly.
@@ -346,11 +312,19 @@ impl Server {
             None => {
                 let s = span_start(&tb);
                 let planner = req.options.planner_override.as_ref();
-                let (docs, kind) = self.engine.eval(norm, planner, tb.as_mut());
+                let (docs, plan) = self.engine.eval(norm, planner);
                 let docs = Arc::new(docs);
+                let kind = plan_kind_label(&plan);
                 if let Some(span) = span_end(&mut tb, s, "exec") {
+                    // The root operator rides along as a cheap static
+                    // label and the estimates round to integers — the
+                    // planner-misprediction signal. The full plan tree is
+                    // EXPLAIN's job: a `describe()` per query costs more
+                    // than the tracing budget allows.
                     span.attr("simd", SimdLevel::active().name())
-                        .attr("shards", self.engine.num_shards())
+                        .attr("kind", kind)
+                        .attr("est_rows", plan.est_rows.round() as u64)
+                        .attr("est_cost", plan.est_cost.round() as u64)
                         .attr("rows", docs.len());
                 }
                 let cache = match key {
@@ -365,7 +339,7 @@ impl Server {
                     }
                     None => CacheOutcome::Disabled,
                 };
-                (docs, cache, kind)
+                (docs, cache, Some(kind))
             }
         };
         Response {
@@ -401,8 +375,8 @@ impl Server {
 
     // -- accessors & telemetry ---------------------------------------------
 
-    /// The sharded engine.
-    pub fn engine(&self) -> &ShardedEngine {
+    /// The prepared index queries run on.
+    pub fn engine(&self) -> &PreparedIndex {
         &self.engine
     }
 
@@ -416,9 +390,9 @@ impl Server {
         &self.config
     }
 
-    /// Copies the cache's counters and the engine's static facts into the
-    /// registry as gauges, so a snapshot is self-contained. Called on
-    /// every snapshot — gauge sets are cheap relative to taking one.
+    /// Copies the cache's counters into the registry as gauges, so a
+    /// snapshot is self-contained. Called on every snapshot — gauge sets
+    /// are cheap relative to taking one.
     fn sync_gauges(&self) {
         let stats = self.cache.stats();
         let set = |name: &str, v: u64| self.registry.gauge(name, &[]).set(v);
@@ -441,9 +415,6 @@ impl Server {
             seg_set("fsi_cache_segment_evictions", seg.evictions);
             seg_set("fsi_cache_segment_refreshes", seg.refreshes);
         }
-        set("fsi_shards", self.engine.num_shards() as u64);
-        set("fsi_workers", self.pool.workers() as u64);
-        set("fsi_index_bytes", self.engine.size_in_bytes() as u64);
     }
 
     /// A full metrics snapshot: this server's registry (serving counters,
@@ -474,8 +445,6 @@ impl Server {
             queries_shed: snap.counter("fsi_queries_shed_total", &[]).unwrap_or(0),
             latency: LatencySummary::from_histogram(latency_hist),
             cache: self.cache.stats(),
-            num_shards: self.engine.num_shards(),
-            num_workers: self.pool.workers(),
             index_bytes: self.engine.size_in_bytes(),
         }
     }
@@ -503,7 +472,6 @@ mod tests {
     #[test]
     fn single_queries_are_cached() {
         let s = server(ServeConfig {
-            num_shards: 3,
             cache_capacity: 16,
             ..ServeConfig::default()
         });
@@ -518,23 +486,6 @@ mod tests {
         assert_eq!(stats.queries_served, 2);
         assert_eq!(stats.cache.hits, 1);
         assert!(stats.index_bytes > 0);
-    }
-
-    #[test]
-    fn batch_counts_feed_stats() {
-        let s = server(ServeConfig {
-            num_shards: 2,
-            num_workers: 2,
-            ..ServeConfig::default()
-        });
-        let requests: Vec<Request> = (0..10)
-            .map(|i| Request::terms(vec![i % 4, 8 + i % 2]))
-            .collect();
-        let outcome = s.execute_batch(&requests);
-        assert_eq!(outcome.responses.len(), 10);
-        assert!(outcome.responses.iter().all(|r| r.is_ok()));
-        assert_eq!(s.stats().queries_served, 10);
-        assert_eq!(s.stats().latency.count, 10, "batch latencies recorded");
     }
 
     #[test]
@@ -556,7 +507,6 @@ mod tests {
     #[test]
     fn expression_queries_are_served_and_cached_canonically() {
         let s = server(ServeConfig {
-            num_shards: 3,
             cache_capacity: 32,
             ..ServeConfig::default()
         });
@@ -580,7 +530,6 @@ mod tests {
     #[test]
     fn flat_and_expression_paths_share_the_cache() {
         let s = server(ServeConfig {
-            num_shards: 2,
             cache_capacity: 32,
             ..ServeConfig::default()
         });
@@ -642,7 +591,6 @@ mod tests {
     fn traced_request_matches_untraced_and_carries_spans() {
         let s = server(ServeConfig {
             planner: Planner::default(),
-            num_shards: 3,
             cache_capacity: 16,
             ..ServeConfig::default()
         });
@@ -654,22 +602,27 @@ mod tests {
         for span in ["parse", "rewrite", "cache", "exec"] {
             assert!(trace.span(span).is_some(), "missing span {span}");
         }
-        // Per-shard spans carry the plan and the estimate/observation pair.
-        for i in 0..3 {
-            let span = trace
-                .span(&format!("shard{i}.exec"))
-                .unwrap_or_else(|| panic!("missing shard{i}.exec"));
-            assert!(span.get("kind").is_some());
-            assert!(span.get("est_rows").is_some());
-            assert!(span.get("rows").is_some());
-        }
+        // One plan ran over the whole index: exactly one exec span, which
+        // carries the plan and the estimate/observation pair.
+        let names: Vec<&str> = trace.spans.iter().map(|sp| sp.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["parse", "rewrite", "cache", "exec", "cache_insert"],
+            "one span per stage"
+        );
+        let exec = trace.span("exec").expect("exec span");
+        assert!(exec.get("est_rows").is_some());
+        assert!(exec.get("est_cost").is_some());
+        assert_eq!(
+            exec.get("rows"),
+            Some(traced.docs.len().to_string().as_str())
+        );
         assert_eq!(
             traced.plan_kind,
-            trace.span("shard0.exec").and_then(|sp| sp.get("kind")),
-            "response metadata mirrors shard 0's span"
+            exec.get("kind"),
+            "response metadata mirrors the exec span"
         );
-        let rendered = trace.render();
-        assert!(rendered.contains("shard0.exec"), "{rendered}");
+        assert!(trace.render().contains("kind="));
         assert!(trace.to_json().contains("\"spans\""));
         // A second traced run hits the entry the first one inserted and
         // returns early: cache span says hit, no exec span.
@@ -688,7 +641,6 @@ mod tests {
     fn traced_miss_records_exec_and_insert() {
         let s = server(ServeConfig {
             planner: Planner::default(),
-            num_shards: 2,
             cache_capacity: 8,
             ..ServeConfig::default()
         });
@@ -702,7 +654,6 @@ mod tests {
         );
         let exec = trace.span("exec").expect("exec span");
         assert!(exec.get("simd").is_some());
-        assert_eq!(exec.get("shards"), Some("2"));
         let insert = trace.span("cache_insert").expect("insert event");
         assert_eq!(insert.get("fresh"), Some("true"));
         // Traced queries count like any other expression query.
@@ -710,10 +661,9 @@ mod tests {
     }
 
     #[test]
-    fn explain_renders_per_shard_plans_in_planned_mode_only() {
+    fn explain_renders_one_plan_tree() {
         let planned = server(ServeConfig {
             planner: Planner::default(),
-            num_shards: 2,
             ..ServeConfig::default()
         });
         // The EXPLAIN prefix turns a plain execute into an explain.
@@ -722,8 +672,9 @@ mod tests {
             .expect("valid");
         let plain = resp.explain.as_ref().expect("explain rendered");
         assert!(resp.docs.is_empty(), "EXPLAIN serves no documents");
-        assert!(plain.contains("-- shard 0"), "{plain}");
-        assert!(plain.contains("-- shard 1"), "{plain}");
+        assert!(plain.starts_with("EXPLAIN\n"), "{plain}");
+        assert_eq!(plain.matches("EXPLAIN").count(), 1, "one plan tree");
+        assert!(!plain.contains("shard"), "{plain}");
         assert!(plain.contains("est_cost"), "{plain}");
         assert!(!plain.contains("time"), "plain EXPLAIN has no timings");
         let analyzed = planned
@@ -866,7 +817,6 @@ mod tests {
     fn flat_options_route_through_the_expression_engine() {
         let s = server(ServeConfig {
             planner: Planner::default(),
-            num_shards: 2,
             cache_capacity: 16,
             ..ServeConfig::default()
         });
@@ -891,7 +841,6 @@ mod tests {
     #[test]
     fn metrics_snapshot_carries_counters_cache_gauges_and_latency() {
         let s = server(ServeConfig {
-            num_shards: 2,
             cache_capacity: 16,
             cache_segments: 2,
             ..ServeConfig::default()
@@ -903,7 +852,10 @@ mod tests {
         assert_eq!(snap.counter("fsi_queries_served_total", &[]), Some(3));
         assert_eq!(snap.counter("fsi_expr_queries_served_total", &[]), Some(1));
         assert_eq!(snap.gauge("fsi_cache_hits", &[]), Some(1));
-        assert_eq!(snap.gauge("fsi_shards", &[]), Some(2));
+        assert_eq!(
+            snap.gauge("fsi_index_bytes", &[]),
+            Some(s.engine().size_in_bytes() as u64)
+        );
         assert!(snap
             .gauge("fsi_cache_segment_entries", &[("segment", "0")])
             .is_some());
@@ -930,48 +882,46 @@ mod tests {
     }
 
     #[test]
-    fn batch_latencies_fold_into_server_histogram() {
-        let s = server(ServeConfig {
-            num_shards: 2,
-            num_workers: 3,
-            ..ServeConfig::default()
-        });
-        let requests: Vec<Request> = (0..12)
-            .map(|i| Request::terms(vec![i % 4, 8 + i % 2]))
-            .collect();
-        let outcome = s.execute_batch(&requests);
-        assert_eq!(outcome.latency_hist.count, 12);
-        let stats = s.stats();
-        assert_eq!(stats.latency.count, 12, "batch latencies recorded");
-        s.execute(&Request::terms(vec![0, 1])).expect("valid");
-        assert_eq!(
-            s.stats().latency.count,
-            13,
-            "single queries join the same histogram"
+    fn plan_kind_is_the_root_operator_of_the_whole_index_plan() {
+        // Terms 0 and 1 are dense past document 10 000 and nearly empty
+        // below it; 2 and 3 are sparse everywhere. A plan over the whole
+        // index sees 0 AND 1 as a dense pair — any plan over only the low
+        // documents would not.
+        let spread = |step: usize| (0..40_000u32).step_by(step);
+        let dense = |step: usize| {
+            [0, 9_999]
+                .into_iter()
+                .chain((10_000..40_000u32).step_by(step))
+        };
+        let engine = SearchEngine::from_postings(
+            HashContext::new(5),
+            vec![
+                dense(1).collect(),
+                dense(2).collect(),
+                spread(97).collect(),
+                spread(389).collect(),
+            ],
         );
-    }
-
-    #[test]
-    fn mixed_batches_carry_per_request_errors() {
-        let s = server(ServeConfig {
-            num_workers: 2,
-            ..ServeConfig::default()
-        });
-        let requests = vec![
-            Request::terms(vec![0, 1]),
-            Request::expr("NOT 0"),
-            Request::expr("(2 OR 3) AND 4"),
-            Request::terms(vec![99999]),
-        ];
-        let batch = s.execute_batch(&requests);
-        assert!(batch.responses[0].is_ok());
-        assert!(matches!(batch.responses[1], Err(QueryError::Compile(_))));
-        assert!(batch.responses[2].is_ok());
-        assert!(matches!(
-            batch.responses[3],
-            Err(QueryError::UnknownTerm { term: 99999, .. })
-        ));
-        assert_eq!(s.stats().queries_served, 2, "only valid requests count");
+        let s = Server::new(
+            &engine,
+            ServeConfig {
+                cache_capacity: 0,
+                ..ServeConfig::default()
+            },
+        );
+        let whole = engine.planned_executor(Planner::auto());
+        let planner = fsi_query::ExprPlanner::auto();
+        for terms in [vec![0usize, 1], vec![2, 3], vec![0, 2, 3], vec![3]] {
+            let norm = flat_to_norm(&terms).expect("non-empty");
+            let plan = planner.plan(&norm, &|t| whole.list(t).stats(), whole.universe());
+            let expect = Some(plan_kind_label(&plan));
+            let flat = s.execute(&Request::terms(terms.clone())).expect("valid");
+            let expr = s.execute(&Request::expr(norm.to_string())).expect("valid");
+            assert_eq!(flat.plan_kind, expect, "{terms:?}");
+            assert_eq!(expr.plan_kind, expect, "{terms:?}");
+        }
+        let pair = s.execute(&Request::terms(vec![0, 1])).expect("valid");
+        assert_eq!(pair.plan_kind, Some("BitmapAnd"));
     }
 
     #[test]
@@ -981,7 +931,6 @@ mod tests {
             &engine,
             ServeConfig {
                 planner: Planner::default(),
-                num_shards: 3,
                 ..ServeConfig::default()
             },
         );

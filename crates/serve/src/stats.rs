@@ -1,22 +1,22 @@
 //! Serving telemetry: latency summaries and whole-server snapshots.
 
 use crate::cache::CacheStats;
-use fsi_obs::{HistSnapshot, Histogram};
-use std::time::Duration;
+use fsi_obs::HistSnapshot;
 
 /// Order statistics over a set of per-query latencies, computed from a
-/// streaming log₂-bucketed [`Histogram`] rather than a collect-then-sort
-/// pass — O(1) memory per sample, mergeable across workers and shards.
+/// streaming log₂-bucketed [`fsi_obs::Histogram`] rather than a
+/// collect-then-sort pass — O(1) memory per sample, mergeable across
+/// recorders.
 ///
 /// Percentiles follow the **nearest-rank** definition: the p-th percentile
 /// of `N` samples is the `⌈p·N⌉`-th smallest (1-indexed). The histogram
 /// reports the inclusive upper edge of the bucket holding that sample,
 /// clamped into `[min, max]`, so each percentile is exact when the ranked
-/// sample is the minimum or maximum (single-sample batches, p95/p99 of
-/// tiny batches) and otherwise overshoots the true sample by at most
-/// [`Histogram::MAX_RELATIVE_ERROR`] (1/32 ≈ 3.1%). `count`, `mean_us`,
-/// and `max_us` are exact — the histogram carries exact count/sum/max
-/// alongside the buckets.
+/// sample is the minimum or maximum (a single sample, p95/p99 of a
+/// handful) and otherwise overshoots the true sample by at most
+/// [`fsi_obs::Histogram::MAX_RELATIVE_ERROR`] (1/32 ≈ 3.1%). `count`,
+/// `mean_us`, and `max_us` are exact — the histogram carries exact
+/// count/sum/max alongside the buckets.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Number of measured queries.
@@ -63,17 +63,6 @@ impl LatencySummary {
             max_us: us(hist.max as f64),
         }
     }
-
-    /// Summarizes a batch of latencies by streaming them through a fresh
-    /// histogram — same bucket-bounded percentiles as
-    /// [`LatencySummary::from_histogram`].
-    pub fn from_durations(durations: &[Duration]) -> Self {
-        let hist = Histogram::new();
-        for d in durations {
-            hist.record_duration(*d);
-        }
-        Self::from_histogram(&hist.snapshot())
-    }
 }
 
 /// A point-in-time snapshot of one serving engine, derived from the
@@ -91,16 +80,11 @@ pub struct ServeStats {
     /// `queries_served`.
     pub queries_shed: u64,
     /// Latency distribution over every individually timed query this
-    /// server answered (single queries and batch queries both land here;
-    /// `count` is 0 until something is timed).
+    /// server answered (`count` is 0 until something is timed).
     pub latency: LatencySummary,
     /// Result-cache counters.
     pub cache: CacheStats,
-    /// Number of document shards.
-    pub num_shards: usize,
-    /// Worker threads used for batch execution.
-    pub num_workers: usize,
-    /// Total heap footprint of the prepared shard indexes.
+    /// Total heap footprint of the prepared index.
     pub index_bytes: usize,
 }
 
@@ -108,6 +92,16 @@ pub struct ServeStats {
 mod tests {
     use super::*;
     use fsi_obs::Histogram;
+    use std::time::Duration;
+
+    /// One pass over `durations` through a fresh histogram.
+    fn from_durations(durations: &[Duration]) -> LatencySummary {
+        let hist = Histogram::new();
+        for d in durations {
+            hist.record_duration(*d);
+        }
+        LatencySummary::from_histogram(&hist.snapshot())
+    }
 
     /// Bucket-bounded equality: within `MAX_RELATIVE_ERROR` above the
     /// exact nearest-rank answer, never below it by more than clamping
@@ -124,7 +118,7 @@ mod tests {
     fn empty_summary_is_nan_not_zero() {
         // A missing measurement must be distinguishable from a measured
         // 0 µs — NaN (with count = 0), never a silent 0.
-        let s = LatencySummary::from_durations(&[]);
+        let s = from_durations(&[]);
         assert_eq!(s.count, 0);
         assert!(s.mean_us.is_nan());
         assert!(s.p50_us.is_nan());
@@ -136,7 +130,7 @@ mod tests {
     #[test]
     fn percentiles_are_ordered_and_nearest_rank() {
         let durations: Vec<Duration> = (1..=100).map(Duration::from_micros).collect();
-        let s = LatencySummary::from_durations(&durations);
+        let s = from_durations(&durations);
         assert_eq!(s.count, 100);
         assert!(s.p50_us <= s.p95_us);
         assert!(s.p95_us <= s.p99_us);
@@ -155,7 +149,7 @@ mod tests {
     fn single_sample_summary_is_that_sample() {
         // One sample: min == max, so the [min, max] clamp makes every
         // percentile exact despite the bucketing.
-        let s = LatencySummary::from_durations(&[Duration::from_micros(7)]);
+        let s = from_durations(&[Duration::from_micros(7)]);
         assert_eq!(s.count, 1);
         for v in [s.mean_us, s.p50_us, s.p95_us, s.p99_us, s.max_us] {
             assert!((v - 7.0).abs() < 1e-9);
@@ -167,8 +161,7 @@ mod tests {
         // ⌈0.5·2⌉ = 1 → p50 is the smaller sample; ⌈0.95·2⌉ = ⌈0.99·2⌉ = 2
         // → p95/p99 are the larger — and max-rank percentiles clamp to the
         // exact max, so only p50 carries bucket error.
-        let s =
-            LatencySummary::from_durations(&[Duration::from_micros(30), Duration::from_micros(10)]);
+        let s = from_durations(&[Duration::from_micros(30), Duration::from_micros(10)]);
         assert_eq!(s.count, 2);
         assert_close(s.p50_us, 10.0);
         assert!((s.p95_us - 30.0).abs() < 1e-9);
@@ -181,7 +174,7 @@ mod tests {
     fn three_samples_nearest_rank_exactly() {
         // ⌈0.5·3⌉ = 2 → the middle sample (bucket-bounded); ⌈0.95·3⌉ =
         // ⌈0.99·3⌉ = 3 → the largest (exact via the max clamp).
-        let s = LatencySummary::from_durations(&[
+        let s = from_durations(&[
             Duration::from_micros(9),
             Duration::from_micros(1),
             Duration::from_micros(5),
@@ -194,7 +187,7 @@ mod tests {
 
     #[test]
     fn summary_from_merged_histograms_matches_from_durations() {
-        // The worker-merge path: two halves recorded into separate
+        // The merge path: two halves recorded into separate
         // histograms, merged, must summarize identically to one pass over
         // the concatenation.
         let all: Vec<Duration> = (1..=60u64).map(|i| Duration::from_micros(i * 13)).collect();
@@ -204,7 +197,7 @@ mod tests {
         right.iter().for_each(|d| hb.record_duration(*d));
         ha.merge_from(&hb);
         let merged = LatencySummary::from_histogram(&ha.snapshot());
-        let direct = LatencySummary::from_durations(&all);
+        let direct = from_durations(&all);
         assert_eq!(merged, direct);
     }
 }

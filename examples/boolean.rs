@@ -55,7 +55,6 @@ fn main() {
     let server = Server::new(
         &engine,
         ServeConfig {
-            num_shards: 4,
             cache_capacity: 1024,
             ..ServeConfig::default()
         },
@@ -68,7 +67,7 @@ fn main() {
     assert_eq!(first.docs.as_slice(), out.as_slice());
     let stats = server.stats();
     println!(
-        "\nserved {} boolean queries over {} shards; cache hits {} (canonical keying)",
-        stats.expr_queries_served, stats.num_shards, stats.cache.hits
+        "\nserved {} boolean queries; cache hits {} (canonical keying)",
+        stats.expr_queries_served, stats.cache.hits
     );
 }

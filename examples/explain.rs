@@ -19,7 +19,6 @@ fn main() {
     let server = Server::new(
         &engine,
         ServeConfig {
-            num_shards: 2,
             cache_capacity: 1024,
             ..ServeConfig::default() // planner-dispatched execution
         },

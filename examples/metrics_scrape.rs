@@ -31,7 +31,6 @@ fn main() {
         HashContext::new(0x2011),
         corpus,
         ServeConfig {
-            num_shards: 2,
             cache_capacity: 1024,
             ..ServeConfig::default()
         },

@@ -1,11 +1,9 @@
-//! The full serving path: build a sharded server over a Zipf corpus,
-//! replay a Zipf-skewed query stream through the worker pool, and report
-//! cold vs warm throughput plus the result-cache hit rate.
+//! The in-process serving path: build a server over a Zipf corpus,
+//! replay a Zipf-skewed query stream through `Server::execute`, and
+//! report cold vs warm throughput plus the result-cache hit rate.
 //!
-//! This is the end-to-end demo of the `fsi-serve` subsystem: sharding
-//! (document-partitioned planner-dispatched indexes), batching
-//! (work-stealing scoped threads) and caching (segmented LRU over
-//! results).
+//! This is the end-to-end demo of the `fsi-serve` subsystem: one
+//! planner-dispatched prepared index behind a segmented LRU over results.
 //!
 //! Run with: `cargo run --release --example serving`
 
@@ -13,6 +11,7 @@ use fast_set_intersection::index::{Corpus, CorpusConfig};
 use fast_set_intersection::serve::{Request, ServeConfig, Server};
 use fast_set_intersection::workloads::{generate_stream, repeat_rate, QueryStreamConfig};
 use fast_set_intersection::HashContext;
+use std::time::Instant;
 
 fn main() {
     let num_terms = 1 << 10;
@@ -37,29 +36,33 @@ fn main() {
         HashContext::new(17),
         corpus,
         ServeConfig {
-            num_shards: 4,
-            num_workers: 4,
             cache_capacity: 4096,
             ..ServeConfig::default()
         },
     );
     let requests: Vec<Request> = stream.iter().map(|q| Request::terms(q.clone())).collect();
-    let cold = server.execute_batch(&requests);
-    let warm = server.execute_batch(&requests);
+    let pass_qps = || {
+        let start = Instant::now();
+        for req in &requests {
+            server.execute(req).expect("valid");
+        }
+        requests.len() as f64 / start.elapsed().as_secs_f64()
+    };
+    let cold_qps = pass_qps();
+    let cold = server.stats().latency;
+    let warm_qps = pass_qps();
     let stats = server.stats();
     println!(
-        "\ncold: {:>7.0} q/s  (p50 {:>5.0} us, p99 {:>6.0} us)",
-        cold.throughput_qps, cold.latency.p50_us, cold.latency.p99_us
+        "\ncold: {cold_qps:>7.0} q/s  (p50 {:>5.0} us, p99 {:>6.0} us)",
+        cold.p50_us, cold.p99_us
     );
     println!(
-        "warm: {:>7.0} q/s  (cache capacity 4096, hit rate {:.2})",
-        warm.throughput_qps,
+        "warm: {warm_qps:>7.0} q/s  (cache capacity 4096, hit rate {:.2})",
         stats.cache.hit_rate()
     );
     println!(
-        "served {} queries over {} shards ({} KiB of prepared indexes)",
+        "served {} queries ({} KiB of prepared index)",
         stats.queries_served,
-        stats.num_shards,
         stats.index_bytes / 1024
     );
     println!("serving OK");

@@ -27,13 +27,13 @@
 //!   ([`query::ExprPlanner`]) over the index layer's prepared lists.
 //! * [`workloads`] — the evaluation's synthetic and query-log workload
 //!   generators, plus Zipf-skewed query streams for the serving layer.
-//! * [`serve`] — the concurrent query-serving subsystem: document-range
-//!   sharding ([`serve::ShardedEngine`]), batched work-stealing execution
-//!   ([`serve::QueryPool`]), a segmented LRU result cache
-//!   ([`serve::QueryCache`]), and the assembled [`serve::Server`] behind
-//!   the single request-lifetime entry point [`serve::Server::execute`] —
+//! * [`serve`] — the query-serving subsystem: one planner-dispatched
+//!   prepared index ([`serve::PreparedIndex`]), a segmented LRU result
+//!   cache ([`serve::QueryCache`]), and the assembled [`serve::Server`]
+//!   behind the single request-lifetime entry point
+//!   [`serve::Server::execute`], callable from any number of threads —
 //!   the paper's "intersection is the serving bottleneck" framing taken
-//!   to a multi-core serving stack.
+//!   to a serving stack.
 //! * [`net`] — the TCP front door over [`serve`]: a length-prefixed
 //!   binary protocol ([`net::protocol`]), a bounded request queue with
 //!   adaptive micro-batching, per-tenant token-bucket admission control,

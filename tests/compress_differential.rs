@@ -2,8 +2,8 @@
 //! block postings must round-trip exactly (including hostile block
 //! boundaries and maximum-gap deltas), and every compressed-domain
 //! intersection route — the pair/k-way kernels, the `Strategy` dispatch,
-//! the cost-model planner under memory pressure, and the sharded serving
-//! stack — must be byte-identical to the flat reference.
+//! the cost-model planner under memory pressure, and the serving stack —
+//! must be byte-identical to the flat reference.
 
 use fast_set_intersection::index::{PlannedList, Planner, SearchEngine, Strategy};
 use fast_set_intersection::serve::{Request, ServeConfig, Server};
@@ -201,7 +201,7 @@ fn memory_pressured_planner_matches_flat_plans() {
 }
 
 #[test]
-fn compressed_serving_is_shard_count_invariant() {
+fn compressed_serving_matches_merge_executor() {
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let num_terms = if cfg!(miri) { 6 } else { 16 };
     let n = if cfg!(miri) { 150 } else { 1_200 };
@@ -216,49 +216,40 @@ fn compressed_serving_is_shard_count_invariant() {
             (0..k).map(|_| rng.gen_range(0..num_terms)).collect()
         })
         .collect();
-    for shards in [1usize, 2, 7] {
-        // Per-codec compressed-domain executors over the shard partition.
-        let parts: Vec<SearchEngine> = engine
-            .doc_ranges(shards)
-            .into_iter()
-            .map(|docs| engine.restricted(docs))
-            .collect();
-        for codec in [BlockCodec::Packed, BlockCodec::Delta] {
-            let strategy = Strategy::CompressedGallop(codec);
-            let execs: Vec<_> = parts.iter().map(|p| p.executor(strategy)).collect();
-            for q in &queries {
-                let sharded: Vec<u32> = execs.iter().flat_map(|e| e.query(q)).collect();
-                assert_eq!(
-                    sharded,
-                    reference.query(q),
-                    "shards={shards} {} q={q:?}",
-                    strategy.name()
-                );
-            }
-        }
-        // The serving stack with the planner pushed into the compressed
-        // domain by a hot bytes_unit.
-        let pressured = Server::new(
-            &engine,
-            ServeConfig {
-                num_shards: shards,
-                cache_capacity: 0,
-                planner: Planner {
-                    bytes_unit: 100.0,
-                    ..Planner::auto()
-                },
-                ..ServeConfig::default()
-            },
-        );
+    // Per-codec compressed-domain executors.
+    for codec in [BlockCodec::Packed, BlockCodec::Delta] {
+        let strategy = Strategy::CompressedGallop(codec);
+        let exec = engine.executor(strategy);
         for q in &queries {
-            let served = pressured
-                .execute(&Request::terms(q.clone()))
-                .expect("valid");
             assert_eq!(
-                served.docs.as_slice(),
+                exec.query(q),
                 reference.query(q),
-                "shards={shards} memory-pressured q={q:?}"
+                "{} q={q:?}",
+                strategy.name()
             );
         }
+    }
+    // The serving stack with the planner pushed into the compressed
+    // domain by a hot bytes_unit.
+    let pressured = Server::new(
+        &engine,
+        ServeConfig {
+            cache_capacity: 0,
+            planner: Planner {
+                bytes_unit: 100.0,
+                ..Planner::auto()
+            },
+            ..ServeConfig::default()
+        },
+    );
+    for q in &queries {
+        let served = pressured
+            .execute(&Request::terms(q.clone()))
+            .expect("valid");
+        assert_eq!(
+            served.docs.as_slice(),
+            reference.query(q),
+            "memory-pressured q={q:?}"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Differential correctness of the `fsi-kernels` layer: every kernel —
 //! slice-level and as a `Strategy` — must be byte-identical to the scalar
-//! `Executor` on synthetic and Zipf workloads, across shard counts 1/2/7.
+//! `Executor` on synthetic and Zipf workloads.
 
 use fast_set_intersection::index::{Corpus, CorpusConfig, SearchEngine, Strategy};
 use fast_set_intersection::{reference_intersection, HashContext, SortedSet};
@@ -23,15 +23,6 @@ fn slice_kernels() -> Vec<Box<dyn Kernel>> {
         Box::new(SigFilterKernel::default()),
         Box::new(AutoKernel::default()),
     ]
-}
-
-/// `engine` cut into the `shards` document ranges a sharded server holds.
-fn partition(engine: &SearchEngine, shards: usize) -> Vec<SearchEngine> {
-    engine
-        .doc_ranges(shards)
-        .into_iter()
-        .map(|docs| engine.restricted(docs))
-        .collect()
 }
 
 /// A Zipf-clustered set: dense head, sparse tail — the document-frequency
@@ -69,7 +60,7 @@ fn slice_kernels_match_reference_on_uniform_and_zipf_sets() {
 }
 
 #[test]
-fn kernel_strategies_match_scalar_executor_across_shard_counts() {
+fn kernel_strategies_match_scalar_executor() {
     let corpus = Corpus::generate(CorpusConfig {
         num_docs: 12_000,
         num_terms: 40,
@@ -92,22 +83,9 @@ fn kernel_strategies_match_scalar_executor_across_shard_counts() {
             assert_eq!(
                 fixed.query(q),
                 reference.query(q),
-                "unsharded {} q {q:?}",
+                "{} q {q:?}",
                 strategy.name()
             );
-        }
-        for shards in [1usize, 2, 7] {
-            let parts = partition(&engine, shards);
-            let execs: Vec<_> = parts.iter().map(|p| p.executor(strategy)).collect();
-            for q in &queries {
-                let sharded: Vec<u32> = execs.iter().flat_map(|e| e.query(q)).collect();
-                assert_eq!(
-                    sharded,
-                    reference.query(q),
-                    "strategy {} shards {shards} q {q:?}",
-                    strategy.name()
-                );
-            }
         }
     }
 }
@@ -115,8 +93,7 @@ fn kernel_strategies_match_scalar_executor_across_shard_counts() {
 #[test]
 fn kernel_strategies_match_executor_on_zipf_query_stream() {
     // A Zipf-skewed *query stream* over a Zipf corpus: the serving-shaped
-    // workload, replayed against each kernel strategy at several shard
-    // counts.
+    // workload, replayed against each kernel strategy.
     let corpus = Corpus::generate(CorpusConfig {
         num_docs: 9_000,
         num_terms: 64,
@@ -130,18 +107,14 @@ fn kernel_strategies_match_executor_on_zipf_query_stream() {
     });
     let reference = engine.executor(Strategy::Merge);
     for strategy in KERNEL_STRATEGIES {
-        for shards in [1usize, 2, 7] {
-            let parts = partition(&engine, shards);
-            let execs: Vec<_> = parts.iter().map(|p| p.executor(strategy)).collect();
-            for q in &stream {
-                let sharded: Vec<u32> = execs.iter().flat_map(|e| e.query(q)).collect();
-                assert_eq!(
-                    sharded,
-                    reference.query(q),
-                    "strategy {} shards {shards} q {q:?}",
-                    strategy.name()
-                );
-            }
+        let fixed = engine.executor(strategy);
+        for q in &stream {
+            assert_eq!(
+                fixed.query(q),
+                reference.query(q),
+                "strategy {} q {q:?}",
+                strategy.name()
+            );
         }
     }
 }

@@ -1,7 +1,6 @@
 //! Differential correctness of the true k-way layer: every multiway path —
 //! slice kernels, the cost-model planner, and the planner-mode serving
-//! stack — must be byte-identical to the scalar pairwise fold, across
-//! shard counts 1/2/7.
+//! stack — must be byte-identical to the scalar pairwise fold.
 
 use fast_set_intersection::index::{
     Corpus, CorpusConfig, MultiwayPlan, PlanKind, PlannedList, Planner, SearchEngine, Strategy,
@@ -17,11 +16,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A cache-off server planning under the scalar-calibrated default.
-fn planned_server(engine: &SearchEngine, shards: usize) -> Server {
+fn planned_server(engine: &SearchEngine) -> Server {
     Server::new(
         engine,
         ServeConfig {
-            num_shards: shards,
             cache_capacity: 0,
             planner: Planner::default(),
             ..ServeConfig::default()
@@ -116,7 +114,7 @@ fn planner_matches_pairwise_fold_for_every_forced_kind() {
 }
 
 #[test]
-fn planned_mode_matches_scalar_executor_across_shard_counts() {
+fn planned_mode_matches_scalar_executor() {
     let corpus = Corpus::generate(CorpusConfig {
         num_docs: 12_000,
         num_terms: 40,
@@ -134,27 +132,16 @@ fn planned_mode_matches_scalar_executor_across_shard_counts() {
         vec![],
         vec![4, 4, 12], // duplicate term
     ];
-    // Unsharded planned executor first.
-    let exec = engine.planned_executor(Planner::default());
+    let server = planned_server(&engine);
     for q in &queries {
-        assert_eq!(exec.query(q), reference.query(q), "unsharded planned {q:?}");
-    }
-    for shards in [1usize, 2, 7] {
-        let server = planned_server(&engine, shards);
-        for q in &queries {
-            assert_eq!(
-                served(&server, q),
-                reference.query(q),
-                "planned shards {shards} q {q:?}"
-            );
-        }
+        assert_eq!(served(&server, q), reference.query(q), "planned q {q:?}");
     }
 }
 
 #[test]
 fn planned_mode_matches_executor_on_zipf_query_stream() {
     // A Zipf-skewed *query stream* over a Zipf corpus: the serving-shaped
-    // workload, replayed against the planner across several shard counts.
+    // workload, replayed against the planner.
     let corpus = Corpus::generate(CorpusConfig {
         num_docs: 9_000,
         num_terms: 64,
@@ -167,14 +154,8 @@ fn planned_mode_matches_executor_on_zipf_query_stream() {
         ..QueryStreamConfig::default()
     });
     let reference = engine.executor(Strategy::Merge);
-    for shards in [1usize, 2, 7] {
-        let server = planned_server(&engine, shards);
-        for q in &stream {
-            assert_eq!(
-                served(&server, q),
-                reference.query(q),
-                "planned shards {shards} q {q:?}"
-            );
-        }
+    let server = planned_server(&engine);
+    for q in &stream {
+        assert_eq!(served(&server, q), reference.query(q), "planned q {q:?}");
     }
 }

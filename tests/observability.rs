@@ -5,8 +5,8 @@
 //!   arbitrary sample distributions;
 //! * merging histograms and registry snapshots is associative and
 //!   split-invariant — recording a workload across any partition of
-//!   workers/shards and merging must equal recording it in one place,
-//!   which is exactly what lets per-worker histograms fold into one
+//!   recorders and merging must equal recording it in one place, which
+//!   is exactly what lets per-thread histograms fold into one
 //!   server-level view;
 //! * `EXPLAIN ANALYZE` per-node timings are internally consistent (child
 //!   wall-clocks sum to at most the root's) and the root's wall fits
@@ -156,7 +156,6 @@ fn explain_analyze_timings_fit_inside_the_traced_exec_span() {
     let server = Server::new(
         &engine,
         ServeConfig {
-            num_shards: 2,
             cache_capacity: 0, // every run must execute
             ..ServeConfig::default()
         },
@@ -169,38 +168,30 @@ fn explain_analyze_timings_fit_inside_the_traced_exec_span() {
         .trace
         .expect("traced request records a trace");
 
-    // The exec span covers every shard span, which in turn lie inside the
-    // trace's total wall-clock.
-    let exec = trace.span("exec").expect("exec span");
-    let shard_total: u64 = (0..2)
-        .map(|i| {
-            trace
-                .span(&format!("shard{i}.exec"))
-                .expect("shard span")
-                .dur_ns
-        })
-        .sum();
+    // One plan runs over the whole index: exactly one exec span, no
+    // per-shard family, inside the trace's total wall-clock.
+    let execs = trace.spans.iter().filter(|s| s.name == "exec").count();
+    assert_eq!(execs, 1, "{}", trace.render());
     assert!(
-        shard_total <= exec.dur_ns,
-        "{shard_total} > {}",
-        exec.dur_ns
+        !trace.spans.iter().any(|s| s.name.starts_with("shard")),
+        "{}",
+        trace.render()
     );
+    let exec = trace.span("exec").expect("exec span");
     assert!(exec.dur_ns <= trace.total_ns);
 
-    // EXPLAIN ANALYZE on the same query: each shard section reports a
-    // total that bounds its root node's wall, and text and traced paths
-    // agree on the plan shape (same root operator as the span's kind).
+    // EXPLAIN ANALYZE on the same query renders one plan tree, and text
+    // and traced paths agree on the plan shape (same root operator as the
+    // span's kind).
     let analyzed = server
         .execute(&Request::expr(format!("EXPLAIN ANALYZE {query}")))
         .unwrap()
         .explain
         .expect("EXPLAIN renders a plan");
-    assert!(analyzed.contains("-- shard 0"), "{analyzed}");
+    assert!(analyzed.starts_with("EXPLAIN ANALYZE\n"), "{analyzed}");
+    assert!(!analyzed.contains("shard"), "{analyzed}");
     assert!(analyzed.contains("rows"), "{analyzed}");
-    let kind = trace
-        .span("shard0.exec")
-        .and_then(|s| s.get("kind"))
-        .expect("kind attr");
+    let kind = exec.get("kind").expect("kind attr");
     assert!(
         analyzed.contains(kind),
         "kind {kind} missing from:\n{analyzed}"

@@ -1,15 +1,14 @@
 //! Differential suite for the boolean expression engine: the whole stack
-//! — parser, rewrites, expression planner, kernels, sharding, cache-keyed
-//! serving — pinned byte-identical to a naive `BTreeSet` set-semantics
-//! evaluator, across random ASTs, shard counts 1/2/7, and both planner
-//! calibrations, plus proptests that the rewrites preserve semantics and
+//! — parser, rewrites, expression planner, kernels, cache-keyed serving —
+//! pinned byte-identical to a naive `BTreeSet` set-semantics evaluator,
+//! across random ASTs and both planner calibrations, plus proptests that the rewrites preserve semantics and
 //! that canonical hashes collide exactly for equivalent expressions.
 
 use fsi_core::{Elem, HashContext, SortedSet};
 use fsi_index::{Planner, SearchEngine};
 use fsi_query::naive::{naive_eval, naive_eval_universe};
 use fsi_query::{compile, encode, fingerprint, normalize, parse, Expr, NormExpr, RewriteError};
-use fsi_serve::{Request, ServeConfig, Server, ShardedEngine};
+use fsi_serve::{Request, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -143,11 +142,11 @@ fn scramble(rng: &mut StdRng, expr: &Expr) -> Expr {
 }
 
 // ---------------------------------------------------------------------------
-// Engine differential: every mode, every shard count, vs naive semantics
+// Engine differential: both planner calibrations vs naive semantics
 // ---------------------------------------------------------------------------
 
 #[test]
-fn expression_engine_matches_naive_semantics_across_shards_and_planners() {
+fn expression_engine_matches_naive_semantics_across_planners() {
     let engine = test_engine(1);
     let slices = posting_slices(&engine);
     let mut rng = StdRng::seed_from_u64(0xD1FF);
@@ -158,16 +157,20 @@ fn expression_engine_matches_naive_semantics_across_shards_and_planners() {
     // auto calibration (identical answers, possibly different plans).
     let planners = [("default", Planner::default()), ("auto", Planner::auto())];
     for (label, planner) in &planners {
-        for shards in [1usize, 2, 7] {
-            let sharded = ShardedEngine::build(&engine, shards, planner.clone());
-            for expr in &exprs {
-                let expect: Vec<Elem> = naive_eval(&slices, expr).into_iter().collect();
-                assert_eq!(
-                    sharded.query_expr(expr),
-                    expect,
-                    "{label} shards={shards} expr={expr}"
-                );
-            }
+        let server = Server::new(
+            &engine,
+            ServeConfig {
+                planner: planner.clone(),
+                ..ServeConfig::default()
+            },
+        );
+        for expr in &exprs {
+            let expect: Vec<Elem> = naive_eval(&slices, expr).into_iter().collect();
+            assert_eq!(
+                server.engine().query_expr(expr),
+                expect,
+                "{label} expr={expr}"
+            );
         }
     }
 }
@@ -192,7 +195,6 @@ fn generated_boolean_streams_run_end_to_end() {
     let server = Server::new(
         &engine,
         ServeConfig {
-            num_shards: 3,
             cache_capacity: 256,
             planner: Planner::default(),
             ..ServeConfig::default()
@@ -219,7 +221,6 @@ fn reordered_duplicate_queries_hit_one_cache_entry() {
     let server = Server::new(
         &engine,
         ServeConfig {
-            num_shards: 2,
             cache_capacity: 64,
             ..ServeConfig::default()
         },

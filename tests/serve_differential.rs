@@ -1,14 +1,11 @@
 //! Differential correctness of the serving layer against the
 //! single-threaded `Executor` and the naive evaluator:
 //!
-//! * for **every** strategy and shard counts 1/2/7, the per-shard
-//!   executors over the serving layer's document partition concatenate to
-//!   byte-identical results;
-//! * for shard counts 1/2/3/7, a conjunction served as a term list and as
-//!   an expression returns identical documents and plan kind, equal to
-//!   `naive_eval`;
-//! * the cache hit path returns exactly what the miss path computed;
-//! * concurrent batches over one shared server agree with serial queries.
+//! * a conjunction served as a term list and as an expression returns
+//!   identical documents and plan kind, equal to `naive_eval`;
+//! * the cache hit path returns exactly what the miss path computed, also
+//!   while a small cache evicts mid-stream;
+//! * concurrent callers of one shared server agree with serial queries.
 
 use fast_set_intersection::index::{Corpus, CorpusConfig, SearchEngine, Strategy};
 use fast_set_intersection::query::{compile, naive::naive_eval};
@@ -39,33 +36,7 @@ fn queries() -> Vec<Vec<usize>> {
 }
 
 #[test]
-fn every_strategy_and_shard_count_matches_executor() {
-    let engine = engine();
-    let queries = queries();
-    for strategy in Strategy::full_lineup() {
-        let reference = engine.executor(strategy);
-        for shards in [1usize, 2, 7] {
-            let parts: Vec<SearchEngine> = engine
-                .doc_ranges(shards)
-                .into_iter()
-                .map(|docs| engine.restricted(docs))
-                .collect();
-            let execs: Vec<_> = parts.iter().map(|p| p.executor(strategy)).collect();
-            for q in &queries {
-                let sharded: Vec<u32> = execs.iter().flat_map(|e| e.query(q)).collect();
-                assert_eq!(
-                    sharded,
-                    reference.query(q),
-                    "strategy {} shards {shards} q {q:?}",
-                    strategy.name()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn planned_mode_matches_executor_across_shard_counts() {
+fn terms_and_expr_requests_match_executor_and_naive() {
     let engine = engine();
     let reference = engine.executor(Strategy::Merge);
     let slices: Vec<&[u32]> = engine.postings().iter().map(|p| p.as_slice()).collect();
@@ -76,39 +47,32 @@ fn planned_mode_matches_executor_across_shard_counts() {
         seed: 0x5E12,
         ..QueryStreamConfig::default()
     }));
-    for shards in [1usize, 2, 3, 7] {
-        // Cache off: both spellings must plan, not hit each other's entry.
-        let server = Server::new(
-            &engine,
-            ServeConfig {
-                num_shards: shards,
-                cache_capacity: 0,
-                ..ServeConfig::default()
-            },
-        );
-        for q in &conjunctions {
-            let flat = server.execute(&Request::terms(q.clone())).expect("valid");
-            assert_eq!(
-                flat.docs.as_slice(),
-                reference.query(q),
-                "shards {shards} q {q:?}"
-            );
-            // The empty conjunction has no expression spelling.
-            if q.is_empty() {
-                assert!(flat.docs.is_empty());
-                continue;
-            }
-            let text: Vec<String> = q.iter().map(usize::to_string).collect();
-            let text = text.join(" AND ");
-            let expr = server.execute(&Request::expr(&*text)).expect("valid");
-            let naive: Vec<u32> = naive_eval(&slices, &compile(&text).expect("compiles"))
-                .into_iter()
-                .collect();
-            assert_eq!(flat.docs, expr.docs, "shards {shards} q {q:?}");
-            assert_eq!(flat.plan_kind, expr.plan_kind, "shards {shards} q {q:?}");
-            assert!(flat.plan_kind.is_some(), "shards {shards} q {q:?}");
-            assert_eq!(expr.docs.as_slice(), naive, "shards {shards} q {q:?}");
+    // Cache off: both spellings must plan, not hit each other's entry.
+    let server = Server::new(
+        &engine,
+        ServeConfig {
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        },
+    );
+    for q in &conjunctions {
+        let flat = server.execute(&Request::terms(q.clone())).expect("valid");
+        assert_eq!(flat.docs.as_slice(), reference.query(q), "q {q:?}");
+        // The empty conjunction has no expression spelling.
+        if q.is_empty() {
+            assert!(flat.docs.is_empty());
+            continue;
         }
+        let text: Vec<String> = q.iter().map(usize::to_string).collect();
+        let text = text.join(" AND ");
+        let expr = server.execute(&Request::expr(&*text)).expect("valid");
+        let naive: Vec<u32> = naive_eval(&slices, &compile(&text).expect("compiles"))
+            .into_iter()
+            .collect();
+        assert_eq!(flat.docs, expr.docs, "q {q:?}");
+        assert_eq!(flat.plan_kind, expr.plan_kind, "q {q:?}");
+        assert!(flat.plan_kind.is_some(), "q {q:?}");
+        assert_eq!(expr.docs.as_slice(), naive, "q {q:?}");
     }
 }
 
@@ -119,14 +83,12 @@ fn cache_hit_path_equals_miss_path() {
     let server = Server::new(
         &engine,
         ServeConfig {
-            num_shards: 3,
-            num_workers: 2,
             cache_capacity: 64,
             ..ServeConfig::default()
         },
     );
     for q in &queries() {
-        // Computed by the shards, then served by the cache.
+        // Computed by the kernels, then served by the cache.
         let miss = server.execute(&Request::terms(q.clone())).expect("valid");
         let hit = server.execute(&Request::terms(q.clone())).expect("valid");
         assert_eq!(miss.docs, hit.docs, "{q:?}");
@@ -138,32 +100,27 @@ fn cache_hit_path_equals_miss_path() {
 }
 
 #[test]
-fn sharded_and_cached_batches_match_executor() {
+fn evicting_cache_matches_executor() {
     let engine = engine();
     let reference = engine.executor(Strategy::Merge);
     let server = Server::new(
         &engine,
         ServeConfig {
-            num_shards: 7,
-            num_workers: 4,
-            cache_capacity: 32, // small: forces evictions mid-batch
+            cache_capacity: 32, // small: forces evictions mid-stream
             cache_segments: 2,
             ..ServeConfig::default()
         },
     );
-    let batch: Vec<Request> = (0..200)
-        .map(|i| Request::terms(vec![i % 5, 5 + i % 7, 12 + i % 28]))
-        .collect();
     let terms: Vec<Vec<usize>> = (0..200)
         .map(|i| vec![i % 5, 5 + i % 7, 12 + i % 28])
         .collect();
     for _round in 0..3 {
-        let outcome = server.execute_batch(&batch);
-        for (q, r) in terms.iter().zip(&outcome.responses) {
-            let resp = r.as_ref().expect("valid");
+        for q in &terms {
+            let resp = server.execute(&Request::terms(q.clone())).expect("valid");
             assert_eq!(resp.docs.as_slice(), reference.query(q), "{q:?}");
         }
     }
+    assert!(server.stats().cache.evictions > 0);
 }
 
 #[test]
@@ -173,8 +130,6 @@ fn concurrent_clients_smoke() {
     let server = Server::new(
         &engine,
         ServeConfig {
-            num_shards: 2,
-            num_workers: 2,
             cache_capacity: 128,
             ..ServeConfig::default()
         },

@@ -301,11 +301,16 @@ fn every_strategy_matches_its_scalar_dispatch() {
     // The planned executor too — including the SIMD-tuned cost constants:
     // whatever plan each tier's planner picks, answers must agree.
     for planner in [Planner::default(), Planner::auto()] {
-        let planned = engine.planned_executor(planner);
-        for q in &queries {
-            let scalar = simd::with_level(SimdLevel::Scalar, || planned.query(q));
+        let planned = engine.planned_executor(planner.clone());
+        let planner = fsi_query::ExprPlanner::new(planner);
+        // The empty conjunction has no expression form.
+        for q in queries.iter().filter(|q| !q.is_empty()) {
+            let text: Vec<String> = q.iter().map(usize::to_string).collect();
+            let expr = fsi_query::compile(&text.join(" AND ")).expect("compiles");
+            let run = || fsi_query::eval_planned(&planned, &planner, &expr);
+            let scalar = simd::with_level(SimdLevel::Scalar, run);
             for level in simd_levels() {
-                let vec = simd::with_level(level, || planned.query(q));
+                let vec = simd::with_level(level, run);
                 assert_eq!(vec, scalar, "{} planned q {q:?}", level.name());
             }
         }
