@@ -19,43 +19,98 @@ const EMPTY: u32 = u32::MAX;
 /// Fibonacci-style multiplier for the bucket hash.
 const FACTOR: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// A set stored both as a sorted list (for iteration) and an open-addressing
-/// hash table (for probing).
+/// The open-addressing table on its own: linear probing over a
+/// power-of-two slot array at load factor ≤ 1/2, holding no copy of the
+/// elements. [`HashSetIndex`] wraps one next to its sorted list; the
+/// `fsi-index` planner holds one bare next to a list's flat slice — one
+/// probe implementation for both.
 #[derive(Debug, Clone)]
-pub struct HashSetIndex {
-    elems: Vec<Elem>,
-    table: Vec<u32>,
+pub struct ProbeTable {
+    slots: Vec<u32>,
     shift: u32,
     mask: usize,
     has_max: bool,
 }
 
-impl HashSetIndex {
-    /// Builds the table at load factor ≤ 1/2.
-    pub fn build(set: &SortedSet) -> Self {
-        let elems = set.as_slice().to_vec();
-        let cap = (elems.len() * 2).next_power_of_two().max(4);
+impl ProbeTable {
+    /// Slots allocated for `n` elements: the next power of two at or above
+    /// `2n` (load factor ≤ 1/2), at least 4.
+    fn capacity_for(n: usize) -> usize {
+        (n * 2).next_power_of_two().max(4)
+    }
+
+    /// Heap bytes of a table of `n` elements — what
+    /// [`ProbeTable::size_in_bytes`] reports after building, without
+    /// building (cost models price a probed operand's footprint with it).
+    pub fn bytes_for(n: usize) -> usize {
+        Self::capacity_for(n) * 4 + 1
+    }
+
+    /// Builds the table of `elems` (duplicate-free; order immaterial).
+    pub fn build(elems: &[Elem]) -> Self {
+        let cap = Self::capacity_for(elems.len());
         let shift = 64 - cap.trailing_zeros();
         let mask = cap - 1;
-        let mut table = vec![EMPTY; cap];
+        let mut slots = vec![EMPTY; cap];
         let mut has_max = false;
-        for &x in &elems {
+        for &x in elems {
             if x == u32::MAX {
                 has_max = true;
                 continue;
             }
             let mut slot = ((x as u64).wrapping_mul(FACTOR) >> shift) as usize & mask;
-            while table[slot] != EMPTY {
+            while slots[slot] != EMPTY {
                 slot = (slot + 1) & mask;
             }
-            table[slot] = x;
+            slots[slot] = x;
         }
         Self {
-            elems,
-            table,
+            slots,
             shift,
             mask,
             has_max,
+        }
+    }
+
+    /// Membership probe.
+    #[inline]
+    pub fn contains(&self, x: Elem) -> bool {
+        if x == u32::MAX {
+            return self.has_max;
+        }
+        let mut slot = ((x as u64).wrapping_mul(FACTOR) >> self.shift) as usize & self.mask;
+        loop {
+            let v = self.slots[slot];
+            if v == x {
+                return true;
+            }
+            if v == EMPTY {
+                return false;
+            }
+            slot = (slot + 1) & self.mask;
+        }
+    }
+
+    /// Heap bytes of the slot array (plus the `u32::MAX` flag).
+    pub fn size_in_bytes(&self) -> usize {
+        self.slots.len() * 4 + 1
+    }
+}
+
+/// A set stored both as a sorted list (for iteration) and a
+/// [`ProbeTable`] (for probing).
+#[derive(Debug, Clone)]
+pub struct HashSetIndex {
+    elems: Vec<Elem>,
+    table: ProbeTable,
+}
+
+impl HashSetIndex {
+    /// Builds the table at load factor ≤ 1/2.
+    pub fn build(set: &SortedSet) -> Self {
+        Self {
+            elems: set.as_slice().to_vec(),
+            table: ProbeTable::build(set.as_slice()),
         }
     }
 
@@ -67,20 +122,7 @@ impl HashSetIndex {
     /// Membership probe.
     #[inline]
     pub fn contains(&self, x: Elem) -> bool {
-        if x == u32::MAX {
-            return self.has_max;
-        }
-        let mut slot = ((x as u64).wrapping_mul(FACTOR) >> self.shift) as usize & self.mask;
-        loop {
-            let v = self.table[slot];
-            if v == x {
-                return true;
-            }
-            if v == EMPTY {
-                return false;
-            }
-            slot = (slot + 1) & self.mask;
-        }
+        self.table.contains(x)
     }
 }
 
@@ -90,7 +132,7 @@ impl SetIndex for HashSetIndex {
     }
 
     fn size_in_bytes(&self) -> usize {
-        self.elems.len() * 4 + self.table.len() * 4 + 1
+        self.elems.len() * 4 + self.table.size_in_bytes()
     }
 }
 
@@ -147,6 +189,10 @@ mod tests {
         for &x in set.as_slice() {
             assert!(idx.contains(x));
         }
+        assert_eq!(
+            ProbeTable::bytes_for(set.len()),
+            ProbeTable::build(set.as_slice()).size_in_bytes()
+        );
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..4000 {
             let x: u32 = rng.gen();

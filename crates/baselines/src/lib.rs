@@ -36,7 +36,7 @@ pub mod treap;
 pub use adaptive::AdaptiveIndex;
 pub use baezayates::BaezaYatesIndex;
 pub use bpp::BppIndex;
-pub use hashset::HashSetIndex;
+pub use hashset::{HashSetIndex, ProbeTable};
 pub use lookup::LookupIndex;
 pub use merge::MergeIndex;
 pub use skiplist::SkipListIndex;

@@ -9,7 +9,14 @@
 //! >2x regression) to fail. Checked metrics:
 //!
 //! * `kernels` files — `speedup_vs_merge` per (shape, kernel);
-//! * `multiway` files — `speedup_vs_fold` per (shape, k, algo);
+//! * `multiway` files — `speedup_vs_fold` per (shape, k, algo), and per
+//!   (shape, k) the inverse of the planner's `regret` (best fixed
+//!   algorithm's time over the planned time; inverted so that, like every
+//!   other gated number, higher is better), capped at 1: a planner that
+//!   beats every fixed row does so by binding a prepared structure no
+//!   slice kernel has, which says nothing about its choices and must not
+//!   buy headroom — on such a shape the gate reads "never more than
+//!   `tolerance` times the best fixed row";
 //! * `simd` files — `speedup_vs_scalar` per (shape, kernel). A run whose
 //!   `active_level` is `Scalar` (no SIMD hardware, or a `force-scalar`
 //!   build) declines all of its rows instead of reporting fake 1.0x
@@ -135,6 +142,15 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
             for shape in doc.get("shapes").and_then(Json::as_array).unwrap_or(&[]) {
                 let shape_name = text(shape, "shape");
                 let k = num(shape, "k");
+                let regret = num(shape, "regret");
+                assert!(
+                    regret.is_finite() && regret > 0.0,
+                    "{path}: {shape_name}/k={k} has regret {regret}"
+                );
+                out.push(Metric {
+                    key: format!("{shape_name}/k={k}/best_fixed_vs_planned"),
+                    value: (1.0 / regret).min(1.0),
+                });
                 for row in shape.get("algos").and_then(Json::as_array).unwrap_or(&[]) {
                     let algo = text(row, "algo");
                     if algo == "PairwiseFold(Merge)" {

@@ -8,8 +8,10 @@
 //! queries); each row reports microseconds per k-way intersection and the
 //! speedup over `PairwiseFold(Merge)` — sort by length, intersect the two
 //! smallest with a scalar merge, fold each remaining list in — on the same
-//! operands. Results land in `BENCH_multiway.json` (hand-rolled JSON: the
-//! reference environment has no registry access, so no serde).
+//! operands, plus the shape's **regret**: the planned row's time over the
+//! fastest fixed (non-planned) row's, the number the planner exists to
+//! keep near 1. Results land in `BENCH_multiway.json` (hand-rolled JSON:
+//! the reference environment has no registry access, so no serde).
 //!
 //! Usage: `cargo run --release -p fsi-bench --bin multiway -- [out.json] [--smoke]`
 
@@ -34,7 +36,7 @@ struct Shape {
     zipf: bool,
 }
 
-const SHAPES: [Shape; 4] = [
+const SHAPES: [Shape; 5] = [
     Shape {
         name: "balanced-sparse",
         size: |_| 60_000,
@@ -58,6 +60,19 @@ const SHAPES: [Shape; 4] = [
         size: |_| 60_000,
         universe: 2_000_000,
         zipf: true,
+    },
+    // The commonest query of a Zipf corpus: a sparse driver (a hash table
+    // under the planner's build rule) against stop-word-sized operands
+    // (bitmaps) — what the planned membership probe bit-tests.
+    Shape {
+        name: "mixed-density",
+        size: |i| match i {
+            0 => 20_000,
+            1 => 600_000,
+            _ => 300_000,
+        },
+        universe: 2_000_000,
+        zipf: false,
     },
 ];
 
@@ -188,6 +203,11 @@ fn main() {
             for row in &mut rows {
                 row.speedup = if row.us > 0.0 { fold_us / row.us } else { 0.0 };
             }
+            // Planned is the last row; everything before it is a fixed
+            // algorithm on the same operands.
+            let (planned, fixed) = rows.split_last().expect("rows were pushed above");
+            let best_fixed = fixed.iter().map(|r| r.us).fold(f64::INFINITY, f64::min);
+            let regret = planned.us / best_fixed;
 
             let mut table = Table::new(vec!["algo", "us/op", "speedup vs fold"]);
             let algo_json: Vec<String> = rows
@@ -206,12 +226,17 @@ fn main() {
                 })
                 .collect();
             table.print();
+            println!(
+                "plan {:?}, regret {regret:.2} (planned / best fixed)",
+                plan.kind
+            );
 
             shape_json.push(format!(
                 "    {{\n      \"shape\": \"{}\",\n      \"k\": {k},\n      \
                  \"sizes\": {sizes:?},\n      \"universe\": {},\n      \
                  \"zipf\": {},\n      \"r\": {r},\n      \
-                 \"plan\": \"{:?}\",\n      \"algos\": [\n{}\n      ]\n    }}",
+                 \"plan\": \"{:?}\",\n      \"regret\": {regret:.3},\n      \
+                 \"algos\": [\n{}\n      ]\n    }}",
                 shape.name,
                 shape.universe,
                 shape.zipf,

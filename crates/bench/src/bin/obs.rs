@@ -9,7 +9,8 @@
 //! disabled so every query exercises parse → rewrite → plan → exec, and
 //! records min-over-reps throughput for both paths.
 //!
-//! `overhead_pct` is asserted at most 5% in full mode (10% in smoke, where
+//! What tracing adds to one query is asserted at most
+//! [`BUDGET_NS_PER_QUERY`] in full mode (twice that in smoke, where
 //! single-rep jitter on shared CI hardware is the dominant term) and the
 //! regression gate checks `untraced_qps` and `qps_ratio` one-sidedly, so
 //! tracing can never silently grow a throughput cliff.
@@ -27,6 +28,14 @@ use fsi_index::{Corpus, CorpusConfig, SearchEngine};
 use fsi_obs::{Registry, SnapshotValue};
 use fsi_serve::{Request, ServeConfig, Server};
 use fsi_workloads::stream::{generate_boolean_stream, BooleanStreamConfig};
+
+/// The tracing budget per traced query, in nanoseconds. An absolute cost,
+/// not a share of the query: what four spans and their attribute strings
+/// cost does not depend on how fast the kernels under them run, so a
+/// share tightens or loosens with every kernel change and says nothing
+/// about tracing. 2.6 µs is what the 5% this binary used to assert allowed
+/// on the 52 µs query it was set against.
+const BUDGET_NS_PER_QUERY: f64 = 2_600.0;
 
 fn main() {
     let args = HarnessArgs::parse("BENCH_obs.json");
@@ -119,6 +128,7 @@ fn main() {
     let traced_qps = n as f64 / traced.as_secs_f64();
     let qps_ratio = traced_qps / untraced_qps;
     let overhead_pct = (untraced_qps / traced_qps - 1.0) * 100.0;
+    let overhead_ns = (traced.as_secs_f64() - untraced.as_secs_f64()) * 1e9 / n as f64;
     let spans_per_query = spans as f64 / n as f64;
 
     let mut table = Table::new(vec!["path", "qps", "us/q"]);
@@ -135,17 +145,17 @@ fn main() {
     ]);
     table.print();
     println!(
-        "overhead: {overhead_pct:.2}% ({spans_per_query:.1} spans/query, \
-         {rows} total result rows)"
+        "overhead: {overhead_ns:.0} ns/query, {overhead_pct:.2}% \
+         ({spans_per_query:.1} spans/query, {rows} total result rows)"
     );
 
     // The contract this benchmark exists to enforce. Smoke runs get slack:
     // at 1-2 reps on a timesliced CI core the min estimator still carries
     // scheduler noise the full run's 5 reps iron out.
-    let limit = args.pick(5.0, 10.0);
+    let budget_ns = BUDGET_NS_PER_QUERY * args.pick(1.0, 2.0);
     assert!(
-        overhead_pct <= limit,
-        "tracing overhead {overhead_pct:.2}% exceeds the {limit}% budget"
+        overhead_ns <= budget_ns,
+        "tracing costs {overhead_ns:.0} ns per query, over the {budget_ns:.0} ns budget"
     );
 
     // Always-on planner telemetry accumulated by both paths above.
@@ -205,6 +215,8 @@ fn main() {
          \"reps\": {reps}\n  }},\n  \"overhead\": {{\n    \
          \"untraced_qps\": {untraced_qps:.1},\n    \"traced_qps\": {traced_qps:.1},\n    \
          \"qps_ratio\": {qps_ratio:.4},\n    \"overhead_pct\": {overhead_pct:.2},\n    \
+         \"overhead_ns_per_query\": {overhead_ns:.0},\n    \
+         \"budget_ns_per_query\": {budget_ns:.0},\n    \
          \"spans_per_query\": {spans_per_query:.2}\n  }},\n  \
          \"plan_kinds\": {{{plan_kind_json}}},\n  \"misprediction\": {{\n    \
          \"count\": {mis_count},\n    \"p50_millilog2\": {},\n    \

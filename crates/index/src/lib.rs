@@ -28,5 +28,8 @@ pub use bag::BagIndex;
 pub use corpus::{Corpus, CorpusConfig};
 pub use daat::{top_k, DaatStats, Hit, ScoredIndex};
 pub use engine::{Executor, SearchEngine};
-pub use planner::{MultiwayPlan, OperandStats, PlanKind, PlannedExecutor, PlannedList, Planner};
+pub use planner::{
+    Membership, MultiwayPlan, OperandStats, PlanKind, PlannedExecutor, PlannedList, Planner,
+    ReprBytes,
+};
 pub use strategy::{intersect_into, intersect_sorted, PreparedList, Strategy};

@@ -13,91 +13,166 @@
 //!
 //! | kind | estimated cost | regime it owns |
 //! |------|----------------|----------------|
-//! | [`PlanKind::BitmapAnd`] | `bitmap_word_unit · c_min · 1024 · (k−1)` | every operand dense (all carry chunk bitmaps) |
-//! | [`PlanKind::HashProbe`] | `hash_unit · n_min · (k−1)` | extreme skew: `O(n_min)` cache-missing probes |
-//! | [`PlanKind::GallopProbe`] | `gallop_unit · n_min · Σᵢ log₂(nᵢ/n_min + 2)` | moderate skew (Hwang–Lin across all k) |
+//! | [`PlanKind::BitmapAnd`] | `bitmap_word_unit · c_min · 1024 · (k−1) + 10 · min(E[survivors], c_min · 1024)` | every operand carries a chunk bitmap |
+//! | [`PlanKind::HashProbe`] | `n_min · Σᵢ uᵢ`, `uᵢ = 2` for a probed bitmap, `hash_unit` for a probed table | a small driver against anything: `O(n_min)` membership tests |
+//! | [`PlanKind::GallopProbe`] | `gallop_unit · n_min · Σᵢ log₂(nᵢ/n_min + 2)` | moderate skew between table-carrying lists (Hwang–Lin across all k) |
 //! | [`PlanKind::RanGroupScan`] | `rgs_unit · Σ nᵢ` | balanced sparse — the paper's home turf |
 //! | [`PlanKind::HeapMerge`] | `heap_unit · Σ nᵢ · log₂ k` | structure-free fallback (tunables can force it) |
 //! | [`PlanKind::CompressedGallop`] | `gallop_unit · n_min · Σᵢ log₂(nᵢ/n_min + 2) + decode_unit · E[decoded]` | memory-bound: probe the compressed blocks directly |
 //!
 //! The minimum-cost candidate wins; `c_min` is the smallest per-operand
-//! chunk count, so the bitmap estimate prices exactly the word sweep
-//! [`BitmapSet::intersect_k_into`] executes. A [`PlannedList`] keeps every
-//! representation a plan can bind: the flat sorted list (gallop probes,
-//! heap merge), a hash table (skew probes), the RanGroupScan structure,
-//! skip-augmented block postings (compressed-domain probes), and — for
-//! lists dense enough to ever win it — a chunked bitmap.
+//! chunk count, so the bitmap estimate prices the word sweep
+//! [`BitmapSet::intersect_k_into`] executes plus the result words it then
+//! extracts survivors from (survivors estimated under independence from
+//! each operand's density inside its own chunks, and no more words hold
+//! one than were swept). The membership probe is priced **per
+//! probed operand**: a bit test and a table probe are different units.
+//!
+//! A [`PlannedList`] keeps every representation a plan can bind: the flat
+//! sorted list (the probe driver, gallop probes, heap merge), the
+//! RanGroupScan structure, skip-augmented block postings (compressed-domain
+//! probes), and **exactly one** [`Membership`] structure — a chunked bitmap
+//! when the list has at least one member per bitmap word of the chunks it
+//! touches (the bitmap then costs ≤ 8 B/posting, never more than the
+//! load-≤½ table), a hash table otherwise. The choice is computed from the
+//! list and nothing else, and on a Zipf corpus it gives every
+//! stop-word-sized list a structure that stays cache-resident (8 KiB per
+//! touched chunk) instead of a multi-megabyte table.
 //!
 //! On top of the compute estimates, every candidate is charged a
 //! **bytes-resident term** `bytes_unit · resident_bytes(candidate)` — the
 //! cache/memory footprint the chosen representation drags through the
-//! query. The default `bytes_unit` of 0 reproduces the pure-compute model
-//! (and the pinned crossovers); raising it expresses memory pressure, and
-//! the planner starts trading decode work ([`Planner::decode_unit`]) for
-//! the ~4–10× smaller compressed operands — see `docs/compress.md`.
+//! query: flat bytes for the slice kernels, the driver's flat list plus
+//! each probed operand's actual membership bytes for the probe, bitmap
+//! words for the sweep. The default `bytes_unit` of 0 reproduces the
+//! pure-compute model (and the pinned crossovers); raising it expresses
+//! memory pressure, and the planner starts trading decode work
+//! ([`Planner::decode_unit`]) for the ~4–10× smaller compressed operands —
+//! see `docs/compress.md`.
 //!
 //! The default constants reflect *this repository's measured* crossovers
-//! (see `docs/benchmarks.md`, `BENCH_kernels.json` and `BENCH_multiway.json`):
-//! hash probing overtakes galloping near ratio 64, galloping overtakes
-//! RanGroupScan near ratio 8, and the bitmap sweep wins whenever it is
-//! admissible at all. They are tunables because the right answers are
-//! hardware-bound.
+//! (see `docs/benchmarks.md`, `BENCH_kernels.json`, `BENCH_multiway.json`
+//! and the benchmark's `kernels.forced_ns.*`): between table-carrying
+//! lists galloping overtakes RanGroupScan near ratio 5 and the table probe
+//! overtakes galloping near ratio 8; a bit test costs a quarter of a table
+//! probe, so a table-carrying driver probes bitmap operands at any skew;
+//! and between bitmap-carrying lists the sweep wins unless the result is
+//! so dense that extracting it outweighs one bit test per driver element.
+//! The `Planner` fields are tunables because the right answers are
+//! hardware-bound; the bit-test and extraction units are private constants
+//! calibrated against them.
 
 use crate::engine::SearchEngine;
-use fsi_baselines::HashSetIndex;
+use fsi_baselines::ProbeTable;
 use fsi_compress::{BlockCodec, BlockCursor, BlockPostings, BLOCK_LEN};
 use fsi_core::elem::{Elem, SortedSet};
 use fsi_core::hash::HashContext;
 use fsi_core::traits::{KIntersect, SetIndex};
 use fsi_core::RanGroupScanIndex;
 use fsi_kernels::{
-    compressed_probe_into, gallop_probe_ordered_into, heap_merge_into, BitmapSet, GallopingSet,
-    BITMAP_MIN_DENSITY, WORDS_PER_CHUNK,
+    compressed_probe_into, filter_in_place, gallop_probe_ordered_into, heap_merge_into, BitmapSet,
+    GallopingSet, WORDS_PER_CHUNK,
 };
+
+/// The one membership structure a prepared list carries — what
+/// [`PlanKind::HashProbe`] and `fsi-query`'s `AND NOT` test candidates
+/// against. [`PlannedList::build`] picks whichever is smaller: the bitmap
+/// when the list has at least one member per bitmap word of the chunks it
+/// touches, the table otherwise. "Both" and "neither" are not
+/// representable.
+#[derive(Debug, Clone)]
+pub enum Membership {
+    /// A chunked bitmap: one bit per document of every 2¹⁶-value chunk the
+    /// list touches. Also what [`PlanKind::BitmapAnd`] and the expression
+    /// planner's bitmap `OR` sweep.
+    Bitmap(BitmapSet),
+    /// An open-addressing table over the list's elements (the flat slice
+    /// holds the elements themselves; the table keeps no second copy).
+    Hash(ProbeTable),
+}
+
+/// The build rule shared by [`PlannedList::build`] and
+/// [`OperandStats::of_set`]: a list of `n` elements touching `chunks`
+/// chunks carries a bitmap iff it has at least one member per bitmap word.
+/// The bitmap then costs at most 8 bytes per posting — never more than the
+/// load-≤½ table it stands in for — so the rule picks the smaller
+/// structure from the list alone, with no density constant to tune.
+fn bitmap_is_smaller(n: usize, chunks: usize) -> bool {
+    n >= chunks * WORDS_PER_CHUNK
+}
+
+/// Resident heap bytes split by physical representation — what the
+/// `fsi_index_bytes{repr=…}` gauges export. The parts sum to
+/// [`PlannedList::size_in_bytes`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReprBytes {
+    /// Flat sorted lists.
+    pub flat: usize,
+    /// Chunked bitmaps (lists whose membership structure is a bitmap).
+    pub bitmap: usize,
+    /// Hash tables (every other list).
+    pub hash: usize,
+    /// RanGroupScan group structures.
+    pub rgs: usize,
+    /// Skip-augmented block postings.
+    pub compressed: usize,
+}
+
+impl ReprBytes {
+    /// The parts under their gauge labels, in a fixed order.
+    pub fn parts(&self) -> [(&'static str, usize); 5] {
+        [
+            ("flat", self.flat),
+            ("bitmap", self.bitmap),
+            ("hash", self.hash),
+            ("rgs", self.rgs),
+            ("compressed", self.compressed),
+        ]
+    }
+
+    /// Sum over every representation.
+    pub fn total(&self) -> usize {
+        self.parts().iter().map(|(_, b)| b).sum()
+    }
+}
+
+impl std::ops::AddAssign for ReprBytes {
+    fn add_assign(&mut self, o: Self) {
+        self.flat += o.flat;
+        self.bitmap += o.bitmap;
+        self.hash += o.hash;
+        self.rgs += o.rgs;
+        self.compressed += o.compressed;
+    }
+}
 
 /// A posting list prepared for every representation a plan can bind.
 #[derive(Debug, Clone)]
 pub struct PlannedList {
-    hash: HashSetIndex,
+    membership: Membership,
     rgs: RanGroupScanIndex,
-    /// Only built for lists dense enough (own `n / (max+1)` at or above
-    /// [`BITMAP_MIN_DENSITY`]) that [`PlanKind::BitmapAnd`] can ever fire
-    /// on a query containing them — a chunk bitmap costs a fixed 8 KiB per
-    /// touched 2¹⁶-value chunk, which is pure dead weight on sparse lists.
-    bitmap: Option<BitmapSet>,
     flat: GallopingSet,
     /// Skip-augmented block postings (Packed frame-of-reference codec) —
     /// what [`PlanKind::CompressedGallop`] probes without full decode.
     /// Always built today (`Some`); the `Option` is the plan-admissibility
-    /// contract, mirroring `bitmap`.
+    /// contract.
     compressed: Option<BlockPostings>,
-}
-
-/// The build-floor rule shared by [`PlannedList::build`] and
-/// [`OperandStats::of_set`]: a list carries a chunk bitmap iff it is at
-/// least [`BITMAP_MIN_DENSITY`] dense in its own value range.
-fn dense_enough(set: &SortedSet) -> bool {
-    set.max()
-        .is_some_and(|m| set.len() as f64 >= BITMAP_MIN_DENSITY * (m as f64 + 1.0))
 }
 
 impl PlannedList {
     /// Preprocesses `set` for every structure the planner can dispatch to.
     pub fn build(ctx: &HashContext, set: &SortedSet) -> Self {
-        // If this list is sparser than BITMAP_MIN_DENSITY in its own value
-        // range, then for any query containing it the BitmapAnd candidate
-        // is inadmissible (it requires every operand's bitmap), so the
-        // bitmap would never be consulted — skip it entirely.
-        let dense = dense_enough(set);
+        let elems = set.as_slice();
+        let membership = if bitmap_is_smaller(elems.len(), BitmapSet::count_chunks(elems)) {
+            Membership::Bitmap(BitmapSet::from_sorted_slice(elems))
+        } else {
+            Membership::Hash(ProbeTable::build(elems))
+        };
         Self {
-            hash: HashSetIndex::build(set),
+            membership,
             rgs: RanGroupScanIndex::with_m(ctx, set, 2),
-            bitmap: dense.then(|| BitmapSet::build(set)),
             flat: GallopingSet::build(set),
-            compressed: Some(BlockPostings::from_slice(
-                BlockCodec::Packed,
-                set.as_slice(),
-            )),
+            compressed: Some(BlockPostings::from_slice(BlockCodec::Packed, elems)),
         }
     }
 
@@ -112,10 +187,19 @@ impl PlannedList {
         self.flat.as_slice()
     }
 
-    /// The chunked bitmap, when this list is dense enough to carry one —
-    /// what the expression planner's bitmap-`OR` candidate binds.
+    /// The list's one membership structure.
+    pub fn membership(&self) -> &Membership {
+        &self.membership
+    }
+
+    /// The chunked bitmap, when that is the membership structure this list
+    /// carries — what the bitmap `AND`/`OR` sweeps and `AND NOT`'s bit
+    /// test bind.
     pub fn bitmap(&self) -> Option<&BitmapSet> {
-        self.bitmap.as_ref()
+        match &self.membership {
+            Membership::Bitmap(b) => Some(b),
+            Membership::Hash(_) => None,
+        }
     }
 
     /// The skip-augmented block postings, when built — what
@@ -129,18 +213,29 @@ impl PlannedList {
     pub fn stats(&self) -> OperandStats {
         OperandStats {
             n: self.n(),
-            chunks: self.bitmap.as_ref().map(|b| b.num_chunks()),
+            chunks: self.bitmap().map(BitmapSet::num_chunks),
             compressed_bytes: self.compressed.as_ref().map(|c| c.size_in_bytes()),
+        }
+    }
+
+    /// Footprint of each prepared structure.
+    pub fn bytes_by_repr(&self) -> ReprBytes {
+        let (bitmap, hash) = match &self.membership {
+            Membership::Bitmap(b) => (b.size_in_bytes(), 0),
+            Membership::Hash(t) => (0, t.size_in_bytes()),
+        };
+        ReprBytes {
+            flat: self.flat.size_in_bytes(),
+            bitmap,
+            hash,
+            rgs: self.rgs.size_in_bytes(),
+            compressed: self.compressed.as_ref().map_or(0, |c| c.size_in_bytes()),
         }
     }
 
     /// Total footprint of all prepared structures.
     pub fn size_in_bytes(&self) -> usize {
-        self.hash.size_in_bytes()
-            + self.rgs.size_in_bytes()
-            + self.bitmap.as_ref().map_or(0, |b| b.size_in_bytes())
-            + self.flat.size_in_bytes()
-            + self.compressed.as_ref().map_or(0, |c| c.size_in_bytes())
+        self.bytes_by_repr().total()
     }
 }
 
@@ -149,8 +244,9 @@ impl PlannedList {
 pub struct OperandStats {
     /// Number of elements.
     pub n: usize,
-    /// Number of 2¹⁶-value chunks the list touches, if a chunk bitmap is
-    /// prepared for it (`None` for lists too sparse to carry one).
+    /// Number of 2¹⁶-value chunks the list touches, if its membership
+    /// structure is a chunk bitmap; `None` means it carries a hash table
+    /// instead (fewer than one member per bitmap word).
     pub chunks: Option<usize>,
     /// Exact byte footprint of the list's skip-augmented block postings,
     /// if prepared (`None` vetoes [`PlanKind::CompressedGallop`], mirroring
@@ -160,14 +256,15 @@ pub struct OperandStats {
 
 impl OperandStats {
     /// Stats of a raw sorted set, exactly as [`PlannedList::build`] would
-    /// produce them: the chunk count is `Some` iff the list is dense enough
-    /// in its own value range to carry a bitmap, and the compressed
-    /// footprint is [`BlockPostings::measure`]'s exact size — byte-identical
-    /// to building the structure, without building it.
+    /// produce them: the chunk count is `Some` iff the build rule gives the
+    /// list a bitmap, and the compressed footprint is
+    /// [`BlockPostings::measure`]'s exact size — byte-identical to building
+    /// the structure, without building it.
     pub fn of_set(set: &SortedSet) -> Self {
+        let chunks = BitmapSet::count_chunks(set.as_slice());
         Self {
             n: set.len(),
-            chunks: dense_enough(set).then(|| BitmapSet::count_chunks(set.as_slice())),
+            chunks: bitmap_is_smaller(set.len(), chunks).then_some(chunks),
             compressed_bytes: Some(BlockPostings::measure(BlockCodec::Packed, set.as_slice())),
         }
     }
@@ -183,10 +280,12 @@ pub enum PlanKind {
     Single,
     /// Balanced sparse sizes: Algorithm 5 group filtering (the paper).
     RanGroupScan,
-    /// Extreme skew: drive the smallest list through the others' hash
-    /// tables.
+    /// The membership probe: drive the smallest list's elements through
+    /// every other operand's one [`Membership`] structure — a bit test
+    /// where it is a bitmap, a table probe where it is a hash table.
     HashProbe,
-    /// Dense operands: k-way chunked-bitmap `AND`, no intermediates.
+    /// Every operand carries a bitmap: k-way chunked-bitmap `AND`, no
+    /// intermediates.
     BitmapAnd,
     /// Moderate skew: gallop the smallest list through all the others at
     /// once.
@@ -257,16 +356,38 @@ pub struct MultiwayPlan {
     pub est_cost: f64,
 }
 
+/// Cost per candidate per probed *bitmap* in the membership probe: one
+/// bit test through a cursor that looks each chunk up once, in a structure
+/// that stays cache-resident (8 KiB per touched chunk). Calibrated, with
+/// [`Planner::hash_unit`], on the benchmark's forced-kind timings; not a
+/// tunable — which of the two a list pays is decided at build, by the list.
+const BIT_TEST_UNIT: f64 = 2.0;
+
+/// Cost per word of the bitmap sweep's result that holds a survivor: the
+/// extraction scan's is-it-zero branch (a coin flip on half-empty results)
+/// and the trailing-zeros pops behind it — work the per-word `AND` price
+/// cannot see, and most of what the sweep costs when its operands are the
+/// corpus's densest lists.
+const EXTRACT_UNIT: f64 = 10.0;
+
+/// Bytes of bitmap words in `chunks` chunks.
+fn bitmap_bytes(chunks: usize) -> f64 {
+    (chunks * WORDS_PER_CHUNK * 8) as f64
+}
+
 /// The whole-query cost-model dispatcher.
 #[derive(Debug, Clone)]
 pub struct Planner {
     /// Cost per driver element per probed list, scaled by the galloping
     /// log factor (`log₂(nᵢ/n_min + 2)`).
     pub gallop_unit: f64,
-    /// Cost per driver element per probed hash table. High relative to
-    /// `gallop_unit`: every probe is a likely cache miss. The ratio of the
-    /// two sets the skew crossover (defaults put it near `n_max/n_min ≈
-    /// 64`, the measured value; the paper-era machine crossed near 100).
+    /// Cost per candidate per probed hash table. Several times a bit test:
+    /// a table runs 8–16 bytes per posting, so a probe is a likely cache
+    /// miss where a bitmap's word is not. Only lists too sparse for a
+    /// bitmap carry a table, so the tables stay small, and against
+    /// `gallop_unit` the default puts the skew crossover between two such
+    /// lists near `n_max/n_min ≈ 8` (measured on the benchmark's forced
+    /// kinds).
     pub hash_unit: f64,
     /// Cost per 64-bit `AND` word per non-driver operand in the chunked
     /// bitmap sweep.
@@ -297,7 +418,7 @@ impl Default for Planner {
     fn default() -> Self {
         Self {
             gallop_unit: 2.5,
-            hash_unit: 15.0,
+            hash_unit: 8.0,
             bitmap_word_unit: 1.0,
             rgs_unit: 1.2,
             heap_unit: 2.0,
@@ -391,12 +512,12 @@ impl Planner {
         // Bytes-resident terms: what each candidate's representation costs
         // to drag through the cache, scaled by the memory-pressure dial
         // (zero by default, so these vanish from the pure-compute model).
-        // Flat slices are 4 bytes/element; the hash tables and the
-        // RanGroupScan structure run about two words per element.
+        // Flat slices are 4 bytes/element; the RanGroupScan structure runs
+        // about two words per element.
         let flat_bytes = self.bytes_unit * 4.0 * total;
-        let struct_bytes = self.bytes_unit * 8.0 * total;
+        let rgs_bytes = self.bytes_unit * 8.0 * total;
 
-        let mut best = (PlanKind::RanGroupScan, self.rgs_unit * total + struct_bytes);
+        let mut best = (PlanKind::RanGroupScan, self.rgs_unit * total + rgs_bytes);
         let mut consider = |kind: PlanKind, cost: f64| {
             if cost < best.1 {
                 best = (kind, cost);
@@ -410,19 +531,47 @@ impl Planner {
             PlanKind::GallopProbe,
             self.gallop_unit * n_min * log_sum + flat_bytes,
         );
+        // The membership probe is priced per probed operand: a bit test
+        // into a bitmap that stays cache-resident and a probe into a hash
+        // table are different units. It drags the driver's flat list and
+        // each probed operand's one structure through the cache.
+        let (probe_units, probe_bytes) =
+            order[1..]
+                .iter()
+                .fold((0.0, 4.0 * n_min), |(units, bytes), &i| {
+                    match stats[i].chunks {
+                        Some(c) => (units + BIT_TEST_UNIT, bytes + bitmap_bytes(c)),
+                        None => (
+                            units + self.hash_unit,
+                            bytes + ProbeTable::bytes_for(stats[i].n) as f64,
+                        ),
+                    }
+                });
         consider(
             PlanKind::HashProbe,
-            self.hash_unit * n_min * probes + struct_bytes,
+            n_min * probe_units + self.bytes_unit * probe_bytes,
         );
         if let Some(c_min) = stats.iter().map(|s| s.chunks).min().flatten() {
             // `min` on Options puts None first, so a single bitmap-less
             // operand (None) vetoes the candidate via `.flatten()`.
-            let words: usize =
-                stats.iter().map(|s| s.chunks.unwrap_or(0)).sum::<usize>() * WORDS_PER_CHUNK;
+            //
+            // The sweep ANDs every word of the driver's chunks whatever
+            // they hold, then scans the result, paying per word that holds
+            // a survivor. Survivors are estimated under independence from
+            // each operand's density inside the chunks it touches — the
+            // only universe the stats carry — and there are no more words
+            // holding one than words swept.
+            let words = (c_min * WORDS_PER_CHUNK) as f64;
+            let chunk_span = (WORDS_PER_CHUNK * 64) as f64;
+            let survivors = stats.iter().fold(c_min as f64 * chunk_span, |rows, s| {
+                rows * (s.n as f64 / (s.chunks.unwrap_or(1) as f64 * chunk_span)).min(1.0)
+            });
+            let all_chunks: usize = stats.iter().map(|s| s.chunks.unwrap_or(0)).sum();
             consider(
                 PlanKind::BitmapAnd,
-                self.bitmap_word_unit * (c_min * WORDS_PER_CHUNK) as f64 * probes
-                    + self.bytes_unit * 8.0 * words as f64,
+                self.bitmap_word_unit * words * probes
+                    + EXTRACT_UNIT * survivors.min(words)
+                    + self.bytes_unit * bitmap_bytes(all_chunks),
             );
         }
         consider(
@@ -475,6 +624,15 @@ impl Planner {
     /// kernel's natural order (ascending for everything except
     /// RanGroupScan's g-order).
     pub fn execute(&self, plan: &MultiwayPlan, lists: &[&PlannedList], out: &mut Vec<Elem>) {
+        // Every arm trusts `order` to be a permutation of the operand
+        // positions (what `plan` emits): one that is short would drop an
+        // operand and return a superset.
+        debug_assert!(
+            plan.order.len() == lists.len() && plan.order.iter().all(|&i| i < lists.len()),
+            "plan.order {:?} does not cover {} operands",
+            plan.order,
+            lists.len()
+        );
         match plan.kind {
             PlanKind::Empty => {}
             PlanKind::Single => out.extend_from_slice(lists[plan.order[0]].flat.as_slice()),
@@ -483,18 +641,36 @@ impl Planner {
                 RanGroupScanIndex::intersect_k_into(&typed, out);
             }
             PlanKind::HashProbe => {
-                // HashSetIndex's k-way walk already drives the smallest
-                // list's elements through the other tables in ascending
-                // size order — the same schedule `plan.order` encodes.
-                let typed: Vec<&HashSetIndex> = lists.iter().map(|l| &l.hash).collect();
-                HashSetIndex::intersect_k_into(&typed, out);
+                // The one membership probe: the smallest list's elements
+                // are the candidates, filtered by each other operand's own
+                // structure in turn (bit test or table probe), the most
+                // selective operand first. `get`, not indexing, keeps the
+                // loop panic-free; a position outside `lists` (ruled out
+                // above in debug builds) empties the result.
+                let Some((driver, rest)) = plan.order.split_first() else {
+                    return;
+                };
+                let Some(driver) = lists.get(*driver) else {
+                    return;
+                };
+                let start = out.len();
+                out.extend_from_slice(driver.flat());
+                for probed in rest {
+                    match lists.get(*probed).map(|l| &l.membership) {
+                        Some(Membership::Bitmap(b)) => {
+                            let mut probe = b.probe();
+                            filter_in_place(out, start, |x| probe.contains(x));
+                        }
+                        Some(Membership::Hash(t)) => filter_in_place(out, start, |x| t.contains(x)),
+                        None => out.truncate(start),
+                    }
+                }
             }
             PlanKind::BitmapAnd => {
                 let typed: Vec<&BitmapSet> = lists
                     .iter()
                     .map(|l| {
-                        l.bitmap
-                            .as_ref()
+                        l.bitmap()
                             // audit:allow(hot_path_panic): the planner only picks BitmapAnd when every operand carried a bitmap
                             .expect("BitmapAnd only wins when every operand carries a bitmap")
                     })
@@ -589,7 +765,22 @@ impl PlannedExecutor {
 
     /// Total heap footprint of all prepared representations.
     pub fn size_in_bytes(&self) -> usize {
-        self.lists.iter().map(|l| l.size_in_bytes()).sum()
+        self.bytes_by_repr().total()
+    }
+
+    /// The footprint split by physical representation.
+    pub fn bytes_by_repr(&self) -> ReprBytes {
+        let mut sum = ReprBytes::default();
+        for l in &self.lists {
+            sum += l.bytes_by_repr();
+        }
+        sum
+    }
+
+    /// How many lists carry a bitmap as their membership structure (every
+    /// other list carries a hash table).
+    pub fn num_bitmap_lists(&self) -> usize {
+        self.lists.iter().filter(|l| l.bitmap().is_some()).count()
     }
 
     /// The plan the planner picks for this term list.
@@ -649,16 +840,22 @@ mod tests {
             kind(&p, &[sparse(1000), sparse(2000)]),
             PlanKind::RanGroupScan
         );
-        // Moderate skew → GallopProbe (crossover near ratio 8).
         assert_eq!(
-            kind(&p, &[sparse(1000), sparse(8000)]),
+            kind(&p, &[sparse(1000), sparse(4000)]),
+            PlanKind::RanGroupScan
+        );
+        // Between two table-carrying lists galloping owns a narrow band of
+        // moderate skew (ratio ≈ 5–7) …
+        assert_eq!(
+            kind(&p, &[sparse(1000), sparse(6000)]),
             PlanKind::GallopProbe
         );
         assert_eq!(
-            kind(&p, &[sparse(100), sparse(500), sparse(6000)]),
+            kind(&p, &[sparse(1000), sparse(7000)]),
             PlanKind::GallopProbe
         );
-        // Extreme skew → HashProbe (crossover near ratio 64).
+        // … and from ratio ≈ 8 up the table probe wins.
+        assert_eq!(kind(&p, &[sparse(1000), sparse(8000)]), PlanKind::HashProbe);
         assert_eq!(
             kind(&p, &[sparse(1000), sparse(64_000)]),
             PlanKind::HashProbe
@@ -667,20 +864,50 @@ mod tests {
             kind(&p, &[sparse(100), sparse(500), sparse(80_000)]),
             PlanKind::HashProbe
         );
-        // Every operand dense → the chunked-bitmap AND wins outright.
+        // Every operand carries a bitmap → the chunked-bitmap AND wins.
         assert_eq!(
             kind(&p, &[dense(50_000, 2), dense(60_000, 2)]),
             PlanKind::BitmapAnd
         );
         assert_eq!(
-            kind(&p, &[dense(10_000, 2), dense(80_000, 2)]),
+            kind(&p, &[dense(10_000, 2), dense(20_000, 2)]),
             PlanKind::BitmapAnd
         );
-        // One sparse operand vetoes the bitmap; extreme skew → HashProbe.
+        // A table-carrying driver vetoes the sweep, and its probes into a
+        // bitmap are bit tests: the membership probe wins at every skew,
+        // down to near-balanced sizes RanGroupScan would otherwise scan.
         assert_eq!(
             kind(&p, &[sparse(1_000), dense(80_000, 2)]),
             PlanKind::HashProbe
         );
+        assert_eq!(
+            kind(&p, &[sparse(1000), dense(6000, 1)]),
+            PlanKind::HashProbe
+        );
+        assert_eq!(
+            kind(&p, &[sparse(20_000), dense(40_000, 31)]),
+            PlanKind::HashProbe
+        );
+        // Each probed operand is priced by its own structure: a balanced
+        // triple probes two bitmaps for 2 + 2 per candidate and beats the
+        // scan; make one of them a table (2 + hash_unit) and it does not.
+        assert_eq!(
+            kind(&p, &[sparse(3000), dense(4000, 1), dense(4000, 1)]),
+            PlanKind::HashProbe
+        );
+        assert_eq!(
+            kind(&p, &[sparse(3000), sparse(4000), dense(4000, 1)]),
+            PlanKind::RanGroupScan
+        );
+        // The sweep also pays for what it extracts, per result word
+        // holding a survivor. A 4 096-member driver against one bitmap,
+        // both in one chunk: a partner that keeps an eighth of it leaves
+        // half the 1 024 result words empty and the sweep cheaper than
+        // 4 096 bit tests; a partner that keeps nearly all of it fills
+        // every word, extraction is the larger cost, and the probe wins.
+        let sweep = |partner_n| kind(&p, &[dense(4096, 1), dense(partner_n, 1)]);
+        assert_eq!(sweep(8_000), PlanKind::BitmapAnd);
+        assert_eq!(sweep(64_000), PlanKind::HashProbe);
         // Degenerate inputs.
         assert_eq!(kind(&p, &[sparse(0), sparse(10)]), PlanKind::Empty);
         assert_eq!(kind(&p, &[]), PlanKind::Empty);
@@ -746,8 +973,8 @@ mod tests {
         assert_eq!(plan.kind, PlanKind::RanGroupScan);
         out.sort_unstable();
         assert_eq!(out, reference_intersection(&[a.as_slice(), b.as_slice()]));
-        // Moderate skew.
-        let small: SortedSet = (0..150u32).map(|x| x * 13_000).collect();
+        // Moderate skew (ratio ≈ 6, inside galloping's band).
+        let small: SortedSet = (0..330u32).map(|x| x * 6_000).collect();
         let ps = PlannedList::build(&ctx, &small);
         let mut out = Vec::new();
         let plan = planner.intersect(&[&ps, &pb], &mut out);
@@ -803,9 +1030,9 @@ mod tests {
         let pa = PlannedList::build(&ctx, &sparse_a);
         let pb = PlannedList::build(&ctx, &sparse_b);
         let pd = PlannedList::build(&ctx, &dense_c);
-        assert!(pa.bitmap.is_none());
-        assert!(pb.bitmap.is_none());
-        assert!(pd.bitmap.is_some());
+        assert!(pa.bitmap().is_none());
+        assert!(pb.bitmap().is_none());
+        assert!(pd.bitmap().is_some());
         // One bitmap-less operand makes BitmapAnd inadmissible however
         // cheap the word sweep would be.
         let p = Planner {
@@ -828,6 +1055,46 @@ mod tests {
             out,
             reference_intersection(&[sparse_a.as_slice(), dense_c.as_slice()])
         );
+    }
+
+    #[test]
+    fn every_list_carries_exactly_one_membership_structure() {
+        let ctx = HashContext::new(48);
+        // One member per bitmap word is the boundary: exactly 1024 members
+        // in one chunk gets the bitmap, one fewer the table.
+        let at_rule: SortedSet = (0..WORDS_PER_CHUNK as u32).map(|x| x * 64).collect();
+        let below_rule: SortedSet = (1..WORDS_PER_CHUNK as u32).map(|x| x * 64).collect();
+        // Dense in two chunks far up the id space: under 1/16 of `max + 1`,
+        // but the bitmap only pays for the chunks it touches.
+        let high: SortedSet = (0..4096u32).map(|x| 3_000_000_000 + x * 20).collect();
+        let empty = SortedSet::new();
+        for (set, bitmap) in [
+            (&at_rule, true),
+            (&below_rule, false),
+            (&high, true),
+            (&empty, true),
+        ] {
+            let list = PlannedList::build(&ctx, set);
+            // The enum is the pin: a list is one variant, and `bitmap()` is
+            // just a view of which.
+            match list.membership() {
+                Membership::Bitmap(b) => {
+                    assert!(bitmap && list.bitmap().is_some(), "n={}", set.len());
+                    assert!(list.n() >= b.num_chunks() * WORDS_PER_CHUNK);
+                }
+                Membership::Hash(_) => {
+                    assert!(!bitmap && list.bitmap().is_none(), "n={}", set.len());
+                }
+            }
+            let bytes = list.bytes_by_repr();
+            assert!(bytes.bitmap == 0 || bytes.hash == 0);
+            assert_eq!(bytes.total(), list.size_in_bytes());
+            let contains = |x| match list.membership() {
+                Membership::Bitmap(b) => b.contains(x),
+                Membership::Hash(t) => t.contains(x),
+            };
+            assert!(set.iter().all(contains) && !contains(7));
+        }
     }
 
     #[test]
@@ -984,6 +1251,26 @@ mod tests {
                 assert_eq!(out, expect, "forced {forced:?} k={k}");
             }
         }
+    }
+
+    /// An order that omits an operand would make the probe return a
+    /// superset; every kind refuses it alike instead.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not cover 2 operands")]
+    fn execute_rejects_an_order_that_drops_an_operand() {
+        let ctx = HashContext::new(47);
+        let lists = [
+            PlannedList::build(&ctx, &(0..100u32).collect()),
+            PlannedList::build(&ctx, &(50..4000u32).collect()),
+        ];
+        let refs: Vec<&PlannedList> = lists.iter().collect();
+        let plan = MultiwayPlan {
+            kind: PlanKind::HashProbe,
+            order: vec![0],
+            est_cost: 0.0,
+        };
+        Planner::default().execute(&plan, &refs, &mut Vec::new());
     }
 
     #[test]

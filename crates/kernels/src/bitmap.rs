@@ -10,6 +10,10 @@
 //! here applied to the raw document space. The win is proportional to
 //! density: dense chunks amortize the fixed `O(1024)` word sweep over many
 //! members.
+//!
+//! The same structure answers point membership ([`BitmapSet::contains`],
+//! [`BitmapSet::probe`]): a chunk lookup and one bit test, which is what
+//! a sparse list probing a dense one needs instead of a sweep.
 
 use fsi_core::elem::{Elem, SortedSet};
 use fsi_core::traits::{KIntersect, PairIntersect, SetIndex};
@@ -82,6 +86,27 @@ impl BitmapSet {
         count
     }
 
+    /// Membership test: chunk offset plus one bit test. A value whose
+    /// chunk the set never touches is absent without reading any bitmap
+    /// word. Callers testing many values in ascending order should hold one
+    /// [`BitmapSet::probe`] instead, which locates each chunk once.
+    #[inline]
+    pub fn contains(&self, x: Elem) -> bool {
+        self.probe().contains(x)
+    }
+
+    /// A membership cursor that remembers the chunk of the last value
+    /// tested, so a run of values inside one chunk costs one chunk lookup
+    /// and then one bit test each — the shape of a sorted driver list
+    /// probing this set.
+    pub fn probe(&self) -> BitmapProbe<'_> {
+        BitmapProbe {
+            set: self,
+            id: NO_CHUNK,
+            chunk: &[],
+        }
+    }
+
     /// Appends chunk `ci`'s members (ascending) to `out`.
     fn extract_chunk(&self, ci: usize, out: &mut Vec<Elem>) {
         // audit:allow(hot_path_index): callers iterate ci over 0..ids.len(); ids and words are parallel per-chunk arrays
@@ -144,6 +169,42 @@ impl BitmapSet {
                 }
             }
         }
+    }
+}
+
+/// Chunk ids are 16 bits wide, so this never names a real chunk.
+const NO_CHUNK: u32 = u32::MAX;
+
+/// A [`BitmapSet`] membership cursor; see [`BitmapSet::probe`].
+#[derive(Debug, Clone)]
+pub struct BitmapProbe<'a> {
+    set: &'a BitmapSet,
+    /// Chunk id of the last value tested.
+    id: u32,
+    /// That chunk's words; empty when the set does not touch it.
+    chunk: &'a [u64],
+}
+
+impl BitmapProbe<'_> {
+    /// Whether `x` is a member.
+    #[inline]
+    pub fn contains(&mut self, x: Elem) -> bool {
+        let id = x >> CHUNK_BITS;
+        if id != self.id {
+            self.id = id;
+            self.chunk = match self.set.ids.binary_search(&id) {
+                Ok(ci) => self
+                    .set
+                    .words
+                    .get(ci * WORDS_PER_CHUNK..(ci + 1) * WORDS_PER_CHUNK)
+                    .unwrap_or(&[]),
+                Err(_) => &[],
+            };
+        }
+        let low = (x & ((1 << CHUNK_BITS) - 1)) as usize;
+        self.chunk
+            .get(low >> 6)
+            .is_some_and(|word| word >> (low & 63) & 1 == 1)
     }
 }
 
@@ -363,6 +424,37 @@ mod tests {
             );
         }
         assert_eq!(BitmapSet::count_chunks(&[]), 0);
+    }
+
+    #[test]
+    fn contains_matches_the_sorted_list() {
+        // Chunks 1 and 3 populated, 0 and 2 untouched; interpreted
+        // execution (Miri) probes a thinner sample of the same span.
+        const STEP: usize = if cfg!(miri) { 997 } else { 7 };
+        let set: SortedSet = (70_000..75_000u32)
+            .step_by(3)
+            .chain((200_000..203_000).step_by(5))
+            .collect();
+        let bm = BitmapSet::build(&set);
+        assert_eq!(bm.num_chunks(), 2);
+        // In-set and out-of-set inside populated chunks, below the first
+        // chunk, in the gap chunk, and beyond the last.
+        for x in (0..5 * 65_536u32).step_by(STEP) {
+            assert_eq!(bm.contains(x), set.contains(x), "{x}");
+        }
+        for &x in set.as_slice().iter().step_by(STEP) {
+            assert!(bm.contains(x), "{x}");
+        }
+        for x in [0, 65_535, 69_999, 70_001, 140_000, 203_000, u32::MAX] {
+            assert!(!bm.contains(x), "{x}");
+        }
+        let edges = SortedSet::from_unsorted(vec![0, 65_535, 65_536, u32::MAX]);
+        let bm = BitmapSet::build(&edges);
+        for &x in edges.as_slice() {
+            assert!(bm.contains(x), "{x}");
+        }
+        assert!(!bm.contains(1) && !bm.contains(u32::MAX - 1));
+        assert!(!BitmapSet::build(&SortedSet::new()).contains(0));
     }
 
     #[test]

@@ -22,6 +22,12 @@
 //!   intersection probe, an exhausted subtrahend does **not** end the
 //!   query — the remaining base elements simply cannot be excluded by it.
 //!
+//! * [`filter_in_place`] — one pass of membership filtering over
+//!   candidates already in the output buffer, compacted without a branch
+//!   on the test's outcome: the inner loop of `fsi-index`'s membership
+//!   probe (keep members) and of the bit-test difference (keep
+//!   non-members).
+//!
 //! The dense-regime union counterpart is the chunked-bitmap `OR`
 //! ([`BitmapSet::union_k_into`](crate::BitmapSet::union_k_into)), which
 //! rides the same SIMD word primitives as the `AND` sweep.
@@ -132,6 +138,24 @@ pub fn gallop_diff_into(base: &[Elem], subtract: &[&[Elem]], out: &mut Vec<Elem>
         }
         out.push(x);
     }
+}
+
+/// Keeps, in order, the elements of `out[start..]` that pass `keep`, and
+/// truncates `out` behind them. Every candidate is written back and only a
+/// pass advances the write position, so the loop carries no branch on the
+/// test's outcome — on a membership test that outcome is close to a coin
+/// flip, which a branching filter pays for in mispredictions.
+pub fn filter_in_place(out: &mut Vec<Elem>, start: usize, mut keep: impl FnMut(Elem) -> bool) {
+    let Some(buf) = out.get_mut(start..) else {
+        return;
+    };
+    let mut kept = 0usize;
+    for i in 0..buf.len() {
+        let x = buf[i];
+        buf[kept] = x;
+        kept += usize::from(keep(x));
+    }
+    out.truncate(start + kept);
 }
 
 #[cfg(test)]

@@ -6,11 +6,11 @@
 //! [`KernelChoice::select`] is the slice-level dispatch rule (skew →
 //! galloping at [`GALLOP_RATIO`], density → bitmap at
 //! [`BITMAP_MIN_DENSITY`], otherwise signature prefilter); the
-//! `fsi-index` planner applies the same *shape* of rules over prepared
-//! lists but with its own tunable thresholds (plus a hash-probe tier for
-//! extreme skew and a RanGroupScan fallback) — only the density constant
-//! is shared. [`AutoKernel`] packages the slice-level choice behind the
-//! common trait so harnesses can bench it as one kernel.
+//! `fsi-index` planner prices the same kernels over prepared lists with
+//! its own cost model (plus a membership-probe tier and a RanGroupScan
+//! fallback) and shares none of these thresholds. [`AutoKernel`] packages
+//! the slice-level choice behind the common trait so harnesses can bench
+//! it as one kernel.
 
 use crate::bitmap::BitmapKernel;
 use crate::gallop::{Galloping, GALLOP_RATIO};
@@ -99,8 +99,10 @@ impl Kernel for SimdMerge {
     }
 }
 
-/// Minimum `n_min/universe` density at which the chunked bitmap's
-/// fixed `O(universe/64)` word sweep beats element-at-a-time kernels.
+/// Minimum `n_min/universe` density at which building chunked bitmaps on
+/// the fly and sweeping `O(universe/64)` words beats element-at-a-time
+/// kernels — the slice-level selectors' floor ([`KernelChoice`],
+/// `MultiwayChoice`).
 pub const BITMAP_MIN_DENSITY: f64 = 1.0 / 16.0;
 
 /// Which kernel the runtime selector picked (exposed for tests/telemetry).

@@ -62,11 +62,15 @@
 //! (skew → [`GallopProbe`], density → [`BitmapAnd`], otherwise
 //! [`HeapMerge`]). `fsi_index::Planner` goes further over *prepared*
 //! lists: it prices every candidate kernel with a whole-query cost model
-//! (adding a hash-probe tier for extreme skew and the paper's
+//! (adding a membership-probe tier — bit tests through
+//! [`BitmapSet::probe`], table probes elsewhere — and the paper's
 //! RanGroupScan for balanced sparse) and picks the minimum — see the
-//! `fsi_index::planner` module doc for the authoritative cost table. The
-//! [`BITMAP_MIN_DENSITY`] constant is shared: it decides, at build time,
-//! which lists carry a chunk bitmap at all.
+//! `fsi_index::planner` module doc for the authoritative cost table.
+//! [`BITMAP_MIN_DENSITY`] belongs to the two slice-level selectors only:
+//! they build their bitmaps on the fly and need a floor to decide whether
+//! that pays. Which *prepared* lists carry a bitmap is the planner's
+//! build rule — at least one member per bitmap word of the chunks the
+//! list touches — and involves no density constant.
 //!
 //! `Strategy::{Bitmap, Galloping, SigFilter}` pin one kernel for every
 //! query the way every other fixed strategy does; the planner makes the
@@ -96,8 +100,8 @@ pub mod sigfilter;
 pub mod simd;
 
 pub use bitmap::WORDS_PER_CHUNK;
-pub use bitmap::{BitmapKernel, BitmapSet};
-pub use boolean::{gallop_diff_into, heap_union_into, merge_union_into};
+pub use bitmap::{BitmapKernel, BitmapProbe, BitmapSet};
+pub use boolean::{filter_in_place, gallop_diff_into, heap_union_into, merge_union_into};
 pub use gallop::{
     branchless_merge_into, galloping_into, BranchlessMerge, Galloping, GallopingSet, GALLOP_RATIO,
 };

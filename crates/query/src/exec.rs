@@ -3,9 +3,10 @@
 //! `AND`-of-terms nodes run the embedded [`fsi_index::MultiwayPlan`]
 //! directly on the prepared lists (zero materialization), `OR` nodes
 //! dispatch between the heap union and the chunked-bitmap `OR`,
-//! differences gallop. Term operands of unions and differences borrow the
-//! prepared flat slices — only genuine sub-expression results are
-//! materialized.
+//! differences bit-test the subtrahends that are bitmap-carrying terms
+//! and gallop through the rest. Term operands of unions and differences
+//! borrow the prepared structures — only genuine sub-expression results
+//! are materialized.
 //!
 //! Output is appended ascending and duplicate-free; pre-existing `out`
 //! content is left untouched.
@@ -14,7 +15,9 @@ use crate::plan::{AndKind, ExprPlan, ExprPlanner, PlanNode, UnionKind};
 use crate::rewrite::NormExpr;
 use fsi_core::elem::Elem;
 use fsi_index::{PlanKind, PlannedExecutor, PlannedList};
-use fsi_kernels::{gallop_diff_into, gallop_probe_into, heap_union_into, BitmapSet};
+use fsi_kernels::{
+    filter_in_place, gallop_diff_into, gallop_probe_into, heap_union_into, BitmapSet,
+};
 
 /// A child result: borrowed straight from a prepared list when the child
 /// is a term, materialized otherwise.
@@ -84,6 +87,32 @@ pub fn execute_plan(
     run_plan(exec, planner, plan, out);
 }
 
+/// The bitmap of a subtrahend that is a bitmap-carrying term — such a
+/// subtrahend is subtracted by bit test instead of a gallop through its
+/// flat list.
+pub(crate) fn term_bitmap<'a>(exec: &'a PlannedExecutor, plan: &ExprPlan) -> Option<&'a BitmapSet> {
+    match plan.node {
+        PlanNode::Term(t) => exec.list(t).bitmap(),
+        _ => None,
+    }
+}
+
+/// Appends `base ∖ (⋃ bitmaps ∪ ⋃ slices)` to `out`, ascending: one bit
+/// test per candidate per bitmap subtrahend, then the galloping difference
+/// over whatever survives for the rest.
+pub(crate) fn subtract_into(
+    mut base: Vec<Elem>,
+    bitmaps: &[&BitmapSet],
+    slices: &[&[Elem]],
+    out: &mut Vec<Elem>,
+) {
+    for bitmap in bitmaps {
+        let mut probe = bitmap.probe();
+        filter_in_place(&mut base, 0, |x| !probe.contains(x));
+    }
+    gallop_diff_into(&base, slices, out);
+}
+
 fn operand<'a>(exec: &'a PlannedExecutor, planner: &ExprPlanner, plan: &ExprPlan) -> Operand<'a> {
     match &plan.node {
         PlanNode::Term(t) => Operand::Borrowed(exec.list(*t).flat()),
@@ -107,9 +136,16 @@ fn run_plan(exec: &PlannedExecutor, planner: &ExprPlanner, plan: &ExprPlan, out:
                 if base.is_empty() {
                     return; // nothing to subtract from — skip the negs
                 }
-                let neg_ops: Vec<Operand> = neg.iter().map(|n| operand(exec, planner, n)).collect();
+                let mut bitmaps: Vec<&BitmapSet> = Vec::new();
+                let mut neg_ops: Vec<Operand> = Vec::new();
+                for n in neg {
+                    match term_bitmap(exec, n) {
+                        Some(bitmap) => bitmaps.push(bitmap),
+                        None => neg_ops.push(operand(exec, planner, n)),
+                    }
+                }
                 let neg_slices: Vec<&[Elem]> = neg_ops.iter().map(Operand::as_slice).collect();
-                gallop_diff_into(&base, &neg_slices, out);
+                subtract_into(base, &bitmaps, &neg_slices, out);
             }
         }
         PlanNode::Or { children, kind } => match kind {

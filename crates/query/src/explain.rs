@@ -13,11 +13,12 @@
 //! union/difference slices) are reported as `(input)` rows with no timing
 //! of their own: nothing executes for them separately.
 
+use crate::exec::{subtract_into, term_bitmap};
 use crate::plan::{AndKind, ExprPlan, ExprPlanner, PlanNode, UnionKind};
 use crate::rewrite::NormExpr;
 use fsi_core::elem::Elem;
 use fsi_index::{PlanKind, PlannedExecutor, PlannedList};
-use fsi_kernels::{gallop_diff_into, gallop_probe_into, heap_union_into, BitmapSet};
+use fsi_kernels::{gallop_probe_into, heap_union_into, BitmapSet};
 use std::time::Instant;
 
 /// Which explain variant a query prefix requested.
@@ -226,16 +227,20 @@ pub fn analyze_plan(
                     }
                 } else {
                     let mut bufs: Vec<Vec<Elem>> = neg.iter().map(|_| Vec::new()).collect();
+                    let mut bitmaps: Vec<&BitmapSet> = Vec::new();
                     let mut slices: Vec<&[Elem]> = Vec::with_capacity(neg.len());
                     for (n, buf) in neg.iter().zip(&mut bufs) {
                         let (slice, report) = analyze_operand(exec, planner, n, buf);
-                        slices.push(slice);
+                        match term_bitmap(exec, n) {
+                            Some(bitmap) => bitmaps.push(bitmap),
+                            None => slices.push(slice),
+                        }
                         children.push(NodeReport {
                             negated: true,
                             ..report
                         });
                     }
-                    gallop_diff_into(&base, &slices, out);
+                    subtract_into(base, &bitmaps, &slices, out);
                 }
             }
             children

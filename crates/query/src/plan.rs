@@ -1,6 +1,6 @@
 //! Cost-based expression planning: extends `fsi_index::Planner`'s
 //! [`OperandStats`] cost model beyond conjunctions to **OR** (k-way union)
-//! and **AND NOT** (gallop-based difference).
+//! and **AND NOT** (difference by bit test or gallop).
 //!
 //! [`ExprPlanner::plan`] walks a canonical [`NormExpr`] bottom-up and
 //! produces an [`ExprPlan`] tree carrying, per node, the chosen physical
@@ -23,7 +23,7 @@
 //! | `AND` (all operands are terms) | the full [`fsi_index::Planner`] candidate table — one whole-list [`MultiwayPlan`], zero materialized intermediates |
 //! | `AND` (mixed operands) | materialize sub-results, then a k-way gallop probe ([`AndKind::SliceProbe`]) |
 //! | `OR` | heap k-way union (`union_unit · Σnᵢ · log₂ k`) vs chunked-bitmap `OR` (`union_bitmap_word_unit · Σ chunksᵢ · 1024`, admissible only when every operand is a term carrying a bitmap) |
-//! | `AND NOT` | galloping multi-subtrahend difference (`diff_unit · |base| · m`) — the subtrahends are bounded by the base, never materialized against the universe |
+//! | `AND NOT` | one difference operator (`diff_unit · |base| · m`): a bit test per base element for each subtrahend that is a bitmap-carrying term, a galloping multi-subtrahend difference for the rest — the subtrahends are bounded by the base, never materialized against the universe |
 
 use crate::rewrite::NormExpr;
 use fsi_index::{MultiwayPlan, OperandStats, Planner};

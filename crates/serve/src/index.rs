@@ -8,7 +8,7 @@
 //! index answers queries from any number of threads concurrently.
 
 use fsi_core::Elem;
-use fsi_index::{PlannedExecutor, Planner, SearchEngine};
+use fsi_index::{PlannedExecutor, Planner, ReprBytes, SearchEngine};
 use fsi_query::{ExplainMode, ExprPlan, ExprPlanner, NormExpr};
 use std::borrow::Cow;
 
@@ -18,9 +18,9 @@ use std::borrow::Cow;
 pub struct PreparedIndex {
     exec: PlannedExecutor,
     planner: ExprPlanner,
-    /// Heap footprint of `exec`, summed once at build: the index is
-    /// immutable, and every metrics scrape reads this.
-    size_in_bytes: usize,
+    /// Heap footprint of `exec` by representation, summed once at build:
+    /// the index is immutable, and every metrics scrape reads this.
+    bytes: ReprBytes,
 }
 
 impl PreparedIndex {
@@ -29,7 +29,7 @@ impl PreparedIndex {
     pub(crate) fn build(engine: &SearchEngine, planner: Planner) -> Self {
         let exec = engine.planned_executor(planner.clone());
         Self {
-            size_in_bytes: exec.size_in_bytes(),
+            bytes: exec.bytes_by_repr(),
             exec,
             planner: ExprPlanner::new(planner),
         }
@@ -42,7 +42,19 @@ impl PreparedIndex {
 
     /// Total heap footprint of the prepared representations.
     pub fn size_in_bytes(&self) -> usize {
-        self.size_in_bytes
+        self.bytes.total()
+    }
+
+    /// The footprint split by physical representation; the parts sum to
+    /// [`PreparedIndex::size_in_bytes`].
+    pub fn bytes_by_repr(&self) -> ReprBytes {
+        self.bytes
+    }
+
+    /// How many lists carry a bitmap as their membership structure (the
+    /// other `num_terms() − n` carry a hash table).
+    pub fn num_bitmap_lists(&self) -> usize {
+        self.exec.num_bitmap_lists()
     }
 
     /// Evaluates a boolean expression in ascending document order on the

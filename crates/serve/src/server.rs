@@ -145,11 +145,26 @@ impl Server {
         let queries_shed = registry.counter("fsi_queries_shed_total", &[]);
         let latency_ns = registry.histogram("fsi_query_latency_ns", &[]);
         let engine = PreparedIndex::build(engine, config.planner.clone());
-        // The index is immutable: its footprint is a gauge set once here,
-        // not re-derived on every scrape.
+        // The index is immutable: its footprint — whole, and by physical
+        // representation — and which membership structure its lists carry
+        // are gauges set once here, not re-derived on every scrape.
         registry
             .gauge("fsi_index_bytes", &[])
             .set(engine.size_in_bytes() as u64);
+        for (repr, bytes) in engine.bytes_by_repr().parts() {
+            registry
+                .gauge("fsi_index_bytes", &[("repr", repr)])
+                .set(bytes as u64);
+        }
+        let bitmap_lists = engine.num_bitmap_lists();
+        for (membership, lists) in [
+            ("bitmap", bitmap_lists),
+            ("hash", engine.num_terms() - bitmap_lists),
+        ] {
+            registry
+                .gauge("fsi_index_lists", &[("membership", membership)])
+                .set(lists as u64);
+        }
         Self {
             engine,
             cache: QueryCache::new(config.cache_capacity, config.cache_segments),
@@ -911,7 +926,13 @@ mod tests {
         );
         let whole = engine.planned_executor(Planner::auto());
         let planner = fsi_query::ExprPlanner::auto();
-        for terms in [vec![0usize, 1], vec![2, 3], vec![0, 2, 3], vec![3]] {
+        for terms in [
+            vec![0usize, 1],
+            vec![2, 3],
+            vec![0, 2, 3],
+            vec![1, 2],
+            vec![3],
+        ] {
             let norm = flat_to_norm(&terms).expect("non-empty");
             let plan = planner.plan(&norm, &|t| whole.list(t).stats(), whole.universe());
             let expect = Some(plan_kind_label(&plan));
@@ -922,6 +943,11 @@ mod tests {
         }
         let pair = s.execute(&Request::terms(vec![0, 1])).expect("valid");
         assert_eq!(pair.plan_kind, Some("BitmapAnd"));
+        // A sparse driver (413 postings, a hash table) against a dense term
+        // (15 002, a bitmap) at a 1:36 size ratio: bit tests make this the
+        // membership probe's query; between two tables it would gallop.
+        let mixed = s.execute(&Request::terms(vec![1, 2])).expect("valid");
+        assert_eq!(mixed.plan_kind, Some("HashProbe"));
     }
 
     #[test]

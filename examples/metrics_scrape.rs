@@ -75,6 +75,8 @@ fn main() {
         "fsi_net_tenant_requests_total",
         "fsi_queries_served_total",
         "fsi_plan_kind_total",
+        "fsi_index_bytes{repr=\"hash\"}",
+        "fsi_index_lists{membership=\"bitmap\"}",
     ] {
         assert!(prom.contains(family), "scrape is missing {family}");
     }

@@ -5,6 +5,7 @@
 use fast_set_intersection::index::{
     Corpus, CorpusConfig, MultiwayPlan, PlanKind, PlannedList, Planner, SearchEngine, Strategy,
 };
+use fast_set_intersection::query::naive::naive_eval;
 use fast_set_intersection::serve::{Request, ServeConfig, Server};
 use fast_set_intersection::{reference_intersection, HashContext, SortedSet};
 use fsi_kernels::{
@@ -157,5 +158,147 @@ fn planned_mode_matches_executor_on_zipf_query_stream() {
     let server = planned_server(&engine);
     for q in &stream {
         assert_eq!(served(&server, q), reference.query(q), "planned q {q:?}");
+    }
+}
+
+/// `n` distinct values drawn from `lo..=hi`, seeded.
+fn sample(rng: &mut StdRng, n: usize, lo: u32, hi: u32) -> Vec<u32> {
+    let mut set = std::collections::BTreeSet::new();
+    while set.len() < n {
+        set.insert(rng.gen_range(lo..=hi));
+    }
+    set.into_iter().collect()
+}
+
+#[test]
+fn mixed_density_operands_match_naive_and_the_merge_executor() {
+    // Two populated regions — chunks 0–1 and the two chunks ending at
+    // u32::MAX — so lists can be dense where they live yet a sliver of
+    // `max + 1`. Terms, by the structure the build rule gives them:
+    //   0  exactly 2 chunks × 1 024 members          → bitmap (at the rule)
+    //   1  one member fewer                          → hash table
+    //   2  3 000 members of the top two chunks, u32::MAX among them → bitmap
+    //   3  sparse in both regions, u32::MAX among them             → hash table
+    //   4, 5, 6  20 k / 40 k / 60 k members of chunks 0–1          → bitmaps
+    //   7  the sparse driver: 300 low + 40 high members            → hash table
+    const LOW: u32 = (1 << 17) - 1;
+    const HIGH: u32 = u32::MAX - LOW;
+    let mut rng = StdRng::seed_from_u64(0x0D15);
+    let both = |rng: &mut StdRng, low: usize, high: usize, max: bool| -> SortedSet {
+        let mut v = sample(rng, low, 0, LOW);
+        v.extend(sample(rng, high, HIGH, u32::MAX - 1));
+        if max {
+            v.push(u32::MAX);
+        }
+        v.into_iter().collect()
+    };
+    let postings: Vec<SortedSet> = vec![
+        both(&mut rng, 2048, 0, false),
+        both(&mut rng, 2047, 0, false),
+        both(&mut rng, 0, 2999, true),
+        both(&mut rng, 150, 149, true),
+        both(&mut rng, 20_000, 0, false),
+        both(&mut rng, 40_000, 0, false),
+        both(&mut rng, 60_000, 0, false),
+        both(&mut rng, 300, 40, false),
+    ];
+    let ctx = HashContext::new(0x0D16);
+    let lists: Vec<PlannedList> = postings
+        .iter()
+        .map(|p| PlannedList::build(&ctx, p))
+        .collect();
+    let carries_bitmap: Vec<bool> = lists.iter().map(|l| l.bitmap().is_some()).collect();
+    assert_eq!(
+        carries_bitmap,
+        [true, false, true, false, true, true, true, false]
+    );
+    // Term 2 is under 1/16 of its own `max + 1` by five orders of
+    // magnitude: a `max + 1` density floor would have handed it a table.
+    assert!((postings[2].len() as f64) < (u32::MAX as f64 + 1.0) / 16.0);
+
+    let engine = SearchEngine::from_postings(ctx, postings);
+    let slices: Vec<&[u32]> = (0..engine.num_terms())
+        .map(|t| engine.posting(t).as_slice())
+        .collect();
+    let merge = engine.executor(Strategy::Merge);
+    let server = planned_server(&engine);
+    let planner = Planner::default();
+
+    // Conjunctions: the sparse driver against 1, 2 and 3 dense operands,
+    // pairs straddling the rule, and u32::MAX on either structure.
+    let conjunctions: [&[usize]; 12] = [
+        &[7, 4],
+        &[7, 4, 5],
+        &[7, 4, 5, 6],
+        &[0, 1],
+        &[1, 6],
+        &[0, 6],
+        &[2, 3],
+        &[3, 2, 7],
+        &[2, 7],
+        &[4, 5, 6],
+        &[0, 1, 4, 5],
+        &[3, 7],
+    ];
+    let mut saw_probe_over_bitmap = false;
+    for q in conjunctions {
+        let expect = merge.query(q);
+        assert_eq!(served(&server, q), expect, "served {q:?}");
+        let src = q.iter().map(|t| t.to_string()).collect::<Vec<_>>();
+        let norm = fast_set_intersection::query::compile(&src.join(" AND ")).expect("compiles");
+        let naive: Vec<u32> = naive_eval(&slices, &norm).into_iter().collect();
+        assert_eq!(expect, naive, "merge vs naive {q:?}");
+        // Every kind the operands admit, forced: the probe must be right
+        // on all-bitmap, all-table and mixed operand sets alike.
+        let refs: Vec<&PlannedList> = q.iter().map(|&t| &lists[t]).collect();
+        let chosen = planner.plan_for_lists(&refs);
+        saw_probe_over_bitmap |= chosen.kind == PlanKind::HashProbe
+            && chosen.order[1..]
+                .iter()
+                .any(|&i| refs[i].bitmap().is_some());
+        let mut kinds = vec![
+            PlanKind::RanGroupScan,
+            PlanKind::HashProbe,
+            PlanKind::GallopProbe,
+            PlanKind::HeapMerge,
+            PlanKind::CompressedGallop,
+        ];
+        if refs.iter().all(|l| l.bitmap().is_some()) {
+            kinds.push(PlanKind::BitmapAnd);
+        }
+        for kind in kinds {
+            let plan = MultiwayPlan {
+                kind,
+                ..chosen.clone()
+            };
+            let mut out = Vec::new();
+            planner.execute(&plan, &refs, &mut out);
+            out.sort_unstable();
+            assert_eq!(out, expect, "forced {kind:?} on {q:?}");
+        }
+    }
+    assert!(saw_probe_over_bitmap, "no query planned a bit-test probe");
+
+    // Differences and unions over the same lists: a dense subtrahend (bit
+    // test), a table subtrahend (gallop), both at once, u32::MAX
+    // subtracted from either structure, and the bitmap OR.
+    for src in [
+        "7 AND NOT 4",
+        "7 AND NOT 4 AND NOT 5 AND NOT 6",
+        "1 AND NOT 6 AND NOT 0",
+        "4 AND 5 AND NOT 6",
+        "6 AND NOT 7",
+        "2 AND NOT 3",
+        "3 AND NOT 2",
+        "3 AND NOT 2 AND NOT 7",
+        "(0 OR 1) AND NOT 5",
+        "(7 AND 4) OR (3 AND NOT 2)",
+        "4 OR 5 OR 2",
+        "0 OR 1",
+    ] {
+        let norm = fast_set_intersection::query::compile(src).expect("compiles");
+        let naive: Vec<u32> = naive_eval(&slices, &norm).into_iter().collect();
+        let resp = server.execute(&Request::expr(src)).expect("valid");
+        assert_eq!(resp.docs.to_vec(), naive, "{src}");
     }
 }

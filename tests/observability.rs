@@ -197,3 +197,35 @@ fn explain_analyze_timings_fit_inside_the_traced_exec_span() {
         "kind {kind} missing from:\n{analyzed}"
     );
 }
+
+#[test]
+fn index_bytes_by_representation_sum_to_the_whole() {
+    // 40 000 documents fit one 2¹⁶-value chunk, so the build rule gives a
+    // bitmap to exactly the terms with ≥ 1 024 postings: the scrape must
+    // show both membership structures, and every resident byte under
+    // exactly one representation.
+    let corpus = Corpus::generate(CorpusConfig {
+        num_docs: 40_000,
+        num_terms: 48,
+        ..CorpusConfig::default()
+    });
+    let dense_terms = corpus.postings().iter().filter(|p| p.len() >= 1024).count();
+    let engine = SearchEngine::from_corpus(HashContext::new(12), corpus);
+    let server = Server::new(&engine, ServeConfig::default());
+    let snap = server.metrics();
+    let whole = snap.gauge("fsi_index_bytes", &[]).expect("total gauge");
+    assert_eq!(whole, server.engine().size_in_bytes() as u64);
+    let parts: Vec<u64> = ["flat", "bitmap", "hash", "rgs", "compressed"]
+        .iter()
+        .map(|repr| {
+            snap.gauge("fsi_index_bytes", &[("repr", repr)])
+                .unwrap_or_else(|| panic!("no gauge for repr {repr}"))
+        })
+        .collect();
+    assert!(parts.iter().all(|&b| b > 0), "{parts:?}");
+    assert_eq!(parts.iter().sum::<u64>(), whole, "{parts:?}");
+    let lists = |m| snap.gauge("fsi_index_lists", &[("membership", m)]);
+    assert!(dense_terms > 0 && dense_terms < 48);
+    assert_eq!(lists("bitmap"), Some(dense_terms as u64));
+    assert_eq!(lists("hash"), Some(48 - dense_terms as u64));
+}
