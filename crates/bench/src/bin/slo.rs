@@ -36,9 +36,9 @@
 //!   is hard-asserted in process;
 //! * `attribution` — the p99 queue-wait vs service-time split from the
 //!   per-tenant lifecycle histograms (where did the tail go: waiting or
-//!   executing?), plus a deterministic shed probe — a pipelined burst
-//!   with a 1µs deadline — whose retained slow-log records are scraped
-//!   back over the in-band `SlowLog` admin op.
+//!   executing?), plus a deterministic shed probe — a pipelined burst of
+//!   cache misses with a 1µs deadline — whose retained slow-log records
+//!   are scraped back over the in-band `SlowLog` admin op.
 //!
 //! Usage: `cargo run --release -p fsi-bench --bin slo -- [out.json] [--smoke]`
 
@@ -403,14 +403,19 @@ fn main() {
     );
 
     // ---- queue-wait attribution + shed-retention probe ----------------
-    // A pipelined burst with a 1µs deadline is dead by dequeue time on
-    // any box: the sheds are deterministic, and each must leave a
+    // A pipelined burst of cache misses with a 1µs deadline is dead
+    // before a worker could run it on any box — refused by the reader if
+    // the deadline lapsed before `begin` looked, shed on dequeue
+    // otherwise — so the sheds are deterministic, and each must leave a
     // retained slow-log record observable over the in-band admin op.
+    // (Misses, not stream queries: those are cached by now, and the
+    // reader answers a hit faster than 1µs runs out.)
     const SHED_BURST: u64 = 32;
     let mut prober = Client::connect(addr).expect("connect");
     for id in 0..SHED_BURST {
+        let uncached = format!("1 AND 2 AND 3 AND 4 AND 5 AND 6 AND 7 AND {}", 8 + id);
         prober
-            .send(&RequestFrame::query((1 << 40) | id, stream[0].as_str()).with_deadline_us(1))
+            .send(&RequestFrame::query((1 << 40) | id, uncached).with_deadline_us(1))
             .expect("send");
     }
     let mut shed_responses = 0u64;
@@ -420,9 +425,12 @@ fn main() {
             shed_responses += 1;
         }
     }
-    assert!(shed_responses > 0, "the 1µs-deadline burst must shed");
-    // Retention lands on the worker just after the response write: poll
-    // the wire op until the records show up.
+    assert_eq!(
+        shed_responses, SHED_BURST,
+        "the 1µs-deadline burst must shed"
+    );
+    // Retention lands just after the response write: poll the wire op
+    // until the records show up.
     let mut shed_retained = 0u64;
     for _ in 0..500 {
         let dump = prober.slowlog().expect("slowlog");

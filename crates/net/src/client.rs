@@ -1,24 +1,39 @@
 //! A minimal blocking client for the wire protocol — enough for
-//! examples, tests, and the SLO bench's load generator.
+//! examples, tests, and the benchmark's load generator.
+//!
+//! A frame costs one syscall each way: a request is assembled (length
+//! prefix included) in a reused buffer and leaves in one `write`, and
+//! responses are read through a buffer, so the prefix, the body and any
+//! responses pipelined behind them come out of one `read`.
 
 use crate::protocol::{
-    decode_admin_response, decode_response, encode_admin_request, encode_request, read_frame,
-    write_frame, AdminOp, AdminRequest, AdminResponse, FrameError, RequestFrame, ResponseFrame,
+    decode_admin_response, decode_response, encode_admin_request, encode_request_into, frame_into,
+    read_frame_into, AdminOp, AdminRequest, AdminResponse, FrameError, RequestFrame, ResponseFrame,
     MAX_RESPONSE_FRAME,
 };
-use std::io;
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+
+/// Read-buffer size: several typical responses, so a frame is usually in
+/// hand after one `read`.
+const READ_BUFFER: usize = 64 * 1024;
 
 /// A blocking connection to a [`crate::NetServer`].
 ///
 /// One request in flight at a time is the simple mode
 /// ([`Client::call`]); pipelining is allowed, but responses may arrive
-/// out of order — match on [`ResponseFrame::id`]. [`Client::try_clone`]
-/// splits the connection into independently owned reader and writer
-/// halves for that.
+/// out of order — match on [`ResponseFrame::id`]. The server answers a
+/// cache hit from the thread that read it, so a hit routinely overtakes
+/// a miss sent before it. [`Client::try_clone`] splits the connection
+/// into a sending handle and a receiving handle for that.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// The socket, behind the read buffer; writes go to it directly.
+    stream: BufReader<TcpStream>,
+    /// The body of the frame last received.
+    inbound: Vec<u8>,
+    /// The frame being sent.
+    outbound: Vec<u8>,
 }
 
 impl Client {
@@ -26,35 +41,47 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Self { stream })
+        Ok(Self::from_stream(stream))
     }
 
     /// Wraps an already-connected stream (e.g. to speak raw bytes first).
     pub fn from_stream(stream: TcpStream) -> Self {
-        Self { stream }
+        Self {
+            stream: BufReader::with_capacity(READ_BUFFER, stream),
+            inbound: Vec::new(),
+            outbound: Vec::new(),
+        }
     }
 
     /// A second handle over the same connection (shared socket) — one for
     /// a sender thread, one for a receiver thread.
+    ///
+    /// Each handle buffers what it reads, and bytes a handle has read
+    /// belong to it: a response one handle pulled off the socket is
+    /// invisible to the other. So any number of handles may
+    /// [`send`](Client::send), but exactly **one** may
+    /// [`recv`](Client::recv) — two receivers would split frames between
+    /// their buffers. The clone starts with an empty buffer; clone before
+    /// the first `recv`, or keep receiving on the original.
     pub fn try_clone(&self) -> io::Result<Self> {
-        Ok(Self {
-            stream: self.stream.try_clone()?,
-        })
+        Ok(Self::from_stream(self.stream.get_ref().try_clone()?))
     }
 
-    /// Sends one request frame.
+    /// Sends one request frame, in one write.
     pub fn send(&mut self, frame: &RequestFrame) -> Result<(), FrameError> {
-        write_frame(&mut self.stream, &encode_request(frame))?;
+        self.outbound.clear();
+        encode_request_into(&mut self.outbound, frame);
+        self.stream.get_mut().write_all(&self.outbound)?;
         Ok(())
     }
 
     /// Receives the next response frame; `Ok(None)` is a clean server
     /// close.
     pub fn recv(&mut self) -> Result<Option<ResponseFrame>, FrameError> {
-        match read_frame(&mut self.stream, MAX_RESPONSE_FRAME)? {
-            Some(body) => decode_response(&body).map(Some),
-            None => Ok(None),
+        if !read_frame_into(&mut self.stream, MAX_RESPONSE_FRAME, &mut self.inbound)? {
+            return Ok(None);
         }
+        decode_response(&self.inbound).map(Some)
     }
 
     /// Sends one request and blocks for its response.
@@ -72,16 +99,16 @@ impl Client {
     /// it with pipelined queries on the same connection (the next frame
     /// on the wire would be a query response, not the admin response).
     pub fn admin(&mut self, op: AdminOp, id: u64) -> Result<AdminResponse, FrameError> {
-        write_frame(
-            &mut self.stream,
-            &encode_admin_request(&AdminRequest::new(id, op)),
-        )?;
-        match read_frame(&mut self.stream, MAX_RESPONSE_FRAME)? {
-            Some(body) => decode_admin_response(&body),
-            None => Err(FrameError::Malformed(
+        self.outbound.clear();
+        let body = encode_admin_request(&AdminRequest::new(id, op));
+        frame_into(&mut self.outbound, &body);
+        self.stream.get_mut().write_all(&self.outbound)?;
+        if !read_frame_into(&mut self.stream, MAX_RESPONSE_FRAME, &mut self.inbound)? {
+            return Err(FrameError::Malformed(
                 "connection closed before admin response",
-            )),
+            ));
         }
+        decode_admin_response(&self.inbound)
     }
 
     /// Scrapes the merged net + serve + global registries as Prometheus
@@ -103,6 +130,6 @@ impl Client {
     /// Half-closes the write side, telling the server no more requests
     /// are coming; in-flight responses still arrive.
     pub fn finish_sending(&self) -> io::Result<()> {
-        self.stream.shutdown(std::net::Shutdown::Write)
+        self.stream.get_ref().shutdown(std::net::Shutdown::Write)
     }
 }

@@ -8,27 +8,43 @@
 //! * [`protocol`] — a length-prefixed binary protocol (request id,
 //!   tenant, relative deadline, query string). Decoding is panic-free by
 //!   construction; garbage gets a `BadFrame` response, never a crash.
+//!   A frame is assembled whole — prefix included — and costs one write;
+//!   read through a buffer, it costs one read, shared with whatever is
+//!   pipelined behind it.
 //! * [`queue`] — a bounded MPMC request queue: the one buffering point,
 //!   whose bound is the backpressure. Workers dequeue adaptive
 //!   micro-batches (whatever is queued, up to a cap).
 //! * [`admission`] — per-tenant token buckets, so one flooding tenant is
 //!   clipped to its rate while everyone else keeps their latency.
 //! * [`server`] — [`NetServer`]: listener, per-connection readers,
-//!   worker pool. Deadline-aware shedding happens at dequeue: a request
-//!   that already missed its deadline is answered `Shed` without
-//!   executing, and overload is answered `Overloaded` at admission time —
-//!   every decoded request gets exactly one explicit response, never
-//!   silent queueing.
+//!   worker pool. The reader that decoded a frame runs
+//!   [`fsi_serve::Server::begin`] and **answers there whatever needs no
+//!   kernel** — a cache hit, an invalid query, an unknown term, a
+//!   deadline already expired; only a cache miss is queued (with its
+//!   compiled expression) for a worker to [`fsi_serve::Server::finish`],
+//!   and a miss always is: the reader does bounded work only. Every
+//!   response is encoded once, straight from the result the cache
+//!   shares, into the connection's one reused buffer. Deadline-aware
+//!   shedding happens on arrival and again at dequeue: a request that
+//!   already missed its deadline is answered `Shed` without executing,
+//!   and overload is answered `Overloaded` at admission time — every
+//!   decoded request gets exactly one explicit response, never silent
+//!   queueing.
 //! * [`lifecycle`] — request-lifecycle observability ([`ObsConfig`]):
-//!   per-stage timestamps (`decode` → `queue` → `execute` → `write`),
-//!   per-tenant wait/service histograms behind a label-cardinality cap,
-//!   and tail-sampled retention into the [`fsi_obs::SlowLog`]. The
+//!   per-stage timestamps (`decode` → `queue` → `execute` → `write`; no
+//!   `queue` stage when the reader answered) exported as
+//!   `fsi_net_stage_ns{stage}`, `fsi_net_answered_total{by}`, per-tenant
+//!   wait/service histograms behind a label-cardinality cap, and
+//!   tail-sampled retention into the [`fsi_obs::SlowLog`]. The
 //!   in-band admin ops ([`protocol::AdminOp`]: `Metrics`, `Health`,
 //!   `SlowLog`) expose all of it over the same socket, bypassing
 //!   admission and the queue so scraping works under overload.
-//! * [`client`] — a small blocking [`Client`] for examples, tests, and
-//!   the SLO bench (`fsi-bench --bin slo`, which drives a real loopback
-//!   socket with an open-loop arrival schedule).
+//! * [`client`] — a small blocking [`Client`] for examples, tests, the
+//!   benchmark's load generator and the SLO bench (`fsi-bench --bin
+//!   slo`, which drives a real loopback socket with an open-loop arrival
+//!   schedule). Responses come back in completion order — a hit
+//!   overtakes the miss sent before it — so pipelining callers match on
+//!   the echoed id.
 //!
 //! ```no_run
 //! use std::sync::Arc;

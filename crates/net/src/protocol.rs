@@ -53,7 +53,7 @@
 //! bytes all surface as [`FrameError`] (pinned by the protocol fuzz suite
 //! in `crates/net/tests/protocol_fuzz.rs`).
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// First byte of every frame body.
 pub const MAGIC: u8 = 0xF5;
@@ -238,6 +238,57 @@ pub struct ResponseFrame {
     pub message: String,
 }
 
+impl ResponseFrame {
+    /// The frame as the encoder takes it.
+    pub fn borrowed(&self) -> ResponseRef<'_> {
+        ResponseRef {
+            status: self.status,
+            detail: self.detail,
+            flags: self.flags,
+            id: self.id,
+            latency_us: self.latency_us,
+            docs: &self.docs,
+            message: &self.message,
+        }
+    }
+}
+
+/// A response about to be encoded: [`ResponseFrame`]'s fields with the
+/// documents and the message borrowed, so a server can encode straight
+/// from a result it shares with its cache.
+#[derive(Debug, Clone, Copy)]
+pub struct ResponseRef<'a> {
+    /// What happened to the request.
+    pub status: Status,
+    /// Refinement of `status` (see [`ResponseFrame::detail`]).
+    pub detail: u8,
+    /// Response flags; the encoder adds [`FLAG_DOCS_TRUNCATED`] itself.
+    pub flags: u8,
+    /// The request id this responds to.
+    pub id: u64,
+    /// Server-measured service latency in microseconds (saturating).
+    pub latency_us: u32,
+    /// Matching document ids, ascending.
+    pub docs: &'a [u32],
+    /// Human-readable detail for error statuses.
+    pub message: &'a str,
+}
+
+impl ResponseRef<'static> {
+    /// A response with no documents and no message — every refusal.
+    pub fn empty(status: Status, detail: u8, id: u64) -> Self {
+        Self {
+            status,
+            detail,
+            flags: 0,
+            id,
+            latency_us: 0,
+            docs: &[],
+            message: "",
+        }
+    }
+}
+
 /// An admin operation, carried in the `op` byte of admin frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -312,11 +363,30 @@ pub enum ClientFrame {
 
 // -- body encoding ----------------------------------------------------------
 
-/// Encodes a request body (no length prefix).
-pub fn encode_request(frame: &RequestFrame) -> Vec<u8> {
+/// Appends one whole frame to `buf`: the length prefix, then whatever
+/// `body` appends. Frames are assembled in memory and leave in a single
+/// write — with `TCP_NODELAY` every write is a segment, and a peer woken
+/// by a bare prefix only blocks again for the body.
+fn framed(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    body(buf);
+    let len = (buf.len() - at - 4) as u32;
+    if let Some(prefix) = buf.get_mut(at..at + 4) {
+        prefix.copy_from_slice(&len.to_le_bytes());
+    }
+}
+
+/// Appends an already-encoded body to `buf` as one frame (length prefix,
+/// then the body).
+pub fn frame_into(buf: &mut Vec<u8>, body: &[u8]) {
+    framed(buf, |out| out.extend_from_slice(body));
+}
+
+fn put_request(out: &mut Vec<u8>, frame: &RequestFrame) {
     let query = frame.query.as_bytes();
     let qlen = query.len().min(u16::MAX as usize);
-    let mut out = Vec::with_capacity(REQUEST_HEADER + qlen);
+    out.reserve(REQUEST_HEADER + qlen);
     out.push(MAGIC);
     out.push(VERSION);
     out.push(KIND_REQUEST);
@@ -330,32 +400,59 @@ pub fn encode_request(frame: &RequestFrame) -> Vec<u8> {
     out.extend_from_slice(&frame.deadline_us.to_le_bytes());
     out.extend_from_slice(&(qlen as u16).to_le_bytes());
     out.extend_from_slice(&query[..qlen]);
+}
+
+/// Encodes a request body (no length prefix).
+pub fn encode_request(frame: &RequestFrame) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_request(&mut out, frame);
     out
+}
+
+/// Appends a request to `buf` as one whole frame, length prefix included.
+pub fn encode_request_into(buf: &mut Vec<u8>, frame: &RequestFrame) {
+    framed(buf, |out| put_request(out, frame));
+}
+
+fn put_response(out: &mut Vec<u8>, resp: &ResponseRef<'_>) {
+    let ndocs = resp.docs.len().min(MAX_RESPONSE_DOCS);
+    let truncated = ndocs < resp.docs.len();
+    let msg = resp.message.as_bytes();
+    let mlen = msg.len().min(u16::MAX as usize);
+    out.reserve(RESPONSE_HEADER + ndocs * 4 + 2 + mlen);
+    out.push(MAGIC);
+    out.push(VERSION);
+    out.push(KIND_RESPONSE);
+    out.push(resp.status as u8);
+    out.push(resp.detail);
+    out.push(resp.flags | if truncated { FLAG_DOCS_TRUNCATED } else { 0 });
+    out.extend_from_slice(&resp.id.to_le_bytes());
+    out.extend_from_slice(&resp.latency_us.to_le_bytes());
+    out.extend_from_slice(&(ndocs as u32).to_le_bytes());
+    // The documents in bulk: fixed-width chunks the compiler turns into a
+    // straight copy on a little-endian target.
+    let at = out.len();
+    out.resize(at + ndocs * 4, 0);
+    for (slot, doc) in out[at..].chunks_exact_mut(4).zip(resp.docs) {
+        slot.copy_from_slice(&doc.to_le_bytes());
+    }
+    out.extend_from_slice(&(mlen as u16).to_le_bytes());
+    out.extend_from_slice(&msg[..mlen]);
 }
 
 /// Encodes a response body (no length prefix), truncating the document
 /// list to [`MAX_RESPONSE_DOCS`] with [`FLAG_DOCS_TRUNCATED`] set.
 pub fn encode_response(frame: &ResponseFrame) -> Vec<u8> {
-    let ndocs = frame.docs.len().min(MAX_RESPONSE_DOCS);
-    let truncated = ndocs < frame.docs.len();
-    let msg = frame.message.as_bytes();
-    let mlen = msg.len().min(u16::MAX as usize);
-    let mut out = Vec::with_capacity(RESPONSE_HEADER + ndocs * 4 + mlen);
-    out.push(MAGIC);
-    out.push(VERSION);
-    out.push(KIND_RESPONSE);
-    out.push(frame.status as u8);
-    out.push(frame.detail);
-    out.push(frame.flags | if truncated { FLAG_DOCS_TRUNCATED } else { 0 });
-    out.extend_from_slice(&frame.id.to_le_bytes());
-    out.extend_from_slice(&frame.latency_us.to_le_bytes());
-    out.extend_from_slice(&(ndocs as u32).to_le_bytes());
-    for doc in frame.docs.iter().take(ndocs) {
-        out.extend_from_slice(&doc.to_le_bytes());
-    }
-    out.extend_from_slice(&(mlen as u16).to_le_bytes());
-    out.extend_from_slice(&msg[..mlen]);
+    let mut out = Vec::new();
+    put_response(&mut out, &frame.borrowed());
     out
+}
+
+/// Appends a response to `buf` as one whole frame, length prefix
+/// included — the same bytes as [`encode_response`] behind the prefix,
+/// written once, from wherever the documents already live.
+pub fn encode_response_into(buf: &mut Vec<u8>, resp: &ResponseRef<'_>) {
+    framed(buf, |out| put_response(out, resp));
 }
 
 /// Encodes an admin request body (no length prefix).
@@ -561,11 +658,17 @@ pub fn decode_client_frame(body: &[u8]) -> Result<ClientFrame, FrameError> {
 
 // -- transport framing -------------------------------------------------------
 
-/// Reads one length-prefixed frame body. `Ok(None)` is a clean EOF at a
+/// Reads one length-prefixed frame body into `body`, replacing its
+/// contents and reusing its allocation. `Ok(false)` is a clean EOF at a
 /// frame boundary; EOF mid-frame is an error. A length prefix above `max`
-/// is rejected **before** any allocation — a hostile 4 GiB prefix costs
-/// nothing.
-pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, FrameError> {
+/// is rejected **before** `body` grows — a hostile 4 GiB prefix costs
+/// nothing. Hand it a [`std::io::BufReader`]: the prefix and the body then
+/// come out of one socket read, and so do the frames pipelined behind them.
+pub fn read_frame_into(
+    r: &mut impl Read,
+    max: usize,
+    body: &mut Vec<u8>,
+) -> Result<bool, FrameError> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
     while filled < len_buf.len() {
@@ -574,7 +677,7 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, Fram
         let n = r.read(len_buf.get_mut(filled..).unwrap_or(&mut []))?;
         if n == 0 {
             if filled == 0 {
-                return Ok(None);
+                return Ok(false);
             }
             return Err(FrameError::Malformed("EOF inside length prefix"));
         }
@@ -587,16 +690,10 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, Fram
             max: max as u32,
         });
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    Ok(Some(body))
-}
-
-/// Writes one length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
-    w.flush()
+    body.clear();
+    body.resize(len as usize, 0);
+    r.read_exact(body)?;
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -696,31 +793,53 @@ mod tests {
         let mut wire = Vec::new();
         wire.extend_from_slice(&u32::MAX.to_le_bytes());
         wire.extend_from_slice(&[0u8; 16]);
-        let err = read_frame(&mut wire.as_slice(), MAX_REQUEST_FRAME).expect_err("too large");
+        let mut body = Vec::new();
+        let err = read_frame_into(&mut wire.as_slice(), MAX_REQUEST_FRAME, &mut body)
+            .expect_err("too large");
         assert!(matches!(err, FrameError::TooLarge { len: u32::MAX, .. }));
+        assert_eq!(body.capacity(), 0, "rejected before the buffer grew");
     }
 
     #[test]
     fn framing_round_trips_and_eof_is_clean_only_at_boundaries() {
-        let body = encode_request(&RequestFrame::query(5, "1 AND 2"));
+        let frame = RequestFrame::query(5, "1 AND 2");
+        let body = encode_request(&frame);
         let mut wire = Vec::new();
-        write_frame(&mut wire, &body).expect("write");
-        write_frame(&mut wire, &body).expect("write");
+        frame_into(&mut wire, &body);
+        encode_request_into(&mut wire, &frame);
+        assert_eq!(wire.len(), 2 * (4 + body.len()), "prefix + body, twice");
         let mut r = wire.as_slice();
-        assert_eq!(
-            read_frame(&mut r, MAX_REQUEST_FRAME).expect("frame 1"),
-            Some(body.clone())
-        );
-        assert_eq!(
-            read_frame(&mut r, MAX_REQUEST_FRAME).expect("frame 2"),
-            Some(body.clone())
-        );
-        assert_eq!(read_frame(&mut r, MAX_REQUEST_FRAME).expect("eof"), None);
+        let mut got = Vec::new();
+        for _ in 0..2 {
+            assert!(read_frame_into(&mut r, MAX_REQUEST_FRAME, &mut got).expect("frame"));
+            assert_eq!(got, body, "the into-buffer encoder frames the same body");
+        }
+        assert!(!read_frame_into(&mut r, MAX_REQUEST_FRAME, &mut got).expect("eof"));
         // EOF mid-prefix and mid-body are errors.
         let mut cut = wire.get(..2).expect("slice");
-        assert!(read_frame(&mut cut, MAX_REQUEST_FRAME).is_err());
+        assert!(read_frame_into(&mut cut, MAX_REQUEST_FRAME, &mut got).is_err());
         let mut cut = wire.get(..10).expect("slice");
-        assert!(read_frame(&mut cut, MAX_REQUEST_FRAME).is_err());
+        assert!(read_frame_into(&mut cut, MAX_REQUEST_FRAME, &mut got).is_err());
+    }
+
+    #[test]
+    fn response_frames_encode_once_with_the_prefix_in_place() {
+        let frame = ResponseFrame {
+            status: Status::Ok,
+            detail: DETAIL_CACHE_HIT,
+            flags: 0,
+            id: 77,
+            latency_us: 12,
+            docs: (0..1000u32).map(|d| d * 3).collect(),
+            message: String::new(),
+        };
+        // Appended behind whatever the buffer already holds.
+        let mut wire = vec![0xAA];
+        encode_response_into(&mut wire, &frame.borrowed());
+        let body = encode_response(&frame);
+        assert_eq!(wire[1..5], (body.len() as u32).to_le_bytes());
+        assert_eq!(wire[5..], body);
+        assert_eq!(decode_response(&wire[5..]).expect("round trip"), frame);
     }
 
     #[test]

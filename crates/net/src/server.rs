@@ -1,49 +1,75 @@
 //! The TCP front door: listener, connection readers, bounded request
-//! queue, and worker pool, all feeding [`fsi_serve::Server::execute`].
+//! queue, and worker pool, feeding the two halves of
+//! [`fsi_serve::Server::execute`].
 //!
 //! The request lifecycle, end to end:
 //!
-//! 1. A connection reader decodes one length-prefixed frame at a time.
-//!    Malformed frames get a [`Status::BadFrame`] response and close the
-//!    connection; well-formed frames pass admission control. Admin
+//! 1. **Decode**: a connection reader takes one length-prefixed frame at a
+//!    time out of a buffered socket (one read serves the prefix, the body
+//!    and whatever is pipelined behind them). Malformed frames get a
+//!    [`Status::BadFrame`] response and close the connection. Admin
 //!    frames ([`crate::protocol::AdminOp`]) are answered inline by the
 //!    reader, bypassing admission and the queue — scraping must work
 //!    exactly when the server is overloaded.
 //! 2. **Admission**: a tenant whose token bucket is empty gets
 //!    [`Status::Overloaded`] immediately — cheaper for everyone than
 //!    queueing work that will be shed later.
-//! 3. **Queueing**: the bounded queue is the only buffering point. A full
-//!    queue answers [`Status::Overloaded`] at push time.
-//! 4. **Execution**: workers pop adaptive micro-batches. A request whose
-//!    deadline has already expired is shed on dequeue
+//! 3. **Begin**, still on the reader: [`fsi_serve::Server::begin`] checks
+//!    the deadline, compiles the query, and probes the result cache.
+//!    Whatever that settles — a cache hit, an invalid query, an unknown
+//!    term, a deadline already expired on arrival, a plain `EXPLAIN` —
+//!    **is answered here**, by the thread that read the frame: no queue,
+//!    no hand-off, no second thread woken. This is work bounded by the
+//!    size of the request.
+//! 4. **Queueing**: a cache miss — the one outcome that needs the kernels,
+//!    work bounded only by the index — goes onto the bounded queue
+//!    carrying its compiled expression. The queue is the only buffering
+//!    point; a full queue answers [`Status::Overloaded`] at push time.
+//!    The reader never evaluates a miss itself, not even on an idle
+//!    server: it is the only thread that can dispatch for its
+//!    connection, and a connection multiplexing many callers would stall
+//!    them all behind one intersection (measured: see `docs/serving.md`).
+//! 5. **Finish**: workers pop adaptive micro-batches. A request whose
+//!    deadline expired while it waited is shed on dequeue
 //!    ([`Status::Shed`], nothing executed); the rest run through
-//!    [`fsi_serve::Server::execute`] and answer [`Status::Ok`] or
-//!    [`Status::InvalidQuery`].
+//!    [`fsi_serve::Server::finish`] and answer [`Status::Ok`].
+//! 6. **Write**: whichever thread answers encodes the response **once** —
+//!    header, length prefix, and the documents straight out of the
+//!    `Arc` the result cache shares — into the connection's one reused
+//!    buffer, and it leaves in one `write`, under the connection's
+//!    writer lock so frames never interleave.
 //!
 //! Every decoded frame gets exactly one response; requests from one
 //! connection may be answered out of order (match on the echoed request
-//! id), since independent workers finish at their own pace.
+//! id): independent workers finish at their own pace, and a hit overtakes
+//! the miss queued before it.
 //!
 //! Each request additionally carries a lifecycle context
-//! (`crate::lifecycle::Lifecycle`) stamping the stage boundaries (`decode` → `queue` →
-//! `execute` → `write`); completions feed per-tenant wait/service
-//! histograms and the tail sampler decides which records the
-//! [`fsi_obs::SlowLog`] retains. Setting
+//! (`crate::lifecycle::Lifecycle`) stamping the stage boundaries
+//! (`decode` → `queue` → `execute` → `write`, with no `queue` stage when
+//! the reader answered); completions feed `fsi_net_stage_ns`, the
+//! per-tenant wait/service histograms and
+//! `fsi_net_answered_total{by="reader"|"worker"}`, and the tail sampler
+//! decides which records the [`fsi_obs::SlowLog`] retains. Setting
 //! [`ObsConfig::lifecycle`](crate::ObsConfig) to `false` strips all of
 //! it — the baseline side of the instrumented-vs-stripped bench gate.
 
 use crate::admission::Admission;
-use crate::lifecycle::{Lifecycle, NetObs, ObsConfig};
+use crate::lifecycle::{
+    AnsweredBy, Lifecycle, NetObs, ObsConfig, RecentTenant, StageKind, TenantOutcome, Verdict,
+};
 use crate::protocol::{
-    decode_client_frame, encode_admin_response, encode_response, read_frame, write_frame, AdminOp,
-    AdminRequest, AdminResponse, ClientFrame, FrameError, ResponseFrame, Status,
-    DETAIL_CACHE_BYPASSED, DETAIL_CACHE_DISABLED, DETAIL_CACHE_HIT, DETAIL_CACHE_MISS,
+    decode_client_frame, encode_admin_response, encode_response_into, frame_into, read_frame_into,
+    AdminOp, AdminRequest, AdminResponse, ClientFrame, FrameError, RequestFrame, ResponseRef,
+    Status, DETAIL_CACHE_BYPASSED, DETAIL_CACHE_DISABLED, DETAIL_CACHE_HIT, DETAIL_CACHE_MISS,
     DETAIL_SHED_ADMISSION, DETAIL_SHED_DEADLINE, DETAIL_SHED_QUEUE_FULL, MAX_REQUEST_FRAME,
 };
 use crate::queue::BoundedQueue;
-use fsi_obs::{Registry, SlowLogEntry, Snapshot};
-use fsi_serve::{CacheOutcome, Disposition, Request, ShedReason};
-use std::io;
+use fsi_obs::{SlowLogEntry, Snapshot};
+use fsi_serve::{
+    Begun, CacheOutcome, Disposition, Miss, QueryError, QueryInput, Request, Response, ShedReason,
+};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -90,23 +116,94 @@ impl Default for NetConfig {
     }
 }
 
-/// One admitted request waiting for a worker.
-struct Pending {
-    frame: crate::protocol::RequestFrame,
-    writer: Arc<Mutex<TcpStream>>,
-    deadline: Option<Instant>,
+/// A response buffer that grew past this (one huge result) is released
+/// after the write instead of being kept for the life of the connection.
+const SCRATCH_KEEP: usize = 1 << 20;
+
+/// The one writer of a connection: the socket's write half and the
+/// buffer every response is encoded into, behind one lock. Whichever
+/// thread answers a request — the reader or a worker — encodes under the
+/// lock and writes the frame whole, so frames never interleave and each
+/// is one `write`.
+struct ConnWriter {
+    out: Mutex<Outbound>,
+}
+
+struct Outbound {
+    stream: TcpStream,
+    scratch: Vec<u8>,
+}
+
+impl ConnWriter {
+    fn new(stream: TcpStream) -> Self {
+        Self {
+            out: Mutex::new(Outbound {
+                stream,
+                scratch: Vec::new(),
+            }),
+        }
+    }
+
+    /// Encodes one frame with `encode` and writes it. Write errors are
+    /// swallowed: the client hung up, and closing is its acknowledgement.
+    fn send(&self, encode: impl FnOnce(&mut Vec<u8>)) {
+        let Ok(mut out) = self.out.lock() else { return };
+        let Outbound { stream, scratch } = &mut *out;
+        scratch.clear();
+        encode(scratch);
+        let _ = stream.write_all(scratch);
+        if scratch.capacity() > SCRATCH_KEEP {
+            *scratch = Vec::new();
+        }
+    }
+
+    fn shutdown(&self) {
+        if let Ok(out) = self.out.lock() {
+            let _ = out.stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// One decoded request on its way to a response: what the wire said, the
+/// serve-side request built from it (which owns the query text), and the
+/// lifecycle stamps so far.
+struct Ticket {
+    id: u64,
+    request: Request,
     lifecycle: Option<Lifecycle>,
+}
+
+impl Ticket {
+    fn stage(&mut self, kind: StageKind) {
+        if let Some(lc) = &mut self.lifecycle {
+            lc.stage(kind);
+        }
+    }
+}
+
+/// One cache miss waiting for a worker, compiled expression and all.
+struct Pending {
+    ticket: Ticket,
+    miss: Miss,
+    writer: Arc<ConnWriter>,
 }
 
 /// Everything a connection reader needs, shared across connections.
 struct ConnCtx {
     queue: Arc<BoundedQueue<Pending>>,
     obs: Arc<NetObs>,
-    admission: Arc<Admission>,
+    admission: Admission,
     serve: Arc<fsi_serve::Server>,
     default_deadline: Option<Duration>,
     queue_capacity: usize,
     workers: usize,
+}
+
+/// An accepted connection as the server tracks it: a handle on the socket
+/// (to shut it down at stop) and its reader thread.
+struct Conn {
+    stream: TcpStream,
+    reader: JoinHandle<()>,
 }
 
 /// A running TCP serving stack over one [`fsi_serve::Server`].
@@ -119,10 +216,9 @@ pub struct NetServer {
     queue: Arc<BoundedQueue<Pending>>,
     obs: Arc<NetObs>,
     serve: Arc<fsi_serve::Server>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Arc<Mutex<Vec<Conn>>>,
     accept_handle: Mutex<Option<JoinHandle<()>>>,
     worker_handles: Mutex<Vec<JoinHandle<()>>>,
-    reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl std::fmt::Debug for NetServer {
@@ -150,8 +246,6 @@ impl NetServer {
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let obs = Arc::new(NetObs::new(&config.obs));
         let conns = Arc::new(Mutex::new(Vec::new()));
-        let admission = Arc::new(Admission::new(config.tenant_rate, config.tenant_burst));
-        let reader_handles = Arc::new(Mutex::new(Vec::new()));
 
         let worker_handles = (0..workers)
             .map(|_| {
@@ -161,11 +255,9 @@ impl NetServer {
                 let batch_max = config.batch_max;
                 std::thread::spawn(move || {
                     while let Some(batch) = queue.pop_batch(batch_max) {
-                        obs.registry
-                            .histogram("fsi_net_batch_size", &[])
-                            .record(batch.len() as u64);
+                        obs.record_batch(batch.len());
                         for pending in batch {
-                            execute_pending(&serve, &obs, pending);
+                            finish_pending(&serve, &obs, pending);
                         }
                     }
                 })
@@ -175,7 +267,7 @@ impl NetServer {
         let ctx = Arc::new(ConnCtx {
             queue: Arc::clone(&queue),
             obs: Arc::clone(&obs),
-            admission,
+            admission: Admission::new(config.tenant_rate, config.tenant_burst),
             serve: Arc::clone(&serve),
             default_deadline: config.default_deadline,
             queue_capacity: config.queue_capacity,
@@ -185,7 +277,6 @@ impl NetServer {
         let accept_handle = {
             let shutdown = Arc::clone(&shutdown);
             let conns = Arc::clone(&conns);
-            let reader_handles = Arc::clone(&reader_handles);
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
                     if shutdown.load(Ordering::SeqCst) {
@@ -199,17 +290,25 @@ impl NetServer {
                         .registry
                         .counter("fsi_net_connections_total", &[])
                         .inc();
-                    if let Ok(reg) = stream.try_clone() {
-                        if let Ok(mut conns) = conns.lock() {
-                            conns.push(reg);
-                        }
-                    }
-                    let ctx = Arc::clone(&ctx);
-                    let handle = std::thread::spawn(move || {
-                        read_connection(stream, &ctx);
-                    });
-                    if let Ok(mut readers) = reader_handles.lock() {
-                        readers.push(handle);
+                    // Without a second handle the connection could not be
+                    // shut down at stop; refuse it rather than leak it.
+                    let Ok(handle) = stream.try_clone() else {
+                        continue;
+                    };
+                    ctx.obs.open_connections.fetch_add(1, Ordering::Relaxed);
+                    let reader = {
+                        let ctx = Arc::clone(&ctx);
+                        std::thread::spawn(move || {
+                            read_connection(stream, &ctx);
+                            ctx.obs.open_connections.fetch_sub(1, Ordering::Relaxed);
+                        })
+                    };
+                    if let Ok(mut conns) = conns.lock() {
+                        reap(&mut conns);
+                        conns.push(Conn {
+                            stream: handle,
+                            reader,
+                        });
                     }
                 }
             })
@@ -224,7 +323,6 @@ impl NetServer {
             conns,
             accept_handle: Mutex::new(Some(accept_handle)),
             worker_handles: Mutex::new(worker_handles),
-            reader_handles,
         })
     }
 
@@ -238,6 +336,14 @@ impl NetServer {
         self.queue.len()
     }
 
+    /// Connections the server still holds a socket and a reader thread
+    /// for: the open ones, plus those closed since the last accept (the
+    /// accept loop reaps — joins the reader, drops the socket — as it
+    /// goes).
+    pub fn tracked_connections(&self) -> usize {
+        self.conns.lock().map_or(0, |conns| conns.len())
+    }
+
     /// One snapshot of the whole stack: the front door's own counters
     /// (`fsi_net_*`) merged with the serving engine's registry and the
     /// process-global registry (kernel dispatch, plan kinds) — the same
@@ -245,10 +351,7 @@ impl NetServer {
     /// text. The namespaces are disjoint by convention (`fsi_net_*` vs
     /// everything else), so the merge never collides.
     pub fn metrics(&self) -> Snapshot {
-        let mut snap = self.obs.registry.snapshot();
-        // `Server::metrics` already folds in `Registry::global()`.
-        snap.merge_from(&self.serve.metrics());
-        snap
+        metrics_snapshot(&self.obs, &self.serve)
     }
 
     /// A point-in-time copy of the retained slow-log entries, oldest
@@ -276,10 +379,12 @@ impl NetServer {
         }
         // Shut every connection down: blocked readers and writers unblock
         // with an error and exit.
-        if let Ok(conns) = self.conns.lock() {
-            for conn in conns.iter() {
-                let _ = conn.shutdown(Shutdown::Both);
-            }
+        let conns: Vec<Conn> = match self.conns.lock() {
+            Ok(mut g) => g.drain(..).collect(),
+            Err(_) => Vec::new(),
+        };
+        for conn in &conns {
+            let _ = conn.stream.shutdown(Shutdown::Both);
         }
         // Workers drain what is queued, then see the closed queue and
         // exit.
@@ -291,12 +396,8 @@ impl NetServer {
         for h in workers {
             let _ = h.join();
         }
-        let readers: Vec<_> = match self.reader_handles.lock() {
-            Ok(mut g) => g.drain(..).collect(),
-            Err(_) => Vec::new(),
-        };
-        for h in readers {
-            let _ = h.join();
+        for conn in conns {
+            let _ = conn.reader.join();
         }
     }
 }
@@ -307,55 +408,43 @@ impl Drop for NetServer {
     }
 }
 
-/// Writes one response frame under the connection's writer lock, so
-/// frames from concurrent workers never interleave mid-frame. Write
-/// errors are swallowed: the client hung up, and closing is its
-/// acknowledgement.
-fn respond(writer: &Mutex<TcpStream>, registry: &Registry, frame: &ResponseFrame) {
-    let status = match frame.status {
-        Status::Ok => "ok",
-        Status::Shed => "shed",
-        Status::Overloaded => "overloaded",
-        Status::InvalidQuery => "invalid_query",
-        Status::BadFrame => "bad_frame",
-    };
-    registry
-        .counter("fsi_net_responses_total", &[("status", status)])
-        .inc();
-    let body = encode_response(frame);
-    if let Ok(mut stream) = writer.lock() {
-        let _ = write_frame(&mut *stream, &body);
+/// Forgets the connections whose reader has exited: joins the thread and
+/// drops the server's handle on the socket, so a server that has seen a
+/// million short connections holds a handful of entries, not a million
+/// file descriptors.
+fn reap(conns: &mut Vec<Conn>) {
+    let (done, open): (Vec<Conn>, Vec<Conn>) = std::mem::take(conns)
+        .into_iter()
+        .partition(|conn| conn.reader.is_finished());
+    *conns = open;
+    for conn in done {
+        let _ = conn.reader.join();
     }
 }
 
-fn shed_frame(status: Status, detail: u8, id: u64) -> ResponseFrame {
-    ResponseFrame {
-        status,
-        detail,
-        flags: 0,
-        id,
-        latency_us: 0,
-        docs: Vec::new(),
-        message: String::new(),
-    }
+/// The net + serve + global registries in one snapshot, with the gauges
+/// that are kept as plain atomics set first.
+fn metrics_snapshot(obs: &NetObs, serve: &fsi_serve::Server) -> Snapshot {
+    obs.registry
+        .gauge("fsi_net_connections_open", &[])
+        .set(obs.open_connections.load(Ordering::Relaxed) as u64);
+    let mut snap = obs.registry.snapshot();
+    // `Server::metrics` already folds in `Registry::global()`, so one
+    // scrape sees net + serve + kernels/planner.
+    snap.merge_from(&serve.metrics());
+    snap
 }
 
 /// Answers one admin request inline on the reader thread: no admission,
 /// no queueing — the whole point of the in-band surface is that it works
 /// while the data path is overloaded.
-fn handle_admin(ctx: &ConnCtx, writer: &Mutex<TcpStream>, req: AdminRequest) {
+fn handle_admin(ctx: &ConnCtx, writer: &ConnWriter, req: AdminRequest) {
     ctx.obs
         .registry
         .counter("fsi_net_admin_requests_total", &[("op", req.op.name())])
         .inc();
     let payload = match req.op {
-        AdminOp::Metrics => {
-            let mut snap = ctx.obs.registry.snapshot();
-            // `Server::metrics` already folds in `Registry::global()`, so
-            // one scrape sees net + serve + kernels/planner.
-            snap.merge_from(&ctx.serve.metrics());
-            snap.to_prometheus()
-        }
+        AdminOp::Metrics => metrics_snapshot(&ctx.obs, &ctx.serve).to_prometheus(),
         AdminOp::Health => {
             let uptime_us = ctx
                 .obs
@@ -364,10 +453,11 @@ fn handle_admin(ctx: &ConnCtx, writer: &Mutex<TcpStream>, req: AdminRequest) {
                 .as_micros()
                 .min(u128::from(u64::MAX));
             format!(
-                "{{\"status\": \"ok\", \"uptime_us\": {}, \"queue_depth\": {}, \
-                 \"queue_capacity\": {}, \"workers\": {}, \"lifecycle\": {}, \
-                 \"slowlog_entries\": {}, \"slowlog_capacity\": {}}}",
+                "{{\"status\": \"ok\", \"uptime_us\": {}, \"connections\": {}, \
+                 \"queue_depth\": {}, \"queue_capacity\": {}, \"workers\": {}, \
+                 \"lifecycle\": {}, \"slowlog_entries\": {}, \"slowlog_capacity\": {}}}",
                 uptime_us,
+                ctx.obs.open_connections.load(Ordering::Relaxed),
                 ctx.queue.len(),
                 ctx.queue_capacity,
                 ctx.workers,
@@ -383,196 +473,97 @@ fn handle_admin(ctx: &ConnCtx, writer: &Mutex<TcpStream>, req: AdminRequest) {
         op: req.op,
         payload,
     });
-    if let Ok(mut stream) = writer.lock() {
-        let _ = write_frame(&mut *stream, &body);
-    }
+    writer.send(|buf| frame_into(buf, &body));
 }
 
-/// One connection's read loop: frame → decode → admission → enqueue
-/// (query frames) or inline answer (admin frames).
-fn read_connection(stream: TcpStream, ctx: &ConnCtx) {
-    let mut reader = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
+/// Oversized or malformed framing: the stream can no longer be trusted to
+/// re-synchronize. One `BadFrame` response (id 0: no frame was decoded to
+/// echo), then close.
+fn refuse_connection(obs: &NetObs, writer: &ConnWriter, error: &FrameError) {
+    obs.count_bad_frame();
+    let message = error.to_string();
+    let resp = ResponseRef {
+        message: &message,
+        ..ResponseRef::empty(Status::BadFrame, 0, 0)
     };
-    let writer = Arc::new(Mutex::new(stream));
-    let registry = &ctx.obs.registry;
-    loop {
-        let body = match read_frame(&mut reader, MAX_REQUEST_FRAME) {
-            Ok(Some(body)) => body,
-            // Clean EOF at a frame boundary, or the transport died: either
-            // way the conversation is over.
-            Ok(None) | Err(FrameError::Io(_)) => return,
-            Err(e) => {
-                // Oversized or malformed framing: the stream can no longer
-                // be trusted to re-synchronize. One BadFrame response (id
-                // 0: no frame was decoded to echo), then close.
-                registry.counter("fsi_net_frames_bad_total", &[]).inc();
-                let mut frame = shed_frame(Status::BadFrame, 0, 0);
-                frame.message = e.to_string();
-                respond(&writer, registry, &frame);
-                if let Ok(s) = writer.lock() {
-                    let _ = s.shutdown(Shutdown::Both);
-                }
-                return;
-            }
-        };
-        // The lifecycle origin: the whole frame is in hand, decode starts.
-        let origin = Instant::now();
-        let frame = match decode_client_frame(&body) {
-            Ok(ClientFrame::Admin(req)) => {
-                handle_admin(ctx, &writer, req);
-                continue;
-            }
-            Ok(ClientFrame::Query(frame)) => frame,
-            Err(e) => {
-                registry.counter("fsi_net_frames_bad_total", &[]).inc();
-                let mut frame = shed_frame(Status::BadFrame, 0, 0);
-                frame.message = e.to_string();
-                respond(&writer, registry, &frame);
-                if let Ok(s) = writer.lock() {
-                    let _ = s.shutdown(Shutdown::Both);
-                }
-                return;
-            }
-        };
-        registry.counter("fsi_net_requests_total", &[]).inc();
-        let mut lifecycle = ctx.obs.begin(origin);
-        let now = Instant::now();
-        let admitted = ctx.admission.admit(frame.tenant, now);
-        if let Some(lc) = &mut lifecycle {
-            lc.stage("decode");
-        }
-        if !admitted {
-            ctx.obs.tenant_outcome(frame.tenant, "rejected");
-            respond(
-                &writer,
-                registry,
-                &shed_frame(Status::Overloaded, DETAIL_SHED_ADMISSION, frame.id),
-            );
-            if let Some(lc) = &mut lifecycle {
-                lc.stage("write");
-            }
-            ctx.obs.finish(
-                lifecycle,
-                frame.id,
-                frame.tenant,
-                &frame.query,
-                "overloaded",
-                "admission_denied",
-                "",
-                None,
-            );
-            continue;
-        }
-        let deadline = if frame.deadline_us > 0 {
-            Some(now + Duration::from_micros(u64::from(frame.deadline_us)))
-        } else {
-            ctx.default_deadline.map(|d| now + d)
-        };
-        if let Some(lc) = &mut lifecycle {
-            lc.queue_depth = ctx.queue.len();
-        }
-        let (id, tenant) = (frame.id, frame.tenant);
-        match ctx.queue.push(Pending {
-            frame,
-            writer: Arc::clone(&writer),
-            deadline,
-            lifecycle,
-        }) {
-            Ok(()) => ctx.obs.tenant_outcome(tenant, "admitted"),
-            Err(rejected) => {
-                ctx.obs.tenant_outcome(tenant, "shed");
-                respond(
-                    &writer,
-                    registry,
-                    &shed_frame(Status::Overloaded, DETAIL_SHED_QUEUE_FULL, id),
-                );
-                let Pending {
-                    frame,
-                    mut lifecycle,
-                    ..
-                } = rejected;
-                if let Some(lc) = &mut lifecycle {
-                    lc.stage("write");
-                }
-                ctx.obs.finish(
-                    lifecycle,
-                    id,
-                    tenant,
-                    &frame.query,
-                    "overloaded",
-                    "queue_full",
-                    "",
-                    None,
-                );
-            }
-        }
+    writer.send(|buf| encode_response_into(buf, &resp));
+    writer.shutdown();
+}
+
+/// The query text a ticket's request was built from.
+fn query_text(request: &Request) -> &str {
+    match &request.input {
+        QueryInput::Text(query) => query,
+        QueryInput::Terms(_) | QueryInput::Norm(_) => "",
     }
 }
 
-/// Executes one dequeued request and writes its response.
-fn execute_pending(serve: &fsi_serve::Server, obs: &NetObs, pending: Pending) {
-    let Pending {
-        frame,
-        writer,
-        deadline,
-        mut lifecycle,
-    } = pending;
-    // Close the queue stage first: everything since the reader handed the
-    // request over was wait time.
-    if let Some(lc) = &mut lifecycle {
-        lc.stage("queue");
+/// Writes one request's response and closes its books: the response and
+/// answered-by counters, the `write` stage, the lifecycle's histograms
+/// and slow-log retention.
+fn deliver(
+    obs: &NetObs,
+    writer: &ConnWriter,
+    by: AnsweredBy,
+    mut ticket: Ticket,
+    resp: &ResponseRef<'_>,
+    verdict: Verdict,
+) {
+    obs.count_response(resp.status, by);
+    writer.send(|buf| encode_response_into(buf, resp));
+    ticket.stage(StageKind::Write);
+    if let Some(lifecycle) = ticket.lifecycle {
+        let request = &ticket.request;
+        let query = query_text(request);
+        obs.finish(lifecycle, ticket.id, request.options.tenant, query, verdict);
     }
-    let registry = &obs.registry;
-    // Drop-on-dequeue: a request that already missed its deadline is shed
-    // here, before any execution — the whole point of deadline-aware
-    // shedding is to spend capacity only on requests that can still
-    // succeed.
-    if let Some(deadline) = deadline {
-        if Instant::now() >= deadline {
-            registry
-                .counter("fsi_net_shed_total", &[("reason", "deadline_expired")])
-                .inc();
-            obs.tenant_outcome(frame.tenant, "shed");
-            respond(
-                &writer,
-                registry,
-                &shed_frame(Status::Shed, DETAIL_SHED_DEADLINE, frame.id),
-            );
-            if let Some(lc) = &mut lifecycle {
-                lc.stage("write");
-            }
-            obs.finish(
-                lifecycle,
-                frame.id,
-                frame.tenant,
-                &frame.query,
+}
+
+/// Answers a request that is turned away rather than served — admission
+/// denied, queue full, deadline expired (on arrival, or in the queue).
+fn refuse(obs: &NetObs, writer: &ConnWriter, by: AnsweredBy, ticket: Ticket, reason: ShedReason) {
+    let (status, detail, outcome, tenant_outcome) = match reason {
+        ShedReason::AdmissionDenied => (
+            Status::Overloaded,
+            DETAIL_SHED_ADMISSION,
+            "overloaded",
+            TenantOutcome::Rejected,
+        ),
+        ShedReason::QueueFull => (
+            Status::Overloaded,
+            DETAIL_SHED_QUEUE_FULL,
+            "overloaded",
+            TenantOutcome::Shed,
+        ),
+        ShedReason::DeadlineExpired => {
+            obs.shed_deadline.inc();
+            (
+                Status::Shed,
+                DETAIL_SHED_DEADLINE,
                 "shed",
-                "deadline_expired",
-                "",
-                None,
-            );
-            return;
+                TenantOutcome::Shed,
+            )
         }
-    }
-    let mut request = Request::expr(&frame.query);
-    if let Some(deadline) = deadline {
-        request = request.deadline(deadline);
-    }
-    if let Some(tenant) = frame.tenant {
-        request = request.tenant(tenant);
-    }
-    // Head-sampled requests run fully traced, so the slow-log entry can
-    // carry the execution span tree alongside the stage timeline.
-    if lifecycle.as_ref().is_some_and(|lc| lc.head_sampled) {
-        request = request.traced();
-    }
-    let result = serve.execute(&request);
-    if let Some(lc) = &mut lifecycle {
-        lc.stage("execute");
-    }
-    let (resp_frame, outcome, reason, plan, trace) = match result {
+    };
+    obs.tenant_outcome(&ticket.lifecycle, tenant_outcome);
+    let resp = ResponseRef::empty(status, detail, ticket.id);
+    let verdict = Verdict::new(outcome, reason.label());
+    deliver(obs, writer, by, ticket, &resp, verdict);
+}
+
+/// Answers a request with what the serving engine made of it — from
+/// `begin` on the reader, from `finish` on a worker. The documents are
+/// encoded straight out of the `Arc` the response shares with the cache.
+fn answer(
+    obs: &NetObs,
+    writer: &ConnWriter,
+    by: AnsweredBy,
+    mut ticket: Ticket,
+    result: Result<Response, QueryError>,
+) {
+    ticket.stage(StageKind::Execute);
+    let id = ticket.id;
+    match result {
         Ok(resp) => match resp.disposition {
             Disposition::Served => {
                 let (detail, reason) = match resp.cache {
@@ -581,70 +572,163 @@ fn execute_pending(serve: &fsi_serve::Server, obs: &NetObs, pending: Pending) {
                     CacheOutcome::Disabled => (DETAIL_CACHE_DISABLED, "cache_disabled"),
                     CacheOutcome::Bypassed => (DETAIL_CACHE_BYPASSED, "cache_bypassed"),
                 };
-                let frame = ResponseFrame {
-                    status: Status::Ok,
-                    detail,
-                    flags: 0,
-                    id: frame.id,
+                let wire = ResponseRef {
                     latency_us: resp.latency.as_micros().min(u128::from(u32::MAX)) as u32,
-                    docs: resp.docs.as_slice().to_vec(),
-                    message: String::new(),
+                    docs: &resp.docs,
+                    ..ResponseRef::empty(Status::Ok, detail, id)
                 };
-                (
-                    frame,
-                    "ok",
-                    reason,
-                    resp.plan_kind.unwrap_or(""),
-                    resp.trace,
-                )
-            }
-            Disposition::Shed(shed_reason) => {
-                registry
-                    .counter("fsi_net_shed_total", &[("reason", shed_reason.label())])
-                    .inc();
-                obs.tenant_outcome(frame.tenant, "shed");
-                let detail = match shed_reason {
-                    ShedReason::DeadlineExpired => DETAIL_SHED_DEADLINE,
-                    ShedReason::QueueFull => DETAIL_SHED_QUEUE_FULL,
-                    ShedReason::AdmissionDenied => DETAIL_SHED_ADMISSION,
+                let verdict = Verdict {
+                    plan: resp.plan_kind.unwrap_or(""),
+                    trace: resp.trace,
+                    ..Verdict::new("ok", reason)
                 };
-                (
-                    shed_frame(Status::Shed, detail, frame.id),
-                    "shed",
-                    shed_reason.label(),
-                    "",
-                    None,
-                )
+                deliver(obs, writer, by, ticket, &wire, verdict);
             }
+            // The engine sheds for one reason only: the deadline had
+            // passed when `begin` looked.
+            Disposition::Shed(reason) => refuse(obs, writer, by, ticket, reason),
         },
-        Err(e) => (
-            ResponseFrame {
-                status: Status::InvalidQuery,
-                detail: 0,
-                flags: 0,
-                id: frame.id,
-                latency_us: 0,
-                docs: Vec::new(),
-                message: e.to_string(),
-            },
-            "invalid_query",
-            "",
-            "",
-            None,
-        ),
-    };
-    respond(&writer, registry, &resp_frame);
-    if let Some(lc) = &mut lifecycle {
-        lc.stage("write");
+        Err(e) => {
+            let message = e.to_string();
+            let wire = ResponseRef {
+                message: &message,
+                ..ResponseRef::empty(Status::InvalidQuery, 0, id)
+            };
+            let verdict = Verdict::new("invalid_query", "");
+            deliver(obs, writer, by, ticket, &wire, verdict);
+        }
     }
-    obs.finish(
-        lifecycle,
-        frame.id,
-        frame.tenant,
-        &frame.query,
-        outcome,
-        reason,
-        plan,
-        trace,
-    );
+}
+
+/// One connection's read loop: frame → decode → admission → `begin` →
+/// answered here, or queued for a worker (query frames); inline answer
+/// (admin frames).
+fn read_connection(stream: TcpStream, ctx: &ConnCtx) {
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(read_half);
+    let writer = Arc::new(ConnWriter::new(stream));
+    let obs = &*ctx.obs;
+    let mut body = Vec::new();
+    let mut recent_tenant: RecentTenant = None;
+    loop {
+        match read_frame_into(&mut reader, MAX_REQUEST_FRAME, &mut body) {
+            Ok(true) => {}
+            // Clean EOF at a frame boundary, or the transport died: either
+            // way the conversation is over.
+            Ok(false) | Err(FrameError::Io(_)) => return,
+            Err(e) => return refuse_connection(obs, &writer, &e),
+        }
+        // The whole frame is in hand: the lifecycle's origin, the clock
+        // admission reads, and the instant a relative deadline counts from.
+        let origin = Instant::now();
+        let frame = match decode_client_frame(&body) {
+            Ok(ClientFrame::Admin(req)) => {
+                handle_admin(ctx, &writer, req);
+                continue;
+            }
+            Ok(ClientFrame::Query(frame)) => frame,
+            Err(e) => return refuse_connection(obs, &writer, &e),
+        };
+        obs.requests.inc();
+        let RequestFrame {
+            id,
+            tenant,
+            deadline_us,
+            query,
+        } = frame;
+        let lifecycle = obs.begin(origin, tenant, &mut recent_tenant);
+        let mut request = Request::expr(query);
+        request.options.tenant = tenant;
+        request.options.deadline = if deadline_us > 0 {
+            Some(origin + Duration::from_micros(u64::from(deadline_us)))
+        } else {
+            ctx.default_deadline.map(|d| origin + d)
+        };
+        // Head-sampled requests run fully traced, so the slow-log entry can
+        // carry the execution span tree alongside the stage timeline.
+        request.options.trace = lifecycle.as_ref().is_some_and(|lc| lc.head_sampled);
+        let mut ticket = Ticket {
+            id,
+            request,
+            lifecycle,
+        };
+        let admitted = ctx.admission.admit(tenant, origin);
+        ticket.stage(StageKind::Decode);
+        if !admitted {
+            refuse(
+                obs,
+                &writer,
+                AnsweredBy::Reader,
+                ticket,
+                ShedReason::AdmissionDenied,
+            );
+            continue;
+        }
+        obs.tenant_outcome(&ticket.lifecycle, TenantOutcome::Admitted);
+        let miss = match ctx.serve.begin(&ticket.request) {
+            Ok(Begun::Miss(miss)) => miss,
+            // Settled without a kernel: answered by the thread that read it.
+            Ok(Begun::Done(response)) => {
+                answer(obs, &writer, AnsweredBy::Reader, ticket, Ok(response));
+                continue;
+            }
+            Err(e) => {
+                answer(obs, &writer, AnsweredBy::Reader, ticket, Err(e));
+                continue;
+            }
+        };
+        // Compiling and probing were the reader's work too.
+        ticket.stage(StageKind::Decode);
+        if let Some(lc) = &mut ticket.lifecycle {
+            lc.queue_depth = ctx.queue.len();
+        }
+        let pending = Pending {
+            ticket,
+            miss,
+            writer: Arc::clone(&writer),
+        };
+        match ctx.queue.push(pending) {
+            Ok(()) => {}
+            Err(Pending { ticket, .. }) => {
+                refuse(
+                    obs,
+                    &writer,
+                    AnsweredBy::Reader,
+                    ticket,
+                    ShedReason::QueueFull,
+                );
+            }
+        }
+    }
+}
+
+/// Takes one dequeued miss to its response: shed if its deadline expired
+/// in the queue, evaluated otherwise.
+fn finish_pending(serve: &fsi_serve::Server, obs: &NetObs, pending: Pending) {
+    let Pending {
+        mut ticket,
+        miss,
+        writer,
+    } = pending;
+    // Close the queue stage first: everything since the reader handed the
+    // request over was wait time.
+    ticket.stage(StageKind::Queue);
+    // Drop-on-dequeue: a request that already missed its deadline is shed
+    // here, before any execution — the whole point of deadline-aware
+    // shedding is to spend capacity only on requests that can still
+    // succeed.
+    let deadline = ticket.request.options.deadline;
+    if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+        return refuse(
+            obs,
+            &writer,
+            AnsweredBy::Worker,
+            ticket,
+            ShedReason::DeadlineExpired,
+        );
+    }
+    let response = serve.finish(miss);
+    answer(obs, &writer, AnsweredBy::Worker, ticket, Ok(response));
 }

@@ -5,12 +5,83 @@
 
 use fsi_net::protocol::{
     decode_admin_request, decode_admin_response, decode_client_frame, decode_request,
-    decode_response, encode_admin_request, encode_admin_response, encode_request, encode_response,
-    read_frame, write_frame, AdminOp, AdminRequest, AdminResponse, ClientFrame, FrameError,
-    RequestFrame, ResponseFrame, Status, MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME,
+    decode_response, encode_admin_request, encode_admin_response, encode_request,
+    encode_request_into, encode_response, encode_response_into, frame_into, read_frame_into,
+    AdminOp, AdminRequest, AdminResponse, ClientFrame, FrameError, RequestFrame, ResponseFrame,
+    Status, FLAG_DOCS_TRUNCATED, MAX_REQUEST_FRAME, MAX_RESPONSE_DOCS, MAX_RESPONSE_FRAME,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::io::BufReader;
+
+/// The response encoder as it stood before frames were encoded in place:
+/// one `extend_from_slice` per document, body only. The reference the
+/// into-buffer encoder must match byte for byte.
+fn parent_encode_response(frame: &ResponseFrame) -> Vec<u8> {
+    let ndocs = frame.docs.len().min(MAX_RESPONSE_DOCS);
+    let truncated = ndocs < frame.docs.len();
+    let msg = frame.message.as_bytes();
+    let mlen = msg.len().min(u16::MAX as usize);
+    let mut out = vec![0xF5, 0x01, 0x02, frame.status as u8, frame.detail];
+    out.push(frame.flags | if truncated { FLAG_DOCS_TRUNCATED } else { 0 });
+    out.extend_from_slice(&frame.id.to_le_bytes());
+    out.extend_from_slice(&frame.latency_us.to_le_bytes());
+    out.extend_from_slice(&(ndocs as u32).to_le_bytes());
+    for doc in frame.docs.iter().take(ndocs) {
+        out.extend_from_slice(&doc.to_le_bytes());
+    }
+    out.extend_from_slice(&(mlen as u16).to_le_bytes());
+    out.extend_from_slice(&msg[..mlen]);
+    out
+}
+
+/// Asserts the three encodings of one response agree: the parent's body,
+/// today's `encode_response`, and the into-buffer encoder behind its
+/// 4-byte prefix (appended after whatever the buffer already held).
+fn assert_encoders_agree(frame: &ResponseFrame) -> Vec<u8> {
+    let body = parent_encode_response(frame);
+    assert!(encode_response(frame) == body, "encode_response drifted");
+    let mut wire = vec![0xEE; 3];
+    encode_response_into(&mut wire, &frame.borrowed());
+    assert!(wire[..3] == [0xEE; 3], "earlier bytes untouched");
+    assert_eq!(wire[3..7], (body.len() as u32).to_le_bytes(), "prefix");
+    assert!(wire[7..] == body, "framed body drifted");
+    body
+}
+
+#[test]
+fn the_into_buffer_encoder_truncates_exactly_as_the_parent_did() {
+    // One document over the cap: the truncation flag path. Compared with
+    // `==`, not `assert_eq!`, so a mismatch does not print 16 MiB.
+    let over = ResponseFrame {
+        status: Status::Ok,
+        detail: 1,
+        flags: 0,
+        id: 9,
+        latency_us: 3,
+        docs: (0..=MAX_RESPONSE_DOCS as u32).collect(),
+        message: String::new(),
+    };
+    let body = assert_encoders_agree(&over);
+    let back = decode_response(&body).expect("decodes");
+    assert_eq!(back.flags & FLAG_DOCS_TRUNCATED, FLAG_DOCS_TRUNCATED);
+    assert_eq!(back.docs.len(), MAX_RESPONSE_DOCS);
+    assert!(back.docs[..] == over.docs[..MAX_RESPONSE_DOCS]);
+    // A message longer than its u16 length field is cut, not wrapped.
+    let wordy = ResponseFrame {
+        status: Status::InvalidQuery,
+        detail: 0,
+        flags: 0,
+        id: 10,
+        latency_us: 0,
+        docs: vec![1, 2, 3],
+        message: "x".repeat(u16::MAX as usize + 500),
+    };
+    let body = assert_encoders_agree(&wordy);
+    let back = decode_response(&body).expect("decodes");
+    assert_eq!(back.message.len(), u16::MAX as usize);
+    assert_eq!(back.docs, wordy.docs);
+}
 
 /// Printable-ASCII strings (the query language is ASCII; UTF-8 handling
 /// is covered by the unit tests).
@@ -87,6 +158,21 @@ proptest! {
     }
 
     #[test]
+    fn the_into_buffer_encoder_matches_the_parent_encoder(
+        status in 0u8..5,
+        detail in any::<u8>(),
+        flags in any::<u8>(),
+        id in any::<u64>(),
+        latency_us in any::<u32>(),
+        docs in vec(any::<u32>(), 0..300),
+        msg in vec(32u8..127, 0..100),
+    ) {
+        let frame = ResponseFrame { flags, ..response(status, detail, id, latency_us, &docs, &msg) };
+        let body = assert_encoders_agree(&frame);
+        prop_assert_eq!(decode_response(&body).expect("round trip"), frame);
+    }
+
+    #[test]
     fn truncated_requests_are_clean_errors(
         id in any::<u64>(),
         tenant in any::<u32>(),
@@ -139,10 +225,11 @@ proptest! {
         // Reading frames from garbage terminates and never panics: each
         // iteration either yields a frame, errors, or hits EOF.
         let mut r = wire.as_slice();
+        let mut body = Vec::new();
         for _ in 0..64 {
-            match read_frame(&mut r, MAX_REQUEST_FRAME) {
-                Ok(None) | Err(_) => break,
-                Ok(Some(body)) => {
+            match read_frame_into(&mut r, MAX_REQUEST_FRAME, &mut body) {
+                Ok(false) | Err(_) => break,
+                Ok(true) => {
                     let _ = decode_request(&body);
                 }
             }
@@ -153,8 +240,11 @@ proptest! {
     fn oversized_prefixes_never_allocate(len in (MAX_REQUEST_FRAME as u32 + 1)..u32::MAX) {
         let mut wire = Vec::new();
         wire.extend_from_slice(&len.to_le_bytes());
-        let err = read_frame(&mut wire.as_slice(), MAX_REQUEST_FRAME).expect_err("too large");
+        let mut body = Vec::new();
+        let err = read_frame_into(&mut wire.as_slice(), MAX_REQUEST_FRAME, &mut body)
+            .expect_err("too large");
         prop_assert!(matches!(err, FrameError::TooLarge { .. }), "{}", err);
+        prop_assert_eq!(body.capacity(), 0);
     }
 
     #[test]
@@ -261,18 +351,28 @@ proptest! {
     fn frame_streams_round_trip(
         ids in vec(any::<u64>(), 0..8),
         query in vec(32u8..127, 0..60),
+        buffer in 1usize..64,
     ) {
         let frames: Vec<RequestFrame> = ids
             .iter()
             .map(|&id| request(id, id % 2 == 0, (id >> 32) as u32, id as u32, &query))
             .collect();
+        // Both ways of framing a request, alternating, into one stream…
         let mut wire = Vec::new();
-        for f in &frames {
-            write_frame(&mut wire, &encode_request(f)).expect("write");
+        for (i, f) in frames.iter().enumerate() {
+            if i % 2 == 0 {
+                encode_request_into(&mut wire, f);
+            } else {
+                frame_into(&mut wire, &encode_request(f));
+            }
         }
-        let mut r = wire.as_slice();
+        // …read back through a buffer smaller than a frame, so prefixes
+        // and bodies straddle refills: nothing lost between frames, and a
+        // short read is not an EOF.
+        let mut r = BufReader::with_capacity(buffer, wire.as_slice());
         let mut got = Vec::new();
-        while let Some(body) = read_frame(&mut r, MAX_RESPONSE_FRAME).expect("read") {
+        let mut body = Vec::new();
+        while read_frame_into(&mut r, MAX_RESPONSE_FRAME, &mut body).expect("read") {
             got.push(decode_request(&body).expect("decode"));
         }
         prop_assert_eq!(got, frames);

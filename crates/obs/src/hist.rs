@@ -26,6 +26,7 @@
 //! total in any grouping with an identical result (asserted by the
 //! registry merge proptests).
 
+use crate::registry::{thread_stripe, STRIPES};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Linear sub-buckets per octave (and the exact-value range `0..32`).
@@ -70,8 +71,27 @@ fn bucket_upper(i: usize) -> u64 {
 /// and error bound).
 pub struct Histogram {
     buckets: Box<[AtomicU64; NUM_BUCKETS]>,
+    /// `count` and `sum`, which every sample writes, striped by recording
+    /// thread like a [`crate::Counter`]: threads recording into one
+    /// histogram (every connection reader and worker does) would
+    /// otherwise trade one cache line per sample.
+    totals: [Totals; STRIPES],
+    extrema: Extrema,
+}
+
+/// One thread stripe's share of the sample count and sum, on its own
+/// cache line.
+#[repr(align(64))]
+#[derive(Default)]
+struct Totals {
     count: AtomicU64,
     sum: AtomicU64,
+}
+
+/// The cells a sample reads but almost never writes, on a cache line of
+/// their own so that it stays shared between recording cores.
+#[repr(align(64))]
+struct Extrema {
     max: AtomicU64,
     /// Stored as the raw minimum; `u64::MAX` means "no samples yet".
     min: AtomicU64,
@@ -106,25 +126,43 @@ impl Histogram {
             .unwrap_or_else(|_| unreachable!("length is NUM_BUCKETS"));
         Self {
             buckets,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            exemplar_val: AtomicU64::new(0),
-            exemplar_id: AtomicU64::new(0),
+            totals: Default::default(),
+            extrema: Extrema {
+                max: AtomicU64::new(0),
+                min: AtomicU64::new(u64::MAX),
+                exemplar_val: AtomicU64::new(0),
+                exemplar_id: AtomicU64::new(0),
+            },
         }
     }
 
-    /// Records one sample. Wait-free: four relaxed atomic ops plus two
-    /// bounded CAS loops that only retry while another thread is moving
-    /// the same extremum in the same direction.
+    /// Adds `count` samples summing to `sum` to the calling thread's
+    /// stripe.
+    fn add_totals(&self, count: u64, sum: u64) {
+        // audit:allow(hot_path_index): thread_stripe() reduces modulo STRIPES, the array length
+        let mine = &self.totals[thread_stripe()];
+        mine.count.fetch_add(count, Ordering::Relaxed);
+        mine.sum.fetch_add(sum, Ordering::Relaxed);
+    }
+
+    /// Records one sample. Wait-free: three relaxed read-modify-writes —
+    /// the bucket, and the recording thread's own stripe of count and sum
+    /// — and two loads. The extrema are compared before they are written:
+    /// a sample that moves neither (almost every one) leaves their cache
+    /// line shared between recording cores, where an unconditional
+    /// `fetch_max`/`fetch_min` (a CAS loop on x86) would pull it exclusive
+    /// per sample. When one does move, the CAS loop only retries while
+    /// another thread is moving the same extremum the same way.
     pub fn record(&self, v: u64) {
         // audit:allow(hot_path_index): bucket_index returns < NUM_BUCKETS for every u64
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
+        self.add_totals(1, v);
+        if v > self.extrema.max.load(Ordering::Relaxed) {
+            self.extrema.max.fetch_max(v, Ordering::Relaxed);
+        }
+        if v < self.extrema.min.load(Ordering::Relaxed) {
+            self.extrema.min.fetch_min(v, Ordering::Relaxed);
+        }
     }
 
     /// Records a [`std::time::Duration`] in nanoseconds (saturating on the
@@ -139,7 +177,8 @@ impl Histogram {
     /// the tail?". The `(value, id)` pairing is best-effort under
     /// concurrent recording: two threads racing new maxima can pair one's
     /// value with the other's id, which is acceptable for a debugging
-    /// breadcrumb and keeps the hot path at two extra relaxed atomic ops.
+    /// breadcrumb and keeps the hot path at one extra relaxed load (two more
+    /// ops only for a sample that becomes the exemplar).
     /// A value of 0 never becomes the exemplar (0 encodes "none").
     pub fn record_with_exemplar(&self, v: u64, id: u64) {
         self.record(v);
@@ -147,21 +186,23 @@ impl Histogram {
     }
 
     fn note_exemplar(&self, v: u64, id: u64) {
-        if v == 0 {
+        // A sample below the current exemplar changes nothing: skip the
+        // write (as `record` does for the extrema).
+        if v == 0 || v < self.extrema.exemplar_val.load(Ordering::Relaxed) {
             return;
         }
-        let prev = self.exemplar_val.fetch_max(v, Ordering::Relaxed);
+        let prev = self.extrema.exemplar_val.fetch_max(v, Ordering::Relaxed);
         if v >= prev {
-            self.exemplar_id.store(id, Ordering::Relaxed);
+            self.extrema.exemplar_id.store(id, Ordering::Relaxed);
         }
     }
 
     /// The `(value, id)` exemplar of the largest sample recorded via
     /// [`Histogram::record_with_exemplar`], if any.
     pub fn exemplar(&self) -> Option<(u64, u64)> {
-        match self.exemplar_val.load(Ordering::Relaxed) {
+        match self.extrema.exemplar_val.load(Ordering::Relaxed) {
             0 => None,
-            v => Some((v, self.exemplar_id.load(Ordering::Relaxed))),
+            v => Some((v, self.extrema.exemplar_id.load(Ordering::Relaxed))),
         }
     }
 
@@ -175,14 +216,10 @@ impl Histogram {
                 mine.fetch_add(n, Ordering::Relaxed);
             }
         }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.add_totals(other.count(), other.sum());
+        self.extrema.max.fetch_max(other.max(), Ordering::Relaxed);
+        let theirs = other.extrema.min.load(Ordering::Relaxed);
+        self.extrema.min.fetch_min(theirs, Ordering::Relaxed);
         if let Some((v, id)) = other.exemplar() {
             self.note_exemplar(v, id);
         }
@@ -198,11 +235,10 @@ impl Histogram {
             // audit:allow(hot_path_index): bucket_index returns < NUM_BUCKETS for every u64
             self.buckets[bucket_index(upper)].fetch_add(n, Ordering::Relaxed);
         }
-        self.count.fetch_add(other.count, Ordering::Relaxed);
-        self.sum.fetch_add(other.sum, Ordering::Relaxed);
-        self.max.fetch_max(other.max, Ordering::Relaxed);
+        self.add_totals(other.count, other.sum);
+        self.extrema.max.fetch_max(other.max, Ordering::Relaxed);
         if let Some(mn) = other.min {
-            self.min.fetch_min(mn, Ordering::Relaxed);
+            self.extrema.min.fetch_min(mn, Ordering::Relaxed);
         }
         if let Some((v, id)) = other.exemplar {
             self.note_exemplar(v, id);
@@ -211,22 +247,24 @@ impl Histogram {
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        let stripes = self.totals.iter();
+        stripes.map(|t| t.count.load(Ordering::Relaxed)).sum()
     }
 
     /// Exact sum of all recorded samples.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        let stripes = self.totals.iter();
+        stripes.fold(0, |sum, t| sum.wrapping_add(t.sum.load(Ordering::Relaxed)))
     }
 
     /// Exact largest recorded sample (0 when empty).
     pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
+        self.extrema.max.load(Ordering::Relaxed)
     }
 
     /// Exact smallest recorded sample (`None` when empty).
     pub fn min(&self) -> Option<u64> {
-        match self.min.load(Ordering::Relaxed) {
+        match self.extrema.min.load(Ordering::Relaxed) {
             u64::MAX => None,
             v => Some(v),
         }

@@ -19,9 +19,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-/// Stripes per counter. A power of two; 8 × 64 B = one stripe per core of
-/// a typical small host without bloating every counter past 512 B.
-const STRIPES: usize = 8;
+/// Stripes per counter (and per histogram's count and sum). A power of
+/// two; 8 × 64 B = one stripe per core of a typical small host without
+/// bloating every counter past 512 B.
+pub(crate) const STRIPES: usize = 8;
 
 /// One cache-line-padded counter stripe.
 #[repr(align(64))]
@@ -36,7 +37,7 @@ pub struct Counter {
 
 /// Round-robin stripe assignment per thread: cheap, stable within a
 /// thread, and spreads a worker pool evenly across stripes.
-fn thread_stripe() -> usize {
+pub(crate) fn thread_stripe() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
         static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;

@@ -21,7 +21,11 @@
 //!   then takes one path: validate → cache → one cost-based plan over
 //!   the whole index, with malformed or unbounded queries rejected as
 //!   [`QueryError`]s and already-expired deadlines shed
-//!   ([`Disposition::Shed`]) instead of executed.
+//!   ([`Disposition::Shed`]) instead of executed. `execute` is
+//!   [`Server::begin`] (everything up to and including the cache probe —
+//!   work bounded by the request, not the index) then, on a [`Miss`],
+//!   [`Server::finish`] (the kernels); a caller with a thread that must
+//!   stay responsive runs the halves on different threads.
 //! * [`index`] — [`PreparedIndex`]: every posting list preprocessed once
 //!   for every representation the planner can bind, plus the expression
 //!   planner queries plan under;
@@ -87,5 +91,5 @@ pub use index::PreparedIndex;
 pub use request::{
     CacheOutcome, Disposition, QueryInput, QueryOptions, Request, Response, ShedReason,
 };
-pub use server::{QueryError, Server};
+pub use server::{Begun, Miss, QueryError, Server};
 pub use stats::{LatencySummary, ServeStats};

@@ -10,12 +10,12 @@ use crate::request::{
 };
 use crate::stats::{LatencySummary, ServeStats};
 use fsi_core::HashContext;
-use fsi_index::{Corpus, SearchEngine};
+use fsi_index::{Corpus, Planner, SearchEngine};
 use fsi_kernels::SimdLevel;
 use fsi_obs::{
     Counter, HistSnapshot, Histogram, LabelCap, Registry, Snapshot, Span, SpanStart, TraceBuilder,
 };
-use fsi_query::{CompileError, ExprPlan, NormExpr, PlanNode};
+use fsi_query::{CompileError, ExplainMode, ExprPlan, NormExpr, PlanNode};
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -87,6 +87,44 @@ impl From<CompileError> for QueryError {
     fn from(e: CompileError) -> Self {
         QueryError::Compile(e)
     }
+}
+
+/// What [`Server::begin`] made of a request.
+#[derive(Debug)]
+pub enum Begun {
+    /// Answered without touching a kernel: a shed, a rendered plan, the
+    /// empty conjunction, or a cache hit.
+    Done(Response),
+    /// The answer has to be computed: hand this to [`Server::finish`].
+    Miss(Miss),
+}
+
+/// A validated request the cache could not answer, carrying its
+/// canonical expression so nothing is parsed twice. [`Server::finish`]
+/// consumes it; dropping it instead abandons the request — nothing was
+/// executed, and nothing counts as served.
+#[derive(Debug)]
+pub struct Miss {
+    norm: NormExpr,
+    planner: Option<Planner>,
+    work: Work,
+    /// Time spent inside `begin`; `finish` adds its own.
+    spent: Duration,
+}
+
+/// What `finish` owes a [`Miss`].
+#[derive(Debug)]
+enum Work {
+    /// Evaluate, insert under `key` (when the cache is on), respond with
+    /// documents.
+    Serve {
+        key: Option<CacheKey>,
+        flat: bool,
+        tb: Option<TraceBuilder>,
+    },
+    /// `EXPLAIN ANALYZE`: evaluate with per-node timing, respond with the
+    /// rendering.
+    Analyze,
 }
 
 /// A self-contained query-serving engine. [`Server::execute`] is the one
@@ -183,7 +221,8 @@ impl Server {
         Self::new(&SearchEngine::from_corpus(ctx, corpus), config)
     }
 
-    /// Executes one request — the sole execution entry point.
+    /// Executes one request — the sole execution entry point, and exactly
+    /// [`Server::begin`] followed, on a cache miss, by [`Server::finish`].
     ///
     /// The request lifecycle:
     ///
@@ -204,6 +243,8 @@ impl Server {
     ///    cache outcome, and measured service time, plus a trace or a
     ///    rendered plan when asked.
     ///
+    /// Steps 1–3 are `begin`, step 4 is `finish`.
+    ///
     /// ```
     /// use fsi_serve::{Request, ServeConfig, Server};
     /// use fsi_core::{HashContext, SortedSet};
@@ -223,13 +264,30 @@ impl Server {
     /// assert!(server.execute(&Request::expr("NOT 2")).is_err(), "unbounded");
     /// ```
     pub fn execute(&self, req: &Request) -> Result<Response, QueryError> {
+        Ok(match self.begin(req)? {
+            Begun::Done(response) => response,
+            Begun::Miss(miss) => self.finish(miss),
+        })
+    }
+
+    /// The first half of [`Server::execute`], and all of it that is
+    /// bounded by the size of the request rather than of the index:
+    /// deadline check, compile, vocabulary check, plain `EXPLAIN`, and
+    /// the cache probe. Whatever those settle — a shed, a rejection, a
+    /// rendered plan, the empty conjunction, a cache hit — comes back as
+    /// [`Begun::Done`] (or the `Err`); only a request that needs the
+    /// kernels comes back as a [`Begun::Miss`] for [`Server::finish`].
+    ///
+    /// A caller that owns a thread which must stay responsive (the
+    /// network reader) calls `begin` there and hands the miss elsewhere.
+    pub fn begin(&self, req: &Request) -> Result<Begun, QueryError> {
         let start = Instant::now();
         if let Some(deadline) = req.options.deadline {
             if start >= deadline {
                 self.queries_shed.inc();
                 self.note_tenant(req);
                 let shed = Disposition::Shed(ShedReason::DeadlineExpired);
-                return Ok(Response::bypassed(shed, start.elapsed()));
+                return Ok(Begun::Done(Response::bypassed(shed, start.elapsed())));
             }
         }
         let mut explain = req.options.explain;
@@ -266,7 +324,11 @@ impl Server {
                 None => {
                     self.queries_served.inc();
                     self.note_tenant(req);
-                    return Ok(Response::bypassed(Disposition::Served, self.record(start)));
+                    let latency = self.record(start.elapsed());
+                    return Ok(Begun::Done(Response::bypassed(
+                        Disposition::Served,
+                        latency,
+                    )));
                 }
             },
         };
@@ -274,97 +336,137 @@ impl Server {
         if let Some(&term) = norm.terms().iter().find(|&&t| t >= num_terms) {
             return Err(QueryError::UnknownTerm { term, num_terms });
         }
-        if let Some(mode) = explain {
+        self.note_tenant(req);
+        let planner = req.options.planner_override.clone();
+        let work = match explain {
             // Renders the plan tree instead of serving documents, so it
             // counts toward no serving counter.
-            let planner = req.options.planner_override.as_ref();
-            let text = self.engine.explain(&norm, mode, planner);
-            self.note_tenant(req);
-            return Ok(Response {
-                explain: Some(text),
-                ..Response::bypassed(Disposition::Served, start.elapsed())
-            });
-        }
-        if req.options.trace && tb.is_none() {
-            tb = Some(TraceBuilder::new(norm.to_string()));
-        }
-        Ok(self.serve(&norm, tb, req, start))
+            Some(ExplainMode::Plan) => {
+                let text = self
+                    .engine
+                    .explain(&norm, ExplainMode::Plan, planner.as_ref());
+                return Ok(Begun::Done(Response {
+                    explain: Some(text),
+                    ..Response::bypassed(Disposition::Served, start.elapsed())
+                }));
+            }
+            // ANALYZE runs the query to time it: kernel work, so it is
+            // `finish`'s, like any other evaluation.
+            Some(ExplainMode::Analyze) => Work::Analyze,
+            None => {
+                if req.options.trace && tb.is_none() {
+                    tb = Some(TraceBuilder::new(norm.to_string()));
+                }
+                // A flat request is a served query, not an expression query.
+                let flat = matches!(req.input, QueryInput::Terms(_));
+                let key = self.cache.is_enabled().then(|| CacheKey::from_norm(&norm));
+                let s = span_start(&tb);
+                let hit = key.as_ref().and_then(|k| self.cache.get(k));
+                if let Some(span) = span_end(&mut tb, s, "cache") {
+                    span.attr(
+                        "outcome",
+                        match (&hit, &key) {
+                            (Some(_), _) => "hit",
+                            (None, Some(_)) => "miss",
+                            (None, None) => "disabled",
+                        },
+                    );
+                }
+                if let Some(docs) = hit {
+                    self.note_served(flat);
+                    return Ok(Begun::Done(Response {
+                        docs,
+                        disposition: Disposition::Served,
+                        cache: CacheOutcome::Hit,
+                        plan_kind: None,
+                        latency: self.record(start.elapsed()),
+                        trace: tb.map(TraceBuilder::finish),
+                        explain: None,
+                    }));
+                }
+                Work::Serve { key, flat, tb }
+            }
+        };
+        Ok(Begun::Miss(Miss {
+            norm: norm.into_owned(),
+            planner,
+            work,
+            spent: start.elapsed(),
+        }))
     }
 
-    /// The one cache-fronted execution routine every served request ends
-    /// in: cache probe → planned evaluation → cache insert. On a traced
-    /// request `tb` records a span around each step; result and cache
-    /// interaction are identical either way, so traced and untraced runs
-    /// compare for overhead directly.
-    fn serve(
-        &self,
-        norm: &NormExpr,
-        mut tb: Option<TraceBuilder>,
-        req: &Request,
-        start: Instant,
-    ) -> Response {
-        self.queries_served.inc();
-        // A flat request is a served query, not an expression query.
-        if !matches!(req.input, QueryInput::Terms(_)) {
-            self.expr_queries_served.inc();
-        }
-        self.note_tenant(req);
-        let key = self.cache.is_enabled().then(|| CacheKey::from_norm(norm));
-        let s = span_start(&tb);
-        let hit = key.as_ref().and_then(|k| self.cache.get(k));
-        if let Some(span) = span_end(&mut tb, s, "cache") {
-            span.attr(
-                "outcome",
-                match (&hit, &key) {
-                    (Some(_), _) => "hit",
-                    (None, Some(_)) => "miss",
-                    (None, None) => "disabled",
-                },
-            );
-        }
-        let (docs, cache, plan_kind) = match hit {
-            Some(docs) => (docs, CacheOutcome::Hit, None),
-            None => {
-                let s = span_start(&tb);
-                let planner = req.options.planner_override.as_ref();
-                let (docs, plan) = self.engine.eval(norm, planner);
-                let docs = Arc::new(docs);
-                let kind = plan_kind_label(&plan);
-                if let Some(span) = span_end(&mut tb, s, "exec") {
-                    // The root operator rides along as a cheap static
-                    // label and the estimates round to integers — the
-                    // planner-misprediction signal. The full plan tree is
-                    // EXPLAIN's job: a `describe()` per query costs more
-                    // than the tracing budget allows.
-                    span.attr("simd", SimdLevel::active().name())
-                        .attr("kind", kind)
-                        .attr("est_rows", plan.est_rows.round() as u64)
-                        .attr("est_cost", plan.est_cost.round() as u64)
-                        .attr("rows", docs.len());
-                }
-                let cache = match key {
-                    Some(key) => {
-                        let outcome = self.cache.insert(key, Arc::clone(&docs));
-                        if let Some(tb) = &mut tb {
-                            tb.event("cache_insert")
-                                .attr("fresh", outcome.fresh)
-                                .attr("evicted", outcome.evicted);
-                        }
-                        CacheOutcome::Miss
-                    }
-                    None => CacheOutcome::Disabled,
+    /// The second half of [`Server::execute`]: planned evaluation over
+    /// the whole index, then the cache insert. On a traced request a span
+    /// records each step; result and cache interaction are identical
+    /// either way, so traced and untraced runs compare for overhead
+    /// directly. The reported latency is the time spent inside `begin`
+    /// plus the time spent here — whatever passed between the two (a
+    /// queue) is the caller's to account for.
+    pub fn finish(&self, miss: Miss) -> Response {
+        let start = Instant::now();
+        let Miss {
+            norm,
+            planner,
+            work,
+            spent,
+        } = miss;
+        let planner = planner.as_ref();
+        let (key, flat, mut tb) = match work {
+            Work::Analyze => {
+                let text = self.engine.explain(&norm, ExplainMode::Analyze, planner);
+                return Response {
+                    explain: Some(text),
+                    ..Response::bypassed(Disposition::Served, spent + start.elapsed())
                 };
-                (docs, cache, Some(kind))
             }
+            Work::Serve { key, flat, tb } => (key, flat, tb),
+        };
+        self.note_served(flat);
+        let s = span_start(&tb);
+        let (docs, plan) = self.engine.eval(&norm, planner);
+        let docs = Arc::new(docs);
+        let kind = plan_kind_label(&plan);
+        if let Some(span) = span_end(&mut tb, s, "exec") {
+            // The root operator rides along as a cheap static label and
+            // the estimates round to integers — the planner-misprediction
+            // signal. The full plan tree is EXPLAIN's job: a `describe()`
+            // per query costs more than the tracing budget allows.
+            span.attr("simd", SimdLevel::active().name())
+                .attr("kind", kind)
+                .attr("est_rows", plan.est_rows.round() as u64)
+                .attr("est_cost", plan.est_cost.round() as u64)
+                .attr("rows", docs.len());
+        }
+        let cache = match key {
+            Some(key) => {
+                let outcome = self.cache.insert(key, Arc::clone(&docs));
+                if let Some(tb) = &mut tb {
+                    tb.event("cache_insert")
+                        .attr("fresh", outcome.fresh)
+                        .attr("evicted", outcome.evicted);
+                }
+                CacheOutcome::Miss
+            }
+            None => CacheOutcome::Disabled,
         };
         Response {
             docs,
             disposition: Disposition::Served,
             cache,
-            plan_kind,
-            latency: self.record(start),
+            plan_kind: Some(kind),
+            latency: self.record(spent + start.elapsed()),
             trace: tb.map(TraceBuilder::finish),
             explain: None,
+        }
+    }
+
+    /// Counts one request answered with documents — a hit in `begin`, a
+    /// computed result in `finish` — so a [`Miss`] that is dropped instead
+    /// of finished (shed from a queue) was never "served".
+    fn note_served(&self, flat: bool) {
+        self.queries_served.inc();
+        if !flat {
+            self.expr_queries_served.inc();
         }
     }
 
@@ -382,8 +484,7 @@ impl Server {
         }
     }
 
-    fn record(&self, start: Instant) -> Duration {
-        let latency = start.elapsed();
+    fn record(&self, latency: Duration) -> Duration {
         self.latency_ns.record_duration(latency);
         latency
     }
@@ -733,6 +834,47 @@ mod tests {
             .expect("valid");
         assert!(ok.is_served());
         assert_eq!(s.stats().queries_served, 1);
+    }
+
+    #[test]
+    fn begin_settles_what_needs_no_kernel_and_hands_back_the_rest() {
+        let s = server(ServeConfig {
+            cache_capacity: 16,
+            ..ServeConfig::default()
+        });
+        let done = |req: &Request| match s.begin(req).expect("valid") {
+            Begun::Done(response) => response,
+            Begun::Miss(miss) => panic!("{req:?} needs no kernel, got {miss:?}"),
+        };
+        // Kernel work comes back as a miss — an evaluation, or an ANALYZE
+        // (which evaluates to time itself) — and a miss that is dropped
+        // rather than finished was never served.
+        for req in [
+            Request::expr("0 AND 1"),
+            Request::expr("EXPLAIN ANALYZE 0 AND 1"),
+        ] {
+            assert!(matches!(s.begin(&req), Ok(Begun::Miss(_))), "{req:?}");
+        }
+        assert_eq!(s.stats().queries_served, 0, "dropped misses serve nothing");
+        assert_eq!(s.stats().cache.misses, 1, "but the probe missed");
+        // Everything else `begin` answers itself.
+        assert!(done(&Request::expr("EXPLAIN 0 AND 1")).explain.is_some());
+        assert!(done(&Request::terms(vec![])).docs.is_empty());
+        let shed = done(&Request::expr("0 AND 1").deadline(Instant::now()));
+        assert!(!shed.is_served());
+        assert!(s.begin(&Request::expr("0 AND")).is_err());
+        assert!(s.begin(&Request::expr("0 AND 99999")).is_err());
+        // A finished miss fills the cache; the same query then ends in
+        // `begin`, with the documents the miss computed.
+        let Ok(Begun::Miss(miss)) = s.begin(&Request::expr("0 AND 1")) else {
+            panic!("still uncached");
+        };
+        let computed = s.finish(miss);
+        assert_eq!(computed.cache, CacheOutcome::Miss);
+        let hit = done(&Request::expr("1 AND 0"));
+        assert_eq!(hit.cache, CacheOutcome::Hit);
+        assert!(Arc::ptr_eq(&hit.docs, &computed.docs), "shared, not copied");
+        assert_eq!(s.stats().queries_served, 3, "empty conjunction, miss, hit");
     }
 
     #[test]

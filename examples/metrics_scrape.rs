@@ -59,8 +59,10 @@ fn main() {
             .expect("call");
         assert_eq!(resp.status, Status::Ok, "{query}: {}", resp.message);
     }
-    // …and one shed: a 1µs deadline is dead by dequeue time, and shed
-    // outcomes are always retained, whatever the latency threshold.
+    // …and one shed: a 1µs deadline is dead before anything could run for
+    // it — refused by the reader if it has lapsed by the time `begin`
+    // looks, shed by the worker on dequeue otherwise — and shed outcomes
+    // are always retained, whatever the latency threshold.
     let resp = client
         .call(&RequestFrame::query(9, "0 AND 1 AND 2").with_deadline_us(1))
         .expect("call");
@@ -72,6 +74,8 @@ fn main() {
     for family in [
         "fsi_net_requests_total",
         "fsi_net_queue_wait_ns",
+        "fsi_net_stage_ns_count{stage=\"decode\"}",
+        "fsi_net_answered_total{by=\"worker\"}",
         "fsi_net_tenant_requests_total",
         "fsi_queries_served_total",
         "fsi_plan_kind_total",
@@ -91,8 +95,8 @@ fn main() {
     assert!(health.contains("\"status\": \"ok\""), "{health}");
     println!("health: {health}");
 
-    // 3. The slow log. Retention happens on the worker just after the
-    //    response write, so poll briefly for the shed record.
+    // 3. The slow log. Retention happens just after the response write,
+    //    so poll briefly for the shed record.
     let shed: Arc<SlowLogEntry> = (0..500)
         .find_map(|_| {
             net.slow_log().into_iter().find(|e| e.id == 9).or_else(|| {
@@ -102,8 +106,12 @@ fn main() {
         })
         .expect("the shed request is retained");
     assert_eq!((shed.outcome, shed.reason), ("shed", "deadline_expired"));
+    // Who shed it shows in the stage timeline: a request the reader
+    // refused never waited, so it has an `execute` stage (the deadline
+    // check) and no `queue` stage; one shed on dequeue has the reverse.
+    let names: Vec<&str> = shed.stages.iter().map(|s| s.name).collect();
     assert!(
-        shed.stages.iter().any(|s| s.name == "queue"),
+        names == ["decode", "execute", "write"] || names == ["decode", "queue", "write"],
         "stage timestamps retained: {:?}",
         shed.stages
     );

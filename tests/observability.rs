@@ -10,14 +10,20 @@
 //!   server-level view;
 //! * `EXPLAIN ANALYZE` per-node timings are internally consistent (child
 //!   wall-clocks sum to at most the root's) and the root's wall fits
-//!   inside the traced query's end-to-end exec span.
+//!   inside the traced query's end-to-end exec span;
+//! * the front door's per-stage histograms account for the whole of every
+//!   request's lifecycle, and say which thread answered it.
 
 use fast_set_intersection::core::HashContext;
 use fast_set_intersection::index::{Corpus, CorpusConfig, SearchEngine};
+use fast_set_intersection::net::protocol::{Status, DETAIL_CACHE_HIT};
+use fast_set_intersection::net::{Client, NetConfig, NetServer, ObsConfig, RequestFrame};
 use fast_set_intersection::obs::{HistSnapshot, Histogram, Registry};
 use fast_set_intersection::serve::{Request, ServeConfig, Server};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Exact nearest-rank percentile over raw samples (`p` a fraction in
 /// `[0, 1]`, matching the histogram API) — the oracle the bucketed
@@ -228,4 +234,77 @@ fn index_bytes_by_representation_sum_to_the_whole() {
     assert!(dense_terms > 0 && dense_terms < 48);
     assert_eq!(lists("bitmap"), Some(dense_terms as u64));
     assert_eq!(lists("hash"), Some(48 - dense_terms as u64));
+}
+
+#[test]
+fn stage_histograms_account_for_a_hit_only_run_and_name_who_answered() {
+    let corpus = Corpus::generate(CorpusConfig {
+        num_docs: 40_000,
+        num_terms: 48,
+        ..CorpusConfig::default()
+    });
+    let serve = Arc::new(Server::from_corpus(
+        HashContext::new(13),
+        corpus,
+        ServeConfig::default(),
+    ));
+    let queries: Vec<String> = (0..20)
+        .map(|t| format!("({t} OR 47) AND {}", t + 1))
+        .collect();
+    // Warm the cache in process: over the wire, every request is a hit.
+    for q in &queries {
+        serve.execute(&Request::expr(q.as_str())).expect("valid");
+    }
+    const REQUESTS: u64 = 200;
+    let net = NetServer::start(
+        Arc::clone(&serve),
+        NetConfig {
+            obs: ObsConfig {
+                slow_threshold: Duration::ZERO, // retain every record
+                slowlog_capacity: REQUESTS as usize,
+                ..ObsConfig::default()
+            },
+            ..NetConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    for id in 0..REQUESTS {
+        let q = &queries[id as usize % queries.len()];
+        let resp = client
+            .call(&RequestFrame::query(id, q.as_str()))
+            .expect("call");
+        assert_eq!((resp.status, resp.detail), (Status::Ok, DETAIL_CACHE_HIT));
+    }
+    // A request's books close just after its response is written.
+    let log = (0..500)
+        .find_map(|_| {
+            let log = net.slow_log();
+            (log.len() == REQUESTS as usize).then_some(log).or_else(|| {
+                std::thread::sleep(Duration::from_millis(2));
+                None
+            })
+        })
+        .expect("every record retained");
+    let snap = net.metrics();
+    let answered = |by| snap.counter("fsi_net_answered_total", &[("by", by)]);
+    assert_eq!(answered("reader"), Some(REQUESTS));
+    assert_eq!(answered("worker"), Some(0));
+    let stage = |name| snap.histogram("fsi_net_stage_ns", &[("stage", name)]);
+    assert!(stage("queue").is_none(), "a hit never waits in the queue");
+    let staged: u64 = ["decode", "execute", "write"]
+        .iter()
+        .map(|name| {
+            let hist = stage(name).unwrap_or_else(|| panic!("no {name} histogram"));
+            assert_eq!(hist.count, REQUESTS, "{name}");
+            hist.sum
+        })
+        .sum();
+    let lifecycles: u64 = log.iter().map(|entry| entry.total_ns).sum();
+    let gap = staged.abs_diff(lifecycles) as f64 / lifecycles as f64;
+    assert!(
+        gap <= 0.10,
+        "stages sum to {staged} ns, lifecycles to {lifecycles} ns"
+    );
+    net.stop();
 }

@@ -5,13 +5,18 @@
 //!   identical documents and plan kind, equal to `naive_eval`;
 //! * the cache hit path returns exactly what the miss path computed, also
 //!   while a small cache evicts mid-stream;
-//! * concurrent callers of one shared server agree with serial queries.
+//! * concurrent callers of one shared server agree with serial queries;
+//! * `execute` is exactly `begin` then `finish`: a mixed request stream
+//!   through either leaves the same results, stats, and counters.
 
 use fast_set_intersection::index::{Corpus, CorpusConfig, SearchEngine, Strategy};
+use fast_set_intersection::query::ExplainMode;
 use fast_set_intersection::query::{compile, naive::naive_eval};
-use fast_set_intersection::serve::{Request, ServeConfig, Server};
+use fast_set_intersection::serve::{Begun, QueryError, Request, Response, ServeConfig, Server};
+use fast_set_intersection::workloads::stream::{generate_boolean_stream, BooleanStreamConfig};
 use fast_set_intersection::workloads::{generate_stream, QueryStreamConfig};
 use fast_set_intersection::HashContext;
+use std::time::{Duration, Instant};
 
 fn engine() -> SearchEngine {
     let corpus = Corpus::generate(CorpusConfig {
@@ -163,4 +168,108 @@ fn concurrent_clients_smoke() {
         "misses {} exceed the stampede bound",
         stats.cache.misses
     );
+}
+
+/// What must not depend on how a request was driven: everything in a
+/// response but its wall-clock fields.
+fn observable(result: &Result<Response, QueryError>) -> String {
+    match result {
+        Ok(r) => format!(
+            "{:?} {:?} {:?} docs={:?} explain={:?} spans={:?}",
+            r.disposition,
+            r.cache,
+            r.plan_kind,
+            r.docs,
+            // EXPLAIN ANALYZE prints measured times; its first line and
+            // its shape are what is comparable.
+            r.explain.as_ref().map(|e| e.lines().count()),
+            r.trace
+                .as_ref()
+                .map(|t| t.spans.iter().map(|s| s.name.clone()).collect::<Vec<_>>()),
+        ),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+#[test]
+fn execute_is_exactly_begin_then_finish() {
+    let engine = engine();
+    let config = ServeConfig {
+        cache_capacity: 48, // smaller than the stream's working set: evictions too
+        cache_segments: 2,
+        ..ServeConfig::default()
+    };
+    let whole = Server::new(&engine, config.clone());
+    let halves = Server::new(&engine, config);
+    // One seeded stream with every kind of outcome in it. Zipf-skewed, so
+    // canonical forms repeat: hits and misses both.
+    let exprs = generate_boolean_stream(&BooleanStreamConfig {
+        num_queries: 300,
+        num_terms: engine.num_terms(),
+        or_probability: 0.4,
+        not_probability: 0.3,
+        seed: 0xBE61,
+        ..BooleanStreamConfig::default()
+    });
+    let expired = Instant::now() - Duration::from_millis(1);
+    let requests: Vec<Request> = exprs
+        .iter()
+        .enumerate()
+        .map(|(i, q)| match i % 12 {
+            3 => Request::expr(format!("{q} AND")), // does not parse
+            4 => Request::expr(format!("{q} AND 99999")), // unknown term
+            5 => Request::expr(format!("EXPLAIN {q}")),
+            6 => Request::expr(q.as_str()).explain(ExplainMode::Analyze),
+            7 => Request::expr(q.as_str()).deadline(expired),
+            8 => Request::expr(q.as_str()).tenant((i % 5) as u32),
+            9 => Request::expr(q.as_str()).traced(),
+            10 => Request::terms(vec![i % 40, (i * 7) % 40]).tenant(2),
+            11 if i % 24 == 11 => Request::terms(vec![]),
+            _ => Request::expr(q.as_str()),
+        })
+        .collect();
+    let (mut finished, mut done) = (0, 0);
+    for (i, req) in requests.iter().enumerate() {
+        let one = whole.execute(req);
+        let two = halves.begin(req).map(|begun| match begun {
+            Begun::Done(response) => {
+                done += 1;
+                response
+            }
+            Begun::Miss(miss) => {
+                finished += 1;
+                halves.finish(miss)
+            }
+        });
+        assert_eq!(observable(&one), observable(&two), "request {i}: {req:?}");
+    }
+    assert!(finished > 50 && done > 50, "{finished} misses, {done} done");
+
+    let (a, b) = (whole.stats(), halves.stats());
+    assert_eq!(
+        (a.queries_served, a.expr_queries_served, a.queries_shed),
+        (b.queries_served, b.expr_queries_served, b.queries_shed)
+    );
+    assert!(a.queries_shed > 0 && a.queries_served > a.expr_queries_served);
+    assert_eq!(a.latency.count, b.latency.count);
+    let counters = |c: &fast_set_intersection::serve::CacheStats| {
+        (
+            c.lookups,
+            c.hits,
+            c.misses,
+            c.insertions,
+            c.evictions,
+            c.len,
+        )
+    };
+    assert_eq!(counters(&a.cache), counters(&b.cache));
+    assert!(a.cache.hits > 0 && a.cache.evictions > 0, "{:?}", a.cache);
+    let (a, b) = (whole.metrics(), halves.metrics());
+    for tenant in ["0", "1", "2", "3", "4"] {
+        let billed = |snap: &fast_set_intersection::obs::Snapshot| {
+            snap.counter("fsi_tenant_queries_total", &[("tenant", tenant)])
+        };
+        assert_eq!(billed(&a), billed(&b), "tenant {tenant}");
+        assert!(billed(&a).is_some(), "tenant {tenant}");
+    }
 }
