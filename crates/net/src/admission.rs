@@ -7,10 +7,24 @@
 //! `rate` requests per second after its initial `burst` — without
 //! touching any other tenant's budget. Requests with no tenant bypass the
 //! buckets entirely (the queue bound still backpressures them).
+//!
+//! The bucket map is bounded at [`MAX_TENANTS`]: tenant ids come off the
+//! wire, and a client cycling through them must not grow server memory.
+//! When a new tenant finds the map full, buckets that have refilled to
+//! `burst` go first — that is exactly the bucket a new tenant is given,
+//! so forgetting one changes no decision — and only if none has, the
+//! least recently seen eighth (an eighth, so the scan that finds them is
+//! paid once per `MAX_TENANTS / 8` new tenants, not once each). A tenant
+//! that keeps knocking is by construction not among the least recently
+//! seen: a flood stays clipped however many other ids are swept past it.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+/// Most tenants with a bucket at once.
+pub const MAX_TENANTS: usize = 4096;
 
 /// Admission policy: per-tenant token buckets.
 #[derive(Debug)]
@@ -22,6 +36,9 @@ pub struct Admission {
     /// so a fresh tenant is never denied its first request.
     burst: f64,
     buckets: Mutex<HashMap<u32, Bucket>>,
+    /// Buckets forgotten to keep the map at [`MAX_TENANTS`]
+    /// (`fsi_net_admission_evictions_total`). A statistic: `Relaxed`.
+    evictions: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -38,6 +55,7 @@ impl Admission {
             rate: rate.max(0.0),
             burst: burst.max(1.0),
             buckets: Mutex::new(HashMap::new()),
+            evictions: AtomicU64::new(0),
         }
     }
 
@@ -60,14 +78,14 @@ impl Admission {
             // audit:allow(hot_path_panic): mutex poisoning means another request already panicked; propagating is correct
             Err(e) => panic!("admission buckets poisoned: {e}"),
         };
+        if buckets.len() >= MAX_TENANTS && !buckets.contains_key(&tenant) {
+            self.evict(&mut buckets, now);
+        }
         let bucket = buckets.entry(tenant).or_insert(Bucket {
             tokens: self.burst,
             last: now,
         });
-        // A monotonic clock can still observe reordered `now`s across
-        // threads; saturate instead of refilling backwards.
-        let elapsed = now.saturating_duration_since(bucket.last).as_secs_f64();
-        bucket.tokens = (bucket.tokens + elapsed * self.rate).min(self.burst);
+        bucket.tokens = self.refilled(bucket, now);
         bucket.last = now;
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;
@@ -75,6 +93,33 @@ impl Admission {
         } else {
             false
         }
+    }
+
+    /// What `bucket` holds once refilled up to `now`.
+    fn refilled(&self, bucket: &Bucket, now: Instant) -> f64 {
+        // A monotonic clock can still observe reordered `now`s across
+        // threads; saturate instead of refilling backwards.
+        let elapsed = now.saturating_duration_since(bucket.last).as_secs_f64();
+        (bucket.tokens + elapsed * self.rate).min(self.burst)
+    }
+
+    /// Makes room in a full map (see the module docs for the order).
+    fn evict(&self, buckets: &mut HashMap<u32, Bucket>, now: Instant) {
+        let before = buckets.len();
+        buckets.retain(|_, bucket| self.refilled(bucket, now) < self.burst);
+        if buckets.len() >= MAX_TENANTS {
+            let mut seen: Vec<Instant> = buckets.values().map(|bucket| bucket.last).collect();
+            let (_, &mut cutoff, _) = seen.select_nth_unstable(MAX_TENANTS / 8);
+            // Ties with the cutoff go too: the bound is what must hold.
+            buckets.retain(|_, bucket| bucket.last > cutoff);
+        }
+        let evicted = (before - buckets.len()) as u64;
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+    }
+
+    /// Buckets forgotten so far to keep the map bounded.
+    pub fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
     }
 }
 
@@ -139,5 +184,60 @@ mod tests {
         assert!(a.admit(Some(1), t1));
         // An earlier timestamp arriving late must not mint tokens.
         assert!(!a.admit(Some(1), t0));
+    }
+
+    #[test]
+    fn refilled_buckets_are_evicted_before_anyone_mid_burst() {
+        // 1 token/s, burst 2: a tenant seen once is whole again a second
+        // later, and a whole bucket is what a stranger gets anyway.
+        let a = Admission::new(1.0, 2.0);
+        let t0 = Instant::now();
+        for tenant in 0..MAX_TENANTS as u32 {
+            assert!(a.admit(Some(tenant), t0));
+        }
+        // Tenant 0 drains its bucket just before the map overflows.
+        let t1 = t0 + Duration::from_secs(5);
+        assert!(a.admit(Some(0), t1));
+        assert!(a.admit(Some(0), t1));
+        assert!(!a.admit(Some(0), t1));
+        assert_eq!(a.evictions(), 0);
+        assert!(a.admit(Some(u32::MAX), t1), "a new tenant gets in");
+        assert_eq!(a.evictions(), MAX_TENANTS as u64 - 1, "the refilled ones");
+        assert_eq!(a.buckets.lock().expect("unpoisoned").len(), 2);
+        assert!(!a.admit(Some(0), t1), "the drained bucket was kept");
+    }
+
+    /// The fault: a client cycling through a million tenant ids. The map
+    /// stays at its cap, and a tenant throttled before the sweep — and
+    /// still knocking during it — is throttled all the way through.
+    #[test]
+    fn tenant_id_sweep_stays_bounded_and_keeps_the_flooder_throttled() {
+        const FLOODER: u32 = 7;
+        // No refill: nothing ever becomes whole, so every eviction is the
+        // least-recently-seen fallback.
+        let a = Admission::new(0.0, 2.0);
+        let t0 = Instant::now();
+        assert!(a.admit(Some(FLOODER), t0));
+        assert!(a.admit(Some(FLOODER), t0));
+        assert!(!a.admit(Some(FLOODER), t0), "throttled before the sweep");
+        for i in 0..1_000_000u32 {
+            let now = t0 + Duration::from_micros(u64::from(i) + 1);
+            assert!(
+                a.admit(Some(1_000 + i), now),
+                "a new tenant's first request"
+            );
+            if i % 1_000 == 0 {
+                assert!(!a.admit(Some(FLOODER), now), "unthrottled at sweep {i}");
+                let tracked = a.buckets.lock().expect("unpoisoned").len();
+                assert!(tracked <= MAX_TENANTS, "{tracked} buckets at sweep {i}");
+            }
+        }
+        let tracked = a.buckets.lock().expect("unpoisoned").len();
+        assert!(tracked <= MAX_TENANTS);
+        assert_eq!(
+            a.evictions() + tracked as u64,
+            1_000_001,
+            "evicted or tracked"
+        );
     }
 }

@@ -13,9 +13,13 @@
 //!   pipelined behind it.
 //! * [`queue`] — a bounded MPMC request queue: the one buffering point,
 //!   whose bound is the backpressure. Workers dequeue adaptive
-//!   micro-batches (whatever is queued, up to a cap).
+//!   micro-batches (whatever is queued, up to a cap); one that finds
+//!   nothing polls briefly for the next request — one worker at a time,
+//!   yielding, bounded — before it parks, so a miss on a quiet server
+//!   does not wait for a thread to be woken.
 //! * [`admission`] — per-tenant token buckets, so one flooding tenant is
-//!   clipped to its rate while everyone else keeps their latency.
+//!   clipped to its rate while everyone else keeps their latency; the
+//!   bucket map is bounded, so cycling tenant ids cannot grow it.
 //! * [`server`] — [`NetServer`]: listener, per-connection readers,
 //!   worker pool. The reader that decoded a frame runs
 //!   [`fsi_serve::Server::begin`] and **answers there whatever needs no

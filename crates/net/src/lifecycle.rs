@@ -238,7 +238,7 @@ fn inc(counters: &[Arc<Counter>], which: usize) {
     }
 }
 
-fn ns(d: Duration) -> u64 {
+pub(crate) fn ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 

@@ -29,7 +29,9 @@
 //!    server: it is the only thread that can dispatch for its
 //!    connection, and a connection multiplexing many callers would stall
 //!    them all behind one intersection (measured: see `docs/serving.md`).
-//! 5. **Finish**: workers pop adaptive micro-batches. A request whose
+//! 5. **Finish**: workers pop adaptive micro-batches; an idle one polls
+//!    briefly for the next miss before it parks (`crate::queue`), so on a
+//!    quiet server the hand-off costs no thread wake-up. A request whose
 //!    deadline expired while it waited is shed on dequeue
 //!    ([`Status::Shed`], nothing executed); the rest run through
 //!    [`fsi_serve::Server::finish`] and answer [`Status::Ok`].
@@ -65,7 +67,7 @@ use crate::protocol::{
     DETAIL_SHED_ADMISSION, DETAIL_SHED_DEADLINE, DETAIL_SHED_QUEUE_FULL, MAX_REQUEST_FRAME,
 };
 use crate::queue::BoundedQueue;
-use fsi_obs::{SlowLogEntry, Snapshot};
+use fsi_obs::{SlowLogEntry, Snapshot, SnapshotEntry, SnapshotValue};
 use fsi_serve::{
     Begun, CacheOutcome, Disposition, Miss, QueryError, QueryInput, Request, Response, ShedReason,
 };
@@ -188,10 +190,11 @@ struct Pending {
     writer: Arc<ConnWriter>,
 }
 
-/// Everything a connection reader needs, shared across connections.
-struct ConnCtx {
-    queue: Arc<BoundedQueue<Pending>>,
-    obs: Arc<NetObs>,
+/// What the server's threads share: connection readers use all of it,
+/// workers the queue, the engine and the books, a scrape reads it.
+struct Shared {
+    queue: BoundedQueue<Pending>,
+    obs: NetObs,
     admission: Admission,
     serve: Arc<fsi_serve::Server>,
     default_deadline: Option<Duration>,
@@ -213,9 +216,7 @@ struct Conn {
 pub struct NetServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    queue: Arc<BoundedQueue<Pending>>,
-    obs: Arc<NetObs>,
-    serve: Arc<fsi_serve::Server>,
+    ctx: Arc<Shared>,
     conns: Arc<Mutex<Vec<Conn>>>,
     accept_handle: Mutex<Option<JoinHandle<()>>>,
     worker_handles: Mutex<Vec<JoinHandle<()>>>,
@@ -225,7 +226,7 @@ impl std::fmt::Debug for NetServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetServer")
             .field("local_addr", &self.local_addr)
-            .field("queue_depth", &self.queue.len())
+            .field("queue_depth", &self.ctx.queue.len())
             .finish()
     }
 }
@@ -243,40 +244,38 @@ impl NetServer {
             config.workers
         };
         let shutdown = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-        let obs = Arc::new(NetObs::new(&config.obs));
         let conns = Arc::new(Mutex::new(Vec::new()));
+        let ctx = Arc::new(Shared {
+            queue: BoundedQueue::new(config.queue_capacity),
+            obs: NetObs::new(&config.obs),
+            admission: Admission::new(config.tenant_rate, config.tenant_burst),
+            serve,
+            default_deadline: config.default_deadline,
+            queue_capacity: config.queue_capacity,
+            workers,
+        });
 
         let worker_handles = (0..workers)
             .map(|_| {
-                let serve = Arc::clone(&serve);
-                let queue = Arc::clone(&queue);
-                let obs = Arc::clone(&obs);
+                let ctx = Arc::clone(&ctx);
                 let batch_max = config.batch_max;
                 std::thread::spawn(move || {
-                    while let Some(batch) = queue.pop_batch(batch_max) {
-                        obs.record_batch(batch.len());
+                    // `pop_batch` is where an idle worker waits: polling
+                    // briefly for the next miss, then parked.
+                    while let Some(batch) = ctx.queue.pop_batch(batch_max) {
+                        ctx.obs.record_batch(batch.len());
                         for pending in batch {
-                            finish_pending(&serve, &obs, pending);
+                            finish_pending(&ctx.serve, &ctx.obs, pending);
                         }
                     }
                 })
             })
             .collect();
 
-        let ctx = Arc::new(ConnCtx {
-            queue: Arc::clone(&queue),
-            obs: Arc::clone(&obs),
-            admission: Admission::new(config.tenant_rate, config.tenant_burst),
-            serve: Arc::clone(&serve),
-            default_deadline: config.default_deadline,
-            queue_capacity: config.queue_capacity,
-            workers,
-        });
-
         let accept_handle = {
             let shutdown = Arc::clone(&shutdown);
             let conns = Arc::clone(&conns);
+            let ctx = Arc::clone(&ctx);
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
                     if shutdown.load(Ordering::SeqCst) {
@@ -317,9 +316,7 @@ impl NetServer {
         Ok(Self {
             local_addr,
             shutdown,
-            queue,
-            obs,
-            serve,
+            ctx,
             conns,
             accept_handle: Mutex::new(Some(accept_handle)),
             worker_handles: Mutex::new(worker_handles),
@@ -331,9 +328,9 @@ impl NetServer {
         self.local_addr
     }
 
-    /// Current request-queue depth (racy, for telemetry).
+    /// Current request-queue depth (racy, for telemetry; takes no lock).
     pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+        self.ctx.queue.len()
     }
 
     /// Connections the server still holds a socket and a reader thread
@@ -351,14 +348,14 @@ impl NetServer {
     /// text. The namespaces are disjoint by convention (`fsi_net_*` vs
     /// everything else), so the merge never collides.
     pub fn metrics(&self) -> Snapshot {
-        metrics_snapshot(&self.obs, &self.serve)
+        metrics_snapshot(&self.ctx)
     }
 
     /// A point-in-time copy of the retained slow-log entries, oldest
     /// first (the in-process counterpart of the [`AdminOp::SlowLog`]
     /// wire op).
     pub fn slow_log(&self) -> Vec<Arc<SlowLogEntry>> {
-        self.obs.slowlog.entries()
+        self.ctx.obs.slowlog.entries()
     }
 
     /// Stops the server: closes the listener and every connection, drains
@@ -388,7 +385,7 @@ impl NetServer {
         }
         // Workers drain what is queued, then see the closed queue and
         // exit.
-        self.queue.close();
+        self.ctx.queue.close();
         let workers: Vec<_> = match self.worker_handles.lock() {
             Ok(mut g) => g.drain(..).collect(),
             Err(_) => Vec::new(),
@@ -422,29 +419,52 @@ fn reap(conns: &mut Vec<Conn>) {
     }
 }
 
-/// The net + serve + global registries in one snapshot, with the gauges
-/// that are kept as plain atomics set first.
-fn metrics_snapshot(obs: &NetObs, serve: &fsi_serve::Server) -> Snapshot {
+/// The net + serve + global registries in one snapshot, with the values
+/// that are kept as plain atomics — by the queue, by admission, the open
+/// connections — read now.
+fn metrics_snapshot(ctx: &Shared) -> Snapshot {
+    let obs = &ctx.obs;
     obs.registry
         .gauge("fsi_net_connections_open", &[])
         .set(obs.open_connections.load(Ordering::Relaxed) as u64);
     let mut snap = obs.registry.snapshot();
+    let handoff = ctx.queue.handoff_stats();
+    let counter = |name: &str, labels: &[(&str, &str)], value| SnapshotEntry {
+        name: name.to_string(),
+        labels: labels
+            .iter()
+            .map(|&(key, value)| (key.to_string(), value.to_string()))
+            .collect(),
+        value: SnapshotValue::Counter(value),
+    };
+    snap.merge_from(&Snapshot {
+        entries: vec![
+            counter(
+                "fsi_net_admission_evictions_total",
+                &[],
+                ctx.admission.evictions(),
+            ),
+            counter("fsi_net_handoff_total", &[("via", "park")], handoff.park),
+            counter("fsi_net_handoff_total", &[("via", "spin")], handoff.spin),
+            counter("fsi_net_spin_ns_total", &[], handoff.spin_ns),
+        ],
+    });
     // `Server::metrics` already folds in `Registry::global()`, so one
     // scrape sees net + serve + kernels/planner.
-    snap.merge_from(&serve.metrics());
+    snap.merge_from(&ctx.serve.metrics());
     snap
 }
 
 /// Answers one admin request inline on the reader thread: no admission,
 /// no queueing — the whole point of the in-band surface is that it works
 /// while the data path is overloaded.
-fn handle_admin(ctx: &ConnCtx, writer: &ConnWriter, req: AdminRequest) {
+fn handle_admin(ctx: &Shared, writer: &ConnWriter, req: AdminRequest) {
     ctx.obs
         .registry
         .counter("fsi_net_admin_requests_total", &[("op", req.op.name())])
         .inc();
     let payload = match req.op {
-        AdminOp::Metrics => metrics_snapshot(&ctx.obs, &ctx.serve).to_prometheus(),
+        AdminOp::Metrics => metrics_snapshot(ctx).to_prometheus(),
         AdminOp::Health => {
             let uptime_us = ctx
                 .obs
@@ -603,13 +623,13 @@ fn answer(
 /// One connection's read loop: frame → decode → admission → `begin` →
 /// answered here, or queued for a worker (query frames); inline answer
 /// (admin frames).
-fn read_connection(stream: TcpStream, ctx: &ConnCtx) {
+fn read_connection(stream: TcpStream, ctx: &Shared) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(read_half);
     let writer = Arc::new(ConnWriter::new(stream));
-    let obs = &*ctx.obs;
+    let obs = &ctx.obs;
     let mut body = Vec::new();
     let mut recent_tenant: RecentTenant = None;
     loop {

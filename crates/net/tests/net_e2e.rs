@@ -2,7 +2,8 @@
 //! protocol errors, admission control, deadline shedding, who answers
 //! what (the reader: everything that needs no kernel; a worker: every
 //! cache miss), framing under segmentation and overtaking, connection
-//! reaping, and the exactly-one-response guarantee under flood.
+//! reaping, the exactly-one-response guarantee under flood, the bounded
+//! spin of an idle worker, and the bounded admission map.
 
 use fsi_core::HashContext;
 use fsi_index::{Corpus, CorpusConfig};
@@ -625,6 +626,110 @@ fn the_reader_never_evaluates_and_workers_never_see_a_hit() {
     assert_eq!(queue_wait_samples(&snap), N, "hits left no wait sample");
     assert_eq!(admitted(&snap), Some(2 * N));
     warm.stop();
+}
+
+fn handoffs(snap: &Snapshot, via: &str) -> u64 {
+    snap.counter("fsi_net_handoff_total", &[("via", via)])
+        .expect("exported from the first scrape on")
+}
+
+fn spin_ns(snap: &Snapshot) -> u64 {
+    snap.counter("fsi_net_spin_ns_total", &[])
+        .expect("exported from the first scrape on")
+}
+
+/// The spin is bounded: a server nobody talks to has every worker on the
+/// condvar — the polling-time counter stops — and is woken the old way.
+#[test]
+fn idle_server_parks_every_worker() {
+    const WORKERS: usize = 4;
+    let (_serve, net) = serving_stack_with(
+        cache_off(),
+        NetConfig {
+            workers: WORKERS,
+            ..NetConfig::default()
+        },
+    );
+    // Each worker polls for at most one budget (100 µs) before it parks;
+    // wait until two scrapes a long way apart (in budgets) agree.
+    let mut before = spin_ns(&net.metrics());
+    let settled = (0..500)
+        .find_map(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            let now = spin_ns(&net.metrics());
+            let still = now == before && now > 0;
+            before = now;
+            still.then_some(now)
+        })
+        .expect("the workers never stopped polling");
+    std::thread::sleep(Duration::from_millis(50));
+    let snap = net.metrics();
+    assert_eq!(spin_ns(&snap), settled, "an idle server is still polling");
+    assert_eq!((handoffs(&snap, "spin"), handoffs(&snap, "park")), (0, 0));
+    // The first miss finds everyone parked: one wake-up, no spin.
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    let resp = client
+        .call(&RequestFrame::query(1, heavy_query(1)))
+        .expect("call");
+    assert_eq!(resp.status, Status::Ok, "{}", resp.message);
+    let snap = settled_metrics(&net, |snap| answered(snap, "worker") == 1);
+    assert_eq!((handoffs(&snap, "spin"), handoffs(&snap, "park")), (0, 1));
+    // Back-to-back misses from one caller: every one of them is handed
+    // to a worker that had to wait for it, spinning or parked (unless the
+    // next frame beat the worker back to the queue).
+    for id in 2..40 {
+        let resp = client
+            .call(&RequestFrame::query(id, heavy_query(id)))
+            .expect("call");
+        assert_eq!(resp.status, Status::Ok, "{}", resp.message);
+    }
+    let snap = settled_metrics(&net, |snap| answered(snap, "worker") == 39);
+    let waited = handoffs(&snap, "spin") + handoffs(&snap, "park");
+    assert!(
+        (1..=39).contains(&waited),
+        "{waited} hand-offs for 39 misses"
+    );
+    assert!(spin_ns(&snap) > settled, "the woken worker polled again");
+    net.stop();
+}
+
+/// The fault: one client cycling through more tenant ids than the
+/// admission map holds. Every stranger is admitted, the evictions that
+/// kept the map bounded are on the scrape, and the tenant that was
+/// throttled before the sweep — and kept knocking — still is after it.
+#[test]
+fn tenant_id_sweep_is_bounded_and_counted() {
+    const FLOODER: u32 = 7;
+    let (_serve, net) = serving_stack(NetConfig {
+        tenant_rate: 0.0, // no refill: nothing ever frees itself
+        tenant_burst: 1.0,
+        ..NetConfig::default()
+    });
+    let evictions = |net: &NetServer| {
+        net.metrics()
+            .counter("fsi_net_admission_evictions_total", &[])
+            .expect("exported from the first scrape on")
+    };
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    let mut call = |id: u64, tenant: u32| {
+        client
+            .call(&RequestFrame::query(id, "0 AND 1").with_tenant(tenant))
+            .expect("call")
+            .status
+    };
+    assert_eq!(call(0, FLOODER), Status::Ok);
+    assert_eq!(call(1, FLOODER), Status::Overloaded);
+    assert_eq!(evictions(&net), 0);
+    let sweep = fsi_net::admission::MAX_TENANTS as u32 + 500;
+    for i in 0..sweep {
+        assert_eq!(call(u64::from(i) + 2, 1_000 + i), Status::Ok, "tenant {i}");
+        if i % 500 == 0 {
+            assert_eq!(call(0, FLOODER), Status::Overloaded, "at sweep {i}");
+        }
+    }
+    assert!(evictions(&net) >= 500, "{} evicted", evictions(&net));
+    assert_eq!(call(1, FLOODER), Status::Overloaded, "throttled to the end");
+    net.stop();
 }
 
 #[test]

@@ -77,6 +77,9 @@ fn main() {
         "fsi_net_stage_ns_count{stage=\"decode\"}",
         "fsi_net_answered_total{by=\"worker\"}",
         "fsi_net_tenant_requests_total",
+        "fsi_net_handoff_total{via=\"park\"}",
+        "fsi_net_spin_ns_total",
+        "fsi_net_admission_evictions_total",
         "fsi_queries_served_total",
         "fsi_plan_kind_total",
         "fsi_index_bytes{repr=\"hash\"}",
