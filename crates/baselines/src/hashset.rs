@@ -39,13 +39,6 @@ impl ProbeTable {
         (n * 2).next_power_of_two().max(4)
     }
 
-    /// Heap bytes of a table of `n` elements — what
-    /// [`ProbeTable::size_in_bytes`] reports after building, without
-    /// building (cost models price a probed operand's footprint with it).
-    pub fn bytes_for(n: usize) -> usize {
-        Self::capacity_for(n) * 4 + 1
-    }
-
     /// Builds the table of `elems` (duplicate-free; order immaterial).
     pub fn build(elems: &[Elem]) -> Self {
         let cap = Self::capacity_for(elems.len());
@@ -189,10 +182,6 @@ mod tests {
         for &x in set.as_slice() {
             assert!(idx.contains(x));
         }
-        assert_eq!(
-            ProbeTable::bytes_for(set.len()),
-            ProbeTable::build(set.as_slice()).size_in_bytes()
-        );
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..4000 {
             let x: u32 = rng.gen();

@@ -58,6 +58,11 @@
 //! silent skip: a missing baseline means a new benchmark was added without
 //! committing its reference.
 //!
+//! Provenance is reported, never gated: when the two files' `env` blocks
+//! disagree on `simd_level` or on any `planner_units` key, one `note:`
+//! line says so — the numbers below it were measured on different
+//! effective machines, which is for the reader to weigh.
+//!
 //! Usage:
 //! `check_regression [--tolerance 2.0] <baseline.json> <current.json> [<baseline> <current> ...]`
 
@@ -274,6 +279,47 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
     (out, declined)
 }
 
+/// Where the two files' `env` blocks disagree: the SIMD tier, and every
+/// planner unit either side names (a unit one side lacks reads `absent`).
+fn env_disagreements(baseline: &Json, current: &Json) -> Vec<String> {
+    fn units(doc: &Json) -> &[(String, Json)] {
+        match doc.get("env").and_then(|e| e.get("planner_units")) {
+            Some(Json::Obj(units)) => units,
+            _ => &[],
+        }
+    }
+    fn unit<'j>(doc: &'j Json, key: &str) -> Option<&'j Json> {
+        units(doc).iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+    fn tier(doc: &Json) -> Option<&Json> {
+        doc.get("env")?.get("simd_level")
+    }
+    fn show(v: Option<&Json>) -> String {
+        match v {
+            Some(Json::Num(x)) => x.to_string(),
+            Some(Json::Str(s)) => s.clone(),
+            Some(other) => format!("{other:?}"),
+            None => "absent".to_string(),
+        }
+    }
+    let mut out = Vec::new();
+    let mut compare = |key: &str, b: Option<&Json>, c: Option<&Json>| {
+        if b != c {
+            out.push(format!("{key} {} -> {}", show(b), show(c)));
+        }
+    };
+    compare("simd_level", tier(baseline), tier(current));
+    for (key, b) in units(baseline) {
+        compare(key, Some(b), unit(current, key));
+    }
+    for (key, c) in units(current) {
+        if unit(baseline, key).is_none() {
+            compare(key, None, Some(c));
+        }
+    }
+    out
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut tolerance = 2.0f64;
@@ -323,6 +369,13 @@ fn main() -> ExitCode {
             "{base_path} vs {cur_path}: mismatched bench tags"
         );
         println!("\n== {tag}: {cur_path} vs baseline {base_path} (tolerance {tolerance}x) ==");
+        let env_diff = env_disagreements(&baseline, &current);
+        if !env_diff.is_empty() {
+            println!(
+                "  note: env differs (baseline -> current): {}",
+                env_diff.join(", ")
+            );
+        }
         // Declined rows are skipped per-file; drop a metric when either
         // side skipped it.
         let (base_metrics, _) = metrics(&baseline, base_path);

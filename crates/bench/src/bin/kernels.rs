@@ -13,10 +13,8 @@
 //! CI regression gate compares like with like).
 
 use fsi_bench::{median_time, HarnessArgs, Table};
-use fsi_core::{HashContext, PairIntersect, SortedSet};
-use fsi_kernels::{
-    branchless_merge_into, galloping_into, BitmapSet, Kernel, ScalarMerge, SigFilterSet,
-};
+use fsi_core::{PairIntersect, SortedSet};
+use fsi_kernels::{branchless_merge_into, galloping_into, BitmapSet, Kernel, ScalarMerge};
 use fsi_workloads::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -90,7 +88,6 @@ struct Row {
 fn main() {
     let args = HarnessArgs::parse("BENCH_kernels.json");
     let reps = args.pick(FULL_REPS, SMOKE_REPS);
-    let ctx = HashContext::new(fsi_bench::HARNESS_SEED);
     let mut rng = StdRng::seed_from_u64(fsi_bench::HARNESS_SEED);
     let mut shape_json: Vec<String> = Vec::new();
 
@@ -108,7 +105,6 @@ fn main() {
 
         // Prepared forms, built outside the timed region.
         let (ba, bb) = (BitmapSet::build(&a), BitmapSet::build(&b));
-        let (sa, sb) = (SigFilterSet::build(&ctx, &a), SigFilterSet::build(&ctx, &b));
         let (small, large) = if a.len() <= b.len() {
             (&a, &b)
         } else {
@@ -152,9 +148,6 @@ fn main() {
         });
         bench("Bitmap", &mut rows, &mut |out| {
             ba.intersect_pair_into(&bb, out)
-        });
-        bench("SigFilter", &mut rows, &mut |out| {
-            sa.intersect_pair_into(&sb, out)
         });
 
         let merge_us = rows[0].us;

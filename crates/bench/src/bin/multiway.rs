@@ -135,7 +135,6 @@ fn main() {
             let r = expect.len();
             let plan = planner.plan_for_lists(&planned_refs);
 
-            let auto = AutoKernel::default();
             let mut out: Vec<u32> = Vec::new();
             let mut rows: Vec<Row> = Vec::new();
             let mut bench = |algo: &str, rows: &mut Vec<Row>, f: &mut dyn FnMut(&mut Vec<u32>)| {
@@ -181,7 +180,7 @@ fn main() {
                 pairwise_fold_into(&ScalarMerge, &slices, out)
             });
             bench("PairwiseFold(Auto)", &mut rows, &mut |out| {
-                pairwise_fold_into(&auto, &slices, out)
+                pairwise_fold_into(&AutoKernel, &slices, out)
             });
             bench("GallopProbe", &mut rows, &mut |out| {
                 gallop_probe_into(&slices, out)

@@ -15,9 +15,9 @@
 //! Usage: `cargo run --release -p fsi-bench --bin simd -- [out.json] [--smoke]`
 
 use fsi_bench::{min_time, HarnessArgs, Table};
-use fsi_core::{HashContext, PairIntersect, SortedSet};
+use fsi_core::{PairIntersect, SortedSet};
 use fsi_kernels::simd::{self, SimdLevel};
-use fsi_kernels::{BitmapSet, SigFilterSet};
+use fsi_kernels::BitmapSet;
 use fsi_workloads::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -104,7 +104,6 @@ fn main() {
     let args = HarnessArgs::parse("BENCH_simd.json");
     let reps = args.pick(FULL_REPS, SMOKE_REPS);
     let active = SimdLevel::active();
-    let ctx = HashContext::new(fsi_bench::HARNESS_SEED);
     let mut rng = StdRng::seed_from_u64(fsi_bench::HARNESS_SEED);
     let mut shape_json: Vec<String> = Vec::new();
 
@@ -135,10 +134,6 @@ fn main() {
         let sa = SortedSet::from_sorted_unchecked(a.to_vec());
         let sb = SortedSet::from_sorted_unchecked(b.to_vec());
         let (bm_a, bm_b) = (BitmapSet::build(&sa), BitmapSet::build(&sb));
-        let (sf_a, sf_b) = (
-            SigFilterSet::build(&ctx, &sa),
-            SigFilterSet::build(&ctx, &sb),
-        );
 
         let mut expect: Vec<u32> = Vec::new();
         simd::merge_into_at(SimdLevel::Scalar, a, b, &mut expect);
@@ -172,9 +167,6 @@ fn main() {
         bench("Merge", &mut rows, &mut |out| simd::merge_into(a, b, out));
         bench("Bitmap", &mut rows, &mut |out| {
             bm_a.intersect_pair_into(&bm_b, out)
-        });
-        bench("SigFilter", &mut rows, &mut |out| {
-            sf_a.intersect_pair_into(&sf_b, out)
         });
 
         let mut table = Table::new(vec!["kernel", "scalar us", "simd us", "speedup"]);

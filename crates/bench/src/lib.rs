@@ -176,7 +176,6 @@ pub fn env_json() -> String {
          \"simd_level\": \"{}\",\n    \"planner_units\": {{\n      \
          \"gallop_unit\": {}, \"hash_unit\": {}, \"bitmap_word_unit\": {}, \
          \"rgs_unit\": {}, \"heap_unit\": {},\n      \
-         \"decode_unit\": {}, \"bytes_unit\": {},\n      \
          \"union_unit\": {}, \"union_bitmap_word_unit\": {}, \"diff_unit\": {}\n    }}\n  }}",
         git_commit(),
         std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -186,8 +185,6 @@ pub fn env_json() -> String {
         p.bitmap_word_unit,
         p.rgs_unit,
         p.heap_unit,
-        p.decode_unit,
-        p.bytes_unit,
         xp.union_unit,
         xp.union_bitmap_word_unit,
         xp.diff_unit,
@@ -300,8 +297,6 @@ mod tests {
             "bitmap_word_unit",
             "rgs_unit",
             "heap_unit",
-            "decode_unit",
-            "bytes_unit",
             "union_unit",
             "union_bitmap_word_unit",
             "diff_unit",

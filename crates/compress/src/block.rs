@@ -217,8 +217,7 @@ impl BlockPostings {
     }
 
     /// What [`BlockPostings::from_slice`] would occupy for `set` under
-    /// `codec`, in bytes, **without building anything** — the planner's
-    /// bytes-resident statistic. Exact: equals
+    /// `codec`, in bytes, **without building anything**. Exact: equals
     /// [`SetIndex::size_in_bytes`] of the built structure.
     pub fn measure(codec: BlockCodec, set: &[Elem]) -> usize {
         let header = set.len().div_ceil(BLOCK_LEN) * std::mem::size_of::<SkipEntry>();

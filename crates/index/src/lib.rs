@@ -5,7 +5,7 @@
 //! * [`corpus`] — synthetic Zipf corpus (the Wikipedia stand-in);
 //! * [`engine`] — [`SearchEngine`] / [`Executor`]: conjunctive queries with a
 //!   pluggable intersection strategy;
-//! * [`strategy`] — the [`Strategy`] enum unifying all 17 algorithm variants
+//! * [`strategy`] — the [`Strategy`] enum unifying all 22 algorithm variants
 //!   (paper algorithms, baselines, compressed structures);
 //! * [`bag`] — the Section 3 bag-semantics extension;
 //! * [`daat`] — group-granular DAAT top-k retrieval (the Section 2

@@ -18,7 +18,6 @@
 //! | [`PlanKind::GallopProbe`] | `gallop_unit · n_min · Σᵢ log₂(nᵢ/n_min + 2)` | moderate skew between table-carrying lists (Hwang–Lin across all k) |
 //! | [`PlanKind::RanGroupScan`] | `rgs_unit · Σ nᵢ` | balanced sparse — the paper's home turf |
 //! | [`PlanKind::HeapMerge`] | `heap_unit · Σ nᵢ · log₂ k` | structure-free fallback (tunables can force it) |
-//! | [`PlanKind::CompressedGallop`] | `gallop_unit · n_min · Σᵢ log₂(nᵢ/n_min + 2) + decode_unit · E[decoded]` | memory-bound: probe the compressed blocks directly |
 //!
 //! The minimum-cost candidate wins; `c_min` is the smallest per-operand
 //! chunk count, so the bitmap estimate prices the word sweep
@@ -28,10 +27,10 @@
 //! one than were swept). The membership probe is priced **per
 //! probed operand**: a bit test and a table probe are different units.
 //!
-//! A [`PlannedList`] keeps every representation a plan can bind: the flat
-//! sorted list (the probe driver, gallop probes, heap merge), the
-//! RanGroupScan structure, skip-augmented block postings (compressed-domain
-//! probes), and **exactly one** [`Membership`] structure — a chunked bitmap
+//! A [`PlannedList`] keeps the representations a plan can bind and no
+//! other: the flat sorted list (the probe driver, gallop probes, heap
+//! merge), the RanGroupScan structure, and **exactly one** [`Membership`]
+//! structure (so four structures exist, three per list) — a chunked bitmap
 //! when the list has at least one member per bitmap word of the chunks it
 //! touches (the bitmap then costs ≤ 8 B/posting, never more than the
 //! load-≤½ table), a hash table otherwise. The choice is computed from the
@@ -39,16 +38,10 @@
 //! stop-word-sized list a structure that stays cache-resident (8 KiB per
 //! touched chunk) instead of a multi-megabyte table.
 //!
-//! On top of the compute estimates, every candidate is charged a
-//! **bytes-resident term** `bytes_unit · resident_bytes(candidate)` — the
-//! cache/memory footprint the chosen representation drags through the
-//! query: flat bytes for the slice kernels, the driver's flat list plus
-//! each probed operand's actual membership bytes for the probe, bitmap
-//! words for the sweep. The default `bytes_unit` of 0 reproduces the
-//! pure-compute model (and the pinned crossovers); raising it expresses
-//! memory pressure, and the planner starts trading decode work
-//! ([`Planner::decode_unit`]) for the ~4–10× smaller compressed operands —
-//! see `docs/compress.md`.
+//! Block postings (`fsi_compress::BlockPostings`) are not among them: a
+//! decode-then-probe walk costs a gallop plus the decode, so it never
+//! priced below [`PlanKind::GallopProbe`] and was never planned. They run
+//! under the fixed `Strategy::CompressedGallop` — see `docs/compress.md`.
 //!
 //! The default constants reflect *this repository's measured* crossovers
 //! (see `docs/benchmarks.md`, `BENCH_kernels.json`, `BENCH_multiway.json`
@@ -64,14 +57,14 @@
 
 use crate::engine::SearchEngine;
 use fsi_baselines::ProbeTable;
-use fsi_compress::{BlockCodec, BlockCursor, BlockPostings, BLOCK_LEN};
+use fsi_compress::BlockPostings;
 use fsi_core::elem::{Elem, SortedSet};
 use fsi_core::hash::HashContext;
 use fsi_core::traits::{KIntersect, SetIndex};
 use fsi_core::RanGroupScanIndex;
 use fsi_kernels::{
-    compressed_probe_into, filter_in_place, gallop_probe_ordered_into, heap_merge_into, BitmapSet,
-    GallopingSet, WORDS_PER_CHUNK,
+    filter_in_place, gallop_probe_ordered_into, heap_merge_into, BitmapSet, GallopingSet,
+    WORDS_PER_CHUNK,
 };
 
 /// The one membership structure a prepared list carries — what
@@ -114,19 +107,16 @@ pub struct ReprBytes {
     pub hash: usize,
     /// RanGroupScan group structures.
     pub rgs: usize,
-    /// Skip-augmented block postings.
-    pub compressed: usize,
 }
 
 impl ReprBytes {
     /// The parts under their gauge labels, in a fixed order.
-    pub fn parts(&self) -> [(&'static str, usize); 5] {
+    pub fn parts(&self) -> [(&'static str, usize); 4] {
         [
             ("flat", self.flat),
             ("bitmap", self.bitmap),
             ("hash", self.hash),
             ("rgs", self.rgs),
-            ("compressed", self.compressed),
         ]
     }
 
@@ -142,21 +132,17 @@ impl std::ops::AddAssign for ReprBytes {
         self.bitmap += o.bitmap;
         self.hash += o.hash;
         self.rgs += o.rgs;
-        self.compressed += o.compressed;
     }
 }
 
-/// A posting list prepared for every representation a plan can bind.
+/// A posting list prepared for every representation a plan can bind: the
+/// flat list, the RanGroupScan structure, and one [`Membership`] structure
+/// (a bitmap or a hash table).
 #[derive(Debug, Clone)]
 pub struct PlannedList {
     membership: Membership,
     rgs: RanGroupScanIndex,
     flat: GallopingSet,
-    /// Skip-augmented block postings (Packed frame-of-reference codec) —
-    /// what [`PlanKind::CompressedGallop`] probes without full decode.
-    /// Always built today (`Some`); the `Option` is the plan-admissibility
-    /// contract.
-    compressed: Option<BlockPostings>,
 }
 
 impl PlannedList {
@@ -172,7 +158,6 @@ impl PlannedList {
             membership,
             rgs: RanGroupScanIndex::with_m(ctx, set, 2),
             flat: GallopingSet::build(set),
-            compressed: Some(BlockPostings::from_slice(BlockCodec::Packed, elems)),
         }
     }
 
@@ -202,10 +187,10 @@ impl PlannedList {
         }
     }
 
-    /// The skip-augmented block postings, when built — what
-    /// [`PlanKind::CompressedGallop`] walks in the compressed domain.
+    /// Always `None`: no list carries block postings. Kept only because
+    /// the frozen `benchmark/src/replay.rs` compiles against it.
     pub fn compressed(&self) -> Option<&BlockPostings> {
-        self.compressed.as_ref()
+        None
     }
 
     /// The cost-model inputs of this list: its size, and its chunk count
@@ -214,7 +199,6 @@ impl PlannedList {
         OperandStats {
             n: self.n(),
             chunks: self.bitmap().map(BitmapSet::num_chunks),
-            compressed_bytes: self.compressed.as_ref().map(|c| c.size_in_bytes()),
         }
     }
 
@@ -229,7 +213,6 @@ impl PlannedList {
             bitmap,
             hash,
             rgs: self.rgs.size_in_bytes(),
-            compressed: self.compressed.as_ref().map_or(0, |c| c.size_in_bytes()),
         }
     }
 
@@ -248,24 +231,17 @@ pub struct OperandStats {
     /// structure is a chunk bitmap; `None` means it carries a hash table
     /// instead (fewer than one member per bitmap word).
     pub chunks: Option<usize>,
-    /// Exact byte footprint of the list's skip-augmented block postings,
-    /// if prepared (`None` vetoes [`PlanKind::CompressedGallop`], mirroring
-    /// how a missing bitmap vetoes [`PlanKind::BitmapAnd`]).
-    pub compressed_bytes: Option<usize>,
 }
 
 impl OperandStats {
     /// Stats of a raw sorted set, exactly as [`PlannedList::build`] would
     /// produce them: the chunk count is `Some` iff the build rule gives the
-    /// list a bitmap, and the compressed footprint is
-    /// [`BlockPostings::measure`]'s exact size — byte-identical to building
-    /// the structure, without building it.
+    /// list a bitmap.
     pub fn of_set(set: &SortedSet) -> Self {
         let chunks = BitmapSet::count_chunks(set.as_slice());
         Self {
             n: set.len(),
             chunks: bitmap_is_smaller(set.len(), chunks).then_some(chunks),
-            compressed_bytes: Some(BlockPostings::measure(BlockCodec::Packed, set.as_slice())),
         }
     }
 }
@@ -292,11 +268,9 @@ pub enum PlanKind {
     GallopProbe,
     /// Heap-based k-way merge (structure-free fallback).
     HeapMerge,
-    /// Compressed-domain galloping: the smallest list's block cursor drives
-    /// seeks through the others' skip tables, decoding at most the blocks
-    /// a candidate actually lands in. Wins under memory pressure
-    /// ([`Planner::bytes_unit`] > 0), where operand footprint outprices the
-    /// decode work.
+    /// Never emitted by [`Planner::plan`]; [`Planner::execute`] answers it
+    /// as [`PlanKind::GallopProbe`]. Kept only because the frozen
+    /// `benchmark/src/replay.rs` compiles against it.
     CompressedGallop,
 }
 
@@ -370,11 +344,6 @@ const BIT_TEST_UNIT: f64 = 2.0;
 /// corpus's densest lists.
 const EXTRACT_UNIT: f64 = 10.0;
 
-/// Bytes of bitmap words in `chunks` chunks.
-fn bitmap_bytes(chunks: usize) -> f64 {
-    (chunks * WORDS_PER_CHUNK * 8) as f64
-}
-
 /// The whole-query cost-model dispatcher.
 #[derive(Debug, Clone)]
 pub struct Planner {
@@ -399,19 +368,6 @@ pub struct Planner {
     /// carry the RGS structure); tuning it below `rgs_unit` forces the
     /// structure-free path.
     pub heap_unit: f64,
-    /// Cost per document id decoded out of a compressed block — the extra
-    /// work [`PlanKind::CompressedGallop`] pays over a flat gallop for the
-    /// blocks its probes actually touch. Strictly positive, so with no
-    /// memory pressure (`bytes_unit = 0`) the compressed plan is dominated
-    /// by [`PlanKind::GallopProbe`] and never fires.
-    pub decode_unit: f64,
-    /// Cost per byte of operand representation the chosen kernel drags
-    /// through the cache — the memory-pressure dial. The default `0.0`
-    /// reproduces the pure-compute model exactly (every pinned crossover
-    /// below is unchanged); raising it charges flat/hash/bitmap candidates
-    /// their full footprint while [`PlanKind::CompressedGallop`] pays only
-    /// the ~4–10× smaller block-postings bytes.
-    pub bytes_unit: f64,
 }
 
 impl Default for Planner {
@@ -422,8 +378,6 @@ impl Default for Planner {
             bitmap_word_unit: 1.0,
             rgs_unit: 1.2,
             heap_unit: 2.0,
-            decode_unit: 0.5,
-            bytes_unit: 0.0,
         }
     }
 }
@@ -509,15 +463,7 @@ impl Planner {
         let total: f64 = stats.iter().map(|s| s.n as f64).sum();
         let probes = (k - 1) as f64;
 
-        // Bytes-resident terms: what each candidate's representation costs
-        // to drag through the cache, scaled by the memory-pressure dial
-        // (zero by default, so these vanish from the pure-compute model).
-        // Flat slices are 4 bytes/element; the RanGroupScan structure runs
-        // about two words per element.
-        let flat_bytes = self.bytes_unit * 4.0 * total;
-        let rgs_bytes = self.bytes_unit * 8.0 * total;
-
-        let mut best = (PlanKind::RanGroupScan, self.rgs_unit * total + rgs_bytes);
+        let mut best = (PlanKind::RanGroupScan, self.rgs_unit * total);
         let mut consider = |kind: PlanKind, cost: f64| {
             if cost < best.1 {
                 best = (kind, cost);
@@ -527,30 +473,18 @@ impl Planner {
             .iter()
             .map(|&i| (stats[i].n as f64 / n_min + 2.0).log2())
             .sum();
-        consider(
-            PlanKind::GallopProbe,
-            self.gallop_unit * n_min * log_sum + flat_bytes,
-        );
+        consider(PlanKind::GallopProbe, self.gallop_unit * n_min * log_sum);
         // The membership probe is priced per probed operand: a bit test
         // into a bitmap that stays cache-resident and a probe into a hash
-        // table are different units. It drags the driver's flat list and
-        // each probed operand's one structure through the cache.
-        let (probe_units, probe_bytes) =
-            order[1..]
-                .iter()
-                .fold((0.0, 4.0 * n_min), |(units, bytes), &i| {
-                    match stats[i].chunks {
-                        Some(c) => (units + BIT_TEST_UNIT, bytes + bitmap_bytes(c)),
-                        None => (
-                            units + self.hash_unit,
-                            bytes + ProbeTable::bytes_for(stats[i].n) as f64,
-                        ),
-                    }
-                });
-        consider(
-            PlanKind::HashProbe,
-            n_min * probe_units + self.bytes_unit * probe_bytes,
-        );
+        // table are different units.
+        let probe_units: f64 = order[1..]
+            .iter()
+            .map(|&i| match stats[i].chunks {
+                Some(_) => BIT_TEST_UNIT,
+                None => self.hash_unit,
+            })
+            .sum();
+        consider(PlanKind::HashProbe, n_min * probe_units);
         if let Some(c_min) = stats.iter().map(|s| s.chunks).min().flatten() {
             // `min` on Options puts None first, so a single bitmap-less
             // operand (None) vetoes the candidate via `.flatten()`.
@@ -566,39 +500,15 @@ impl Planner {
             let survivors = stats.iter().fold(c_min as f64 * chunk_span, |rows, s| {
                 rows * (s.n as f64 / (s.chunks.unwrap_or(1) as f64 * chunk_span)).min(1.0)
             });
-            let all_chunks: usize = stats.iter().map(|s| s.chunks.unwrap_or(0)).sum();
             consider(
                 PlanKind::BitmapAnd,
-                self.bitmap_word_unit * words * probes
-                    + EXTRACT_UNIT * survivors.min(words)
-                    + self.bytes_unit * bitmap_bytes(all_chunks),
+                self.bitmap_word_unit * words * probes + EXTRACT_UNIT * survivors.min(words),
             );
         }
         consider(
             PlanKind::HeapMerge,
-            self.heap_unit * total * (k as f64).log2() + flat_bytes,
+            self.heap_unit * total * (k as f64).log2(),
         );
-        // Compressed-domain galloping: admissible only when every operand
-        // carries block postings (`Option::sum` yields None otherwise). The
-        // driver decodes fully; each probed list decodes at most one block
-        // (BLOCK_LEN ids) per driver candidate, capped at its own length.
-        if let Some(comp_bytes) = stats
-            .iter()
-            .map(|s| s.compressed_bytes)
-            .sum::<Option<usize>>()
-        {
-            let decoded: f64 = n_min
-                + order[1..]
-                    .iter()
-                    .map(|&i| (stats[i].n as f64).min(n_min * BLOCK_LEN as f64))
-                    .sum::<f64>();
-            consider(
-                PlanKind::CompressedGallop,
-                self.gallop_unit * n_min * log_sum
-                    + self.decode_unit * decoded
-                    + self.bytes_unit * comp_bytes as f64,
-            );
-        }
         MultiwayPlan {
             kind: best.0,
             order,
@@ -677,7 +587,10 @@ impl Planner {
                     .collect();
                 BitmapSet::intersect_k_into(&typed, out);
             }
-            PlanKind::GallopProbe => {
+            // `CompressedGallop` is never planned; a hand-built plan of
+            // that kind gallops the flat lists, which is what its block
+            // cursors decoded to.
+            PlanKind::GallopProbe | PlanKind::CompressedGallop => {
                 let driver = lists[plan.order[0]].flat.as_slice();
                 let rest: Vec<&[Elem]> = plan.order[1..]
                     .iter()
@@ -688,21 +601,6 @@ impl Planner {
             PlanKind::HeapMerge => {
                 let slices: Vec<&[Elem]> = lists.iter().map(|l| l.flat.as_slice()).collect();
                 heap_merge_into(&slices, out);
-            }
-            PlanKind::CompressedGallop => {
-                let mut cursors: Vec<BlockCursor> = plan
-                    .order
-                    .iter()
-                    .map(|&i| {
-                        lists[i]
-                            .compressed
-                            .as_ref()
-                            // audit:allow(hot_path_panic): the planner only picks CompressedGallop when every operand carries block postings
-                            .expect("CompressedGallop only wins when every operand carries block postings")
-                            .cursor()
-                    })
-                    .collect();
-                compressed_probe_into(&mut cursors, out);
             }
         }
     }
@@ -797,13 +695,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Stats of a sparse list (no bitmap or block postings prepared).
+    /// Stats of a sparse list (it carries a hash table, no bitmap).
     fn sparse(n: usize) -> OperandStats {
-        OperandStats {
-            n,
-            chunks: None,
-            compressed_bytes: None,
-        }
+        OperandStats { n, chunks: None }
     }
 
     /// Stats of a dense list touching `chunks` chunks.
@@ -811,16 +705,6 @@ mod tests {
         OperandStats {
             n,
             chunks: Some(chunks),
-            compressed_bytes: None,
-        }
-    }
-
-    /// Stats of a sparse list whose block postings compressed to `bytes`.
-    fn compressed(n: usize, bytes: usize) -> OperandStats {
-        OperandStats {
-            n,
-            chunks: None,
-            compressed_bytes: Some(bytes),
         }
     }
 
@@ -926,8 +810,6 @@ mod tests {
             assert_eq!(tuned.hash_unit, base.hash_unit);
             assert_eq!(tuned.rgs_unit, base.rgs_unit);
             assert_eq!(tuned.heap_unit, base.heap_unit);
-            assert_eq!(tuned.decode_unit, base.decode_unit);
-            assert_eq!(tuned.bytes_unit, base.bytes_unit);
         }
         // Scalar tuning IS the default; auto() follows the active tier.
         assert_eq!(
@@ -1118,9 +1000,8 @@ mod tests {
             let lists: Vec<PlannedList> =
                 sets.iter().map(|s| PlannedList::build(&ctx, s)).collect();
             let refs: Vec<&PlannedList> = lists.iter().collect();
-            // The stats themselves must agree field-for-field — including
-            // the measured-vs-built compressed footprint — not just the
-            // plan they induce.
+            // The stats themselves must agree field-for-field, not just
+            // the plan they induce.
             for (set, list) in sets.iter().zip(&lists) {
                 assert_eq!(OperandStats::of_set(set), list.stats(), "sizes {sizes:?}");
             }
@@ -1133,36 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_pressure_flips_to_compressed_domain_and_stays_correct() {
-        let ctx = HashContext::new(47);
-        // Clustered doc ids (small gaps) — the compressed form is many
-        // times smaller than the 4-bytes-per-id flat list.
-        let a: SortedSet = (0..3000u32).map(|x| x * 3).collect();
-        let b: SortedSet = (0..3500u32).map(|x| x * 3 + (x % 3)).collect();
-        let pa = PlannedList::build(&ctx, &a);
-        let pb = PlannedList::build(&ctx, &b);
-        let expect = reference_intersection(&[a.as_slice(), b.as_slice()]);
-
-        // No memory pressure: the pure-compute model never pays the decode
-        // term, so the compressed plan is dominated.
-        let calm = Planner::default();
-        assert_ne!(
-            calm.plan_for_lists(&[&pa, &pb]).kind,
-            PlanKind::CompressedGallop
-        );
-        // Under pressure the byte footprint dominates and the planner
-        // switches to probing the blocks directly — byte-identical result.
-        let pressured = Planner {
-            bytes_unit: 100.0,
-            ..Planner::default()
-        };
-        let mut out = Vec::new();
-        let plan = pressured.intersect(&[&pa, &pb], &mut out);
-        assert_eq!(plan.kind, PlanKind::CompressedGallop);
-        assert_eq!(out, expect);
-    }
-
-    #[test]
     fn cost_units_are_tunable_and_can_force_every_kernel() {
         // Cranking every other unit sky-high forces each candidate in turn.
         let sets = [sparse(3000), sparse(4000), sparse(5000)];
@@ -1172,7 +1023,6 @@ mod tests {
             hash_unit: hash,
             heap_unit: heap,
             bitmap_word_unit: f64::INFINITY,
-            ..Planner::default()
         };
         assert_eq!(
             kind(&force(1e-6, 1e9, 1e9, 1e9), &sets),
@@ -1197,26 +1047,39 @@ mod tests {
             hash_unit: 1e9,
             heap_unit: 1e9,
             bitmap_word_unit: 1e-6,
-            ..Planner::default()
         };
         assert_eq!(kind(&bitmap_cheap, &dense_sets), PlanKind::BitmapAnd);
-        // Operands carrying block postings + a hot bytes_unit force the
-        // compressed-domain plan: flat candidates pay 4 bytes/element,
-        // compressed pays only its (much smaller) exact footprint.
-        let comp_sets = [compressed(3000, 1200), compressed(4000, 1500)];
-        let pressured = Planner {
-            bytes_unit: 100.0,
-            ..Planner::default()
-        };
-        assert_eq!(kind(&pressured, &comp_sets), PlanKind::CompressedGallop);
-        // Without pressure the decode term keeps it strictly dominated.
-        assert_ne!(
-            kind(&Planner::default(), &comp_sets),
-            PlanKind::CompressedGallop
-        );
-        // A single operand without block postings vetoes the candidate.
-        let mixed = [compressed(3000, 1200), sparse(4000)];
-        assert_ne!(kind(&pressured, &mixed), PlanKind::CompressedGallop);
+    }
+
+    /// No operand shape makes `plan` emit `CompressedGallop`: sparse and
+    /// dense operands, k = 2…5, size ratios 1…512 between neighbours, at
+    /// the default units and every SIMD tier's. (A hand-built plan of that
+    /// kind still answers — `every_forced_kernel_is_correct` runs one.)
+    #[test]
+    fn compressed_gallop_is_never_planned() {
+        let planners: Vec<Planner> = fsi_kernels::SimdLevel::ALL
+            .into_iter()
+            .map(Planner::for_simd)
+            .collect();
+        for k in 2..=5usize {
+            for ratio in (0..10).map(|e| 1usize << e) {
+                for dense_mask in 0..1u32 << k {
+                    let stats: Vec<OperandStats> = (0..k)
+                        .map(|i| {
+                            let n = 64 * ratio.pow(i as u32).min(1 << 22);
+                            if dense_mask >> i & 1 == 1 {
+                                dense(n, n.div_ceil(8 * WORDS_PER_CHUNK).max(1))
+                            } else {
+                                sparse(n)
+                            }
+                        })
+                        .collect();
+                    for p in &planners {
+                        assert_ne!(p.plan(&stats).kind, PlanKind::CompressedGallop, "{stats:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use fsi_core::{
     hashbin, HashBinIndex, IntGroupIndex, IntGroupOptIndex, MultiResIndex, RanGroupIndex,
     RanGroupScanIndex,
 };
-use fsi_kernels::{BitmapSet, GallopingSet, SigFilterSet};
+use fsi_kernels::{BitmapSet, GallopingSet};
 
 /// Every algorithm the harness can run, identified the way the paper's
 /// figures label them.
@@ -69,9 +69,6 @@ pub enum Strategy {
     /// `fsi-kernels`: branchless two-pointer merge / galloping probe,
     /// chosen per query by size ratio.
     Galloping,
-    /// `fsi-kernels`: FESIA-style per-bucket signature prefilter,
-    /// AND-then-verify.
-    SigFilter,
     /// γ/δ-compressed Merge.
     MergeCompressed(EliasCode),
     /// γ/δ-compressed Lookup.
@@ -106,7 +103,6 @@ impl Strategy {
             Strategy::Auto => "Auto".into(),
             Strategy::Bitmap => "Bitmap".into(),
             Strategy::Galloping => "Galloping".into(),
-            Strategy::SigFilter => "SigFilter".into(),
             Strategy::MergeCompressed(c) => format!("Merge_{}", c.label()),
             Strategy::LookupCompressed(c) => format!("Lookup_{}", c.label()),
             Strategy::RgsCompressed(c) => format!("RanGroupScan_{}", c.label()),
@@ -155,7 +151,6 @@ impl Strategy {
         v.push(Strategy::Treap);
         v.push(Strategy::Bitmap);
         v.push(Strategy::Galloping);
-        v.push(Strategy::SigFilter);
         v.extend(Self::compressed_lineup());
         v.push(Strategy::MergeCompressed(EliasCode::Gamma));
         v.push(Strategy::LookupCompressed(EliasCode::Gamma));
@@ -189,7 +184,6 @@ impl Strategy {
             Strategy::Auto => PreparedList::Auto(MultiResIndex::build(ctx, set)),
             Strategy::Bitmap => PreparedList::Bitmap(BitmapSet::build(set)),
             Strategy::Galloping => PreparedList::Galloping(GallopingSet::build(set)),
-            Strategy::SigFilter => PreparedList::SigFilter(SigFilterSet::build(ctx, set)),
             Strategy::MergeCompressed(c) => {
                 PreparedList::MergeCompressed(CompressedPostings::build(c, set))
             }
@@ -228,7 +222,6 @@ pub enum PreparedList {
     Auto(MultiResIndex),
     Bitmap(BitmapSet),
     Galloping(GallopingSet),
-    SigFilter(SigFilterSet),
     MergeCompressed(CompressedPostings),
     LookupCompressed(CompressedLookup),
     RgsCompressed(CompressedRgsIndex),
@@ -256,7 +249,6 @@ macro_rules! on_prepared {
             PreparedList::Auto($ix) => $body,
             PreparedList::Bitmap($ix) => $body,
             PreparedList::Galloping($ix) => $body,
-            PreparedList::SigFilter($ix) => $body,
             PreparedList::MergeCompressed($ix) => $body,
             PreparedList::LookupCompressed($ix) => $body,
             PreparedList::RgsCompressed($ix) => $body,
@@ -320,7 +312,6 @@ pub fn intersect_into(lists: &[&PreparedList], out: &mut Vec<Elem>) {
         PreparedList::Auto(_) => intersect_auto_k(lists, out),
         PreparedList::Bitmap(_) => dispatch_k!(Bitmap, lists, out),
         PreparedList::Galloping(_) => dispatch_k!(Galloping, lists, out),
-        PreparedList::SigFilter(_) => dispatch_k!(SigFilter, lists, out),
         PreparedList::MergeCompressed(_) => dispatch_k!(MergeCompressed, lists, out),
         PreparedList::LookupCompressed(_) => dispatch_k!(LookupCompressed, lists, out),
         PreparedList::RgsCompressed(_) => dispatch_k!(RgsCompressed, lists, out),

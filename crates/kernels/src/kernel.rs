@@ -5,7 +5,7 @@
 //! of posting lists — and appends the intersection to a caller buffer.
 //! [`KernelChoice::select`] is the slice-level dispatch rule (skew →
 //! galloping at [`GALLOP_RATIO`], density → bitmap at
-//! [`BITMAP_MIN_DENSITY`], otherwise signature prefilter); the
+//! [`BITMAP_MIN_DENSITY`], otherwise the SIMD merge); the
 //! `fsi-index` planner prices the same kernels over prepared lists with
 //! its own cost model (plus a membership-probe tier and a RanGroupScan
 //! fallback) and shares none of these thresholds. [`AutoKernel`] packages
@@ -14,7 +14,6 @@
 
 use crate::bitmap::BitmapKernel;
 use crate::gallop::{Galloping, GALLOP_RATIO};
-use crate::sigfilter::SigFilterKernel;
 use fsi_core::elem::Elem;
 
 /// A slice-level intersection kernel.
@@ -114,8 +113,9 @@ pub enum KernelChoice {
     Galloping,
     /// Dense operands: word-parallel chunked-bitmap `AND`.
     Bitmap,
-    /// Balanced, sparse: signature prefilter, AND-then-verify.
-    SigFilter,
+    /// Balanced, sparse: the block compare-and-compact merge at the
+    /// dispatched SIMD level, on the flat lists alone.
+    SimdMerge,
 }
 
 impl KernelChoice {
@@ -125,7 +125,7 @@ impl KernelChoice {
             KernelChoice::Merge => "Merge",
             KernelChoice::Galloping => "Galloping",
             KernelChoice::Bitmap => "Bitmap",
-            KernelChoice::SigFilter => "SigFilter",
+            KernelChoice::SimdMerge => "SimdMerge",
         }
     }
 
@@ -141,7 +141,7 @@ impl KernelChoice {
                 KernelChoice::Merge,
                 KernelChoice::Galloping,
                 KernelChoice::Bitmap,
-                KernelChoice::SigFilter,
+                KernelChoice::SimdMerge,
             ]
             .map(|k| {
                 fsi_obs::Registry::global()
@@ -154,7 +154,7 @@ impl KernelChoice {
 
     /// Dispatch rule (see the crate doc): empty → merge; ratio ≥
     /// [`GALLOP_RATIO`] → galloping; density ≥ [`BITMAP_MIN_DENSITY`] →
-    /// bitmap; otherwise signature prefilter. `universe_span` is the
+    /// bitmap; otherwise the SIMD merge. `universe_span` is the
     /// exclusive upper bound of the value range (`max element + 1`).
     pub fn select(n1: usize, n2: usize, universe_span: u64) -> Self {
         let (lo, hi) = (n1.min(n2), n1.max(n2));
@@ -165,20 +165,15 @@ impl KernelChoice {
         } else if lo as f64 >= BITMAP_MIN_DENSITY * universe_span.max(1) as f64 {
             KernelChoice::Bitmap
         } else {
-            KernelChoice::SigFilter
+            KernelChoice::SimdMerge
         }
     }
 }
 
 /// A kernel that re-selects per call via [`KernelChoice::select`] — the
 /// planner's dispatch packaged behind the common trait.
-#[derive(Debug, Clone, Default)]
-pub struct AutoKernel {
-    merge: ScalarMerge,
-    gallop: Galloping,
-    bitmap: BitmapKernel,
-    sig: SigFilterKernel,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AutoKernel;
 
 impl AutoKernel {
     /// The choice [`AutoKernel::intersect_pair`] would make for these
@@ -202,10 +197,10 @@ impl Kernel for AutoKernel {
         let choice = Self::choice(a, b);
         choice.record_dispatch();
         match choice {
-            KernelChoice::Merge => self.merge.intersect_pair(a, b, out),
-            KernelChoice::Galloping => self.gallop.intersect_pair(a, b, out),
-            KernelChoice::Bitmap => self.bitmap.intersect_pair(a, b, out),
-            KernelChoice::SigFilter => self.sig.intersect_pair(a, b, out),
+            KernelChoice::Merge => ScalarMerge.intersect_pair(a, b, out),
+            KernelChoice::Galloping => Galloping.intersect_pair(a, b, out),
+            KernelChoice::Bitmap => BitmapKernel.intersect_pair(a, b, out),
+            KernelChoice::SimdMerge => SimdMerge.intersect_pair(a, b, out),
         }
     }
 
@@ -238,8 +233,7 @@ mod tests {
             Box::new(SimdMerge),
             Box::new(Galloping),
             Box::new(BitmapKernel),
-            Box::new(SigFilterKernel::default()),
-            Box::new(AutoKernel::default()),
+            Box::new(AutoKernel),
         ]
     }
 
@@ -292,8 +286,29 @@ mod tests {
         // Sparse and balanced.
         assert_eq!(
             KernelChoice::select(500, 600, 1_000_000),
-            KernelChoice::SigFilter
+            KernelChoice::SimdMerge
         );
+    }
+
+    /// The balanced sparse pair — neither skewed nor dense — runs the SIMD
+    /// merge, and the answer is the reference's at every level this box
+    /// has (the scalar twin included).
+    #[test]
+    fn balanced_sparse_pairs_run_the_simd_merge_at_every_level() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let a: SortedSet = (0..2000).map(|_| rng.gen_range(0..400_000u32)).collect();
+        let b: SortedSet = (0..2400).map(|_| rng.gen_range(0..400_000u32)).collect();
+        let (a, b) = (a.as_slice(), b.as_slice());
+        assert_eq!(AutoKernel::choice(a, b), KernelChoice::SimdMerge);
+        let expect = reference_intersection(&[a, b]);
+        assert!(!expect.is_empty());
+        for level in crate::simd::available_levels() {
+            let mut out = Vec::new();
+            crate::simd::with_level(level, || {
+                AutoKernel.intersect_pair(a, b, &mut out);
+            });
+            assert_eq!(out, expect, "{}", level.name());
+        }
     }
 
     #[test]

@@ -17,16 +17,6 @@
 //!   arithmetically, no unpredictable branches) for balanced sizes, and a
 //!   galloping (exponential-search) probe of the smaller list into the
 //!   larger for skewed `n₁/n₂` — the Hwang–Lin/SvS regime.
-//! * [`sigfilter`] — [`SigFilterSet`]: a FESIA-style hash-signature
-//!   prefilter (Zhang, Lu, Olteanu, Kim — "FESIA: A Fast and SIMD-Efficient
-//!   Set Intersection Approach on Modern CPUs", ICDE 2020). Elements are
-//!   hash-partitioned into per-set bucket arrays whose sizes scale with
-//!   `n`; each bucket keeps a 64-bit signature (one bit per element under a
-//!   second hash). Intersection `AND`s the signatures of aligned buckets
-//!   and only *verifies* (scalar-merges) bucket pairs whose signature
-//!   intersection is non-zero — most empty bucket pairs are rejected by a
-//!   single `AND`, exactly the paper's word-filtering idea applied at the
-//!   bucket granularity.
 //! * [`boolean`] — boolean-composition primitives for the expression
 //!   engine (`fsi-query`): k-way heap **union** ([`heap_union_into`]),
 //!   galloping multi-subtrahend **difference** ([`gallop_diff_into`]), and
@@ -38,11 +28,11 @@
 //!   at once, with **no materialized intermediate results** — the paper's
 //!   k-set framing, which a pairwise fold forfeits.
 //!
-//! The three prepared forms implement the `fsi-core` index traits
+//! The two prepared forms implement the `fsi-core` index traits
 //! ([`SetIndex`](fsi_core::SetIndex) /
 //! [`PairIntersect`](fsi_core::PairIntersect) /
 //! [`KIntersect`](fsi_core::KIntersect)), so they slot into `fsi-index`'s
-//! strategy lineup (`Strategy::{Bitmap, Galloping, SigFilter}`) and are
+//! strategy lineup (`Strategy::{Bitmap, Galloping}`) and are
 //! differential-tested byte-identical to the scalar executor.
 //!
 //! ## When the planner picks each kernel
@@ -55,8 +45,9 @@
 //!    `O(n_min · log(n_max/n_min))`;
 //! 3. dense operands (`n_min / universe` ≥ [`BITMAP_MIN_DENSITY`]) →
 //!    [`BitmapKernel`]: the `AND`-per-64-elements regime;
-//! 4. otherwise → [`SigFilterKernel`] (balanced, sparse: signatures reject
-//!    most bucket pairs before any scalar work).
+//! 4. otherwise → [`SimdMerge`] (balanced, sparse: the block
+//!    compare-and-compact merge on the flat lists alone, no auxiliary
+//!    structure — the `Merge` row of `BENCH_simd.json`).
 //!
 //! [`MultiwayChoice::select`] mirrors the same rule shape for k-way calls
 //! (skew → [`GallopProbe`], density → [`BitmapAnd`], otherwise
@@ -72,7 +63,7 @@
 //! build rule — at least one member per bitmap word of the chunks the
 //! list touches — and involves no density constant.
 //!
-//! `Strategy::{Bitmap, Galloping, SigFilter}` pin one kernel for every
+//! `Strategy::{Bitmap, Galloping}` pin one kernel for every
 //! query the way every other fixed strategy does; the planner makes the
 //! choice online, as Section 3.4 of Ding & König envisions.
 //!
@@ -81,7 +72,7 @@
 //! Underneath all of the above sits [`simd`]: explicit SSE4.1/AVX2
 //! `std::arch` paths with `is_x86_feature_detected!` runtime dispatch and
 //! a portable scalar fallback. The balanced merge, the bitmap chunk
-//! sweeps, and the signature compare all route through it, so every kernel
+//! sweeps and the block decode all route through it, so every kernel
 //! and strategy above is transparently vectorized where the hardware
 //! allows. The `force-scalar` cargo feature compiles the `std::arch` paths
 //! out; the `FSI_SIMD` environment variable and
@@ -96,7 +87,6 @@ pub mod boolean;
 pub mod gallop;
 pub mod kernel;
 pub mod multiway;
-pub mod sigfilter;
 pub mod simd;
 
 pub use bitmap::WORDS_PER_CHUNK;
@@ -111,5 +101,4 @@ pub use multiway::{
     pairwise_fold_into, BitmapAnd, CompressedProbe, GallopProbe, HeapMerge, MultiwayAuto,
     MultiwayChoice, MultiwayKernel, SkipCursor, SliceCursor,
 };
-pub use sigfilter::{SigFilterKernel, SigFilterSet};
 pub use simd::SimdLevel;

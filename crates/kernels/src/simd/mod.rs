@@ -24,11 +24,6 @@
 //!   place, and rebuild absolute doc ids with an in-register prefix sum —
 //!   the step that turns a 128-doc compressed block into kernel-ready
 //!   `u32`s without a bit-serial loop.
-//! * [`sig_scan`] — vectorized signature compare for
-//!   [`SigFilterSet`](crate::SigFilterSet): `AND`s 2/4 fine-bucket
-//!   signatures against their aligned coarse signatures at once and hands
-//!   only the non-zero bucket pairs to the verify merge — FESIA's
-//!   "compare signatures in SIMD, intersect only surviving segments".
 //!
 //! ## Dispatch
 //!
@@ -527,62 +522,6 @@ fn and_in_place_scalar(acc: &mut [u64], other: &[u64]) -> bool {
 fn or_in_place_scalar(acc: &mut [u64], other: &[u64]) {
     for (wa, &wb) in acc.iter_mut().zip(other) {
         *wa |= wb;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized signature compare
-// ---------------------------------------------------------------------------
-
-/// Calls `verify(zf)` for every fine bucket `zf` whose signature `AND`s
-/// non-zero with its aligned coarse signature `coarse[zf >> dt]`, at the
-/// dispatched level. The SIMD tiers test 2/4 bucket pairs per instruction
-/// and reject all-zero groups with one `PTEST` — in the common sparse case
-/// no scalar work happens at all between surviving buckets.
-#[inline]
-pub fn sig_scan(fine: &[u64], coarse: &[u64], dt: u32, verify: &mut dyn FnMut(usize)) {
-    sig_scan_at(SimdLevel::active(), fine, coarse, dt, verify)
-}
-
-/// [`sig_scan`] at an explicit level (saturated to the hardware).
-pub fn sig_scan_at(
-    level: SimdLevel,
-    fine: &[u64],
-    coarse: &[u64],
-    dt: u32,
-    verify: &mut dyn FnMut(usize),
-) {
-    // Every fine bucket must have an aligned coarse bucket; the SIMD
-    // tiers load whole blocks (for dt == 0, straight from `coarse`), so
-    // the precondition is enforced in release builds too — a safe API
-    // must never load out of bounds.
-    assert!(
-        fine.is_empty() || (fine.len() - 1) >> dt < coarse.len(),
-        "coarse signature array too short for the fine bucket count"
-    );
-    match level.saturate() {
-        SimdLevel::Scalar => sig_scan_scalar(fine, coarse, dt, verify),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        // SAFETY: level saturated to the detected hardware tier.
-        SimdLevel::Sse41 => unsafe { x86::sig_scan_sse(fine, coarse, dt, verify) },
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        // SAFETY: saturate() capped the level at SimdLevel::detect(), and Avx2 implies the avx2 feature (plus sse4.1) is present on this CPU.
-        SimdLevel::Avx2 => unsafe { x86::sig_scan_avx2(fine, coarse, dt, verify) },
-        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
-        _ => sig_scan_scalar(fine, coarse, dt, verify),
-    }
-}
-
-pub(crate) fn sig_scan_scalar(
-    fine: &[u64],
-    coarse: &[u64],
-    dt: u32,
-    verify: &mut dyn FnMut(usize),
-) {
-    for (zf, &sig) in fine.iter().enumerate() {
-        if sig & coarse[zf >> dt] != 0 {
-            verify(zf);
-        }
     }
 }
 

@@ -428,96 +428,6 @@ pub unsafe fn or_in_place_avx2(acc: &mut [u64], other: &[u64]) {
     }
 }
 
-/// SSE4.1 signature scan: `AND`s 2 fine signatures against their aligned
-/// coarse signatures per iteration, `PTEST`-skips all-zero pairs, and
-/// calls `verify` for each surviving fine bucket.
-///
-/// # Safety
-/// The CPU must support SSE4.1. Every fine bucket must have an aligned
-/// coarse bucket — `(fine.len() - 1) >> dt < coarse.len()` (guaranteed by
-/// the nested-bucket construction); a violation panics on the safe index.
-#[target_feature(enable = "sse4.1")]
-pub unsafe fn sig_scan_sse(fine: &[u64], coarse: &[u64], dt: u32, verify: &mut dyn FnMut(usize)) {
-    let n = fine.len();
-    let mut z = 0usize;
-    while z + 2 <= n {
-        // SAFETY: z + 2 <= n = fine.len(); when dt == 0 the caller
-        // contract gives coarse.len() >= fine.len(), so both 2-word
-        // loads stay in bounds.
-        let vf = unsafe { _mm_loadu_si128(fine.as_ptr().add(z) as *const __m128i) };
-        let vc = if dt == 0 {
-            // SAFETY: same bound as the `vf` load — dt == 0 means coarse
-            // is at least as long as fine.
-            unsafe { _mm_loadu_si128(coarse.as_ptr().add(z) as *const __m128i) }
-        } else {
-            _mm_set_epi64x(coarse[(z + 1) >> dt] as i64, coarse[z >> dt] as i64)
-        };
-        let v = _mm_and_si128(vf, vc);
-        if _mm_testz_si128(v, v) == 0 {
-            // Which of the two lanes are non-zero? cmpeq against zero
-            // marks the zero lanes; movemask_pd gives one bit per lane.
-            let zero = _mm_cmpeq_epi64(v, _mm_setzero_si128());
-            let live = !(_mm_movemask_pd(_mm_castsi128_pd(zero)) as usize) & 0b11;
-            if live & 1 != 0 {
-                verify(z);
-            }
-            if live & 2 != 0 {
-                verify(z + 1);
-            }
-        }
-        z += 2;
-    }
-    if z < n && fine[z] & coarse[z >> dt] != 0 {
-        verify(z);
-    }
-}
-
-/// AVX2 signature scan: 4 bucket pairs per iteration.
-///
-/// # Safety
-/// The CPU must support AVX2. Every fine bucket must have an aligned
-/// coarse bucket — `(fine.len() - 1) >> dt < coarse.len()` (guaranteed by
-/// the nested-bucket construction); a violation panics on the safe index.
-#[target_feature(enable = "avx2")]
-pub unsafe fn sig_scan_avx2(fine: &[u64], coarse: &[u64], dt: u32, verify: &mut dyn FnMut(usize)) {
-    let n = fine.len();
-    let mut z = 0usize;
-    while z + 4 <= n {
-        // SAFETY: z + 4 <= n = fine.len(); when dt == 0 the caller
-        // contract gives coarse.len() >= fine.len(), so both 4-word
-        // loads stay in bounds.
-        let vf = unsafe { _mm256_loadu_si256(fine.as_ptr().add(z) as *const __m256i) };
-        let vc = if dt == 0 {
-            // SAFETY: same bound as the `vf` load — dt == 0 means coarse
-            // is at least as long as fine.
-            unsafe { _mm256_loadu_si256(coarse.as_ptr().add(z) as *const __m256i) }
-        } else {
-            _mm256_set_epi64x(
-                coarse[(z + 3) >> dt] as i64,
-                coarse[(z + 2) >> dt] as i64,
-                coarse[(z + 1) >> dt] as i64,
-                coarse[z >> dt] as i64,
-            )
-        };
-        let v = _mm256_and_si256(vf, vc);
-        if _mm256_testz_si256(v, v) == 0 {
-            let zero = _mm256_cmpeq_epi64(v, _mm256_setzero_si256());
-            let mut live = !(_mm256_movemask_pd(_mm256_castsi256_pd(zero)) as usize) & 0b1111;
-            while live != 0 {
-                verify(z + live.trailing_zeros() as usize);
-                live &= live - 1;
-            }
-        }
-        z += 4;
-    }
-    while z < n {
-        if fine[z] & coarse[z >> dt] != 0 {
-            verify(z);
-        }
-        z += 1;
-    }
-}
-
 /// Lane selector broadcasting dword 3 (the low 128-bit lane's prefix-sum
 /// total) to every lane of a `vpermd`.
 static BCAST_LANE3: [u32; 8] = [3; 8];

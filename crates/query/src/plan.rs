@@ -303,7 +303,6 @@ mod tests {
         |t| OperandStats {
             n: sizes[t].0,
             chunks: sizes[t].1,
-            compressed_bytes: None,
         }
     }
 

@@ -11,11 +11,11 @@ pub struct ServeConfig {
     /// Number of independently locked cache segments (≥ 1); higher values
     /// reduce lock contention between concurrent callers.
     pub cache_segments: usize,
-    /// The cost-model planner queries are planned under. Set a dial
-    /// directly to express operator intent — e.g.
-    /// `Planner { bytes_unit: 1.5, ..Planner::auto() }` charges every
-    /// candidate its resident footprint, so queries over compressible
-    /// lists run in the compressed domain.
+    /// The cost-model planner queries are planned under: five per-kernel
+    /// cost units. The default is calibrated for the SIMD tier this
+    /// process dispatches to; set a unit to re-price one kernel — e.g.
+    /// `Planner { rgs_unit: 2.0, ..Planner::auto() }` narrows the band of
+    /// balanced sparse queries RanGroupScan wins.
     pub planner: Planner,
 }
 

@@ -10,7 +10,6 @@
 use fsi_core::Elem;
 use fsi_index::{PlannedExecutor, Planner, ReprBytes, SearchEngine};
 use fsi_query::{ExplainMode, ExprPlan, ExprPlanner, NormExpr};
-use std::borrow::Cow;
 
 /// A whole index prepared for planned evaluation — what
 /// [`crate::Server::engine`] hands out.
@@ -60,38 +59,22 @@ impl PreparedIndex {
     /// Evaluates a boolean expression in ascending document order on the
     /// calling thread.
     pub fn query_expr(&self, expr: &NormExpr) -> Vec<Elem> {
-        self.eval(expr, None).0
-    }
-
-    /// The index's own expression planner, or one built from a per-request
-    /// override.
-    fn planner_for(&self, planner: Option<&Planner>) -> Cow<'_, ExprPlanner> {
-        planner.map_or(Cow::Borrowed(&self.planner), |p| {
-            Cow::Owned(ExprPlanner::new(p.clone()))
-        })
+        self.eval(expr).0
     }
 
     /// The one evaluation routine behind [`PreparedIndex::query_expr`] and
     /// [`crate::Server::execute`]: plans `expr` over whole-index
-    /// statistics — under a per-request `planner` override when given —
-    /// runs the plan, and returns the ascending result with the plan that
-    /// produced it.
-    pub(crate) fn eval(&self, expr: &NormExpr, planner: Option<&Planner>) -> (Vec<Elem>, ExprPlan) {
+    /// statistics, runs the plan, and returns the ascending result with the
+    /// plan that produced it.
+    pub(crate) fn eval(&self, expr: &NormExpr) -> (Vec<Elem>, ExprPlan) {
         let mut out = Vec::new();
-        let planner = self.planner_for(planner);
-        let plan = fsi_query::eval_planned_into(&self.exec, &planner, expr, &mut out);
+        let plan = fsi_query::eval_planned_into(&self.exec, &self.planner, expr, &mut out);
         (out, plan)
     }
 
-    /// Renders `EXPLAIN`/`EXPLAIN ANALYZE` for `expr`, optionally under a
-    /// per-request planner.
-    pub(crate) fn explain(
-        &self,
-        expr: &NormExpr,
-        mode: ExplainMode,
-        planner: Option<&Planner>,
-    ) -> String {
-        fsi_query::explain(&self.exec, &self.planner_for(planner), expr, mode)
+    /// Renders `EXPLAIN`/`EXPLAIN ANALYZE` for `expr`.
+    pub(crate) fn explain(&self, expr: &NormExpr, mode: ExplainMode) -> String {
+        fsi_query::explain(&self.exec, &self.planner, expr, mode)
     }
 }
 
@@ -136,21 +119,25 @@ mod tests {
         assert_eq!(flat(&index, &[0, 1]), vec![7, u32::MAX]);
     }
 
+    /// Block postings left every prepared list and nothing else moved: on
+    /// this seeded engine the index weighs what it weighed with them
+    /// (758 093 B over five representations) minus each list's packed
+    /// block postings, which the fixed strategy still builds.
     #[test]
-    fn memory_pressured_planner_matches_merge_results() {
-        // A hot bytes_unit pushes plans into the compressed domain
-        // (CompressedGallop over block postings); answers must stay
-        // byte-identical to the flat reference.
+    fn index_bytes_are_the_parents_minus_the_block_postings() {
         let engine = engine();
-        let merge = engine.executor(Strategy::Merge);
-        let pressured = Planner {
-            bytes_unit: 100.0,
-            ..Planner::auto()
-        };
-        let index = PreparedIndex::build(&engine, pressured);
-        for q in [vec![0usize, 1], vec![2, 9, 30], vec![40, 41], vec![6]] {
-            assert_eq!(flat(&index, &q), merge.query(&q), "{q:?}");
-        }
+        let index = PreparedIndex::build(&engine, Planner::auto());
+        let packed = Strategy::full_lineup()
+            .into_iter()
+            .find(|s| s.name() == "CompressedGallop_Packed")
+            .expect("block postings stay in the strategy lineup");
+        let blocks: usize = engine
+            .postings()
+            .iter()
+            .map(|p| packed.prepare(engine.ctx(), p).size_in_bytes())
+            .sum();
+        assert_eq!(blocks, 40_397);
+        assert_eq!(index.size_in_bytes(), 758_093 - blocks);
     }
 
     #[test]

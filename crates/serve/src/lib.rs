@@ -11,10 +11,9 @@
 //! * [`request`] — [`Request`] / [`Response`]: the request-lifetime API.
 //!   A request carries its query ([`QueryInput`]: flat term ids, a boolean
 //!   expression string, or a pre-compiled [`fsi_query::NormExpr`]) plus
-//!   [`QueryOptions`] (deadline, tenant, trace, explain, planner
-//!   override); a response carries the documents plus per-request
-//!   metadata (served vs shed, cache outcome, chosen plan kind, measured
-//!   latency).
+//!   [`QueryOptions`] (deadline, tenant, trace, explain); a response
+//!   carries the documents plus per-request metadata (served vs shed,
+//!   cache outcome, chosen plan kind, measured latency).
 //! * [`server`] — [`Server`]: the assembled stack behind the single
 //!   [`Server::execute`] entry point. Every input — term list, query
 //!   string, pre-compiled expression — becomes one canonical expression,

@@ -6,10 +6,9 @@
 //! [`Response`] carries the documents plus per-request metadata (cache
 //! outcome, chosen plan kind, served/shed disposition, measured latency,
 //! optional trace and `EXPLAIN` rendering). Every per-request concern
-//! (deadlines, tenants, planner overrides) is an option, not a method.
+//! (deadlines, tenants, tracing) is an option, not a method.
 
 use fsi_core::Elem;
-use fsi_index::Planner;
 use fsi_obs::QueryTrace;
 use fsi_query::{ExplainMode, NormExpr};
 use std::sync::Arc;
@@ -32,11 +31,6 @@ pub enum QueryInput {
 /// Per-request execution options. Everything defaults off.
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
-    /// Run this request under a different [`Planner`] than the engine was
-    /// built with. Results are invariant across planners — only the
-    /// physical plan changes — so overridden requests still share the
-    /// result cache.
-    pub planner_override: Option<Planner>,
     /// Record a [`QueryTrace`] (one span per stage) into
     /// [`Response::trace`].
     pub trace: bool,
@@ -98,12 +92,6 @@ impl Request {
             input: QueryInput::Norm(expr),
             options: QueryOptions::default(),
         }
-    }
-
-    /// Override the planner for this request.
-    pub fn planner(mut self, planner: Planner) -> Self {
-        self.options.planner_override = Some(planner);
-        self
     }
 
     /// Record a full [`QueryTrace`] into the response.
@@ -254,13 +242,11 @@ mod tests {
             .tenant(9)
             .traced()
             .explain(ExplainMode::Plan)
-            .planner(Planner::default())
             .deadline(Instant::now());
         assert!(matches!(r.input, QueryInput::Terms(ref t) if t == &[3, 1]));
         assert_eq!(r.options.tenant, Some(9));
         assert!(r.options.trace);
         assert!(r.options.explain.is_some());
-        assert!(r.options.planner_override.is_some());
         assert!(r.options.deadline.is_some());
     }
 

@@ -10,7 +10,7 @@ use crate::request::{
 };
 use crate::stats::{LatencySummary, ServeStats};
 use fsi_core::HashContext;
-use fsi_index::{Corpus, Planner, SearchEngine};
+use fsi_index::{Corpus, SearchEngine};
 use fsi_kernels::SimdLevel;
 use fsi_obs::{
     Counter, HistSnapshot, Histogram, LabelCap, Registry, Snapshot, Span, SpanStart, TraceBuilder,
@@ -106,7 +106,6 @@ pub enum Begun {
 #[derive(Debug)]
 pub struct Miss {
     norm: NormExpr,
-    planner: Option<Planner>,
     work: Work,
     /// Time spent inside `begin`; `finish` adds its own.
     spent: Duration,
@@ -238,10 +237,9 @@ impl Server {
     /// 3. **Cache** — keyed by the canonical encoding, so flat
     ///    conjunctions and equivalent boolean spellings share entries.
     /// 4. **Execute** — one plan over the whole index, under the server's
-    ///    planner or the request's override; the response reports the
-    ///    plan's root operator,
-    ///    cache outcome, and measured service time, plus a trace or a
-    ///    rendered plan when asked.
+    ///    planner; the response reports the plan's root operator, cache
+    ///    outcome, and measured service time, plus a trace or a rendered
+    ///    plan when asked.
     ///
     /// Steps 1–3 are `begin`, step 4 is `finish`.
     ///
@@ -337,14 +335,11 @@ impl Server {
             return Err(QueryError::UnknownTerm { term, num_terms });
         }
         self.note_tenant(req);
-        let planner = req.options.planner_override.clone();
         let work = match explain {
             // Renders the plan tree instead of serving documents, so it
             // counts toward no serving counter.
             Some(ExplainMode::Plan) => {
-                let text = self
-                    .engine
-                    .explain(&norm, ExplainMode::Plan, planner.as_ref());
+                let text = self.engine.explain(&norm, ExplainMode::Plan);
                 return Ok(Begun::Done(Response {
                     explain: Some(text),
                     ..Response::bypassed(Disposition::Served, start.elapsed())
@@ -389,7 +384,6 @@ impl Server {
         };
         Ok(Begun::Miss(Miss {
             norm: norm.into_owned(),
-            planner,
             work,
             spent: start.elapsed(),
         }))
@@ -404,16 +398,10 @@ impl Server {
     /// queue) is the caller's to account for.
     pub fn finish(&self, miss: Miss) -> Response {
         let start = Instant::now();
-        let Miss {
-            norm,
-            planner,
-            work,
-            spent,
-        } = miss;
-        let planner = planner.as_ref();
+        let Miss { norm, work, spent } = miss;
         let (key, flat, mut tb) = match work {
             Work::Analyze => {
-                let text = self.engine.explain(&norm, ExplainMode::Analyze, planner);
+                let text = self.engine.explain(&norm, ExplainMode::Analyze);
                 return Response {
                     explain: Some(text),
                     ..Response::bypassed(Disposition::Served, spent + start.elapsed())
@@ -423,7 +411,7 @@ impl Server {
         };
         self.note_served(flat);
         let s = span_start(&tb);
-        let (docs, plan) = self.engine.eval(&norm, planner);
+        let (docs, plan) = self.engine.eval(&norm);
         let docs = Arc::new(docs);
         let kind = plan_kind_label(&plan);
         if let Some(span) = span_end(&mut tb, s, "exec") {
@@ -875,25 +863,6 @@ mod tests {
         assert_eq!(hit.cache, CacheOutcome::Hit);
         assert!(Arc::ptr_eq(&hit.docs, &computed.docs), "shared, not copied");
         assert_eq!(s.stats().queries_served, 3, "empty conjunction, miss, hit");
-    }
-
-    #[test]
-    fn planner_override_changes_plans_not_results() {
-        let s = server(ServeConfig {
-            planner: Planner::default(),
-            cache_capacity: 0,
-            ..ServeConfig::default()
-        });
-        let base = s.execute(&Request::expr("0 AND 1 AND 9")).expect("valid");
-        let pressured = Planner {
-            bytes_unit: 100.0,
-            ..Planner::auto()
-        };
-        let overridden = s
-            .execute(&Request::expr("0 AND 1 AND 9").planner(pressured))
-            .expect("valid");
-        assert_eq!(base.docs, overridden.docs, "plans vary, results never");
-        assert!(overridden.plan_kind.is_some());
     }
 
     #[test]

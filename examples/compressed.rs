@@ -1,23 +1,23 @@
 //! Compressed-domain execution: skip-augmented block postings the kernels
 //! probe without full decode.
 //!
-//! Three acts:
+//! Two acts:
 //!
 //! 1. build [`BlockPostings`] for each codec and compare footprints with
 //!    the flat `u32` lists;
 //! 2. intersect *in the compressed domain* — pair and k-way — and check
-//!    the result against the flat kernels;
-//! 3. watch the cost-model planner flip to `CompressedGallop` when memory
-//!    bytes are made expensive (`Planner::bytes_unit`), the dial the
-//!    serving layer sets through `ServeConfig::planner`.
+//!    the result against the flat kernels.
+//!
+//! Serving does not plan over block postings (a decode-then-probe walk
+//! never priced below the flat gallop); a query engine that wants them
+//! pins `Strategy::CompressedGallop(codec)` — see `docs/compress.md`.
 //!
 //! Run with: `cargo run --release --example compressed`
 
 use fast_set_intersection::compress::{BlockCodec, BlockPostings, BLOCK_LEN};
-use fast_set_intersection::index::{PlannedList, Planner};
 use fast_set_intersection::workloads::Zipf;
 use fast_set_intersection::{
-    reference_intersection, HashContext, KIntersect, PairIntersect, SetIndex, SortedSet,
+    reference_intersection, KIntersect, PairIntersect, SetIndex, SortedSet,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -89,34 +89,4 @@ fn main() {
         posts.len(),
         kway.len()
     );
-
-    // --- Act 3: the planner's memory dial. --------------------------------
-    // With the default units, decoded-id cost makes CompressedGallop
-    // strictly dominated; pricing resident bytes flips the choice.
-    let ctx = HashContext::new(7);
-    let lists: Vec<PlannedList> = sets.iter().map(|s| PlannedList::build(&ctx, s)).collect();
-    let stats: Vec<_> = lists.iter().map(|l| l.stats()).collect();
-    let list_refs: Vec<&PlannedList> = lists.iter().collect();
-    for (label, planner) in [
-        ("calm (default units)", Planner::default()),
-        (
-            "memory-pressured (bytes_unit = 100)",
-            Planner {
-                bytes_unit: 100.0,
-                ..Planner::default()
-            },
-        ),
-    ] {
-        let plan = planner.plan(&stats);
-        let mut out = Vec::new();
-        planner.intersect(&list_refs, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, expect, "{label} diverged");
-        println!(
-            "{label:<38} -> {:<18} (est cost {:.0}, same {} results)",
-            plan.kind.name(),
-            plan.est_cost,
-            out.len()
-        );
-    }
 }

@@ -15,10 +15,10 @@
 //! * [`compress`] — γ/δ posting-list compression and the Lowbits codec
 //!   (§4.1, Appendix B).
 //! * [`kernels`] — portable word-parallel intersection primitives: chunked
-//!   bitmaps ([`kernels::BitmapSet`]), branchless/galloping merges
-//!   ([`kernels::GallopingSet`]), and FESIA-style signature prefilters
-//!   ([`kernels::SigFilterSet`]), behind a common [`kernels::Kernel`] trait
-//!   with runtime selection.
+//!   bitmaps ([`kernels::BitmapSet`]), branchless/galloping/SIMD merges
+//!   ([`kernels::GallopingSet`], [`kernels::SimdMerge`]) and true k-way
+//!   kernels ([`kernels::MultiwayKernel`]), behind a common
+//!   [`kernels::Kernel`] trait with runtime selection.
 //! * [`index`] — an inverted-index/search substrate with pluggable
 //!   intersection strategies, plus the bag-semantics extension.
 //! * [`query`] — the boolean expression engine: an `AND`/`OR`/`NOT` query

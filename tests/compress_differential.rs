@@ -1,12 +1,11 @@
 //! Differential correctness of compressed-domain execution: skip-augmented
 //! block postings must round-trip exactly (including hostile block
 //! boundaries and maximum-gap deltas), and every compressed-domain
-//! intersection route — the pair/k-way kernels, the `Strategy` dispatch,
-//! the cost-model planner under memory pressure, and the serving stack —
-//! must be byte-identical to the flat reference.
+//! intersection route — the pair/k-way kernels and the `Strategy`
+//! dispatch, through `SearchEngine::executor` — must be byte-identical to
+//! the flat reference.
 
-use fast_set_intersection::index::{PlannedList, Planner, SearchEngine, Strategy};
-use fast_set_intersection::serve::{Request, ServeConfig, Server};
+use fast_set_intersection::index::{SearchEngine, Strategy};
 use fast_set_intersection::{reference_intersection, HashContext, SortedSet};
 use fsi_compress::{BlockCodec, BlockPostings, BLOCK_LEN};
 use fsi_core::{KIntersect, PairIntersect, SetIndex};
@@ -173,34 +172,6 @@ fn compressed_strategies_match_merge_on_zipf_streams() {
 }
 
 #[test]
-fn memory_pressured_planner_matches_flat_plans() {
-    let ctx = HashContext::new(0x9E55);
-    let mut rng = StdRng::seed_from_u64(0x9E55);
-    let trials = if cfg!(miri) { 2 } else { 10 };
-    let n = if cfg!(miri) { 200 } else { 1_500 };
-    let pressured = Planner {
-        bytes_unit: 100.0,
-        ..Planner::default()
-    };
-    let calm = Planner::default();
-    for trial in 0..trials {
-        let k = 2 + trial % 4;
-        let sets: Vec<SortedSet> = (0..k).map(|_| zipf_set(&mut rng, n, 30_000)).collect();
-        let lists: Vec<PlannedList> = sets.iter().map(|s| PlannedList::build(&ctx, s)).collect();
-        let refs: Vec<&PlannedList> = lists.iter().collect();
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        pressured.intersect(&refs, &mut a);
-        calm.intersect(&refs, &mut b);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "trial {trial} k={k}");
-        let slices: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
-        assert_eq!(a, reference_intersection(&slices), "trial {trial} k={k}");
-    }
-}
-
-#[test]
 fn compressed_serving_matches_merge_executor() {
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let num_terms = if cfg!(miri) { 6 } else { 16 };
@@ -228,28 +199,5 @@ fn compressed_serving_matches_merge_executor() {
                 strategy.name()
             );
         }
-    }
-    // The serving stack with the planner pushed into the compressed
-    // domain by a hot bytes_unit.
-    let pressured = Server::new(
-        &engine,
-        ServeConfig {
-            cache_capacity: 0,
-            planner: Planner {
-                bytes_unit: 100.0,
-                ..Planner::auto()
-            },
-            ..ServeConfig::default()
-        },
-    );
-    for q in &queries {
-        let served = pressured
-            .execute(&Request::terms(q.clone()))
-            .expect("valid");
-        assert_eq!(
-            served.docs.as_slice(),
-            reference.query(q),
-            "memory-pressured q={q:?}"
-        );
     }
 }

@@ -5,14 +5,13 @@
 use fast_set_intersection::index::{Corpus, CorpusConfig, SearchEngine, Strategy};
 use fast_set_intersection::{reference_intersection, HashContext, SortedSet};
 use fsi_kernels::{
-    AutoKernel, BitmapKernel, BranchlessMerge, Galloping, Kernel, ScalarMerge, SigFilterKernel,
+    AutoKernel, BitmapKernel, BranchlessMerge, Galloping, Kernel, ScalarMerge, SimdMerge,
 };
 use fsi_workloads::{generate_stream, QueryStreamConfig, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const KERNEL_STRATEGIES: [Strategy; 3] =
-    [Strategy::Bitmap, Strategy::Galloping, Strategy::SigFilter];
+const KERNEL_STRATEGIES: [Strategy; 2] = [Strategy::Bitmap, Strategy::Galloping];
 
 fn slice_kernels() -> Vec<Box<dyn Kernel>> {
     vec![
@@ -20,8 +19,8 @@ fn slice_kernels() -> Vec<Box<dyn Kernel>> {
         Box::new(BranchlessMerge),
         Box::new(Galloping),
         Box::new(BitmapKernel),
-        Box::new(SigFilterKernel::default()),
-        Box::new(AutoKernel::default()),
+        Box::new(SimdMerge),
+        Box::new(AutoKernel),
     ]
 }
 

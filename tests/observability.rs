@@ -221,13 +221,18 @@ fn index_bytes_by_representation_sum_to_the_whole() {
     let snap = server.metrics();
     let whole = snap.gauge("fsi_index_bytes", &[]).expect("total gauge");
     assert_eq!(whole, server.engine().size_in_bytes() as u64);
-    let parts: Vec<u64> = ["flat", "bitmap", "hash", "rgs", "compressed"]
+    let parts: Vec<u64> = ["flat", "bitmap", "hash", "rgs"]
         .iter()
         .map(|repr| {
             snap.gauge("fsi_index_bytes", &[("repr", repr)])
                 .unwrap_or_else(|| panic!("no gauge for repr {repr}"))
         })
         .collect();
+    assert_eq!(
+        snap.gauge("fsi_index_bytes", &[("repr", "compressed")]),
+        None,
+        "no list carries block postings"
+    );
     assert!(parts.iter().all(|&b| b > 0), "{parts:?}");
     assert_eq!(parts.iter().sum::<u64>(), whole, "{parts:?}");
     let lists = |m| snap.gauge("fsi_index_lists", &[("membership", m)]);

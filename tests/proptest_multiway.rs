@@ -91,8 +91,6 @@ proptest! {
         bitmap_word_unit in 0.01f64..100.0,
         rgs_unit in 0.01f64..100.0,
         heap_unit in 0.01f64..100.0,
-        decode_unit in 0.01f64..100.0,
-        bytes_unit in 0.0f64..10.0,
     ) {
         let sets = with_specials(raw.clone(), special);
         let ctx = HashContext::new(seed);
@@ -102,8 +100,6 @@ proptest! {
             bitmap_word_unit,
             rgs_unit,
             heap_unit,
-            decode_unit,
-            bytes_unit,
         };
         let expect = fold_reference(&sets);
         let lists: Vec<PlannedList> =

@@ -15,7 +15,7 @@ use fast_set_intersection::index::{Corpus, CorpusConfig, SearchEngine, Strategy}
 use fast_set_intersection::{reference_intersection, HashContext, SortedSet};
 use fsi_index::Planner;
 use fsi_kernels::simd::{self, SimdLevel};
-use fsi_kernels::{BitmapSet, GallopProbe, HeapMerge, MultiwayAuto, MultiwayKernel, SigFilterSet};
+use fsi_kernels::{BitmapSet, GallopProbe, HeapMerge, MultiwayAuto, MultiwayKernel};
 use fsi_workloads::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -160,17 +160,6 @@ fn word_and_primitives_match_scalar_on_hostile_word_counts() {
             let mut or_v = a.clone();
             simd::or_in_place_at(level, &mut or_v, &b);
             assert_eq!(or_v, or_s, "{} or_in_place n={n}", level.name());
-            // sig_scan at every bucket-count ratio the nesting can produce
-            for dt in 0..3u32 {
-                // Every fine index z must have a coarse bucket z >> dt.
-                let coarse_len = n.div_ceil(1 << dt);
-                let coarse = &b[..coarse_len];
-                let mut hits_s = Vec::new();
-                simd::sig_scan_at(SimdLevel::Scalar, &a, coarse, dt, &mut |z| hits_s.push(z));
-                let mut hits_v = Vec::new();
-                simd::sig_scan_at(level, &a, coarse, dt, &mut |z| hits_v.push(z));
-                assert_eq!(hits_v, hits_s, "{} sig_scan n={n} dt={dt}", level.name());
-            }
         }
     }
 }
@@ -188,16 +177,13 @@ fn pair_at<T: fast_set_intersection::PairIntersect>(level: SimdLevel, a: &T, b: 
 
 #[test]
 fn prepared_kernels_match_scalar_twins_across_profiles() {
-    let ctx = HashContext::new(0x51D4);
     let mut rng = StdRng::seed_from_u64(0x51D5);
     for profile in 0..3 {
         for (na, nb) in [(0, 900), (1, 900), (700, 900), (3000, 3100), (129, 4000)] {
             let a = draw(&mut rng, na, profile);
             let b = draw(&mut rng, nb, profile);
             let (bm_a, bm_b) = (BitmapSet::build(&a), BitmapSet::build(&b));
-            let (sf_a, sf_b) = (SigFilterSet::build(&ctx, &a), SigFilterSet::build(&ctx, &b));
             let bm_scalar = pair_at(SimdLevel::Scalar, &bm_a, &bm_b);
-            let sf_scalar = pair_at(SimdLevel::Scalar, &sf_a, &sf_b);
             assert_eq!(
                 bm_scalar,
                 reference_intersection(&[a.as_slice(), b.as_slice()]),
@@ -208,12 +194,6 @@ fn prepared_kernels_match_scalar_twins_across_profiles() {
                     pair_at(level, &bm_a, &bm_b),
                     bm_scalar,
                     "{} BitmapSet na={na} nb={nb} profile={profile}",
-                    level.name()
-                );
-                assert_eq!(
-                    pair_at(level, &sf_a, &sf_b),
-                    sf_scalar,
-                    "{} SigFilterSet na={na} nb={nb} profile={profile}",
                     level.name()
                 );
             }
