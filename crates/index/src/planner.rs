@@ -13,7 +13,7 @@
 //!
 //! | kind | estimated cost | regime it owns |
 //! |------|----------------|----------------|
-//! | [`PlanKind::BitmapAnd`] | `bitmap_word_unit · c_min · 1024 · (k−1) + 10 · min(E[survivors], c_min · 1024)` | every operand carries a chunk bitmap |
+//! | [`PlanKind::BitmapAnd`] | `bitmap_word_unit · w · (k−1) + 1.25 · w + 3.5 · min(E[survivors], w)`, `w = c_min · 1024` | every operand carries a chunk bitmap |
 //! | [`PlanKind::HashProbe`] | `n_min · Σᵢ uᵢ`, `uᵢ = 2` for a probed bitmap, `hash_unit` for a probed table | a small driver against anything: `O(n_min)` membership tests |
 //! | [`PlanKind::GallopProbe`] | `gallop_unit · n_min · Σᵢ log₂(nᵢ/n_min + 2)` | moderate skew between table-carrying lists (Hwang–Lin across all k) |
 //! | [`PlanKind::RanGroupScan`] | `rgs_unit · Σ nᵢ` | balanced sparse — the paper's home turf |
@@ -21,10 +21,11 @@
 //!
 //! The minimum-cost candidate wins; `c_min` is the smallest per-operand
 //! chunk count, so the bitmap estimate prices the word sweep
-//! [`BitmapSet::intersect_k_into`] executes plus the result words it then
-//! extracts survivors from (survivors estimated under independence from
-//! each operand's density inside its own chunks, and no more words hold
-//! one than were swept). The membership probe is priced **per
+//! [`BitmapSet::intersect_k_into`] executes plus its one extraction walk
+//! ([`Planner::extract_cost`]): a pass over every result word, and a fixed
+//! run of stores per word holding a survivor (survivors estimated under
+//! independence from each operand's density inside its own chunks, and no
+//! more words hold one than were swept). The membership probe is priced **per
 //! probed operand**: a bit test and a table probe are different units.
 //!
 //! A [`PlannedList`] keeps the representations a plan can bind and no
@@ -49,8 +50,9 @@
 //! lists galloping overtakes RanGroupScan near ratio 5 and the table probe
 //! overtakes galloping near ratio 8; a bit test costs a quarter of a table
 //! probe, so a table-carrying driver probes bitmap operands at any skew;
-//! and between bitmap-carrying lists the sweep wins unless the result is
-//! so dense that extracting it outweighs one bit test per driver element.
+//! and between bitmap-carrying lists the sweep wins unless the driver is
+//! so sparse in its chunks that one bit test per driver element costs less
+//! than the sweep's pass over every word and its extraction.
 //! The `Planner` fields are tunables because the right answers are
 //! hardware-bound; the bit-test and extraction units are private constants
 //! calibrated against them.
@@ -337,12 +339,18 @@ pub struct MultiwayPlan {
 /// tunable — which of the two a list pays is decided at build, by the list.
 const BIT_TEST_UNIT: f64 = 2.0;
 
+/// Cost per word of a result bitmap for the extraction walk's first pass,
+/// which reads every word once (popcount and the positions of the
+/// nonzero words), plus the accumulator copy the sweep starts from.
+const SCAN_UNIT: f64 = 1.25;
+
 /// Cost per word of the bitmap sweep's result that holds a survivor: the
-/// extraction scan's is-it-zero branch (a coin flip on half-empty results)
-/// and the trailing-zeros pops behind it — work the per-word `AND` price
-/// cannot see, and most of what the sweep costs when its operands are the
-/// corpus's densest lists.
-const EXTRACT_UNIT: f64 = 10.0;
+/// extraction walk's fixed run of trailing-zeros/clear-lowest-bit stores
+/// behind each nonzero word — paid per word whatever it holds, so the
+/// sweep's extraction saturates once every word holds one. Fitted on the
+/// benchmark corpus (AVX2): ≈ 1 ns per swept word and 2.3 ns per nonzero
+/// result word against 1.3 ns per bit test.
+const EXTRACT_UNIT: f64 = 3.5;
 
 /// The whole-query cost-model dispatcher.
 #[derive(Debug, Clone)]
@@ -502,7 +510,7 @@ impl Planner {
             });
             consider(
                 PlanKind::BitmapAnd,
-                self.bitmap_word_unit * words * probes + EXTRACT_UNIT * survivors.min(words),
+                self.bitmap_word_unit * words * probes + Self::extract_cost(survivors, words),
             );
         }
         consider(
@@ -514,6 +522,14 @@ impl Planner {
             order,
             est_cost: best.1,
         }
+    }
+
+    /// The price of extracting `survivors` members from a `words`-word
+    /// result bitmap — what the [`PlanKind::BitmapAnd`] candidate pays
+    /// after its sweep, and what `fsi-query`'s chunk union pays once for
+    /// its whole result.
+    pub fn extract_cost(survivors: f64, words: f64) -> f64 {
+        SCAN_UNIT * words + EXTRACT_UNIT * survivors.min(words)
     }
 
     /// The plan for these prepared lists.
@@ -783,15 +799,33 @@ mod tests {
             kind(&p, &[sparse(3000), sparse(4000), dense(4000, 1)]),
             PlanKind::RanGroupScan
         );
-        // The sweep also pays for what it extracts, per result word
-        // holding a survivor. A 4 096-member driver against one bitmap,
-        // both in one chunk: a partner that keeps an eighth of it leaves
-        // half the 1 024 result words empty and the sweep cheaper than
-        // 4 096 bit tests; a partner that keeps nearly all of it fills
-        // every word, extraction is the larger cost, and the probe wins.
-        let sweep = |partner_n| kind(&p, &[dense(4096, 1), dense(partner_n, 1)]);
+        // The sweep also pays for what it extracts: a pass over every
+        // result word, and a fixed run per word holding a survivor. A
+        // 2 048-member driver against one bitmap, both in one chunk: a
+        // partner that keeps an eighth of it leaves most of the 1 024
+        // result words empty and the sweep cheaper than 2 048 bit tests; a
+        // partner that keeps nearly all of it fills nearly every word,
+        // extraction is the larger cost, and the probe wins.
+        let sweep = |partner_n| kind(&p, &[dense(2048, 1), dense(partner_n, 1)]);
         assert_eq!(sweep(8_000), PlanKind::BitmapAnd);
         assert_eq!(sweep(64_000), PlanKind::HashProbe);
+        // The benchmark corpus's shapes (2 M documents, 31 chunks): the
+        // `t0 ∧ t3` pair sweeps (≈ 105 µs against a 191 µs probe, and
+        // the probe planned before the walk was branch-free), and so does
+        // the skinny `[4, 9]` pair whose result fills one word in nine.
+        for planner in [
+            Planner::default(),
+            Planner::for_simd(fsi_kernels::SimdLevel::Avx2),
+        ] {
+            assert_eq!(
+                kind(&planner, &[dense(600_000, 31), dense(150_000, 31)]),
+                PlanKind::BitmapAnd
+            );
+            assert_eq!(
+                kind(&planner, &[dense(120_000, 31), dense(60_000, 31)]),
+                PlanKind::BitmapAnd
+            );
+        }
         // Degenerate inputs.
         assert_eq!(kind(&p, &[sparse(0), sparse(10)]), PlanKind::Empty);
         assert_eq!(kind(&p, &[]), PlanKind::Empty);

@@ -5,7 +5,8 @@
 //! each chunk it touches, a 1024-word bitmap of the chunk's members.
 //! Intersecting two sets walks the (short, sorted) chunk-id lists, `AND`s
 //! the 1024 words of every chunk present in both, and extracts survivors
-//! with the trailing-zeros trick of the paper's footnote 1 — one `AND` per
+//! with the trailing-zeros trick of the paper's footnote 1
+//! ([`crate::simd::extract_into_at`]) — one `AND` per
 //! 64 universe slots, the word-parallel regime the paper packs groups for,
 //! here applied to the raw document space. The win is proportional to
 //! density: dense chunks amortize the fixed `O(1024)` word sweep over many
@@ -17,7 +18,6 @@
 
 use fsi_core::elem::{Elem, SortedSet};
 use fsi_core::traits::{KIntersect, PairIntersect, SetIndex};
-use fsi_core::word::BitIter;
 
 /// Log2 of the chunk span: each chunk covers 2¹⁶ consecutive values.
 const CHUNK_BITS: u32 = 16;
@@ -107,68 +107,12 @@ impl BitmapSet {
         }
     }
 
-    /// Appends chunk `ci`'s members (ascending) to `out`.
-    fn extract_chunk(&self, ci: usize, out: &mut Vec<Elem>) {
-        // audit:allow(hot_path_index): callers iterate ci over 0..ids.len(); ids and words are parallel per-chunk arrays
-        let id = self.ids[ci];
-        let chunk = &self.words[ci * WORDS_PER_CHUNK..][..WORDS_PER_CHUNK];
-        extract_words(id, chunk, out);
-    }
-
-    /// k-way `OR`: walks all chunk-id lists in lockstep ascending order;
-    /// each chunk id present anywhere is `OR`ed across every set carrying
-    /// it (via the SIMD word primitive [`crate::simd::or_in_place_at`]) and
-    /// extracted once. A chunk only one set touches skips the accumulator
-    /// and extracts straight from that set's words. Output is ascending and
-    /// duplicate-free — the dense-regime union counterpart of
-    /// [`BitmapSet::intersect_k_into`].
-    pub fn union_k_into(sets: &[&Self], out: &mut Vec<Elem>) {
-        match sets {
-            [] => {}
-            [a] => {
-                for ci in 0..a.ids.len() {
-                    a.extract_chunk(ci, out);
-                }
-            }
-            _ => {
-                // One dispatch read for the whole sweep, not one per OR.
-                let level = crate::simd::SimdLevel::active();
-                let mut acc = [0u64; WORDS_PER_CHUNK];
-                let mut cursors = vec![0usize; sets.len()];
-                let next_id = |cursors: &[usize]| {
-                    sets.iter()
-                        .zip(cursors)
-                        .filter_map(|(s, &c)| s.ids.get(c).copied())
-                        .min()
-                };
-                while let Some(id) = next_id(&cursors) {
-                    let carriers: Vec<usize> = sets
-                        .iter()
-                        .zip(&cursors)
-                        .enumerate()
-                        .filter(|(_, (s, &c))| s.ids.get(c) == Some(&id))
-                        .map(|(si, _)| si)
-                        .collect();
-                    if let [only] = carriers.as_slice() {
-                        sets[*only].extract_chunk(cursors[*only], out);
-                    } else {
-                        acc.fill(0);
-                        for &si in &carriers {
-                            let c = cursors[si];
-                            crate::simd::or_in_place_at(
-                                level,
-                                &mut acc,
-                                &sets[si].words[c * WORDS_PER_CHUNK..][..WORDS_PER_CHUNK],
-                            );
-                        }
-                        extract_words(id, &acc, out);
-                    }
-                    for si in carriers {
-                        cursors[si] += 1;
-                    }
-                }
-            }
-        }
+    /// The words of chunk `ci` (the `ci`-th id of `ids`); empty past the
+    /// last chunk.
+    fn chunk(&self, ci: usize) -> &[u64] {
+        self.words
+            .get(ci * WORDS_PER_CHUNK..(ci + 1) * WORDS_PER_CHUNK)
+            .unwrap_or(&[])
     }
 }
 
@@ -193,11 +137,7 @@ impl BitmapProbe<'_> {
         if id != self.id {
             self.id = id;
             self.chunk = match self.set.ids.binary_search(&id) {
-                Ok(ci) => self
-                    .set
-                    .words
-                    .get(ci * WORDS_PER_CHUNK..(ci + 1) * WORDS_PER_CHUNK)
-                    .unwrap_or(&[]),
+                Ok(ci) => self.set.chunk(ci),
                 Err(_) => &[],
             };
         }
@@ -205,21 +145,6 @@ impl BitmapProbe<'_> {
         self.chunk
             .get(low >> 6)
             .is_some_and(|word| word >> (low & 63) & 1 == 1)
-    }
-}
-
-/// Appends the members encoded by `chunk` (belonging to chunk `id`) to
-/// `out`, ascending.
-fn extract_words(id: u32, chunk: &[u64], out: &mut Vec<Elem>) {
-    let hi = id << CHUNK_BITS;
-    for (w, &word) in chunk.iter().enumerate() {
-        if word == 0 {
-            continue;
-        }
-        let base = hi | ((w as u32) << 6);
-        for bit in BitIter::new(word) {
-            out.push(base | bit);
-        }
     }
 }
 
@@ -248,9 +173,8 @@ impl PairIntersect for BitmapSet {
                     let a = &self.words[i * WORDS_PER_CHUNK..][..WORDS_PER_CHUNK];
                     let b = &other.words[j * WORDS_PER_CHUNK..][..WORDS_PER_CHUNK];
                     let hi = self.ids[i] << CHUNK_BITS;
-                    // Wide AND at the dispatched SIMD level: 2/4 words per
-                    // instruction, PTEST-skipped all-zero groups, scalar
-                    // trailing-zeros extraction of survivors.
+                    // Wide AND at the dispatched SIMD level (2/4 words per
+                    // instruction), then the branch-free extraction walk.
                     crate::simd::and_extract_at(level, hi, a, b, out);
                     i += 1;
                     j += 1;
@@ -261,45 +185,259 @@ impl PairIntersect for BitmapSet {
 }
 
 impl KIntersect for BitmapSet {
-    /// k-way `AND`: drives on the set with the fewest chunks, locating each
-    /// of its chunks in every other set by binary search, then `AND`s all
-    /// `k` words before extraction. Output is ascending.
+    /// k-way `AND`: the chunk walk of [`chunk_union_into`] over one
+    /// [`UnionPart::And`] — each chunk id present in every set `AND`s all
+    /// `k` words (abandoned as soon as the result is empty) before one
+    /// extraction. Output is ascending.
     fn intersect_k_into(indexes: &[&Self], out: &mut Vec<Elem>) {
-        match indexes {
-            [] => {}
-            [a] => {
-                for ci in 0..a.ids.len() {
-                    a.extract_chunk(ci, out);
-                }
+        let part = match indexes {
+            [] => return,
+            [a] => UnionPart::Bitmap(a),
+            _ => UnionPart::And {
+                pos: indexes.to_vec(),
+                neg: Vec::new(),
+                neg_lists: Vec::new(),
+            },
+        };
+        chunk_union_into(&[part], out);
+    }
+}
+
+/// One operand of [`chunk_union_into`], by what it contributes to a chunk.
+#[derive(Debug, Clone)]
+pub enum UnionPart<'a> {
+    /// A chunked bitmap: its words are `OR`ed in.
+    Bitmap(&'a BitmapSet),
+    /// `(⋂ pos) ∖ (⋃ neg ∪ ⋃ neg_lists)`, formed per chunk without
+    /// extracting: the `AND` of `pos`'s words, minus `neg`'s words, minus
+    /// the bits of `neg_lists`' members. It contributes only to chunks
+    /// every set in `pos` touches. `pos` must not be empty.
+    And {
+        /// Intersected bitmaps.
+        pos: Vec<&'a BitmapSet>,
+        /// Subtracted bitmaps, removed word by word.
+        neg: Vec<&'a BitmapSet>,
+        /// Subtracted sorted lists, removed by clearing their members' bits.
+        neg_lists: Vec<&'a [Elem]>,
+    },
+    /// A sorted, duplicate-free list: its members' bits are set.
+    List(&'a [Elem]),
+}
+
+/// Appends the union of `parts` to `out`, ascending and duplicate-free, one
+/// chunk at a time: for each chunk id any part contributes to, in
+/// ascending order, one 8 KiB accumulator gathers every contribution and
+/// the chunk's members leave through one [`extract_into_at`] walk. A chunk
+/// only one bitmap contributes to is extracted straight from that
+/// bitmap's words. No part is ever extracted on its own, so a union over
+/// intersections pays one extraction for its result and none for its
+/// operands.
+///
+/// [`extract_into_at`]: crate::simd::extract_into_at
+pub fn chunk_union_into(parts: &[UnionPart<'_>], out: &mut Vec<Elem>) {
+    // One dispatch read for the whole sweep, not one per word primitive.
+    let level = crate::simd::SimdLevel::active();
+    let mut cursors: Vec<Cursor> = parts.iter().map(Cursor::new).collect();
+    let mut acc = [0u64; WORDS_PER_CHUNK];
+    let mut scratch = [0u64; WORDS_PER_CHUNK];
+    while let Some(id) = cursors.iter().filter_map(|c| c.next).min() {
+        // Where the chunk's union is so far: nothing, one bitmap's words
+        // (not yet copied), or `acc`.
+        let mut borrowed: Option<&[u64]> = None;
+        let mut in_acc = false;
+        for (part, cursor) in parts.iter().zip(&mut cursors) {
+            if cursor.next != Some(id) {
+                continue;
             }
-            _ => {
-                let driver = indexes
-                    .iter()
-                    .min_by_key(|ix| ix.ids.len())
-                    // audit:allow(hot_path_panic): the k >= 2 dispatch precondition guarantees a minimum exists
-                    .expect("k >= 2");
-                // One dispatch read for the whole sweep, not one per AND.
-                let level = crate::simd::SimdLevel::active();
-                let mut anded = [0u64; WORDS_PER_CHUNK];
-                'chunks: for (ci, &id) in driver.ids.iter().enumerate() {
-                    anded.copy_from_slice(&driver.words[ci * WORDS_PER_CHUNK..][..WORDS_PER_CHUNK]);
-                    for other in indexes {
-                        if std::ptr::eq(*other, *driver) {
-                            continue;
+            match part {
+                UnionPart::Bitmap(b) => {
+                    let words = b.chunk(cursor.at);
+                    if in_acc {
+                        crate::simd::or_in_place_at(level, &mut acc, words);
+                    } else if let Some(first) = borrowed {
+                        acc.copy_from_slice(first);
+                        crate::simd::or_in_place_at(level, &mut acc, words);
+                        in_acc = true;
+                    } else {
+                        borrowed = Some(words);
+                    }
+                    cursor.at += 1;
+                }
+                UnionPart::List(xs) => {
+                    let run = chunk_run(xs, cursor.at, id);
+                    cursor.at = run.end;
+                    if !in_acc {
+                        match borrowed {
+                            Some(first) => acc.copy_from_slice(first),
+                            None => acc.fill(0),
                         }
-                        let Ok(cj) = other.ids.binary_search(&id) else {
-                            continue 'chunks;
-                        };
-                        let b = &other.words[cj * WORDS_PER_CHUNK..][..WORDS_PER_CHUNK];
-                        if crate::simd::and_in_place_at(level, &mut anded, b) {
-                            continue 'chunks;
+                        in_acc = true;
+                    }
+                    for &x in xs.get(run).unwrap_or(&[]) {
+                        acc[(x as usize >> 6) % WORDS_PER_CHUNK] |= 1 << (x & 63);
+                    }
+                }
+                UnionPart::And {
+                    pos,
+                    neg,
+                    neg_lists,
+                } => {
+                    // Formed in `acc` while the chunk holds nothing of its
+                    // own yet, else in `scratch` and then ORed in.
+                    let target = if in_acc { &mut scratch } else { &mut acc };
+                    let nonempty = and_not_chunk(level, pos, neg, neg_lists, id, cursor, target);
+                    if nonempty {
+                        if in_acc {
+                            crate::simd::or_in_place_at(level, &mut acc, &scratch);
+                        } else {
+                            if let Some(first) = borrowed {
+                                crate::simd::or_in_place_at(level, &mut acc, first);
+                            }
+                            in_acc = true;
                         }
                     }
-                    extract_words(id, &anded, out);
+                    for at in &mut cursor.pos {
+                        *at += 1;
+                    }
                 }
+            }
+            cursor.next = cursor.align(part);
+        }
+        let words = if in_acc {
+            &acc[..]
+        } else {
+            borrowed.unwrap_or(&[])
+        };
+        crate::simd::extract_into_at(level, id << CHUNK_BITS, words, out);
+    }
+}
+
+/// Where one [`UnionPart`] is in its walk.
+struct Cursor {
+    /// The chunk id the part contributes to next; `None` once it is done.
+    next: Option<u32>,
+    /// `Bitmap`: index of its next chunk; `List`: index of its next member.
+    at: usize,
+    /// `And`: per `pos` set, index of its next chunk.
+    pos: Vec<usize>,
+    /// `And`: per `neg` set, index of its first chunk not yet passed.
+    neg: Vec<usize>,
+    /// `And`: per `neg_lists` list, index of its first member not yet
+    /// passed.
+    neg_lists: Vec<usize>,
+}
+
+impl Cursor {
+    fn new(part: &UnionPart<'_>) -> Self {
+        let (pos, neg, neg_lists) = match part {
+            UnionPart::And {
+                pos,
+                neg,
+                neg_lists,
+            } => (
+                vec![0; pos.len()],
+                vec![0; neg.len()],
+                vec![0; neg_lists.len()],
+            ),
+            _ => Default::default(),
+        };
+        let mut c = Cursor {
+            next: None,
+            at: 0,
+            pos,
+            neg,
+            neg_lists,
+        };
+        c.next = c.align(part);
+        c
+    }
+
+    /// The first chunk id at or past the cursor that `part` contributes to;
+    /// for an `And`, moves every `pos` cursor onto it.
+    fn align(&mut self, part: &UnionPart<'_>) -> Option<u32> {
+        match part {
+            UnionPart::Bitmap(b) => b.ids.get(self.at).copied(),
+            UnionPart::List(xs) => xs.get(self.at).map(|&x| x >> CHUNK_BITS),
+            UnionPart::And { pos, .. } => {
+                // Leapfrog over the sorted id lists: chase the largest id
+                // seen until every set sits on it.
+                // An empty `pos` (outside the contract) contributes nothing.
+                let k = pos.len();
+                if k == 0 {
+                    return None;
+                }
+                let (mut id, mut agreed, mut i) = (0u32, 0usize, 0usize);
+                while agreed < k {
+                    let (set, at) = (pos.get(i % k)?, self.pos.get_mut(i % k)?);
+                    *at = seek(&set.ids, *at, id);
+                    let here = *set.ids.get(*at)?;
+                    if here == id && agreed > 0 {
+                        agreed += 1;
+                    } else {
+                        (id, agreed) = (here, 1);
+                    }
+                    i += 1;
+                }
+                Some(id)
             }
         }
     }
+}
+
+/// The first index at or past `from` whose id is `>= id`.
+fn seek(ids: &[u32], from: usize, id: u32) -> usize {
+    from + ids
+        .get(from..)
+        .map_or(0, |rest| rest.partition_point(|&x| x < id))
+}
+
+/// Where the members of `xs` in chunk `id` lie, searching from index
+/// `from` (every earlier member lies in an earlier chunk).
+fn chunk_run(xs: &[Elem], from: usize, id: u32) -> std::ops::Range<usize> {
+    let lo = from
+        + xs.get(from..)
+            .map_or(0, |rest| rest.partition_point(|&x| x >> CHUNK_BITS < id));
+    let hi = lo
+        + xs.get(lo..)
+            .map_or(0, |rest| rest.partition_point(|&x| x >> CHUNK_BITS == id));
+    lo..hi
+}
+
+/// Forms one [`UnionPart::And`]'s contribution to chunk `id` in `target`
+/// (every `pos` cursor sits on `id`); returns whether it holds any member.
+/// Moves the subtrahend cursors past `id`.
+fn and_not_chunk(
+    level: crate::simd::SimdLevel,
+    pos: &[&BitmapSet],
+    neg: &[&BitmapSet],
+    neg_lists: &[&[Elem]],
+    id: u32,
+    cursor: &mut Cursor,
+    target: &mut [u64; WORDS_PER_CHUNK],
+) -> bool {
+    let mut sets = pos.iter().zip(&cursor.pos).map(|(s, &at)| s.chunk(at));
+    target.copy_from_slice(sets.next().unwrap_or(&[0; WORDS_PER_CHUNK]));
+    for words in sets {
+        if crate::simd::and_in_place_at(level, target, words) {
+            return false;
+        }
+    }
+    for (set, at) in neg.iter().zip(&mut cursor.neg) {
+        *at = seek(&set.ids, *at, id);
+        if set.ids.get(*at) == Some(&id) {
+            for (t, &w) in target.iter_mut().zip(set.chunk(*at)) {
+                *t &= !w;
+            }
+        }
+    }
+    for (xs, at) in neg_lists.iter().zip(&mut cursor.neg_lists) {
+        let run = chunk_run(xs, *at, id);
+        *at = run.end;
+        for &x in xs.get(run).unwrap_or(&[]) {
+            target[(x as usize >> 6) % WORDS_PER_CHUNK] &= !(1 << (x & 63));
+        }
+    }
+    true
 }
 
 /// The slice-level bitmap kernel: builds the chunked bitmaps on the fly
@@ -465,33 +603,108 @@ mod tests {
                 .map(|_| (0..1200).map(|_| rng.gen_range(0..150_000u32)).collect())
                 .collect();
             let built: Vec<BitmapSet> = sets.iter().map(BitmapSet::build).collect();
-            let refs: Vec<&BitmapSet> = built.iter().collect();
             let expect: Vec<Elem> = sets
                 .iter()
                 .flat_map(|s| s.iter())
                 .collect::<std::collections::BTreeSet<_>>()
                 .into_iter()
                 .collect();
-            let mut out = Vec::new();
-            BitmapSet::union_k_into(&refs, &mut out);
-            assert_eq!(out, expect, "k={k}");
+            // The same union from bitmaps, from lists, and from a mix.
+            let as_bitmaps: Vec<UnionPart> = built.iter().map(UnionPart::Bitmap).collect();
+            let as_lists: Vec<UnionPart> =
+                sets.iter().map(|s| UnionPart::List(s.as_slice())).collect();
+            let mixed: Vec<UnionPart> = (0..k)
+                .map(|i| as_bitmaps[i].clone())
+                .step_by(2)
+                .chain(as_lists.iter().skip(1).step_by(2).cloned())
+                .collect();
+            for parts in [&as_bitmaps, &as_lists, &mixed] {
+                let mut out = Vec::new();
+                chunk_union_into(parts, &mut out);
+                assert_eq!(out, expect, "k={k}");
+            }
         }
         let mut out = Vec::new();
-        BitmapSet::union_k_into(&[], &mut out);
+        chunk_union_into(&[], &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
     fn union_covers_disjoint_and_shared_chunks() {
-        // a touches chunks {0, 1}, b touches {1, 65537-chunk}: exercises the
+        // a touches chunks {0, 1}, b touches {1, 0xFFFF}: exercises the
         // single-carrier fast path and the OR-accumulator path in one call.
         let a = SortedSet::from_unsorted(vec![3, 65_535, 65_536, 70_000]);
         let b = SortedSet::from_unsorted(vec![65_536, 70_001, u32::MAX]);
         let ia = BitmapSet::build(&a);
         let ib = BitmapSet::build(&b);
-        let mut out = Vec::new();
-        BitmapSet::union_k_into(&[&ia, &ib], &mut out);
-        assert_eq!(out, vec![3, 65_535, 65_536, 70_000, 70_001, u32::MAX]);
+        let expect = vec![3, 65_535, 65_536, 70_000, 70_001, u32::MAX];
+        for parts in [
+            vec![UnionPart::Bitmap(&ia), UnionPart::Bitmap(&ib)],
+            vec![UnionPart::List(a.as_slice()), UnionPart::Bitmap(&ib)],
+            vec![UnionPart::Bitmap(&ia), UnionPart::List(b.as_slice())],
+        ] {
+            let mut out = Vec::new();
+            chunk_union_into(&parts, &mut out);
+            assert_eq!(out, expect);
+        }
+    }
+
+    /// `(⋂ pos) ∖ (⋃ neg ∪ ⋃ neg_lists)` as one part, and `OR`ed with
+    /// bitmaps and lists, against sorted-set arithmetic.
+    #[test]
+    fn and_parts_match_set_arithmetic() {
+        use std::collections::BTreeSet;
+        let mut rng = StdRng::seed_from_u64(19);
+        // Interpreted execution (Miri) needs fewer, smaller sets.
+        let (trials, n) = if cfg!(miri) { (2, 300) } else { (12, 4000) };
+        for trial in 0..trials {
+            let universe = rng.gen_range(1..300_000u32);
+            let mut draw = |n| -> SortedSet {
+                (0..rng.gen_range(0..n))
+                    .map(|_| rng.gen_range(0..universe))
+                    .collect()
+            };
+            let pos: Vec<SortedSet> = (0..1 + trial % 3).map(|_| draw(4 * n)).collect();
+            let neg: Vec<SortedSet> = (0..trial % 2 + 1).map(|_| draw(n)).collect();
+            let lists: Vec<SortedSet> = (0..trial % 3).map(|_| draw(n)).collect();
+            let other = draw(n);
+            let pos_bm: Vec<BitmapSet> = pos.iter().map(BitmapSet::build).collect();
+            let neg_bm: Vec<BitmapSet> = neg.iter().map(BitmapSet::build).collect();
+            let other_bm = BitmapSet::build(&other);
+            let and = UnionPart::And {
+                pos: pos_bm.iter().collect(),
+                neg: neg_bm.iter().collect(),
+                neg_lists: lists.iter().map(|l| l.as_slice()).collect(),
+            };
+            let mut expect: BTreeSet<Elem> = pos[0].iter().collect();
+            for p in &pos[1..] {
+                expect.retain(|x| p.contains(*x));
+            }
+            for m in neg.iter().chain(&lists) {
+                expect.retain(|x| !m.contains(*x));
+            }
+            let mut out = Vec::new();
+            chunk_union_into(std::slice::from_ref(&and), &mut out);
+            assert_eq!(
+                out,
+                expect.iter().copied().collect::<Vec<_>>(),
+                "trial {trial}"
+            );
+            expect.extend(other.iter());
+            for parts in [
+                vec![and.clone(), UnionPart::Bitmap(&other_bm)],
+                vec![UnionPart::List(other.as_slice()), and.clone()],
+                vec![UnionPart::Bitmap(&other_bm), and.clone(), and.clone()],
+            ] {
+                let mut out = Vec::new();
+                chunk_union_into(&parts, &mut out);
+                assert_eq!(
+                    out,
+                    expect.iter().copied().collect::<Vec<_>>(),
+                    "trial {trial}"
+                );
+            }
+        }
     }
 
     #[test]

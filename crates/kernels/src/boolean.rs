@@ -28,9 +28,10 @@
 //!   probe (keep members) and of the bit-test difference (keep
 //!   non-members).
 //!
-//! The dense-regime union counterpart is the chunked-bitmap `OR`
-//! ([`BitmapSet::union_k_into`](crate::BitmapSet::union_k_into)), which
-//! rides the same SIMD word primitives as the `AND` sweep.
+//! The dense-regime union counterpart is the chunk union
+//! ([`chunk_union_into`](crate::chunk_union_into)), which rides the same
+//! SIMD word primitives as the `AND` sweep and accepts sorted lists among
+//! its operands too.
 //!
 //! All inputs are sorted and duplicate-free; all outputs are appended to
 //! `out` in ascending order and duplicate-free.

@@ -8,20 +8,28 @@
 //!
 //! * [`bitmap`] — [`BitmapSet`]: a chunked bitmap (Roaring-style dense
 //!   containers: 2¹⁶-value chunks of 1024 64-bit words). Intersection is a
-//!   word-by-word `AND` over chunks present in both sets, with
-//!   popcount/trailing-zeros-driven result extraction. Wins when sets are
-//!   *dense* in their universe: cost is `O(universe/64)` word ops
-//!   independent of how many elements the chunks hold.
+//!   word-by-word `AND` over chunks present in both sets. Wins when sets
+//!   are *dense* in their universe: cost is `O(universe/64)` word ops
+//!   independent of how many elements the chunks hold. The chunk union
+//!   ([`chunk_union_into`]) generalizes the sweep to any mix of
+//!   [`UnionPart`]s — bitmaps, word-wise `AND`-`NOT`s of bitmaps, sorted
+//!   lists — gathered per chunk in one accumulator.
+//!
+//! Every bitmap result leaves as documents through one walk,
+//! [`simd::extract_into_at`]: reserve the popcount, visit only the nonzero
+//! words, write each one's members with a fixed-length run of
+//! trailing-zeros/clear-lowest-bit stores, and advance by its popcount —
+//! the paper's footnote-1 enumeration with no branch on where a word's
+//! members end, compiled with `popcnt`/`bmi1` at the SIMD tiers.
 //! * [`gallop`] — [`GallopingSet`]: sorted-slice kernels with no auxiliary
 //!   structure. A *branchless* two-pointer merge (cursor advances computed
 //!   arithmetically, no unpredictable branches) for balanced sizes, and a
 //!   galloping (exponential-search) probe of the smaller list into the
 //!   larger for skewed `n₁/n₂` — the Hwang–Lin/SvS regime.
 //! * [`boolean`] — boolean-composition primitives for the expression
-//!   engine (`fsi-query`): k-way heap **union** ([`heap_union_into`]),
-//!   galloping multi-subtrahend **difference** ([`gallop_diff_into`]), and
-//!   the chunked-bitmap `OR` ([`BitmapSet::union_k_into`]) riding the same
-//!   SIMD word primitives as the `AND` sweep.
+//!   engine (`fsi-query`): k-way heap **union** ([`heap_union_into`]) and
+//!   galloping multi-subtrahend **difference** ([`gallop_diff_into`]); the
+//!   dense-regime union is the chunk union above.
 //! * [`multiway`] — true k-way kernels behind the [`MultiwayKernel`] trait
 //!   ([`GallopProbe`], [`BitmapAnd`], [`HeapMerge`], selected per call by
 //!   [`MultiwayAuto`]): the smallest set drives probes into all the others
@@ -72,7 +80,8 @@
 //! Underneath all of the above sits [`simd`]: explicit SSE4.1/AVX2
 //! `std::arch` paths with `is_x86_feature_detected!` runtime dispatch and
 //! a portable scalar fallback. The balanced merge, the bitmap chunk
-//! sweeps and the block decode all route through it, so every kernel
+//! sweeps, the bitmap extraction and the block decode all route through
+//! it, so every kernel
 //! and strategy above is transparently vectorized where the hardware
 //! allows. The `force-scalar` cargo feature compiles the `std::arch` paths
 //! out; the `FSI_SIMD` environment variable and
@@ -90,7 +99,7 @@ pub mod multiway;
 pub mod simd;
 
 pub use bitmap::WORDS_PER_CHUNK;
-pub use bitmap::{BitmapKernel, BitmapProbe, BitmapSet};
+pub use bitmap::{chunk_union_into, BitmapKernel, BitmapProbe, BitmapSet, UnionPart};
 pub use boolean::{filter_in_place, gallop_diff_into, heap_union_into, merge_union_into};
 pub use gallop::{
     branchless_merge_into, galloping_into, BranchlessMerge, Galloping, GallopingSet, GALLOP_RATIO,

@@ -4,7 +4,7 @@
 //! The paper's word-RAM algorithms buy their speedup from packing set
 //! structure into `u64`s and intersecting with single `AND`s; modern x86
 //! exposes 128- and 256-bit lanes for exactly the same shapes. This module
-//! holds the three vectorized primitives the kernels above bottom out in:
+//! holds the primitives the kernels above bottom out in:
 //!
 //! * [`merge_into`] — the shuffle-network vectorized merge intersect for
 //!   sorted `u32` slices (the balanced-size regime of
@@ -13,11 +13,18 @@
 //!   with a permutation lookup, and advance whichever block has the
 //!   smaller maximum. 16 (SSE) or 64 (AVX2) element comparisons per
 //!   iteration against the scalar merge's one.
-//! * [`and_extract`] / [`and_in_place`] — wide bitmap `AND` for
+//! * [`and_in_place`] / [`or_in_place`] — wide bitmap `AND`/`OR` for
 //!   [`BitmapSet`](crate::BitmapSet)/[`BitmapAnd`](crate::multiway::BitmapAnd)
-//!   chunk sweeps: `AND` 2 (SSE) or 4 (AVX2) 64-bit words per instruction,
-//!   reject all-zero groups with a single `PTEST`, and fall into the
-//!   trailing-zeros extraction only for groups that survive.
+//!   chunk sweeps and the chunk union: 2 (SSE) or 4 (AVX2) 64-bit words
+//!   per instruction, the `AND` folding its all-zero test into one final
+//!   `PTEST`; [`and_extract`] is an `AND` into a stack copy followed by the
+//!   extraction below.
+//! * [`extract_into_at`] — bitmap-to-documents extraction, the one walk every
+//!   bitmap result leaves through: reserve the popcount, visit only the
+//!   nonzero words, write each one's members with a fixed-length unrolled
+//!   run (four or eight, by the result's density), advance by the word's
+//!   popcount — no branch on whether a word is empty or on where its
+//!   members end.
 //! * [`unpack_deltas`] — bulk block decode for the compressed-domain
 //!   execution path (`fsi-compress`'s `BlockPostings`): gather 8
 //!   fixed-width packed deltas per iteration, variable-shift them into
@@ -46,8 +53,10 @@
 //! [`SimdLevel::detect`] is saturated down rather than trusted.
 //!
 //! On non-x86_64 targets (or under `force-scalar`) everything in this
-//! module compiles to the scalar fallbacks with zero `unsafe`.
+//! module compiles to the scalar fallbacks; the one `unsafe` left there is
+//! the extraction walk's `set_len` over the slots it wrote (Miri runs it).
 
+use crate::WORDS_PER_CHUNK;
 use fsi_core::elem::Elem;
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -141,11 +150,15 @@ impl SimdLevel {
         level
     }
 
+    /// Each tier also requires what its bitmap extraction is compiled
+    /// with: `popcnt` from SSE4.1 up, plus `bmi1` at AVX2 (every AVX2 part
+    /// has both).
     #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
     fn probe() -> SimdLevel {
-        if std::arch::is_x86_feature_detected!("avx2") {
+        use std::arch::is_x86_feature_detected as has;
+        if has!("avx2") && has!("popcnt") && has!("bmi1") {
             SimdLevel::Avx2
-        } else if std::arch::is_x86_feature_detected!("sse4.1") {
+        } else if has!("sse4.1") && has!("popcnt") {
             SimdLevel::Sse41
         } else {
             SimdLevel::Scalar
@@ -396,31 +409,38 @@ pub(crate) fn unpack_deltas_scalar(
 
 /// Appends the members of `a AND b` to `out`, ascending, where `a` and `b`
 /// are equal-length 64-bit bitmap slices covering values
-/// `base .. base + 64·len`, at the dispatched level. The SIMD tiers `AND`
-/// 2/4 words per instruction and `PTEST`-skip all-zero groups; extraction
-/// of surviving words is the scalar trailing-zeros walk at every level.
+/// `base .. base + 64·len`, at the dispatched level: the words are
+/// [`and_in_place`]d into a stack copy and leave through the
+/// [`extract_into_at`] walk.
 #[inline]
 pub fn and_extract(base: Elem, a: &[u64], b: &[u64], out: &mut Vec<Elem>) {
     and_extract_at(SimdLevel::active(), base, a, b, out)
 }
 
-/// [`and_extract`] at an explicit level (saturated to the hardware).
+/// [`and_extract`] at an explicit level (saturated to the hardware):
+/// [`and_in_place_at`] into a stack copy of `a`, a chunk's worth of words
+/// at a time, then one [`extract_into_at`] walk per block that is not
+/// all-zero.
 ///
 /// Panics when `a` and `b` differ in length — the SIMD tiers read whole
 /// blocks from both slices, so the precondition is enforced in release
 /// builds too (a safe API must never load out of bounds).
 pub fn and_extract_at(level: SimdLevel, base: Elem, a: &[u64], b: &[u64], out: &mut Vec<Elem>) {
     assert_eq!(a.len(), b.len(), "bitmap AND operands differ in length");
-    match level.saturate() {
-        SimdLevel::Scalar => and_extract_scalar(base, a, b, out),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        // SAFETY: level saturated to the detected hardware tier.
-        SimdLevel::Sse41 => unsafe { x86::and_extract_sse(base, a, b, out) },
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        // SAFETY: saturate() capped the level at SimdLevel::detect(), and Avx2 implies the avx2 feature (plus sse4.1) is present on this CPU.
-        SimdLevel::Avx2 => unsafe { x86::and_extract_avx2(base, a, b, out) },
-        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
-        _ => and_extract_scalar(base, a, b, out),
+    let mut buf = [0u64; WORDS_PER_CHUNK];
+    for (i, (wa, wb)) in a
+        .chunks(WORDS_PER_CHUNK)
+        .zip(b.chunks(WORDS_PER_CHUNK))
+        .enumerate()
+    {
+        let Some(anded) = buf.get_mut(..wa.len()) else {
+            break;
+        };
+        anded.copy_from_slice(wa);
+        if !and_in_place_at(level, anded, wb) {
+            let block_base = base | ((i * WORDS_PER_CHUNK) as u32) << 6;
+            extract_into_at(level, block_base, anded, out);
+        }
     }
 }
 
@@ -490,24 +510,132 @@ pub fn or_in_place_at(level: SimdLevel, acc: &mut [u64], other: &[u64]) {
     }
 }
 
-/// Appends the set bits of `word` (offset by `base`) to `out`, ascending —
-/// the paper's footnote-1 trailing-zeros walk, shared by every level.
-#[inline]
-pub(crate) fn extract_word(base: Elem, word: u64, out: &mut Vec<Elem>) {
-    let mut w = word;
-    while w != 0 {
-        out.push(base | w.trailing_zeros());
-        w &= w - 1;
+// ---------------------------------------------------------------------------
+// Bitmap-to-documents extraction
+// ---------------------------------------------------------------------------
+
+/// Appends the members of the bitmap `words` to `out`, ascending, at
+/// `level` (saturated to the hardware): bit `j` of word `i` is the value
+/// `base | (i << 6) | j` (`base` is aligned to the span the words cover,
+/// as a chunk's first value is). Every bitmap result in this crate leaves
+/// as documents through here.
+///
+/// One walk at every level, the paper's footnote-1 lowest-bit trick made
+/// branch-free per word. A first pass over each chunk's worth of words
+/// sums their popcounts and records the positions of the nonzero ones
+/// (branch-free), and the output is reserved to that popcount once; the
+/// second pass visits only the recorded words, each writing a fixed run of
+/// members unconditionally (trailing-zeros/clear-lowest-bit steps, garbage
+/// past its popcount landing in reserved spare slots) and advancing the
+/// write position by its popcount — so no branch depends on whether a
+/// word is empty or where its members end. The run is four members, or
+/// eight once the nonzero words average more than two and a half, so few
+/// words continue past it either way. The SIMD tiers compile the same walk
+/// with `popcnt` (and at AVX2 `bmi1`'s `tzcnt`/`blsr`) enabled; detection
+/// requires both. Output is byte-identical across levels.
+pub fn extract_into_at(level: SimdLevel, base: Elem, words: &[u64], out: &mut Vec<Elem>) {
+    match level.saturate() {
+        SimdLevel::Scalar => extract_branchless(base, words, out),
+        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+        // SAFETY: saturate() capped the level at SimdLevel::detect(), and
+        // detection reports Sse41 only where popcnt is present.
+        SimdLevel::Sse41 => unsafe { x86::extract_sse(base, words, out) },
+        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+        // SAFETY: saturate() capped the level at SimdLevel::detect(), and
+        // detection reports Avx2 only where popcnt and bmi1 are present.
+        SimdLevel::Avx2 => unsafe { x86::extract_avx2(base, words, out) },
+        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
+        _ => extract_branchless(base, words, out),
     }
 }
 
-fn and_extract_scalar(base: Elem, a: &[u64], b: &[u64], out: &mut Vec<Elem>) {
-    for (i, (&wa, &wb)) in a.iter().zip(b).enumerate() {
-        let word = wa & wb;
-        if word != 0 {
-            extract_word(base | ((i as u32) << 6), word, out);
+/// The one extraction walk behind every level of [`extract_into_at`] (the
+/// x86 tiers inline it into a frame with `popcnt` and `bmi1` enabled).
+#[inline(always)]
+pub(crate) fn extract_branchless(base: Elem, words: &[u64], out: &mut Vec<Elem>) {
+    // Positions of the block's nonzero words: the walk below visits only
+    // those, so it has no branch on whether a word is empty either.
+    let mut nonzero = [0u16; WORDS_PER_CHUNK];
+    for (b, block) in words.chunks(WORDS_PER_CHUNK).enumerate() {
+        let mut m = 0usize;
+        let mut total = 0usize;
+        for (i, &w) in block.iter().enumerate() {
+            // `m <= i < WORDS_PER_CHUNK`, so the modulo never changes `m`.
+            nonzero[m % WORDS_PER_CHUNK] = i as u16;
+            m += usize::from(w != 0);
+            total += w.count_ones() as usize;
         }
+        if total == 0 {
+            continue;
+        }
+        // Room for every member plus one unconditional run past the last:
+        // a word at write position `n` holds `cnt` members with
+        // `n + cnt <= total`, so its run ends by `n + max(cnt, LONG_RUN)`.
+        out.reserve(total + LONG_RUN);
+        let start = out.len();
+        let spare = out.spare_capacity_mut();
+        let block_base = base | ((b * WORDS_PER_CHUNK) as u32) << 6;
+        let words_at = nonzero.get(..m).unwrap_or(&[]);
+        // The run that leaves the fewest words continuing past it: the long
+        // one once the nonzero words average over 2½ members.
+        let n = if 2 * total > 5 * m {
+            write_runs::<LONG_RUN>(block, words_at, block_base, spare)
+        } else {
+            write_runs::<SHORT_RUN>(block, words_at, block_base, spare)
+        };
+        debug_assert_eq!(n, total);
+        // SAFETY: `write_runs` initialized the first `n` spare slots (see
+        // its contract), and `n` never passes `total`, which the reserve
+        // above made room for.
+        unsafe { out.set_len(start + n) };
     }
+}
+
+/// Members [`extract_into_at`] writes per nonzero word before it looks at the
+/// word's popcount, on sparse results and on dense ones: a word holding
+/// more continues one member at a time.
+const SHORT_RUN: usize = 4;
+const LONG_RUN: usize = 8;
+
+/// The second pass of [`extract_branchless`]: for each of the nonzero
+/// words at `positions` in `block`, a fixed run of `RUN`
+/// trailing-zeros/clear-lowest-bit stores into `spare` at the write
+/// position (garbage past the word's popcount included), then the position
+/// advances by the popcount — no branch on where a word's members end
+/// unless it holds more than `RUN`. Returns the members written: slots
+/// `0 .. n` of `spare` are initialized, provided `spare` has room for
+/// every member plus `RUN`.
+#[inline(always)]
+fn write_runs<const RUN: usize>(
+    block: &[u64],
+    positions: &[u16],
+    block_base: Elem,
+    spare: &mut [std::mem::MaybeUninit<Elem>],
+) -> usize {
+    let mut n = 0usize;
+    for &i in positions {
+        let word = block.get(usize::from(i)).copied().unwrap_or(0);
+        let cnt = word.count_ones() as usize;
+        let Some((head, tail)) = spare
+            .get_mut(n..n + RUN.max(cnt))
+            .and_then(|run| run.split_first_chunk_mut::<RUN>())
+        else {
+            // Out of room (outside the contract): stop short.
+            return n;
+        };
+        let hi = block_base | u32::from(i) << 6;
+        let mut w = word;
+        for slot in head {
+            slot.write(hi | w.trailing_zeros());
+            w &= w.wrapping_sub(1);
+        }
+        for slot in tail {
+            slot.write(hi | w.trailing_zeros());
+            w &= w.wrapping_sub(1);
+        }
+        n += cnt;
+    }
+    n
 }
 
 fn and_in_place_scalar(acc: &mut [u64], other: &[u64]) -> bool {
@@ -647,6 +775,115 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The footnote-1 push walk [`extract_into_at`] replaced: one push per
+    /// member, a loop exit per word — the reference it must equal.
+    fn push_walk(base: Elem, words: &[u64], out: &mut Vec<Elem>) {
+        for (i, &word) in words.iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                out.push(base | (i as u32) << 6 | w.trailing_zeros());
+                w &= w - 1;
+            }
+        }
+    }
+
+    /// A word with exactly `count` members at random positions.
+    fn word_with(rng: &mut rand::rngs::StdRng, count: u32) -> u64 {
+        use rand::Rng;
+        let mut w = 0u64;
+        while w.count_ones() < count {
+            w |= 1 << rng.gen_range(0..64);
+        }
+        w
+    }
+
+    #[test]
+    fn extraction_matches_the_push_walk_at_every_level() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+        // Interpreted execution (Miri) walks the listed counts once; native
+        // runs cover every count and more than one block of words.
+        let counts: Vec<u32> = if cfg!(miri) {
+            vec![0, 1, 4, 5, 8, 9, 63, 64]
+        } else {
+            (0..=64).collect()
+        };
+        let patterns = [
+            0x5555_5555_5555_5555u64, // alternating
+            0xAAAA_AAAA_AAAA_AAAA,
+            0x00FF_00FF_00FF_00FF, // runs
+            u64::MAX >> 3,
+            1 << 63,
+            0xF000_0000_0000_000F,
+        ];
+        // Dense words take the long run; the same counts diluted by
+        // single-member words (two members per word on average) the short
+        // one.
+        let mut words: Vec<u64> = counts.iter().map(|&c| word_with(&mut rng, c)).collect();
+        words.extend(patterns);
+        let mut diluted: Vec<u64> = [0, 1, 4, 5, 8, 9, 63, 64]
+            .iter()
+            .map(|&c| word_with(&mut rng, c))
+            .collect();
+        diluted.extend((0..120).map(|i| 1u64 << (i % 64)));
+        let mixed: Vec<u64> = (0..if cfg!(miri) { 48 } else { WORDS_PER_CHUNK + 77 })
+            .map(|i| match i % 4 {
+                0 => 0,
+                1 => {
+                    let count = rng.gen_range(0..=64);
+                    word_with(&mut rng, count)
+                }
+                2 => patterns[i % patterns.len()],
+                _ => {
+                    let count = rng.gen_range(0..4);
+                    word_with(&mut rng, count)
+                }
+            })
+            .collect();
+        // Chunk 0 and chunk 0xFFFF (values up to u32::MAX); the wider run
+        // crosses a block boundary, so it starts in chunk 0 only.
+        let cases: [(Elem, &[u64]); 7] = [
+            (0, &words),
+            (0xFFFF << 16, &words),
+            (0, &diluted),
+            (0xFFFF << 16, &diluted),
+            (0xFFFF << 16, &[u64::MAX; 3]),
+            (0, &mixed),
+            (0, &[]),
+        ];
+        for (base, words) in cases {
+            for prefix in [vec![], vec![9u32, 1, u32::MAX]] {
+                let mut expect = prefix.clone();
+                push_walk(base, words, &mut expect);
+                for level in available_levels() {
+                    // An exactly-full buffer: the walk must reserve its own
+                    // room, and must not touch what is already there.
+                    let mut out = prefix.clone();
+                    out.shrink_to_fit();
+                    extract_into_at(level, base, words, &mut out);
+                    assert_eq!(
+                        out,
+                        expect,
+                        "{} base {base:#x} n={}",
+                        level.name(),
+                        words.len()
+                    );
+                }
+            }
+        }
+        assert_eq!(words.iter().map(|w| w.count_ones()).max(), Some(64));
+        // `and_extract` is the same walk over `a AND b`.
+        let b: Vec<u64> = mixed.iter().rev().copied().collect();
+        let anded: Vec<u64> = mixed.iter().zip(&b).map(|(x, y)| x & y).collect();
+        let mut expect = vec![5];
+        push_walk(1 << 20, &anded, &mut expect);
+        for level in available_levels() {
+            let mut out = vec![5];
+            and_extract_at(level, 1 << 20, &mixed, &b, &mut out);
+            assert_eq!(out, expect, "{} and_extract", level.name());
         }
     }
 

@@ -12,8 +12,11 @@
 //! block with the smaller maximum. Sorted, duplicate-free inputs guarantee
 //! each lane matches at most once, so the compacted store is exactly the
 //! ascending intersection of the two blocks' overlap.
+//!
+//! The extraction tiers are the portable walk itself, compiled in a frame
+//! with `popcnt` (and `bmi1`) enabled.
 
-use super::extract_word;
+use super::extract_branchless;
 use crate::gallop::branchless_merge_into;
 use core::arch::x86_64::*;
 use fsi_core::elem::Elem;
@@ -213,83 +216,24 @@ pub unsafe fn merge_avx2(a: &[Elem], b: &[Elem], out: &mut Vec<Elem>) {
     unsafe { merge_sse(&a[i..], &b[j..], out) };
 }
 
-/// SSE4.1 bitmap `AND` + extract: 2 words per `AND`, `PTEST` skip of
-/// all-zero pairs, scalar trailing-zeros extraction of survivors.
+/// The bitmap-to-documents walk compiled with POPCNT — the SSE4.1 tier of
+/// [`super::extract_into_at`].
 ///
 /// # Safety
-/// The CPU must support SSE4.1. `a` and `b` must be equal length.
-#[target_feature(enable = "sse4.1")]
-pub unsafe fn and_extract_sse(base: Elem, a: &[u64], b: &[u64], out: &mut Vec<Elem>) {
-    let n = a.len();
-    let mut w = 0usize;
-    while w + 2 <= n {
-        // SAFETY: w + 2 <= n = a.len(), and the caller contract makes
-        // b the same length, so both 2-word loads stay in bounds.
-        let (va, vb) = unsafe {
-            (
-                _mm_loadu_si128(a.as_ptr().add(w) as *const __m128i),
-                _mm_loadu_si128(b.as_ptr().add(w) as *const __m128i),
-            )
-        };
-        let v = _mm_and_si128(va, vb);
-        if _mm_testz_si128(v, v) == 0 {
-            let mut words = [0u64; 2];
-            // SAFETY: `words` is exactly 16 writable bytes on the stack.
-            unsafe { _mm_storeu_si128(words.as_mut_ptr() as *mut __m128i, v) };
-            for (t, &word) in words.iter().enumerate() {
-                if word != 0 {
-                    extract_word(base | (((w + t) as u32) << 6), word, out);
-                }
-            }
-        }
-        w += 2;
-    }
-    if w < n {
-        let word = a[w] & b[w];
-        if word != 0 {
-            extract_word(base | ((w as u32) << 6), word, out);
-        }
-    }
+/// The CPU must support POPCNT.
+#[target_feature(enable = "popcnt")]
+pub unsafe fn extract_sse(base: Elem, words: &[u64], out: &mut Vec<Elem>) {
+    extract_branchless(base, words, out)
 }
 
-/// AVX2 bitmap `AND` + extract: 4 words per `AND`, `PTEST` skip of
-/// all-zero quads, scalar trailing-zeros extraction of survivors.
+/// The bitmap-to-documents walk compiled with POPCNT and BMI1 (`tzcnt`,
+/// `blsr`) — the AVX2 tier of [`super::extract_into_at`].
 ///
 /// # Safety
-/// The CPU must support AVX2. `a` and `b` must be equal length.
-#[target_feature(enable = "avx2")]
-pub unsafe fn and_extract_avx2(base: Elem, a: &[u64], b: &[u64], out: &mut Vec<Elem>) {
-    let n = a.len();
-    let mut w = 0usize;
-    while w + 4 <= n {
-        // SAFETY: w + 4 <= n = a.len(), and the caller contract makes
-        // b the same length, so both 4-word loads stay in bounds.
-        let (va, vb) = unsafe {
-            (
-                _mm256_loadu_si256(a.as_ptr().add(w) as *const __m256i),
-                _mm256_loadu_si256(b.as_ptr().add(w) as *const __m256i),
-            )
-        };
-        let v = _mm256_and_si256(va, vb);
-        if _mm256_testz_si256(v, v) == 0 {
-            let mut words = [0u64; 4];
-            // SAFETY: `words` is exactly 32 writable bytes on the stack.
-            unsafe { _mm256_storeu_si256(words.as_mut_ptr() as *mut __m256i, v) };
-            for (t, &word) in words.iter().enumerate() {
-                if word != 0 {
-                    extract_word(base | (((w + t) as u32) << 6), word, out);
-                }
-            }
-        }
-        w += 4;
-    }
-    while w < n {
-        let word = a[w] & b[w];
-        if word != 0 {
-            extract_word(base | ((w as u32) << 6), word, out);
-        }
-        w += 1;
-    }
+/// The CPU must support POPCNT and BMI1.
+#[target_feature(enable = "popcnt,bmi1")]
+pub unsafe fn extract_avx2(base: Elem, words: &[u64], out: &mut Vec<Elem>) {
+    extract_branchless(base, words, out)
 }
 
 /// SSE4.1 in-place `AND` with a folded all-zero test (one `PTEST` of the

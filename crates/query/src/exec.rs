@@ -2,11 +2,14 @@
 //! [`eval_planned_into`] plans and runs the full cost-based path.
 //! `AND`-of-terms nodes run the embedded [`fsi_index::MultiwayPlan`]
 //! directly on the prepared lists (zero materialization), `OR` nodes
-//! dispatch between the heap union and the chunked-bitmap `OR`,
-//! differences bit-test the subtrahends that are bitmap-carrying terms
-//! and gallop through the rest. Term operands of unions and differences
-//! borrow the prepared structures — only genuine sub-expression results
-//! are materialized.
+//! dispatch between the heap union and the chunk union — which binds
+//! bitmap-carrying terms and `BitmapAnd` children in place, word by word,
+//! and extracts the result once — and differences bit-test the
+//! subtrahends that are bitmap-carrying terms and gallop through the rest
+//! (over a `BitmapAnd` base with term subtrahends they are a one-child
+//! chunk union instead). Term operands of unions and differences borrow
+//! the prepared structures — only genuine sub-expression results are
+//! materialized.
 //!
 //! Output is appended ascending and duplicate-free; pre-existing `out`
 //! content is left untouched.
@@ -16,7 +19,8 @@ use crate::rewrite::NormExpr;
 use fsi_core::elem::Elem;
 use fsi_index::{PlanKind, PlannedExecutor, PlannedList};
 use fsi_kernels::{
-    filter_in_place, gallop_diff_into, gallop_probe_into, heap_union_into, BitmapSet,
+    chunk_union_into, filter_in_place, gallop_diff_into, gallop_probe_into, heap_union_into,
+    BitmapSet, UnionPart,
 };
 
 /// A child result: borrowed straight from a prepared list when the child
@@ -124,12 +128,76 @@ fn operand<'a>(exec: &'a PlannedExecutor, planner: &ExprPlanner, plan: &ExprPlan
     }
 }
 
+/// Whether a chunk union binds `plan` in place ([`ExprPlan::binds_in_place`]
+/// over this index's bitmaps).
+pub(crate) fn in_place(exec: &PlannedExecutor, plan: &ExprPlan) -> bool {
+    plan.binds_in_place(|t| exec.list(t).bitmap().is_some())
+}
+
+/// The chunk-union part that binds `plan` in place, when [`in_place`] says
+/// one does.
+fn union_part<'a>(exec: &'a PlannedExecutor, plan: &ExprPlan) -> Option<UnionPart<'a>> {
+    if !in_place(exec, plan) {
+        return None;
+    }
+    let term = |p: &ExprPlan| match p.node {
+        PlanNode::Term(t) => Some(exec.list(t)),
+        _ => None,
+    };
+    match &plan.node {
+        PlanNode::And { pos, neg, .. } => {
+            let pos = pos
+                .iter()
+                .map(|p| term(p)?.bitmap())
+                .collect::<Option<Vec<_>>>()?;
+            let (mut bitmaps, mut lists) = (Vec::new(), Vec::new());
+            for list in neg.iter().map(term) {
+                let list = list?;
+                match list.bitmap() {
+                    Some(bitmap) => bitmaps.push(bitmap),
+                    None => lists.push(list.flat()),
+                }
+            }
+            Some(UnionPart::And {
+                pos,
+                neg: bitmaps,
+                neg_lists: lists,
+            })
+        }
+        _ => term(plan)?.bitmap().map(UnionPart::Bitmap),
+    }
+}
+
+/// Runs the chunk union over `children`, appending the ascending result to
+/// `out`: each child binds in place where [`union_part`] finds a part, and
+/// otherwise contributes `listed[i]`, its sorted result — which the caller
+/// materializes (the executor untimed, `EXPLAIN ANALYZE` timed). An `AND
+/// NOT` over a bitmap AND runs here as the one child of its own union.
+pub(crate) fn chunk_union<'a>(
+    exec: &'a PlannedExecutor,
+    children: &[ExprPlan],
+    listed: &[Option<&'a [Elem]>],
+    out: &mut Vec<Elem>,
+) {
+    let parts: Vec<UnionPart> = children
+        .iter()
+        .zip(listed)
+        .map(|(c, l)| match l {
+            Some(list) => UnionPart::List(list),
+            None => union_part(exec, c).unwrap_or(UnionPart::List(&[])),
+        })
+        .collect();
+    chunk_union_into(&parts, out);
+}
+
 fn run_plan(exec: &PlannedExecutor, planner: &ExprPlanner, plan: &ExprPlan, out: &mut Vec<Elem>) {
     match &plan.node {
         PlanNode::Term(t) => out.extend_from_slice(exec.list(*t).flat()),
         PlanNode::And { pos, neg, kind } => {
             if neg.is_empty() {
                 run_and_base(exec, planner, pos, kind, out);
+            } else if in_place(exec, plan) {
+                chunk_union(exec, std::slice::from_ref(plan), &[None], out);
             } else {
                 let mut base = Vec::new();
                 run_and_base(exec, planner, pos, kind, &mut base);
@@ -148,29 +216,26 @@ fn run_plan(exec: &PlannedExecutor, planner: &ExprPlanner, plan: &ExprPlan, out:
                 subtract_into(base, &bitmaps, &neg_slices, out);
             }
         }
-        PlanNode::Or { children, kind } => match kind {
-            UnionKind::BitmapOr => {
-                let bitmaps: Vec<&BitmapSet> = children
-                    .iter()
-                    .map(|c| match c.node {
-                        PlanNode::Term(t) => exec
-                            .list(t)
-                            .bitmap()
-                            // audit:allow(hot_path_panic): the planner only emits BitmapOr when every term operand carries a bitmap
-                            .expect("BitmapOr only planned when every operand carries a bitmap"),
-                        // audit:allow(hot_path_panic): the planner only puts Term nodes under BitmapOr
-                        _ => unreachable!("BitmapOr only planned over term operands"),
-                    })
-                    .collect();
-                BitmapSet::union_k_into(&bitmaps, out);
+        PlanNode::Or { children, kind } => {
+            let ops: Vec<Option<Operand>> = children
+                .iter()
+                .map(|c| match kind {
+                    UnionKind::BitmapOr if in_place(exec, c) => None,
+                    _ => Some(operand(exec, planner, c)),
+                })
+                .collect();
+            let listed: Vec<Option<&[Elem]>> = ops
+                .iter()
+                .map(|o| o.as_ref().map(Operand::as_slice))
+                .collect();
+            match kind {
+                UnionKind::BitmapOr => chunk_union(exec, children, &listed, out),
+                UnionKind::HeapMerge => {
+                    let slices: Vec<&[Elem]> = listed.iter().flatten().copied().collect();
+                    heap_union_into(&slices, out);
+                }
             }
-            UnionKind::HeapMerge => {
-                let ops: Vec<Operand> =
-                    children.iter().map(|c| operand(exec, planner, c)).collect();
-                let slices: Vec<&[Elem]> = ops.iter().map(Operand::as_slice).collect();
-                heap_union_into(&slices, out);
-            }
-        },
+        }
     }
 }
 
@@ -266,18 +331,172 @@ mod tests {
         // The append contract: pre-existing `out` content
         // survives untouched and the fresh result lands after it — even
         // when the prefix ends in a value equal to the first emitted
-        // document (the heap union must not dedup across the boundary).
-        let engine = engine(7);
+        // document (neither union may dedup across the boundary). The
+        // mixed engine under a chunk-union-only planner covers the chunk
+        // path: unions of terms, of swept ANDs, and AND NOT over one.
+        let small = engine(7);
+        let mixed = mixed_engine();
+        for (engine, planner, srcs) in [
+            (
+                &small,
+                ExprPlanner::default(),
+                ["0 OR 1", "0 AND 1", "9 AND NOT 0"],
+            ),
+            (
+                &mixed,
+                chunk_union_only(),
+                ["0 OR 4", "(0 1) OR (2 8)", "0 1 AND NOT 4"],
+            ),
+        ] {
+            let planned = engine.planned_executor(Planner::default());
+            for src in srcs {
+                let norm = normalize(&parse(src).expect("p")).expect("b");
+                let mut fresh = Vec::new();
+                eval_planned_into(&planned, &planner, &norm, &mut fresh);
+                let prefix = vec![7u32, 3, fresh.first().copied().unwrap_or(0)];
+                let mut out = prefix.clone();
+                eval_planned_into(&planned, &planner, &norm, &mut out);
+                assert_eq!(&out[..prefix.len()], prefix.as_slice(), "{src}");
+                assert_eq!(&out[prefix.len()..], fresh.as_slice(), "{src}");
+            }
+        }
+    }
+
+    /// Lists over five chunks: bitmap-carrying ones spanning all of them
+    /// or confined to disjoint chunk ranges, table-carrying ones (sparse,
+    /// or confined to one chunk), and an empty one.
+    fn mixed_engine() -> SearchEngine {
+        const C: u32 = 1 << 16;
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut sparse = |n: usize, lo: u32, hi: u32| -> SortedSet {
+            (0..n).map(|_| rng.gen_range(lo..hi)).collect()
+        };
+        let postings: Vec<SortedSet> = vec![
+            (0..5 * C).step_by(3).collect(),     // 0: bitmap, every chunk
+            (0..5 * C).step_by(5).collect(),     // 1: bitmap, every chunk
+            (0..2 * C).step_by(2).collect(),     // 2: bitmap, chunks 0–1
+            (3 * C..5 * C).step_by(7).collect(), // 3: bitmap, chunks 3–4
+            sparse(500, 0, 5 * C),               // 4: table
+            sparse(2000, 0, 5 * C),              // 5: table
+            sparse(800, 2 * C, 3 * C),           // 6: table, chunk 2 only
+            SortedSet::new(),                    // 7: empty
+            (0..5 * C).step_by(11).collect(),    // 8: bitmap, every chunk
+        ];
+        SearchEngine::from_postings(HashContext::new(17), postings)
+    }
+
+    /// A planner that picks the chunk union for every `OR` and sweeps every
+    /// `AND` it can bind in place.
+    fn chunk_union_only() -> ExprPlanner {
+        ExprPlanner {
+            union_unit: f64::INFINITY,
+            union_bitmap_word_unit: 0.0,
+            ..ExprPlanner::default()
+        }
+    }
+
+    /// Every `OR` node of `plan` with its kind.
+    fn unions(plan: &ExprPlan) -> Vec<UnionKind> {
+        match &plan.node {
+            PlanNode::Term(_) => Vec::new(),
+            PlanNode::And { pos, neg, .. } => pos.iter().chain(neg).flat_map(unions).collect(),
+            PlanNode::Or { children, kind } => std::iter::once(*kind)
+                .chain(children.iter().flat_map(unions))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn chunk_union_matches_naive_on_every_child_mix() {
+        let engine = mixed_engine();
         let planned = engine.planned_executor(Planner::default());
-        for src in ["0 OR 1", "0 AND 1", "9 AND NOT 0"] {
+        assert_eq!(planned.num_bitmap_lists(), 6, "the fixture's structures");
+        let slices: Vec<&[Elem]> = (0..engine.num_terms())
+            .map(|t| engine.posting(t).as_slice())
+            .collect();
+        for src in [
+            "0 OR 1",                              // bitmap terms
+            "0 OR 4 OR 6",                         // bitmap and table terms
+            "(0 1) OR (2 8)",                      // BitmapAnd children
+            "(0 1 NOT 8) OR (2 3)",                // bitmap subtrahend; disjoint chunks
+            "(0 1 NOT 4) OR (8 NOT 5 NOT 6)",      // table subtrahends
+            "(4 5) OR (0 6) OR (5 8)",             // materialized probes and scans
+            "((0 OR 4) AND 5) OR 2",               // nested OR, materialized
+            "7 OR 0",                              // empty child
+            "(2 3) OR (6 4) OR 7",                 // every child empty
+            "(2 3) OR (3 6)",                      // empty unions of disjoint ranges
+            "(0 AND NOT 1) OR (3 AND NOT 8) OR 6", // one-term ANDs with subtrahends
+            "(0 8 NOT (4 OR 6)) OR 3",             // a non-term subtrahend
+            "0 1 AND NOT 8",                       // AND NOT over a bitmap AND
+            "0 1 AND NOT 4 AND NOT 5",             // ... with table subtrahends
+            "2 AND NOT (4 OR 5)",
+        ] {
+            let norm = normalize(&parse(src).expect("parses")).expect("bounded");
+            let expect: Vec<Elem> = naive_eval(&slices, &norm).into_iter().collect();
+            for (name, planner) in [
+                ("default", ExprPlanner::default()),
+                ("chunk", chunk_union_only()),
+            ] {
+                let mut got = Vec::new();
+                let plan = eval_planned_into(&planned, &planner, &norm, &mut got);
+                assert_eq!(got, expect, "{src} ({name}: {})", plan.describe());
+                if name == "chunk" {
+                    assert!(
+                        unions(&plan).iter().all(|&k| k == UnionKind::BitmapOr),
+                        "{src}: {}",
+                        plan.describe()
+                    );
+                }
+                // `EXPLAIN ANALYZE` runs the same union routine.
+                let mut analyzed = Vec::new();
+                crate::explain::analyze_plan(&planned, &planner, &plan, &mut analyzed);
+                assert_eq!(analyzed, expect, "{src} ({name}, analyzed)");
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_union_absorbs_duplicate_children_and_the_last_chunk() {
+        // Duplicate children never survive normalization; a hand-built
+        // plan still has to union them to one copy.
+        let engine = mixed_engine();
+        let planned = engine.planned_executor(Planner::default());
+        let planner = chunk_union_only();
+        let slices: Vec<&[Elem]> = (0..engine.num_terms())
+            .map(|t| engine.posting(t).as_slice())
+            .collect();
+        let norm = normalize(&parse("(0 1 NOT 4) OR 6 OR 2").expect("p")).expect("b");
+        let expect: Vec<Elem> = naive_eval(&slices, &norm).into_iter().collect();
+        let mut plan = planner.plan(&norm, &|t| planned.list(t).stats(), planned.universe());
+        let PlanNode::Or { children, .. } = &mut plan.node else {
+            panic!("expected Or, got {}", plan.describe());
+        };
+        children.extend(children.clone());
+        let mut got = Vec::new();
+        execute_plan(&planned, &planner, &plan, &mut got);
+        assert_eq!(got, expect);
+        // Chunk 0xFFFF: values up to u32::MAX, in place and listed.
+        let top = u32::MAX - 70_000;
+        let postings: Vec<SortedSet> = vec![
+            (top..=u32::MAX).step_by(2).collect(),
+            (top..=u32::MAX).step_by(3).collect(),
+            (top..=u32::MAX).step_by(997).chain([u32::MAX]).collect(),
+            (0..70_000u32).step_by(4).collect(),
+        ];
+        let engine = SearchEngine::from_postings(HashContext::new(19), postings);
+        let planned = engine.planned_executor(Planner::default());
+        let slices: Vec<&[Elem]> = (0..4).map(|t| engine.posting(t).as_slice()).collect();
+        assert_eq!(slices[2].last(), Some(&u32::MAX));
+        for src in [
+            "0 OR 1 OR 2 OR 3",
+            "(0 1) OR 2 OR 3",
+            "0 1 AND NOT 2",
+            "(0 1 NOT 2) OR (3 AND NOT 2)",
+        ] {
             let norm = normalize(&parse(src).expect("p")).expect("b");
-            let mut fresh = Vec::new();
-            eval_planned_into(&planned, &ExprPlanner::default(), &norm, &mut fresh);
-            let prefix = vec![7u32, 3, fresh.first().copied().unwrap_or(0)];
-            let mut out = prefix.clone();
-            eval_planned_into(&planned, &ExprPlanner::default(), &norm, &mut out);
-            assert_eq!(&out[..prefix.len()], prefix.as_slice(), "{src}");
-            assert_eq!(&out[prefix.len()..], fresh.as_slice(), "{src}");
+            let expect: Vec<Elem> = naive_eval(&slices, &norm).into_iter().collect();
+            let got = eval_planned(&planned, &planner, &norm);
+            assert_eq!(got, expect, "{src}");
         }
     }
 

@@ -9,11 +9,13 @@
 //! invariants the integration tests pin: a parent's wall clock bounds the
 //! sum of its children's (children run inside the parent's window), and
 //! the root's wall clock bounds every node's. Term operands that kernels
-//! consume *in place* (multiway operands, bitmap-`OR` operands, borrowed
+//! consume *in place* (multiway operands, chunk-union operands, borrowed
 //! union/difference slices) are reported as `(input)` rows with no timing
-//! of their own: nothing executes for them separately.
+//! of their own: nothing executes for them separately. A `BitmapAnd`
+//! child a chunk union binds in place is likewise never run on its own:
+//! it keeps its estimates and shows no rows or time.
 
-use crate::exec::{subtract_into, term_bitmap};
+use crate::exec::{chunk_union, in_place, subtract_into, term_bitmap};
 use crate::plan::{AndKind, ExprPlan, ExprPlanner, PlanNode, UnionKind};
 use crate::rewrite::NormExpr;
 use fsi_core::elem::Elem;
@@ -89,10 +91,7 @@ fn label_of(plan: &ExprPlan) -> String {
             AndKind::Multiway(m) => format!("And[{}]", m.kind.name()),
             AndKind::SliceProbe => "And[SliceProbe]".to_string(),
         },
-        PlanNode::Or { kind, .. } => match kind {
-            UnionKind::HeapMerge => "Or[HeapMerge]".to_string(),
-            UnionKind::BitmapOr => "Or[BitmapOr]".to_string(),
-        },
+        PlanNode::Or { kind, .. } => format!("Or[{}]", kind.name()),
     }
 }
 
@@ -137,6 +136,30 @@ fn input_report(plan: &ExprPlan, list: &PlannedList) -> NodeReport {
     }
 }
 
+/// A report for a child a chunk union binds in place: a term is an
+/// `(input)` row, a bitmap AND keeps its estimates over its terms' input
+/// rows — it is never extracted, so it has no rows or time of its own.
+fn in_place_report(exec: &PlannedExecutor, plan: &ExprPlan) -> NodeReport {
+    let input = |p: &ExprPlan| match p.node {
+        PlanNode::Term(t) => input_report(p, exec.list(t)),
+        _ => report_plan(p),
+    };
+    match &plan.node {
+        PlanNode::And { pos, neg, .. } => NodeReport {
+            children: pos
+                .iter()
+                .map(input)
+                .chain(neg.iter().map(|n| NodeReport {
+                    negated: true,
+                    ..input(n)
+                }))
+                .collect(),
+            ..report_plan(plan)
+        },
+        _ => input(plan),
+    }
+}
+
 fn ns(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
@@ -177,6 +200,10 @@ pub fn analyze_plan(
         PlanNode::Term(t) => {
             out.extend_from_slice(exec.list(*t).flat());
             Vec::new()
+        }
+        PlanNode::And { neg, .. } if !neg.is_empty() && in_place(exec, plan) => {
+            chunk_union(exec, std::slice::from_ref(plan), &[None], out);
+            in_place_report(exec, plan).children
         }
         PlanNode::And { pos, neg, kind } => {
             let mut children = Vec::with_capacity(pos.len() + neg.len());
@@ -248,39 +275,29 @@ pub fn analyze_plan(
         PlanNode::Or {
             children: kids,
             kind,
-        } => match kind {
-            UnionKind::BitmapOr => {
-                let mut children = Vec::with_capacity(kids.len());
-                let bitmaps: Vec<&BitmapSet> = kids
-                    .iter()
-                    .map(|c| match c.node {
-                        PlanNode::Term(t) => {
-                            let list = exec.list(t);
-                            children.push(input_report(c, list));
-                            list.bitmap()
-                                // audit:allow(hot_path_panic): the planner only emits BitmapOr when every term operand carries a bitmap
-                                .expect("BitmapOr only planned when every operand carries a bitmap")
-                        }
-                        // audit:allow(hot_path_panic): the planner only puts Term nodes under BitmapOr
-                        _ => unreachable!("BitmapOr only planned over term operands"),
-                    })
-                    .collect();
-                BitmapSet::union_k_into(&bitmaps, out);
-                children
-            }
-            UnionKind::HeapMerge => {
-                let mut children = Vec::with_capacity(kids.len());
-                let mut bufs: Vec<Vec<Elem>> = kids.iter().map(|_| Vec::new()).collect();
-                let mut slices: Vec<&[Elem]> = Vec::with_capacity(kids.len());
-                for (c, buf) in kids.iter().zip(&mut bufs) {
+        } => {
+            let mut children = Vec::with_capacity(kids.len());
+            let mut bufs: Vec<Vec<Elem>> = kids.iter().map(|_| Vec::new()).collect();
+            let mut listed: Vec<Option<&[Elem]>> = Vec::with_capacity(kids.len());
+            for (c, buf) in kids.iter().zip(&mut bufs) {
+                if *kind == UnionKind::BitmapOr && in_place(exec, c) {
+                    children.push(in_place_report(exec, c));
+                    listed.push(None);
+                } else {
                     let (slice, report) = analyze_operand(exec, planner, c, buf);
-                    slices.push(slice);
+                    listed.push(Some(slice));
                     children.push(report);
                 }
-                heap_union_into(&slices, out);
-                children
             }
-        },
+            match kind {
+                UnionKind::BitmapOr => chunk_union(exec, kids, &listed, out),
+                UnionKind::HeapMerge => {
+                    let slices: Vec<&[Elem]> = listed.iter().flatten().copied().collect();
+                    heap_union_into(&slices, out);
+                }
+            }
+            children
+        }
     };
     NodeReport {
         label: label_of(plan),

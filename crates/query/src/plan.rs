@@ -22,11 +22,11 @@
 //! |------|------------|
 //! | `AND` (all operands are terms) | the full [`fsi_index::Planner`] candidate table — one whole-list [`MultiwayPlan`], zero materialized intermediates |
 //! | `AND` (mixed operands) | materialize sub-results, then a k-way gallop probe ([`AndKind::SliceProbe`]) |
-//! | `OR` | heap k-way union (`union_unit · Σnᵢ · log₂ k`) vs chunked-bitmap `OR` (`union_bitmap_word_unit · Σ chunksᵢ · 1024`, admissible only when every operand is a term carrying a bitmap) |
-//! | `AND NOT` | one difference operator (`diff_unit · |base| · m`): a bit test per base element for each subtrahend that is a bitmap-carrying term, a galloping multi-subtrahend difference for the rest — the subtrahends are bounded by the base, never materialized against the universe |
+//! | `OR` | heap k-way union over materialized children (`Σ costᵢ + union_unit · Σnᵢ · log₂ k`) vs the chunk union over *any* children (`Σ partᵢ + union_bitmap_word_unit · 1024 · span + extract`): a bitmap-carrying term costs its words, a `BitmapAnd` child whose subtrahends are terms its word sweep (no extraction of its own), any other child its own cost plus setting one bit per row; `span` is the estimated number of chunks the union touches, and the result is extracted once |
+//! | `AND NOT` | one difference operator (`diff_unit · |base| · m`): a bit test per base element for each subtrahend that is a bitmap-carrying term, a galloping multi-subtrahend difference for the rest — the subtrahends are bounded by the base, never materialized against the universe. Over a `BitmapAnd` base whose subtrahends are all terms it is instead a one-child chunk union, priced as one |
 
 use crate::rewrite::NormExpr;
-use fsi_index::{MultiwayPlan, OperandStats, Planner};
+use fsi_index::{MultiwayPlan, OperandStats, PlanKind, Planner};
 use fsi_kernels::WORDS_PER_CHUNK;
 
 /// How an `AND` node's positive intersection runs.
@@ -46,9 +46,37 @@ pub enum AndKind {
 pub enum UnionKind {
     /// Binary min-heap k-way union over sorted slices.
     HeapMerge,
-    /// Word-parallel chunked-bitmap `OR` (every operand is a term dense
-    /// enough to carry a prepared bitmap).
+    /// The chunk union (`fsi_kernels::chunk_union_into`) over any children:
+    /// per chunk, one accumulator `OR`s bitmap-carrying terms' words,
+    /// `BitmapAnd` children's word-wise `AND`s and every other child's
+    /// bits, and the result is extracted once.
     BitmapOr,
+}
+
+impl UnionKind {
+    /// The label telemetry and EXPLAIN output report.
+    pub fn name(self) -> &'static str {
+        match self {
+            UnionKind::HeapMerge => "HeapMerge",
+            UnionKind::BitmapOr => "BitmapOr",
+        }
+    }
+
+    /// Bumps this kind's counter in the global metrics registry
+    /// (`fsi_union_kind_total{kind=...}`, beside the multiway
+    /// `fsi_plan_kind_total`) — one relaxed increment on a cached handle
+    /// per planned `OR` node.
+    fn record_choice(self) {
+        use std::sync::OnceLock;
+        static COUNTERS: OnceLock<[std::sync::Arc<fsi_obs::Counter>; 2]> = OnceLock::new();
+        let counters = COUNTERS.get_or_init(|| {
+            [UnionKind::HeapMerge, UnionKind::BitmapOr].map(|k| {
+                fsi_obs::Registry::global().counter("fsi_union_kind_total", &[("kind", k.name())])
+            })
+        });
+        // audit:allow(hot_path_index): the array is sized to the enum's variant count and indexed by discriminant
+        counters[self as usize].inc();
+    }
 }
 
 /// The physical operator of one plan node.
@@ -110,11 +138,45 @@ impl ExprPlan {
             }
             PlanNode::Or { children, kind } => {
                 let children: Vec<String> = children.iter().map(ExprPlan::describe).collect();
-                format!("Or[{kind:?}]({})", children.join(", "))
+                format!("Or[{}]({})", kind.name(), children.join(", "))
             }
         }
     }
+
+    /// Whether a chunk union binds this node in place instead of taking
+    /// its materialized result: a term that carries a bitmap (its words),
+    /// or a `BitmapAnd` node whose subtrahends are all terms (its word-wise
+    /// `AND`, subtrahends removed per chunk). `has_bitmap` says which terms
+    /// carry one.
+    pub(crate) fn binds_in_place(&self, has_bitmap: impl Fn(usize) -> bool) -> bool {
+        match &self.node {
+            PlanNode::Term(t) => has_bitmap(*t),
+            PlanNode::And {
+                neg,
+                kind: AndKind::Multiway(m),
+                ..
+            } => {
+                m.kind == PlanKind::BitmapAnd
+                    && neg.iter().all(|n| matches!(n.node, PlanNode::Term(_)))
+            }
+            _ => false,
+        }
+    }
 }
+
+/// Default [`ExprPlanner::union_unit`]: the heap union's price per input
+/// element per `log₂ k`, in the units the chunk union's word and bit prices
+/// use (fitted on the benchmark corpus: 9–17 per element·`log₂ k` for two-
+/// and three-way unions of terms and of materialized `AND`s).
+const HEAP_UNION_UNIT: f64 = 12.0;
+
+/// Cost per member of a child's sorted result set into the chunk union's
+/// accumulator: one sequential read and one read-modify-write of an
+/// L1-resident word.
+const SET_BIT_UNIT: f64 = 1.0;
+
+/// Values one bitmap chunk covers.
+const CHUNK_SPAN: f64 = (WORDS_PER_CHUNK * 64) as f64;
 
 /// The expression-level cost-model dispatcher: the conjunctive [`Planner`]
 /// plus units for the union and difference operators it does not know
@@ -125,12 +187,13 @@ pub struct ExprPlanner {
     /// it picks.
     pub and: Planner,
     /// Cost per input element per `log₂ k` for the heap k-way union
-    /// (mirrors `and.heap_unit`: the same heap discipline, plus output
-    /// pushes for nearly every pop).
+    /// (defaults to a constant measured against the chunk union: a pop,
+    /// a push and an output push per element, ≈ 10 ns on the benchmark
+    /// corpus where a bitmap word costs well under one).
     pub union_unit: f64,
-    /// Cost per 64-bit word per operand for the chunked-bitmap `OR` sweep
-    /// (defaults to `and.bitmap_word_unit`: the OR rides the same SIMD
-    /// word primitives as the AND, so the SIMD-tier tuning carries over).
+    /// Cost per 64-bit word per operand pass of the chunk union (defaults
+    /// to `and.bitmap_word_unit`: the union rides the same SIMD word
+    /// primitives as the AND, so the SIMD-tier tuning carries over).
     pub union_bitmap_word_unit: f64,
     /// Cost per base element per subtrahend for the galloping difference
     /// (mirrors `and.gallop_unit`: the same exponential probe).
@@ -138,11 +201,11 @@ pub struct ExprPlanner {
 }
 
 impl ExprPlanner {
-    /// Expression planning over a given conjunctive cost model; union and
-    /// difference units derive from its calibration.
+    /// Expression planning over a given conjunctive cost model; the chunk
+    /// union and difference units derive from its calibration.
     pub fn new(and: Planner) -> Self {
         Self {
-            union_unit: and.heap_unit,
+            union_unit: HEAP_UNION_UNIT,
             union_bitmap_word_unit: and.bitmap_word_unit,
             diff_unit: and.gallop_unit,
             and,
@@ -231,7 +294,8 @@ impl ExprPlanner {
                     est_rows *= 1.0 - (c.est_rows / u).min(1.0);
                 }
                 let child_cost: f64 = pos_plans.iter().chain(&neg_plans).map(|c| c.est_cost).sum();
-                ExprPlan {
+                let subtracts = !neg_plans.is_empty();
+                let mut plan = ExprPlan {
                     node: PlanNode::And {
                         pos: pos_plans,
                         neg: neg_plans,
@@ -239,48 +303,151 @@ impl ExprPlanner {
                     },
                     est_rows,
                     est_cost: child_cost + and_cost + diff_cost,
+                };
+                // An AND NOT over bitmap-carrying terms may run as a
+                // one-child chunk union instead: the subtrahends come off
+                // word-wise and only the difference is extracted. A
+                // `BitmapAnd` base always does.
+                if subtracts {
+                    if let Some((sweep, chunks)) = self.sweep_cost(&plan, stats) {
+                        let cost = sweep + self.chunk_cost(chunks, est_rows);
+                        if cost < plan.est_cost
+                            || plan.binds_in_place(|t| stats(t).chunks.is_some())
+                        {
+                            bind_sweep(&mut plan, cost);
+                        }
+                    }
                 }
+                plan
             }
             NormExpr::Or(children) => {
-                let plans: Vec<ExprPlan> = children
+                let mut plans: Vec<ExprPlan> = children
                     .iter()
                     .map(|c| self.plan_node(c, stats, u))
                     .collect();
                 let total: f64 = plans.iter().map(|p| p.est_rows).sum();
                 let k = plans.len() as f64;
-                let heap_cost = self.union_unit * total * k.log2();
-                // Bitmap OR is admissible only when every operand is a
-                // term carrying a prepared chunk bitmap.
-                let bitmap_words: Option<usize> = plans
-                    .iter()
-                    .map(|p| match p.node {
-                        PlanNode::Term(t) => stats(t).chunks,
-                        _ => None,
-                    })
-                    .map(|chunks| chunks.map(|c| c * WORDS_PER_CHUNK))
-                    .sum();
-                let (kind, union_cost) = match bitmap_words {
-                    Some(words) if self.union_bitmap_word_unit * words as f64 <= heap_cost => (
-                        UnionKind::BitmapOr,
-                        self.union_bitmap_word_unit * words as f64,
-                    ),
-                    _ => (UnionKind::HeapMerge, heap_cost),
-                };
+                let child_cost: f64 = plans.iter().map(|p| p.est_cost).sum();
+                let heap_cost = child_cost + self.union_unit * total * k.log2();
                 let mut miss = 1.0;
                 for p in &plans {
                     miss *= 1.0 - (p.est_rows / u).min(1.0);
                 }
-                let child_cost: f64 = plans.iter().map(|p| p.est_cost).sum();
+                let est_rows = u * (1.0 - miss);
+                // The chunk union pays per child — swept in place where
+                // that is cheaper than its own cost plus one bit per row —
+                // and per chunk it touches: the chunks of the universe that
+                // no child misses.
+                let universe_chunks = (u / CHUNK_SPAN).ceil();
+                let mut parts_cost = 0.0;
+                let mut chunk_miss = 1.0;
+                let mut sweeps = Vec::with_capacity(plans.len());
+                for p in &plans {
+                    let listed = p.est_cost + SET_BIT_UNIT * p.est_rows;
+                    let sweep = self.sweep_cost(p, stats).filter(|&(cost, _)| {
+                        cost < listed || p.binds_in_place(|t| stats(t).chunks.is_some())
+                    });
+                    let (cost, chunks) = sweep.unwrap_or_else(|| {
+                        let touched =
+                            universe_chunks * (1.0 - (-p.est_rows / universe_chunks).exp());
+                        (listed, touched)
+                    });
+                    parts_cost += cost;
+                    chunk_miss *= 1.0 - (chunks / universe_chunks).min(1.0);
+                    sweeps.push(sweep.map(|(cost, _)| cost));
+                }
+                let span = universe_chunks * (1.0 - chunk_miss);
+                let bitmap_cost = parts_cost + self.chunk_cost(span, est_rows);
+                let (kind, est_cost) = if bitmap_cost < heap_cost {
+                    for (p, sweep) in plans.iter_mut().zip(sweeps) {
+                        if let Some(cost) = sweep {
+                            bind_sweep(p, cost);
+                        }
+                    }
+                    (UnionKind::BitmapOr, bitmap_cost)
+                } else {
+                    (UnionKind::HeapMerge, heap_cost)
+                };
+                kind.record_choice();
                 ExprPlan {
                     node: PlanNode::Or {
                         children: plans,
                         kind,
                     },
-                    est_rows: u * (1.0 - miss),
-                    est_cost: child_cost + union_cost,
+                    est_rows,
+                    est_cost,
                 }
             }
         }
+    }
+
+    /// What a chunk union pays to bind `plan` in place, and how many chunks
+    /// it contributes to: a bitmap-carrying term's words, or the sweep of
+    /// an `AND` of terms whose positive terms all carry bitmaps and whose
+    /// subtrahends are terms — one word pass per positive term and per
+    /// bitmap subtrahend over the smallest chunk span, one bit per member
+    /// of each table-carrying subtrahend. `None` when the plan can only
+    /// contribute its materialized result.
+    fn sweep_cost(
+        &self,
+        plan: &ExprPlan,
+        stats: &impl Fn(usize) -> OperandStats,
+    ) -> Option<(f64, f64)> {
+        let chunks = |p: &ExprPlan| match p.node {
+            PlanNode::Term(t) => stats(t).chunks,
+            _ => None,
+        };
+        let words = WORDS_PER_CHUNK as f64 * self.union_bitmap_word_unit;
+        match &plan.node {
+            PlanNode::Term(_) => chunks(plan).map(|c| (c as f64 * words, c as f64)),
+            PlanNode::And {
+                pos,
+                neg,
+                kind: AndKind::Multiway(_),
+            } => {
+                let c_min = pos
+                    .iter()
+                    .map(chunks)
+                    .collect::<Option<Vec<usize>>>()?
+                    .into_iter()
+                    .min()? as f64;
+                let mut cost = c_min * words * pos.len() as f64;
+                for n in neg {
+                    let PlanNode::Term(t) = n.node else {
+                        return None;
+                    };
+                    cost += match stats(t).chunks {
+                        Some(_) => c_min * words,
+                        None => SET_BIT_UNIT * n.est_rows,
+                    };
+                }
+                Some((cost, c_min))
+            }
+            _ => None,
+        }
+    }
+
+    /// What a chunk union pays per chunk it touches — clearing or copying
+    /// the accumulator and the extraction's popcount pass — plus the one
+    /// extraction of its `rows`-member result.
+    fn chunk_cost(&self, chunks: f64, rows: f64) -> f64 {
+        let words = chunks * WORDS_PER_CHUNK as f64;
+        2.0 * self.union_bitmap_word_unit * words + Planner::extract_cost(rows, words)
+    }
+}
+
+/// Marks an `AND` of terms [`ExprPlanner::sweep_cost`] priced as swept in
+/// place at `cost`: its multiway kind becomes [`PlanKind::BitmapAnd`], which
+/// is what [`ExprPlan::binds_in_place`] — and so the executor — binds.
+fn bind_sweep(plan: &mut ExprPlan, cost: f64) {
+    if let PlanNode::And {
+        kind: AndKind::Multiway(m),
+        ..
+    } = &mut plan.node
+    {
+        m.kind = PlanKind::BitmapAnd;
+        m.est_cost = cost;
+        plan.est_cost = cost;
     }
 }
 
@@ -351,48 +518,107 @@ mod tests {
         assert!(p.est_rows <= 100.0);
     }
 
+    fn union_kind(p: &ExprPlan) -> UnionKind {
+        match p.node {
+            PlanNode::Or { kind, .. } => kind,
+            _ => panic!("expected Or, got {p:?}"),
+        }
+    }
+
+    /// The multiway kinds of an `Or`'s `And` children, in plan order.
+    fn child_kinds(p: &ExprPlan) -> Vec<PlanKind> {
+        let PlanNode::Or { children, .. } = &p.node else {
+            panic!("expected Or, got {p:?}");
+        };
+        children
+            .iter()
+            .filter_map(|c| match &c.node {
+                PlanNode::And {
+                    kind: AndKind::Multiway(m),
+                    ..
+                } => Some(m.kind),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn or_picks_bitmap_only_when_every_operand_carries_one() {
+    fn or_picks_the_chunk_union_by_cost_over_any_children() {
         let dense = [(50_000, Some(1)), (60_000, Some(1))];
-        let p = plan("0 OR 1", &dense, 1 << 17);
-        assert!(
-            matches!(
-                p.node,
-                PlanNode::Or {
-                    kind: UnionKind::BitmapOr,
-                    ..
-                }
-            ),
-            "{p:?}"
+        assert_eq!(
+            union_kind(&plan("0 OR 1", &dense, 1 << 17)),
+            UnionKind::BitmapOr
         );
-        // One operand without a bitmap vetoes the sweep.
+        // A child without a bitmap no longer vetoes the sweep: its bits
+        // are set into the accumulator.
         let mixed = [(50_000, Some(1)), (60_000, None)];
-        let p = plan("0 OR 1", &mixed, 1 << 17);
-        assert!(
-            matches!(
-                p.node,
-                PlanNode::Or {
-                    kind: UnionKind::HeapMerge,
-                    ..
-                }
-            ),
-            "{p:?}"
+        assert_eq!(
+            union_kind(&plan("0 OR 1", &mixed, 1 << 17)),
+            UnionKind::BitmapOr
         );
         // Sparse-but-bitmapped operands spanning many chunks fall back to
         // the heap merge: the word sweep would touch more words than the
         // heap touches elements.
         let wide = [(300, Some(200)), (300, Some(200))];
-        let p = plan("0 OR 1", &wide, 1 << 30);
-        assert!(
-            matches!(
-                p.node,
-                PlanNode::Or {
-                    kind: UnionKind::HeapMerge,
-                    ..
-                }
-            ),
-            "{p:?}"
+        assert_eq!(
+            union_kind(&plan("0 OR 1", &wide, 1 << 30)),
+            UnionKind::HeapMerge
         );
+        // Three ≈ 30-row children spread over 20 chunks: too few rows for
+        // the chunks a union would clear and scan.
+        let thin = [(30, None), (31, None), (29, None)];
+        let p = plan("0 OR 1 OR 2", &thin, 20 << 16);
+        assert_eq!(union_kind(&p), UnionKind::HeapMerge);
+    }
+
+    #[test]
+    fn bitmap_and_groups_are_swept_in_place_under_a_chunk_union() {
+        // The benchmark corpus's shape: 2 M documents, 31 chunks; t0 600 k,
+        // t1 300 k, t2 200 k, t3 40 k — every one carries a bitmap.
+        let corpus = [
+            (600_000, Some(31)),
+            (300_000, Some(31)),
+            (200_000, Some(31)),
+            (40_000, Some(31)),
+        ];
+        let u = 2_000_000;
+        // Two `BitmapAnd` groups over t0: one union, no extraction per
+        // group.
+        let p = plan("(0 1) OR (0 2)", &corpus, u);
+        assert_eq!(union_kind(&p), UnionKind::BitmapOr, "{}", p.describe());
+        assert_eq!(child_kinds(&p), [PlanKind::BitmapAnd; 2]);
+        // On its own `0 ∧ 3` probes t3's 40 k members (its sweep would pay
+        // an extraction); under the union its words are swept in place.
+        let alone = plan("0 3", &corpus, u);
+        assert!(matches!(
+            &alone.node,
+            PlanNode::And { kind: AndKind::Multiway(m), .. } if m.kind == PlanKind::HashProbe
+        ));
+        let p = plan("(0 3) OR (0 1)", &corpus, u);
+        assert_eq!(union_kind(&p), UnionKind::BitmapOr, "{}", p.describe());
+        assert_eq!(
+            child_kinds(&p),
+            [PlanKind::BitmapAnd; 2],
+            "{}",
+            p.describe()
+        );
+        // Each child is priced as swept, not at its stand-alone plan.
+        let PlanNode::Or { children, .. } = &p.node else {
+            unreachable!("checked above");
+        };
+        let swept = children
+            .iter()
+            .find(|c| c.describe() == alone.describe().replace("HashProbe", "BitmapAnd"));
+        assert!(
+            swept.is_some_and(|c| c.est_cost < alone.est_cost),
+            "{children:?}"
+        );
+        // An AND NOT over a bitmap AND is a one-child chunk union.
+        let p = plan("0 1 AND NOT 2", &corpus, u);
+        assert!(matches!(
+            &p.node,
+            PlanNode::And { kind: AndKind::Multiway(m), .. } if m.kind == PlanKind::BitmapAnd
+        ));
     }
 
     #[test]

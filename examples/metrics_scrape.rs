@@ -82,11 +82,19 @@ fn main() {
         "fsi_net_admission_evictions_total",
         "fsi_queries_served_total",
         "fsi_plan_kind_total",
+        "fsi_union_kind_total{kind=",
         "fsi_index_bytes{repr=\"hash\"}",
         "fsi_index_lists{membership=\"bitmap\"}",
     ] {
         assert!(prom.contains(family), "scrape is missing {family}");
     }
+    // Which union ran: `(0 OR 1) AND 5` planned one OR node.
+    let unions: f64 = prom
+        .lines()
+        .filter(|l| l.starts_with("fsi_union_kind_total{"))
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
+        .sum();
+    assert!(unions >= 1.0, "no union counted in the scrape");
     println!(
         "metrics scrape: {} bytes, {} families",
         prom.len(),
