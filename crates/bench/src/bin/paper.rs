@@ -1011,14 +1011,12 @@ fn planner_eval(opts: &Opts) {
         let mut out = Vec::new();
         let d = median_time(opts.reps, || {
             out.clear();
-            let plan = planner.intersect(&refs, &mut out);
+            let plan = planner.plan_for_lists(&refs);
+            planner.execute(&plan, &refs, &mut out);
             (plan, out.len())
         });
         t_planner += ms(d);
-        match planner
-            .plan_for_sets(&q.sets.iter().collect::<Vec<_>>())
-            .kind
-        {
+        match planner.plan_for_lists(&refs).kind {
             fsi_index::PlanKind::RanGroupScan => plans[0] += 1,
             fsi_index::PlanKind::HashProbe => plans[1] += 1,
             fsi_index::PlanKind::BitmapAnd => plans[2] += 1,

@@ -159,35 +159,28 @@ fn git_commit() -> String {
 
 /// The `"env": {...}` JSON entry every benchmark binary stamps into its
 /// output: the revision and core count of the box it ran on, the SIMD
-/// tier this process actually dispatches to and the planner unit
-/// constants in force ([`fsi_index::Planner::auto`] /
-/// [`fsi_query::ExprPlanner::auto`]). Two baseline files that disagree
-/// here were measured on different effective machines — the regression
-/// gate's tolerance exists for jitter, not for silently comparing an AVX2
-/// box against a scalar one, so the provenance rides in the file itself.
+/// tier this process actually dispatches to and every unit of the one
+/// cost table at that tier ([`fsi_index::Planner::auto`]). Two baseline
+/// files that disagree here were measured on different effective
+/// machines — the regression gate's tolerance exists for jitter, not for
+/// silently comparing an AVX2 box against a scalar one, so the provenance
+/// rides in the file itself.
 ///
 /// Returned as a ready-to-splice `"env": {...}` fragment (no trailing
 /// comma) matching the two-space top-level indent the binaries use.
 pub fn env_json() -> String {
-    let p = fsi_index::Planner::auto();
-    let xp = fsi_query::ExprPlanner::auto();
+    let planner = fsi_index::Planner::auto();
+    let units: Vec<String> = fsi_index::CostUnit::ALL
+        .iter()
+        .map(|&u| format!("\"{}\": {}", u.name(), planner.unit(u)))
+        .collect();
     format!(
         "\"env\": {{\n    \"commit\": \"{}\",\n    \"available_cores\": {},\n    \
-         \"simd_level\": \"{}\",\n    \"planner_units\": {{\n      \
-         \"gallop_unit\": {}, \"hash_unit\": {}, \"bitmap_word_unit\": {}, \
-         \"rgs_unit\": {}, \"heap_unit\": {},\n      \
-         \"union_unit\": {}, \"union_bitmap_word_unit\": {}, \"diff_unit\": {}\n    }}\n  }}",
+         \"simd_level\": \"{}\",\n    \"planner_units\": {{\n      {}\n    }}\n  }}",
         git_commit(),
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         fsi_kernels::SimdLevel::active().name(),
-        p.gallop_unit,
-        p.hash_unit,
-        p.bitmap_word_unit,
-        p.rgs_unit,
-        p.heap_unit,
-        xp.union_unit,
-        xp.union_bitmap_word_unit,
-        xp.diff_unit,
+        units.join(", "),
     )
 }
 
@@ -291,19 +284,12 @@ mod tests {
             Some(fsi_kernels::SimdLevel::active().name())
         );
         let units = env.get("planner_units").expect("planner_units");
-        for key in [
-            "gallop_unit",
-            "hash_unit",
-            "bitmap_word_unit",
-            "rgs_unit",
-            "heap_unit",
-            "union_unit",
-            "union_bitmap_word_unit",
-            "diff_unit",
-        ] {
-            assert!(
-                units.get(key).and_then(json::Json::as_f64).is_some(),
-                "missing unit {key}"
+        let planner = fsi_index::Planner::auto();
+        for unit in fsi_index::CostUnit::ALL {
+            assert_eq!(
+                units.get(unit.name()).and_then(json::Json::as_f64),
+                Some(planner.unit(unit)),
+                "unit {unit:?}"
             );
         }
     }

@@ -9,15 +9,15 @@
 //! evaluation order (operands ascending by size — the smallest list always
 //! drives). Nothing is ever folded pairwise and no intermediate result is
 //! materialized. The candidate kernels and their cost estimates, in the
-//! units of [`Planner`]'s tunable constants:
+//! [`CostUnit`]s of the one cost table ([`Planner::unit`]):
 //!
 //! | kind | estimated cost | regime it owns |
 //! |------|----------------|----------------|
-//! | [`PlanKind::BitmapAnd`] | `bitmap_word_unit · w · (k−1) + 1.25 · w + 3.5 · min(E[survivors], w)`, `w = c_min · 1024` | every operand carries a chunk bitmap |
-//! | [`PlanKind::HashProbe`] | `n_min · Σᵢ uᵢ`, `uᵢ = 2` for a probed bitmap, `hash_unit` for a probed table | a small driver against anything: `O(n_min)` membership tests |
-//! | [`PlanKind::GallopProbe`] | `gallop_unit · n_min · Σᵢ log₂(nᵢ/n_min + 2)` | moderate skew between table-carrying lists (Hwang–Lin across all k) |
-//! | [`PlanKind::RanGroupScan`] | `rgs_unit · Σ nᵢ` | balanced sparse — the paper's home turf |
-//! | [`PlanKind::HeapMerge`] | `heap_unit · Σ nᵢ · log₂ k` | structure-free fallback (tunables can force it) |
+//! | [`PlanKind::BitmapAnd`] | `bitmap_word · w · (k−1) + scan · w + extract · min(E[survivors], w)`, `w = c_min · 1024` | every operand carries a chunk bitmap |
+//! | [`PlanKind::HashProbe`] | `n_min · Σᵢ uᵢ`, `uᵢ = bit_test` for a probed bitmap, `hash` for a probed table | a small driver against anything: `O(n_min)` membership tests |
+//! | [`PlanKind::GallopProbe`] | `gallop · n_min · Σᵢ log₂(nᵢ/n_min + 2)` | moderate skew between table-carrying lists (Hwang–Lin across all k) |
+//! | [`PlanKind::RanGroupScan`] | `rgs · Σ nᵢ` | balanced sparse — the paper's home turf |
+//! | [`PlanKind::HeapMerge`] | `heap · Σ nᵢ · log₂ k` | structure-free fallback (priced above RanGroupScan; a hand-built plan runs it) |
 //!
 //! The minimum-cost candidate wins; `c_min` is the smallest per-operand
 //! chunk count, so the bitmap estimate prices the word sweep
@@ -44,7 +44,7 @@
 //! priced below [`PlanKind::GallopProbe`] and was never planned. They run
 //! under the fixed `Strategy::CompressedGallop` — see `docs/compress.md`.
 //!
-//! The default constants reflect *this repository's measured* crossovers
+//! The table reflects *this repository's measured* crossovers
 //! (see `docs/benchmarks.md`, `BENCH_kernels.json`, `BENCH_multiway.json`
 //! and the benchmark's `kernels.forced_ns.*`): between table-carrying
 //! lists galloping overtakes RanGroupScan near ratio 5 and the table probe
@@ -53,9 +53,11 @@
 //! and between bitmap-carrying lists the sweep wins unless the driver is
 //! so sparse in its chunks that one bit test per driver element costs less
 //! than the sweep's pass over every word and its extraction.
-//! The `Planner` fields are tunables because the right answers are
-//! hardware-bound; the bit-test and extraction units are private constants
-//! calibrated against them.
+//!
+//! The same table prices `fsi-query`'s union and difference nodes, so a
+//! unit is charged in one place. None of it is configurable: a [`Planner`]
+//! is only the SIMD tier it prices for, and the bitmap word is the only
+//! unit a tier changes.
 
 use crate::engine::SearchEngine;
 use fsi_baselines::ProbeTable;
@@ -66,7 +68,7 @@ use fsi_core::traits::{KIntersect, SetIndex};
 use fsi_core::RanGroupScanIndex;
 use fsi_kernels::{
     filter_in_place, gallop_probe_ordered_into, heap_merge_into, BitmapSet, GallopingSet,
-    WORDS_PER_CHUNK,
+    SimdLevel, WORDS_PER_CHUNK,
 };
 
 /// The one membership structure a prepared list carries — what
@@ -86,9 +88,9 @@ pub enum Membership {
     Hash(ProbeTable),
 }
 
-/// The build rule shared by [`PlannedList::build`] and
-/// [`OperandStats::of_set`]: a list of `n` elements touching `chunks`
-/// chunks carries a bitmap iff it has at least one member per bitmap word.
+/// The build rule of [`PlannedList::build`]: a list of `n` elements
+/// touching `chunks` chunks carries a bitmap iff it has at least one member
+/// per bitmap word.
 /// The bitmap then costs at most 8 bytes per posting — never more than the
 /// load-≤½ table it stands in for — so the rule picks the smaller
 /// structure from the list alone, with no density constant to tune.
@@ -235,19 +237,6 @@ pub struct OperandStats {
     pub chunks: Option<usize>,
 }
 
-impl OperandStats {
-    /// Stats of a raw sorted set, exactly as [`PlannedList::build`] would
-    /// produce them: the chunk count is `Some` iff the build rule gives the
-    /// list a bitmap.
-    pub fn of_set(set: &SortedSet) -> Self {
-        let chunks = BitmapSet::count_chunks(set.as_slice());
-        Self {
-            n: set.len(),
-            chunks: bitmap_is_smaller(set.len(), chunks).then_some(chunks),
-        }
-    }
-}
-
 /// Which k-way kernel a [`MultiwayPlan`] runs (exposed for tests and
 /// telemetry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -290,31 +279,6 @@ impl PlanKind {
             PlanKind::CompressedGallop => "CompressedGallop",
         }
     }
-
-    /// Bumps this kind's counter in the global metrics registry
-    /// (`fsi_plan_kind_total{kind=...}`) — one relaxed increment on a
-    /// cached handle per planned query.
-    fn record_choice(self) {
-        use std::sync::OnceLock;
-        static COUNTERS: OnceLock<[std::sync::Arc<fsi_obs::Counter>; 8]> = OnceLock::new();
-        let counters = COUNTERS.get_or_init(|| {
-            [
-                PlanKind::Empty,
-                PlanKind::Single,
-                PlanKind::RanGroupScan,
-                PlanKind::HashProbe,
-                PlanKind::BitmapAnd,
-                PlanKind::GallopProbe,
-                PlanKind::HeapMerge,
-                PlanKind::CompressedGallop,
-            ]
-            .map(|k| {
-                fsi_obs::Registry::global().counter("fsi_plan_kind_total", &[("kind", k.name())])
-            })
-        });
-        // audit:allow(hot_path_index): the array is sized to the enum's variant count and indexed by discriminant
-        counters[self as usize].inc();
-    }
 }
 
 /// A whole-query physical plan: which kernel to run, in which operand
@@ -332,123 +296,161 @@ pub struct MultiwayPlan {
     pub est_cost: f64,
 }
 
-/// Cost per candidate per probed *bitmap* in the membership probe: one
-/// bit test through a cursor that looks each chunk up once, in a structure
-/// that stays cache-resident (8 KiB per touched chunk). Calibrated, with
-/// [`Planner::hash_unit`], on the benchmark's forced-kind timings; not a
-/// tunable — which of the two a list pays is decided at build, by the list.
-const BIT_TEST_UNIT: f64 = 2.0;
+/// One unit of the cost table: every price either planner charges is a
+/// count of work times one of these, read through [`Planner::unit`]. The
+/// values reflect this repository's measured crossovers (see the module
+/// docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CostUnit {
+    /// Per driver element per probed list, scaled by the galloping log
+    /// factor (`log₂(nᵢ/n_min + 2)`); also the galloping difference's price
+    /// per base element per subtrahend — the same exponential probe.
+    Gallop,
+    /// Per candidate per probed hash table. Several times a bit test: a
+    /// table runs 8–16 bytes per posting, so a probe is a likely cache miss
+    /// where a bitmap's word is not. Only lists too sparse for a bitmap
+    /// carry a table, so the tables stay small, and against [`Gallop`]
+    /// it puts the skew crossover between two such lists near
+    /// `n_max/n_min ≈ 8` (measured on the benchmark's forced kinds).
+    ///
+    /// [`Gallop`]: CostUnit::Gallop
+    Hash,
+    /// Per 64-bit word per operand pass of a chunked bitmap sweep — the
+    /// `AND`'s and the chunk union's. The only unit a SIMD tier changes:
+    /// the sweep takes 2/4 words per instruction and PTEST-skips zero
+    /// groups, so a word costs ~½/~⅓ of scalar at SSE4.1/AVX2 (milder than
+    /// the lane count, as `BENCH_simd.json` measures on the dense shapes).
+    BitmapWord,
+    /// Per input element for RanGroupScan's group-filtered scan —
+    /// word-packed scalar code the SIMD layer does not touch, so under
+    /// SIMD its price relative to the vectorized sweep rises.
+    Rgs,
+    /// Per input element per `log₂ k` for the heap merge. Priced above
+    /// [`Rgs`](CostUnit::Rgs): prepared lists always carry the RanGroupScan
+    /// structure, so the structure-free path is never planned.
+    Heap,
+    /// Per candidate per probed *bitmap* in the membership probe: one bit
+    /// test through a cursor that looks each chunk up once, in a structure
+    /// that stays cache-resident (8 KiB per touched chunk). Which of this
+    /// and [`Hash`](CostUnit::Hash) a list pays is decided at build, by the
+    /// list.
+    BitTest,
+    /// Per word of a result bitmap for the extraction walk's first pass,
+    /// which reads every word once (popcount and the positions of the
+    /// nonzero words), plus the accumulator copy the sweep starts from.
+    Scan,
+    /// Per word of a result bitmap that holds a survivor: the extraction
+    /// walk's fixed run of trailing-zeros/clear-lowest-bit stores behind
+    /// each nonzero word — paid per word whatever it holds, so extraction
+    /// saturates once every word holds one. Fitted on the benchmark corpus
+    /// (AVX2): ≈ 1 ns per swept word and 2.3 ns per nonzero result word
+    /// against 1.3 ns per bit test.
+    Extract,
+    /// Per input element per `log₂ k` for the heap k-way union of
+    /// materialized children: a pop, a push and an output push, ≈ 10 ns on
+    /// the benchmark corpus (fitted at 9–17 for two- and three-way unions
+    /// of terms and of materialized `AND`s).
+    HeapUnion,
+    /// Per member of a child's sorted result set into the chunk union's
+    /// accumulator: one sequential read and one read-modify-write of an
+    /// L1-resident word.
+    SetBit,
+}
 
-/// Cost per word of a result bitmap for the extraction walk's first pass,
-/// which reads every word once (popcount and the positions of the
-/// nonzero words), plus the accumulator copy the sweep starts from.
-const SCAN_UNIT: f64 = 1.25;
+impl CostUnit {
+    /// Every unit, in table order.
+    pub const ALL: [CostUnit; 10] = [
+        CostUnit::Gallop,
+        CostUnit::Hash,
+        CostUnit::BitmapWord,
+        CostUnit::Rgs,
+        CostUnit::Heap,
+        CostUnit::BitTest,
+        CostUnit::Scan,
+        CostUnit::Extract,
+        CostUnit::HeapUnion,
+        CostUnit::SetBit,
+    ];
 
-/// Cost per word of the bitmap sweep's result that holds a survivor: the
-/// extraction walk's fixed run of trailing-zeros/clear-lowest-bit stores
-/// behind each nonzero word — paid per word whatever it holds, so the
-/// sweep's extraction saturates once every word holds one. Fitted on the
-/// benchmark corpus (AVX2): ≈ 1 ns per swept word and 2.3 ns per nonzero
-/// result word against 1.3 ns per bit test.
-const EXTRACT_UNIT: f64 = 3.5;
+    /// The unit's label in provenance (every `BENCH_*.json`'s
+    /// `planner_units`).
+    pub fn name(self) -> &'static str {
+        match self {
+            CostUnit::Gallop => "gallop",
+            CostUnit::Hash => "hash",
+            CostUnit::BitmapWord => "bitmap_word",
+            CostUnit::Rgs => "rgs",
+            CostUnit::Heap => "heap",
+            CostUnit::BitTest => "bit_test",
+            CostUnit::Scan => "scan",
+            CostUnit::Extract => "extract",
+            CostUnit::HeapUnion => "heap_union",
+            CostUnit::SetBit => "set_bit",
+        }
+    }
+}
 
-/// The whole-query cost-model dispatcher.
-#[derive(Debug, Clone)]
+/// The whole-query cost-model dispatcher: the SIMD tier it prices for, and
+/// nothing else — every price comes from the one cost table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Planner {
-    /// Cost per driver element per probed list, scaled by the galloping
-    /// log factor (`log₂(nᵢ/n_min + 2)`).
-    pub gallop_unit: f64,
-    /// Cost per candidate per probed hash table. Several times a bit test:
-    /// a table runs 8–16 bytes per posting, so a probe is a likely cache
-    /// miss where a bitmap's word is not. Only lists too sparse for a
-    /// bitmap carry a table, so the tables stay small, and against
-    /// `gallop_unit` the default puts the skew crossover between two such
-    /// lists near `n_max/n_min ≈ 8` (measured on the benchmark's forced
-    /// kinds).
-    pub hash_unit: f64,
-    /// Cost per 64-bit `AND` word per non-driver operand in the chunked
-    /// bitmap sweep.
-    pub bitmap_word_unit: f64,
-    /// Cost per input element for RanGroupScan's group-filtered scan.
-    pub rgs_unit: f64,
-    /// Cost per input element per `log₂ k` for the heap merge. The default
-    /// keeps it strictly dominated by RanGroupScan (prepared lists always
-    /// carry the RGS structure); tuning it below `rgs_unit` forces the
-    /// structure-free path.
-    pub heap_unit: f64,
+    simd: SimdLevel,
 }
 
 impl Default for Planner {
+    /// The scalar tier — deterministic across machines (what the plan tests
+    /// pin).
     fn default() -> Self {
-        Self {
-            gallop_unit: 2.5,
-            hash_unit: 8.0,
-            bitmap_word_unit: 1.0,
-            rgs_unit: 1.2,
-            heap_unit: 2.0,
-        }
+        Self::for_simd(SimdLevel::Scalar)
     }
 }
 
 impl Planner {
-    /// Constants tuned for one SIMD tier. [`Planner::default`] is the
-    /// scalar calibration (deterministic across machines — what the plan
-    /// tests pin); the SIMD tiers cheapen exactly the units whose kernels
-    /// the `fsi-kernels` SIMD layer vectorizes, by the per-word/per-element
-    /// speedups `BENCH_simd.json` measures on the dense shapes:
-    ///
-    /// * `bitmap_word_unit` — the chunk sweep ANDs 2/4 words per
-    ///   instruction and PTEST-skips zero groups, so a word costs ~½/~⅓
-    ///   of scalar (extraction of survivors stays scalar, which is why the
-    ///   factor is milder than the lane count);
-    /// * `rgs_unit` is *not* cheapened: RanGroupScan's group filtering is
-    ///   already word-packed scalar code the SIMD layer does not touch —
-    ///   under SIMD its *relative* price versus the vectorized kernels
-    ///   rises, and the untouched constant expresses exactly that.
-    pub fn for_simd(level: fsi_kernels::SimdLevel) -> Self {
-        use fsi_kernels::SimdLevel;
-        let mut p = Self::default();
-        match level {
-            SimdLevel::Scalar => {}
-            SimdLevel::Sse41 => p.bitmap_word_unit = 0.55,
-            SimdLevel::Avx2 => p.bitmap_word_unit = 0.35,
-        }
-        p
+    /// The cost table at one SIMD tier.
+    pub fn for_simd(simd: SimdLevel) -> Self {
+        Self { simd }
     }
 
-    /// Constants tuned for the SIMD tier this process actually dispatches
-    /// to ([`SimdLevel::active`](fsi_kernels::SimdLevel::active)) — what
-    /// serving defaults use, so planned execution picks the vectorized
-    /// bitmap sweep in the regimes where it now wins.
+    /// The cost table at the tier this process dispatches to
+    /// ([`SimdLevel::active`]) — what serving uses, so planned execution
+    /// picks the vectorized bitmap sweep where it wins.
     pub fn auto() -> Self {
-        Self::for_simd(fsi_kernels::SimdLevel::active())
+        Self::for_simd(SimdLevel::active())
     }
-}
 
-impl Planner {
+    /// The one cost table: the price of one `unit` at this planner's tier.
+    pub fn unit(&self, unit: CostUnit) -> f64 {
+        match unit {
+            CostUnit::Gallop => 2.5,
+            CostUnit::Hash => 8.0,
+            CostUnit::BitmapWord => match self.simd {
+                SimdLevel::Scalar => 1.0,
+                SimdLevel::Sse41 => 0.55,
+                SimdLevel::Avx2 => 0.35,
+            },
+            CostUnit::Rgs => 1.2,
+            CostUnit::Heap => 2.0,
+            CostUnit::BitTest => 2.0,
+            CostUnit::Scan => 1.25,
+            CostUnit::Extract => 3.5,
+            CostUnit::HeapUnion => 12.0,
+            CostUnit::SetBit => 1.0,
+        }
+    }
+
+    /// The price of galloping `n_min` driver elements through lists of
+    /// sizes `probed` at once — the [`PlanKind::GallopProbe`] candidate, and
+    /// `fsi-query`'s k-way gallop over materialized operands.
+    pub fn gallop_cost(&self, n_min: f64, probed: impl Iterator<Item = f64>) -> f64 {
+        let log_sum: f64 = probed.map(|n| (n / n_min + 2.0).log2()).sum();
+        self.unit(CostUnit::Gallop) * n_min * log_sum
+    }
+
     /// Cost-models the whole operand list and returns the minimum-cost
     /// plan. `stats` is positional: `order[i]` in the returned plan indexes
-    /// into it.
-    ///
-    /// Every call records the chosen [`PlanKind`] and the winning estimated
-    /// cost into the global metrics registry (`fsi_plan_kind_total{kind}`,
-    /// `fsi_plan_est_cost`) — the always-on half of the planner's
-    /// misprediction signal (the observed half is recorded where results
-    /// materialize, in `fsi-query`).
+    /// into it. Planning records nothing; `fsi-query` records the plan that
+    /// runs.
     pub fn plan(&self, stats: &[OperandStats]) -> MultiwayPlan {
-        let plan = self.plan_inner(stats);
-        plan.kind.record_choice();
-        {
-            use std::sync::OnceLock;
-            static EST_COST: OnceLock<std::sync::Arc<fsi_obs::Histogram>> = OnceLock::new();
-            EST_COST
-                .get_or_init(|| fsi_obs::Registry::global().histogram("fsi_plan_est_cost", &[]))
-                .record(plan.est_cost.max(0.0) as u64);
-        }
-        plan
-    }
-
-    fn plan_inner(&self, stats: &[OperandStats]) -> MultiwayPlan {
         let k = stats.len();
         let mut order: Vec<usize> = (0..k).collect();
         order.sort_by_key(|&i| stats[i].n);
@@ -471,25 +473,22 @@ impl Planner {
         let total: f64 = stats.iter().map(|s| s.n as f64).sum();
         let probes = (k - 1) as f64;
 
-        let mut best = (PlanKind::RanGroupScan, self.rgs_unit * total);
+        let mut best = (PlanKind::RanGroupScan, self.unit(CostUnit::Rgs) * total);
         let mut consider = |kind: PlanKind, cost: f64| {
             if cost < best.1 {
                 best = (kind, cost);
             }
         };
-        let log_sum: f64 = order[1..]
-            .iter()
-            .map(|&i| (stats[i].n as f64 / n_min + 2.0).log2())
-            .sum();
-        consider(PlanKind::GallopProbe, self.gallop_unit * n_min * log_sum);
+        let probed = order[1..].iter().map(|&i| stats[i].n as f64);
+        consider(PlanKind::GallopProbe, self.gallop_cost(n_min, probed));
         // The membership probe is priced per probed operand: a bit test
         // into a bitmap that stays cache-resident and a probe into a hash
         // table are different units.
         let probe_units: f64 = order[1..]
             .iter()
             .map(|&i| match stats[i].chunks {
-                Some(_) => BIT_TEST_UNIT,
-                None => self.hash_unit,
+                Some(_) => self.unit(CostUnit::BitTest),
+                None => self.unit(CostUnit::Hash),
             })
             .sum();
         consider(PlanKind::HashProbe, n_min * probe_units);
@@ -510,12 +509,13 @@ impl Planner {
             });
             consider(
                 PlanKind::BitmapAnd,
-                self.bitmap_word_unit * words * probes + Self::extract_cost(survivors, words),
+                self.unit(CostUnit::BitmapWord) * words * probes
+                    + self.extract_cost(survivors, words),
             );
         }
         consider(
             PlanKind::HeapMerge,
-            self.heap_unit * total * (k as f64).log2(),
+            self.unit(CostUnit::Heap) * total * (k as f64).log2(),
         );
         MultiwayPlan {
             kind: best.0,
@@ -528,21 +528,13 @@ impl Planner {
     /// result bitmap — what the [`PlanKind::BitmapAnd`] candidate pays
     /// after its sweep, and what `fsi-query`'s chunk union pays once for
     /// its whole result.
-    pub fn extract_cost(survivors: f64, words: f64) -> f64 {
-        SCAN_UNIT * words + EXTRACT_UNIT * survivors.min(words)
+    pub fn extract_cost(&self, survivors: f64, words: f64) -> f64 {
+        self.unit(CostUnit::Scan) * words + self.unit(CostUnit::Extract) * survivors.min(words)
     }
 
     /// The plan for these prepared lists.
     pub fn plan_for_lists(&self, lists: &[&PlannedList]) -> MultiwayPlan {
         let stats: Vec<OperandStats> = lists.iter().map(|l| l.stats()).collect();
-        self.plan(&stats)
-    }
-
-    /// The plan [`Planner::intersect`] would run for these raw operand
-    /// sets — for harnesses that classify queries without prepared lists.
-    /// Exactly matches [`Planner::plan_for_lists`] on the built lists.
-    pub fn plan_for_sets(&self, sets: &[&SortedSet]) -> MultiwayPlan {
-        let stats: Vec<OperandStats> = sets.iter().map(|s| OperandStats::of_set(s)).collect();
         self.plan(&stats)
     }
 
@@ -619,13 +611,6 @@ impl Planner {
                 heap_merge_into(&slices, out);
             }
         }
-    }
-
-    /// Plans and executes in one call; returns the plan that ran.
-    pub fn intersect(&self, lists: &[&PlannedList], out: &mut Vec<Elem>) -> MultiwayPlan {
-        let plan = self.plan_for_lists(lists);
-        self.execute(&plan, lists, out);
-        plan
     }
 }
 
@@ -728,6 +713,13 @@ mod tests {
         p.plan(stats).kind
     }
 
+    /// Plans and runs `lists`; returns the plan that ran.
+    fn run(p: &Planner, lists: &[&PlannedList], out: &mut Vec<Elem>) -> MultiwayPlan {
+        let plan = p.plan_for_lists(lists);
+        p.execute(&plan, lists, out);
+        plan
+    }
+
     #[test]
     fn cost_model_regions_match_measured_crossovers() {
         let p = Planner::default();
@@ -789,8 +781,9 @@ mod tests {
             PlanKind::HashProbe
         );
         // Each probed operand is priced by its own structure: a balanced
-        // triple probes two bitmaps for 2 + 2 per candidate and beats the
-        // scan; make one of them a table (2 + hash_unit) and it does not.
+        // triple probes two bitmaps for two bit tests per candidate and
+        // beats the scan; make one of them a table (a bit test and a table
+        // probe) and it does not.
         assert_eq!(
             kind(&p, &[sparse(3000), dense(4000, 1), dense(4000, 1)]),
             PlanKind::HashProbe
@@ -813,10 +806,7 @@ mod tests {
         // `t0 ∧ t3` pair sweeps (≈ 105 µs against a 191 µs probe, and
         // the probe planned before the walk was branch-free), and so does
         // the skinny `[4, 9]` pair whose result fills one word in nine.
-        for planner in [
-            Planner::default(),
-            Planner::for_simd(fsi_kernels::SimdLevel::Avx2),
-        ] {
+        for planner in [Planner::default(), Planner::for_simd(SimdLevel::Avx2)] {
             assert_eq!(
                 kind(&planner, &[dense(600_000, 31), dense(150_000, 31)]),
                 PlanKind::BitmapAnd
@@ -835,30 +825,25 @@ mod tests {
     #[test]
     fn simd_tuning_only_cheapens_vectorized_units() {
         let base = Planner::default();
-        for level in fsi_kernels::SimdLevel::ALL {
+        for level in SimdLevel::ALL {
             let tuned = Planner::for_simd(level);
             // The bitmap sweep is the vectorized unit; everything else is
             // untouched so scalar-calibrated crossovers stay put.
-            assert!(tuned.bitmap_word_unit <= base.bitmap_word_unit, "{level:?}");
-            assert_eq!(tuned.gallop_unit, base.gallop_unit);
-            assert_eq!(tuned.hash_unit, base.hash_unit);
-            assert_eq!(tuned.rgs_unit, base.rgs_unit);
-            assert_eq!(tuned.heap_unit, base.heap_unit);
+            for unit in CostUnit::ALL {
+                if unit == CostUnit::BitmapWord {
+                    assert!(tuned.unit(unit) <= base.unit(unit), "{level:?}");
+                } else {
+                    assert_eq!(tuned.unit(unit), base.unit(unit), "{level:?} {unit:?}");
+                }
+            }
         }
         // Scalar tuning IS the default; auto() follows the active tier.
-        assert_eq!(
-            Planner::for_simd(fsi_kernels::SimdLevel::Scalar).bitmap_word_unit,
-            base.bitmap_word_unit
-        );
-        let auto = Planner::auto();
-        assert_eq!(
-            auto.bitmap_word_unit,
-            Planner::for_simd(fsi_kernels::SimdLevel::active()).bitmap_word_unit
-        );
+        assert_eq!(Planner::for_simd(SimdLevel::Scalar), base);
+        assert_eq!(Planner::auto(), Planner::for_simd(SimdLevel::active()));
         // A cheaper sweep can only widen the BitmapAnd region: a query it
         // already won under scalar constants it must still win tuned.
         let dense_pair = [dense(50_000, 2), dense(60_000, 2)];
-        for level in fsi_kernels::SimdLevel::ALL {
+        for level in SimdLevel::ALL {
             assert_eq!(
                 kind(&Planner::for_simd(level), &dense_pair),
                 PlanKind::BitmapAnd
@@ -885,7 +870,7 @@ mod tests {
         let pa = PlannedList::build(&ctx, &a);
         let pb = PlannedList::build(&ctx, &b);
         let mut out = Vec::new();
-        let plan = planner.intersect(&[&pa, &pb], &mut out);
+        let plan = run(&planner, &[&pa, &pb], &mut out);
         assert_eq!(plan.kind, PlanKind::RanGroupScan);
         out.sort_unstable();
         assert_eq!(out, reference_intersection(&[a.as_slice(), b.as_slice()]));
@@ -893,7 +878,7 @@ mod tests {
         let small: SortedSet = (0..330u32).map(|x| x * 6_000).collect();
         let ps = PlannedList::build(&ctx, &small);
         let mut out = Vec::new();
-        let plan = planner.intersect(&[&ps, &pb], &mut out);
+        let plan = run(&planner, &[&ps, &pb], &mut out);
         assert_eq!(plan.kind, PlanKind::GallopProbe);
         assert_eq!(plan.order, vec![0, 1]);
         out.sort_unstable();
@@ -905,7 +890,7 @@ mod tests {
         let tiny: SortedSet = (0..20u32).map(|x| x * 100_000).collect();
         let pt = PlannedList::build(&ctx, &tiny);
         let mut out = Vec::new();
-        let plan = planner.intersect(&[&pt, &pb], &mut out);
+        let plan = run(&planner, &[&pt, &pb], &mut out);
         assert_eq!(plan.kind, PlanKind::HashProbe);
         out.sort_unstable();
         assert_eq!(
@@ -918,19 +903,19 @@ mod tests {
         let pd1 = PlannedList::build(&ctx, &d1);
         let pd2 = PlannedList::build(&ctx, &d2);
         let mut out = Vec::new();
-        let plan = planner.intersect(&[&pd1, &pd2], &mut out);
+        let plan = run(&planner, &[&pd1, &pd2], &mut out);
         assert_eq!(plan.kind, PlanKind::BitmapAnd);
         out.sort_unstable();
         assert_eq!(out, reference_intersection(&[d1.as_slice(), d2.as_slice()]));
         // Single and empty.
         let mut out = Vec::new();
-        let plan = planner.intersect(&[&pa], &mut out);
+        let plan = run(&planner, &[&pa], &mut out);
         assert_eq!(plan.kind, PlanKind::Single);
         out.sort_unstable();
         assert_eq!(out, a.as_slice());
         let empty = PlannedList::build(&ctx, &SortedSet::new());
         let mut out = Vec::new();
-        let plan = planner.intersect(&[&pa, &empty], &mut out);
+        let plan = run(&planner, &[&pa, &empty], &mut out);
         assert_eq!(plan.kind, PlanKind::Empty);
         assert!(out.is_empty());
     }
@@ -949,28 +934,20 @@ mod tests {
         assert!(pa.bitmap().is_none());
         assert!(pb.bitmap().is_none());
         assert!(pd.bitmap().is_some());
-        // One bitmap-less operand makes BitmapAnd inadmissible however
-        // cheap the word sweep would be.
-        let p = Planner {
-            bitmap_word_unit: 0.0,
-            ..Planner::default()
-        };
-        let mut out = Vec::new();
-        let plan = p.intersect(&[&pa, &pb], &mut out);
-        assert_ne!(plan.kind, PlanKind::BitmapAnd);
-        out.sort_unstable();
-        assert_eq!(
-            out,
-            reference_intersection(&[sparse_a.as_slice(), sparse_b.as_slice()])
-        );
-        let mut out = Vec::new();
-        let plan = p.intersect(&[&pa, &pd], &mut out);
-        assert_ne!(plan.kind, PlanKind::BitmapAnd);
-        out.sort_unstable();
-        assert_eq!(
-            out,
-            reference_intersection(&[sparse_a.as_slice(), dense_c.as_slice()])
-        );
+        // One bitmap-less operand makes BitmapAnd inadmissible at every
+        // tier (`compressed_gallop_is_never_planned` sweeps the shapes).
+        for planner in SimdLevel::ALL.map(Planner::for_simd) {
+            for (lists, sets) in [
+                ([&pa, &pb], [&sparse_a, &sparse_b]),
+                ([&pa, &pd], [&sparse_a, &dense_c]),
+            ] {
+                let mut out = Vec::new();
+                let plan = run(&planner, &lists, &mut out);
+                assert_ne!(plan.kind, PlanKind::BitmapAnd);
+                out.sort_unstable();
+                assert_eq!(out, reference_intersection(&sets.map(|s| s.as_slice())));
+            }
+        }
     }
 
     #[test]
@@ -1013,88 +990,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn plan_for_sets_matches_plan_for_built_lists() {
-        let ctx = HashContext::new(45);
-        let mut rng = StdRng::seed_from_u64(7);
-        let planner = Planner::default();
-        for (sizes, universe) in [
-            (vec![1500usize, 1500], 5_000_000u32),
-            (vec![100, 1500], 5_000_000),
-            (vec![20, 1500], 5_000_000),
-            (vec![1500, 1500], 3_000),
-            (vec![0, 10], 100),
-            (vec![700], 10_000),
-        ] {
-            let sets: Vec<SortedSet> = sizes
-                .iter()
-                .map(|&n| (0..n).map(|_| rng.gen_range(0..universe)).collect())
-                .collect();
-            let set_refs: Vec<&SortedSet> = sets.iter().collect();
-            let lists: Vec<PlannedList> =
-                sets.iter().map(|s| PlannedList::build(&ctx, s)).collect();
-            let refs: Vec<&PlannedList> = lists.iter().collect();
-            // The stats themselves must agree field-for-field, not just
-            // the plan they induce.
-            for (set, list) in sets.iter().zip(&lists) {
-                assert_eq!(OperandStats::of_set(set), list.stats(), "sizes {sizes:?}");
-            }
-            assert_eq!(
-                planner.plan_for_sets(&set_refs),
-                planner.plan_for_lists(&refs),
-                "sizes {sizes:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn cost_units_are_tunable_and_can_force_every_kernel() {
-        // Cranking every other unit sky-high forces each candidate in turn.
-        let sets = [sparse(3000), sparse(4000), sparse(5000)];
-        let force = |rgs: f64, gallop: f64, hash: f64, heap: f64| Planner {
-            rgs_unit: rgs,
-            gallop_unit: gallop,
-            hash_unit: hash,
-            heap_unit: heap,
-            bitmap_word_unit: f64::INFINITY,
-        };
-        assert_eq!(
-            kind(&force(1e-6, 1e9, 1e9, 1e9), &sets),
-            PlanKind::RanGroupScan
-        );
-        assert_eq!(
-            kind(&force(1e9, 1e-6, 1e9, 1e9), &sets),
-            PlanKind::GallopProbe
-        );
-        assert_eq!(
-            kind(&force(1e9, 1e9, 1e-6, 1e9), &sets),
-            PlanKind::HashProbe
-        );
-        assert_eq!(
-            kind(&force(1e9, 1e9, 1e9, 1e-6), &sets),
-            PlanKind::HeapMerge
-        );
-        let dense_sets = [dense(3000, 1), dense(4000, 1)];
-        let bitmap_cheap = Planner {
-            rgs_unit: 1e9,
-            gallop_unit: 1e9,
-            hash_unit: 1e9,
-            heap_unit: 1e9,
-            bitmap_word_unit: 1e-6,
-        };
-        assert_eq!(kind(&bitmap_cheap, &dense_sets), PlanKind::BitmapAnd);
-    }
-
-    /// No operand shape makes `plan` emit `CompressedGallop`: sparse and
-    /// dense operands, k = 2…5, size ratios 1…512 between neighbours, at
-    /// the default units and every SIMD tier's. (A hand-built plan of that
-    /// kind still answers — `every_forced_kernel_is_correct` runs one.)
+    /// No operand shape makes `plan` emit `CompressedGallop`, and none with
+    /// a table-carrying operand makes it emit `BitmapAnd`: sparse and dense
+    /// operands, k = 2…5, size ratios 1…512 between neighbours, at every
+    /// SIMD tier. (A hand-built plan of either kind still answers —
+    /// `every_forced_kernel_is_correct` runs both.)
     #[test]
     fn compressed_gallop_is_never_planned() {
-        let planners: Vec<Planner> = fsi_kernels::SimdLevel::ALL
-            .into_iter()
-            .map(Planner::for_simd)
-            .collect();
+        let planners = SimdLevel::ALL.map(Planner::for_simd);
         for k in 2..=5usize {
             for ratio in (0..10).map(|e| 1usize << e) {
                 for dense_mask in 0..1u32 << k {
@@ -1108,10 +1011,77 @@ mod tests {
                             }
                         })
                         .collect();
+                    let vetoed = dense_mask != (1 << k) - 1;
                     for p in &planners {
-                        assert_ne!(p.plan(&stats).kind, PlanKind::CompressedGallop, "{stats:?}");
+                        let kind = p.plan(&stats).kind;
+                        assert_ne!(kind, PlanKind::CompressedGallop, "{stats:?}");
+                        assert!(!(vetoed && kind == PlanKind::BitmapAnd), "{p:?} {stats:?}");
                     }
                 }
+            }
+        }
+    }
+
+    /// The cost table alone picks the kernel: for a shape each plannable
+    /// kind owns, pricing every candidate by hand from [`Planner::unit`]
+    /// gives that kind as the cheapest, at exactly the plan's estimate, at
+    /// every SIMD tier. `HeapMerge` is priced but never cheapest.
+    #[test]
+    fn each_plannable_kernel_wins_at_its_table_price() {
+        use CostUnit::*;
+        let dense_pair = [dense(50_000, 2), dense(60_000, 2)];
+        let shapes: [(&[OperandStats], PlanKind); 4] = [
+            (
+                &[sparse(3000), sparse(4000), sparse(5000)],
+                PlanKind::RanGroupScan,
+            ),
+            (&[sparse(1000), sparse(6000)], PlanKind::GallopProbe),
+            (
+                &[sparse(100), sparse(500), sparse(80_000)],
+                PlanKind::HashProbe,
+            ),
+            (&dense_pair, PlanKind::BitmapAnd),
+        ];
+        for p in SimdLevel::ALL.map(Planner::for_simd) {
+            for (stats, owner) in shapes {
+                let mut ns: Vec<f64> = stats.iter().map(|s| s.n as f64).collect();
+                ns.sort_by(f64::total_cmp);
+                let (n_min, k) = (ns[0], ns.len() as f64);
+                let total: f64 = ns.iter().sum();
+                let mut by_size = stats.to_vec();
+                by_size.sort_by_key(|s| s.n);
+                let probe_units: f64 = by_size[1..]
+                    .iter()
+                    .map(|s| p.unit(if s.chunks.is_some() { BitTest } else { Hash }))
+                    .sum();
+                let log_sum: f64 = ns[1..].iter().map(|n| (n / n_min + 2.0).log2()).sum();
+                let mut prices = vec![
+                    (PlanKind::RanGroupScan, p.unit(Rgs) * total),
+                    (PlanKind::GallopProbe, p.unit(Gallop) * n_min * log_sum),
+                    (PlanKind::HashProbe, n_min * probe_units),
+                    (PlanKind::HeapMerge, p.unit(Heap) * total * k.log2()),
+                ];
+                if owner == PlanKind::BitmapAnd {
+                    // Both operands fill their two chunks, so every result
+                    // word holds a survivor.
+                    let words = (2 * WORDS_PER_CHUNK) as f64;
+                    let sweep = p.unit(BitmapWord) * words * (k - 1.0);
+                    prices.push((PlanKind::BitmapAnd, sweep + p.extract_cost(words, words)));
+                }
+                let cheapest = prices
+                    .iter()
+                    .copied()
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .unwrap();
+                assert_eq!(cheapest.0, owner, "{p:?} {prices:?}");
+                let plan = p.plan(stats);
+                assert_eq!(plan.kind, owner, "{p:?}");
+                assert!(
+                    (plan.est_cost - cheapest.1).abs() <= 1e-9 * cheapest.1,
+                    "{p:?}"
+                );
+                let heap = prices.iter().find(|c| c.0 == PlanKind::HeapMerge).unwrap();
+                assert!(heap.1 > cheapest.1, "{p:?}");
             }
         }
     }
@@ -1127,6 +1097,9 @@ mod tests {
             let lists: Vec<PlannedList> =
                 sets.iter().map(|s| PlannedList::build(&ctx, s)).collect();
             let refs: Vec<&PlannedList> = lists.iter().collect();
+            // Dense enough in their one chunk to carry bitmaps, so every
+            // kind is admissible.
+            assert!(refs.iter().all(|l| l.bitmap().is_some()));
             let slices: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
             let expect = reference_intersection(&slices);
             let planner = Planner::default();
@@ -1134,6 +1107,7 @@ mod tests {
             for forced in [
                 PlanKind::RanGroupScan,
                 PlanKind::HashProbe,
+                PlanKind::BitmapAnd,
                 PlanKind::GallopProbe,
                 PlanKind::HeapMerge,
                 PlanKind::CompressedGallop,

@@ -59,23 +59,82 @@ pub fn eval_planned_into(
     let plan = planner.plan(expr, &|t| exec.list(t).stats(), exec.universe());
     let start = out.len();
     execute_plan(exec, planner, &plan, out);
-    record_misprediction(plan.est_rows, out.len() - start);
+    record_plan(&plan, out.len() - start);
     plan
 }
 
-/// Records the planner's cardinality-misprediction magnitude,
-/// `|log₂((observed+1)/(estimated+1))|` in milli-log₂ units, into the
-/// global `fsi_plan_misprediction_millilog2` histogram — `0` means the
-/// estimate was exact, `1000` means off by 2×, `2000` by 4×. One cached
-/// histogram record per evaluated expression.
-fn record_misprediction(est_rows: f64, observed: usize) {
-    use std::sync::OnceLock;
-    static HIST: OnceLock<std::sync::Arc<fsi_obs::Histogram>> = OnceLock::new();
-    let hist = HIST.get_or_init(|| {
-        fsi_obs::Registry::global().histogram("fsi_plan_misprediction_millilog2", &[])
+/// Records the plan that ran into the global registry, once per evaluated
+/// expression — planning itself records nothing, so `EXPLAIN` counts
+/// nothing and a kind the chunk union re-binds is counted as it ran:
+///
+/// * every multiway kind in the tree (`fsi_plan_kind_total{kind}`) and
+///   every union kind (`fsi_union_kind_total{kind}`), by [`visit_kinds`];
+/// * the root's estimated cost (`fsi_plan_est_cost`);
+/// * the cardinality-misprediction magnitude,
+///   `|log₂((observed+1)/(estimated+1))|` in milli-log₂ units
+///   (`fsi_plan_misprediction_millilog2`) — `0` means the estimate was
+///   exact, `1000` means off by 2×, `2000` by 4×.
+fn record_plan(plan: &ExprPlan, observed: usize) {
+    use fsi_obs::{Counter, Histogram, Registry};
+    use std::sync::{Arc, OnceLock};
+    type Handles = (
+        [Arc<Counter>; 8],
+        [Arc<Counter>; 2],
+        Arc<Histogram>,
+        Arc<Histogram>,
+    );
+    static HANDLES: OnceLock<Handles> = OnceLock::new();
+    let (kinds, unions, est_cost, mispredicted) = HANDLES.get_or_init(|| {
+        let r = Registry::global();
+        (
+            [
+                PlanKind::Empty,
+                PlanKind::Single,
+                PlanKind::RanGroupScan,
+                PlanKind::HashProbe,
+                PlanKind::BitmapAnd,
+                PlanKind::GallopProbe,
+                PlanKind::HeapMerge,
+                PlanKind::CompressedGallop,
+            ]
+            .map(|k| r.counter("fsi_plan_kind_total", &[("kind", k.name())])),
+            [UnionKind::HeapMerge, UnionKind::BitmapOr]
+                .map(|k| r.counter("fsi_union_kind_total", &[("kind", k.name())])),
+            r.histogram("fsi_plan_est_cost", &[]),
+            r.histogram("fsi_plan_misprediction_millilog2", &[]),
+        )
     });
-    let ratio = (observed as f64 + 1.0) / (est_rows.max(0.0) + 1.0);
-    hist.record((ratio.log2().abs() * 1000.0) as u64);
+    // audit:allow(hot_path_index): the array is sized to the enum's variant count and indexed by discriminant
+    let mut and = |k: PlanKind| kinds[k as usize].inc();
+    // audit:allow(hot_path_index): the array is sized to the enum's variant count and indexed by discriminant
+    let mut or = |k: UnionKind| unions[k as usize].inc();
+    visit_kinds(plan, &mut and, &mut or);
+    est_cost.record(plan.est_cost.max(0.0) as u64);
+    let ratio = (observed as f64 + 1.0) / (plan.est_rows.max(0.0) + 1.0);
+    mispredicted.record((ratio.log2().abs() * 1000.0) as u64);
+}
+
+/// Calls `and` with the multiway kind of every `AND` of terms in `plan` and
+/// `or` with the union kind of every `OR` node, in preorder: the operators
+/// that run, after every chunk-union re-binding.
+fn visit_kinds(plan: &ExprPlan, and: &mut impl FnMut(PlanKind), or: &mut impl FnMut(UnionKind)) {
+    match &plan.node {
+        PlanNode::Term(_) => {}
+        PlanNode::And { pos, neg, kind } => {
+            if let AndKind::Multiway(m) = kind {
+                and(m.kind);
+            }
+            for c in pos.iter().chain(neg) {
+                visit_kinds(c, and, or);
+            }
+        }
+        PlanNode::Or { children, kind } => {
+            or(*kind);
+            for c in children {
+                visit_kinds(c, and, or);
+            }
+        }
+    }
 }
 
 /// Runs an already-planned expression, appending the ascending result to
@@ -332,30 +391,23 @@ mod tests {
         // survives untouched and the fresh result lands after it — even
         // when the prefix ends in a value equal to the first emitted
         // document (neither union may dedup across the boundary). The
-        // mixed engine under a chunk-union-only planner covers the chunk
+        // mixed engine's plans forced onto the chunk union cover the chunk
         // path: unions of terms, of swept ANDs, and AND NOT over one.
         let small = engine(7);
         let mixed = mixed_engine();
-        for (engine, planner, srcs) in [
-            (
-                &small,
-                ExprPlanner::default(),
-                ["0 OR 1", "0 AND 1", "9 AND NOT 0"],
-            ),
-            (
-                &mixed,
-                chunk_union_only(),
-                ["0 OR 4", "(0 1) OR (2 8)", "0 1 AND NOT 4"],
-            ),
+        for (engine, chunk, srcs) in [
+            (&small, false, ["0 OR 1", "0 AND 1", "9 AND NOT 0"]),
+            (&mixed, true, ["0 OR 4", "(0 1) OR (2 8)", "0 1 AND NOT 4"]),
         ] {
             let planned = engine.planned_executor(Planner::default());
             for src in srcs {
                 let norm = normalize(&parse(src).expect("p")).expect("b");
+                let plan = plan_for(&planned, &norm, chunk);
                 let mut fresh = Vec::new();
-                eval_planned_into(&planned, &planner, &norm, &mut fresh);
+                execute_plan(&planned, &ExprPlanner::default(), &plan, &mut fresh);
                 let prefix = vec![7u32, 3, fresh.first().copied().unwrap_or(0)];
                 let mut out = prefix.clone();
-                eval_planned_into(&planned, &planner, &norm, &mut out);
+                execute_plan(&planned, &ExprPlanner::default(), &plan, &mut out);
                 assert_eq!(&out[..prefix.len()], prefix.as_slice(), "{src}");
                 assert_eq!(&out[prefix.len()..], fresh.as_slice(), "{src}");
             }
@@ -385,25 +437,74 @@ mod tests {
         SearchEngine::from_postings(HashContext::new(17), postings)
     }
 
-    /// A planner that picks the chunk union for every `OR` and sweeps every
-    /// `AND` it can bind in place.
-    fn chunk_union_only() -> ExprPlanner {
-        ExprPlanner {
-            union_unit: f64::INFINITY,
-            union_bitmap_word_unit: 0.0,
-            ..ExprPlanner::default()
+    /// The default plan of `norm`, or with `chunk` that plan forced onto
+    /// the chunk union: every `OR` runs it, and every `AND` of
+    /// bitmap-carrying terms with term subtrahends is swept in place.
+    fn plan_for(exec: &PlannedExecutor, norm: &NormExpr, chunk: bool) -> ExprPlan {
+        fn force(exec: &PlannedExecutor, plan: &mut ExprPlan) {
+            match &mut plan.node {
+                PlanNode::Term(_) => {}
+                PlanNode::And { pos, neg, kind } => {
+                    let bitmap = |p: &ExprPlan| match p.node {
+                        PlanNode::Term(t) => exec.list(t).bitmap().is_some(),
+                        _ => false,
+                    };
+                    let term = |p: &ExprPlan| matches!(p.node, PlanNode::Term(_));
+                    if let AndKind::Multiway(m) = kind {
+                        if pos.iter().all(bitmap) && neg.iter().all(term) {
+                            m.kind = PlanKind::BitmapAnd;
+                        }
+                    }
+                    pos.iter_mut().chain(neg).for_each(|c| force(exec, c));
+                }
+                PlanNode::Or { children, kind } => {
+                    *kind = UnionKind::BitmapOr;
+                    children.iter_mut().for_each(|c| force(exec, c));
+                }
+            }
         }
+        let mut plan =
+            ExprPlanner::default().plan(norm, &|t| exec.list(t).stats(), exec.universe());
+        if chunk {
+            force(exec, &mut plan);
+        }
+        plan
     }
 
-    /// Every `OR` node of `plan` with its kind.
-    fn unions(plan: &ExprPlan) -> Vec<UnionKind> {
-        match &plan.node {
-            PlanNode::Term(_) => Vec::new(),
-            PlanNode::And { pos, neg, .. } => pos.iter().chain(neg).flat_map(unions).collect(),
-            PlanNode::Or { children, kind } => std::iter::once(*kind)
-                .chain(children.iter().flat_map(unions))
-                .collect(),
-        }
+    /// The multiway and union kinds [`visit_kinds`] reports, in preorder.
+    fn kinds(plan: &ExprPlan) -> (Vec<PlanKind>, Vec<UnionKind>) {
+        let (mut ands, mut ors) = (Vec::new(), Vec::new());
+        visit_kinds(plan, &mut |k| ands.push(k), &mut |k| ors.push(k));
+        (ands, ors)
+    }
+
+    #[test]
+    fn recorded_kinds_are_the_ones_that_run() {
+        // The benchmark corpus's shape: on its own `0 ∧ 3` probes t3's
+        // members, but under a chunk union both groups are re-bound to
+        // `BitmapAnd` — and the walk reports what runs.
+        let corpus = [
+            (600_000, Some(31)),
+            (300_000, Some(31)),
+            (200_000, Some(31)),
+            (40_000, Some(31)),
+        ];
+        let stats = |t: usize| fsi_index::OperandStats {
+            n: corpus[t].0,
+            chunks: corpus[t].1,
+        };
+        let plan = |src: &str| {
+            let norm = normalize(&parse(src).expect("p")).expect("b");
+            ExprPlanner::default().plan(&norm, &stats, 2_000_000)
+        };
+        assert_eq!(kinds(&plan("0 3")), (vec![PlanKind::HashProbe], vec![]));
+        assert_eq!(
+            kinds(&plan("(0 3) OR (0 1)")),
+            (vec![PlanKind::BitmapAnd; 2], vec![UnionKind::BitmapOr])
+        );
+        // Nested: a union inside a mixed AND, under a subtrahend.
+        let (ands, ors) = kinds(&plan("2 AND (0 OR 1) AND NOT (1 3)"));
+        assert_eq!((ands.len(), ors.len()), (1, 1));
     }
 
     #[test]
@@ -433,24 +534,16 @@ mod tests {
         ] {
             let norm = normalize(&parse(src).expect("parses")).expect("bounded");
             let expect: Vec<Elem> = naive_eval(&slices, &norm).into_iter().collect();
-            for (name, planner) in [
-                ("default", ExprPlanner::default()),
-                ("chunk", chunk_union_only()),
-            ] {
+            let planner = ExprPlanner::default();
+            for chunk in [false, true] {
+                let plan = plan_for(&planned, &norm, chunk);
                 let mut got = Vec::new();
-                let plan = eval_planned_into(&planned, &planner, &norm, &mut got);
-                assert_eq!(got, expect, "{src} ({name}: {})", plan.describe());
-                if name == "chunk" {
-                    assert!(
-                        unions(&plan).iter().all(|&k| k == UnionKind::BitmapOr),
-                        "{src}: {}",
-                        plan.describe()
-                    );
-                }
+                execute_plan(&planned, &planner, &plan, &mut got);
+                assert_eq!(got, expect, "{src} (chunk {chunk}: {})", plan.describe());
                 // `EXPLAIN ANALYZE` runs the same union routine.
                 let mut analyzed = Vec::new();
                 crate::explain::analyze_plan(&planned, &planner, &plan, &mut analyzed);
-                assert_eq!(analyzed, expect, "{src} ({name}, analyzed)");
+                assert_eq!(analyzed, expect, "{src} (chunk {chunk}, analyzed)");
             }
         }
     }
@@ -461,13 +554,13 @@ mod tests {
         // plan still has to union them to one copy.
         let engine = mixed_engine();
         let planned = engine.planned_executor(Planner::default());
-        let planner = chunk_union_only();
+        let planner = ExprPlanner::default();
         let slices: Vec<&[Elem]> = (0..engine.num_terms())
             .map(|t| engine.posting(t).as_slice())
             .collect();
         let norm = normalize(&parse("(0 1 NOT 4) OR 6 OR 2").expect("p")).expect("b");
         let expect: Vec<Elem> = naive_eval(&slices, &norm).into_iter().collect();
-        let mut plan = planner.plan(&norm, &|t| planned.list(t).stats(), planned.universe());
+        let mut plan = plan_for(&planned, &norm, true);
         let PlanNode::Or { children, .. } = &mut plan.node else {
             panic!("expected Or, got {}", plan.describe());
         };
@@ -495,7 +588,13 @@ mod tests {
         ] {
             let norm = normalize(&parse(src).expect("p")).expect("b");
             let expect: Vec<Elem> = naive_eval(&slices, &norm).into_iter().collect();
-            let got = eval_planned(&planned, &planner, &norm);
+            let mut got = Vec::new();
+            execute_plan(
+                &planned,
+                &planner,
+                &plan_for(&planned, &norm, true),
+                &mut got,
+            );
             assert_eq!(got, expect, "{src}");
         }
     }

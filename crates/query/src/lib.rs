@@ -20,7 +20,8 @@
 //! * [`ExprPlanner`] — cost-based expression planning extending
 //!   `fsi_index::Planner`'s [`fsi_index::OperandStats`] model to `OR`
 //!   (heap k-way union vs chunked-bitmap `OR`) and `AND NOT` (galloping
-//!   multi-subtrahend difference), ordering evaluation by estimated
+//!   multi-subtrahend difference), priced from the same cost table
+//!   ([`fsi_index::CostUnit`]) and ordering evaluation by estimated
 //!   result cardinality;
 //! * [`eval_planned_into`] — execution over the prepared index
 //!   (`fsi_index::PlannedExecutor`), bottoming out in the `fsi_kernels`

@@ -1,6 +1,7 @@
 //! Cost-based expression planning: extends `fsi_index::Planner`'s
 //! [`OperandStats`] cost model beyond conjunctions to **OR** (k-way union)
-//! and **AND NOT** (difference by bit test or gallop).
+//! and **AND NOT** (difference by bit test or gallop), pricing every node
+//! from the planner's one cost table ([`CostUnit`]).
 //!
 //! [`ExprPlanner::plan`] walks a canonical [`NormExpr`] bottom-up and
 //! produces an [`ExprPlan`] tree carrying, per node, the chosen physical
@@ -22,11 +23,11 @@
 //! |------|------------|
 //! | `AND` (all operands are terms) | the full [`fsi_index::Planner`] candidate table — one whole-list [`MultiwayPlan`], zero materialized intermediates |
 //! | `AND` (mixed operands) | materialize sub-results, then a k-way gallop probe ([`AndKind::SliceProbe`]) |
-//! | `OR` | heap k-way union over materialized children (`Σ costᵢ + union_unit · Σnᵢ · log₂ k`) vs the chunk union over *any* children (`Σ partᵢ + union_bitmap_word_unit · 1024 · span + extract`): a bitmap-carrying term costs its words, a `BitmapAnd` child whose subtrahends are terms its word sweep (no extraction of its own), any other child its own cost plus setting one bit per row; `span` is the estimated number of chunks the union touches, and the result is extracted once |
-//! | `AND NOT` | one difference operator (`diff_unit · |base| · m`): a bit test per base element for each subtrahend that is a bitmap-carrying term, a galloping multi-subtrahend difference for the rest — the subtrahends are bounded by the base, never materialized against the universe. Over a `BitmapAnd` base whose subtrahends are all terms it is instead a one-child chunk union, priced as one |
+//! | `OR` | heap k-way union over materialized children (`Σ costᵢ + heap_union · Σnᵢ · log₂ k`) vs the chunk union over *any* children (`Σ partᵢ + 2 · bitmap_word · 1024 · span + extract`): a bitmap-carrying term costs its words, a `BitmapAnd` child whose subtrahends are terms its word sweep (no extraction of its own), any other child its own cost plus `set_bit` per row; `span` is the estimated number of chunks the union touches, and the result is extracted once |
+//! | `AND NOT` | one difference operator (`gallop · |base| · m`): a bit test per base element for each subtrahend that is a bitmap-carrying term, a galloping multi-subtrahend difference for the rest — the subtrahends are bounded by the base, never materialized against the universe. Over a `BitmapAnd` base whose subtrahends are all terms it is instead a one-child chunk union, priced as one |
 
 use crate::rewrite::NormExpr;
-use fsi_index::{MultiwayPlan, OperandStats, PlanKind, Planner};
+use fsi_index::{CostUnit, MultiwayPlan, OperandStats, PlanKind, Planner};
 use fsi_kernels::WORDS_PER_CHUNK;
 
 /// How an `AND` node's positive intersection runs.
@@ -60,22 +61,6 @@ impl UnionKind {
             UnionKind::HeapMerge => "HeapMerge",
             UnionKind::BitmapOr => "BitmapOr",
         }
-    }
-
-    /// Bumps this kind's counter in the global metrics registry
-    /// (`fsi_union_kind_total{kind=...}`, beside the multiway
-    /// `fsi_plan_kind_total`) — one relaxed increment on a cached handle
-    /// per planned `OR` node.
-    fn record_choice(self) {
-        use std::sync::OnceLock;
-        static COUNTERS: OnceLock<[std::sync::Arc<fsi_obs::Counter>; 2]> = OnceLock::new();
-        let counters = COUNTERS.get_or_init(|| {
-            [UnionKind::HeapMerge, UnionKind::BitmapOr].map(|k| {
-                fsi_obs::Registry::global().counter("fsi_union_kind_total", &[("kind", k.name())])
-            })
-        });
-        // audit:allow(hot_path_index): the array is sized to the enum's variant count and indexed by discriminant
-        counters[self as usize].inc();
     }
 }
 
@@ -164,56 +149,27 @@ impl ExprPlan {
     }
 }
 
-/// Default [`ExprPlanner::union_unit`]: the heap union's price per input
-/// element per `log₂ k`, in the units the chunk union's word and bit prices
-/// use (fitted on the benchmark corpus: 9–17 per element·`log₂ k` for two-
-/// and three-way unions of terms and of materialized `AND`s).
-const HEAP_UNION_UNIT: f64 = 12.0;
-
-/// Cost per member of a child's sorted result set into the chunk union's
-/// accumulator: one sequential read and one read-modify-write of an
-/// L1-resident word.
-const SET_BIT_UNIT: f64 = 1.0;
-
 /// Values one bitmap chunk covers.
 const CHUNK_SPAN: f64 = (WORDS_PER_CHUNK * 64) as f64;
 
-/// The expression-level cost-model dispatcher: the conjunctive [`Planner`]
-/// plus units for the union and difference operators it does not know
-/// about.
-#[derive(Debug, Clone)]
+/// The expression-level cost-model dispatcher: the [`Planner`] whose cost
+/// table prices every node — `AND`-of-terms nodes run exactly what it
+/// picks, and the union and difference operators it does not know about
+/// are priced in its units. [`Default`] is the scalar tier, deterministic
+/// across machines (what the plan tests pin).
+#[derive(Debug, Clone, Default)]
 pub struct ExprPlanner {
-    /// The conjunctive cost model — `AND`-of-terms nodes run exactly what
-    /// it picks.
-    pub and: Planner,
-    /// Cost per input element per `log₂ k` for the heap k-way union
-    /// (defaults to a constant measured against the chunk union: a pop,
-    /// a push and an output push per element, ≈ 10 ns on the benchmark
-    /// corpus where a bitmap word costs well under one).
-    pub union_unit: f64,
-    /// Cost per 64-bit word per operand pass of the chunk union (defaults
-    /// to `and.bitmap_word_unit`: the union rides the same SIMD word
-    /// primitives as the AND, so the SIMD-tier tuning carries over).
-    pub union_bitmap_word_unit: f64,
-    /// Cost per base element per subtrahend for the galloping difference
-    /// (mirrors `and.gallop_unit`: the same exponential probe).
-    pub diff_unit: f64,
+    pub(crate) and: Planner,
 }
 
 impl ExprPlanner {
-    /// Expression planning over a given conjunctive cost model; the chunk
-    /// union and difference units derive from its calibration.
+    /// Expression planning over a given conjunctive cost model.
     pub fn new(and: Planner) -> Self {
-        Self {
-            union_unit: HEAP_UNION_UNIT,
-            union_bitmap_word_unit: and.bitmap_word_unit,
-            diff_unit: and.gallop_unit,
-            and,
-        }
+        Self { and }
     }
 
-    /// Constants tuned for the SIMD tier this process dispatches to
-    /// ([`Planner::auto`]) — what serving defaults use.
+    /// The cost table at the SIMD tier this process dispatches to
+    /// ([`Planner::auto`]) — what serving uses.
     pub fn auto() -> Self {
         Self::new(Planner::auto())
     }
@@ -265,15 +221,11 @@ impl ExprPlanner {
                     let cost = mplan.est_cost;
                     (AndKind::Multiway(mplan), cost)
                 } else {
-                    // Gallop-probe estimate over (possibly estimated)
-                    // child cardinalities — the same formula the
-                    // conjunctive model uses for its gallop candidate.
+                    // The conjunctive model's gallop candidate, over
+                    // (possibly estimated) child cardinalities.
                     let n_min = pos_plans[0].est_rows.max(1.0);
-                    let log_sum: f64 = pos_plans[1..]
-                        .iter()
-                        .map(|c| (c.est_rows / n_min + 2.0).log2())
-                        .sum();
-                    (AndKind::SliceProbe, self.and.gallop_unit * n_min * log_sum)
+                    let probed = pos_plans[1..].iter().map(|c| c.est_rows);
+                    (AndKind::SliceProbe, self.and.gallop_cost(n_min, probed))
                 };
                 let mut base_rows = u;
                 for c in &pos_plans {
@@ -287,7 +239,7 @@ impl ExprPlanner {
                 let diff_cost = if neg_plans.is_empty() {
                     0.0
                 } else {
-                    self.diff_unit * base_rows * neg_plans.len() as f64
+                    self.and.unit(CostUnit::Gallop) * base_rows * neg_plans.len() as f64
                 };
                 let mut est_rows = base_rows;
                 for c in &neg_plans {
@@ -328,7 +280,7 @@ impl ExprPlanner {
                 let total: f64 = plans.iter().map(|p| p.est_rows).sum();
                 let k = plans.len() as f64;
                 let child_cost: f64 = plans.iter().map(|p| p.est_cost).sum();
-                let heap_cost = child_cost + self.union_unit * total * k.log2();
+                let heap_cost = child_cost + self.and.unit(CostUnit::HeapUnion) * total * k.log2();
                 let mut miss = 1.0;
                 for p in &plans {
                     miss *= 1.0 - (p.est_rows / u).min(1.0);
@@ -343,7 +295,7 @@ impl ExprPlanner {
                 let mut chunk_miss = 1.0;
                 let mut sweeps = Vec::with_capacity(plans.len());
                 for p in &plans {
-                    let listed = p.est_cost + SET_BIT_UNIT * p.est_rows;
+                    let listed = p.est_cost + self.and.unit(CostUnit::SetBit) * p.est_rows;
                     let sweep = self.sweep_cost(p, stats).filter(|&(cost, _)| {
                         cost < listed || p.binds_in_place(|t| stats(t).chunks.is_some())
                     });
@@ -368,7 +320,6 @@ impl ExprPlanner {
                 } else {
                     (UnionKind::HeapMerge, heap_cost)
                 };
-                kind.record_choice();
                 ExprPlan {
                     node: PlanNode::Or {
                         children: plans,
@@ -397,7 +348,7 @@ impl ExprPlanner {
             PlanNode::Term(t) => stats(t).chunks,
             _ => None,
         };
-        let words = WORDS_PER_CHUNK as f64 * self.union_bitmap_word_unit;
+        let words = WORDS_PER_CHUNK as f64 * self.and.unit(CostUnit::BitmapWord);
         match &plan.node {
             PlanNode::Term(_) => chunks(plan).map(|c| (c as f64 * words, c as f64)),
             PlanNode::And {
@@ -418,7 +369,7 @@ impl ExprPlanner {
                     };
                     cost += match stats(t).chunks {
                         Some(_) => c_min * words,
-                        None => SET_BIT_UNIT * n.est_rows,
+                        None => self.and.unit(CostUnit::SetBit) * n.est_rows,
                     };
                 }
                 Some((cost, c_min))
@@ -432,7 +383,7 @@ impl ExprPlanner {
     /// extraction of its `rows`-member result.
     fn chunk_cost(&self, chunks: f64, rows: f64) -> f64 {
         let words = chunks * WORDS_PER_CHUNK as f64;
-        2.0 * self.union_bitmap_word_unit * words + Planner::extract_cost(rows, words)
+        2.0 * self.and.unit(CostUnit::BitmapWord) * words + self.and.extract_cost(rows, words)
     }
 }
 
@@ -448,14 +399,6 @@ fn bind_sweep(plan: &mut ExprPlan, cost: f64) {
         m.kind = PlanKind::BitmapAnd;
         m.est_cost = cost;
         plan.est_cost = cost;
-    }
-}
-
-impl Default for ExprPlanner {
-    /// The scalar-calibrated conjunctive model plus derived boolean units
-    /// — deterministic across machines (what the plan tests pin).
-    fn default() -> Self {
-        Self::new(Planner::default())
     }
 }
 

@@ -1,7 +1,6 @@
-//! Serving configuration: how large a result cache, and which cost-model
-//! planner queries are planned under.
-
-use fsi_index::Planner;
+//! Serving configuration: how large a result cache. Queries are planned
+//! under the one cost table at this process's SIMD tier
+//! (`fsi_index::Planner::auto`), which is not configurable.
 
 /// Configuration of a serving engine.
 #[derive(Debug, Clone)]
@@ -11,12 +10,6 @@ pub struct ServeConfig {
     /// Number of independently locked cache segments (≥ 1); higher values
     /// reduce lock contention between concurrent callers.
     pub cache_segments: usize,
-    /// The cost-model planner queries are planned under: five per-kernel
-    /// cost units. The default is calibrated for the SIMD tier this
-    /// process dispatches to; set a unit to re-price one kernel — e.g.
-    /// `Planner { rgs_unit: 2.0, ..Planner::auto() }` narrows the band of
-    /// balanced sparse queries RanGroupScan wins.
-    pub planner: Planner,
 }
 
 impl Default for ServeConfig {
@@ -24,10 +17,6 @@ impl Default for ServeConfig {
         Self {
             cache_capacity: 4096,
             cache_segments: 8,
-            // Cost constants tuned for the SIMD tier this process
-            // dispatches to, so plans favour the vectorized bitmap sweep
-            // exactly where `BENCH_simd.json` measured it winning.
-            planner: Planner::auto(),
         }
     }
 }
@@ -49,7 +38,7 @@ mod tests {
     fn default_is_sane() {
         let c = ServeConfig::default();
         assert!(c.cache_segments >= 1);
-        assert_eq!(c.planner.gallop_unit, Planner::auto().gallop_unit);
+        assert!(c.cache_capacity > 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The server's one prepared index: every posting list of a
 //! [`fsi_index::SearchEngine`] preprocessed once for every representation
 //! the cost-model planner can bind, plus the expression planner queries
-//! plan under.
+//! plan under — the one cost table at this process's SIMD tier.
 //!
 //! Every prepared structure is immutable and `Send + Sync` (the paper
 //! treats multi-core parallelism as orthogonal to the algorithms), so one
@@ -23,14 +23,13 @@ pub struct PreparedIndex {
 }
 
 impl PreparedIndex {
-    /// Prepares every posting list of `engine` for queries planned under
-    /// `planner`.
-    pub(crate) fn build(engine: &SearchEngine, planner: Planner) -> Self {
-        let exec = engine.planned_executor(planner.clone());
+    /// Prepares every posting list of `engine` for planned queries.
+    pub(crate) fn build(engine: &SearchEngine) -> Self {
+        let exec = engine.planned_executor(Planner::auto());
         Self {
             bytes: exec.bytes_by_repr(),
             exec,
-            planner: ExprPlanner::new(planner),
+            planner: ExprPlanner::auto(),
         }
     }
 
@@ -115,7 +114,7 @@ mod tests {
             SortedSet::from_unsorted(vec![7, u32::MAX]),
         ];
         let engine = SearchEngine::from_postings(HashContext::new(8), postings);
-        let index = PreparedIndex::build(&engine, Planner::auto());
+        let index = PreparedIndex::build(&engine);
         assert_eq!(flat(&index, &[0, 1]), vec![7, u32::MAX]);
     }
 
@@ -126,7 +125,7 @@ mod tests {
     #[test]
     fn index_bytes_are_the_parents_minus_the_block_postings() {
         let engine = engine();
-        let index = PreparedIndex::build(&engine, Planner::auto());
+        let index = PreparedIndex::build(&engine);
         let packed = Strategy::full_lineup()
             .into_iter()
             .find(|s| s.name() == "CompressedGallop_Packed")
@@ -143,7 +142,7 @@ mod tests {
     #[test]
     fn size_is_summed_once_at_build() {
         let engine = engine();
-        let index = PreparedIndex::build(&engine, Planner::auto());
+        let index = PreparedIndex::build(&engine);
         assert_eq!(index.size_in_bytes(), index.exec.size_in_bytes());
         assert!(index.size_in_bytes() > 0);
         assert_eq!(index.num_terms(), engine.num_terms());

@@ -35,8 +35,7 @@
 //!   spelling. Keys are derived internally; callers never build a cache
 //!   key;
 //! * [`config`] / [`stats`] — [`ServeConfig`] (cache capacity and
-//!   segments, the [`fsi_index::Planner`] queries plan under) and
-//!   [`ServeStats`] snapshots.
+//!   segments) and [`ServeStats`] snapshots.
 //!
 //! The network front door over this API — TCP framing, admission control,
 //! deadline-aware load shedding — lives in `fsi-net`, one crate up.

@@ -181,7 +181,7 @@ impl Server {
         let expr_queries_served = registry.counter("fsi_expr_queries_served_total", &[]);
         let queries_shed = registry.counter("fsi_queries_shed_total", &[]);
         let latency_ns = registry.histogram("fsi_query_latency_ns", &[]);
-        let engine = PreparedIndex::build(engine, config.planner.clone());
+        let engine = PreparedIndex::build(engine);
         // The index is immutable: its footprint — whole, and by physical
         // representation — and which membership structure its lists carry
         // are gauges set once here, not re-derived on every scrape.
@@ -645,21 +645,18 @@ mod tests {
 
     #[test]
     fn expression_matches_flat_conjunction_results() {
-        for planner in [Planner::default(), Planner::auto()] {
-            let s = server(ServeConfig {
-                planner,
-                cache_capacity: 0,
-                ..ServeConfig::default()
-            });
-            assert_eq!(
-                s.execute(&Request::expr("0 AND 1 AND 9"))
-                    .expect("valid")
-                    .docs,
-                s.execute(&Request::terms(vec![0, 1, 9]))
-                    .expect("valid")
-                    .docs
-            );
-        }
+        let s = server(ServeConfig {
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        });
+        assert_eq!(
+            s.execute(&Request::expr("0 AND 1 AND 9"))
+                .expect("valid")
+                .docs,
+            s.execute(&Request::terms(vec![0, 1, 9]))
+                .expect("valid")
+                .docs
+        );
     }
 
     #[test]
@@ -694,7 +691,6 @@ mod tests {
     #[test]
     fn traced_request_matches_untraced_and_carries_spans() {
         let s = server(ServeConfig {
-            planner: Planner::default(),
             cache_capacity: 16,
             ..ServeConfig::default()
         });
@@ -744,7 +740,6 @@ mod tests {
     #[test]
     fn traced_miss_records_exec_and_insert() {
         let s = server(ServeConfig {
-            planner: Planner::default(),
             cache_capacity: 8,
             ..ServeConfig::default()
         });
@@ -766,10 +761,7 @@ mod tests {
 
     #[test]
     fn explain_renders_one_plan_tree() {
-        let planned = server(ServeConfig {
-            planner: Planner::default(),
-            ..ServeConfig::default()
-        });
+        let planned = server(ServeConfig::default());
         // The EXPLAIN prefix turns a plain execute into an explain.
         let resp = planned
             .execute(&Request::expr("EXPLAIN (0 OR 1) AND 5"))
@@ -942,7 +934,6 @@ mod tests {
     #[test]
     fn flat_options_route_through_the_expression_engine() {
         let s = server(ServeConfig {
-            planner: Planner::default(),
             cache_capacity: 16,
             ..ServeConfig::default()
         });
@@ -969,7 +960,6 @@ mod tests {
         let s = server(ServeConfig {
             cache_capacity: 16,
             cache_segments: 2,
-            ..ServeConfig::default()
         });
         s.execute(&Request::terms(vec![0, 1])).expect("valid");
         s.execute(&Request::terms(vec![0, 1])).expect("valid");
@@ -1052,25 +1042,27 @@ mod tests {
             assert_eq!(flat.plan_kind, expect, "{terms:?}");
             assert_eq!(expr.plan_kind, expect, "{terms:?}");
         }
-        let pair = s.execute(&Request::terms(vec![0, 1])).expect("valid");
-        assert_eq!(pair.plan_kind, Some("BitmapAnd"));
-        // A sparse driver (413 postings, a hash table) against a dense term
-        // (15 002, a bitmap) at a 1:36 size ratio: bit tests make this the
-        // membership probe's query; between two tables it would gallop.
-        let mixed = s.execute(&Request::terms(vec![1, 2])).expect("valid");
-        assert_eq!(mixed.plan_kind, Some("HashProbe"));
+        // The dense pair sweeps. A sparse driver (413 postings, a hash
+        // table) against a dense term (15 002, a bitmap) at a 1:36 size
+        // ratio: bit tests make this the membership probe's query; between
+        // two tables it would gallop. Both win at every SIMD tier, so the
+        // pins hold on any machine.
+        for (terms, kind) in [(vec![0, 1], "BitmapAnd"), (vec![1, 2], "HashProbe")] {
+            let norm = flat_to_norm(&terms).expect("non-empty");
+            for level in SimdLevel::ALL {
+                let planner = fsi_query::ExprPlanner::new(Planner::for_simd(level));
+                let plan = planner.plan(&norm, &|t| whole.list(t).stats(), whole.universe());
+                assert_eq!(plan_kind_label(&plan), kind, "{level:?}");
+            }
+            let resp = s.execute(&Request::terms(terms)).expect("valid");
+            assert_eq!(resp.plan_kind, Some(kind));
+        }
     }
 
     #[test]
     fn planned_mode_end_to_end() {
         let engine = engine();
-        let s = Server::new(
-            &engine,
-            ServeConfig {
-                planner: Planner::default(),
-                ..ServeConfig::default()
-            },
-        );
+        let s = Server::new(&engine, ServeConfig::default());
         let fixed = engine.executor(Strategy::Merge);
         for q in [vec![0usize, 1], vec![2, 3, 10], vec![20]] {
             assert_eq!(

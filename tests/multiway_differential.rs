@@ -16,13 +16,12 @@ use fsi_workloads::{generate_stream, QueryStreamConfig, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A cache-off server planning under the scalar-calibrated default.
+/// A cache-off server.
 fn planned_server(engine: &SearchEngine) -> Server {
     Server::new(
         engine,
         ServeConfig {
             cache_capacity: 0,
-            planner: Planner::default(),
             ..ServeConfig::default()
         },
     )

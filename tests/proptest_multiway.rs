@@ -1,11 +1,12 @@
 //! Property tests for the k-way paths: on random k ∈ 2..=8 operand lists —
 //! including duplicated terms, an empty list, and one list equal to the
-//! whole universe — every multiway route (slice kernels, the cost-model
-//! planner under arbitrary unit constants, and every fixed `Strategy`'s
-//! k-way dispatch) must equal the scalar pairwise fold.
+//! whole universe — every multiway route (slice kernels, every plan kind
+//! the prepared lists admit, and every fixed `Strategy`'s k-way dispatch)
+//! must equal the scalar pairwise fold.
 
 use fast_set_intersection::index::{
-    intersect_sorted, PlannedList, Planner, PreparedList, Strategy as QueryStrategy,
+    intersect_sorted, MultiwayPlan, PlanKind, PlannedList, Planner, PreparedList,
+    Strategy as QueryStrategy,
 };
 use fast_set_intersection::{HashContext, SortedSet};
 use fsi_kernels::{
@@ -82,33 +83,38 @@ proptest! {
     }
 
     #[test]
-    fn planner_equals_pairwise_fold_under_arbitrary_units(
+    fn every_admissible_forced_kind_equals_pairwise_fold(
         raw in operand_lists(),
         special in any::<u64>(),
         seed in any::<u64>(),
-        gallop_unit in 0.01f64..100.0,
-        hash_unit in 0.01f64..100.0,
-        bitmap_word_unit in 0.01f64..100.0,
-        rgs_unit in 0.01f64..100.0,
-        heap_unit in 0.01f64..100.0,
     ) {
         let sets = with_specials(raw.clone(), special);
         let ctx = HashContext::new(seed);
-        let planner = Planner {
-            gallop_unit,
-            hash_unit,
-            bitmap_word_unit,
-            rgs_unit,
-            heap_unit,
-        };
+        let planner = Planner::default();
         let expect = fold_reference(&sets);
         let lists: Vec<PlannedList> =
             sets.iter().map(|s| PlannedList::build(&ctx, s)).collect();
         let refs: Vec<&PlannedList> = lists.iter().collect();
-        let mut out = Vec::new();
-        let _plan = planner.intersect(&refs, &mut out);
-        out.sort_unstable();
-        prop_assert_eq!(&out, &expect);
+        let planned = planner.plan_for_lists(&refs);
+        for kind in [
+            PlanKind::RanGroupScan,
+            PlanKind::HashProbe,
+            PlanKind::BitmapAnd,
+            PlanKind::GallopProbe,
+            PlanKind::HeapMerge,
+            PlanKind::CompressedGallop,
+        ] {
+            // The sweep binds every operand's bitmap; nothing else needs a
+            // particular structure.
+            if kind == PlanKind::BitmapAnd && refs.iter().any(|l| l.bitmap().is_none()) {
+                continue;
+            }
+            let plan = MultiwayPlan { kind, ..planned.clone() };
+            let mut out = Vec::new();
+            planner.execute(&plan, &refs, &mut out);
+            out.sort_unstable();
+            prop_assert!(out == expect, "forced {:?}: {:?} vs {:?}", kind, out, expect);
+        }
     }
 
     #[test]

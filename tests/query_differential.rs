@@ -1,13 +1,18 @@
 //! Differential suite for the boolean expression engine: the whole stack
 //! — parser, rewrites, expression planner, kernels, cache-keyed serving —
 //! pinned byte-identical to a naive `BTreeSet` set-semantics evaluator,
-//! across random ASTs and both planner calibrations, plus proptests that the rewrites preserve semantics and
-//! that canonical hashes collide exactly for equivalent expressions.
+//! across random ASTs and every SIMD tier's cost table, plus proptests that
+//! the rewrites preserve semantics and that canonical hashes collide
+//! exactly for equivalent expressions.
 
 use fsi_core::{Elem, HashContext, SortedSet};
 use fsi_index::{Planner, SearchEngine};
+use fsi_kernels::SimdLevel;
 use fsi_query::naive::{naive_eval, naive_eval_universe};
-use fsi_query::{compile, encode, fingerprint, normalize, parse, Expr, NormExpr, RewriteError};
+use fsi_query::{
+    compile, encode, eval_planned, fingerprint, normalize, parse, Expr, ExprPlanner, NormExpr,
+    RewriteError,
+};
 use fsi_serve::{Request, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -142,7 +147,7 @@ fn scramble(rng: &mut StdRng, expr: &Expr) -> Expr {
 }
 
 // ---------------------------------------------------------------------------
-// Engine differential: both planner calibrations vs naive semantics
+// Engine differential: every tier's cost table vs naive semantics
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -153,23 +158,16 @@ fn expression_engine_matches_naive_semantics_across_planners() {
     let exprs: Vec<NormExpr> = (0..40)
         .map(|_| random_bounded_expr(&mut rng, NUM_TERMS, 3).1)
         .collect();
-    // "Both planners": the scalar-calibrated default and the SIMD-tier
-    // auto calibration (identical answers, possibly different plans).
-    let planners = [("default", Planner::default()), ("auto", Planner::auto())];
-    for (label, planner) in &planners {
-        let server = Server::new(
-            &engine,
-            ServeConfig {
-                planner: planner.clone(),
-                ..ServeConfig::default()
-            },
-        );
+    // Every tier's cost table: identical answers, possibly different plans.
+    let exec = engine.planned_executor(Planner::default());
+    for level in SimdLevel::ALL {
+        let planner = ExprPlanner::new(Planner::for_simd(level));
         for expr in &exprs {
             let expect: Vec<Elem> = naive_eval(&slices, expr).into_iter().collect();
             assert_eq!(
-                server.engine().query_expr(expr),
+                eval_planned(&exec, &planner, expr),
                 expect,
-                "{label} expr={expr}"
+                "{level:?} expr={expr}"
             );
         }
     }
@@ -196,7 +194,6 @@ fn generated_boolean_streams_run_end_to_end() {
         &engine,
         ServeConfig {
             cache_capacity: 256,
-            planner: Planner::default(),
             ..ServeConfig::default()
         },
     );

@@ -113,7 +113,6 @@ fn evicting_cache_matches_executor() {
         ServeConfig {
             cache_capacity: 32, // small: forces evictions mid-stream
             cache_segments: 2,
-            ..ServeConfig::default()
         },
     );
     let terms: Vec<Vec<usize>> = (0..200)
@@ -197,7 +196,6 @@ fn execute_is_exactly_begin_then_finish() {
     let config = ServeConfig {
         cache_capacity: 48, // smaller than the stream's working set: evictions too
         cache_segments: 2,
-        ..ServeConfig::default()
     };
     let whole = Server::new(&engine, config.clone());
     let halves = Server::new(&engine, config);

@@ -281,7 +281,7 @@ fn every_strategy_matches_its_scalar_dispatch() {
     // The planned executor too — including the SIMD-tuned cost constants:
     // whatever plan each tier's planner picks, answers must agree.
     for planner in [Planner::default(), Planner::auto()] {
-        let planned = engine.planned_executor(planner.clone());
+        let planned = engine.planned_executor(planner);
         let planner = fsi_query::ExprPlanner::new(planner);
         // The empty conjunction has no expression form.
         for q in queries.iter().filter(|q| !q.is_empty()) {
