@@ -16,7 +16,7 @@
 //! Usage: `cargo run --release -p fsi-bench --bin multiway -- [out.json] [--smoke]`
 
 use fsi_bench::{min_time, HarnessArgs, Table};
-use fsi_core::{HashContext, KIntersect, SortedSet};
+use fsi_core::{KIntersect, SortedSet};
 use fsi_index::{PlannedList, Planner};
 use fsi_kernels::{
     gallop_probe_into, heap_merge_into, pairwise_fold_into, AutoKernel, BitmapSet, ScalarMerge,
@@ -106,7 +106,6 @@ fn main() {
     // hash-probe medians on cold samples — both would make the regression
     // gate compare unlike numbers.
     let reps = 11;
-    let ctx = HashContext::new(fsi_bench::HARNESS_SEED);
     let mut rng = StdRng::seed_from_u64(fsi_bench::HARNESS_SEED);
     let planner = Planner::auto();
     let mut shape_json: Vec<String> = Vec::new();
@@ -124,8 +123,7 @@ fn main() {
             );
 
             // Prepared forms, built outside the timed region.
-            let planned: Vec<PlannedList> =
-                sets.iter().map(|s| PlannedList::build(&ctx, s)).collect();
+            let planned: Vec<PlannedList> = sets.iter().map(PlannedList::build).collect();
             let planned_refs: Vec<&PlannedList> = planned.iter().collect();
             let bitmaps: Vec<BitmapSet> = sets.iter().map(BitmapSet::build).collect();
             let bitmap_refs: Vec<&BitmapSet> = bitmaps.iter().collect();
@@ -133,7 +131,7 @@ fn main() {
             let mut expect: Vec<u32> = Vec::new();
             pairwise_fold_into(&ScalarMerge, &slices, &mut expect);
             let r = expect.len();
-            let plan = planner.plan_for_lists(&planned_refs);
+            let plan = planner.plan_for_lists(&planned_refs, u64::from(shape.universe));
 
             let mut out: Vec<u32> = Vec::new();
             let mut rows: Vec<Row> = Vec::new();

@@ -1002,22 +1002,19 @@ fn planner_eval(opts: &Opts) {
     let mut plans = [0usize; 5];
     for p in querylog::plan(&cfg) {
         let q = p.materialize(cfg.universe);
-        let lists: Vec<fsi_index::PlannedList> = q
-            .sets
-            .iter()
-            .map(|s| fsi_index::PlannedList::build(&ctx, s))
-            .collect();
+        let lists: Vec<fsi_index::PlannedList> =
+            q.sets.iter().map(fsi_index::PlannedList::build).collect();
         let refs: Vec<&fsi_index::PlannedList> = lists.iter().collect();
         let mut out = Vec::new();
         let d = median_time(opts.reps, || {
             out.clear();
-            let plan = planner.plan_for_lists(&refs);
+            let plan = planner.plan_for_lists(&refs, cfg.universe);
             planner.execute(&plan, &refs, &mut out);
             (plan, out.len())
         });
         t_planner += ms(d);
-        match planner.plan_for_lists(&refs).kind {
-            fsi_index::PlanKind::RanGroupScan => plans[0] += 1,
+        match planner.plan_for_lists(&refs, cfg.universe).kind {
+            fsi_index::PlanKind::SimdMerge => plans[0] += 1,
             fsi_index::PlanKind::HashProbe => plans[1] += 1,
             fsi_index::PlanKind::BitmapAnd => plans[2] += 1,
             fsi_index::PlanKind::GallopProbe => plans[3] += 1,
@@ -1034,7 +1031,7 @@ fn planner_eval(opts: &Opts) {
         "Planner".to_string(),
         fmt_ms(t_planner / nq),
         format!(
-            "{} RanGroupScan / {} HashProbe / {} BitmapAnd / {} GallopProbe / {} other",
+            "{} SimdMerge / {} HashProbe / {} BitmapAnd / {} GallopProbe / {} other",
             plans[0], plans[1], plans[2], plans[3], plans[4]
         ),
     ]);

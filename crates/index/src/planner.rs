@@ -14,10 +14,10 @@
 //! | kind | estimated cost | regime it owns |
 //! |------|----------------|----------------|
 //! | [`PlanKind::BitmapAnd`] | `bitmap_word · w · (k−1) + scan · w + extract · min(E[survivors], w)`, `w = c_min · 1024` | every operand carries a chunk bitmap |
-//! | [`PlanKind::HashProbe`] | `n_min · Σᵢ uᵢ`, `uᵢ = bit_test` for a probed bitmap, `hash` for a probed table | a small driver against anything: `O(n_min)` membership tests |
-//! | [`PlanKind::GallopProbe`] | `gallop · n_min · Σᵢ log₂(nᵢ/n_min + 2)` | moderate skew between table-carrying lists (Hwang–Lin across all k) |
-//! | [`PlanKind::RanGroupScan`] | `rgs · Σ nᵢ` | balanced sparse — the paper's home turf |
-//! | [`PlanKind::HeapMerge`] | `heap · Σ nᵢ · log₂ k` | structure-free fallback (priced above RanGroupScan; a hand-built plan runs it) |
+//! | [`PlanKind::HashProbe`] | `n₁ · u₂ + ŝ · Σᵢ≥₃ uᵢ`, `uᵢ = bit_test` for a probed bitmap, `hash` for a probed table | a small driver against anything: `O(n₁)` membership tests |
+//! | [`PlanKind::SimdMerge`] | `merge · (n₁ + n₂) + ŝ · Σᵢ≥₃ uᵢ` | balanced sizes at SSE4.1/AVX2: the vectorized merge of the two smallest lists, its survivors probed through the rest |
+//! | [`PlanKind::GallopProbe`] | `gallop · n_min · Σᵢ log₂(nᵢ/n_min + 2)` | skew between table-carrying lists; balanced sizes at the scalar tier (Hwang–Lin across all k) |
+//! | [`PlanKind::HeapMerge`] | `heap · Σ nᵢ · log₂ k` | structure-free fallback (never cheapest; a hand-built plan runs it) |
 //!
 //! The minimum-cost candidate wins; `c_min` is the smallest per-operand
 //! chunk count, so the bitmap estimate prices the word sweep
@@ -27,47 +27,56 @@
 //! independence from each operand's density inside its own chunks, and no
 //! more words hold one than were swept). The membership probe is priced **per
 //! probed operand**: a bit test and a table probe are different units.
+//! Operands are numbered ascending by size; `ŝ = n₁ · n₂ / U` is the two
+//! smallest lists' intersection under independence over the document
+//! universe `U` — the candidates both probing plans still hold when they
+//! reach the third operand, so the two share that tail and differ only in
+//! how they intersect the first two.
 //!
 //! A [`PlannedList`] keeps the representations a plan can bind and no
-//! other: the flat sorted list (the probe driver, gallop probes, heap
-//! merge), the RanGroupScan structure, and **exactly one** [`Membership`]
-//! structure (so four structures exist, three per list) — a chunked bitmap
-//! when the list has at least one member per bitmap word of the chunks it
-//! touches (the bitmap then costs ≤ 8 B/posting, never more than the
-//! load-≤½ table), a hash table otherwise. The choice is computed from the
-//! list and nothing else, and on a Zipf corpus it gives every
-//! stop-word-sized list a structure that stays cache-resident (8 KiB per
-//! touched chunk) instead of a multi-megabyte table.
+//! other: the flat sorted list (the probe driver, the merge, gallop probes,
+//! heap merge) and **exactly one** [`Membership`] structure (so three
+//! structures exist, two per list) — a chunked bitmap when the list has at
+//! least one member per bitmap word of the chunks it touches (the bitmap
+//! then costs ≤ 8 B/posting, never more than the load-≤½ table), a hash
+//! table otherwise. The choice is computed from the list and nothing else,
+//! and on a Zipf corpus it gives every stop-word-sized list a structure that
+//! stays cache-resident (8 KiB per touched chunk) instead of a
+//! multi-megabyte table.
 //!
-//! Block postings (`fsi_compress::BlockPostings`) are not among them: a
-//! decode-then-probe walk costs a gallop plus the decode, so it never
-//! priced below [`PlanKind::GallopProbe`] and was never planned. They run
-//! under the fixed `Strategy::CompressedGallop` — see `docs/compress.md`.
+//! Two structures are not among them. Block postings
+//! (`fsi_compress::BlockPostings`): a decode-then-probe walk costs a gallop
+//! plus the decode, so it never priced below [`PlanKind::GallopProbe`] and
+//! was never planned; they run under the fixed `Strategy::CompressedGallop`
+//! — see `docs/compress.md`. And the paper's RanGroupScan structure: on the
+//! benchmark corpus at AVX2 the merge-then-probe plan beat it on every
+//! conjunction it was planned for, so it runs under the fixed
+//! `Strategy::RanGroupScan` only.
 //!
 //! The table reflects *this repository's measured* crossovers
 //! (see `docs/benchmarks.md`, `BENCH_kernels.json`, `BENCH_multiway.json`
 //! and the benchmark's `kernels.forced_ns.*`): between table-carrying
-//! lists galloping overtakes RanGroupScan near ratio 5 and the table probe
-//! overtakes galloping near ratio 8; a bit test costs a quarter of a table
-//! probe, so a table-carrying driver probes bitmap operands at any skew;
-//! and between bitmap-carrying lists the sweep wins unless the driver is
-//! so sparse in its chunks that one bit test per driver element costs less
-//! than the sweep's pass over every word and its extraction.
+//! lists the AVX2 merge holds up to a size ratio near 10, where the table
+//! probe overtakes it, and at the scalar tier galloping holds those pairs
+//! instead until the table probe overtakes it near ratio 8; a bit test
+//! costs a quarter of a table probe, so a table-carrying driver probes
+//! bitmap operands at almost any skew; and between bitmap-carrying lists
+//! the sweep wins unless the driver is so sparse in its chunks that one
+//! bit test per driver element costs less than the sweep's pass over every
+//! word and its extraction.
 //!
 //! The same table prices `fsi-query`'s union and difference nodes, so a
 //! unit is charged in one place. None of it is configurable: a [`Planner`]
-//! is only the SIMD tier it prices for, and the bitmap word is the only
-//! unit a tier changes.
+//! is only the SIMD tier it prices for, and the bitmap word and the merged
+//! element are the only units a tier changes.
 
 use crate::engine::SearchEngine;
 use fsi_baselines::ProbeTable;
 use fsi_compress::BlockPostings;
 use fsi_core::elem::{Elem, SortedSet};
-use fsi_core::hash::HashContext;
 use fsi_core::traits::{KIntersect, SetIndex};
-use fsi_core::RanGroupScanIndex;
 use fsi_kernels::{
-    filter_in_place, gallop_probe_ordered_into, heap_merge_into, BitmapSet, GallopingSet,
+    filter_in_place, gallop_probe_ordered_into, heap_merge_into, simd, BitmapSet, GallopingSet,
     SimdLevel, WORDS_PER_CHUNK,
 };
 
@@ -109,18 +118,15 @@ pub struct ReprBytes {
     pub bitmap: usize,
     /// Hash tables (every other list).
     pub hash: usize,
-    /// RanGroupScan group structures.
-    pub rgs: usize,
 }
 
 impl ReprBytes {
     /// The parts under their gauge labels, in a fixed order.
-    pub fn parts(&self) -> [(&'static str, usize); 4] {
+    pub fn parts(&self) -> [(&'static str, usize); 3] {
         [
             ("flat", self.flat),
             ("bitmap", self.bitmap),
             ("hash", self.hash),
-            ("rgs", self.rgs),
         ]
     }
 
@@ -135,23 +141,20 @@ impl std::ops::AddAssign for ReprBytes {
         self.flat += o.flat;
         self.bitmap += o.bitmap;
         self.hash += o.hash;
-        self.rgs += o.rgs;
     }
 }
 
 /// A posting list prepared for every representation a plan can bind: the
-/// flat list, the RanGroupScan structure, and one [`Membership`] structure
-/// (a bitmap or a hash table).
+/// flat list and one [`Membership`] structure (a bitmap or a hash table).
 #[derive(Debug, Clone)]
 pub struct PlannedList {
     membership: Membership,
-    rgs: RanGroupScanIndex,
     flat: GallopingSet,
 }
 
 impl PlannedList {
     /// Preprocesses `set` for every structure the planner can dispatch to.
-    pub fn build(ctx: &HashContext, set: &SortedSet) -> Self {
+    pub fn build(set: &SortedSet) -> Self {
         let elems = set.as_slice();
         let membership = if bitmap_is_smaller(elems.len(), BitmapSet::count_chunks(elems)) {
             Membership::Bitmap(BitmapSet::from_sorted_slice(elems))
@@ -160,14 +163,13 @@ impl PlannedList {
         };
         Self {
             membership,
-            rgs: RanGroupScanIndex::with_m(ctx, set, 2),
             flat: GallopingSet::build(set),
         }
     }
 
     /// Number of elements.
     pub fn n(&self) -> usize {
-        self.rgs.n()
+        self.flat.as_slice().len()
     }
 
     /// The flat sorted list — what boolean-expression evaluation
@@ -216,7 +218,6 @@ impl PlannedList {
             flat: self.flat.size_in_bytes(),
             bitmap,
             hash,
-            rgs: self.rgs.size_in_bytes(),
         }
     }
 
@@ -245,7 +246,10 @@ pub enum PlanKind {
     Empty,
     /// One operand: copy its list through.
     Single,
-    /// Balanced sparse sizes: Algorithm 5 group filtering (the paper).
+    /// Never emitted by [`Planner::plan`]; [`Planner::execute`] answers it
+    /// as [`PlanKind::SimdMerge`], which beat it wherever it was planned.
+    /// Kept only because the frozen `benchmark/src/replay.rs` compiles
+    /// against it.
     RanGroupScan,
     /// The membership probe: drive the smallest list's elements through
     /// every other operand's one [`Membership`] structure — a bit test
@@ -254,8 +258,7 @@ pub enum PlanKind {
     /// Every operand carries a bitmap: k-way chunked-bitmap `AND`, no
     /// intermediates.
     BitmapAnd,
-    /// Moderate skew: gallop the smallest list through all the others at
-    /// once.
+    /// Skew: gallop the smallest list through all the others at once.
     GallopProbe,
     /// Heap-based k-way merge (structure-free fallback).
     HeapMerge,
@@ -263,9 +266,27 @@ pub enum PlanKind {
     /// as [`PlanKind::GallopProbe`]. Kept only because the frozen
     /// `benchmark/src/replay.rs` compiles against it.
     CompressedGallop,
+    /// Balanced sizes: the vectorized merge (`simd::merge_into`) of the two
+    /// smallest flat lists, its survivors then filtered through every
+    /// other operand's [`Membership`] as [`PlanKind::HashProbe`] filters
+    /// its driver. With two operands it is a plain merge.
+    SimdMerge,
 }
 
 impl PlanKind {
+    /// Every kind, in declaration order (`PlanKind::ALL[k as usize] == k`).
+    pub const ALL: [PlanKind; 9] = [
+        PlanKind::Empty,
+        PlanKind::Single,
+        PlanKind::RanGroupScan,
+        PlanKind::HashProbe,
+        PlanKind::BitmapAnd,
+        PlanKind::GallopProbe,
+        PlanKind::HeapMerge,
+        PlanKind::CompressedGallop,
+        PlanKind::SimdMerge,
+    ];
+
     /// The label telemetry and EXPLAIN output report.
     pub fn name(self) -> &'static str {
         match self {
@@ -277,6 +298,7 @@ impl PlanKind {
             PlanKind::GallopProbe => "GallopProbe",
             PlanKind::HeapMerge => "HeapMerge",
             PlanKind::CompressedGallop => "CompressedGallop",
+            PlanKind::SimdMerge => "SimdMerge",
         }
     }
 }
@@ -316,18 +338,27 @@ pub enum CostUnit {
     /// [`Gallop`]: CostUnit::Gallop
     Hash,
     /// Per 64-bit word per operand pass of a chunked bitmap sweep — the
-    /// `AND`'s and the chunk union's. The only unit a SIMD tier changes:
-    /// the sweep takes 2/4 words per instruction and PTEST-skips zero
-    /// groups, so a word costs ~½/~⅓ of scalar at SSE4.1/AVX2 (milder than
-    /// the lane count, as `BENCH_simd.json` measures on the dense shapes).
+    /// `AND`'s and the chunk union's. One of the two units a SIMD tier
+    /// changes (with [`Merge`](CostUnit::Merge)): the sweep takes 2/4
+    /// words per instruction and PTEST-skips zero groups, so a word costs
+    /// ~½/~⅓ of scalar at SSE4.1/AVX2 (milder than the lane count, as
+    /// `BENCH_simd.json` measures on the dense shapes).
     BitmapWord,
-    /// Per input element for RanGroupScan's group-filtered scan —
-    /// word-packed scalar code the SIMD layer does not touch, so under
-    /// SIMD its price relative to the vectorized sweep rises.
-    Rgs,
-    /// Per input element per `log₂ k` for the heap merge. Priced above
-    /// [`Rgs`](CostUnit::Rgs): prepared lists always carry the RanGroupScan
-    /// structure, so the structure-free path is never planned.
+    /// Per element of the two lists the vectorized merge reads
+    /// ([`PlanKind::SimdMerge`]). A tier changes it: the merge compares a
+    /// block of 4 (SSE4.1) or 8 (AVX2) elements against a block of the
+    /// other list per step, where the scalar tier's branchless merge
+    /// advances one element per step. Fitted on the benchmark corpus
+    /// (and_cold's 16 384 conjunctions, seeds 1 and 2): the merge reads an
+    /// element in 3.7–4.2 / 0.85–1.0 / 0.55–0.67 ns at scalar / SSE4.1 /
+    /// AVX2 against 1.6–1.8 ns per candidate of a two-term bit-test probe
+    /// (its driver copy included); of the merge units from 0.5 to 2.0 the
+    /// SSE4.1 and AVX2 values gave the stream's shortest planned time.
+    Merge,
+    /// Per input element per `log₂ k` for the heap merge: a pop and a push
+    /// per element, 12–13.5 ns on the benchmark corpus's two-term
+    /// conjunctions — several times any other plan, so it is never planned
+    /// (a hand-built plan runs it).
     Heap,
     /// Per candidate per probed *bitmap* in the membership probe: one bit
     /// test through a cursor that looks each chunk up once, in a structure
@@ -363,7 +394,7 @@ impl CostUnit {
         CostUnit::Gallop,
         CostUnit::Hash,
         CostUnit::BitmapWord,
-        CostUnit::Rgs,
+        CostUnit::Merge,
         CostUnit::Heap,
         CostUnit::BitTest,
         CostUnit::Scan,
@@ -379,7 +410,7 @@ impl CostUnit {
             CostUnit::Gallop => "gallop",
             CostUnit::Hash => "hash",
             CostUnit::BitmapWord => "bitmap_word",
-            CostUnit::Rgs => "rgs",
+            CostUnit::Merge => "merge",
             CostUnit::Heap => "heap",
             CostUnit::BitTest => "bit_test",
             CostUnit::Scan => "scan",
@@ -391,7 +422,9 @@ impl CostUnit {
 }
 
 /// The whole-query cost-model dispatcher: the SIMD tier it prices for, and
-/// nothing else — every price comes from the one cost table.
+/// nothing else — every price comes from the one cost table. The tier only
+/// prices: execution dispatches at [`SimdLevel::active`] whatever tier
+/// planned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Planner {
     simd: SimdLevel,
@@ -428,8 +461,12 @@ impl Planner {
                 SimdLevel::Sse41 => 0.55,
                 SimdLevel::Avx2 => 0.35,
             },
-            CostUnit::Rgs => 1.2,
-            CostUnit::Heap => 2.0,
+            CostUnit::Merge => match self.simd {
+                SimdLevel::Scalar => 4.5,
+                SimdLevel::Sse41 => 1.0,
+                SimdLevel::Avx2 => 0.75,
+            },
+            CostUnit::Heap => 15.0,
             CostUnit::BitTest => 2.0,
             CostUnit::Scan => 1.25,
             CostUnit::Extract => 3.5,
@@ -448,9 +485,10 @@ impl Planner {
 
     /// Cost-models the whole operand list and returns the minimum-cost
     /// plan. `stats` is positional: `order[i]` in the returned plan indexes
-    /// into it. Planning records nothing; `fsi-query` records the plan that
-    /// runs.
-    pub fn plan(&self, stats: &[OperandStats]) -> MultiwayPlan {
+    /// into it. `universe` is the document-space size (`max_doc + 1`) the
+    /// merge's survivor estimate divides by. Planning records nothing;
+    /// `fsi-query` records the plan that runs.
+    pub fn plan(&self, stats: &[OperandStats], universe: u64) -> MultiwayPlan {
         let k = stats.len();
         let mut order: Vec<usize> = (0..k).collect();
         order.sort_by_key(|&i| stats[i].n);
@@ -470,28 +508,37 @@ impl Planner {
             };
         }
         let n_min = stats[order[0]].n as f64;
+        let n_second = stats[order[1]].n as f64;
         let total: f64 = stats.iter().map(|s| s.n as f64).sum();
         let probes = (k - 1) as f64;
 
-        let mut best = (PlanKind::RanGroupScan, self.unit(CostUnit::Rgs) * total);
+        let probed = order[1..].iter().map(|&i| stats[i].n as f64);
+        let mut best = (PlanKind::GallopProbe, self.gallop_cost(n_min, probed));
         let mut consider = |kind: PlanKind, cost: f64| {
             if cost < best.1 {
                 best = (kind, cost);
             }
         };
-        let probed = order[1..].iter().map(|&i| stats[i].n as f64);
-        consider(PlanKind::GallopProbe, self.gallop_cost(n_min, probed));
-        // The membership probe is priced per probed operand: a bit test
-        // into a bitmap that stays cache-resident and a probe into a hash
-        // table are different units.
-        let probe_units: f64 = order[1..]
-            .iter()
-            .map(|&i| match stats[i].chunks {
-                Some(_) => self.unit(CostUnit::BitTest),
-                None => self.unit(CostUnit::Hash),
-            })
-            .sum();
-        consider(PlanKind::HashProbe, n_min * probe_units);
+        // The two probing plans differ only in how they find the two
+        // smallest lists' intersection: the probe tests every driver
+        // element against the second list's structure, the merge reads
+        // both lists whole. Either way only the survivors — estimated
+        // under independence over the universe — meet the remaining
+        // operands' structures, in the same filter loop. Each test is
+        // priced by the structure it probes: a bit test into a bitmap that
+        // stays cache-resident and a probe into a hash table are different
+        // units.
+        let probe_unit = |i: usize| match stats[i].chunks {
+            Some(_) => self.unit(CostUnit::BitTest),
+            None => self.unit(CostUnit::Hash),
+        };
+        let survivors = n_min * (n_second / (universe as f64).max(1.0)).min(1.0);
+        let rest = survivors * order[2..].iter().map(|&i| probe_unit(i)).sum::<f64>();
+        consider(PlanKind::HashProbe, n_min * probe_unit(order[1]) + rest);
+        consider(
+            PlanKind::SimdMerge,
+            self.unit(CostUnit::Merge) * (n_min + n_second) + rest,
+        );
         if let Some(c_min) = stats.iter().map(|s| s.chunks).min().flatten() {
             // `min` on Options puts None first, so a single bitmap-less
             // operand (None) vetoes the candidate via `.flatten()`.
@@ -532,15 +579,14 @@ impl Planner {
         self.unit(CostUnit::Scan) * words + self.unit(CostUnit::Extract) * survivors.min(words)
     }
 
-    /// The plan for these prepared lists.
-    pub fn plan_for_lists(&self, lists: &[&PlannedList]) -> MultiwayPlan {
+    /// The plan for these prepared lists over a `universe`-document space.
+    pub fn plan_for_lists(&self, lists: &[&PlannedList], universe: u64) -> MultiwayPlan {
         let stats: Vec<OperandStats> = lists.iter().map(|l| l.stats()).collect();
-        self.plan(&stats)
+        self.plan(&stats, universe)
     }
 
-    /// Runs `plan` over `lists`, appending the intersection to `out` in the
-    /// kernel's natural order (ascending for everything except
-    /// RanGroupScan's g-order).
+    /// Runs `plan` over `lists`, appending the intersection to `out`,
+    /// ascending.
     pub fn execute(&self, plan: &MultiwayPlan, lists: &[&PlannedList], out: &mut Vec<Elem>) {
         // Every arm trusts `order` to be a permutation of the operand
         // positions (what `plan` emits): one that is short would drop an
@@ -554,17 +600,8 @@ impl Planner {
         match plan.kind {
             PlanKind::Empty => {}
             PlanKind::Single => out.extend_from_slice(lists[plan.order[0]].flat.as_slice()),
-            PlanKind::RanGroupScan => {
-                let typed: Vec<&RanGroupScanIndex> = lists.iter().map(|l| &l.rgs).collect();
-                RanGroupScanIndex::intersect_k_into(&typed, out);
-            }
             PlanKind::HashProbe => {
-                // The one membership probe: the smallest list's elements
-                // are the candidates, filtered by each other operand's own
-                // structure in turn (bit test or table probe), the most
-                // selective operand first. `get`, not indexing, keeps the
-                // loop panic-free; a position outside `lists` (ruled out
-                // above in debug builds) empties the result.
+                // The smallest list's elements are the candidates.
                 let Some((driver, rest)) = plan.order.split_first() else {
                     return;
                 };
@@ -573,14 +610,19 @@ impl Planner {
                 };
                 let start = out.len();
                 out.extend_from_slice(driver.flat());
-                for probed in rest {
-                    match lists.get(*probed).map(|l| &l.membership) {
-                        Some(Membership::Bitmap(b)) => {
-                            let mut probe = b.probe();
-                            filter_in_place(out, start, |x| probe.contains(x));
-                        }
-                        Some(Membership::Hash(t)) => filter_in_place(out, start, |x| t.contains(x)),
-                        None => out.truncate(start),
+                probe_members(lists, rest, out, start);
+            }
+            // `RanGroupScan` is never planned; a hand-built plan of that
+            // kind runs the merge, which beat it wherever it was planned.
+            PlanKind::SimdMerge | PlanKind::RanGroupScan => {
+                // The merge of the two smallest lists gives the candidates.
+                let start = out.len();
+                match plan.order.as_slice() {
+                    [] => {}
+                    [only] => out.extend_from_slice(lists[*only].flat()),
+                    [a, b, rest @ ..] => {
+                        simd::merge_into(lists[*a].flat(), lists[*b].flat(), out);
+                        probe_members(lists, rest, out, start);
                     }
                 }
             }
@@ -614,6 +656,25 @@ impl Planner {
     }
 }
 
+/// The membership filter both probing plans end in: keeps the candidates in
+/// `out[start..]` that every operand at the positions `probed` holds, each
+/// tested against that operand's own structure in turn (bit test or table
+/// probe), the most selective operand first. `get`, not indexing, keeps the
+/// loop panic-free; a position outside `lists` (ruled out by
+/// [`Planner::execute`] in debug builds) empties the result.
+fn probe_members(lists: &[&PlannedList], probed: &[usize], out: &mut Vec<Elem>, start: usize) {
+    for i in probed {
+        match lists.get(*i).map(|l| &l.membership) {
+            Some(Membership::Bitmap(b)) => {
+                let mut probe = b.probe();
+                filter_in_place(out, start, |x| probe.contains(x));
+            }
+            Some(Membership::Hash(t)) => filter_in_place(out, start, |x| t.contains(x)),
+            None => out.truncate(start),
+        }
+    }
+}
+
 /// A fully planned, self-contained index: every term prepared for every
 /// representation the cost-model planner can bind. The serving layer
 /// holds one per server; `fsi_query` plans and runs expressions on it.
@@ -627,11 +688,7 @@ pub struct PlannedExecutor {
 impl PlannedExecutor {
     /// Prepares every posting list of `engine` for planner dispatch.
     pub fn build(engine: &SearchEngine, planner: Planner) -> Self {
-        let lists = engine
-            .postings()
-            .iter()
-            .map(|p| PlannedList::build(engine.ctx(), p))
-            .collect();
+        let lists = engine.postings().iter().map(PlannedList::build).collect();
         Self {
             planner,
             lists,
@@ -685,7 +742,7 @@ impl PlannedExecutor {
     /// The plan the planner picks for this term list.
     pub fn plan(&self, terms: &[usize]) -> MultiwayPlan {
         let refs: Vec<&PlannedList> = terms.iter().map(|&t| &self.lists[t]).collect();
-        self.planner.plan_for_lists(&refs)
+        self.planner.plan_for_lists(&refs, self.universe)
     }
 }
 
@@ -695,6 +752,10 @@ mod tests {
     use fsi_core::elem::reference_intersection;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The benchmark corpus's document universe, which the shape tests
+    /// plan over.
+    const U: u64 = 2_000_000;
 
     /// Stats of a sparse list (it carries a hash table, no bitmap).
     fn sparse(n: usize) -> OperandStats {
@@ -710,12 +771,18 @@ mod tests {
     }
 
     fn kind(p: &Planner, stats: &[OperandStats]) -> PlanKind {
-        p.plan(stats).kind
+        p.plan(stats, U).kind
     }
 
-    /// Plans and runs `lists`; returns the plan that ran.
+    /// Plans and runs `lists` over the universe their largest member
+    /// spans; returns the plan that ran.
     fn run(p: &Planner, lists: &[&PlannedList], out: &mut Vec<Elem>) -> MultiwayPlan {
-        let plan = p.plan_for_lists(lists);
+        let universe = lists
+            .iter()
+            .filter_map(|l| l.flat().last())
+            .max()
+            .map_or(0, |&m| u64::from(m) + 1);
+        let plan = p.plan_for_lists(lists, universe);
         p.execute(&plan, lists, out);
         plan
     }
@@ -723,29 +790,16 @@ mod tests {
     #[test]
     fn cost_model_regions_match_measured_crossovers() {
         let p = Planner::default();
-        // Balanced sparse → RanGroupScan (the paper's home turf).
-        assert_eq!(
-            kind(&p, &[sparse(1000), sparse(1000)]),
-            PlanKind::RanGroupScan
-        );
-        assert_eq!(
-            kind(&p, &[sparse(1000), sparse(2000)]),
-            PlanKind::RanGroupScan
-        );
-        assert_eq!(
-            kind(&p, &[sparse(1000), sparse(4000)]),
-            PlanKind::RanGroupScan
-        );
-        // Between two table-carrying lists galloping owns a narrow band of
-        // moderate skew (ratio ≈ 5–7) …
-        assert_eq!(
-            kind(&p, &[sparse(1000), sparse(6000)]),
-            PlanKind::GallopProbe
-        );
-        assert_eq!(
-            kind(&p, &[sparse(1000), sparse(7000)]),
-            PlanKind::GallopProbe
-        );
+        // At the scalar tier the merge reads an element for 4.5 units, so
+        // between two table-carrying lists galloping holds balanced and
+        // moderately skewed pairs (ratio up to ≈ 7) …
+        for partner in [1000, 2000, 4000, 6000, 7000] {
+            assert_eq!(
+                kind(&p, &[sparse(1000), sparse(partner)]),
+                PlanKind::GallopProbe,
+                "{partner}"
+            );
+        }
         // … and from ratio ≈ 8 up the table probe wins.
         assert_eq!(kind(&p, &[sparse(1000), sparse(8000)]), PlanKind::HashProbe);
         assert_eq!(
@@ -756,6 +810,25 @@ mod tests {
             kind(&p, &[sparse(100), sparse(500), sparse(80_000)]),
             PlanKind::HashProbe
         );
+        // At SSE4.1 and AVX2 the vectorized merge owns balanced sparse
+        // pairs and triples (RanGroupScan's old regime); a skewed pair
+        // still probes.
+        for simd in [SimdLevel::Sse41, SimdLevel::Avx2] {
+            let p = Planner::for_simd(simd);
+            for shape in [
+                &[sparse(1000), sparse(1000)][..],
+                &[sparse(1000), sparse(2000)],
+                &[sparse(1000), sparse(4000)],
+                &[sparse(20_000), sparse(20_000), sparse(20_000)],
+                &[sparse(3000), sparse(4000), dense(4000, 1)],
+            ] {
+                assert_eq!(kind(&p, shape), PlanKind::SimdMerge, "{simd:?} {shape:?}");
+            }
+            assert_eq!(
+                kind(&p, &[sparse(1000), sparse(64_000)]),
+                PlanKind::HashProbe
+            );
+        }
         // Every operand carries a bitmap → the chunked-bitmap AND wins.
         assert_eq!(
             kind(&p, &[dense(50_000, 2), dense(60_000, 2)]),
@@ -766,8 +839,7 @@ mod tests {
             PlanKind::BitmapAnd
         );
         // A table-carrying driver vetoes the sweep, and its probes into a
-        // bitmap are bit tests: the membership probe wins at every skew,
-        // down to near-balanced sizes RanGroupScan would otherwise scan.
+        // bitmap are bit tests: the membership probe wins at every skew.
         assert_eq!(
             kind(&p, &[sparse(1_000), dense(80_000, 2)]),
             PlanKind::HashProbe
@@ -781,16 +853,16 @@ mod tests {
             PlanKind::HashProbe
         );
         // Each probed operand is priced by its own structure: a balanced
-        // triple probes two bitmaps for two bit tests per candidate and
-        // beats the scan; make one of them a table (a bit test and a table
-        // probe) and it does not.
+        // triple probes its first bitmap with a bit test per candidate and
+        // beats galloping; make that first probed operand a table and it
+        // does not.
         assert_eq!(
-            kind(&p, &[sparse(3000), dense(4000, 1), dense(4000, 1)]),
+            kind(&p, &[sparse(3000), dense(3000, 1), dense(3000, 1)]),
             PlanKind::HashProbe
         );
         assert_eq!(
-            kind(&p, &[sparse(3000), sparse(4000), dense(4000, 1)]),
-            PlanKind::RanGroupScan
+            kind(&p, &[sparse(3000), sparse(3000), dense(3000, 1)]),
+            PlanKind::GallopProbe
         );
         // The sweep also pays for what it extracts: a pass over every
         // result word, and a fixed run per word holding a survivor. A
@@ -827,10 +899,11 @@ mod tests {
         let base = Planner::default();
         for level in SimdLevel::ALL {
             let tuned = Planner::for_simd(level);
-            // The bitmap sweep is the vectorized unit; everything else is
-            // untouched so scalar-calibrated crossovers stay put.
+            // The bitmap sweep and the merge are the vectorized units;
+            // everything else is untouched so scalar-calibrated crossovers
+            // stay put.
             for unit in CostUnit::ALL {
-                if unit == CostUnit::BitmapWord {
+                if matches!(unit, CostUnit::BitmapWord | CostUnit::Merge) {
                     assert!(tuned.unit(unit) <= base.unit(unit), "{level:?}");
                 } else {
                     assert_eq!(tuned.unit(unit), base.unit(unit), "{level:?} {unit:?}");
@@ -854,45 +927,48 @@ mod tests {
     #[test]
     fn plan_order_is_ascending_by_size() {
         let p = Planner::default();
-        let plan = p.plan(&[sparse(500), sparse(20), sparse(9000), sparse(100)]);
+        let plan = p.plan(&[sparse(500), sparse(20), sparse(9000), sparse(100)], U);
         assert_eq!(plan.order, vec![1, 3, 0, 2]);
         assert!(plan.est_cost > 0.0);
     }
 
     #[test]
     fn all_plans_are_correct() {
-        let ctx = HashContext::new(42);
         let mut rng = StdRng::seed_from_u64(5);
-        let planner = Planner::default();
-        // Balanced sparse.
+        let scalar = Planner::default();
+        let avx2 = Planner::for_simd(SimdLevel::Avx2);
+        // Balanced sparse: galloped at the scalar tier, merged at AVX2 (the
+        // merge runs at whatever tier this machine dispatches).
         let a: SortedSet = (0..2000).map(|_| rng.gen_range(0..2_000_000u32)).collect();
         let b: SortedSet = (0..2000).map(|_| rng.gen_range(0..2_000_000u32)).collect();
-        let pa = PlannedList::build(&ctx, &a);
-        let pb = PlannedList::build(&ctx, &b);
-        let mut out = Vec::new();
-        let plan = run(&planner, &[&pa, &pb], &mut out);
-        assert_eq!(plan.kind, PlanKind::RanGroupScan);
-        out.sort_unstable();
-        assert_eq!(out, reference_intersection(&[a.as_slice(), b.as_slice()]));
-        // Moderate skew (ratio ≈ 6, inside galloping's band).
+        let pa = PlannedList::build(&a);
+        let pb = PlannedList::build(&b);
+        for (planner, expect) in [
+            (&scalar, PlanKind::GallopProbe),
+            (&avx2, PlanKind::SimdMerge),
+        ] {
+            let mut out = Vec::new();
+            let plan = run(planner, &[&pa, &pb], &mut out);
+            assert_eq!(plan.kind, expect);
+            assert_eq!(out, reference_intersection(&[a.as_slice(), b.as_slice()]));
+        }
+        // Moderate skew (ratio ≈ 6, inside galloping's band at scalar).
         let small: SortedSet = (0..330u32).map(|x| x * 6_000).collect();
-        let ps = PlannedList::build(&ctx, &small);
+        let ps = PlannedList::build(&small);
         let mut out = Vec::new();
-        let plan = run(&planner, &[&ps, &pb], &mut out);
+        let plan = run(&scalar, &[&ps, &pb], &mut out);
         assert_eq!(plan.kind, PlanKind::GallopProbe);
         assert_eq!(plan.order, vec![0, 1]);
-        out.sort_unstable();
         assert_eq!(
             out,
             reference_intersection(&[small.as_slice(), b.as_slice()])
         );
         // Extreme skew.
         let tiny: SortedSet = (0..20u32).map(|x| x * 100_000).collect();
-        let pt = PlannedList::build(&ctx, &tiny);
+        let pt = PlannedList::build(&tiny);
         let mut out = Vec::new();
-        let plan = run(&planner, &[&pt, &pb], &mut out);
+        let plan = run(&scalar, &[&pt, &pb], &mut out);
         assert_eq!(plan.kind, PlanKind::HashProbe);
-        out.sort_unstable();
         assert_eq!(
             out,
             reference_intersection(&[tiny.as_slice(), b.as_slice()])
@@ -900,37 +976,34 @@ mod tests {
         // Dense.
         let d1: SortedSet = (0..40_000u32).map(|x| x * 2).collect();
         let d2: SortedSet = (0..40_000u32).map(|x| x * 2 + (x % 2)).collect();
-        let pd1 = PlannedList::build(&ctx, &d1);
-        let pd2 = PlannedList::build(&ctx, &d2);
+        let pd1 = PlannedList::build(&d1);
+        let pd2 = PlannedList::build(&d2);
         let mut out = Vec::new();
-        let plan = run(&planner, &[&pd1, &pd2], &mut out);
+        let plan = run(&scalar, &[&pd1, &pd2], &mut out);
         assert_eq!(plan.kind, PlanKind::BitmapAnd);
-        out.sort_unstable();
         assert_eq!(out, reference_intersection(&[d1.as_slice(), d2.as_slice()]));
         // Single and empty.
         let mut out = Vec::new();
-        let plan = run(&planner, &[&pa], &mut out);
+        let plan = run(&scalar, &[&pa], &mut out);
         assert_eq!(plan.kind, PlanKind::Single);
-        out.sort_unstable();
         assert_eq!(out, a.as_slice());
-        let empty = PlannedList::build(&ctx, &SortedSet::new());
+        let empty = PlannedList::build(&SortedSet::new());
         let mut out = Vec::new();
-        let plan = run(&planner, &[&pa, &empty], &mut out);
+        let plan = run(&scalar, &[&pa, &empty], &mut out);
         assert_eq!(plan.kind, PlanKind::Empty);
         assert!(out.is_empty());
     }
 
     #[test]
     fn sparse_lists_skip_the_bitmap_and_veto_bitmap_plans() {
-        let ctx = HashContext::new(44);
         // ~1/131072 dense: the planner can never pick BitmapAnd for a query
         // containing this list, so no 8KiB-per-chunk bitmap is built.
         let sparse_a: SortedSet = (0..100u32).map(|x| x * 131_072).collect();
         let sparse_b: SortedSet = (0..120u32).map(|x| x * 109_997 + 13).collect();
         let dense_c: SortedSet = (0..10_000u32).map(|x| x * 4).collect();
-        let pa = PlannedList::build(&ctx, &sparse_a);
-        let pb = PlannedList::build(&ctx, &sparse_b);
-        let pd = PlannedList::build(&ctx, &dense_c);
+        let pa = PlannedList::build(&sparse_a);
+        let pb = PlannedList::build(&sparse_b);
+        let pd = PlannedList::build(&dense_c);
         assert!(pa.bitmap().is_none());
         assert!(pb.bitmap().is_none());
         assert!(pd.bitmap().is_some());
@@ -944,7 +1017,6 @@ mod tests {
                 let mut out = Vec::new();
                 let plan = run(&planner, &lists, &mut out);
                 assert_ne!(plan.kind, PlanKind::BitmapAnd);
-                out.sort_unstable();
                 assert_eq!(out, reference_intersection(&sets.map(|s| s.as_slice())));
             }
         }
@@ -952,7 +1024,6 @@ mod tests {
 
     #[test]
     fn every_list_carries_exactly_one_membership_structure() {
-        let ctx = HashContext::new(48);
         // One member per bitmap word is the boundary: exactly 1024 members
         // in one chunk gets the bitmap, one fewer the table.
         let at_rule: SortedSet = (0..WORDS_PER_CHUNK as u32).map(|x| x * 64).collect();
@@ -967,7 +1038,7 @@ mod tests {
             (&high, true),
             (&empty, true),
         ] {
-            let list = PlannedList::build(&ctx, set);
+            let list = PlannedList::build(set);
             // The enum is the pin: a list is one variant, and `bitmap()` is
             // just a view of which.
             match list.membership() {
@@ -990,14 +1061,12 @@ mod tests {
         }
     }
 
-    /// No operand shape makes `plan` emit `CompressedGallop`, and none with
-    /// a table-carrying operand makes it emit `BitmapAnd`: sparse and dense
-    /// operands, k = 2…5, size ratios 1…512 between neighbours, at every
-    /// SIMD tier. (A hand-built plan of either kind still answers —
-    /// `every_forced_kernel_is_correct` runs both.)
-    #[test]
-    fn compressed_gallop_is_never_planned() {
-        let planners = SimdLevel::ALL.map(Planner::for_simd);
+    /// Every plan `plan` emits over a sweep of operand shapes — sparse and
+    /// dense operands, k = 2…5, size ratios 1…512 between neighbours —
+    /// at every SIMD tier, with whether a table-carrying operand vetoes
+    /// the bitmap sweep.
+    fn swept_plans() -> Vec<(Planner, Vec<OperandStats>, PlanKind, bool)> {
+        let mut plans = Vec::new();
         for k in 2..=5usize {
             for ratio in (0..10).map(|e| 1usize << e) {
                 for dense_mask in 0..1u32 << k {
@@ -1012,53 +1081,91 @@ mod tests {
                         })
                         .collect();
                     let vetoed = dense_mask != (1 << k) - 1;
-                    for p in &planners {
-                        let kind = p.plan(&stats).kind;
-                        assert_ne!(kind, PlanKind::CompressedGallop, "{stats:?}");
-                        assert!(!(vetoed && kind == PlanKind::BitmapAnd), "{p:?} {stats:?}");
+                    for p in SimdLevel::ALL.map(Planner::for_simd) {
+                        let kind = p.plan(&stats, U).kind;
+                        plans.push((p, stats.clone(), kind, vetoed));
                     }
                 }
             }
         }
+        plans
+    }
+
+    /// No swept shape makes `plan` emit `CompressedGallop`, and none with
+    /// a table-carrying operand makes it emit `BitmapAnd`. (A hand-built
+    /// plan of either kind still answers — `every_forced_kernel_is_correct`
+    /// runs both.)
+    #[test]
+    fn compressed_gallop_is_never_planned() {
+        for (p, stats, kind, vetoed) in swept_plans() {
+            assert_ne!(kind, PlanKind::CompressedGallop, "{stats:?}");
+            assert!(!(vetoed && kind == PlanKind::BitmapAnd), "{p:?} {stats:?}");
+        }
+    }
+
+    /// No swept shape makes `plan` emit `RanGroupScan` (no list carries its
+    /// structure; a hand-built plan of that kind runs the merge) or
+    /// `HeapMerge`, while the merge itself is planned at the vectorized
+    /// tiers.
+    #[test]
+    fn rangroupscan_is_never_planned() {
+        let plans = swept_plans();
+        for (p, stats, kind, _) in &plans {
+            assert_ne!(*kind, PlanKind::RanGroupScan, "{p:?} {stats:?}");
+            assert_ne!(*kind, PlanKind::HeapMerge, "{p:?} {stats:?}");
+        }
+        for simd in [SimdLevel::Sse41, SimdLevel::Avx2] {
+            assert!(plans.iter().any(
+                |(p, _, kind, _)| *p == Planner::for_simd(simd) && *kind == PlanKind::SimdMerge
+            ));
+        }
     }
 
     /// The cost table alone picks the kernel: for a shape each plannable
-    /// kind owns, pricing every candidate by hand from [`Planner::unit`]
-    /// gives that kind as the cheapest, at exactly the plan's estimate, at
-    /// every SIMD tier. `HeapMerge` is priced but never cheapest.
+    /// kind owns at a tier, pricing every candidate by hand from
+    /// [`Planner::unit`] gives that kind as the cheapest, at exactly the
+    /// plan's estimate. `HeapMerge` is priced but never cheapest.
     #[test]
     fn each_plannable_kernel_wins_at_its_table_price() {
         use CostUnit::*;
+        use PlanKind::{BitmapAnd, GallopProbe, HashProbe, SimdMerge};
         let dense_pair = [dense(50_000, 2), dense(60_000, 2)];
-        let shapes: [(&[OperandStats], PlanKind); 4] = [
+        // The owner at scalar, SSE4.1 and AVX2.
+        let shapes: [(&[OperandStats], [PlanKind; 3]); 4] = [
             (
                 &[sparse(3000), sparse(4000), sparse(5000)],
-                PlanKind::RanGroupScan,
+                [HashProbe, SimdMerge, SimdMerge],
             ),
-            (&[sparse(1000), sparse(6000)], PlanKind::GallopProbe),
             (
-                &[sparse(100), sparse(500), sparse(80_000)],
-                PlanKind::HashProbe,
+                &[sparse(1000), sparse(7000)],
+                [GallopProbe, GallopProbe, SimdMerge],
             ),
-            (&dense_pair, PlanKind::BitmapAnd),
+            (&[sparse(100), sparse(5000), sparse(80_000)], [HashProbe; 3]),
+            (&dense_pair, [BitmapAnd; 3]),
         ];
-        for p in SimdLevel::ALL.map(Planner::for_simd) {
-            for (stats, owner) in shapes {
-                let mut ns: Vec<f64> = stats.iter().map(|s| s.n as f64).collect();
-                ns.sort_by(f64::total_cmp);
-                let (n_min, k) = (ns[0], ns.len() as f64);
-                let total: f64 = ns.iter().sum();
+        for (tier, p) in SimdLevel::ALL
+            .map(Planner::for_simd)
+            .into_iter()
+            .enumerate()
+        {
+            for (stats, owners) in shapes {
+                let owner = owners[tier];
                 let mut by_size = stats.to_vec();
                 by_size.sort_by_key(|s| s.n);
-                let probe_units: f64 = by_size[1..]
-                    .iter()
-                    .map(|s| p.unit(if s.chunks.is_some() { BitTest } else { Hash }))
-                    .sum();
+                let ns: Vec<f64> = by_size.iter().map(|s| s.n as f64).collect();
+                let (n_min, k) = (ns[0], ns.len() as f64);
+                let total: f64 = ns.iter().sum();
+                let probe =
+                    |s: &OperandStats| p.unit(if s.chunks.is_some() { BitTest } else { Hash });
+                // Both probing plans pay the same tail: the first two
+                // lists' estimated survivors, tested against the rest.
+                let survivors = n_min * ns[1] / U as f64;
+                let tail = survivors * by_size[2..].iter().map(probe).sum::<f64>();
                 let log_sum: f64 = ns[1..].iter().map(|n| (n / n_min + 2.0).log2()).sum();
                 let mut prices = vec![
-                    (PlanKind::RanGroupScan, p.unit(Rgs) * total),
+                    (PlanKind::SimdMerge, p.unit(Merge) * (ns[0] + ns[1]) + tail),
                     (PlanKind::GallopProbe, p.unit(Gallop) * n_min * log_sum),
-                    (PlanKind::HashProbe, n_min * probe_units),
+                    (PlanKind::HashProbe, n_min * probe(&by_size[1]) + tail),
                     (PlanKind::HeapMerge, p.unit(Heap) * total * k.log2()),
                 ];
                 if owner == PlanKind::BitmapAnd {
@@ -1074,7 +1181,7 @@ mod tests {
                     .min_by(|a, b| a.1.total_cmp(&b.1))
                     .unwrap();
                 assert_eq!(cheapest.0, owner, "{p:?} {prices:?}");
-                let plan = p.plan(stats);
+                let plan = p.plan(stats, U);
                 assert_eq!(plan.kind, owner, "{p:?}");
                 assert!(
                     (plan.est_cost - cheapest.1).abs() <= 1e-9 * cheapest.1,
@@ -1086,40 +1193,54 @@ mod tests {
         }
     }
 
+    /// Every kind, forced onto k = 2…8 operands that mix bitmaps and
+    /// tables, with an empty operand and with a duplicated one, answers
+    /// the reference intersection ascending (`BitmapAnd` only where every
+    /// operand carries a bitmap).
     #[test]
     fn every_forced_kernel_is_correct() {
-        let ctx = HashContext::new(43);
         let mut rng = StdRng::seed_from_u64(6);
-        for k in 2..=5usize {
-            let sets: Vec<SortedSet> = (0..k)
-                .map(|_| (0..1500).map(|_| rng.gen_range(0..40_000u32)).collect())
-                .collect();
-            let lists: Vec<PlannedList> =
-                sets.iter().map(|s| PlannedList::build(&ctx, s)).collect();
-            let refs: Vec<&PlannedList> = lists.iter().collect();
-            // Dense enough in their one chunk to carry bitmaps, so every
-            // kind is admissible.
-            assert!(refs.iter().all(|l| l.bitmap().is_some()));
-            let slices: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
-            let expect = reference_intersection(&slices);
-            let planner = Planner::default();
-            let base = planner.plan_for_lists(&refs);
-            for forced in [
-                PlanKind::RanGroupScan,
-                PlanKind::HashProbe,
-                PlanKind::BitmapAnd,
-                PlanKind::GallopProbe,
-                PlanKind::HeapMerge,
-                PlanKind::CompressedGallop,
-            ] {
-                let plan = MultiwayPlan {
-                    kind: forced,
-                    ..base.clone()
-                };
-                let mut out = Vec::new();
-                planner.execute(&plan, &refs, &mut out);
-                out.sort_unstable();
-                assert_eq!(out, expect, "forced {forced:?} k={k}");
+        for k in 2..=8usize {
+            for case in 0..3 {
+                let mut sets: Vec<SortedSet> = (0..k)
+                    .map(|i| {
+                        // Every third operand is too sparse for a bitmap.
+                        let n = if i % 3 == 2 { 300 } else { 1500 };
+                        (0..n).map(|_| rng.gen_range(0..40_000u32)).collect()
+                    })
+                    .collect();
+                match case {
+                    1 => sets[k - 1] = sets[0].clone(),
+                    2 => sets[k / 2] = SortedSet::new(),
+                    _ => {}
+                }
+                let lists: Vec<PlannedList> = sets.iter().map(PlannedList::build).collect();
+                let refs: Vec<&PlannedList> = lists.iter().collect();
+                assert!(refs[0].bitmap().is_some());
+                let slices: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
+                let expect = reference_intersection(&slices);
+                let planner = Planner::default();
+                let base = planner.plan_for_lists(&refs, 40_000);
+                for forced in [
+                    PlanKind::SimdMerge,
+                    PlanKind::RanGroupScan,
+                    PlanKind::HashProbe,
+                    PlanKind::BitmapAnd,
+                    PlanKind::GallopProbe,
+                    PlanKind::HeapMerge,
+                    PlanKind::CompressedGallop,
+                ] {
+                    if forced == PlanKind::BitmapAnd && refs.iter().any(|l| l.bitmap().is_none()) {
+                        continue;
+                    }
+                    let plan = MultiwayPlan {
+                        kind: forced,
+                        ..base.clone()
+                    };
+                    let mut out = Vec::new();
+                    planner.execute(&plan, &refs, &mut out);
+                    assert_eq!(out, expect, "forced {forced:?} k={k} case {case}");
+                }
             }
         }
     }
@@ -1130,10 +1251,9 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "does not cover 2 operands")]
     fn execute_rejects_an_order_that_drops_an_operand() {
-        let ctx = HashContext::new(47);
         let lists = [
-            PlannedList::build(&ctx, &(0..100u32).collect()),
-            PlannedList::build(&ctx, &(50..4000u32).collect()),
+            PlannedList::build(&(0..100u32).collect()),
+            PlannedList::build(&(50..4000u32).collect()),
         ];
         let refs: Vec<&PlannedList> = lists.iter().collect();
         let plan = MultiwayPlan {
@@ -1146,7 +1266,7 @@ mod tests {
 
     #[test]
     fn planned_executor_matches_reference() {
-        let ctx = HashContext::new(46);
+        let ctx = fsi_core::hash::HashContext::new(46);
         let mut rng = StdRng::seed_from_u64(8);
         let postings: Vec<SortedSet> = (0..12)
             .map(|i| {
@@ -1155,31 +1275,30 @@ mod tests {
             })
             .collect();
         let engine = SearchEngine::from_postings(ctx, postings);
-        let exec = engine.planned_executor(Planner::default());
-        assert_eq!(exec.num_terms(), 12);
-        assert!(exec.size_in_bytes() > 0);
-        for terms in [
-            vec![0usize, 1],
-            vec![0, 5, 11],
-            vec![3, 3, 7], // duplicate term
-            vec![9],
-            vec![],
-        ] {
-            let slices: Vec<&[u32]> = terms
-                .iter()
-                .map(|&t| engine.posting(t).as_slice())
-                .collect();
-            let expect = reference_intersection(&slices);
-            let lists: Vec<&PlannedList> = terms.iter().map(|&t| exec.list(t)).collect();
-            let plan = exec.plan(&terms);
-            assert_eq!(plan, exec.planner().plan_for_lists(&lists));
-            let mut out = vec![0u32]; // `execute` appends: the prefix survives
-            exec.planner().execute(&plan, &lists, &mut out);
-            // RanGroupScan emits g-order; sorting is the caller's job
-            // (`fsi_query::exec` owns that rule).
-            out[1..].sort_unstable();
-            assert_eq!(&out[..1], &[0]);
-            assert_eq!(&out[1..], expect.as_slice(), "{terms:?}");
+        for planner in SimdLevel::ALL.map(Planner::for_simd) {
+            let exec = engine.planned_executor(planner);
+            assert_eq!(exec.num_terms(), 12);
+            assert!(exec.size_in_bytes() > 0);
+            for terms in [
+                vec![0usize, 1],
+                vec![0, 5, 11],
+                vec![3, 3, 7], // duplicate term
+                vec![9],
+                vec![],
+            ] {
+                let slices: Vec<&[u32]> = terms
+                    .iter()
+                    .map(|&t| engine.posting(t).as_slice())
+                    .collect();
+                let expect = reference_intersection(&slices);
+                let lists: Vec<&PlannedList> = terms.iter().map(|&t| exec.list(t)).collect();
+                let plan = exec.plan(&terms);
+                assert_eq!(plan, exec.planner().plan_for_lists(&lists, exec.universe()));
+                let mut out = vec![0u32]; // `execute` appends: the prefix survives
+                exec.planner().execute(&plan, &lists, &mut out);
+                assert_eq!(&out[..1], &[0]);
+                assert_eq!(&out[1..], expect.as_slice(), "{planner:?} {terms:?}");
+            }
         }
     }
 }

@@ -7,8 +7,8 @@
 //! galloping at [`GALLOP_RATIO`], density → bitmap at
 //! [`BITMAP_MIN_DENSITY`], otherwise the SIMD merge); the
 //! `fsi-index` planner prices the same kernels over prepared lists with
-//! its own cost model (plus a membership-probe tier and a RanGroupScan
-//! fallback) and shares none of these thresholds. [`AutoKernel`] packages
+//! its own cost model (plus a membership-probe tier, which also filters
+//! its SIMD merge's survivors) and shares none of these thresholds. [`AutoKernel`] packages
 //! the slice-level choice behind the common trait so harnesses can bench
 //! it as one kernel.
 

@@ -62,8 +62,9 @@
 //! [`HeapMerge`]). `fsi_index::Planner` goes further over *prepared*
 //! lists: it prices every candidate kernel with a whole-query cost model
 //! (adding a membership-probe tier — bit tests through
-//! [`BitmapSet::probe`], table probes elsewhere — and the paper's
-//! RanGroupScan for balanced sparse) and picks the minimum — see the
+//! [`BitmapSet::probe`], table probes elsewhere — and, for balanced sizes,
+//! the SIMD merge of the two smallest lists with its survivors probed
+//! through the rest) and picks the minimum — see the
 //! `fsi_index::planner` module doc for the authoritative cost table.
 //! [`BITMAP_MIN_DENSITY`] belongs to the two slice-level selectors only:
 //! they build their bitmaps on the fly and need a floor to decide whether

@@ -26,8 +26,8 @@
 //! [`MultiwayAuto`] picks among the three per call from the operand sizes
 //! and the universe span, mirroring [`KernelChoice`](crate::KernelChoice)'s
 //! dispatch shape at the k-way level. The `fsi-index` planner applies a
-//! finer *cost model* over prepared lists (adding a hash-probe tier and the
-//! paper's RanGroupScan); these kernels are the slice-level machinery both
+//! finer *cost model* over prepared lists (adding a hash-probe tier and a
+//! merge-then-probe plan); these kernels are the slice-level machinery both
 //! dispatchers bottom out in.
 
 use crate::bitmap::BitmapSet;

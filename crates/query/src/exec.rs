@@ -78,8 +78,8 @@ fn record_plan(plan: &ExprPlan, observed: usize) {
     use fsi_obs::{Counter, Histogram, Registry};
     use std::sync::{Arc, OnceLock};
     type Handles = (
-        [Arc<Counter>; 8],
-        [Arc<Counter>; 2],
+        [Arc<Counter>; PlanKind::ALL.len()],
+        [Arc<Counter>; UnionKind::ALL.len()],
         Arc<Histogram>,
         Arc<Histogram>,
     );
@@ -87,28 +87,18 @@ fn record_plan(plan: &ExprPlan, observed: usize) {
     let (kinds, unions, est_cost, mispredicted) = HANDLES.get_or_init(|| {
         let r = Registry::global();
         (
-            [
-                PlanKind::Empty,
-                PlanKind::Single,
-                PlanKind::RanGroupScan,
-                PlanKind::HashProbe,
-                PlanKind::BitmapAnd,
-                PlanKind::GallopProbe,
-                PlanKind::HeapMerge,
-                PlanKind::CompressedGallop,
-            ]
-            .map(|k| r.counter("fsi_plan_kind_total", &[("kind", k.name())])),
-            [UnionKind::HeapMerge, UnionKind::BitmapOr]
-                .map(|k| r.counter("fsi_union_kind_total", &[("kind", k.name())])),
+            PlanKind::ALL.map(|k| r.counter("fsi_plan_kind_total", &[("kind", k.name())])),
+            UnionKind::ALL.map(|k| r.counter("fsi_union_kind_total", &[("kind", k.name())])),
             r.histogram("fsi_plan_est_cost", &[]),
             r.histogram("fsi_plan_misprediction_millilog2", &[]),
         )
     });
-    // audit:allow(hot_path_index): the array is sized to the enum's variant count and indexed by discriminant
-    let mut and = |k: PlanKind| kinds[k as usize].inc();
-    // audit:allow(hot_path_index): the array is sized to the enum's variant count and indexed by discriminant
-    let mut or = |k: UnionKind| unions[k as usize].inc();
-    visit_kinds(plan, &mut and, &mut or);
+    // `ALL` lists every kind at its discriminant, so `get` always finds it.
+    visit_kinds(
+        plan,
+        &mut |k| kinds.get(k as usize).into_iter().for_each(|c| c.inc()),
+        &mut |k| unions.get(k as usize).into_iter().for_each(|c| c.inc()),
+    );
     est_cost.record(plan.est_cost.max(0.0) as u64);
     let ratio = (observed as f64 + 1.0) / (plan.est_rows.max(0.0) + 1.0);
     mispredicted.record((ratio.log2().abs() * 1000.0) as u64);
@@ -306,7 +296,6 @@ fn run_and_base(
     kind: &AndKind,
     out: &mut Vec<Elem>,
 ) {
-    let start = out.len();
     match kind {
         AndKind::Multiway(mplan) => {
             let lists: Vec<&PlannedList> = pos
@@ -318,11 +307,6 @@ fn run_and_base(
                 })
                 .collect();
             planner.and.execute(mplan, &lists, out);
-            // Every kernel emits ascending output except RanGroupScan's
-            // g-order — only that plan pays the sort.
-            if mplan.kind == PlanKind::RanGroupScan {
-                out[start..].sort_unstable();
-            }
         }
         AndKind::SliceProbe => {
             let ops: Vec<Operand> = pos.iter().map(|p| operand(exec, planner, p)).collect();
@@ -505,6 +489,74 @@ mod tests {
         // Nested: a union inside a mixed AND, under a subtrahend.
         let (ands, ors) = kinds(&plan("2 AND (0 OR 1) AND NOT (1 3)"));
         assert_eq!((ands.len(), ors.len()), (1, 1));
+    }
+
+    #[test]
+    fn every_kind_is_recorded_under_its_own_label() {
+        // `ALL` is each enum's variants at their discriminants; the
+        // exhaustive matches stop a new variant from compiling until it
+        // is counted here too.
+        let plan_kinds = |k: PlanKind| match k {
+            PlanKind::Empty
+            | PlanKind::Single
+            | PlanKind::RanGroupScan
+            | PlanKind::HashProbe
+            | PlanKind::BitmapAnd
+            | PlanKind::GallopProbe
+            | PlanKind::HeapMerge
+            | PlanKind::CompressedGallop
+            | PlanKind::SimdMerge => 9,
+        };
+        let union_kinds = |k: UnionKind| match k {
+            UnionKind::HeapMerge | UnionKind::BitmapOr => 2,
+        };
+        for (i, k) in PlanKind::ALL.into_iter().enumerate() {
+            assert_eq!((k as usize, PlanKind::ALL.len()), (i, plan_kinds(k)));
+        }
+        for (i, k) in UnionKind::ALL.into_iter().enumerate() {
+            assert_eq!((k as usize, UnionKind::ALL.len()), (i, union_kinds(k)));
+        }
+        let names: std::collections::HashSet<&str> =
+            PlanKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names.len(), PlanKind::ALL.len());
+        // Recording a plan bumps the counter under its kind's label. Other
+        // tests record concurrently, so only "at least once" is certain.
+        let registry = fsi_obs::Registry::global();
+        let plan = |node| ExprPlan {
+            node,
+            est_rows: 0.0,
+            est_cost: 0.0,
+        };
+        for kind in PlanKind::ALL {
+            let counter = registry.counter("fsi_plan_kind_total", &[("kind", kind.name())]);
+            let before = counter.get();
+            let multiway = fsi_index::MultiwayPlan {
+                kind,
+                order: Vec::new(),
+                est_cost: 0.0,
+            };
+            record_plan(
+                &plan(PlanNode::And {
+                    pos: Vec::new(),
+                    neg: Vec::new(),
+                    kind: AndKind::Multiway(multiway),
+                }),
+                0,
+            );
+            assert!(counter.get() > before, "{kind:?}");
+        }
+        for kind in UnionKind::ALL {
+            let counter = registry.counter("fsi_union_kind_total", &[("kind", kind.name())]);
+            let before = counter.get();
+            record_plan(
+                &plan(PlanNode::Or {
+                    children: Vec::new(),
+                    kind,
+                }),
+                0,
+            );
+            assert!(counter.get() > before, "{kind:?}");
+        }
     }
 
     #[test]

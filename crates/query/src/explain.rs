@@ -19,7 +19,7 @@ use crate::exec::{chunk_union, in_place, subtract_into, term_bitmap};
 use crate::plan::{AndKind, ExprPlan, ExprPlanner, PlanNode, UnionKind};
 use crate::rewrite::NormExpr;
 use fsi_core::elem::Elem;
-use fsi_index::{PlanKind, PlannedExecutor, PlannedList};
+use fsi_index::{PlannedExecutor, PlannedList};
 use fsi_kernels::{gallop_probe_into, heap_union_into, BitmapSet};
 use std::time::Instant;
 
@@ -214,7 +214,6 @@ pub fn analyze_plan(
             let target: &mut Vec<Elem> = if neg.is_empty() { &mut *out } else { &mut base };
             match kind {
                 AndKind::Multiway(mplan) => {
-                    let target_start = target.len();
                     let lists: Vec<&PlannedList> = pos
                         .iter()
                         .map(|p| match p.node {
@@ -227,9 +226,6 @@ pub fn analyze_plan(
                         children.push(input_report(p, l));
                     }
                     planner.and.execute(mplan, &lists, target);
-                    if mplan.kind == PlanKind::RanGroupScan {
-                        target[target_start..].sort_unstable();
-                    }
                 }
                 AndKind::SliceProbe => {
                     let mut bufs: Vec<Vec<Elem>> = pos.iter().map(|_| Vec::new()).collect();

@@ -55,6 +55,9 @@ pub enum UnionKind {
 }
 
 impl UnionKind {
+    /// Every kind, in declaration order (`UnionKind::ALL[k as usize] == k`).
+    pub const ALL: [UnionKind; 2] = [UnionKind::HeapMerge, UnionKind::BitmapOr];
+
     /// The label telemetry and EXPLAIN output report.
     pub fn name(self) -> &'static str {
         match self {
@@ -217,7 +220,7 @@ impl ExprPlanner {
                             _ => unreachable!("all_terms checked"),
                         })
                         .collect();
-                    let mplan = self.and.plan(&op_stats);
+                    let mplan = self.and.plan(&op_stats, u as u64);
                     let cost = mplan.est_cost;
                     (AndKind::Multiway(mplan), cost)
                 } else {

@@ -81,8 +81,8 @@ impl PreparedIndex {
 mod tests {
     use super::*;
     use crate::request::flat_to_norm;
-    use fsi_core::{HashContext, SortedSet};
-    use fsi_index::{Corpus, CorpusConfig, Strategy};
+    use fsi_core::{HashContext, RanGroupScanIndex, SetIndex, SortedSet};
+    use fsi_index::{Corpus, CorpusConfig};
 
     fn engine() -> SearchEngine {
         let corpus = Corpus::generate(CorpusConfig {
@@ -118,25 +118,23 @@ mod tests {
         assert_eq!(flat(&index, &[0, 1]), vec![7, u32::MAX]);
     }
 
-    /// Block postings left every prepared list and nothing else moved: on
-    /// this seeded engine the index weighs what it weighed with them
-    /// (758 093 B over five representations) minus each list's packed
-    /// block postings, which the fixed strategy still builds.
+    /// The RanGroupScan structures left every prepared list and nothing
+    /// else moved: on this seeded engine the index weighs what it weighed
+    /// with them (717 696 B over four representations, itself 758 093 B
+    /// minus the block postings an earlier change removed) minus each
+    /// list's `m = 2` RanGroupScan structure, which the fixed strategy
+    /// still builds.
     #[test]
-    fn index_bytes_are_the_parents_minus_the_block_postings() {
+    fn index_bytes_are_the_parents_minus_the_rangroupscan_structures() {
         let engine = engine();
         let index = PreparedIndex::build(&engine);
-        let packed = Strategy::full_lineup()
-            .into_iter()
-            .find(|s| s.name() == "CompressedGallop_Packed")
-            .expect("block postings stay in the strategy lineup");
-        let blocks: usize = engine
+        let rgs: usize = engine
             .postings()
             .iter()
-            .map(|p| packed.prepare(engine.ctx(), p).size_in_bytes())
+            .map(|p| RanGroupScanIndex::with_m(engine.ctx(), p, 2).size_in_bytes())
             .sum();
-        assert_eq!(blocks, 40_397);
-        assert_eq!(index.size_in_bytes(), 758_093 - blocks);
+        assert_eq!(rgs, 317_500);
+        assert_eq!(index.size_in_bytes(), 717_696 - rgs);
     }
 
     #[test]

@@ -78,37 +78,55 @@ fn multiway_kernels_match_pairwise_fold_on_uniform_and_zipf_sets() {
     }
 }
 
+/// Every kind a hand-built plan of two or more operands can name
+/// (`BitmapAnd` only where every operand carries a bitmap).
+const FORCED: [PlanKind; 7] = [
+    PlanKind::SimdMerge,
+    PlanKind::RanGroupScan,
+    PlanKind::HashProbe,
+    PlanKind::GallopProbe,
+    PlanKind::HeapMerge,
+    PlanKind::CompressedGallop,
+    PlanKind::BitmapAnd,
+];
+
 #[test]
 fn planner_matches_pairwise_fold_for_every_forced_kind() {
-    let ctx = HashContext::new(0x714);
     let mut rng = StdRng::seed_from_u64(0x715);
     let planner = Planner::default();
     for k in 2..=8usize {
+        // Sizes either side of the bitmap rule (1 024 members in the one
+        // chunk), so operands mix bitmaps and tables; then the same sets
+        // with a duplicated operand, and with an empty one.
         let sets: Vec<SortedSet> = (0..k)
             .map(|_| {
                 let n = rng.gen_range(1..2500);
                 (0..n).map(|_| rng.gen_range(0..30_000u32)).collect()
             })
             .collect();
-        let slices: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
-        let expect = fold_reference(&slices);
-        let lists: Vec<PlannedList> = sets.iter().map(|s| PlannedList::build(&ctx, s)).collect();
-        let refs: Vec<&PlannedList> = lists.iter().collect();
-        let chosen = planner.plan_for_lists(&refs);
-        for kind in [
-            PlanKind::RanGroupScan,
-            PlanKind::HashProbe,
-            PlanKind::GallopProbe,
-            PlanKind::HeapMerge,
-        ] {
-            let plan = MultiwayPlan {
-                kind,
-                ..chosen.clone()
-            };
-            let mut out = Vec::new();
-            planner.execute(&plan, &refs, &mut out);
-            out.sort_unstable();
-            assert_eq!(out, expect, "forced {kind:?} k={k}");
+        let mut duplicated = sets.clone();
+        duplicated[k - 1] = sets[0].clone();
+        let mut emptied = sets.clone();
+        emptied[k / 2] = SortedSet::new();
+        for sets in [sets, duplicated, emptied] {
+            let slices: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
+            let expect = fold_reference(&slices);
+            let lists: Vec<PlannedList> = sets.iter().map(PlannedList::build).collect();
+            let refs: Vec<&PlannedList> = lists.iter().collect();
+            let all_bitmaps = refs.iter().all(|l| l.bitmap().is_some());
+            let chosen = planner.plan_for_lists(&refs, 30_000);
+            for kind in FORCED {
+                if kind == PlanKind::BitmapAnd && !all_bitmaps {
+                    continue;
+                }
+                let plan = MultiwayPlan {
+                    kind,
+                    ..chosen.clone()
+                };
+                let mut out = Vec::new();
+                planner.execute(&plan, &refs, &mut out);
+                assert_eq!(out, expect, "forced {kind:?} k={k}");
+            }
         }
     }
 }
@@ -201,11 +219,7 @@ fn mixed_density_operands_match_naive_and_the_merge_executor() {
         both(&mut rng, 60_000, 0, false),
         both(&mut rng, 300, 40, false),
     ];
-    let ctx = HashContext::new(0x0D16);
-    let lists: Vec<PlannedList> = postings
-        .iter()
-        .map(|p| PlannedList::build(&ctx, p))
-        .collect();
+    let lists: Vec<PlannedList> = postings.iter().map(PlannedList::build).collect();
     let carries_bitmap: Vec<bool> = lists.iter().map(|l| l.bitmap().is_some()).collect();
     assert_eq!(
         carries_bitmap,
@@ -215,7 +229,7 @@ fn mixed_density_operands_match_naive_and_the_merge_executor() {
     // magnitude: a `max + 1` density floor would have handed it a table.
     assert!((postings[2].len() as f64) < (u32::MAX as f64 + 1.0) / 16.0);
 
-    let engine = SearchEngine::from_postings(ctx, postings);
+    let engine = SearchEngine::from_postings(HashContext::new(0x0D16), postings);
     let slices: Vec<&[u32]> = (0..engine.num_terms())
         .map(|t| engine.posting(t).as_slice())
         .collect();
@@ -250,29 +264,22 @@ fn mixed_density_operands_match_naive_and_the_merge_executor() {
         // Every kind the operands admit, forced: the probe must be right
         // on all-bitmap, all-table and mixed operand sets alike.
         let refs: Vec<&PlannedList> = q.iter().map(|&t| &lists[t]).collect();
-        let chosen = planner.plan_for_lists(&refs);
+        let chosen = planner.plan_for_lists(&refs, u64::from(u32::MAX) + 1);
         saw_probe_over_bitmap |= chosen.kind == PlanKind::HashProbe
             && chosen.order[1..]
                 .iter()
                 .any(|&i| refs[i].bitmap().is_some());
-        let mut kinds = vec![
-            PlanKind::RanGroupScan,
-            PlanKind::HashProbe,
-            PlanKind::GallopProbe,
-            PlanKind::HeapMerge,
-            PlanKind::CompressedGallop,
-        ];
-        if refs.iter().all(|l| l.bitmap().is_some()) {
-            kinds.push(PlanKind::BitmapAnd);
-        }
-        for kind in kinds {
+        let all_bitmaps = refs.iter().all(|l| l.bitmap().is_some());
+        for kind in FORCED {
+            if kind == PlanKind::BitmapAnd && !all_bitmaps {
+                continue;
+            }
             let plan = MultiwayPlan {
                 kind,
                 ..chosen.clone()
             };
             let mut out = Vec::new();
             planner.execute(&plan, &refs, &mut out);
-            out.sort_unstable();
             assert_eq!(out, expect, "forced {kind:?} on {q:?}");
         }
     }

@@ -11,7 +11,7 @@ use fast_set_intersection::index::{
 use fast_set_intersection::{HashContext, SortedSet};
 use fsi_kernels::{
     pairwise_fold_into, BitmapAnd, GallopProbe, HeapMerge, MultiwayAuto, MultiwayKernel,
-    ScalarMerge,
+    ScalarMerge, SimdLevel,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -86,34 +86,35 @@ proptest! {
     fn every_admissible_forced_kind_equals_pairwise_fold(
         raw in operand_lists(),
         special in any::<u64>(),
-        seed in any::<u64>(),
     ) {
         let sets = with_specials(raw.clone(), special);
-        let ctx = HashContext::new(seed);
-        let planner = Planner::default();
         let expect = fold_reference(&sets);
-        let lists: Vec<PlannedList> =
-            sets.iter().map(|s| PlannedList::build(&ctx, s)).collect();
+        let lists: Vec<PlannedList> = sets.iter().map(PlannedList::build).collect();
         let refs: Vec<&PlannedList> = lists.iter().collect();
-        let planned = planner.plan_for_lists(&refs);
-        for kind in [
-            PlanKind::RanGroupScan,
-            PlanKind::HashProbe,
-            PlanKind::BitmapAnd,
-            PlanKind::GallopProbe,
-            PlanKind::HeapMerge,
-            PlanKind::CompressedGallop,
-        ] {
-            // The sweep binds every operand's bitmap; nothing else needs a
-            // particular structure.
-            if kind == PlanKind::BitmapAnd && refs.iter().any(|l| l.bitmap().is_none()) {
-                continue;
+        // Under every tier's prices: whichever kind each plans, and every
+        // kind forced onto its operand order.
+        for planner in SimdLevel::ALL.map(Planner::for_simd) {
+            let planned = planner.plan_for_lists(&refs, u64::from(UNIVERSE));
+            for kind in [
+                planned.kind,
+                PlanKind::SimdMerge,
+                PlanKind::RanGroupScan,
+                PlanKind::HashProbe,
+                PlanKind::BitmapAnd,
+                PlanKind::GallopProbe,
+                PlanKind::HeapMerge,
+                PlanKind::CompressedGallop,
+            ] {
+                // The sweep binds every operand's bitmap; nothing else needs a
+                // particular structure.
+                if kind == PlanKind::BitmapAnd && refs.iter().any(|l| l.bitmap().is_none()) {
+                    continue;
+                }
+                let plan = MultiwayPlan { kind, ..planned.clone() };
+                let mut out = Vec::new();
+                planner.execute(&plan, &refs, &mut out);
+                prop_assert!(out == expect, "forced {:?}: {:?} vs {:?}", kind, out, expect);
             }
-            let plan = MultiwayPlan { kind, ..planned.clone() };
-            let mut out = Vec::new();
-            planner.execute(&plan, &refs, &mut out);
-            out.sort_unstable();
-            prop_assert!(out == expect, "forced {:?}: {:?} vs {:?}", kind, out, expect);
         }
     }
 

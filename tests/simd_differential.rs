@@ -13,7 +13,7 @@
 
 use fast_set_intersection::index::{Corpus, CorpusConfig, SearchEngine, Strategy};
 use fast_set_intersection::{reference_intersection, HashContext, SortedSet};
-use fsi_index::Planner;
+use fsi_index::{MultiwayPlan, PlanKind, PlannedList, Planner};
 use fsi_kernels::simd::{self, SimdLevel};
 use fsi_kernels::{BitmapSet, GallopProbe, HeapMerge, MultiwayAuto, MultiwayKernel};
 use fsi_workloads::Zipf;
@@ -237,6 +237,44 @@ fn multiway_kernels_match_scalar_twins() {
                         kernel.name()
                     );
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn simd_merge_plan_matches_scalar_at_every_level() {
+    // The planned merge-then-probe runs `merge_into` at the dispatched
+    // level: its two smallest operands straddle the lane multiples, and the
+    // rest mix bitmaps (dense profile) and tables.
+    let mut rng = StdRng::seed_from_u64(0x51D8);
+    for profile in 0..3 {
+        for k in 2..=8usize {
+            let sets: Vec<SortedSet> = (0..k)
+                .map(|i| draw(&mut rng, [127, 130, 2_000][i.min(2)] + 64 * i, profile))
+                .collect();
+            let slices: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
+            let lists: Vec<PlannedList> = sets.iter().map(PlannedList::build).collect();
+            let refs: Vec<&PlannedList> = lists.iter().collect();
+            let planner = Planner::for_simd(SimdLevel::Avx2);
+            let plan = MultiwayPlan {
+                kind: PlanKind::SimdMerge,
+                ..planner.plan_for_lists(&refs, 0)
+            };
+            let run = || {
+                let mut out = Vec::new();
+                planner.execute(&plan, &refs, &mut out);
+                out
+            };
+            let scalar = simd::with_level(SimdLevel::Scalar, run);
+            assert_eq!(scalar, reference_intersection(&slices), "k={k}");
+            for level in simd_levels() {
+                assert_eq!(
+                    simd::with_level(level, run),
+                    scalar,
+                    "{} k={k} profile={profile}",
+                    level.name()
+                );
             }
         }
     }
