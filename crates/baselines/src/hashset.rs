@@ -21,9 +21,9 @@ const FACTOR: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// The open-addressing table on its own: linear probing over a
 /// power-of-two slot array at load factor ≤ 1/2, holding no copy of the
-/// elements. [`HashSetIndex`] wraps one next to its sorted list; the
-/// `fsi-index` planner holds one bare next to a list's flat slice — one
-/// probe implementation for both.
+/// elements. [`HashSetIndex`] wraps one next to its sorted list. (The
+/// `fsi-index` planner holds none: a sparse list is probed through its own
+/// flat list, which costs no bytes beyond the list.)
 #[derive(Debug, Clone)]
 pub struct ProbeTable {
     slots: Vec<u32>,

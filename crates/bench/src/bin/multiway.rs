@@ -61,7 +61,7 @@ const SHAPES: [Shape; 5] = [
         universe: 2_000_000,
         zipf: true,
     },
-    // The commonest query of a Zipf corpus: a sparse driver (a hash table
+    // The commonest query of a Zipf corpus: a sparse driver (no bitmap
     // under the planner's build rule) against stop-word-sized operands
     // (bitmaps) — what the planned membership probe bit-tests.
     Shape {

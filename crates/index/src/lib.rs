@@ -29,7 +29,7 @@ pub use corpus::{Corpus, CorpusConfig};
 pub use daat::{top_k, DaatStats, Hit, ScoredIndex};
 pub use engine::{Executor, SearchEngine};
 pub use planner::{
-    CostUnit, Membership, MultiwayPlan, OperandStats, PlanKind, PlannedExecutor, PlannedList,
-    Planner, ReprBytes,
+    CostUnit, MultiwayPlan, OperandStats, PlanKind, PlannedExecutor, PlannedList, Planner,
+    ReprBytes,
 };
 pub use strategy::{intersect_into, intersect_sorted, PreparedList, Strategy};

@@ -14,9 +14,9 @@
 //! | kind | estimated cost | regime it owns |
 //! |------|----------------|----------------|
 //! | [`PlanKind::BitmapAnd`] | `bitmap_word · w · (k−1) + scan · w + extract · min(E[survivors], w)`, `w = c_min · 1024` | every operand carries a chunk bitmap |
-//! | [`PlanKind::HashProbe`] | `n₁ · u₂ + ŝ · Σᵢ≥₃ uᵢ`, `uᵢ = bit_test` for a probed bitmap, `hash` for a probed table | a small driver against anything: `O(n₁)` membership tests |
-//! | [`PlanKind::SimdMerge`] | `merge · (n₁ + n₂) + ŝ · Σᵢ≥₃ uᵢ` | balanced sizes at SSE4.1/AVX2: the vectorized merge of the two smallest lists, its survivors probed through the rest |
-//! | [`PlanKind::GallopProbe`] | `gallop · n_min · Σᵢ log₂(nᵢ/n_min + 2)` | skew between table-carrying lists; balanced sizes at the scalar tier (Hwang–Lin across all k) |
+//! | [`PlanKind::HashProbe`] | `u₂(n₁) + Σᵢ≥₃ uᵢ(ŝ)`, `uᵢ(c) = bit_test · c` for a probed bitmap, `gallop · c · log₂(nᵢ/c + 2)` for a probed flat list | a small driver against bitmaps: `O(n₁)` bit tests |
+//! | [`PlanKind::SimdMerge`] | `merge · (n₁ + n₂) + Σᵢ≥₃ uᵢ(ŝ)` | bitmap-less pairs at SSE4.1/AVX2, and balanced ones at the scalar tier: the vectorized merge of the two smallest lists, its survivors probed through the rest |
+//! | [`PlanKind::GallopProbe`] | `gallop · n_min · Σᵢ log₂(nᵢ/n_min + 2)` | a tiny driver against bitmap-less lists; skewed pairs at the scalar tier (Hwang–Lin across all k) |
 //! | [`PlanKind::HeapMerge`] | `heap · Σ nᵢ · log₂ k` | structure-free fallback (never cheapest; a hand-built plan runs it) |
 //!
 //! The minimum-cost candidate wins; `c_min` is the smallest per-operand
@@ -26,7 +26,8 @@
 //! run of stores per word holding a survivor (survivors estimated under
 //! independence from each operand's density inside its own chunks, and no
 //! more words hold one than were swept). The membership probe is priced **per
-//! probed operand**: a bit test and a table probe are different units.
+//! probed operand**: a bit test, or a galloping cursor moving through the
+//! operand's flat list.
 //! Operands are numbered ascending by size; `ŝ = n₁ · n₂ / U` is the two
 //! smallest lists' intersection under independence over the document
 //! universe `U` — the candidates both probing plans still hold when they
@@ -35,16 +36,19 @@
 //!
 //! A [`PlannedList`] keeps the representations a plan can bind and no
 //! other: the flat sorted list (the probe driver, the merge, gallop probes,
-//! heap merge) and **exactly one** [`Membership`] structure (so three
-//! structures exist, two per list) — a chunked bitmap when the list has at
-//! least one member per bitmap word of the chunks it touches (the bitmap
-//! then costs ≤ 8 B/posting, never more than the load-≤½ table), a hash
-//! table otherwise. The choice is computed from the list and nothing else,
-//! and on a Zipf corpus it gives every stop-word-sized list a structure that
-//! stays cache-resident (8 KiB per touched chunk) instead of a
-//! multi-megabyte table.
+//! heap merge, and the probe of a list without a bitmap), plus a chunked
+//! bitmap when the list has at least one member per bitmap word of the
+//! chunks it touches (the bitmap then costs ≤ 8 B/posting). So two
+//! structures exist, and a list carries one or both. The choice is computed
+//! from the list and nothing else, and on a Zipf corpus it gives every
+//! stop-word-sized list a bitmap that stays cache-resident (8 KiB per
+//! touched chunk).
 //!
-//! Two structures are not among them. Block postings
+//! Three structures are not among them. A hash table per sparse list: it
+//! cost more than half the index (6.57 of 11.50 B/posting on the benchmark
+//! corpus) and more than half its build time, for probes the merge or a
+//! gallop through the flat list now answer (`fsi_baselines::ProbeTable`
+//! runs under the fixed `Strategy::Hash` only). Block postings
 //! (`fsi_compress::BlockPostings`): a decode-then-probe walk costs a gallop
 //! plus the decode, so it never priced below [`PlanKind::GallopProbe`] and
 //! was never planned; they run under the fixed `Strategy::CompressedGallop`
@@ -55,11 +59,11 @@
 //!
 //! The table reflects *this repository's measured* crossovers
 //! (see `docs/benchmarks.md`, `BENCH_kernels.json`, `BENCH_multiway.json`
-//! and the benchmark's `kernels.forced_ns.*`): between table-carrying
-//! lists the AVX2 merge holds up to a size ratio near 10, where the table
-//! probe overtakes it, and at the scalar tier galloping holds those pairs
-//! instead until the table probe overtakes it near ratio 8; a bit test
-//! costs a quarter of a table probe, so a table-carrying driver probes
+//! and the benchmark's `kernels.forced_ns.*`): between bitmap-less lists
+//! the AVX2 merge holds every pair but a tiny driver's (galloping takes
+//! ratios beyond ≈ 85, ≈ 57 at SSE4.1), and at the scalar tier the merge
+//! holds balanced pairs until galloping overtakes it near ratio 5; a bit
+//! test costs a fifth of a galloping step, so a bitmap-less driver probes
 //! bitmap operands at almost any skew; and between bitmap-carrying lists
 //! the sweep wins unless the driver is so sparse in its chunks that one
 //! bit test per driver element costs less than the sweep's pass over every
@@ -71,38 +75,20 @@
 //! element are the only units a tier changes.
 
 use crate::engine::SearchEngine;
-use fsi_baselines::ProbeTable;
 use fsi_compress::BlockPostings;
 use fsi_core::elem::{Elem, SortedSet};
+use fsi_core::search::gallop;
 use fsi_core::traits::{KIntersect, SetIndex};
 use fsi_kernels::{
     filter_in_place, gallop_probe_ordered_into, heap_merge_into, simd, BitmapSet, GallopingSet,
     SimdLevel, WORDS_PER_CHUNK,
 };
 
-/// The one membership structure a prepared list carries — what
-/// [`PlanKind::HashProbe`] and `fsi-query`'s `AND NOT` test candidates
-/// against. [`PlannedList::build`] picks whichever is smaller: the bitmap
-/// when the list has at least one member per bitmap word of the chunks it
-/// touches, the table otherwise. "Both" and "neither" are not
-/// representable.
-#[derive(Debug, Clone)]
-pub enum Membership {
-    /// A chunked bitmap: one bit per document of every 2¹⁶-value chunk the
-    /// list touches. Also what [`PlanKind::BitmapAnd`] and the expression
-    /// planner's bitmap `OR` sweep.
-    Bitmap(BitmapSet),
-    /// An open-addressing table over the list's elements (the flat slice
-    /// holds the elements themselves; the table keeps no second copy).
-    Hash(ProbeTable),
-}
-
 /// The build rule of [`PlannedList::build`]: a list of `n` elements
 /// touching `chunks` chunks carries a bitmap iff it has at least one member
 /// per bitmap word.
-/// The bitmap then costs at most 8 bytes per posting — never more than the
-/// load-≤½ table it stands in for — so the rule picks the smaller
-/// structure from the list alone, with no density constant to tune.
+/// The bitmap then costs at most 8 bytes per posting, so the rule decides
+/// from the list alone, with no density constant to tune.
 fn bitmap_is_smaller(n: usize, chunks: usize) -> bool {
     n >= chunks * WORDS_PER_CHUNK
 }
@@ -114,20 +100,14 @@ fn bitmap_is_smaller(n: usize, chunks: usize) -> bool {
 pub struct ReprBytes {
     /// Flat sorted lists.
     pub flat: usize,
-    /// Chunked bitmaps (lists whose membership structure is a bitmap).
+    /// Chunked bitmaps (the lists dense enough to carry one).
     pub bitmap: usize,
-    /// Hash tables (every other list).
-    pub hash: usize,
 }
 
 impl ReprBytes {
     /// The parts under their gauge labels, in a fixed order.
-    pub fn parts(&self) -> [(&'static str, usize); 3] {
-        [
-            ("flat", self.flat),
-            ("bitmap", self.bitmap),
-            ("hash", self.hash),
-        ]
+    pub fn parts(&self) -> [(&'static str, usize); 2] {
+        [("flat", self.flat), ("bitmap", self.bitmap)]
     }
 
     /// Sum over every representation.
@@ -140,30 +120,26 @@ impl std::ops::AddAssign for ReprBytes {
     fn add_assign(&mut self, o: Self) {
         self.flat += o.flat;
         self.bitmap += o.bitmap;
-        self.hash += o.hash;
     }
 }
 
 /// A posting list prepared for every representation a plan can bind: the
-/// flat list and one [`Membership`] structure (a bitmap or a hash table).
+/// flat list, and a chunked bitmap when the list is dense enough for one.
 #[derive(Debug, Clone)]
 pub struct PlannedList {
-    membership: Membership,
     flat: GallopingSet,
+    bitmap: Option<BitmapSet>,
 }
 
 impl PlannedList {
     /// Preprocesses `set` for every structure the planner can dispatch to.
     pub fn build(set: &SortedSet) -> Self {
         let elems = set.as_slice();
-        let membership = if bitmap_is_smaller(elems.len(), BitmapSet::count_chunks(elems)) {
-            Membership::Bitmap(BitmapSet::from_sorted_slice(elems))
-        } else {
-            Membership::Hash(ProbeTable::build(elems))
-        };
+        let bitmap = bitmap_is_smaller(elems.len(), BitmapSet::count_chunks(elems))
+            .then(|| BitmapSet::from_sorted_slice(elems));
         Self {
-            membership,
             flat: GallopingSet::build(set),
+            bitmap,
         }
     }
 
@@ -172,25 +148,18 @@ impl PlannedList {
         self.flat.as_slice().len()
     }
 
-    /// The flat sorted list — what boolean-expression evaluation
-    /// (`fsi-query`) feeds to the union/difference slice kernels.
+    /// The flat sorted list — the probe driver, the merge's input, what a
+    /// bitmap-less operand is galloped through, and what boolean-expression
+    /// evaluation (`fsi-query`) feeds to the union/difference slice kernels.
     pub fn flat(&self) -> &[Elem] {
         self.flat.as_slice()
     }
 
-    /// The list's one membership structure.
-    pub fn membership(&self) -> &Membership {
-        &self.membership
-    }
-
-    /// The chunked bitmap, when that is the membership structure this list
-    /// carries — what the bitmap `AND`/`OR` sweeps and `AND NOT`'s bit
-    /// test bind.
+    /// The chunked bitmap, when the list carries one — what the bitmap
+    /// `AND`/`OR` sweeps, the probe's bit tests and `AND NOT`'s bit test
+    /// bind.
     pub fn bitmap(&self) -> Option<&BitmapSet> {
-        match &self.membership {
-            Membership::Bitmap(b) => Some(b),
-            Membership::Hash(_) => None,
-        }
+        self.bitmap.as_ref()
     }
 
     /// Always `None`: no list carries block postings. Kept only because
@@ -210,14 +179,9 @@ impl PlannedList {
 
     /// Footprint of each prepared structure.
     pub fn bytes_by_repr(&self) -> ReprBytes {
-        let (bitmap, hash) = match &self.membership {
-            Membership::Bitmap(b) => (b.size_in_bytes(), 0),
-            Membership::Hash(t) => (0, t.size_in_bytes()),
-        };
         ReprBytes {
             flat: self.flat.size_in_bytes(),
-            bitmap,
-            hash,
+            bitmap: self.bitmap().map_or(0, BitmapSet::size_in_bytes),
         }
     }
 
@@ -232,9 +196,9 @@ impl PlannedList {
 pub struct OperandStats {
     /// Number of elements.
     pub n: usize,
-    /// Number of 2¹⁶-value chunks the list touches, if its membership
-    /// structure is a chunk bitmap; `None` means it carries a hash table
-    /// instead (fewer than one member per bitmap word).
+    /// Number of 2¹⁶-value chunks the list touches, if it carries a chunk
+    /// bitmap; `None` means it carries none (fewer than one member per
+    /// bitmap word) and is probed through its flat list.
     pub chunks: Option<usize>,
 }
 
@@ -252,8 +216,9 @@ pub enum PlanKind {
     /// against it.
     RanGroupScan,
     /// The membership probe: drive the smallest list's elements through
-    /// every other operand's one [`Membership`] structure — a bit test
-    /// where it is a bitmap, a table probe where it is a hash table.
+    /// every other operand in turn — a bit test where it carries a bitmap,
+    /// one galloping cursor through its flat list where it does not. (The
+    /// name is kept from when a sparse list carried a hash table.)
     HashProbe,
     /// Every operand carries a bitmap: k-way chunked-bitmap `AND`, no
     /// intermediates.
@@ -268,8 +233,8 @@ pub enum PlanKind {
     CompressedGallop,
     /// Balanced sizes: the vectorized merge (`simd::merge_into`) of the two
     /// smallest flat lists, its survivors then filtered through every
-    /// other operand's [`Membership`] as [`PlanKind::HashProbe`] filters
-    /// its driver. With two operands it is a plain merge.
+    /// other operand as [`PlanKind::HashProbe`] filters its driver. With
+    /// two operands it is a plain merge.
     SimdMerge,
 }
 
@@ -324,19 +289,20 @@ pub struct MultiwayPlan {
 /// docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostUnit {
-    /// Per driver element per probed list, scaled by the galloping log
-    /// factor (`log₂(nᵢ/n_min + 2)`); also the galloping difference's price
-    /// per base element per subtrahend — the same exponential probe.
+    /// Per candidate per list a galloping cursor moves through, scaled by
+    /// the galloping log factor `log₂(nᵢ/candidates + 2)`: the
+    /// [`PlanKind::GallopProbe`] candidate, the probe of a bitmap-less
+    /// operand in [`PlanKind::HashProbe`] and [`PlanKind::SimdMerge`], and
+    /// the galloping difference per base element per subtrahend — the same
+    /// exponential probe everywhere ([`Planner::gallop_cost`]). Fitted on
+    /// the benchmark corpus (AVX2; and_cold's 16 384 conjunctions, seeds 1
+    /// and 2, every forced kind in its own cold pass, min of 3): a
+    /// bitmap-less pair probes at 9.3–16.5 ns per candidate and log₂ of the
+    /// ratio (rising with the ratio) against 0.8–1.5 ns per merged element;
+    /// replaying the planner, the stream's planned time fell from 2.5 up to
+    /// 10 and stayed flat beyond, where the merge takes every bitmap-less
+    /// pair the probe lost on.
     Gallop,
-    /// Per candidate per probed hash table. Several times a bit test: a
-    /// table runs 8–16 bytes per posting, so a probe is a likely cache miss
-    /// where a bitmap's word is not. Only lists too sparse for a bitmap
-    /// carry a table, so the tables stay small, and against [`Gallop`]
-    /// it puts the skew crossover between two such lists near
-    /// `n_max/n_min ≈ 8` (measured on the benchmark's forced kinds).
-    ///
-    /// [`Gallop`]: CostUnit::Gallop
-    Hash,
     /// Per 64-bit word per operand pass of a chunked bitmap sweep — the
     /// `AND`'s and the chunk union's. One of the two units a SIMD tier
     /// changes (with [`Merge`](CostUnit::Merge)): the sweep takes 2/4
@@ -363,8 +329,8 @@ pub enum CostUnit {
     /// Per candidate per probed *bitmap* in the membership probe: one bit
     /// test through a cursor that looks each chunk up once, in a structure
     /// that stays cache-resident (8 KiB per touched chunk). Which of this
-    /// and [`Hash`](CostUnit::Hash) a list pays is decided at build, by the
-    /// list.
+    /// and [`Gallop`](CostUnit::Gallop) a probed list pays is decided at
+    /// build, by the list.
     BitTest,
     /// Per word of a result bitmap for the extraction walk's first pass,
     /// which reads every word once (popcount and the positions of the
@@ -390,9 +356,8 @@ pub enum CostUnit {
 
 impl CostUnit {
     /// Every unit, in table order.
-    pub const ALL: [CostUnit; 10] = [
+    pub const ALL: [CostUnit; 9] = [
         CostUnit::Gallop,
-        CostUnit::Hash,
         CostUnit::BitmapWord,
         CostUnit::Merge,
         CostUnit::Heap,
@@ -408,7 +373,6 @@ impl CostUnit {
     pub fn name(self) -> &'static str {
         match self {
             CostUnit::Gallop => "gallop",
-            CostUnit::Hash => "hash",
             CostUnit::BitmapWord => "bitmap_word",
             CostUnit::Merge => "merge",
             CostUnit::Heap => "heap",
@@ -454,8 +418,7 @@ impl Planner {
     /// The one cost table: the price of one `unit` at this planner's tier.
     pub fn unit(&self, unit: CostUnit) -> f64 {
         match unit {
-            CostUnit::Gallop => 2.5,
-            CostUnit::Hash => 8.0,
+            CostUnit::Gallop => 10.0,
             CostUnit::BitmapWord => match self.simd {
                 SimdLevel::Scalar => 1.0,
                 SimdLevel::Sse41 => 0.55,
@@ -475,12 +438,24 @@ impl Planner {
         }
     }
 
-    /// The price of galloping `n_min` driver elements through lists of
-    /// sizes `probed` at once — the [`PlanKind::GallopProbe`] candidate, and
-    /// `fsi-query`'s k-way gallop over materialized operands.
+    /// The price of galloping `n_min` ascending candidates through lists of
+    /// sizes `probed` — the [`PlanKind::GallopProbe`] candidate, the probe
+    /// of a bitmap-less operand, `fsi-query`'s k-way gallop over
+    /// materialized operands and its galloping difference. Fewer than one
+    /// expected candidate pays its share of one whole search.
     pub fn gallop_cost(&self, n_min: f64, probed: impl Iterator<Item = f64>) -> f64 {
-        let log_sum: f64 = probed.map(|n| (n / n_min + 2.0).log2()).sum();
+        let log_sum: f64 = probed.map(|n| (n / n_min.max(1.0) + 2.0).log2()).sum();
         self.unit(CostUnit::Gallop) * n_min * log_sum
+    }
+
+    /// The price of testing `candidates` ascending candidates against one
+    /// operand: a bit test each where it carries a bitmap, one galloping
+    /// cursor through its flat list where it does not.
+    fn probe_cost(&self, candidates: f64, operand: &OperandStats) -> f64 {
+        match operand.chunks {
+            Some(_) => self.unit(CostUnit::BitTest) * candidates,
+            None => self.gallop_cost(candidates, std::iter::once(operand.n as f64)),
+        }
     }
 
     /// Cost-models the whole operand list and returns the minimum-cost
@@ -521,20 +496,21 @@ impl Planner {
         };
         // The two probing plans differ only in how they find the two
         // smallest lists' intersection: the probe tests every driver
-        // element against the second list's structure, the merge reads
-        // both lists whole. Either way only the survivors — estimated
-        // under independence over the universe — meet the remaining
-        // operands' structures, in the same filter loop. Each test is
-        // priced by the structure it probes: a bit test into a bitmap that
-        // stays cache-resident and a probe into a hash table are different
-        // units.
-        let probe_unit = |i: usize| match stats[i].chunks {
-            Some(_) => self.unit(CostUnit::BitTest),
-            None => self.unit(CostUnit::Hash),
-        };
+        // element against the second list, the merge reads both lists
+        // whole. Either way only the survivors — estimated under
+        // independence over the universe — meet the remaining operands, in
+        // the same filter loop. Each test is priced by what it probes: a
+        // bit test into a bitmap that stays cache-resident, or a galloping
+        // step through a flat list.
         let survivors = n_min * (n_second / (universe as f64).max(1.0)).min(1.0);
-        let rest = survivors * order[2..].iter().map(|&i| probe_unit(i)).sum::<f64>();
-        consider(PlanKind::HashProbe, n_min * probe_unit(order[1]) + rest);
+        let rest: f64 = order[2..]
+            .iter()
+            .map(|&i| self.probe_cost(survivors, &stats[i]))
+            .sum();
+        consider(
+            PlanKind::HashProbe,
+            self.probe_cost(n_min, &stats[order[1]]) + rest,
+        );
         consider(
             PlanKind::SimdMerge,
             self.unit(CostUnit::Merge) * (n_min + n_second) + rest,
@@ -656,21 +632,32 @@ impl Planner {
     }
 }
 
-/// The membership filter both probing plans end in: keeps the candidates in
-/// `out[start..]` that every operand at the positions `probed` holds, each
-/// tested against that operand's own structure in turn (bit test or table
-/// probe), the most selective operand first. `get`, not indexing, keeps the
-/// loop panic-free; a position outside `lists` (ruled out by
+/// The membership filter both probing plans end in: keeps the ascending
+/// candidates in `out[start..]` that every operand at the positions
+/// `probed` holds, testing each operand in turn, the most selective first —
+/// by bit test where it carries a bitmap, and otherwise by one galloping
+/// cursor moving forward through its flat list. `get`, not indexing, keeps
+/// the loop panic-free; a position outside `lists` (ruled out by
 /// [`Planner::execute`] in debug builds) empties the result.
 fn probe_members(lists: &[&PlannedList], probed: &[usize], out: &mut Vec<Elem>, start: usize) {
     for i in probed {
-        match lists.get(*i).map(|l| &l.membership) {
-            Some(Membership::Bitmap(b)) => {
+        let Some(list) = lists.get(*i) else {
+            out.truncate(start);
+            return;
+        };
+        match list.bitmap() {
+            Some(b) => {
                 let mut probe = b.probe();
                 filter_in_place(out, start, |x| probe.contains(x));
             }
-            Some(Membership::Hash(t)) => filter_in_place(out, start, |x| t.contains(x)),
-            None => out.truncate(start),
+            None => {
+                let flat = list.flat();
+                let mut cursor = 0;
+                filter_in_place(out, start, |x| {
+                    cursor = gallop(flat, cursor, x);
+                    flat.get(cursor) == Some(&x)
+                });
+            }
         }
     }
 }
@@ -733,8 +720,8 @@ impl PlannedExecutor {
         sum
     }
 
-    /// How many lists carry a bitmap as their membership structure (every
-    /// other list carries a hash table).
+    /// How many lists carry a bitmap (every other list carries only its
+    /// flat list).
     pub fn num_bitmap_lists(&self) -> usize {
         self.lists.iter().filter(|l| l.bitmap().is_some()).count()
     }
@@ -791,43 +778,47 @@ mod tests {
     fn cost_model_regions_match_measured_crossovers() {
         let p = Planner::default();
         // At the scalar tier the merge reads an element for 4.5 units, so
-        // between two table-carrying lists galloping holds balanced and
-        // moderately skewed pairs (ratio up to ≈ 7) …
-        for partner in [1000, 2000, 4000, 6000, 7000] {
+        // between two bitmap-less lists it holds balanced pairs (ratio up
+        // to ≈ 5) …
+        for partner in [1000, 2000, 4000] {
+            assert_eq!(
+                kind(&p, &[sparse(1000), sparse(partner)]),
+                PlanKind::SimdMerge,
+                "{partner}"
+            );
+        }
+        // … and galloping holds the skewed ones: its price grows with the
+        // log of the ratio, the merge's with the ratio itself.
+        for partner in [6000, 8000, 64_000] {
             assert_eq!(
                 kind(&p, &[sparse(1000), sparse(partner)]),
                 PlanKind::GallopProbe,
                 "{partner}"
             );
         }
-        // … and from ratio ≈ 8 up the table probe wins.
-        assert_eq!(kind(&p, &[sparse(1000), sparse(8000)]), PlanKind::HashProbe);
+        // Only the first pair's survivors reach a third list, so a k-way
+        // probe beats galloping every candidate through every list.
         assert_eq!(
-            kind(&p, &[sparse(1000), sparse(64_000)]),
+            kind(&p, &[sparse(100), sparse(5000), sparse(80_000)]),
             PlanKind::HashProbe
         );
-        assert_eq!(
-            kind(&p, &[sparse(100), sparse(500), sparse(80_000)]),
-            PlanKind::HashProbe
-        );
-        // At SSE4.1 and AVX2 the vectorized merge owns balanced sparse
-        // pairs and triples (RanGroupScan's old regime); a skewed pair
-        // still probes.
+        // At SSE4.1 and AVX2 the vectorized merge owns bitmap-less pairs
+        // far into the skew (on the benchmark corpus a galloping step costs
+        // ≈ 10 ns per candidate and log₂ of the ratio, a merged element
+        // ≈ 1 ns); only a tiny driver still gallops.
         for simd in [SimdLevel::Sse41, SimdLevel::Avx2] {
             let p = Planner::for_simd(simd);
             for shape in [
                 &[sparse(1000), sparse(1000)][..],
-                &[sparse(1000), sparse(2000)],
                 &[sparse(1000), sparse(4000)],
+                &[sparse(1000), sparse(32_000)],
                 &[sparse(20_000), sparse(20_000), sparse(20_000)],
                 &[sparse(3000), sparse(4000), dense(4000, 1)],
+                &[sparse(100), sparse(5000), sparse(80_000)],
             ] {
                 assert_eq!(kind(&p, shape), PlanKind::SimdMerge, "{simd:?} {shape:?}");
             }
-            assert_eq!(
-                kind(&p, &[sparse(1000), sparse(64_000)]),
-                PlanKind::HashProbe
-            );
+            assert_eq!(kind(&p, &[sparse(20), sparse(2000)]), PlanKind::GallopProbe);
         }
         // Every operand carries a bitmap → the chunked-bitmap AND wins.
         assert_eq!(
@@ -838,7 +829,7 @@ mod tests {
             kind(&p, &[dense(10_000, 2), dense(20_000, 2)]),
             PlanKind::BitmapAnd
         );
-        // A table-carrying driver vetoes the sweep, and its probes into a
+        // A bitmap-less driver vetoes the sweep, and its probes into a
         // bitmap are bit tests: the membership probe wins at every skew.
         assert_eq!(
             kind(&p, &[sparse(1_000), dense(80_000, 2)]),
@@ -852,17 +843,17 @@ mod tests {
             kind(&p, &[sparse(20_000), dense(40_000, 31)]),
             PlanKind::HashProbe
         );
-        // Each probed operand is priced by its own structure: a balanced
+        // Each probed operand is priced by what it probes: a balanced
         // triple probes its first bitmap with a bit test per candidate and
-        // beats galloping; make that first probed operand a table and it
-        // does not.
+        // beats the merge; make that first probed operand bitmap-less and
+        // galloping through it costs more than merging it.
         assert_eq!(
             kind(&p, &[sparse(3000), dense(3000, 1), dense(3000, 1)]),
             PlanKind::HashProbe
         );
         assert_eq!(
             kind(&p, &[sparse(3000), sparse(3000), dense(3000, 1)]),
-            PlanKind::GallopProbe
+            PlanKind::SimdMerge
         );
         // The sweep also pays for what it extracts: a pass over every
         // result word, and a fixed run per word holding a survivor. A
@@ -892,6 +883,22 @@ mod tests {
         assert_eq!(kind(&p, &[sparse(0), sparse(10)]), PlanKind::Empty);
         assert_eq!(kind(&p, &[]), PlanKind::Empty);
         assert_eq!(kind(&p, &[sparse(10)]), PlanKind::Single);
+    }
+
+    /// Probing a bitmap-less list is priced as the galloping cursor it
+    /// runs: a larger list costs more per candidate, and fewer than one
+    /// expected candidate pays its share of one search, not more.
+    #[test]
+    fn a_bitmap_less_probe_is_priced_as_a_gallop() {
+        let p = Planner::default();
+        let gallop = p.unit(CostUnit::Gallop);
+        let small = p.probe_cost(1000.0, &sparse(2000));
+        let large = p.probe_cost(1000.0, &sparse(64_000));
+        assert_eq!(small, gallop * 1000.0 * 4f64.log2());
+        assert!(large > small);
+        assert_eq!(p.probe_cost(1000.0, &dense(64_000, 1)), 2000.0);
+        let share = p.probe_cost(0.25, &sparse(1 << 20));
+        assert!((share - 0.25 * gallop * ((1 << 20) as f64 + 2.0).log2()).abs() < 1e-9);
     }
 
     #[test]
@@ -937,16 +944,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let scalar = Planner::default();
         let avx2 = Planner::for_simd(SimdLevel::Avx2);
-        // Balanced sparse: galloped at the scalar tier, merged at AVX2 (the
-        // merge runs at whatever tier this machine dispatches).
+        // Balanced sparse: merged at every tier (the merge runs at whatever
+        // tier this machine dispatches).
         let a: SortedSet = (0..2000).map(|_| rng.gen_range(0..2_000_000u32)).collect();
         let b: SortedSet = (0..2000).map(|_| rng.gen_range(0..2_000_000u32)).collect();
         let pa = PlannedList::build(&a);
         let pb = PlannedList::build(&b);
-        for (planner, expect) in [
-            (&scalar, PlanKind::GallopProbe),
-            (&avx2, PlanKind::SimdMerge),
-        ] {
+        for (planner, expect) in [(&scalar, PlanKind::SimdMerge), (&avx2, PlanKind::SimdMerge)] {
             let mut out = Vec::new();
             let plan = run(planner, &[&pa, &pb], &mut out);
             assert_eq!(plan.kind, expect);
@@ -963,21 +967,27 @@ mod tests {
             out,
             reference_intersection(&[small.as_slice(), b.as_slice()])
         );
-        // Extreme skew.
-        let tiny: SortedSet = (0..20u32).map(|x| x * 100_000).collect();
+        // Extreme skew: galloped through a flat list, bit-tested against a
+        // bitmap.
+        let tiny: SortedSet = (0..20u32).map(|x| x * 4_000).collect();
         let pt = PlannedList::build(&tiny);
-        let mut out = Vec::new();
-        let plan = run(&scalar, &[&pt, &pb], &mut out);
-        assert_eq!(plan.kind, PlanKind::HashProbe);
-        assert_eq!(
-            out,
-            reference_intersection(&[tiny.as_slice(), b.as_slice()])
-        );
-        // Dense.
         let d1: SortedSet = (0..40_000u32).map(|x| x * 2).collect();
         let d2: SortedSet = (0..40_000u32).map(|x| x * 2 + (x % 2)).collect();
         let pd1 = PlannedList::build(&d1);
         let pd2 = PlannedList::build(&d2);
+        for (partner, set, expect) in [
+            (&pb, &b, PlanKind::GallopProbe),
+            (&pd1, &d1, PlanKind::HashProbe),
+        ] {
+            let mut out = Vec::new();
+            let plan = run(&scalar, &[&pt, partner], &mut out);
+            assert_eq!(plan.kind, expect);
+            assert_eq!(
+                out,
+                reference_intersection(&[tiny.as_slice(), set.as_slice()])
+            );
+        }
+        // Dense.
         let mut out = Vec::new();
         let plan = run(&scalar, &[&pd1, &pd2], &mut out);
         assert_eq!(plan.kind, PlanKind::BitmapAnd);
@@ -1023,9 +1033,9 @@ mod tests {
     }
 
     #[test]
-    fn every_list_carries_exactly_one_membership_structure() {
+    fn a_list_carries_a_bitmap_only_at_one_member_per_word() {
         // One member per bitmap word is the boundary: exactly 1024 members
-        // in one chunk gets the bitmap, one fewer the table.
+        // in one chunk gets the bitmap, one fewer only the flat list.
         let at_rule: SortedSet = (0..WORDS_PER_CHUNK as u32).map(|x| x * 64).collect();
         let below_rule: SortedSet = (1..WORDS_PER_CHUNK as u32).map(|x| x * 64).collect();
         // Dense in two chunks far up the id space: under 1/16 of `max + 1`,
@@ -1039,32 +1049,22 @@ mod tests {
             (&empty, true),
         ] {
             let list = PlannedList::build(set);
-            // The enum is the pin: a list is one variant, and `bitmap()` is
-            // just a view of which.
-            match list.membership() {
-                Membership::Bitmap(b) => {
-                    assert!(bitmap && list.bitmap().is_some(), "n={}", set.len());
-                    assert!(list.n() >= b.num_chunks() * WORDS_PER_CHUNK);
-                }
-                Membership::Hash(_) => {
-                    assert!(!bitmap && list.bitmap().is_none(), "n={}", set.len());
-                }
+            assert_eq!(list.bitmap().is_some(), bitmap, "n={}", set.len());
+            if let Some(b) = list.bitmap() {
+                assert!(list.n() >= b.num_chunks() * WORDS_PER_CHUNK);
+                assert!(set.iter().all(|x| b.contains(x)) && !b.contains(7));
             }
             let bytes = list.bytes_by_repr();
-            assert!(bytes.bitmap == 0 || bytes.hash == 0);
+            assert_eq!(bytes.flat, 4 * list.n());
+            assert_eq!(bytes.bitmap == 0, list.bitmap().is_none() || set.is_empty());
             assert_eq!(bytes.total(), list.size_in_bytes());
-            let contains = |x| match list.membership() {
-                Membership::Bitmap(b) => b.contains(x),
-                Membership::Hash(t) => t.contains(x),
-            };
-            assert!(set.iter().all(contains) && !contains(7));
         }
     }
 
     /// Every plan `plan` emits over a sweep of operand shapes — sparse and
     /// dense operands, k = 2…5, size ratios 1…512 between neighbours —
-    /// at every SIMD tier, with whether a table-carrying operand vetoes
-    /// the bitmap sweep.
+    /// at every SIMD tier, with whether a bitmap-less operand vetoes the
+    /// bitmap sweep.
     fn swept_plans() -> Vec<(Planner, Vec<OperandStats>, PlanKind, bool)> {
         let mut plans = Vec::new();
         for k in 2..=5usize {
@@ -1092,7 +1092,7 @@ mod tests {
     }
 
     /// No swept shape makes `plan` emit `CompressedGallop`, and none with
-    /// a table-carrying operand makes it emit `BitmapAnd`. (A hand-built
+    /// a bitmap-less operand makes it emit `BitmapAnd`. (A hand-built
     /// plan of either kind still answers — `every_forced_kernel_is_correct`
     /// runs both.)
     #[test]
@@ -1131,16 +1131,18 @@ mod tests {
         use PlanKind::{BitmapAnd, GallopProbe, HashProbe, SimdMerge};
         let dense_pair = [dense(50_000, 2), dense(60_000, 2)];
         // The owner at scalar, SSE4.1 and AVX2.
-        let shapes: [(&[OperandStats], [PlanKind; 3]); 4] = [
-            (
-                &[sparse(3000), sparse(4000), sparse(5000)],
-                [HashProbe, SimdMerge, SimdMerge],
-            ),
+        let shapes: [(&[OperandStats], [PlanKind; 3]); 6] = [
+            (&[sparse(3000), sparse(4000), sparse(5000)], [SimdMerge; 3]),
             (
                 &[sparse(1000), sparse(7000)],
-                [GallopProbe, GallopProbe, SimdMerge],
+                [GallopProbe, SimdMerge, SimdMerge],
             ),
-            (&[sparse(100), sparse(5000), sparse(80_000)], [HashProbe; 3]),
+            (&[sparse(20), sparse(2000)], [GallopProbe; 3]),
+            (
+                &[sparse(100), sparse(5000), sparse(80_000)],
+                [HashProbe, SimdMerge, SimdMerge],
+            ),
+            (&[sparse(1000), dense(80_000, 2)], [HashProbe; 3]),
             (&dense_pair, [BitmapAnd; 3]),
         ];
         for (tier, p) in SimdLevel::ALL
@@ -1155,17 +1157,23 @@ mod tests {
                 let ns: Vec<f64> = by_size.iter().map(|s| s.n as f64).collect();
                 let (n_min, k) = (ns[0], ns.len() as f64);
                 let total: f64 = ns.iter().sum();
-                let probe =
-                    |s: &OperandStats| p.unit(if s.chunks.is_some() { BitTest } else { Hash });
+                // `c` ascending candidates galloped through an `n`-list.
+                let gallop = |c: f64, n: f64| p.unit(Gallop) * c * (n / c.max(1.0) + 2.0).log2();
+                let probe = |c: f64, s: &OperandStats| match s.chunks {
+                    Some(_) => p.unit(BitTest) * c,
+                    None => gallop(c, s.n as f64),
+                };
                 // Both probing plans pay the same tail: the first two
                 // lists' estimated survivors, tested against the rest.
                 let survivors = n_min * ns[1] / U as f64;
-                let tail = survivors * by_size[2..].iter().map(probe).sum::<f64>();
-                let log_sum: f64 = ns[1..].iter().map(|n| (n / n_min + 2.0).log2()).sum();
+                let tail: f64 = by_size[2..].iter().map(|s| probe(survivors, s)).sum();
                 let mut prices = vec![
                     (PlanKind::SimdMerge, p.unit(Merge) * (ns[0] + ns[1]) + tail),
-                    (PlanKind::GallopProbe, p.unit(Gallop) * n_min * log_sum),
-                    (PlanKind::HashProbe, n_min * probe(&by_size[1]) + tail),
+                    (
+                        PlanKind::GallopProbe,
+                        ns[1..].iter().map(|&n| gallop(n_min, n)).sum(),
+                    ),
+                    (PlanKind::HashProbe, probe(n_min, &by_size[1]) + tail),
                     (PlanKind::HeapMerge, p.unit(Heap) * total * k.log2()),
                 ];
                 if owner == PlanKind::BitmapAnd {
@@ -1193,53 +1201,75 @@ mod tests {
         }
     }
 
-    /// Every kind, forced onto k = 2…8 operands that mix bitmaps and
-    /// tables, with an empty operand and with a duplicated one, answers
-    /// the reference intersection ascending (`BitmapAnd` only where every
-    /// operand carries a bitmap).
+    /// Every kind, forced onto k = 2…8 operands that mix bitmap-carrying
+    /// and bitmap-less lists at driver skews 1…512, with an empty operand
+    /// and with a duplicated one, answers the reference intersection
+    /// ascending (`BitmapAnd` only where every operand carries a bitmap).
+    /// Every operand holds `0`, `u32::MAX` and the values on both sides of
+    /// a 2¹⁶ chunk boundary, so a galloping probe must find them at the
+    /// very ends of a flat list.
     #[test]
     fn every_forced_kernel_is_correct() {
+        const BOUNDARY: u32 = 1 << 16;
+        let edges = [0, BOUNDARY - 1, BOUNDARY, u32::MAX - 1, u32::MAX];
         let mut rng = StdRng::seed_from_u64(6);
+        // Two hot ranges, around the boundary and at the top of the id
+        // space: three chunks in all, so 6 000 members carry a bitmap and
+        // 3 000 do not.
+        let mut draw = |n: usize| -> SortedSet {
+            (0..n)
+                .map(|i| match i % 2 {
+                    0 => rng.gen_range(BOUNDARY - 6_000..BOUNDARY + 6_000),
+                    _ => rng.gen_range(u32::MAX - 12_000..=u32::MAX),
+                })
+                .chain(edges)
+                .collect()
+        };
         for k in 2..=8usize {
-            for case in 0..3 {
-                let mut sets: Vec<SortedSet> = (0..k)
-                    .map(|i| {
-                        // Every third operand is too sparse for a bitmap.
-                        let n = if i % 3 == 2 { 300 } else { 1500 };
-                        (0..n).map(|_| rng.gen_range(0..40_000u32)).collect()
-                    })
-                    .collect();
-                match case {
-                    1 => sets[k - 1] = sets[0].clone(),
-                    2 => sets[k / 2] = SortedSet::new(),
-                    _ => {}
-                }
-                let lists: Vec<PlannedList> = sets.iter().map(PlannedList::build).collect();
-                let refs: Vec<&PlannedList> = lists.iter().collect();
-                assert!(refs[0].bitmap().is_some());
-                let slices: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
-                let expect = reference_intersection(&slices);
-                let planner = Planner::default();
-                let base = planner.plan_for_lists(&refs, 40_000);
-                for forced in [
-                    PlanKind::SimdMerge,
-                    PlanKind::RanGroupScan,
-                    PlanKind::HashProbe,
-                    PlanKind::BitmapAnd,
-                    PlanKind::GallopProbe,
-                    PlanKind::HeapMerge,
-                    PlanKind::CompressedGallop,
-                ] {
-                    if forced == PlanKind::BitmapAnd && refs.iter().any(|l| l.bitmap().is_none()) {
-                        continue;
+            for ratio in [1, 8, 64, 512] {
+                for case in 0..3 {
+                    let mut sets: Vec<SortedSet> = (0..k)
+                        .map(|i| match i {
+                            0 => draw(6000 / ratio),
+                            _ if i % 3 == 2 => draw(3000),
+                            _ => draw(6000),
+                        })
+                        .collect();
+                    match case {
+                        1 => sets[k - 1] = sets[0].clone(),
+                        2 => sets[k / 2] = SortedSet::new(),
+                        _ => {}
                     }
-                    let plan = MultiwayPlan {
-                        kind: forced,
-                        ..base.clone()
-                    };
-                    let mut out = Vec::new();
-                    planner.execute(&plan, &refs, &mut out);
-                    assert_eq!(out, expect, "forced {forced:?} k={k} case {case}");
+                    let lists: Vec<PlannedList> = sets.iter().map(PlannedList::build).collect();
+                    let refs: Vec<&PlannedList> = lists.iter().collect();
+                    assert_eq!(refs[0].bitmap().is_some(), ratio == 1);
+                    let slices: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
+                    let expect = reference_intersection(&slices);
+                    assert_eq!(expect.last() == Some(&u32::MAX), case != 2);
+                    let planner = Planner::default();
+                    let base = planner.plan_for_lists(&refs, u64::from(u32::MAX) + 1);
+                    for forced in [
+                        PlanKind::SimdMerge,
+                        PlanKind::RanGroupScan,
+                        PlanKind::HashProbe,
+                        PlanKind::BitmapAnd,
+                        PlanKind::GallopProbe,
+                        PlanKind::HeapMerge,
+                        PlanKind::CompressedGallop,
+                    ] {
+                        if forced == PlanKind::BitmapAnd
+                            && refs.iter().any(|l| l.bitmap().is_none())
+                        {
+                            continue;
+                        }
+                        let plan = MultiwayPlan {
+                            kind: forced,
+                            ..base.clone()
+                        };
+                        let mut out = Vec::new();
+                        planner.execute(&plan, &refs, &mut out);
+                        assert_eq!(out, expect, "forced {forced:?} k={k} 1:{ratio} case {case}");
+                    }
                 }
             }
         }

@@ -62,7 +62,8 @@
 //! [`HeapMerge`]). `fsi_index::Planner` goes further over *prepared*
 //! lists: it prices every candidate kernel with a whole-query cost model
 //! (adding a membership-probe tier — bit tests through
-//! [`BitmapSet::probe`], table probes elsewhere — and, for balanced sizes,
+//! [`BitmapSet::probe`], a galloping cursor through the flat list
+//! elsewhere — and, for balanced sizes,
 //! the SIMD merge of the two smallest lists with its survivors probed
 //! through the rest) and picks the minimum — see the
 //! `fsi_index::planner` module doc for the authoritative cost table.

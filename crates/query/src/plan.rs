@@ -24,7 +24,7 @@
 //! | `AND` (all operands are terms) | the full [`fsi_index::Planner`] candidate table — one whole-list [`MultiwayPlan`], zero materialized intermediates |
 //! | `AND` (mixed operands) | materialize sub-results, then a k-way gallop probe ([`AndKind::SliceProbe`]) |
 //! | `OR` | heap k-way union over materialized children (`Σ costᵢ + heap_union · Σnᵢ · log₂ k`) vs the chunk union over *any* children (`Σ partᵢ + 2 · bitmap_word · 1024 · span + extract`): a bitmap-carrying term costs its words, a `BitmapAnd` child whose subtrahends are terms its word sweep (no extraction of its own), any other child its own cost plus `set_bit` per row; `span` is the estimated number of chunks the union touches, and the result is extracted once |
-//! | `AND NOT` | one difference operator (`gallop · |base| · m`): a bit test per base element for each subtrahend that is a bitmap-carrying term, a galloping multi-subtrahend difference for the rest — the subtrahends are bounded by the base, never materialized against the universe. Over a `BitmapAnd` base whose subtrahends are all terms it is instead a one-child chunk union, priced as one |
+//! | `AND NOT` | one difference operator: a bit test per base element for each subtrahend that is a bitmap-carrying term (`bit_test · |base|`), a galloping multi-subtrahend difference for the rest (`gallop · |base| · Σⱼ log₂(|Nⱼ|/|base| + 2)`, [`Planner::gallop_cost`]) — the subtrahends are bounded by the base, never materialized against the universe. Over a `BitmapAnd` base whose subtrahends are all terms it is instead a one-child chunk union, priced as one, wherever that is cheaper |
 
 use crate::rewrite::NormExpr;
 use fsi_index::{CostUnit, MultiwayPlan, OperandStats, PlanKind, Planner};
@@ -239,11 +239,17 @@ impl ExprPlanner {
                 // Probe order: the most-excluding subtrahend first, so a
                 // doomed base element dies on its first probe.
                 neg_plans.sort_by(|a, b| b.est_rows.total_cmp(&a.est_rows));
-                let diff_cost = if neg_plans.is_empty() {
-                    0.0
-                } else {
-                    self.and.unit(CostUnit::Gallop) * base_rows * neg_plans.len() as f64
-                };
+                // The difference bit-tests every base row against each
+                // subtrahend that is a bitmap-carrying term, and gallops one
+                // cursor through each other subtrahend — priced like every
+                // other gallop, so a larger subtrahend costs more.
+                let tested = |c: &&ExprPlan| matches!(c.node, PlanNode::Term(t) if stats(t).chunks.is_some());
+                let bit_tests = neg_plans.iter().filter(tested).count() as f64;
+                let galloped = neg_plans.iter().filter(|c| !tested(c));
+                let diff_cost = self.and.unit(CostUnit::BitTest) * base_rows * bit_tests
+                    + self
+                        .and
+                        .gallop_cost(base_rows, galloped.map(|c| c.est_rows));
                 let mut est_rows = base_rows;
                 for c in &neg_plans {
                     est_rows *= 1.0 - (c.est_rows / u).min(1.0);
@@ -426,9 +432,9 @@ mod tests {
 
     #[test]
     fn and_of_terms_delegates_to_the_multiway_cost_model() {
-        // Extreme skew: the conjunctive model picks HashProbe; the
-        // expression plan must carry exactly that choice.
-        let p = plan("0 AND 1", &[(1000, None), (64_000, None)], 1 << 24);
+        // A small driver against a bitmap: the conjunctive model picks
+        // HashProbe; the expression plan must carry exactly that choice.
+        let p = plan("0 AND 1", &[(1000, None), (64_000, Some(1))], 1 << 24);
         match &p.node {
             PlanNode::And {
                 kind: AndKind::Multiway(m),
@@ -565,6 +571,57 @@ mod tests {
             &p.node,
             PlanNode::And { kind: AndKind::Multiway(m), .. } if m.kind == PlanKind::BitmapAnd
         ));
+    }
+
+    /// The galloping difference pays per base row and log₂ of each
+    /// subtrahend's size, so a larger subtrahend raises the price — and the
+    /// chunk union, whose price does not rise with it as fast, takes the
+    /// node over once it is cheaper.
+    #[test]
+    fn the_galloping_difference_is_priced_by_its_subtrahend() {
+        // The benchmark corpus's shape: `t0 ∧ t3` probes t3's 40 k members
+        // (≈ 12 k survivors); t4 holds 40 members and t5 28 000, and
+        // neither carries a bitmap.
+        let corpus = [
+            (600_000, Some(31)),
+            (300_000, Some(31)),
+            (200_000, Some(31)),
+            (40_000, Some(31)),
+            (40, None),
+            (28_000, None),
+        ];
+        let u = 2_000_000;
+        let base = plan("0 3", &corpus, u);
+        let base_rows = base.est_rows;
+        let gallop = |n: f64| {
+            ExprPlanner::default()
+                .and
+                .gallop_cost(base_rows, std::iter::once(n))
+        };
+        assert!(gallop(28_000.0) > 2.0 * gallop(40.0));
+        let kind = |p: &ExprPlan| match &p.node {
+            PlanNode::And {
+                kind: AndKind::Multiway(m),
+                ..
+            } => m.kind,
+            other => panic!("expected a multiway And, got {other:?}"),
+        };
+        // A 40-member subtrahend is galloped after the probe, at exactly
+        // the gallop's price …
+        let small = plan("0 3 AND NOT 4", &corpus, u);
+        assert_eq!(kind(&small), PlanKind::HashProbe, "{}", small.describe());
+        assert!((small.est_cost - base.est_cost - gallop(40.0)).abs() < 1e-6);
+        // … and a 28 000-member one would cost more than the chunk union,
+        // which therefore binds the node.
+        let large = plan("0 3 AND NOT 5", &corpus, u);
+        assert_eq!(kind(&large), PlanKind::BitmapAnd, "{}", large.describe());
+        assert!(large.est_cost > small.est_cost);
+        assert!(large.est_cost < base.est_cost + gallop(28_000.0));
+        // A bitmap-carrying subtrahend is bit-tested, priced per base row
+        // whatever its size.
+        let tested = plan("0 3 AND NOT 1", &corpus, u);
+        let bit_test = ExprPlanner::default().and.unit(CostUnit::BitTest);
+        assert!((tested.est_cost - base.est_cost - bit_test * base_rows).abs() < 1e-6);
     }
 
     #[test]

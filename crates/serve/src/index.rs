@@ -49,8 +49,8 @@ impl PreparedIndex {
         self.bytes
     }
 
-    /// How many lists carry a bitmap as their membership structure (the
-    /// other `num_terms() − n` carry a hash table).
+    /// How many lists carry a bitmap (the other `num_terms() − n` carry
+    /// only their flat list).
     pub fn num_bitmap_lists(&self) -> usize {
         self.exec.num_bitmap_lists()
     }
@@ -81,7 +81,8 @@ impl PreparedIndex {
 mod tests {
     use super::*;
     use crate::request::flat_to_norm;
-    use fsi_core::{HashContext, RanGroupScanIndex, SetIndex, SortedSet};
+    use fsi_baselines::ProbeTable;
+    use fsi_core::{HashContext, SortedSet};
     use fsi_index::{Corpus, CorpusConfig};
 
     fn engine() -> SearchEngine {
@@ -118,23 +119,25 @@ mod tests {
         assert_eq!(flat(&index, &[0, 1]), vec![7, u32::MAX]);
     }
 
-    /// The RanGroupScan structures left every prepared list and nothing
-    /// else moved: on this seeded engine the index weighs what it weighed
-    /// with them (717 696 B over four representations, itself 758 093 B
-    /// minus the block postings an earlier change removed) minus each
-    /// list's `m = 2` RanGroupScan structure, which the fixed strategy
-    /// still builds.
+    /// The hash tables left every prepared list and nothing else moved: on
+    /// this seeded engine the index weighs what it weighed with them
+    /// (400 196 B over three representations, itself 717 696 B minus the
+    /// RanGroupScan structures an earlier change removed) minus the
+    /// load-≤½ table of each list without a bitmap, which the fixed
+    /// `Strategy::Hash` still builds.
     #[test]
-    fn index_bytes_are_the_parents_minus_the_rangroupscan_structures() {
+    fn index_bytes_are_the_parents_minus_the_tables() {
         let engine = engine();
         let index = PreparedIndex::build(&engine);
-        let rgs: usize = engine
+        let tables: usize = engine
             .postings()
             .iter()
-            .map(|p| RanGroupScanIndex::with_m(engine.ctx(), p, 2).size_in_bytes())
+            .enumerate()
+            .filter(|(t, _)| index.exec.list(*t).bitmap().is_none())
+            .map(|(_, p)| ProbeTable::build(p.as_slice()).size_in_bytes())
             .sum();
-        assert_eq!(rgs, 317_500);
-        assert_eq!(index.size_in_bytes(), 717_696 - rgs);
+        assert_eq!(tables, 174_120);
+        assert_eq!(index.size_in_bytes(), 400_196 - tables);
     }
 
     #[test]

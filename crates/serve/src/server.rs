@@ -183,8 +183,8 @@ impl Server {
         let latency_ns = registry.histogram("fsi_query_latency_ns", &[]);
         let engine = PreparedIndex::build(engine);
         // The index is immutable: its footprint — whole, and by physical
-        // representation — and which membership structure its lists carry
-        // are gauges set once here, not re-derived on every scrape.
+        // representation — and how many of its lists carry a bitmap are
+        // gauges set once here, not re-derived on every scrape.
         registry
             .gauge("fsi_index_bytes", &[])
             .set(engine.size_in_bytes() as u64);
@@ -196,7 +196,7 @@ impl Server {
         let bitmap_lists = engine.num_bitmap_lists();
         for (membership, lists) in [
             ("bitmap", bitmap_lists),
-            ("hash", engine.num_terms() - bitmap_lists),
+            ("none", engine.num_terms() - bitmap_lists),
         ] {
             registry
                 .gauge("fsi_index_lists", &[("membership", membership)])

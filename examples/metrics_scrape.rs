@@ -83,11 +83,16 @@ fn main() {
         "fsi_queries_served_total",
         "fsi_plan_kind_total",
         "fsi_union_kind_total{kind=",
-        "fsi_index_bytes{repr=\"hash\"}",
+        "fsi_index_bytes{repr=\"flat\"}",
         "fsi_index_lists{membership=\"bitmap\"}",
+        "fsi_index_lists{membership=\"none\"}",
     ] {
         assert!(prom.contains(family), "scrape is missing {family}");
     }
+    assert!(
+        !prom.contains("fsi_index_bytes{repr=\"hash\"}"),
+        "no list carries a hash table"
+    );
     // Which union ran: `(0 OR 1) AND 5` planned one OR node.
     let unions: f64 = prom
         .lines()

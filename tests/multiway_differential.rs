@@ -96,8 +96,9 @@ fn planner_matches_pairwise_fold_for_every_forced_kind() {
     let planner = Planner::default();
     for k in 2..=8usize {
         // Sizes either side of the bitmap rule (1 024 members in the one
-        // chunk), so operands mix bitmaps and tables; then the same sets
-        // with a duplicated operand, and with an empty one.
+        // chunk), so operands mix bitmap-carrying and bitmap-less lists;
+        // then the same sets with a duplicated operand, and with an empty
+        // one.
         let sets: Vec<SortedSet> = (0..k)
             .map(|_| {
                 let n = rng.gen_range(1..2500);
@@ -193,11 +194,11 @@ fn mixed_density_operands_match_naive_and_the_merge_executor() {
     // u32::MAX — so lists can be dense where they live yet a sliver of
     // `max + 1`. Terms, by the structure the build rule gives them:
     //   0  exactly 2 chunks × 1 024 members          → bitmap (at the rule)
-    //   1  one member fewer                          → hash table
+    //   1  one member fewer                          → flat list only
     //   2  3 000 members of the top two chunks, u32::MAX among them → bitmap
-    //   3  sparse in both regions, u32::MAX among them             → hash table
+    //   3  sparse in both regions, u32::MAX among them             → flat list only
     //   4, 5, 6  20 k / 40 k / 60 k members of chunks 0–1          → bitmaps
-    //   7  the sparse driver: 300 low + 40 high members            → hash table
+    //   7  the sparse driver: 300 low + 40 high members            → flat list only
     const LOW: u32 = (1 << 17) - 1;
     const HIGH: u32 = u32::MAX - LOW;
     let mut rng = StdRng::seed_from_u64(0x0D15);
@@ -226,7 +227,7 @@ fn mixed_density_operands_match_naive_and_the_merge_executor() {
         [true, false, true, false, true, true, true, false]
     );
     // Term 2 is under 1/16 of its own `max + 1` by five orders of
-    // magnitude: a `max + 1` density floor would have handed it a table.
+    // magnitude: a `max + 1` density floor would have denied it a bitmap.
     assert!((postings[2].len() as f64) < (u32::MAX as f64 + 1.0) / 16.0);
 
     let engine = SearchEngine::from_postings(HashContext::new(0x0D16), postings);
@@ -262,7 +263,7 @@ fn mixed_density_operands_match_naive_and_the_merge_executor() {
         let naive: Vec<u32> = naive_eval(&slices, &norm).into_iter().collect();
         assert_eq!(expect, naive, "merge vs naive {q:?}");
         // Every kind the operands admit, forced: the probe must be right
-        // on all-bitmap, all-table and mixed operand sets alike.
+        // on all-bitmap, bitmap-less and mixed operand sets alike.
         let refs: Vec<&PlannedList> = q.iter().map(|&t| &lists[t]).collect();
         let chosen = planner.plan_for_lists(&refs, u64::from(u32::MAX) + 1);
         saw_probe_over_bitmap |= chosen.kind == PlanKind::HashProbe
@@ -286,7 +287,7 @@ fn mixed_density_operands_match_naive_and_the_merge_executor() {
     assert!(saw_probe_over_bitmap, "no query planned a bit-test probe");
 
     // Differences and unions over the same lists: a dense subtrahend (bit
-    // test), a table subtrahend (gallop), both at once, u32::MAX
+    // test), a bitmap-less subtrahend (gallop), both at once, u32::MAX
     // subtracted from either structure, and the bitmap OR.
     for src in [
         "7 AND NOT 4",

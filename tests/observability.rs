@@ -208,8 +208,8 @@ fn explain_analyze_timings_fit_inside_the_traced_exec_span() {
 fn index_bytes_by_representation_sum_to_the_whole() {
     // 40 000 documents fit one 2¹⁶-value chunk, so the build rule gives a
     // bitmap to exactly the terms with ≥ 1 024 postings: the scrape must
-    // show both membership structures, and every resident byte under
-    // exactly one representation.
+    // count the lists with and without one, and show every resident byte
+    // under exactly one representation.
     let corpus = Corpus::generate(CorpusConfig {
         num_docs: 40_000,
         num_terms: 48,
@@ -221,7 +221,7 @@ fn index_bytes_by_representation_sum_to_the_whole() {
     let snap = server.metrics();
     let whole = snap.gauge("fsi_index_bytes", &[]).expect("total gauge");
     assert_eq!(whole, server.engine().size_in_bytes() as u64);
-    let parts: Vec<u64> = ["flat", "bitmap", "hash"]
+    let parts: Vec<u64> = ["flat", "bitmap"]
         .iter()
         .map(|repr| {
             snap.gauge("fsi_index_bytes", &[("repr", repr)])
@@ -231,6 +231,7 @@ fn index_bytes_by_representation_sum_to_the_whole() {
     for (gone, why) in [
         ("compressed", "no list carries block postings"),
         ("rgs", "no list carries the RanGroupScan structure"),
+        ("hash", "no list carries a hash table"),
     ] {
         assert_eq!(
             snap.gauge("fsi_index_bytes", &[("repr", gone)]),
@@ -243,7 +244,8 @@ fn index_bytes_by_representation_sum_to_the_whole() {
     let lists = |m| snap.gauge("fsi_index_lists", &[("membership", m)]);
     assert!(dense_terms > 0 && dense_terms < 48);
     assert_eq!(lists("bitmap"), Some(dense_terms as u64));
-    assert_eq!(lists("hash"), Some(48 - dense_terms as u64));
+    assert_eq!(lists("none"), Some(48 - dense_terms as u64));
+    assert_eq!(lists("hash"), None);
 }
 
 #[test]

@@ -2,7 +2,9 @@
 //! including duplicated terms, an empty list, and one list equal to the
 //! whole universe — every multiway route (slice kernels, every plan kind
 //! the prepared lists admit, and every fixed `Strategy`'s k-way dispatch)
-//! must equal the scalar pairwise fold.
+//! must equal the scalar pairwise fold. The forced plan kinds also run at
+//! driver skews 1…512 and over lists holding the ends of the id space and
+//! both sides of a chunk boundary.
 
 use fast_set_intersection::index::{
     intersect_sorted, MultiwayPlan, PlanKind, PlannedList, Planner, PreparedList,
@@ -50,6 +52,24 @@ fn with_specials(mut sets: Vec<SortedSet>, special: u64) -> Vec<SortedSet> {
     sets
 }
 
+/// Values at the edges a galloping probe through a flat list must still
+/// find: the ends of the id space and both sides of a 2¹⁶ chunk boundary.
+const EDGES: [u32; 5] = [0, (1 << 16) - 1, 1 << 16, u32::MAX - 1, u32::MAX];
+
+/// Thins the first list to every `step`-th member (a driver `step` times
+/// smaller than the rest) and, with `edges`, adds [`EDGES`] to every
+/// non-empty list — which then spans three chunks, too sparse for a
+/// bitmap.
+fn skewed(mut sets: Vec<SortedSet>, step: usize, edges: bool) -> Vec<SortedSet> {
+    sets[0] = sets[0].iter().step_by(step).collect();
+    if edges {
+        for set in sets.iter_mut().filter(|s| !s.is_empty()) {
+            *set = set.iter().chain(EDGES).collect();
+        }
+    }
+    sets
+}
+
 /// The baseline: sort by length, fold pairwise with the scalar merge.
 fn fold_reference(sets: &[SortedSet]) -> Vec<u32> {
     let slices: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
@@ -87,33 +107,44 @@ proptest! {
         raw in operand_lists(),
         special in any::<u64>(),
     ) {
-        let sets = with_specials(raw.clone(), special);
-        let expect = fold_reference(&sets);
-        let lists: Vec<PlannedList> = sets.iter().map(PlannedList::build).collect();
-        let refs: Vec<&PlannedList> = lists.iter().collect();
-        // Under every tier's prices: whichever kind each plans, and every
-        // kind forced onto its operand order.
-        for planner in SimdLevel::ALL.map(Planner::for_simd) {
-            let planned = planner.plan_for_lists(&refs, u64::from(UNIVERSE));
-            for kind in [
-                planned.kind,
-                PlanKind::SimdMerge,
-                PlanKind::RanGroupScan,
-                PlanKind::HashProbe,
-                PlanKind::BitmapAnd,
-                PlanKind::GallopProbe,
-                PlanKind::HeapMerge,
-                PlanKind::CompressedGallop,
-            ] {
-                // The sweep binds every operand's bitmap; nothing else needs a
-                // particular structure.
-                if kind == PlanKind::BitmapAnd && refs.iter().any(|l| l.bitmap().is_none()) {
-                    continue;
+        let shapes = [1, 8, 64, 512].into_iter().flat_map(|s| [(s, false), (s, true)]);
+        for (step, edges) in shapes {
+            let sets = skewed(with_specials(raw.clone(), special), step, edges);
+            let expect = fold_reference(&sets);
+            prop_assert_eq!(
+                expect.last() == Some(&u32::MAX),
+                edges && sets.iter().all(|s| !s.is_empty())
+            );
+            let lists: Vec<PlannedList> = sets.iter().map(PlannedList::build).collect();
+            let refs: Vec<&PlannedList> = lists.iter().collect();
+            let universe = if edges { u64::from(u32::MAX) + 1 } else { u64::from(UNIVERSE) };
+            // Under every tier's prices: whichever kind each plans, and every
+            // kind forced onto its operand order.
+            for planner in SimdLevel::ALL.map(Planner::for_simd) {
+                let planned = planner.plan_for_lists(&refs, universe);
+                for kind in [
+                    planned.kind,
+                    PlanKind::SimdMerge,
+                    PlanKind::RanGroupScan,
+                    PlanKind::HashProbe,
+                    PlanKind::BitmapAnd,
+                    PlanKind::GallopProbe,
+                    PlanKind::HeapMerge,
+                    PlanKind::CompressedGallop,
+                ] {
+                    // The sweep binds every operand's bitmap; nothing else
+                    // needs a particular structure.
+                    if kind == PlanKind::BitmapAnd && refs.iter().any(|l| l.bitmap().is_none()) {
+                        continue;
+                    }
+                    let plan = MultiwayPlan { kind, ..planned.clone() };
+                    let mut out = Vec::new();
+                    planner.execute(&plan, &refs, &mut out);
+                    prop_assert!(
+                        out == expect,
+                        "forced {:?} 1:{} edges {}: {:?} vs {:?}", kind, step, edges, out, expect
+                    );
                 }
-                let plan = MultiwayPlan { kind, ..planned.clone() };
-                let mut out = Vec::new();
-                planner.execute(&plan, &refs, &mut out);
-                prop_assert!(out == expect, "forced {:?}: {:?} vs {:?}", kind, out, expect);
             }
         }
     }

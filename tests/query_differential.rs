@@ -174,6 +174,65 @@ fn expression_engine_matches_naive_semantics_across_planners() {
 }
 
 #[test]
+fn differences_with_bitmap_less_subtrahends_match_naive_semantics() {
+    // Lists around the first chunk boundary and in the top chunk, each
+    // holding the ends of the id space and both sides of the boundary:
+    // terms 0 and 1 are dense enough for a bitmap, 2–5 keep only their
+    // flat list, so a subtrahend among them is galloped where it lies —
+    // down to u32::MAX.
+    const BOUNDARY: u32 = 1 << 16;
+    let edges = [0, BOUNDARY - 1, BOUNDARY, u32::MAX - 1, u32::MAX];
+    let mut rng = StdRng::seed_from_u64(0xD1FD);
+    let mut list = |n: usize| -> SortedSet {
+        (0..n)
+            .map(|i| match i % 2 {
+                0 => rng.gen_range(BOUNDARY - 8_000..BOUNDARY + 8_000),
+                _ => rng.gen_range(u32::MAX - 8_000..=u32::MAX),
+            })
+            .chain(edges)
+            .collect()
+    };
+    let postings = vec![
+        list(9_000),
+        list(7_000),
+        list(40),
+        list(600),
+        list(2_500),
+        (0..20u32).collect(),
+    ];
+    let engine = SearchEngine::from_postings(HashContext::new(78), postings);
+    let slices = posting_slices(&engine);
+    let exec = engine.planned_executor(Planner::default());
+    let bitmaps: Vec<bool> = (0..6).map(|t| exec.list(t).bitmap().is_some()).collect();
+    assert_eq!(bitmaps, [true, true, false, false, false, false]);
+    for src in [
+        "0 AND NOT 2",
+        "0 AND NOT 4",
+        "0 1 AND NOT 3",
+        "0 1 AND NOT 2 AND NOT 4",
+        "4 AND NOT 3",
+        "3 AND NOT 2 AND NOT 5",
+        "3 AND NOT 0",
+        "1 AND NOT 4 AND NOT 0",
+        "0 AND NOT (2 OR 3)",
+        "(0 OR 4) AND NOT 3",
+        "0 1 AND NOT 5",
+        "4 3 AND NOT 2",
+    ] {
+        let norm = compile(src).expect("compiles");
+        let expect: Vec<Elem> = naive_eval(&slices, &norm).into_iter().collect();
+        for level in SimdLevel::ALL {
+            let planner = ExprPlanner::new(Planner::for_simd(level));
+            assert_eq!(
+                eval_planned(&exec, &planner, &norm),
+                expect,
+                "{level:?} {src}"
+            );
+        }
+    }
+}
+
+#[test]
 fn generated_boolean_streams_run_end_to_end() {
     // The shared traffic model, through the full server: every query the
     // generator emits must compile, validate, and answer identically to
