@@ -100,8 +100,7 @@ impl Kernel for SimdMerge {
 
 /// Minimum `n_min/universe` density at which building chunked bitmaps on
 /// the fly and sweeping `O(universe/64)` words beats element-at-a-time
-/// kernels — the slice-level selectors' floor ([`KernelChoice`],
-/// `MultiwayChoice`).
+/// kernels — [`KernelChoice`]'s floor.
 pub const BITMAP_MIN_DENSITY: f64 = 1.0 / 16.0;
 
 /// Which kernel the runtime selector picked (exposed for tests/telemetry).
@@ -201,19 +200,6 @@ impl Kernel for AutoKernel {
             KernelChoice::Galloping => Galloping.intersect_pair(a, b, out),
             KernelChoice::Bitmap => BitmapKernel.intersect_pair(a, b, out),
             KernelChoice::SimdMerge => SimdMerge.intersect_pair(a, b, out),
-        }
-    }
-
-    /// `k ≥ 3` routes through the true k-way layer
-    /// ([`MultiwayAuto`](crate::multiway::MultiwayAuto)) — no pairwise
-    /// fold, no materialized intermediates.
-    fn intersect_k(&self, sets: &[&[Elem]], out: &mut Vec<Elem>) {
-        use crate::multiway::{MultiwayAuto, MultiwayKernel};
-        match sets {
-            [] => {}
-            [a] => out.extend_from_slice(a),
-            [a, b] => self.intersect_pair(a, b, out),
-            _ => MultiwayAuto::default().intersect(sets, out),
         }
     }
 }

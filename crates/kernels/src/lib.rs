@@ -30,11 +30,12 @@
 //!   engine (`fsi-query`): k-way heap **union** ([`heap_union_into`]) and
 //!   galloping multi-subtrahend **difference** ([`gallop_diff_into`]); the
 //!   dense-regime union is the chunk union above.
-//! * [`multiway`] — true k-way kernels behind the [`MultiwayKernel`] trait
-//!   ([`GallopProbe`], [`BitmapAnd`], [`HeapMerge`], selected per call by
-//!   [`MultiwayAuto`]): the smallest set drives probes into all the others
-//!   at once, with **no materialized intermediate results** — the paper's
-//!   k-set framing, which a pairwise fold forfeits.
+//! * [`multiway`] — true k-way kernels ([`gallop_probe_into`],
+//!   [`heap_merge_into`], the cursor-based [`compressed_probe_into`]; the
+//!   k-way bitmap `AND` is [`BitmapSet`]'s): the smallest set drives probes
+//!   into all the others at once, with **no materialized intermediate
+//!   results** — the paper's k-set framing, which a pairwise fold
+//!   ([`pairwise_fold_into`], their benchmark baseline) forfeits.
 //!
 //! The two prepared forms implement the `fsi-core` index traits
 //! ([`SetIndex`](fsi_core::SetIndex) /
@@ -57,19 +58,19 @@
 //!    compare-and-compact merge on the flat lists alone, no auxiliary
 //!    structure — the `Merge` row of `BENCH_simd.json`).
 //!
-//! [`MultiwayChoice::select`] mirrors the same rule shape for k-way calls
-//! (skew → [`GallopProbe`], density → [`BitmapAnd`], otherwise
-//! [`HeapMerge`]). `fsi_index::Planner` goes further over *prepared*
-//! lists: it prices every candidate kernel with a whole-query cost model
-//! (adding a membership-probe tier — bit tests through
-//! [`BitmapSet::probe`], a galloping cursor through the flat list
-//! elsewhere — and, for balanced sizes,
-//! the SIMD merge of the two smallest lists with its survivors probed
-//! through the rest) and picks the minimum — see the
-//! `fsi_index::planner` module doc for the authoritative cost table.
-//! [`BITMAP_MIN_DENSITY`] belongs to the two slice-level selectors only:
-//! they build their bitmaps on the fly and need a floor to decide whether
-//! that pays. Which *prepared* lists carry a bitmap is the planner's
+//! [`AutoKernel`] packages that rule behind the [`Kernel`] trait for the
+//! harnesses that bench it (a `k`-way call folds its pairs); no serving
+//! path calls it. What serving runs is `fsi_index::Planner`'s choice over
+//! *prepared* lists — the one k-way selector: it prices every candidate
+//! kernel with a whole-query cost model (adding a membership-probe tier —
+//! bit tests through [`BitmapSet::probe`], a galloping cursor through the
+//! flat list elsewhere — and, for balanced sizes, the SIMD merge of the
+//! two smallest lists with its survivors probed through the rest) and
+//! picks the minimum — see the `fsi_index::planner` module doc for the
+//! authoritative cost table.
+//! [`BITMAP_MIN_DENSITY`] belongs to the slice-level selector only: it
+//! builds its bitmaps on the fly and needs a floor to decide whether that
+//! pays. Which *prepared* lists carry a bitmap is the planner's
 //! build rule — at least one member per bitmap word of the chunks the
 //! list touches — and involves no density constant.
 //!
@@ -109,7 +110,6 @@ pub use gallop::{
 pub use kernel::{AutoKernel, Kernel, KernelChoice, ScalarMerge, SimdMerge, BITMAP_MIN_DENSITY};
 pub use multiway::{
     compressed_probe_into, gallop_probe_into, gallop_probe_ordered_into, heap_merge_into,
-    pairwise_fold_into, BitmapAnd, CompressedProbe, GallopProbe, HeapMerge, MultiwayAuto,
-    MultiwayChoice, MultiwayKernel, SkipCursor, SliceCursor,
+    pairwise_fold_into, SkipCursor, SliceCursor,
 };
 pub use simd::SimdLevel;

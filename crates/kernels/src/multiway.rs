@@ -7,50 +7,29 @@
 //! intermediate, re-scanning survivors once per remaining list. The kernels
 //! here evaluate the whole operand list in one pass each:
 //!
-//! * [`GallopProbe`] — sort the lists by length, then drive each candidate
-//!   of the smallest list through all the others with per-list galloping
-//!   cursors (`O(n_min · Σᵢ log(nᵢ/n_min))`, Hwang–Lin across all `k` at
-//!   once). A candidate that misses any list is dropped immediately — no
-//!   later list ever sees it — and an exhausted cursor ends the whole
+//! * [`gallop_probe_into`] — sort the lists by length, then drive each
+//!   candidate of the smallest list through all the others with per-list
+//!   galloping cursors (`O(n_min · Σᵢ log(nᵢ/n_min))`, Hwang–Lin across all
+//!   `k` at once). A candidate that misses any list is dropped immediately
+//!   — no later list ever sees it — and an exhausted cursor ends the whole
 //!   query early.
-//! * [`BitmapAnd`] — a k-way chunked-bitmap `AND`: for every chunk of the
-//!   operand with the fewest chunks, locate the aligned chunk in the other
-//!   operands and `AND` all `k` bitmaps word-by-word before any extraction.
-//!   One 64-bit `AND` covers 64 universe slots per operand; a chunk that
-//!   zeroes out is abandoned mid-`AND`.
-//! * [`HeapMerge`] — a binary min-heap over the `k` list heads: pop the
-//!   minimum, count how many lists carry it, emit it only when all `k` do.
-//!   `O(Σ nᵢ · log k)`, no random access — the robust fallback when sizes
-//!   are balanced and nothing is dense enough for the bitmap sweep.
+//! * [`heap_merge_into`] — a binary min-heap over the `k` list heads: pop
+//!   the minimum, count how many lists carry it, emit it only when all `k`
+//!   do. `O(Σ nᵢ · log k)`, no random access.
+//! * [`compressed_probe_into`] — the gallop probe lifted onto
+//!   [`SkipCursor`]s, so it runs over compressed block postings without
+//!   decoding the blocks a seek skips.
 //!
-//! [`MultiwayAuto`] picks among the three per call from the operand sizes
-//! and the universe span, mirroring [`KernelChoice`](crate::KernelChoice)'s
-//! dispatch shape at the k-way level. The `fsi-index` planner applies a
-//! finer *cost model* over prepared lists (adding a hash-probe tier and a
-//! merge-then-probe plan); these kernels are the slice-level machinery both
-//! dispatchers bottom out in.
+//! The k-way chunked-bitmap `AND` is `BitmapSet`'s
+//! [`KIntersect`](fsi_core::KIntersect) implementation. None of these
+//! picks itself: the `fsi-index` planner prices every kernel over prepared
+//! lists and runs the cheapest, and [`pairwise_fold_into`] is the baseline
+//! they are all benchmarked against.
 
-use crate::bitmap::BitmapSet;
-use crate::gallop::GALLOP_RATIO;
-use crate::kernel::BITMAP_MIN_DENSITY;
 use fsi_core::elem::Elem;
 use fsi_core::search::gallop;
-use fsi_core::traits::KIntersect;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// A k-way slice-level intersection kernel.
-///
-/// Implementations accept any number of sorted, duplicate-free slices and
-/// append the **ascending** intersection of all of them to `out`. Zero
-/// operands yield nothing; one operand is copied through.
-pub trait MultiwayKernel: std::fmt::Debug + Send + Sync {
-    /// The label benchmarks and tests report.
-    fn name(&self) -> &'static str;
-
-    /// Appends `⋂ sets` to `out`, ascending.
-    fn intersect(&self, sets: &[&[Elem]], out: &mut Vec<Elem>);
-}
 
 /// Drives every candidate of the smallest list through all the other lists
 /// with per-list galloping cursors, appending survivors (ascending) to
@@ -141,170 +120,6 @@ pub fn heap_merge_into(sets: &[&[Elem]], out: &mut Vec<Elem>) {
                     heap.push(Reverse((sets[i][cursors[i]], i)));
                 }
             }
-        }
-    }
-}
-
-/// The k-way gallop-probe kernel (see [`gallop_probe_into`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GallopProbe;
-
-impl MultiwayKernel for GallopProbe {
-    fn name(&self) -> &'static str {
-        "GallopProbe"
-    }
-
-    fn intersect(&self, sets: &[&[Elem]], out: &mut Vec<Elem>) {
-        gallop_probe_into(sets, out);
-    }
-}
-
-/// The heap-based k-way merge kernel (see [`heap_merge_into`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HeapMerge;
-
-impl MultiwayKernel for HeapMerge {
-    fn name(&self) -> &'static str {
-        "HeapMerge"
-    }
-
-    fn intersect(&self, sets: &[&[Elem]], out: &mut Vec<Elem>) {
-        heap_merge_into(sets, out);
-    }
-}
-
-/// The k-way chunked-bitmap `AND` kernel: builds the chunk bitmaps on the
-/// fly (`O(Σ nᵢ)`, the same order as reading the input) and intersects all
-/// `k` chunk-by-chunk without intermediates. The prepared form
-/// ([`BitmapSet`]) is what the `fsi-index` planner stores; this form is
-/// what slice-level selection uses.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BitmapAnd;
-
-impl MultiwayKernel for BitmapAnd {
-    fn name(&self) -> &'static str {
-        "BitmapAnd"
-    }
-
-    fn intersect(&self, sets: &[&[Elem]], out: &mut Vec<Elem>) {
-        let built: Vec<BitmapSet> = sets
-            .iter()
-            .map(|s| BitmapSet::from_sorted_slice(s))
-            .collect();
-        let refs: Vec<&BitmapSet> = built.iter().collect();
-        BitmapSet::intersect_k_into(&refs, out);
-    }
-}
-
-/// Which k-way kernel [`MultiwayAuto`] picked (exposed for tests and
-/// telemetry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MultiwayChoice {
-    /// An empty operand (or no operands): the result is empty, run nothing.
-    Trivial,
-    /// Skewed sizes: gallop the smallest list through all the others.
-    GallopProbe,
-    /// Dense operands: word-parallel k-way chunked-bitmap `AND`.
-    BitmapAnd,
-    /// Balanced, sparse: heap-based k-way merge.
-    HeapMerge,
-}
-
-impl MultiwayChoice {
-    /// The label telemetry reports for this choice.
-    pub fn name(self) -> &'static str {
-        match self {
-            MultiwayChoice::Trivial => "Trivial",
-            MultiwayChoice::GallopProbe => "GallopProbe",
-            MultiwayChoice::BitmapAnd => "BitmapAnd",
-            MultiwayChoice::HeapMerge => "HeapMerge",
-        }
-    }
-
-    /// Bumps this choice's dispatch counter in the global metrics registry
-    /// (`fsi_kernel_multiway_dispatch_total{kernel=...}`) — the k-way
-    /// sibling of `KernelChoice`'s pair counter.
-    fn record_dispatch(self) {
-        use std::sync::OnceLock;
-        static COUNTERS: OnceLock<[std::sync::Arc<fsi_obs::Counter>; 4]> = OnceLock::new();
-        let counters = COUNTERS.get_or_init(|| {
-            [
-                MultiwayChoice::Trivial,
-                MultiwayChoice::GallopProbe,
-                MultiwayChoice::BitmapAnd,
-                MultiwayChoice::HeapMerge,
-            ]
-            .map(|k| {
-                fsi_obs::Registry::global().counter(
-                    "fsi_kernel_multiway_dispatch_total",
-                    &[("kernel", k.name())],
-                )
-            })
-        });
-        // audit:allow(hot_path_index): the array is sized to the enum's variant count and indexed by discriminant
-        counters[self as usize].inc();
-    }
-
-    /// Dispatch rule, mirroring [`KernelChoice::select`](crate::KernelChoice)
-    /// at the k-way level: an empty operand is trivial; size skew
-    /// (`max nᵢ / min nᵢ ≥` [`GALLOP_RATIO`]) → gallop-probe; density
-    /// (`n_min / universe ≥` [`BITMAP_MIN_DENSITY`]) → bitmap `AND`;
-    /// otherwise the heap merge. `universe_span` is `max element + 1` over
-    /// the operands.
-    pub fn select(sizes: &[usize], universe_span: u64) -> Self {
-        let Some(&lo) = sizes.iter().min() else {
-            return MultiwayChoice::Trivial;
-        };
-        // audit:allow(hot_path_panic): sizes is non-empty on this path (k >= 2)
-        let hi = *sizes.iter().max().expect("non-empty");
-        if lo == 0 {
-            MultiwayChoice::Trivial
-        } else if hi / lo >= GALLOP_RATIO {
-            MultiwayChoice::GallopProbe
-        } else if lo as f64 >= BITMAP_MIN_DENSITY * universe_span.max(1) as f64 {
-            MultiwayChoice::BitmapAnd
-        } else {
-            MultiwayChoice::HeapMerge
-        }
-    }
-}
-
-/// A kernel that re-selects per call via [`MultiwayChoice::select`].
-#[derive(Debug, Clone, Default)]
-pub struct MultiwayAuto {
-    probe: GallopProbe,
-    bitmap: BitmapAnd,
-    heap: HeapMerge,
-}
-
-impl MultiwayAuto {
-    /// The choice [`MultiwayAuto::intersect`] would make for these operands.
-    pub fn choice(sets: &[&[Elem]]) -> MultiwayChoice {
-        let sizes: Vec<usize> = sets.iter().map(|s| s.len()).collect();
-        let span = sets
-            .iter()
-            .filter_map(|s| s.last())
-            .max()
-            .map_or(0, |&m| m as u64 + 1);
-        MultiwayChoice::select(&sizes, span)
-    }
-}
-
-impl MultiwayKernel for MultiwayAuto {
-    fn name(&self) -> &'static str {
-        "MultiwayAuto"
-    }
-
-    fn intersect(&self, sets: &[&[Elem]], out: &mut Vec<Elem>) {
-        let choice = Self::choice(sets);
-        choice.record_dispatch();
-        match (sets, choice) {
-            ([], _) => {}
-            ([a], _) => out.extend_from_slice(a),
-            (_, MultiwayChoice::Trivial) => {}
-            (_, MultiwayChoice::GallopProbe) => self.probe.intersect(sets, out),
-            (_, MultiwayChoice::BitmapAnd) => self.bitmap.intersect(sets, out),
-            (_, MultiwayChoice::HeapMerge) => self.heap.intersect(sets, out),
         }
     }
 }
@@ -440,25 +255,6 @@ pub fn compressed_probe_into<C: SkipCursor>(cursors: &mut [C], out: &mut Vec<Ele
     }
 }
 
-/// The compressed-domain k-way probe kernel (see [`compressed_probe_into`])
-/// — a marker the `fsi-index` planner dispatches through; it is not a
-/// [`MultiwayKernel`] because its operands are cursors, not slices.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompressedProbe;
-
-impl CompressedProbe {
-    /// The label benchmarks and plan explainers report.
-    pub fn name(&self) -> &'static str {
-        "CompressedProbe"
-    }
-
-    /// Appends the ascending intersection of the cursors' operands to
-    /// `out`.
-    pub fn intersect<C: SkipCursor>(&self, cursors: &mut [C], out: &mut Vec<Elem>) {
-        compressed_probe_into(cursors, out);
-    }
-}
-
 /// The pairwise-fold baseline the multiway kernels are benchmarked against:
 /// sort by length, intersect the two smallest, then fold each remaining
 /// list in — materializing every intermediate, exactly what true k-way
@@ -488,16 +284,27 @@ pub fn pairwise_fold_into(pair: &dyn crate::kernel::Kernel, sets: &[&[Elem]], ou
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitmap::BitmapSet;
     use fsi_core::elem::{reference_intersection, SortedSet};
+    use fsi_core::traits::KIntersect;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn kernels() -> Vec<Box<dyn MultiwayKernel>> {
-        vec![
-            Box::new(GallopProbe),
-            Box::new(HeapMerge),
-            Box::new(BitmapAnd),
-            Box::new(MultiwayAuto::default()),
+    type KWay = fn(&[&[Elem]], &mut Vec<Elem>);
+
+    /// Every slice-level k-way kernel, by name; the bitmap `AND` builds its
+    /// bitmaps from the slices first.
+    fn kernels() -> [(&'static str, KWay); 3] {
+        [
+            ("GallopProbe", gallop_probe_into),
+            ("HeapMerge", heap_merge_into),
+            ("BitmapAnd", |sets, out| {
+                let built: Vec<BitmapSet> = sets
+                    .iter()
+                    .map(|s| BitmapSet::from_sorted_slice(s))
+                    .collect();
+                BitmapSet::intersect_k_into(&built.iter().collect::<Vec<_>>(), out);
+            }),
         ]
     }
 
@@ -519,10 +326,10 @@ mod tests {
                 let sets = random_sets(&mut rng, k, 1200, universe);
                 let slices: Vec<&[Elem]> = sets.iter().map(|s| s.as_slice()).collect();
                 let expect = reference_intersection(&slices);
-                for kernel in kernels() {
+                for (name, kernel) in kernels() {
                     let mut out = Vec::new();
-                    kernel.intersect(&slices, &mut out);
-                    assert_eq!(out, expect, "{} trial {trial} k={k}", kernel.name());
+                    kernel(&slices, &mut out);
+                    assert_eq!(out, expect, "{name} trial {trial} k={k}");
                 }
             }
         }
@@ -532,25 +339,25 @@ mod tests {
     fn degenerate_inputs() {
         let a: SortedSet = (0..50u32).collect();
         let empty = SortedSet::new();
-        for kernel in kernels() {
+        for (name, kernel) in kernels() {
             let mut out = Vec::new();
-            kernel.intersect(&[], &mut out);
-            assert!(out.is_empty(), "{} on zero operands", kernel.name());
-            kernel.intersect(&[a.as_slice()], &mut out);
-            assert_eq!(out, a.as_slice(), "{} on one operand", kernel.name());
+            kernel(&[], &mut out);
+            assert!(out.is_empty(), "{name} on zero operands");
+            kernel(&[a.as_slice()], &mut out);
+            assert_eq!(out, a.as_slice(), "{name} on one operand");
             out.clear();
-            kernel.intersect(&[a.as_slice(), empty.as_slice(), a.as_slice()], &mut out);
-            assert!(out.is_empty(), "{} with an empty operand", kernel.name());
+            kernel(&[a.as_slice(), empty.as_slice(), a.as_slice()], &mut out);
+            assert!(out.is_empty(), "{name} with an empty operand");
         }
     }
 
     #[test]
     fn duplicate_operands_and_identical_lists() {
         let a: SortedSet = (0..500u32).step_by(3).collect();
-        for kernel in kernels() {
+        for (name, kernel) in kernels() {
             let mut out = Vec::new();
-            kernel.intersect(&[a.as_slice(), a.as_slice(), a.as_slice()], &mut out);
-            assert_eq!(out, a.as_slice(), "{}", kernel.name());
+            kernel(&[a.as_slice(), a.as_slice(), a.as_slice()], &mut out);
+            assert_eq!(out, a.as_slice(), "{name}");
         }
     }
 
@@ -570,32 +377,11 @@ mod tests {
         let a = SortedSet::from_unsorted(vec![0, 65_535, 65_536, u32::MAX - 1, u32::MAX]);
         let b = SortedSet::from_unsorted(vec![0, 65_536, u32::MAX]);
         let c = SortedSet::from_unsorted(vec![0, 1, 65_536, u32::MAX]);
-        for kernel in kernels() {
+        for (name, kernel) in kernels() {
             let mut out = Vec::new();
-            kernel.intersect(&[a.as_slice(), b.as_slice(), c.as_slice()], &mut out);
-            assert_eq!(out, vec![0, 65_536, u32::MAX], "{}", kernel.name());
+            kernel(&[a.as_slice(), b.as_slice(), c.as_slice()], &mut out);
+            assert_eq!(out, vec![0, 65_536, u32::MAX], "{name}");
         }
-    }
-
-    #[test]
-    fn selection_rules() {
-        assert_eq!(MultiwayChoice::select(&[], 100), MultiwayChoice::Trivial);
-        assert_eq!(
-            MultiwayChoice::select(&[0, 10, 10], 100),
-            MultiwayChoice::Trivial
-        );
-        assert_eq!(
-            MultiwayChoice::select(&[10, 500, 1000], 1 << 20),
-            MultiwayChoice::GallopProbe
-        );
-        assert_eq!(
-            MultiwayChoice::select(&[500, 600, 700], 1000),
-            MultiwayChoice::BitmapAnd
-        );
-        assert_eq!(
-            MultiwayChoice::select(&[500, 600, 700], 1 << 20),
-            MultiwayChoice::HeapMerge
-        );
     }
 
     #[test]
@@ -662,7 +448,7 @@ mod tests {
 
     #[test]
     fn kernel_names_are_distinct() {
-        let names: Vec<&str> = kernels().iter().map(|k| k.name()).collect();
+        let names: Vec<&str> = kernels().iter().map(|(name, _)| *name).collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
         dedup.dedup();

@@ -14,8 +14,8 @@
 //!   smaller maximum. 16 (SSE) or 64 (AVX2) element comparisons per
 //!   iteration against the scalar merge's one.
 //! * [`and_in_place`] / [`or_in_place`] — wide bitmap `AND`/`OR` for
-//!   [`BitmapSet`](crate::BitmapSet)/[`BitmapAnd`](crate::multiway::BitmapAnd)
-//!   chunk sweeps and the chunk union: 2 (SSE) or 4 (AVX2) 64-bit words
+//!   [`BitmapSet`](crate::BitmapSet) chunk sweeps (pairwise and k-way)
+//!   and the chunk union: 2 (SSE) or 4 (AVX2) 64-bit words
 //!   per instruction, the `AND` folding its all-zero test into one final
 //!   `PTEST`; [`and_extract`] is an `AND` into a stack copy followed by the
 //!   extraction below.

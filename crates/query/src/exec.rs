@@ -11,17 +11,22 @@
 //! the prepared structures — only genuine sub-expression results are
 //! materialized.
 //!
+//! `EXPLAIN ANALYZE` ([`analyze_plan`]) is the same walk with a report
+//! sink; without one — every served query — the walk reads no clock.
+//!
 //! Output is appended ascending and duplicate-free; pre-existing `out`
 //! content is left untouched.
 
+use crate::explain::{estimates, in_place_report, input_report, ns, report_plan, NodeReport};
 use crate::plan::{AndKind, ExprPlan, ExprPlanner, PlanNode, UnionKind};
 use crate::rewrite::NormExpr;
 use fsi_core::elem::Elem;
 use fsi_index::{PlanKind, PlannedExecutor, PlannedList};
 use fsi_kernels::{
     chunk_union_into, filter_in_place, gallop_diff_into, gallop_probe_into, heap_union_into,
-    BitmapSet, UnionPart,
+    UnionPart,
 };
+use std::time::Instant;
 
 /// A child result: borrowed straight from a prepared list when the child
 /// is a term, materialized otherwise.
@@ -137,41 +142,72 @@ pub fn execute_plan(
     plan: &ExprPlan,
     out: &mut Vec<Elem>,
 ) {
-    run_plan(exec, planner, plan, out);
+    run_plan(exec, planner, plan, out, None);
 }
 
-/// The bitmap of a subtrahend that is a bitmap-carrying term — such a
-/// subtrahend is subtracted by bit test instead of a gallop through its
-/// flat list.
-pub(crate) fn term_bitmap<'a>(exec: &'a PlannedExecutor, plan: &ExprPlan) -> Option<&'a BitmapSet> {
+/// Runs `plan` through [`execute_plan`]'s walk with a report sink,
+/// appending the same ascending result to `out`, and returns the measured
+/// report tree — the `EXPLAIN ANALYZE` half.
+pub fn analyze_plan(
+    exec: &PlannedExecutor,
+    planner: &ExprPlanner,
+    plan: &ExprPlan,
+    out: &mut Vec<Elem>,
+) -> NodeReport {
+    let (start, t0) = (out.len(), Instant::now());
+    let mut children = Vec::new();
+    run_node(exec, planner, plan, out, Some(&mut children));
+    NodeReport {
+        rows: Some((out.len() - start) as u64),
+        wall_ns: Some(ns(t0.elapsed())),
+        children,
+        ..estimates(plan)
+    }
+}
+
+/// Runs `plan`, appending the ascending result to `out`. With a report
+/// `sink` the node's timed [`NodeReport`] is pushed onto it; without one
+/// (every served query) nothing is timed or built.
+fn run_plan(
+    exec: &PlannedExecutor,
+    planner: &ExprPlanner,
+    plan: &ExprPlan,
+    out: &mut Vec<Elem>,
+    sink: Option<&mut Vec<NodeReport>>,
+) {
+    match sink {
+        None => run_node(exec, planner, plan, out, None),
+        Some(sink) => sink.push(analyze_plan(exec, planner, plan, out)),
+    }
+}
+
+/// The prepared list of `plan` when it is a term.
+fn term<'a>(exec: &'a PlannedExecutor, plan: &ExprPlan) -> Option<&'a PlannedList> {
     match plan.node {
-        PlanNode::Term(t) => exec.list(t).bitmap(),
+        PlanNode::Term(t) => Some(exec.list(t)),
         _ => None,
     }
 }
 
-/// Appends `base ∖ (⋃ bitmaps ∪ ⋃ slices)` to `out`, ascending: one bit
-/// test per candidate per bitmap subtrahend, then the galloping difference
-/// over whatever survives for the rest.
-pub(crate) fn subtract_into(
-    mut base: Vec<Elem>,
-    bitmaps: &[&BitmapSet],
-    slices: &[&[Elem]],
-    out: &mut Vec<Elem>,
-) {
-    for bitmap in bitmaps {
-        let mut probe = bitmap.probe();
-        filter_in_place(&mut base, 0, |x| !probe.contains(x));
-    }
-    gallop_diff_into(&base, slices, out);
-}
-
-fn operand<'a>(exec: &'a PlannedExecutor, planner: &ExprPlanner, plan: &ExprPlan) -> Operand<'a> {
+/// A child's result for a parent that needs it as a slice: a term borrows
+/// its prepared list (an `(input)` report row), anything else runs.
+fn operand<'a>(
+    exec: &'a PlannedExecutor,
+    planner: &ExprPlanner,
+    plan: &ExprPlan,
+    sink: Option<&mut Vec<NodeReport>>,
+) -> Operand<'a> {
     match &plan.node {
-        PlanNode::Term(t) => Operand::Borrowed(exec.list(*t).flat()),
+        PlanNode::Term(t) => {
+            let list = exec.list(*t);
+            if let Some(sink) = sink {
+                sink.push(input_report(plan, list));
+            }
+            Operand::Borrowed(list.flat())
+        }
         _ => {
             let mut v = Vec::new();
-            run_plan(exec, planner, plan, &mut v);
+            run_plan(exec, planner, plan, &mut v, sink);
             Operand::Owned(v)
         }
     }
@@ -179,7 +215,7 @@ fn operand<'a>(exec: &'a PlannedExecutor, planner: &ExprPlanner, plan: &ExprPlan
 
 /// Whether a chunk union binds `plan` in place ([`ExprPlan::binds_in_place`]
 /// over this index's bitmaps).
-pub(crate) fn in_place(exec: &PlannedExecutor, plan: &ExprPlan) -> bool {
+fn in_place(exec: &PlannedExecutor, plan: &ExprPlan) -> bool {
     plan.binds_in_place(|t| exec.list(t).bitmap().is_some())
 }
 
@@ -189,18 +225,14 @@ fn union_part<'a>(exec: &'a PlannedExecutor, plan: &ExprPlan) -> Option<UnionPar
     if !in_place(exec, plan) {
         return None;
     }
-    let term = |p: &ExprPlan| match p.node {
-        PlanNode::Term(t) => Some(exec.list(t)),
-        _ => None,
-    };
     match &plan.node {
         PlanNode::And { pos, neg, .. } => {
             let pos = pos
                 .iter()
-                .map(|p| term(p)?.bitmap())
+                .map(|p| term(exec, p)?.bitmap())
                 .collect::<Option<Vec<_>>>()?;
             let (mut bitmaps, mut lists) = (Vec::new(), Vec::new());
-            for list in neg.iter().map(term) {
+            for list in neg.iter().map(|n| term(exec, n)) {
                 let list = list?;
                 match list.bitmap() {
                     Some(bitmap) => bitmaps.push(bitmap),
@@ -213,16 +245,15 @@ fn union_part<'a>(exec: &'a PlannedExecutor, plan: &ExprPlan) -> Option<UnionPar
                 neg_lists: lists,
             })
         }
-        _ => term(plan)?.bitmap().map(UnionPart::Bitmap),
+        _ => term(exec, plan)?.bitmap().map(UnionPart::Bitmap),
     }
 }
 
 /// Runs the chunk union over `children`, appending the ascending result to
 /// `out`: each child binds in place where [`union_part`] finds a part, and
-/// otherwise contributes `listed[i]`, its sorted result — which the caller
-/// materializes (the executor untimed, `EXPLAIN ANALYZE` timed). An `AND
-/// NOT` over a bitmap AND runs here as the one child of its own union.
-pub(crate) fn chunk_union<'a>(
+/// otherwise contributes `listed[i]`, its materialized sorted result. An
+/// `AND NOT` over a bitmap AND runs here as the one child of its own union.
+fn chunk_union<'a>(
     exec: &'a PlannedExecutor,
     children: &[ExprPlan],
     listed: &[Option<&'a [Elem]>],
@@ -239,38 +270,54 @@ pub(crate) fn chunk_union<'a>(
     chunk_union_into(&parts, out);
 }
 
-fn run_plan(exec: &PlannedExecutor, planner: &ExprPlanner, plan: &ExprPlan, out: &mut Vec<Elem>) {
+/// One node's operator: its children run through [`run_plan`] with `sink`,
+/// which collects their reports in evaluation order.
+fn run_node(
+    exec: &PlannedExecutor,
+    planner: &ExprPlanner,
+    plan: &ExprPlan,
+    out: &mut Vec<Elem>,
+    mut sink: Option<&mut Vec<NodeReport>>,
+) {
     match &plan.node {
         PlanNode::Term(t) => out.extend_from_slice(exec.list(*t).flat()),
         PlanNode::And { pos, neg, kind } => {
             if neg.is_empty() {
-                run_and_base(exec, planner, pos, kind, out);
+                run_and_base(exec, planner, pos, kind, out, sink);
             } else if in_place(exec, plan) {
                 chunk_union(exec, std::slice::from_ref(plan), &[None], out);
+                if let Some(sink) = sink {
+                    sink.extend(in_place_report(exec, plan).children);
+                }
             } else {
                 let mut base = Vec::new();
-                run_and_base(exec, planner, pos, kind, &mut base);
-                if base.is_empty() {
-                    return; // nothing to subtract from — skip the negs
+                run_and_base(exec, planner, pos, kind, &mut base, sink.as_deref_mut());
+                let first_neg = sink.as_deref().map_or(0, Vec::len);
+                if !base.is_empty() {
+                    subtract(exec, planner, base, neg, out, sink.as_deref_mut());
+                } else if let Some(sink) = sink.as_deref_mut() {
+                    // Nothing to subtract from: the negs are skipped, but
+                    // listed as the plan's children.
+                    sink.extend(neg.iter().map(report_plan));
                 }
-                let mut bitmaps: Vec<&BitmapSet> = Vec::new();
-                let mut neg_ops: Vec<Operand> = Vec::new();
-                for n in neg {
-                    match term_bitmap(exec, n) {
-                        Some(bitmap) => bitmaps.push(bitmap),
-                        None => neg_ops.push(operand(exec, planner, n)),
-                    }
+                if let Some(sink) = sink {
+                    sink.iter_mut()
+                        .skip(first_neg)
+                        .for_each(|r| r.negated = true);
                 }
-                let neg_slices: Vec<&[Elem]> = neg_ops.iter().map(Operand::as_slice).collect();
-                subtract_into(base, &bitmaps, &neg_slices, out);
             }
         }
         PlanNode::Or { children, kind } => {
             let ops: Vec<Option<Operand>> = children
                 .iter()
                 .map(|c| match kind {
-                    UnionKind::BitmapOr if in_place(exec, c) => None,
-                    _ => Some(operand(exec, planner, c)),
+                    UnionKind::BitmapOr if in_place(exec, c) => {
+                        if let Some(sink) = sink.as_deref_mut() {
+                            sink.push(in_place_report(exec, c));
+                        }
+                        None
+                    }
+                    _ => Some(operand(exec, planner, c, sink.as_deref_mut())),
                 })
                 .collect();
             let listed: Vec<Option<&[Elem]>> = ops
@@ -288,6 +335,34 @@ fn run_plan(exec: &PlannedExecutor, planner: &ExprPlanner, plan: &ExprPlan, out:
     }
 }
 
+/// Appends `base ∖ ⋃ neg` to `out`, ascending: one bit test per candidate
+/// for each subtrahend that is a bitmap-carrying term, then the galloping
+/// difference over whatever survives for the rest.
+fn subtract(
+    exec: &PlannedExecutor,
+    planner: &ExprPlanner,
+    mut base: Vec<Elem>,
+    neg: &[ExprPlan],
+    out: &mut Vec<Elem>,
+    mut sink: Option<&mut Vec<NodeReport>>,
+) {
+    let mut rest: Vec<Operand> = Vec::new();
+    for n in neg {
+        match term(exec, n).and_then(|l| Some((l, l.bitmap()?))) {
+            Some((list, bitmap)) => {
+                if let Some(sink) = sink.as_deref_mut() {
+                    sink.push(input_report(n, list));
+                }
+                let mut probe = bitmap.probe();
+                filter_in_place(&mut base, 0, |x| !probe.contains(x));
+            }
+            None => rest.push(operand(exec, planner, n, sink.as_deref_mut())),
+        }
+    }
+    let slices: Vec<&[Elem]> = rest.iter().map(Operand::as_slice).collect();
+    gallop_diff_into(&base, &slices, out);
+}
+
 /// Runs an `And` node's positive intersection, appending ascending output.
 fn run_and_base(
     exec: &PlannedExecutor,
@@ -295,6 +370,7 @@ fn run_and_base(
     pos: &[ExprPlan],
     kind: &AndKind,
     out: &mut Vec<Elem>,
+    mut sink: Option<&mut Vec<NodeReport>>,
 ) {
     match kind {
         AndKind::Multiway(mplan) => {
@@ -306,10 +382,16 @@ fn run_and_base(
                     _ => unreachable!("Multiway only planned over term operands"),
                 })
                 .collect();
+            if let Some(sink) = sink {
+                sink.extend(pos.iter().zip(&lists).map(|(p, l)| input_report(p, l)));
+            }
             planner.and.execute(mplan, &lists, out);
         }
         AndKind::SliceProbe => {
-            let ops: Vec<Operand> = pos.iter().map(|p| operand(exec, planner, p)).collect();
+            let ops: Vec<Operand> = pos
+                .iter()
+                .map(|p| operand(exec, planner, p, sink.as_deref_mut()))
+                .collect();
             let slices: Vec<&[Elem]> = ops.iter().map(Operand::as_slice).collect();
             gallop_probe_into(&slices, out);
         }
@@ -592,9 +674,9 @@ mod tests {
                 let mut got = Vec::new();
                 execute_plan(&planned, &planner, &plan, &mut got);
                 assert_eq!(got, expect, "{src} (chunk {chunk}: {})", plan.describe());
-                // `EXPLAIN ANALYZE` runs the same union routine.
+                // `EXPLAIN ANALYZE` runs the same walk.
                 let mut analyzed = Vec::new();
-                crate::explain::analyze_plan(&planned, &planner, &plan, &mut analyzed);
+                analyze_plan(&planned, &planner, &plan, &mut analyzed);
                 assert_eq!(analyzed, expect, "{src} (chunk {chunk}, analyzed)");
             }
         }

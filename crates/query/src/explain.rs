@@ -1,26 +1,23 @@
 //! `EXPLAIN` / `EXPLAIN ANALYZE`: renders an [`ExprPlan`] as a plan tree
-//! with the cost model's per-node estimates, and (for `ANALYZE`) actually
-//! runs the plan through a timed mirror of the executor so measured rows
-//! and per-node wall clock sit side by side with the estimates.
+//! with the cost model's per-node estimates, and (for `ANALYZE`) the
+//! measured rows and per-node wall clock beside them.
 //!
-//! The analyzed execution ([`analyze_plan`]) produces **byte-identical
-//! output** to [`crate::execute_plan`] — it is the same operator dispatch
-//! with an `Instant` pair around each node — and its timing obeys two
-//! invariants the integration tests pin: a parent's wall clock bounds the
-//! sum of its children's (children run inside the parent's window), and
-//! the root's wall clock bounds every node's. Term operands that kernels
-//! consume *in place* (multiway operands, chunk-union operands, borrowed
-//! union/difference slices) are reported as `(input)` rows with no timing
-//! of their own: nothing executes for them separately. A `BitmapAnd`
-//! child a chunk union binds in place is likewise never run on its own:
-//! it keeps its estimates and shows no rows or time.
+//! `ANALYZE` is no separate evaluator: [`analyze_plan`] runs the
+//! executor's own walk ([`crate::execute_plan`]'s) with a report sink, so
+//! its output is the served output. Each node that runs is timed around
+//! its own operator, so a parent's wall clock bounds the sum of its
+//! children's and the root's bounds every node's. This module builds the
+//! rows the walk pushes: term operands that kernels consume *in place*
+//! (multiway operands, chunk-union operands, borrowed union/difference
+//! slices) are `(input)` rows with no timing of their own; a `BitmapAnd`
+//! child a chunk union binds in place keeps its estimates and shows no
+//! rows or time; subtrahends skipped because the base came out empty
+//! keep their estimates only.
 
-use crate::exec::{chunk_union, in_place, subtract_into, term_bitmap};
-use crate::plan::{AndKind, ExprPlan, ExprPlanner, PlanNode, UnionKind};
+use crate::exec::analyze_plan;
+use crate::plan::{ExprPlan, ExprPlanner, PlanNode};
 use crate::rewrite::NormExpr;
-use fsi_core::elem::Elem;
 use fsi_index::{PlannedExecutor, PlannedList};
-use fsi_kernels::{gallop_probe_into, heap_union_into, BitmapSet};
 use std::time::Instant;
 
 /// Which explain variant a query prefix requested.
@@ -84,14 +81,21 @@ pub struct NodeReport {
     pub children: Vec<NodeReport>,
 }
 
-fn label_of(plan: &ExprPlan) -> String {
-    match &plan.node {
+/// A childless report of `plan`'s estimates, nothing measured.
+pub(crate) fn estimates(plan: &ExprPlan) -> NodeReport {
+    let label = match &plan.node {
         PlanNode::Term(t) => format!("t{t}"),
-        PlanNode::And { kind, .. } => match kind {
-            AndKind::Multiway(m) => format!("And[{}]", m.kind.name()),
-            AndKind::SliceProbe => "And[SliceProbe]".to_string(),
-        },
-        PlanNode::Or { kind, .. } => format!("Or[{}]", kind.name()),
+        PlanNode::And { .. } => format!("And[{}]", plan.operator()),
+        PlanNode::Or { .. } => format!("Or[{}]", plan.operator()),
+    };
+    NodeReport {
+        label,
+        est_rows: plan.est_rows,
+        est_cost: plan.est_cost,
+        rows: None,
+        wall_ns: None,
+        negated: false,
+        children: Vec::new(),
     }
 }
 
@@ -111,35 +115,25 @@ pub fn report_plan(plan: &ExprPlan) -> NodeReport {
         PlanNode::Or { children, .. } => children.iter().map(report_plan).collect(),
     };
     NodeReport {
-        label: label_of(plan),
-        est_rows: plan.est_rows,
-        est_cost: plan.est_cost,
-        rows: None,
-        wall_ns: None,
-        negated: false,
         children,
+        ..estimates(plan)
     }
 }
 
 /// A report for a term consumed in place by its parent's kernel: observed
 /// rows are the prepared list's length, but no separate execution happens,
 /// so it carries no timing.
-fn input_report(plan: &ExprPlan, list: &PlannedList) -> NodeReport {
+pub(crate) fn input_report(plan: &ExprPlan, list: &PlannedList) -> NodeReport {
     NodeReport {
-        label: label_of(plan),
-        est_rows: plan.est_rows,
-        est_cost: plan.est_cost,
         rows: Some(list.n() as u64),
-        wall_ns: None,
-        negated: false,
-        children: Vec::new(),
+        ..estimates(plan)
     }
 }
 
 /// A report for a child a chunk union binds in place: a term is an
 /// `(input)` row, a bitmap AND keeps its estimates over its terms' input
 /// rows — it is never extracted, so it has no rows or time of its own.
-fn in_place_report(exec: &PlannedExecutor, plan: &ExprPlan) -> NodeReport {
+pub(crate) fn in_place_report(exec: &PlannedExecutor, plan: &ExprPlan) -> NodeReport {
     let input = |p: &ExprPlan| match p.node {
         PlanNode::Term(t) => input_report(p, exec.list(t)),
         _ => report_plan(p),
@@ -160,150 +154,9 @@ fn in_place_report(exec: &PlannedExecutor, plan: &ExprPlan) -> NodeReport {
     }
 }
 
-fn ns(d: std::time::Duration) -> u64 {
+/// A duration in whole nanoseconds, saturating.
+pub(crate) fn ns(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// A child operand analyzed for a parent that needs it as a slice:
-/// borrowed straight from the prepared list when it is a term (an
-/// `(input)` report), executed-and-timed into `buf` otherwise.
-fn analyze_operand<'a>(
-    exec: &'a PlannedExecutor,
-    planner: &ExprPlanner,
-    plan: &ExprPlan,
-    buf: &'a mut Vec<Elem>,
-) -> (&'a [Elem], NodeReport) {
-    match &plan.node {
-        PlanNode::Term(t) => {
-            let list = exec.list(*t);
-            (list.flat(), input_report(plan, list))
-        }
-        _ => {
-            let report = analyze_plan(exec, planner, plan, buf);
-            (buf.as_slice(), report)
-        }
-    }
-}
-
-/// Executes `plan` with per-node timing, appending the ascending result to
-/// `out` (byte-identical to [`crate::execute_plan`]) and returning the
-/// measured report tree.
-pub fn analyze_plan(
-    exec: &PlannedExecutor,
-    planner: &ExprPlanner,
-    plan: &ExprPlan,
-    out: &mut Vec<Elem>,
-) -> NodeReport {
-    let start_len = out.len();
-    let t0 = Instant::now();
-    let children = match &plan.node {
-        PlanNode::Term(t) => {
-            out.extend_from_slice(exec.list(*t).flat());
-            Vec::new()
-        }
-        PlanNode::And { neg, .. } if !neg.is_empty() && in_place(exec, plan) => {
-            chunk_union(exec, std::slice::from_ref(plan), &[None], out);
-            in_place_report(exec, plan).children
-        }
-        PlanNode::And { pos, neg, kind } => {
-            let mut children = Vec::with_capacity(pos.len() + neg.len());
-            // The positive intersection lands directly in `out` when there
-            // is nothing to subtract, into `base` otherwise — exactly the
-            // untimed executor's buffering.
-            let mut base = Vec::new();
-            let target: &mut Vec<Elem> = if neg.is_empty() { &mut *out } else { &mut base };
-            match kind {
-                AndKind::Multiway(mplan) => {
-                    let lists: Vec<&PlannedList> = pos
-                        .iter()
-                        .map(|p| match p.node {
-                            PlanNode::Term(t) => exec.list(t),
-                            // audit:allow(hot_path_panic): the planner only puts Term nodes under Multiway
-                            _ => unreachable!("Multiway only planned over term operands"),
-                        })
-                        .collect();
-                    for (p, l) in pos.iter().zip(&lists) {
-                        children.push(input_report(p, l));
-                    }
-                    planner.and.execute(mplan, &lists, target);
-                }
-                AndKind::SliceProbe => {
-                    let mut bufs: Vec<Vec<Elem>> = pos.iter().map(|_| Vec::new()).collect();
-                    let mut slices: Vec<&[Elem]> = Vec::with_capacity(pos.len());
-                    for (p, buf) in pos.iter().zip(&mut bufs) {
-                        let (slice, report) = analyze_operand(exec, planner, p, buf);
-                        slices.push(slice);
-                        children.push(report);
-                    }
-                    gallop_probe_into(&slices, target);
-                }
-            }
-            if !neg.is_empty() {
-                if base.is_empty() {
-                    // The untimed path skips the subtrahends entirely; the
-                    // reports still show them as unexecuted plan children.
-                    for n in neg {
-                        children.push(NodeReport {
-                            negated: true,
-                            ..report_plan(n)
-                        });
-                    }
-                } else {
-                    let mut bufs: Vec<Vec<Elem>> = neg.iter().map(|_| Vec::new()).collect();
-                    let mut bitmaps: Vec<&BitmapSet> = Vec::new();
-                    let mut slices: Vec<&[Elem]> = Vec::with_capacity(neg.len());
-                    for (n, buf) in neg.iter().zip(&mut bufs) {
-                        let (slice, report) = analyze_operand(exec, planner, n, buf);
-                        match term_bitmap(exec, n) {
-                            Some(bitmap) => bitmaps.push(bitmap),
-                            None => slices.push(slice),
-                        }
-                        children.push(NodeReport {
-                            negated: true,
-                            ..report
-                        });
-                    }
-                    subtract_into(base, &bitmaps, &slices, out);
-                }
-            }
-            children
-        }
-        PlanNode::Or {
-            children: kids,
-            kind,
-        } => {
-            let mut children = Vec::with_capacity(kids.len());
-            let mut bufs: Vec<Vec<Elem>> = kids.iter().map(|_| Vec::new()).collect();
-            let mut listed: Vec<Option<&[Elem]>> = Vec::with_capacity(kids.len());
-            for (c, buf) in kids.iter().zip(&mut bufs) {
-                if *kind == UnionKind::BitmapOr && in_place(exec, c) {
-                    children.push(in_place_report(exec, c));
-                    listed.push(None);
-                } else {
-                    let (slice, report) = analyze_operand(exec, planner, c, buf);
-                    listed.push(Some(slice));
-                    children.push(report);
-                }
-            }
-            match kind {
-                UnionKind::BitmapOr => chunk_union(exec, kids, &listed, out),
-                UnionKind::HeapMerge => {
-                    let slices: Vec<&[Elem]> = listed.iter().flatten().copied().collect();
-                    heap_union_into(&slices, out);
-                }
-            }
-            children
-        }
-    };
-    NodeReport {
-        label: label_of(plan),
-        est_rows: plan.est_rows,
-        est_cost: plan.est_cost,
-        rows: Some((out.len() - start_len) as u64),
-        wall_ns: Some(ns(t0.elapsed())),
-        negated: false,
-        children,
-    }
 }
 
 /// Plans `expr` and renders the requested explain report. `ANALYZE` runs

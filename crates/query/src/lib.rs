@@ -40,8 +40,8 @@ pub mod plan;
 pub mod rewrite;
 
 pub use ast::Expr;
-pub use exec::{eval_planned, eval_planned_into, execute_plan};
-pub use explain::{analyze_plan, explain, report_plan, strip_explain, ExplainMode, NodeReport};
+pub use exec::{analyze_plan, eval_planned, eval_planned_into, execute_plan};
+pub use explain::{explain, report_plan, strip_explain, ExplainMode, NodeReport};
 pub use parse::{parse, ParseError};
 pub use plan::{AndKind, ExprPlan, ExprPlanner, PlanNode, UnionKind};
 pub use rewrite::{encode, encode_flat_and, fingerprint, normalize, NormExpr, RewriteError};

@@ -110,11 +110,7 @@ impl ExprPlan {
     pub fn describe(&self) -> String {
         match &self.node {
             PlanNode::Term(t) => format!("t{t}"),
-            PlanNode::And { pos, neg, kind } => {
-                let kind = match kind {
-                    AndKind::Multiway(p) => format!("{:?}", p.kind),
-                    AndKind::SliceProbe => "SliceProbe".to_string(),
-                };
+            PlanNode::And { pos, neg, .. } => {
                 let pos: Vec<String> = pos.iter().map(ExprPlan::describe).collect();
                 let neg: Vec<String> = neg.iter().map(ExprPlan::describe).collect();
                 let tail = if neg.is_empty() {
@@ -122,12 +118,27 @@ impl ExprPlan {
                 } else {
                     format!(" \\ {}", neg.join(" \\ "))
                 };
-                format!("And[{kind}]({}{tail})", pos.join(", "))
+                format!("And[{}]({}{tail})", self.operator(), pos.join(", "))
             }
-            PlanNode::Or { children, kind } => {
+            PlanNode::Or { children, .. } => {
                 let children: Vec<String> = children.iter().map(ExprPlan::describe).collect();
-                format!("Or[{}]({})", kind.name(), children.join(", "))
+                format!("Or[{}]({})", self.operator(), children.join(", "))
             }
+        }
+    }
+
+    /// This node's operator label: `Term`, the [`PlanKind`] or
+    /// `SliceProbe` of an `AND`, the [`UnionKind`] of an `OR` — what
+    /// `EXPLAIN`, [`describe`](Self::describe) and the served response's
+    /// plan kind report.
+    pub fn operator(&self) -> &'static str {
+        match &self.node {
+            PlanNode::Term(_) => "Term",
+            PlanNode::And { kind, .. } => match kind {
+                AndKind::Multiway(m) => m.kind.name(),
+                AndKind::SliceProbe => "SliceProbe",
+            },
+            PlanNode::Or { kind, .. } => kind.name(),
         }
     }
 

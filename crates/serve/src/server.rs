@@ -15,7 +15,7 @@ use fsi_kernels::SimdLevel;
 use fsi_obs::{
     Counter, HistSnapshot, Histogram, LabelCap, Registry, Snapshot, Span, SpanStart, TraceBuilder,
 };
-use fsi_query::{CompileError, ExplainMode, ExprPlan, NormExpr, PlanNode};
+use fsi_query::{CompileError, ExplainMode, NormExpr};
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,22 +33,6 @@ fn span_end<'a>(
     name: &str,
 ) -> Option<&'a mut Span> {
     Some(tb.as_mut()?.end_span(start?, name))
-}
-
-/// The top-level operator label of a plan — what [`Response::plan_kind`]
-/// and the `exec` trace span report.
-fn plan_kind_label(plan: &ExprPlan) -> &'static str {
-    match &plan.node {
-        PlanNode::Term(_) => "Term",
-        PlanNode::And { kind, .. } => match kind {
-            fsi_query::AndKind::Multiway(m) => m.kind.name(),
-            fsi_query::AndKind::SliceProbe => "SliceProbe",
-        },
-        PlanNode::Or { kind, .. } => match kind {
-            fsi_query::UnionKind::HeapMerge => "HeapMerge",
-            fsi_query::UnionKind::BitmapOr => "BitmapOr",
-        },
-    }
 }
 
 /// Why the server rejected a query.
@@ -413,7 +397,7 @@ impl Server {
         let s = span_start(&tb);
         let (docs, plan) = self.engine.eval(&norm);
         let docs = Arc::new(docs);
-        let kind = plan_kind_label(&plan);
+        let kind = plan.operator();
         if let Some(span) = span_end(&mut tb, s, "exec") {
             // The root operator rides along as a cheap static label and
             // the estimates round to integers — the planner-misprediction
@@ -961,6 +945,7 @@ mod tests {
             cache_capacity: 16,
             cache_segments: 2,
         });
+        let plans_before = s.metrics().sum("fsi_plan_kind_total");
         s.execute(&Request::terms(vec![0, 1])).expect("valid");
         s.execute(&Request::terms(vec![0, 1])).expect("valid");
         s.execute(&Request::expr("3 AND 4")).expect("valid");
@@ -979,13 +964,10 @@ mod tests {
             .histogram("fsi_query_latency_ns", &[])
             .expect("latency histogram registered");
         assert_eq!(hist.count, 3);
-        // The global registry's dispatch counters merge in (the server ran
-        // real intersections, so at least one planner/kernel counter is
-        // nonzero process-wide).
-        assert!(
-            snap.sum("fsi_plan_kind_total") + snap.sum("fsi_kernel_pair_dispatch_total") > 0
-                || snap.sum("fsi_kernel_multiway_dispatch_total") > 0
-        );
+        // The global registry's plan counters merge in: this server's two
+        // misses each ran a conjunction. Counters only grow, so tests
+        // running alongside can only add to the difference.
+        assert!(snap.sum("fsi_plan_kind_total") >= plans_before + 2);
         // Both render targets stay well-formed.
         let prom = snap.to_prometheus();
         assert!(prom.contains("fsi_queries_served_total 3"), "{prom}");
@@ -1036,7 +1018,7 @@ mod tests {
         ] {
             let norm = flat_to_norm(&terms).expect("non-empty");
             let plan = planner.plan(&norm, &|t| whole.list(t).stats(), whole.universe());
-            let expect = Some(plan_kind_label(&plan));
+            let expect = Some(plan.operator());
             let flat = s.execute(&Request::terms(terms.clone())).expect("valid");
             let expr = s.execute(&Request::expr(norm.to_string())).expect("valid");
             assert_eq!(flat.plan_kind, expect, "{terms:?}");
@@ -1052,7 +1034,7 @@ mod tests {
             for level in SimdLevel::ALL {
                 let planner = fsi_query::ExprPlanner::new(Planner::for_simd(level));
                 let plan = planner.plan(&norm, &|t| whole.list(t).stats(), whole.universe());
-                assert_eq!(plan_kind_label(&plan), kind, "{level:?}");
+                assert_eq!(plan.operator(), kind, "{level:?}");
             }
             let resp = s.execute(&Request::terms(terms)).expect("valid");
             assert_eq!(resp.plan_kind, Some(kind));

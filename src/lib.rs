@@ -16,9 +16,9 @@
 //!   (§4.1, Appendix B).
 //! * [`kernels`] — portable word-parallel intersection primitives: chunked
 //!   bitmaps ([`kernels::BitmapSet`]), branchless/galloping/SIMD merges
-//!   ([`kernels::GallopingSet`], [`kernels::SimdMerge`]) and true k-way
-//!   kernels ([`kernels::MultiwayKernel`]), behind a common
-//!   [`kernels::Kernel`] trait with runtime selection.
+//!   ([`kernels::GallopingSet`], [`kernels::SimdMerge`]), a common
+//!   [`kernels::Kernel`] trait with runtime selection, and true k-way
+//!   kernels ([`kernels::multiway`]).
 //! * [`index`] — an inverted-index/search substrate with pluggable
 //!   intersection strategies, plus the bag-semantics extension.
 //! * [`query`] — the boolean expression engine: an `AND`/`OR`/`NOT` query

@@ -7,11 +7,8 @@ use fast_set_intersection::index::{
 };
 use fast_set_intersection::query::naive::naive_eval;
 use fast_set_intersection::serve::{Request, ServeConfig, Server};
-use fast_set_intersection::{reference_intersection, HashContext, SortedSet};
-use fsi_kernels::{
-    pairwise_fold_into, BitmapAnd, GallopProbe, HeapMerge, MultiwayAuto, MultiwayKernel,
-    ScalarMerge,
-};
+use fast_set_intersection::{reference_intersection, HashContext, KIntersect, SortedSet};
+use fsi_kernels::{gallop_probe_into, heap_merge_into, pairwise_fold_into, BitmapSet, ScalarMerge};
 use fsi_workloads::{generate_stream, QueryStreamConfig, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,13 +29,25 @@ fn served(server: &Server, q: &[usize]) -> Vec<u32> {
     resp.docs.to_vec()
 }
 
-fn multiway_kernels() -> Vec<Box<dyn MultiwayKernel>> {
-    vec![
-        Box::new(GallopProbe),
-        Box::new(HeapMerge),
-        Box::new(BitmapAnd),
-        Box::new(MultiwayAuto::default()),
+type KWay = fn(&[&[u32]], &mut Vec<u32>);
+
+/// Every slice-level k-way kernel, by name.
+fn multiway_kernels() -> [(&'static str, KWay); 3] {
+    [
+        ("GallopProbe", gallop_probe_into),
+        ("HeapMerge", heap_merge_into),
+        ("BitmapAnd", bitmap_and_into),
     ]
+}
+
+/// The k-way chunked-bitmap `AND` over slices: build each operand's
+/// bitmap, then intersect all `k`.
+fn bitmap_and_into(sets: &[&[u32]], out: &mut Vec<u32>) {
+    let built: Vec<BitmapSet> = sets
+        .iter()
+        .map(|s| BitmapSet::from_sorted_slice(s))
+        .collect();
+    BitmapSet::intersect_k_into(&built.iter().collect::<Vec<_>>(), out);
 }
 
 /// The baseline every multiway path must match: sort by length, fold
@@ -69,10 +78,10 @@ fn multiway_kernels_match_pairwise_fold_on_uniform_and_zipf_sets() {
             let slices: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
             let expect = fold_reference(&slices);
             assert_eq!(expect, reference_intersection(&slices), "fold vs reference");
-            for kernel in multiway_kernels() {
+            for (name, kernel) in multiway_kernels() {
                 let mut out = Vec::new();
-                kernel.intersect(&slices, &mut out);
-                assert_eq!(out, expect, "kernel {} trial {trial} k={k}", kernel.name());
+                kernel(&slices, &mut out);
+                assert_eq!(out, expect, "kernel {name} trial {trial} k={k}");
             }
         }
     }

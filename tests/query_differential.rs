@@ -10,8 +10,8 @@ use fsi_index::{Planner, SearchEngine};
 use fsi_kernels::SimdLevel;
 use fsi_query::naive::{naive_eval, naive_eval_universe};
 use fsi_query::{
-    compile, encode, eval_planned, fingerprint, normalize, parse, Expr, ExprPlanner, NormExpr,
-    RewriteError,
+    analyze_plan, compile, encode, eval_planned, fingerprint, normalize, parse, Expr, ExprPlanner,
+    NodeReport, NormExpr, RewriteError,
 };
 use fsi_serve::{Request, ServeConfig, Server};
 use rand::rngs::StdRng;
@@ -159,6 +159,7 @@ fn expression_engine_matches_naive_semantics_across_planners() {
         .map(|_| random_bounded_expr(&mut rng, NUM_TERMS, 3).1)
         .collect();
     // Every tier's cost table: identical answers, possibly different plans.
+    // `EXPLAIN ANALYZE` runs the same walk, so it answers the same too.
     let exec = engine.planned_executor(Planner::default());
     for level in SimdLevel::ALL {
         let planner = ExprPlanner::new(Planner::for_simd(level));
@@ -169,7 +170,29 @@ fn expression_engine_matches_naive_semantics_across_planners() {
                 expect,
                 "{level:?} expr={expr}"
             );
+            let plan = planner.plan(expr, &|t| exec.list(t).stats(), exec.universe());
+            let mut analyzed = Vec::new();
+            let report = analyze_plan(&exec, &planner, &plan, &mut analyzed);
+            assert_eq!(analyzed, expect, "{level:?} analyzed expr={expr}");
+            assert_eq!(report.rows, Some(expect.len() as u64), "{level:?} {expr}");
+            assert_child_walls_fit(&report, expr);
         }
+    }
+}
+
+/// Every timed node's wall clock bounds the sum of its timed children's:
+/// each child runs inside its parent's window.
+fn assert_child_walls_fit(node: &NodeReport, expr: &NormExpr) {
+    if let Some(wall) = node.wall_ns {
+        let children: u64 = node.children.iter().filter_map(|c| c.wall_ns).sum();
+        assert!(
+            children <= wall,
+            "{}: children {children} ns > parent {wall} ns, expr={expr}",
+            node.label
+        );
+    }
+    for child in &node.children {
+        assert_child_walls_fit(child, expr);
     }
 }
 

@@ -12,10 +12,10 @@
 //! itself — so the same test runs on every CI matrix leg.
 
 use fast_set_intersection::index::{Corpus, CorpusConfig, SearchEngine, Strategy};
-use fast_set_intersection::{reference_intersection, HashContext, SortedSet};
+use fast_set_intersection::{reference_intersection, HashContext, KIntersect, SortedSet};
 use fsi_index::{MultiwayPlan, PlanKind, PlannedList, Planner};
 use fsi_kernels::simd::{self, SimdLevel};
-use fsi_kernels::{BitmapSet, GallopProbe, HeapMerge, MultiwayAuto, MultiwayKernel};
+use fsi_kernels::{gallop_probe_into, heap_merge_into, BitmapSet};
 use fsi_workloads::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -201,14 +201,25 @@ fn prepared_kernels_match_scalar_twins_across_profiles() {
     }
 }
 
+type KWay = fn(&[&[u32]], &mut Vec<u32>);
+
+/// The k-way chunked-bitmap `AND` over slices: build each operand's
+/// bitmap, then intersect all `k`.
+fn bitmap_and_into(sets: &[&[u32]], out: &mut Vec<u32>) {
+    let built: Vec<BitmapSet> = sets
+        .iter()
+        .map(|s| BitmapSet::from_sorted_slice(s))
+        .collect();
+    BitmapSet::intersect_k_into(&built.iter().collect::<Vec<_>>(), out);
+}
+
 #[test]
 fn multiway_kernels_match_scalar_twins() {
     let mut rng = StdRng::seed_from_u64(0x51D6);
-    let kernels: Vec<Box<dyn MultiwayKernel>> = vec![
-        Box::new(GallopProbe),
-        Box::new(HeapMerge),
-        Box::new(fsi_kernels::BitmapAnd),
-        Box::new(MultiwayAuto::default()),
+    let kernels: [(&str, KWay); 3] = [
+        ("GallopProbe", gallop_probe_into),
+        ("HeapMerge", heap_merge_into),
+        ("BitmapAnd", bitmap_and_into),
     ];
     for profile in 0..3 {
         for k in [2usize, 3, 5] {
@@ -216,25 +227,24 @@ fn multiway_kernels_match_scalar_twins() {
                 .map(|i| draw(&mut rng, 400 * (i + 1) + 129, profile))
                 .collect();
             let slices: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
-            for kernel in &kernels {
+            for (name, kernel) in kernels {
                 let scalar = simd::with_level(SimdLevel::Scalar, || {
                     let mut out = Vec::new();
-                    kernel.intersect(&slices, &mut out);
+                    kernel(&slices, &mut out);
                     out
                 });
                 assert_eq!(scalar, reference_intersection(&slices));
                 for level in simd_levels() {
                     let vec = simd::with_level(level, || {
                         let mut out = Vec::new();
-                        kernel.intersect(&slices, &mut out);
+                        kernel(&slices, &mut out);
                         out
                     });
                     assert_eq!(
                         vec,
                         scalar,
-                        "{} {} k={k} profile={profile}",
-                        level.name(),
-                        kernel.name()
+                        "{} {name} k={k} profile={profile}",
+                        level.name()
                     );
                 }
             }
