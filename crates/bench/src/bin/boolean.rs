@@ -201,7 +201,6 @@ fn main() {
         &engine,
         ServeConfig {
             cache_capacity: 8192,
-            ..ServeConfig::default()
         },
     );
     for q in &cache_stream {

@@ -14,7 +14,7 @@
 
 use fsi_bench::{median_time, HarnessArgs, Table};
 use fsi_core::{PairIntersect, SortedSet};
-use fsi_kernels::{branchless_merge_into, galloping_into, BitmapSet, Kernel, ScalarMerge};
+use fsi_kernels::{branchless_merge_into, galloping_into, scalar_merge_into, BitmapSet};
 use fsi_workloads::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,7 +113,7 @@ fn main() {
 
         let mut out: Vec<u32> = Vec::new();
         let mut expect: Vec<u32> = Vec::new();
-        ScalarMerge.intersect_pair(a.as_slice(), b.as_slice(), &mut expect);
+        scalar_merge_into(a.as_slice(), b.as_slice(), &mut expect);
         let r = expect.len();
 
         let mut rows: Vec<Row> = Vec::new();
@@ -138,7 +138,7 @@ fn main() {
             };
 
         bench("Merge", &mut rows, &mut |out| {
-            ScalarMerge.intersect_pair(a.as_slice(), b.as_slice(), out)
+            scalar_merge_into(a.as_slice(), b.as_slice(), out)
         });
         bench("BranchlessMerge", &mut rows, &mut |out| {
             branchless_merge_into(a.as_slice(), b.as_slice(), out)

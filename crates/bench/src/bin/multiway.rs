@@ -19,7 +19,8 @@ use fsi_bench::{min_time, HarnessArgs, Table};
 use fsi_core::{KIntersect, SortedSet};
 use fsi_index::{PlannedList, Planner};
 use fsi_kernels::{
-    gallop_probe_into, heap_merge_into, pairwise_fold_into, AutoKernel, BitmapSet, ScalarMerge,
+    auto_pair_into, gallop_probe_into, heap_merge_into, pairwise_fold_into, scalar_merge_into,
+    BitmapSet,
 };
 use fsi_workloads::Zipf;
 use rand::rngs::StdRng;
@@ -129,7 +130,7 @@ fn main() {
             let bitmap_refs: Vec<&BitmapSet> = bitmaps.iter().collect();
 
             let mut expect: Vec<u32> = Vec::new();
-            pairwise_fold_into(&ScalarMerge, &slices, &mut expect);
+            pairwise_fold_into(scalar_merge_into, &slices, &mut expect);
             let r = expect.len();
             let plan = planner.plan_for_lists(&planned_refs, u64::from(shape.universe));
 
@@ -175,10 +176,10 @@ fn main() {
             };
 
             bench("PairwiseFold(Merge)", &mut rows, &mut |out| {
-                pairwise_fold_into(&ScalarMerge, &slices, out)
+                pairwise_fold_into(scalar_merge_into, &slices, out)
             });
             bench("PairwiseFold(Auto)", &mut rows, &mut |out| {
-                pairwise_fold_into(&AutoKernel, &slices, out)
+                pairwise_fold_into(auto_pair_into, &slices, out)
             });
             bench("GallopProbe", &mut rows, &mut |out| {
                 gallop_probe_into(&slices, out)

@@ -63,7 +63,6 @@ fn main() {
         &engine,
         ServeConfig {
             cache_capacity: 0, // every query must run the full pipeline
-            ..ServeConfig::default()
         },
     );
 

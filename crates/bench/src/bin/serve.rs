@@ -61,7 +61,6 @@ fn main() {
         corpus,
         ServeConfig {
             cache_capacity: 8192,
-            ..ServeConfig::default()
         },
     );
     let requests: Vec<Request> = stream.iter().cloned().map(Request::terms).collect();

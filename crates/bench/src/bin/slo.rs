@@ -288,7 +288,6 @@ fn main() {
         corpus,
         ServeConfig {
             cache_capacity: 8192,
-            ..ServeConfig::default()
         },
     ));
     // The server under test runs the default (instrumented) lifecycle

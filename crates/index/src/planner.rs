@@ -14,13 +14,11 @@
 //! | kind | estimated cost | regime it owns |
 //! |------|----------------|----------------|
 //! | [`PlanKind::BitmapAnd`] | `bitmap_word · w · (k−1) + scan · w + extract · min(E[survivors], w)`, `w = c_min · 1024` | every operand carries a chunk bitmap |
-//! | [`PlanKind::HashProbe`] | `u₂(n₁) + Σᵢ≥₃ uᵢ(ŝ)`, `uᵢ(c) = bit_test · c` for a probed bitmap, `gallop · c · log₂(nᵢ/c + 2)` for a probed flat list | a small driver against bitmaps: `O(n₁)` bit tests |
+//! | [`PlanKind::HashProbe`] | `u₂(n₁) + Σᵢ≥₃ uᵢ(ŝ)`, `uᵢ(c) = bit_test · c` for a probed bitmap, `gallop · c · log₂(nᵢ/c + 2)` for a probed flat list ([`Planner::probe_price`]) | a small driver against bitmaps (`O(n₁)` bit tests), a tiny driver against flat lists, and skewed pairs at the scalar tier (Hwang–Lin) |
 //! | [`PlanKind::SimdMerge`] | `merge · (n₁ + n₂) + Σᵢ≥₃ uᵢ(ŝ)` | bitmap-less pairs at SSE4.1/AVX2, and balanced ones at the scalar tier: the vectorized merge of the two smallest lists, its survivors probed through the rest |
-//! | [`PlanKind::GallopProbe`] | `gallop · n_min · Σᵢ log₂(nᵢ/n_min + 2)` | a tiny driver against bitmap-less lists; skewed pairs at the scalar tier (Hwang–Lin across all k) |
-//! | [`PlanKind::HeapMerge`] | `heap · Σ nᵢ · log₂ k` | structure-free fallback (never cheapest; a hand-built plan runs it) |
 //!
-//! The minimum-cost candidate wins; `c_min` is the smallest per-operand
-//! chunk count, so the bitmap estimate prices the word sweep
+//! The minimum-cost candidate wins, a tie going to the probe; `c_min` is the
+//! smallest per-operand chunk count, so the bitmap estimate prices the word sweep
 //! [`BitmapSet::intersect_k_into`] executes plus its one extraction walk
 //! ([`Planner::extract_cost`]): a pass over every result word, and a fixed
 //! run of stores per word holding a survivor (survivors estimated under
@@ -34,10 +32,17 @@
 //! reach the third operand, so the two share that tail and differ only in
 //! how they intersect the first two.
 //!
+//! Nothing else is priced. A gallop of `n₁` candidates through every list
+//! never prices below the probe, which charges the same for the second
+//! list (or a cheaper bit test) and gallops only `ŝ ≤ n₁` survivors through
+//! the rest (`c · log₂(n/c + 2)` grows with `c`); and the heap merge pays a
+//! pop and a push per element. A plan naming [`PlanKind::HeapMerge`] runs
+//! it; one naming [`PlanKind::GallopProbe`] runs the probe.
+//!
 //! A [`PlannedList`] keeps the representations a plan can bind and no
-//! other: the flat sorted list (the probe driver, the merge, gallop probes,
-//! heap merge, and the probe of a list without a bitmap), plus a chunked
-//! bitmap when the list has at least one member per bitmap word of the
+//! other: the flat sorted list (the probe driver, the merge, the heap merge,
+//! and the probe of a list without a bitmap), plus a chunked bitmap when
+//! the list has at least one member per bitmap word of the
 //! chunks it touches (the bitmap then costs ≤ 8 B/posting). So two
 //! structures exist, and a list carries one or both. The choice is computed
 //! from the list and nothing else, and on a Zipf corpus it gives every
@@ -50,8 +55,9 @@
 //! gallop through the flat list now answer (`fsi_baselines::ProbeTable`
 //! runs under the fixed `Strategy::Hash` only). Block postings
 //! (`fsi_compress::BlockPostings`): a decode-then-probe walk costs a gallop
-//! plus the decode, so it never priced below [`PlanKind::GallopProbe`] and
-//! was never planned; they run under the fixed `Strategy::CompressedGallop`
+//! plus the decode, so it never priced below a gallop through the flat
+//! list and was never planned; they run under the fixed
+//! `Strategy::CompressedGallop`
 //! — see `docs/compress.md`. And the paper's RanGroupScan structure: on the
 //! benchmark corpus at AVX2 the merge-then-probe plan beat it on every
 //! conjunction it was planned for, so it runs under the fixed
@@ -77,11 +83,10 @@
 use crate::engine::SearchEngine;
 use fsi_compress::BlockPostings;
 use fsi_core::elem::{Elem, SortedSet};
-use fsi_core::search::gallop;
 use fsi_core::traits::{KIntersect, SetIndex};
 use fsi_kernels::{
-    filter_in_place, gallop_probe_ordered_into, heap_merge_into, simd, BitmapSet, GallopingSet,
-    SimdLevel, WORDS_PER_CHUNK,
+    heap_merge_into, retain_members, simd, BitmapSet, GallopingSet, Member, SimdLevel,
+    WORDS_PER_CHUNK,
 };
 
 /// The build rule of [`PlannedList::build`]: a list of `n` elements
@@ -156,10 +161,19 @@ impl PlannedList {
     }
 
     /// The chunked bitmap, when the list carries one — what the bitmap
-    /// `AND`/`OR` sweeps, the probe's bit tests and `AND NOT`'s bit test
-    /// bind.
+    /// `AND`/`OR` sweeps bind.
     pub fn bitmap(&self) -> Option<&BitmapSet> {
         self.bitmap.as_ref()
+    }
+
+    /// What a membership test against this list binds: the bitmap when the
+    /// list carries one (a bit test per candidate), the flat list otherwise
+    /// (one galloping cursor) — the probe's and `AND NOT`'s operand.
+    pub fn member(&self) -> Member<'_> {
+        match self.bitmap() {
+            Some(bitmap) => Member::Bitmap(bitmap),
+            None => Member::Sorted(self.flat()),
+        }
     }
 
     /// Always `None`: no list carries block postings. Kept only because
@@ -223,12 +237,16 @@ pub enum PlanKind {
     /// Every operand carries a bitmap: k-way chunked-bitmap `AND`, no
     /// intermediates.
     BitmapAnd,
-    /// Skew: gallop the smallest list through all the others at once.
+    /// Never emitted by [`Planner::plan`]: a gallop of the smallest list
+    /// through every other never prices below [`PlanKind::HashProbe`] (see
+    /// the module docs), so [`Planner::execute`] answers it as the probe.
+    /// Kept because the frozen `benchmark/src/replay.rs` forces it.
     GallopProbe,
-    /// Heap-based k-way merge (structure-free fallback).
+    /// Heap-based k-way merge (structure-free fallback). Never emitted by
+    /// [`Planner::plan`]; a plan that names it runs it.
     HeapMerge,
     /// Never emitted by [`Planner::plan`]; [`Planner::execute`] answers it
-    /// as [`PlanKind::GallopProbe`]. Kept only because the frozen
+    /// as [`PlanKind::HashProbe`]. Kept only because the frozen
     /// `benchmark/src/replay.rs` compiles against it.
     CompressedGallop,
     /// Balanced sizes: the vectorized merge (`simd::merge_into`) of the two
@@ -290,14 +308,14 @@ pub struct MultiwayPlan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostUnit {
     /// Per candidate per list a galloping cursor moves through, scaled by
-    /// the galloping log factor `log₂(nᵢ/candidates + 2)`: the
-    /// [`PlanKind::GallopProbe`] candidate, the probe of a bitmap-less
-    /// operand in [`PlanKind::HashProbe`] and [`PlanKind::SimdMerge`], and
-    /// the galloping difference per base element per subtrahend — the same
-    /// exponential probe everywhere ([`Planner::gallop_cost`]). Fitted on
-    /// the benchmark corpus (AVX2; and_cold's 16 384 conjunctions, seeds 1
-    /// and 2, every forced kind in its own cold pass, min of 3): a
-    /// bitmap-less pair probes at 9.3–16.5 ns per candidate and log₂ of the
+    /// the galloping log factor `log₂(nᵢ/candidates + 2)`: the probe of a
+    /// bitmap-less operand in [`PlanKind::HashProbe`] and
+    /// [`PlanKind::SimdMerge`], and the difference per base element per
+    /// bitmap-less subtrahend — the same exponential probe everywhere
+    /// ([`Planner::gallop_cost`]). Fitted on the benchmark corpus (AVX2;
+    /// and_cold's 16 384 conjunctions, seeds 1 and 2, every forced kind in
+    /// its own cold pass, min of 3): a bitmap-less pair probes at
+    /// 9.3–16.5 ns per candidate and log₂ of the
     /// ratio (rising with the ratio) against 0.8–1.5 ns per merged element;
     /// replaying the planner, the stream's planned time fell from 2.5 up to
     /// 10 and stayed flat beyond, where the merge takes every bitmap-less
@@ -321,11 +339,6 @@ pub enum CostUnit {
     /// (its driver copy included); of the merge units from 0.5 to 2.0 the
     /// SSE4.1 and AVX2 values gave the stream's shortest planned time.
     Merge,
-    /// Per input element per `log₂ k` for the heap merge: a pop and a push
-    /// per element, 12–13.5 ns on the benchmark corpus's two-term
-    /// conjunctions — several times any other plan, so it is never planned
-    /// (a hand-built plan runs it).
-    Heap,
     /// Per candidate per probed *bitmap* in the membership probe: one bit
     /// test through a cursor that looks each chunk up once, in a structure
     /// that stays cache-resident (8 KiB per touched chunk). Which of this
@@ -356,11 +369,10 @@ pub enum CostUnit {
 
 impl CostUnit {
     /// Every unit, in table order.
-    pub const ALL: [CostUnit; 9] = [
+    pub const ALL: [CostUnit; 8] = [
         CostUnit::Gallop,
         CostUnit::BitmapWord,
         CostUnit::Merge,
-        CostUnit::Heap,
         CostUnit::BitTest,
         CostUnit::Scan,
         CostUnit::Extract,
@@ -375,7 +387,6 @@ impl CostUnit {
             CostUnit::Gallop => "gallop",
             CostUnit::BitmapWord => "bitmap_word",
             CostUnit::Merge => "merge",
-            CostUnit::Heap => "heap",
             CostUnit::BitTest => "bit_test",
             CostUnit::Scan => "scan",
             CostUnit::Extract => "extract",
@@ -429,7 +440,6 @@ impl Planner {
                 SimdLevel::Sse41 => 1.0,
                 SimdLevel::Avx2 => 0.75,
             },
-            CostUnit::Heap => 15.0,
             CostUnit::BitTest => 2.0,
             CostUnit::Scan => 1.25,
             CostUnit::Extract => 3.5,
@@ -439,10 +449,9 @@ impl Planner {
     }
 
     /// The price of galloping `n_min` ascending candidates through lists of
-    /// sizes `probed` — the [`PlanKind::GallopProbe`] candidate, the probe
-    /// of a bitmap-less operand, `fsi-query`'s k-way gallop over
-    /// materialized operands and its galloping difference. Fewer than one
-    /// expected candidate pays its share of one whole search.
+    /// sizes `probed` — the probe of a bitmap-less operand and `fsi-query`'s
+    /// difference against bitmap-less subtrahends. Fewer than one expected
+    /// candidate pays its share of one whole search.
     pub fn gallop_cost(&self, n_min: f64, probed: impl Iterator<Item = f64>) -> f64 {
         let log_sum: f64 = probed.map(|n| (n / n_min.max(1.0) + 2.0).log2()).sum();
         self.unit(CostUnit::Gallop) * n_min * log_sum
@@ -456,6 +465,31 @@ impl Planner {
             Some(_) => self.unit(CostUnit::BitTest) * candidates,
             None => self.gallop_cost(candidates, std::iter::once(operand.n as f64)),
         }
+    }
+
+    /// What the survivors of the two smallest lists pay to meet every
+    /// other operand, the tail both probing plans share: `ŝ = n₁ · n₂ / U`
+    /// candidates (independence over the `universe`) tested against each
+    /// operand from the third on. `by_size` is ascending by size.
+    fn survivor_tail(&self, by_size: &[OperandStats], universe: u64) -> f64 {
+        let [first, second, rest @ ..] = by_size else {
+            return 0.0;
+        };
+        let survivors = first.n as f64 * (second.n as f64 / (universe as f64).max(1.0)).min(1.0);
+        rest.iter().map(|s| self.probe_cost(survivors, s)).sum()
+    }
+
+    /// The price of the membership probe ([`PlanKind::HashProbe`]) over
+    /// operands ascending by size (`by_size`, k ≥ 2): every element of the
+    /// smallest tested against the second, and the survivors against the
+    /// rest — a bit test each against a bitmap, a gallop through a flat
+    /// list. `fsi-query` prices its mixed `AND`, the same filter over
+    /// materialized operands, with it too.
+    pub fn probe_price(&self, by_size: &[OperandStats], universe: u64) -> f64 {
+        let [first, second, ..] = by_size else {
+            return 0.0;
+        };
+        self.probe_cost(first.n as f64, second) + self.survivor_tail(by_size, universe)
     }
 
     /// Cost-models the whole operand list and returns the minimum-cost
@@ -482,38 +516,28 @@ impl Planner {
                 est_cost,
             };
         }
-        let n_min = stats[order[0]].n as f64;
-        let n_second = stats[order[1]].n as f64;
-        let total: f64 = stats.iter().map(|s| s.n as f64).sum();
+        let by_size: Vec<OperandStats> = order.iter().map(|&i| stats[i]).collect();
+        let (n_min, n_second) = (by_size[0].n as f64, by_size[1].n as f64);
         let probes = (k - 1) as f64;
 
-        let probed = order[1..].iter().map(|&i| stats[i].n as f64);
-        let mut best = (PlanKind::GallopProbe, self.gallop_cost(n_min, probed));
-        let mut consider = |kind: PlanKind, cost: f64| {
-            if cost < best.1 {
-                best = (kind, cost);
-            }
-        };
         // The two probing plans differ only in how they find the two
         // smallest lists' intersection: the probe tests every driver
         // element against the second list, the merge reads both lists
         // whole. Either way only the survivors — estimated under
         // independence over the universe — meet the remaining operands, in
-        // the same filter loop. Each test is priced by what it probes: a
-        // bit test into a bitmap that stays cache-resident, or a galloping
-        // step through a flat list.
-        let survivors = n_min * (n_second / (universe as f64).max(1.0)).min(1.0);
-        let rest: f64 = order[2..]
-            .iter()
-            .map(|&i| self.probe_cost(survivors, &stats[i]))
-            .sum();
-        consider(
-            PlanKind::HashProbe,
-            self.probe_cost(n_min, &stats[order[1]]) + rest,
-        );
+        // the same filter. Each test is priced by what it probes: a bit
+        // test into a bitmap that stays cache-resident, or a galloping step
+        // through a flat list.
+        let mut best = (PlanKind::HashProbe, self.probe_price(&by_size, universe));
+        let mut consider = |kind: PlanKind, cost: f64| {
+            if cost < best.1 {
+                best = (kind, cost);
+            }
+        };
         consider(
             PlanKind::SimdMerge,
-            self.unit(CostUnit::Merge) * (n_min + n_second) + rest,
+            self.unit(CostUnit::Merge) * (n_min + n_second)
+                + self.survivor_tail(&by_size, universe),
         );
         if let Some(c_min) = stats.iter().map(|s| s.chunks).min().flatten() {
             // `min` on Options puts None first, so a single bitmap-less
@@ -536,10 +560,6 @@ impl Planner {
                     + self.extract_cost(survivors, words),
             );
         }
-        consider(
-            PlanKind::HeapMerge,
-            self.unit(CostUnit::Heap) * total * (k as f64).log2(),
-        );
         MultiwayPlan {
             kind: best.0,
             order,
@@ -576,7 +596,11 @@ impl Planner {
         match plan.kind {
             PlanKind::Empty => {}
             PlanKind::Single => out.extend_from_slice(lists[plan.order[0]].flat.as_slice()),
-            PlanKind::HashProbe => {
+            // `GallopProbe` never prices below the probe and is never
+            // planned, and `CompressedGallop` galloped what its block
+            // cursors decoded to: a hand-built plan of either kind runs the
+            // probe, which tests every operand a gallop would.
+            PlanKind::HashProbe | PlanKind::GallopProbe | PlanKind::CompressedGallop => {
                 // The smallest list's elements are the candidates.
                 let Some((driver, rest)) = plan.order.split_first() else {
                     return;
@@ -613,17 +637,6 @@ impl Planner {
                     .collect();
                 BitmapSet::intersect_k_into(&typed, out);
             }
-            // `CompressedGallop` is never planned; a hand-built plan of
-            // that kind gallops the flat lists, which is what its block
-            // cursors decoded to.
-            PlanKind::GallopProbe | PlanKind::CompressedGallop => {
-                let driver = lists[plan.order[0]].flat.as_slice();
-                let rest: Vec<&[Elem]> = plan.order[1..]
-                    .iter()
-                    .map(|&i| lists[i].flat.as_slice())
-                    .collect();
-                gallop_probe_ordered_into(driver, &rest, out);
-            }
             PlanKind::HeapMerge => {
                 let slices: Vec<&[Elem]> = lists.iter().map(|l| l.flat.as_slice()).collect();
                 heap_merge_into(&slices, out);
@@ -634,31 +647,17 @@ impl Planner {
 
 /// The membership filter both probing plans end in: keeps the ascending
 /// candidates in `out[start..]` that every operand at the positions
-/// `probed` holds, testing each operand in turn, the most selective first —
-/// by bit test where it carries a bitmap, and otherwise by one galloping
-/// cursor moving forward through its flat list. `get`, not indexing, keeps
-/// the loop panic-free; a position outside `lists` (ruled out by
-/// [`Planner::execute`] in debug builds) empties the result.
+/// `probed` holds, one [`retain_members`] pass per operand in turn, the
+/// most selective first. `get`, not indexing, keeps the loop panic-free; a
+/// position outside `lists` (ruled out by [`Planner::execute`] in debug
+/// builds) empties the result.
 fn probe_members(lists: &[&PlannedList], probed: &[usize], out: &mut Vec<Elem>, start: usize) {
     for i in probed {
         let Some(list) = lists.get(*i) else {
             out.truncate(start);
             return;
         };
-        match list.bitmap() {
-            Some(b) => {
-                let mut probe = b.probe();
-                filter_in_place(out, start, |x| probe.contains(x));
-            }
-            None => {
-                let flat = list.flat();
-                let mut cursor = 0;
-                filter_in_place(out, start, |x| {
-                    cursor = gallop(flat, cursor, x);
-                    flat.get(cursor) == Some(&x)
-                });
-            }
-        }
+        retain_members(out, start, list.member(), true);
     }
 }
 
@@ -787,17 +786,17 @@ mod tests {
                 "{partner}"
             );
         }
-        // … and galloping holds the skewed ones: its price grows with the
-        // log of the ratio, the merge's with the ratio itself.
+        // … and the probe, galloping through the flat list, holds the
+        // skewed ones: its price grows with the log of the ratio, the
+        // merge's with the ratio itself.
         for partner in [6000, 8000, 64_000] {
             assert_eq!(
                 kind(&p, &[sparse(1000), sparse(partner)]),
-                PlanKind::GallopProbe,
+                PlanKind::HashProbe,
                 "{partner}"
             );
         }
-        // Only the first pair's survivors reach a third list, so a k-way
-        // probe beats galloping every candidate through every list.
+        // Only the first pair's survivors reach a third list.
         assert_eq!(
             kind(&p, &[sparse(100), sparse(5000), sparse(80_000)]),
             PlanKind::HashProbe
@@ -805,7 +804,7 @@ mod tests {
         // At SSE4.1 and AVX2 the vectorized merge owns bitmap-less pairs
         // far into the skew (on the benchmark corpus a galloping step costs
         // ≈ 10 ns per candidate and log₂ of the ratio, a merged element
-        // ≈ 1 ns); only a tiny driver still gallops.
+        // ≈ 1 ns); only a tiny driver is still probed.
         for simd in [SimdLevel::Sse41, SimdLevel::Avx2] {
             let p = Planner::for_simd(simd);
             for shape in [
@@ -818,7 +817,7 @@ mod tests {
             ] {
                 assert_eq!(kind(&p, shape), PlanKind::SimdMerge, "{simd:?} {shape:?}");
             }
-            assert_eq!(kind(&p, &[sparse(20), sparse(2000)]), PlanKind::GallopProbe);
+            assert_eq!(kind(&p, &[sparse(20), sparse(2000)]), PlanKind::HashProbe);
         }
         // Every operand carries a bitmap → the chunked-bitmap AND wins.
         assert_eq!(
@@ -956,12 +955,12 @@ mod tests {
             assert_eq!(plan.kind, expect);
             assert_eq!(out, reference_intersection(&[a.as_slice(), b.as_slice()]));
         }
-        // Moderate skew (ratio ≈ 6, inside galloping's band at scalar).
+        // Moderate skew (ratio ≈ 6, inside the gallop's band at scalar).
         let small: SortedSet = (0..330u32).map(|x| x * 6_000).collect();
         let ps = PlannedList::build(&small);
         let mut out = Vec::new();
         let plan = run(&scalar, &[&ps, &pb], &mut out);
-        assert_eq!(plan.kind, PlanKind::GallopProbe);
+        assert_eq!(plan.kind, PlanKind::HashProbe);
         assert_eq!(plan.order, vec![0, 1]);
         assert_eq!(
             out,
@@ -975,13 +974,10 @@ mod tests {
         let d2: SortedSet = (0..40_000u32).map(|x| x * 2 + (x % 2)).collect();
         let pd1 = PlannedList::build(&d1);
         let pd2 = PlannedList::build(&d2);
-        for (partner, set, expect) in [
-            (&pb, &b, PlanKind::GallopProbe),
-            (&pd1, &d1, PlanKind::HashProbe),
-        ] {
+        for (partner, set) in [(&pb, &b), (&pd1, &d1)] {
             let mut out = Vec::new();
             let plan = run(&scalar, &[&pt, partner], &mut out);
-            assert_eq!(plan.kind, expect);
+            assert_eq!(plan.kind, PlanKind::HashProbe);
             assert_eq!(
                 out,
                 reference_intersection(&[tiny.as_slice(), set.as_slice()])
@@ -1103,16 +1099,34 @@ mod tests {
         }
     }
 
-    /// No swept shape makes `plan` emit `RanGroupScan` (no list carries its
-    /// structure; a hand-built plan of that kind runs the merge) or
-    /// `HeapMerge`, while the merge itself is planned at the vectorized
-    /// tiers.
+    /// `plan` emits only the kinds it prices — no swept shape makes it
+    /// emit `RanGroupScan` (no list carries its structure; a hand-built plan
+    /// of that kind runs the merge), `GallopProbe` or `HeapMerge` — while
+    /// the merge itself is planned at the vectorized tiers. The probe never
+    /// prices above a gallop of the smallest list through every other,
+    /// which is why `GallopProbe` needs no price of its own.
     #[test]
     fn rangroupscan_is_never_planned() {
         let plans = swept_plans();
         for (p, stats, kind, _) in &plans {
-            assert_ne!(*kind, PlanKind::RanGroupScan, "{p:?} {stats:?}");
-            assert_ne!(*kind, PlanKind::HeapMerge, "{p:?} {stats:?}");
+            assert!(
+                matches!(
+                    kind,
+                    PlanKind::Empty
+                        | PlanKind::Single
+                        | PlanKind::HashProbe
+                        | PlanKind::SimdMerge
+                        | PlanKind::BitmapAnd
+                ),
+                "{kind:?} {p:?} {stats:?}"
+            );
+            assert_ne!(*kind, PlanKind::GallopProbe, "{p:?} {stats:?}");
+            let mut by_size = stats.clone();
+            by_size.sort_by_key(|s| s.n);
+            let n_min = by_size[0].n as f64;
+            let gallop = p.gallop_cost(n_min, by_size[1..].iter().map(|s| s.n as f64));
+            let probe = p.probe_price(&by_size, U);
+            assert!(probe <= gallop, "{probe} > {gallop}: {p:?} {stats:?}");
         }
         for simd in [SimdLevel::Sse41, SimdLevel::Avx2] {
             assert!(plans.iter().any(
@@ -1124,20 +1138,20 @@ mod tests {
     /// The cost table alone picks the kernel: for a shape each plannable
     /// kind owns at a tier, pricing every candidate by hand from
     /// [`Planner::unit`] gives that kind as the cheapest, at exactly the
-    /// plan's estimate. `HeapMerge` is priced but never cheapest.
+    /// plan's estimate.
     #[test]
     fn each_plannable_kernel_wins_at_its_table_price() {
         use CostUnit::*;
-        use PlanKind::{BitmapAnd, GallopProbe, HashProbe, SimdMerge};
+        use PlanKind::{BitmapAnd, HashProbe, SimdMerge};
         let dense_pair = [dense(50_000, 2), dense(60_000, 2)];
         // The owner at scalar, SSE4.1 and AVX2.
         let shapes: [(&[OperandStats], [PlanKind; 3]); 6] = [
             (&[sparse(3000), sparse(4000), sparse(5000)], [SimdMerge; 3]),
             (
                 &[sparse(1000), sparse(7000)],
-                [GallopProbe, SimdMerge, SimdMerge],
+                [HashProbe, SimdMerge, SimdMerge],
             ),
-            (&[sparse(20), sparse(2000)], [GallopProbe; 3]),
+            (&[sparse(20), sparse(2000)], [HashProbe; 3]),
             (
                 &[sparse(100), sparse(5000), sparse(80_000)],
                 [HashProbe, SimdMerge, SimdMerge],
@@ -1156,7 +1170,6 @@ mod tests {
                 by_size.sort_by_key(|s| s.n);
                 let ns: Vec<f64> = by_size.iter().map(|s| s.n as f64).collect();
                 let (n_min, k) = (ns[0], ns.len() as f64);
-                let total: f64 = ns.iter().sum();
                 // `c` ascending candidates galloped through an `n`-list.
                 let gallop = |c: f64, n: f64| p.unit(Gallop) * c * (n / c.max(1.0) + 2.0).log2();
                 let probe = |c: f64, s: &OperandStats| match s.chunks {
@@ -1169,12 +1182,7 @@ mod tests {
                 let tail: f64 = by_size[2..].iter().map(|s| probe(survivors, s)).sum();
                 let mut prices = vec![
                     (PlanKind::SimdMerge, p.unit(Merge) * (ns[0] + ns[1]) + tail),
-                    (
-                        PlanKind::GallopProbe,
-                        ns[1..].iter().map(|&n| gallop(n_min, n)).sum(),
-                    ),
                     (PlanKind::HashProbe, probe(n_min, &by_size[1]) + tail),
-                    (PlanKind::HeapMerge, p.unit(Heap) * total * k.log2()),
                 ];
                 if owner == PlanKind::BitmapAnd {
                     // Both operands fill their two chunks, so every result
@@ -1195,8 +1203,6 @@ mod tests {
                     (plan.est_cost - cheapest.1).abs() <= 1e-9 * cheapest.1,
                     "{p:?}"
                 );
-                let heap = prices.iter().find(|c| c.0 == PlanKind::HeapMerge).unwrap();
-                assert!(heap.1 > cheapest.1, "{p:?}");
             }
         }
     }

@@ -440,33 +440,6 @@ fn and_not_chunk(
     true
 }
 
-/// The slice-level bitmap kernel: builds the chunked bitmaps on the fly
-/// (cost `O(n)`, the same order as reading the input) and intersects them
-/// word-parallel. The prepared form ([`BitmapSet`]) is what `fsi-index`
-/// strategies store; this form is what runtime kernel selection uses on raw
-/// slices.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BitmapKernel;
-
-impl crate::kernel::Kernel for BitmapKernel {
-    fn name(&self) -> &'static str {
-        "Bitmap"
-    }
-
-    fn intersect_pair(&self, a: &[Elem], b: &[Elem], out: &mut Vec<Elem>) {
-        BitmapSet::from_sorted_slice(a).intersect_pair_into(&BitmapSet::from_sorted_slice(b), out);
-    }
-
-    fn intersect_k(&self, sets: &[&[Elem]], out: &mut Vec<Elem>) {
-        let built: Vec<BitmapSet> = sets
-            .iter()
-            .map(|s| BitmapSet::from_sorted_slice(s))
-            .collect();
-        let refs: Vec<&BitmapSet> = built.iter().collect();
-        BitmapSet::intersect_k_into(&refs, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

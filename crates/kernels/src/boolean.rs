@@ -14,19 +14,14 @@
 //!   heads, the union sibling of
 //!   [`heap_merge_into`](crate::multiway::heap_merge_into):
 //!   `O(Σ nᵢ · log k)`, emits each value once however many lists carry it.
-//! * [`gallop_diff_into`] — `base ∖ (S₁ ∪ … ∪ Sₘ)` with one galloping
-//!   cursor per subtrahend, the difference sibling of
-//!   [`gallop_probe_ordered_into`](crate::multiway::gallop_probe_ordered_into):
-//!   a candidate found in *any* subtrahend is dropped immediately, and a
-//!   subtrahend whose cursor exhausts is never probed again. Unlike the
-//!   intersection probe, an exhausted subtrahend does **not** end the
-//!   query — the remaining base elements simply cannot be excluded by it.
-//!
-//! * [`filter_in_place`] — one pass of membership filtering over
-//!   candidates already in the output buffer, compacted without a branch
-//!   on the test's outcome: the inner loop of `fsi-index`'s membership
-//!   probe (keep members) and of the bit-test difference (keep
-//!   non-members).
+//! * [`retain_members`] — one membership pass over candidates already in
+//!   the output buffer, against a [`Member`]: a bitmap (one bit test per
+//!   candidate) or a sorted slice (one galloping cursor). Kept are the
+//!   members (an intersection probe) or the non-members (a difference),
+//!   compacted without a branch on the test's outcome. `fsi-index`'s
+//!   probing plans, `fsi-query`'s mixed `AND` and every `AND NOT` are runs
+//!   of this one pass — intersection and difference as one membership
+//!   problem, as Bille–Pagh–Pagh treat them.
 //!
 //! The dense-regime union counterpart is the chunk union
 //! ([`chunk_union_into`](crate::chunk_union_into)), which rides the same
@@ -36,6 +31,7 @@
 //! All inputs are sorted and duplicate-free; all outputs are appended to
 //! `out` in ascending order and duplicate-free.
 
+use crate::bitmap::BitmapSet;
 use fsi_core::elem::Elem;
 use fsi_core::search::gallop;
 use std::cmp::Reverse;
@@ -100,44 +96,39 @@ pub fn heap_union_into(sets: &[&[Elem]], out: &mut Vec<Elem>) {
     }
 }
 
-/// Appends `base ∖ (subtract₁ ∪ … ∪ subtractₘ)` to `out`, ascending: every
-/// candidate of `base` gallops through the subtrahends **in the given
-/// order** (callers — the expression planner — put the most-excluding list
-/// first so doomed candidates die on their cheapest probe). A subtrahend
-/// whose cursor exhausts is dropped from further probing; when all are
-/// exhausted the rest of `base` is copied through.
-pub fn gallop_diff_into(base: &[Elem], subtract: &[&[Elem]], out: &mut Vec<Elem>) {
-    let mut lists: Vec<&[Elem]> = subtract.iter().copied().filter(|s| !s.is_empty()).collect();
-    if lists.is_empty() {
-        out.extend_from_slice(base);
-        return;
-    }
-    let mut cursors = vec![0usize; lists.len()];
-    'candidates: for (bi, &x) in base.iter().enumerate() {
-        let mut li = 0usize;
-        while li < lists.len() {
-            let list = lists[li];
-            let c = gallop(list, cursors[li], x);
-            if c >= list.len() {
-                // This subtrahend can never exclude a later (larger)
-                // candidate: retire it. `swap_remove` puts a fresh list at
-                // `li`, so don't advance.
-                lists.swap_remove(li);
-                cursors.swap_remove(li);
-                if lists.is_empty() {
-                    out.extend_from_slice(&base[bi..]);
-                    return;
-                }
-                continue;
-            }
-            cursors[li] = c;
-            if list[c] == x {
-                cursors[li] = c + 1;
-                continue 'candidates; // excluded — no later subtrahend matters
-            }
-            li += 1;
+/// The set a [`retain_members`] pass tests its candidates against.
+#[derive(Debug, Clone, Copy)]
+pub enum Member<'a> {
+    /// A chunked bitmap: one bit test per candidate, through a
+    /// [`BitmapProbe`](crate::BitmapProbe) that looks each chunk up once.
+    Bitmap(&'a BitmapSet),
+    /// A sorted, duplicate-free slice: one galloping cursor moving forward
+    /// through it as the ascending candidates advance.
+    Sorted(&'a [Elem]),
+}
+
+/// Keeps, in order, the ascending candidates in `out[start..]` whose
+/// membership in `member` equals `keep`, and truncates `out` behind them:
+/// `keep = true` intersects the candidates with `member`, `keep = false`
+/// subtracts it. Every intersection probe and every `AND NOT` in the engine
+/// is a run of these passes, one per probed operand or subtrahend, so the
+/// candidates shrink as they go and no intermediate leaves `out`.
+pub fn retain_members(out: &mut Vec<Elem>, start: usize, member: Member<'_>, keep: bool) {
+    match member {
+        Member::Bitmap(bitmap) => {
+            let mut probe = bitmap.probe();
+            filter_in_place(out, start, |x| probe.contains(x) == keep);
         }
-        out.push(x);
+        Member::Sorted(list) => {
+            // Past the list's last element the cursor stays at its end and
+            // `gallop` returns at once, so an exhausted list costs one
+            // compare per remaining candidate.
+            let mut cursor = 0;
+            filter_in_place(out, start, |x| {
+                cursor = gallop(list, cursor, x);
+                (list.get(cursor) == Some(&x)) == keep
+            });
+        }
     }
 }
 
@@ -146,7 +137,7 @@ pub fn gallop_diff_into(base: &[Elem], subtract: &[&[Elem]], out: &mut Vec<Elem>
 /// pass advances the write position, so the loop carries no branch on the
 /// test's outcome — on a membership test that outcome is close to a coin
 /// flip, which a branching filter pays for in mispredictions.
-pub fn filter_in_place(out: &mut Vec<Elem>, start: usize, mut keep: impl FnMut(Elem) -> bool) {
+fn filter_in_place(out: &mut Vec<Elem>, start: usize, mut keep: impl FnMut(Elem) -> bool) {
     let Some(buf) = out.get_mut(start..) else {
         return;
     };
@@ -170,6 +161,24 @@ mod tests {
     fn random_set(rng: &mut StdRng, max_n: usize, universe: u32) -> SortedSet {
         let n = rng.gen_range(0..max_n);
         (0..n).map(|_| rng.gen_range(0..universe)).collect()
+    }
+
+    /// `base ∖ ⋃ subs`: one `retain_members(.., false)` pass per
+    /// subtrahend, in order, behind a prefix the passes must not touch —
+    /// run once with each subtrahend as a sorted slice and once as a
+    /// bitmap, which must agree.
+    fn difference(base: &[Elem], subs: &[&[Elem]]) -> Vec<Elem> {
+        let prefix = [u32::MAX, 0];
+        let mut sorted = [&prefix[..], base].concat();
+        let mut tested = sorted.clone();
+        for s in subs {
+            retain_members(&mut sorted, prefix.len(), Member::Sorted(s), false);
+            let bitmap = BitmapSet::from_sorted_slice(s);
+            retain_members(&mut tested, prefix.len(), Member::Bitmap(&bitmap), false);
+        }
+        assert_eq!(sorted, tested, "slice and bitmap subtrahends disagree");
+        assert_eq!(sorted[..prefix.len()], prefix);
+        sorted.split_off(prefix.len())
     }
 
     #[test]
@@ -222,9 +231,11 @@ mod tests {
                 let excluded: BTreeSet<Elem> =
                     sub_refs.iter().flat_map(|s| s.iter().copied()).collect();
                 let expect: Vec<Elem> = base.iter().filter(|x| !excluded.contains(x)).collect();
-                let mut out = Vec::new();
-                gallop_diff_into(base.as_slice(), &sub_refs, &mut out);
-                assert_eq!(out, expect, "trial {trial} m={m}");
+                assert_eq!(
+                    difference(base.as_slice(), &sub_refs),
+                    expect,
+                    "trial {trial} m={m}"
+                );
             }
         }
     }
@@ -233,10 +244,8 @@ mod tests {
     fn difference_copies_tail_after_subtrahends_exhaust() {
         let base: SortedSet = (0..1000u32).collect();
         let low: SortedSet = (0..10u32).map(|x| x * 2).collect();
-        let mut out = Vec::new();
-        gallop_diff_into(base.as_slice(), &[low.as_slice()], &mut out);
         let expect: Vec<Elem> = (0..1000u32).filter(|x| *x >= 19 || x % 2 == 1).collect();
-        assert_eq!(out, expect);
+        assert_eq!(difference(base.as_slice(), &[low.as_slice()]), expect);
     }
 
     #[test]
@@ -250,18 +259,15 @@ mod tests {
         out.clear();
         heap_union_into(&[a.as_slice(), &[], a.as_slice()], &mut out);
         assert_eq!(out, a.as_slice());
-        out.clear();
-        gallop_diff_into(a.as_slice(), &[], &mut out);
-        assert_eq!(out, a.as_slice());
-        out.clear();
-        gallop_diff_into(a.as_slice(), &[&[], &[]], &mut out);
-        assert_eq!(out, a.as_slice());
-        out.clear();
-        gallop_diff_into(&[], &[a.as_slice()], &mut out);
-        assert!(out.is_empty());
-        out.clear();
-        gallop_diff_into(a.as_slice(), &[a.as_slice()], &mut out);
-        assert!(out.is_empty());
+        assert_eq!(difference(a.as_slice(), &[]), a.as_slice());
+        assert_eq!(difference(a.as_slice(), &[&[], &[]]), a.as_slice());
+        assert!(difference(&[], &[a.as_slice()]).is_empty());
+        assert!(difference(a.as_slice(), &[a.as_slice()]).is_empty());
+        // The same pass with `keep` set intersects.
+        let evens: SortedSet = (0..50u32).step_by(2).collect();
+        let mut kept = a.as_slice().to_vec();
+        retain_members(&mut kept, 0, Member::Sorted(evens.as_slice()), true);
+        assert_eq!(kept, evens.as_slice());
     }
 
     #[test]
@@ -271,8 +277,9 @@ mod tests {
         let mut union = Vec::new();
         heap_union_into(&[a.as_slice(), b.as_slice(), a.as_slice()], &mut union);
         assert_eq!(union, vec![0, 1, 65_536, u32::MAX - 1, u32::MAX]);
-        let mut diff = Vec::new();
-        gallop_diff_into(a.as_slice(), &[b.as_slice()], &mut diff);
-        assert_eq!(diff, vec![65_536, u32::MAX - 1]);
+        assert_eq!(
+            difference(a.as_slice(), &[b.as_slice()]),
+            vec![65_536, u32::MAX - 1]
+        );
     }
 }

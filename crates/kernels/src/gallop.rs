@@ -15,6 +15,7 @@
 //!
 //! [`GallopingSet`] picks between the two per call from the size ratio.
 
+use crate::boolean::{retain_members, Member};
 use fsi_core::elem::{Elem, SortedSet};
 use fsi_core::search::gallop;
 use fsi_core::traits::{KIntersect, PairIntersect, SetIndex};
@@ -109,9 +110,10 @@ impl PairIntersect for GallopingSet {
 }
 
 impl KIntersect for GallopingSet {
-    /// SvS schedule: intersect the two smallest lists, then gallop-filter
-    /// the (sorted, shrinking) accumulator through each remaining list in
-    /// size order. Output ascending.
+    /// SvS schedule: intersect the two smallest lists, then filter the
+    /// (sorted, shrinking) accumulator through each remaining list in size
+    /// order with one galloping cursor each ([`retain_members`]). Output
+    /// ascending.
     fn intersect_k_into(indexes: &[&Self], out: &mut Vec<Elem>) {
         match indexes {
             [] => {}
@@ -121,61 +123,11 @@ impl KIntersect for GallopingSet {
                 order.sort_by_key(|ix| ix.n());
                 let start = out.len();
                 adaptive_pair_into(&order[0].elems, &order[1].elems, out);
-                let mut len = out.len();
                 for ix in &order[2..] {
-                    if len == start {
-                        break;
-                    }
-                    // Filter out[start..len] in place against ix.
-                    let mut write = start;
-                    let mut cursor = 0usize;
-                    let large = ix.as_slice();
-                    for read in start..len {
-                        let x = out[read];
-                        cursor = gallop(large, cursor, x);
-                        if cursor >= large.len() {
-                            break;
-                        }
-                        if large[cursor] == x {
-                            out[write] = x;
-                            write += 1;
-                            cursor += 1;
-                        }
-                    }
-                    len = write;
+                    retain_members(out, start, Member::Sorted(&ix.elems), true);
                 }
-                out.truncate(len);
             }
         }
-    }
-}
-
-/// The slice-level branchless-merge kernel.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BranchlessMerge;
-
-impl crate::kernel::Kernel for BranchlessMerge {
-    fn name(&self) -> &'static str {
-        "BranchlessMerge"
-    }
-
-    fn intersect_pair(&self, a: &[Elem], b: &[Elem], out: &mut Vec<Elem>) {
-        branchless_merge_into(a, b, out);
-    }
-}
-
-/// The slice-level galloping kernel (always gallops the smaller side).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Galloping;
-
-impl crate::kernel::Kernel for Galloping {
-    fn name(&self) -> &'static str {
-        "Galloping"
-    }
-
-    fn intersect_pair(&self, a: &[Elem], b: &[Elem], out: &mut Vec<Elem>) {
-        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        galloping_into(small, large, out);
     }
 }
 

@@ -1,100 +1,39 @@
-//! The common [`Kernel`] interface over every slice-level intersection
-//! primitive, plus runtime selection.
+//! The slice-level pair kernels the harnesses bench, plus runtime
+//! selection.
 //!
-//! A kernel consumes plain sorted `&[u32]` slices — the universal currency
-//! of posting lists — and appends the intersection to a caller buffer.
-//! [`KernelChoice::select`] is the slice-level dispatch rule (skew →
-//! galloping at [`GALLOP_RATIO`], density → bitmap at
-//! [`BITMAP_MIN_DENSITY`], otherwise the SIMD merge); the
-//! `fsi-index` planner prices the same kernels over prepared lists with
-//! its own cost model (plus a membership-probe tier, which also filters
-//! its SIMD merge's survivors) and shares none of these thresholds. [`AutoKernel`] packages
-//! the slice-level choice behind the common trait so harnesses can bench
-//! it as one kernel.
+//! A pair kernel is a plain function over sorted `&[u32]` slices — the
+//! universal currency of posting lists — that appends the ascending
+//! intersection to a caller buffer: [`scalar_merge_into`],
+//! [`branchless_merge_into`](crate::branchless_merge_into),
+//! [`galloping_into`], the SIMD merge
+//! [`simd::merge_into`](crate::simd::merge_into), and [`auto_pair_into`],
+//! which picks among them. [`pairwise_fold_into`](crate::pairwise_fold_into)
+//! folds any of them over k lists. [`KernelChoice::select`] is the
+//! slice-level dispatch rule (skew → galloping at [`GALLOP_RATIO`],
+//! density → bitmap at [`BITMAP_MIN_DENSITY`], otherwise the SIMD merge);
+//! the `fsi-index` planner prices its own kernels over prepared lists with
+//! its own cost model and shares none of these thresholds.
 
-use crate::bitmap::BitmapKernel;
-use crate::gallop::{Galloping, GALLOP_RATIO};
+use crate::bitmap::BitmapSet;
+use crate::gallop::{galloping_into, GALLOP_RATIO};
 use fsi_core::elem::Elem;
-
-/// A slice-level intersection kernel.
-///
-/// Implementations must accept any sorted, duplicate-free slices and append
-/// an **ascending** intersection to `out` (slice kernels sort where their
-/// natural order differs, unlike the prepared `*Set` forms whose trait
-/// contract leaves order unspecified).
-pub trait Kernel: std::fmt::Debug + Send + Sync {
-    /// The label benchmarks and tests report.
-    fn name(&self) -> &'static str;
-
-    /// Appends `a ∩ b` to `out`, ascending.
-    fn intersect_pair(&self, a: &[Elem], b: &[Elem], out: &mut Vec<Elem>);
-
-    /// Appends `⋂ sets` to `out`, ascending. The default folds
-    /// [`Kernel::intersect_pair`] smallest-first (SvS ordering).
-    fn intersect_k(&self, sets: &[&[Elem]], out: &mut Vec<Elem>) {
-        match sets {
-            [] => {}
-            [a] => out.extend_from_slice(a),
-            _ => {
-                let mut order: Vec<&[Elem]> = sets.to_vec();
-                order.sort_by_key(|s| s.len());
-                let mut acc = Vec::new();
-                self.intersect_pair(order[0], order[1], &mut acc);
-                for s in &order[2..] {
-                    if acc.is_empty() {
-                        break;
-                    }
-                    let mut next = Vec::new();
-                    self.intersect_pair(&acc, s, &mut next);
-                    acc = next;
-                }
-                out.extend(acc);
-            }
-        }
-    }
-}
+use fsi_core::traits::PairIntersect;
 
 /// The classic branching two-pointer merge — the scalar baseline every
-/// word-parallel kernel is benchmarked against.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScalarMerge;
-
-impl Kernel for ScalarMerge {
-    fn name(&self) -> &'static str {
-        "Merge"
-    }
-
-    fn intersect_pair(&self, a: &[Elem], b: &[Elem], out: &mut Vec<Elem>) {
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
+/// word-parallel kernel is benchmarked against. Appends `a ∩ b` to `out`,
+/// ascending.
+pub fn scalar_merge_into(a: &[Elem], b: &[Elem], out: &mut Vec<Elem>) {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
             }
         }
-    }
-}
-
-/// The block compare-and-compact merge at the dispatched
-/// [`SimdLevel`](crate::simd::SimdLevel) — what the balanced branch of
-/// [`GallopingSet`](crate::GallopingSet) runs. Identical output to
-/// [`ScalarMerge`]/[`BranchlessMerge`](crate::gallop::BranchlessMerge) at
-/// every level; identical code under `force-scalar` or off x86_64.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimdMerge;
-
-impl Kernel for SimdMerge {
-    fn name(&self) -> &'static str {
-        "SimdMerge"
-    }
-
-    fn intersect_pair(&self, a: &[Elem], b: &[Elem], out: &mut Vec<Elem>) {
-        crate::simd::merge_into(a, b, out);
     }
 }
 
@@ -169,57 +108,53 @@ impl KernelChoice {
     }
 }
 
-/// A kernel that re-selects per call via [`KernelChoice::select`] — the
-/// planner's dispatch packaged behind the common trait.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AutoKernel;
-
-impl AutoKernel {
-    /// The choice [`AutoKernel::intersect_pair`] would make for these
-    /// operands.
-    pub fn choice(a: &[Elem], b: &[Elem]) -> KernelChoice {
-        let span = a
-            .last()
-            .copied()
-            .max(b.last().copied())
-            .map_or(0, |m| m as u64 + 1);
-        KernelChoice::select(a.len(), b.len(), span)
-    }
-}
-
-impl Kernel for AutoKernel {
-    fn name(&self) -> &'static str {
-        "Auto"
-    }
-
-    fn intersect_pair(&self, a: &[Elem], b: &[Elem], out: &mut Vec<Elem>) {
-        let choice = Self::choice(a, b);
-        choice.record_dispatch();
-        match choice {
-            KernelChoice::Merge => ScalarMerge.intersect_pair(a, b, out),
-            KernelChoice::Galloping => Galloping.intersect_pair(a, b, out),
-            KernelChoice::Bitmap => BitmapKernel.intersect_pair(a, b, out),
-            KernelChoice::SimdMerge => SimdMerge.intersect_pair(a, b, out),
+/// Appends `a ∩ b` to `out`, ascending, through the kernel
+/// [`KernelChoice::select`] picks for these operands (the bitmap kernel
+/// builds both chunked bitmaps on the fly), bumping that choice's dispatch
+/// counter.
+pub fn auto_pair_into(a: &[Elem], b: &[Elem], out: &mut Vec<Elem>) {
+    let span = a
+        .last()
+        .copied()
+        .max(b.last().copied())
+        .map_or(0, |m| m as u64 + 1);
+    let choice = KernelChoice::select(a.len(), b.len(), span);
+    choice.record_dispatch();
+    match choice {
+        KernelChoice::Merge => scalar_merge_into(a, b, out),
+        KernelChoice::Galloping => {
+            let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+            galloping_into(small, large, out);
         }
+        KernelChoice::Bitmap => BitmapSet::from_sorted_slice(a)
+            .intersect_pair_into(&BitmapSet::from_sorted_slice(b), out),
+        KernelChoice::SimdMerge => crate::simd::merge_into(a, b, out),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gallop::BranchlessMerge;
+    use crate::gallop::branchless_merge_into;
+    use crate::multiway::pairwise_fold_into;
     use fsi_core::elem::{reference_intersection, SortedSet};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn kernels() -> Vec<Box<dyn Kernel>> {
-        vec![
-            Box::new(ScalarMerge),
-            Box::new(BranchlessMerge),
-            Box::new(SimdMerge),
-            Box::new(Galloping),
-            Box::new(BitmapKernel),
-            Box::new(AutoKernel),
+    type Pair = fn(&[Elem], &[Elem], &mut Vec<Elem>);
+
+    /// Every slice-level pair kernel, by name.
+    fn kernels() -> [(&'static str, Pair); 6] {
+        [
+            ("scalar_merge_into", scalar_merge_into),
+            ("branchless_merge_into", branchless_merge_into),
+            ("simd::merge_into", crate::simd::merge_into),
+            ("galloping_into", galloping_into),
+            ("bitmap (built on the fly)", |a, b, out| {
+                BitmapSet::from_sorted_slice(a)
+                    .intersect_pair_into(&BitmapSet::from_sorted_slice(b), out)
+            }),
+            ("auto_pair_into", auto_pair_into),
         ]
     }
 
@@ -233,10 +168,10 @@ mod tests {
             let a: SortedSet = (0..n1).map(|_| rng.gen_range(0..u)).collect();
             let b: SortedSet = (0..n2).map(|_| rng.gen_range(0..u)).collect();
             let expect = reference_intersection(&[a.as_slice(), b.as_slice()]);
-            for k in kernels() {
+            for (name, kernel) in kernels() {
                 let mut out = Vec::new();
-                k.intersect_pair(a.as_slice(), b.as_slice(), &mut out);
-                assert_eq!(out, expect, "kernel {} trial {trial}", k.name());
+                kernel(a.as_slice(), b.as_slice(), &mut out);
+                assert_eq!(out, expect, "kernel {name} trial {trial}");
             }
         }
     }
@@ -250,10 +185,10 @@ mod tests {
                 .collect();
             let slices: Vec<&[Elem]> = sets.iter().map(|s| s.as_slice()).collect();
             let expect = reference_intersection(&slices);
-            for k in kernels() {
+            for (name, kernel) in kernels() {
                 let mut out = Vec::new();
-                k.intersect_k(&slices, &mut out);
-                assert_eq!(out, expect, "kernel {} k={k_sets}", k.name());
+                pairwise_fold_into(kernel, &slices, &mut out);
+                assert_eq!(out, expect, "kernel {name} k={k_sets}");
             }
         }
     }
@@ -285,21 +220,23 @@ mod tests {
         let a: SortedSet = (0..2000).map(|_| rng.gen_range(0..400_000u32)).collect();
         let b: SortedSet = (0..2400).map(|_| rng.gen_range(0..400_000u32)).collect();
         let (a, b) = (a.as_slice(), b.as_slice());
-        assert_eq!(AutoKernel::choice(a, b), KernelChoice::SimdMerge);
+        let span = u64::from(a[a.len() - 1].max(b[b.len() - 1])) + 1;
+        assert_eq!(
+            KernelChoice::select(a.len(), b.len(), span),
+            KernelChoice::SimdMerge
+        );
         let expect = reference_intersection(&[a, b]);
         assert!(!expect.is_empty());
         for level in crate::simd::available_levels() {
             let mut out = Vec::new();
-            crate::simd::with_level(level, || {
-                AutoKernel.intersect_pair(a, b, &mut out);
-            });
+            crate::simd::with_level(level, || auto_pair_into(a, b, &mut out));
             assert_eq!(out, expect, "{}", level.name());
         }
     }
 
     #[test]
     fn kernel_names_are_distinct() {
-        let names: Vec<&str> = kernels().iter().map(|k| k.name()).collect();
+        let names: Vec<&str> = kernels().iter().map(|(name, _)| *name).collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
         dedup.dedup();

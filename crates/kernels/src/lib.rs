@@ -28,7 +28,9 @@
 //!   larger for skewed `n₁/n₂` — the Hwang–Lin/SvS regime.
 //! * [`boolean`] — boolean-composition primitives for the expression
 //!   engine (`fsi-query`): k-way heap **union** ([`heap_union_into`]) and
-//!   galloping multi-subtrahend **difference** ([`gallop_diff_into`]); the
+//!   the one membership pass ([`retain_members`]) that every intersection
+//!   probe and every **difference** runs — a bit test per candidate against
+//!   a bitmap, one galloping cursor through a sorted list; the
 //!   dense-regime union is the chunk union above.
 //! * [`multiway`] — true k-way kernels ([`gallop_probe_into`],
 //!   [`heap_merge_into`], the cursor-based [`compressed_probe_into`]; the
@@ -44,35 +46,37 @@
 //! strategy lineup (`Strategy::{Bitmap, Galloping}`) and are
 //! differential-tested byte-identical to the scalar executor.
 //!
-//! ## When the planner picks each kernel
+//! ## When each kernel runs
 //!
-//! [`KernelChoice::select`] decides per query from the operand sizes and
-//! the universe span:
+//! Serving runs `fsi_index::Planner`'s choice over *prepared* lists — the
+//! one k-way selector: it prices the bitmap sweep, the membership probe
+//! (bit tests through [`BitmapSet::probe`], a galloping cursor through the
+//! flat list elsewhere — both [`retain_members`]) and, for balanced sizes,
+//! the SIMD merge of the two smallest lists with its survivors probed
+//! through the rest, and picks the minimum — see the `fsi_index::planner`
+//! module doc for the authoritative cost table.
 //!
-//! 1. an empty operand short-circuits to the merge kernel (nothing to do);
-//! 2. skew (`max nᵢ / min nᵢ` ≥ [`GALLOP_RATIO`]) → [`Galloping`]:
+//! The slice-level pair kernels ([`kernel`]) are plain functions the
+//! harnesses bench and fold ([`pairwise_fold_into`]); no serving path calls
+//! them. [`auto_pair_into`] picks among them per call by
+//! [`KernelChoice::select`], from the operand sizes and the universe span:
+//!
+//! 1. an empty operand short-circuits to [`scalar_merge_into`] (nothing to
+//!    do);
+//! 2. skew (`max nᵢ / min nᵢ` ≥ [`GALLOP_RATIO`]) → [`galloping_into`]:
 //!    `O(n_min · log(n_max/n_min))`;
-//! 3. dense operands (`n_min / universe` ≥ [`BITMAP_MIN_DENSITY`]) →
-//!    [`BitmapKernel`]: the `AND`-per-64-elements regime;
-//! 4. otherwise → [`SimdMerge`] (balanced, sparse: the block
-//!    compare-and-compact merge on the flat lists alone, no auxiliary
-//!    structure — the `Merge` row of `BENCH_simd.json`).
+//! 3. dense operands (`n_min / universe` ≥ [`BITMAP_MIN_DENSITY`]) → the
+//!    chunked bitmaps built on the fly and `AND`ed: the
+//!    `AND`-per-64-elements regime;
+//! 4. otherwise → the SIMD merge ([`simd::merge_into`]; balanced, sparse:
+//!    the block compare-and-compact merge on the flat lists alone, no
+//!    auxiliary structure — the `Merge` row of `BENCH_simd.json`).
 //!
-//! [`AutoKernel`] packages that rule behind the [`Kernel`] trait for the
-//! harnesses that bench it (a `k`-way call folds its pairs); no serving
-//! path calls it. What serving runs is `fsi_index::Planner`'s choice over
-//! *prepared* lists — the one k-way selector: it prices every candidate
-//! kernel with a whole-query cost model (adding a membership-probe tier —
-//! bit tests through [`BitmapSet::probe`], a galloping cursor through the
-//! flat list elsewhere — and, for balanced sizes, the SIMD merge of the
-//! two smallest lists with its survivors probed through the rest) and
-//! picks the minimum — see the `fsi_index::planner` module doc for the
-//! authoritative cost table.
-//! [`BITMAP_MIN_DENSITY`] belongs to the slice-level selector only: it
-//! builds its bitmaps on the fly and needs a floor to decide whether that
-//! pays. Which *prepared* lists carry a bitmap is the planner's
-//! build rule — at least one member per bitmap word of the chunks the
-//! list touches — and involves no density constant.
+//! [`BITMAP_MIN_DENSITY`] belongs to that slice-level rule only: it builds
+//! its bitmaps on the fly and needs a floor to decide whether that pays.
+//! Which *prepared* lists carry a bitmap is the planner's build rule — at
+//! least one member per bitmap word of the chunks the list touches — and
+//! involves no density constant.
 //!
 //! `Strategy::{Bitmap, Galloping}` pin one kernel for every
 //! query the way every other fixed strategy does; the planner makes the
@@ -102,14 +106,12 @@ pub mod multiway;
 pub mod simd;
 
 pub use bitmap::WORDS_PER_CHUNK;
-pub use bitmap::{chunk_union_into, BitmapKernel, BitmapProbe, BitmapSet, UnionPart};
-pub use boolean::{filter_in_place, gallop_diff_into, heap_union_into, merge_union_into};
-pub use gallop::{
-    branchless_merge_into, galloping_into, BranchlessMerge, Galloping, GallopingSet, GALLOP_RATIO,
-};
-pub use kernel::{AutoKernel, Kernel, KernelChoice, ScalarMerge, SimdMerge, BITMAP_MIN_DENSITY};
+pub use bitmap::{chunk_union_into, BitmapProbe, BitmapSet, UnionPart};
+pub use boolean::{heap_union_into, merge_union_into, retain_members, Member};
+pub use gallop::{branchless_merge_into, galloping_into, GallopingSet, GALLOP_RATIO};
+pub use kernel::{auto_pair_into, scalar_merge_into, KernelChoice, BITMAP_MIN_DENSITY};
 pub use multiway::{
-    compressed_probe_into, gallop_probe_into, gallop_probe_ordered_into, heap_merge_into,
-    pairwise_fold_into, SkipCursor, SliceCursor,
+    compressed_probe_into, gallop_probe_into, heap_merge_into, pairwise_fold_into, SkipCursor,
+    SliceCursor,
 };
 pub use simd::SimdLevel;

@@ -35,32 +35,15 @@ use std::collections::BinaryHeap;
 /// with per-list galloping cursors, appending survivors (ascending) to
 /// `out`. No intermediate result is ever materialized.
 pub fn gallop_probe_into(sets: &[&[Elem]], out: &mut Vec<Elem>) {
-    match sets {
-        [] => {}
-        [a] => out.extend_from_slice(a),
-        _ => {
-            let mut order: Vec<&[Elem]> = sets.to_vec();
-            // Probing the next-smallest list first maximizes the chance a
-            // doomed candidate dies on its first (cheapest) probe.
-            order.sort_by_key(|s| s.len());
-            // audit:allow(hot_path_panic): k >= 2 was checked at dispatch, so split_first always succeeds
-            let (driver, rest) = order.split_first().expect("k >= 2");
-            gallop_probe_ordered_into(driver, rest, out);
-        }
-    }
-}
-
-/// The order-honouring core of [`gallop_probe_into`]: probes `driver`'s
-/// candidates through `rest` **in the given order** (callers — the
-/// `fsi-index` planner — choose the evaluation order; this function never
-/// re-sorts). Appends survivors to `out`, ascending.
-pub fn gallop_probe_ordered_into(driver: &[Elem], rest: &[&[Elem]], out: &mut Vec<Elem>) {
-    if rest.is_empty() {
-        out.extend_from_slice(driver);
+    let mut order: Vec<&[Elem]> = sets.to_vec();
+    // Probing the next-smallest list first maximizes the chance a doomed
+    // candidate dies on its first (cheapest) probe.
+    order.sort_by_key(|s| s.len());
+    let Some((driver, rest)) = order.split_first() else {
         return;
-    }
+    };
     let mut cursors = vec![0usize; rest.len()];
-    'candidates: for &x in driver {
+    'candidates: for &x in *driver {
         for (ci, list) in rest.iter().enumerate() {
             let c = gallop(list, cursors[ci], x);
             if c >= list.len() {
@@ -158,8 +141,7 @@ pub trait SkipCursor {
 }
 
 /// A [`SkipCursor`] over a flat sorted slice: `seek` gallops from the
-/// current position, mirroring [`gallop_probe_ordered_into`]'s cursor
-/// discipline.
+/// current position, mirroring [`gallop_probe_into`]'s cursor discipline.
 #[derive(Debug, Clone)]
 pub struct SliceCursor<'a> {
     slice: &'a [Elem],
@@ -258,8 +240,13 @@ pub fn compressed_probe_into<C: SkipCursor>(cursors: &mut [C], out: &mut Vec<Ele
 /// The pairwise-fold baseline the multiway kernels are benchmarked against:
 /// sort by length, intersect the two smallest, then fold each remaining
 /// list in — materializing every intermediate, exactly what true k-way
-/// evaluation avoids. `pair` is the pair kernel folded over.
-pub fn pairwise_fold_into(pair: &dyn crate::kernel::Kernel, sets: &[&[Elem]], out: &mut Vec<Elem>) {
+/// evaluation avoids. `pair` is the pair kernel folded over: it appends the
+/// ascending intersection of two sorted slices to its buffer.
+pub fn pairwise_fold_into(
+    pair: impl Fn(&[Elem], &[Elem], &mut Vec<Elem>),
+    sets: &[&[Elem]],
+    out: &mut Vec<Elem>,
+) {
     match sets {
         [] => {}
         [a] => out.extend_from_slice(a),
@@ -267,13 +254,13 @@ pub fn pairwise_fold_into(pair: &dyn crate::kernel::Kernel, sets: &[&[Elem]], ou
             let mut order: Vec<&[Elem]> = sets.to_vec();
             order.sort_by_key(|s| s.len());
             let mut acc = Vec::new();
-            pair.intersect_pair(order[0], order[1], &mut acc);
+            pair(order[0], order[1], &mut acc);
             for s in &order[2..] {
                 if acc.is_empty() {
                     break;
                 }
                 let mut next = Vec::new();
-                pair.intersect_pair(&acc, s, &mut next);
+                pair(&acc, s, &mut next);
                 acc = next;
             }
             out.extend(acc);
@@ -390,7 +377,7 @@ mod tests {
         let sets = random_sets(&mut rng, 4, 900, 5_000);
         let slices: Vec<&[Elem]> = sets.iter().map(|s| s.as_slice()).collect();
         let mut out = Vec::new();
-        pairwise_fold_into(&crate::kernel::ScalarMerge, &slices, &mut out);
+        pairwise_fold_into(crate::kernel::scalar_merge_into, &slices, &mut out);
         assert_eq!(out, reference_intersection(&slices));
     }
 

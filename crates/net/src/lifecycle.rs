@@ -35,7 +35,7 @@ use crate::protocol::Status;
 use fsi_obs::{
     Counter, Histogram, LabelCap, QueryTrace, Registry, SlowLog, SlowLogEntry, Stage, TailSampler,
 };
-use fsi_serve::ShedReason;
+use fsi_serve::{Server, ShedReason};
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -55,9 +55,6 @@ pub struct ObsConfig {
     /// Head-sample every N-th request with a full execution trace;
     /// `0` disables head sampling.
     pub head_sample_every: u64,
-    /// Maximum distinct tenant label values on per-tenant metrics;
-    /// further tenants collapse into the `other` label.
-    pub tenant_label_cap: usize,
 }
 
 impl Default for ObsConfig {
@@ -67,7 +64,6 @@ impl Default for ObsConfig {
             slowlog_capacity: 256,
             slow_threshold: Duration::from_millis(100),
             head_sample_every: 0,
-            tenant_label_cap: 64,
         }
     }
 }
@@ -294,7 +290,8 @@ pub(crate) struct NetObs {
     stage_ns: [LazyHistogram; 4],
     /// Handles of the anonymous tenant; `None` in stripped mode.
     anon: Option<TenantMetrics>,
-    /// Handles per capped tenant label — at most `tenant_label_cap + 1`.
+    /// Handles per capped tenant label — at most
+    /// [`Server::TENANT_LABEL_CAP`]` + 1`.
     named: Mutex<BTreeMap<String, Arc<TenantMetrics>>>,
 }
 
@@ -314,7 +311,7 @@ impl NetObs {
                 0
             }),
             sampler: TailSampler::new(config.slow_threshold, config.head_sample_every),
-            tenants: LabelCap::new(config.tenant_label_cap),
+            tenants: LabelCap::new(Server::TENANT_LABEL_CAP),
             lifecycle: config.lifecycle,
             started: Instant::now(),
             open_connections: AtomicUsize::new(0),
@@ -581,25 +578,33 @@ mod tests {
 
     #[test]
     fn tenant_handles_stay_behind_the_label_cap() {
-        let obs = NetObs::new(&ObsConfig {
-            tenant_label_cap: 2,
-            ..ObsConfig::default()
-        });
+        let obs = NetObs::new(&ObsConfig::default());
+        let cap = Server::TENANT_LABEL_CAP as u32;
         let mut recent = None;
-        for tenant in 0..10 {
+        for tenant in 0..cap + 8 {
             let lc = obs.begin(Instant::now(), Some(tenant), &mut recent);
             obs.tenant_outcome(&lc, TenantOutcome::Admitted);
         }
         let snap = obs.registry.snapshot();
-        let admitted = |tenant| {
+        let admitted = |tenant: u32| {
             snap.counter(
                 "fsi_net_tenant_requests_total",
-                &[("tenant", tenant), ("outcome", "admitted")],
+                &[("tenant", &tenant.to_string()), ("outcome", "admitted")],
             )
         };
-        assert_eq!(admitted("0"), Some(1));
-        assert_eq!(admitted("1"), Some(1));
-        assert_eq!(admitted("other"), Some(8), "over-cap tenants share a label");
-        assert_eq!(admitted("2"), None);
+        assert_eq!(admitted(0), Some(1));
+        assert_eq!(admitted(cap - 1), Some(1));
+        let other = snap.counter(
+            "fsi_net_tenant_requests_total",
+            &[("tenant", "other"), ("outcome", "admitted")],
+        );
+        assert_eq!(other, Some(8), "over-cap tenants share a label");
+        assert_eq!(admitted(cap), None);
+        let named = obs
+            .named
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len();
+        assert!(named <= Server::TENANT_LABEL_CAP + 1, "{named} handles");
     }
 }

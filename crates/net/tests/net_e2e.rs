@@ -37,10 +37,7 @@ fn serving_stack(net: NetConfig) -> (Arc<Server>, NetServer) {
 
 /// A server whose every query is a miss: nothing the reader can answer.
 fn cache_off() -> ServeConfig {
-    ServeConfig {
-        cache_capacity: 0,
-        ..ServeConfig::default()
-    }
+    ServeConfig { cache_capacity: 0 }
 }
 
 /// Every request's record is retained, however fast it was.

@@ -134,7 +134,7 @@ impl QueryTrace {
     /// trace "0 AND 1" total 182.4µs
     ///   parse        1.2µs
     ///   cache        0.4µs  outcome=miss
-    ///   exec        88.0µs  kind=GallopProbe est_rows=120 rows=117
+    ///   exec        88.0µs  kind=HashProbe est_rows=120 rows=117
     /// ```
     pub fn render(&self) -> String {
         let mut out = format!("trace {:?} total {}\n", self.query, fmt_ns(self.total_ns));

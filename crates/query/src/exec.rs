@@ -4,12 +4,14 @@
 //! directly on the prepared lists (zero materialization), `OR` nodes
 //! dispatch between the heap union and the chunk union — which binds
 //! bitmap-carrying terms and `BitmapAnd` children in place, word by word,
-//! and extracts the result once — and differences bit-test the
-//! subtrahends that are bitmap-carrying terms and gallop through the rest
-//! (over a `BitmapAnd` base with term subtrahends they are a one-child
-//! chunk union instead). Term operands of unions and differences borrow
-//! the prepared structures — only genuine sub-expression results are
-//! materialized.
+//! and extracts the result once. A mixed `AND` and every difference are
+//! runs of one membership pass (`fsi_kernels::retain_members`) over
+//! candidates already in the output: a bit test against a term that
+//! carries a bitmap, a galloping cursor through any other operand (over a
+//! `BitmapAnd` base with term subtrahends a difference is a one-child chunk
+//! union instead). Term operands of unions, mixed `AND`s and differences
+//! borrow the prepared structures — only genuine sub-expression results
+//! are materialized.
 //!
 //! `EXPLAIN ANALYZE` ([`analyze_plan`]) is the same walk with a report
 //! sink; without one — every served query — the walk reads no clock.
@@ -22,24 +24,30 @@ use crate::plan::{AndKind, ExprPlan, ExprPlanner, PlanNode, UnionKind};
 use crate::rewrite::NormExpr;
 use fsi_core::elem::Elem;
 use fsi_index::{PlanKind, PlannedExecutor, PlannedList};
-use fsi_kernels::{
-    chunk_union_into, filter_in_place, gallop_diff_into, gallop_probe_into, heap_union_into,
-    UnionPart,
-};
+use fsi_kernels::{chunk_union_into, heap_union_into, retain_members, Member, UnionPart};
 use std::time::Instant;
 
 /// A child result: borrowed straight from a prepared list when the child
 /// is a term, materialized otherwise.
 enum Operand<'a> {
-    Borrowed(&'a [Elem]),
+    Term(&'a PlannedList),
     Owned(Vec<Elem>),
 }
 
 impl Operand<'_> {
     fn as_slice(&self) -> &[Elem] {
         match self {
-            Operand::Borrowed(s) => s,
+            Operand::Term(list) => list.flat(),
             Operand::Owned(v) => v,
+        }
+    }
+
+    /// What a membership pass tests against: a term's bitmap or flat list
+    /// ([`PlannedList::member`]), or the materialized result.
+    fn member(&self) -> Member<'_> {
+        match self {
+            Operand::Term(list) => list.member(),
+            Operand::Owned(v) => Member::Sorted(v),
         }
     }
 }
@@ -203,7 +211,7 @@ fn operand<'a>(
             if let Some(sink) = sink {
                 sink.push(input_report(plan, list));
             }
-            Operand::Borrowed(list.flat())
+            Operand::Term(list)
         }
         _ => {
             let mut v = Vec::new();
@@ -290,11 +298,11 @@ fn run_node(
                     sink.extend(in_place_report(exec, plan).children);
                 }
             } else {
-                let mut base = Vec::new();
-                run_and_base(exec, planner, pos, kind, &mut base, sink.as_deref_mut());
+                let start = out.len();
+                run_and_base(exec, planner, pos, kind, out, sink.as_deref_mut());
                 let first_neg = sink.as_deref().map_or(0, Vec::len);
-                if !base.is_empty() {
-                    subtract(exec, planner, base, neg, out, sink.as_deref_mut());
+                if out.len() > start {
+                    subtract(exec, planner, neg, out, start, sink.as_deref_mut());
                 } else if let Some(sink) = sink.as_deref_mut() {
                     // Nothing to subtract from: the negs are skipped, but
                     // listed as the plan's children.
@@ -335,32 +343,23 @@ fn run_node(
     }
 }
 
-/// Appends `base ∖ ⋃ neg` to `out`, ascending: one bit test per candidate
-/// for each subtrahend that is a bitmap-carrying term, then the galloping
-/// difference over whatever survives for the rest.
+/// Removes from the ascending base in `out[start..]` every member of a
+/// subtrahend: one [`retain_members`] pass per subtrahend, in `neg` order
+/// — a term is tested through its prepared list, by bit test where it
+/// carries a bitmap, and any other subtrahend through its materialized
+/// result.
 fn subtract(
     exec: &PlannedExecutor,
     planner: &ExprPlanner,
-    mut base: Vec<Elem>,
     neg: &[ExprPlan],
     out: &mut Vec<Elem>,
+    start: usize,
     mut sink: Option<&mut Vec<NodeReport>>,
 ) {
-    let mut rest: Vec<Operand> = Vec::new();
     for n in neg {
-        match term(exec, n).and_then(|l| Some((l, l.bitmap()?))) {
-            Some((list, bitmap)) => {
-                if let Some(sink) = sink.as_deref_mut() {
-                    sink.push(input_report(n, list));
-                }
-                let mut probe = bitmap.probe();
-                filter_in_place(&mut base, 0, |x| !probe.contains(x));
-            }
-            None => rest.push(operand(exec, planner, n, sink.as_deref_mut())),
-        }
+        let subtrahend = operand(exec, planner, n, sink.as_deref_mut());
+        retain_members(out, start, subtrahend.member(), false);
     }
-    let slices: Vec<&[Elem]> = rest.iter().map(Operand::as_slice).collect();
-    gallop_diff_into(&base, &slices, out);
 }
 
 /// Runs an `And` node's positive intersection, appending ascending output.
@@ -388,12 +387,21 @@ fn run_and_base(
             planner.and.execute(mplan, &lists, out);
         }
         AndKind::SliceProbe => {
-            let ops: Vec<Operand> = pos
+            let mut ops: Vec<Operand> = pos
                 .iter()
                 .map(|p| operand(exec, planner, p, sink.as_deref_mut()))
                 .collect();
-            let slices: Vec<&[Elem]> = ops.iter().map(Operand::as_slice).collect();
-            gallop_probe_into(&slices, out);
+            // The smallest operand's elements are the candidates; the rest
+            // filter them in ascending length, the most selective first.
+            ops.sort_by_key(|o| o.as_slice().len());
+            let Some((driver, rest)) = ops.split_first() else {
+                return;
+            };
+            let start = out.len();
+            out.extend_from_slice(driver.as_slice());
+            for op in rest {
+                retain_members(out, start, op.member(), true);
+            }
         }
     }
 }

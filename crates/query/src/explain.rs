@@ -62,7 +62,7 @@ fn strip_keyword<'a>(s: &'a str, kw: &str) -> Option<&'a str> {
 /// `ANALYZE`) the measured reality.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeReport {
-    /// Operator label (`t3`, `And[GallopProbe]`, `Or[BitmapOr]`, …).
+    /// Operator label (`t3`, `And[HashProbe]`, `Or[BitmapOr]`, …).
     pub label: String,
     /// The cost model's estimated result cardinality.
     pub est_rows: f64,

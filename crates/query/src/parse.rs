@@ -14,6 +14,10 @@
 //! `OR` binds loosest, implicit/explicit `AND` tighter, `NOT` tightest —
 //! `a b OR c` parses as `(a AND b) OR c`, and `NOT a b` as `(NOT a) AND b`.
 //! Terms are posting-list ids, written bare (`12`) or `t`-prefixed (`t12`).
+//! A query nesting `(` and `NOT` deeper than 64 levels is a parse error:
+//! the parser, the rewrites, the planner, the executor and the tree's
+//! `Drop` recurse once per level, and one request frame must not overflow a
+//! thread's stack.
 
 use crate::ast::Expr;
 use std::fmt;
@@ -107,10 +111,16 @@ fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
     Ok(toks)
 }
 
+/// The deepest nesting of `(` and `NOT` a query may carry. The generated
+/// workloads nest two levels at most.
+const MAX_DEPTH: usize = 64;
+
 struct Parser {
     toks: Vec<Spanned>,
     at: usize,
     end: usize,
+    /// `(`s and `NOT`s enclosing the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -173,12 +183,20 @@ impl Parser {
         })
     }
 
+    /// Every `(` and `NOT` recurses back here one level deeper.
     fn unary(&mut self) -> Result<Expr, ParseError> {
-        if self.peek() == Some(&Tok::Not) {
-            self.bump();
-            return Ok(Expr::Not(Box::new(self.unary()?)));
+        if self.depth > MAX_DEPTH {
+            return self.err(format!("nested deeper than {MAX_DEPTH} levels"));
         }
-        self.primary()
+        self.depth += 1;
+        let expr = if self.peek() == Some(&Tok::Not) {
+            self.bump();
+            self.unary().map(|e| Expr::Not(Box::new(e)))
+        } else {
+            self.primary()
+        };
+        self.depth -= 1;
+        expr
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
@@ -216,6 +234,7 @@ pub fn parse(src: &str) -> Result<Expr, ParseError> {
         toks,
         at: 0,
         end: src.len(),
+        depth: 0,
     };
     let expr = p.or_expr()?;
     if p.at < p.toks.len() {
@@ -304,5 +323,39 @@ mod tests {
         assert!(parse("txyz").is_err(), "non-numeric term");
         // `t` alone is not a term id.
         assert!(parse("t").is_err());
+    }
+
+    /// `MAX_DEPTH` nested `(`s or `NOT`s parse; one more is an error at the
+    /// token nested past the bound, not a stack overflow.
+    #[test]
+    fn nesting_is_bounded() {
+        let parens = |depth: usize| format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
+        let nots = |depth: usize| format!("{}1", "NOT ".repeat(depth));
+        assert_eq!(parse(&parens(MAX_DEPTH)).expect("at the bound"), t(1));
+        let e = parse(&parens(MAX_DEPTH + 1)).expect_err("past the bound");
+        assert_eq!(e.pos, MAX_DEPTH + 1, "{e}");
+        let not = parse(&nots(MAX_DEPTH)).expect("at the bound");
+        assert!(matches!(not, Expr::Not(_)));
+        let e = parse(&nots(MAX_DEPTH + 1)).expect_err("past the bound");
+        assert_eq!(e.pos, 4 * (MAX_DEPTH + 1), "{e}");
+        // Mixed nesting counts both kinds, and siblings do not add up.
+        let mixed = format!("{}1{}", "NOT (".repeat(32), ")".repeat(32));
+        assert!(parse(&mixed).is_ok());
+        assert!(parse(&format!("NOT {mixed}")).is_err());
+        let siblings = vec![parens(MAX_DEPTH); 3].join(" OR ");
+        assert!(parse(&siblings).is_ok());
+        // A request-sized frame of nesting is refused, not a crash: the
+        // bound holds on a thread with a small stack.
+        let deep = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                let e1 = parse(&parens(5_000)).is_err();
+                let e2 = parse(&"NOT ".repeat(4_000)).is_err();
+                e1 && e2
+            })
+            .expect("spawns")
+            .join()
+            .expect("no stack overflow");
+        assert!(deep);
     }
 }

@@ -22,9 +22,9 @@
 //! | node | candidates |
 //! |------|------------|
 //! | `AND` (all operands are terms) | the full [`fsi_index::Planner`] candidate table — one whole-list [`MultiwayPlan`], zero materialized intermediates |
-//! | `AND` (mixed operands) | materialize sub-results, then a k-way gallop probe ([`AndKind::SliceProbe`]) |
+//! | `AND` (mixed operands) | materialize sub-results, copy the smallest operand and filter it through the rest in ascending length ([`AndKind::SliceProbe`]; a term is bit-tested where it carries a bitmap), priced as the probe ([`Planner::probe_price`]: terms by their own stats, sub-expressions by `est_rows` as bitmap-less lists) |
 //! | `OR` | heap k-way union over materialized children (`Σ costᵢ + heap_union · Σnᵢ · log₂ k`) vs the chunk union over *any* children (`Σ partᵢ + 2 · bitmap_word · 1024 · span + extract`): a bitmap-carrying term costs its words, a `BitmapAnd` child whose subtrahends are terms its word sweep (no extraction of its own), any other child its own cost plus `set_bit` per row; `span` is the estimated number of chunks the union touches, and the result is extracted once |
-//! | `AND NOT` | one difference operator: a bit test per base element for each subtrahend that is a bitmap-carrying term (`bit_test · |base|`), a galloping multi-subtrahend difference for the rest (`gallop · |base| · Σⱼ log₂(|Nⱼ|/|base| + 2)`, [`Planner::gallop_cost`]) — the subtrahends are bounded by the base, never materialized against the universe. Over a `BitmapAnd` base whose subtrahends are all terms it is instead a one-child chunk union, priced as one, wherever that is cheaper |
+//! | `AND NOT` | one membership pass per subtrahend over the base: a bit test per base element for a subtrahend that is a bitmap-carrying term (`bit_test · |base|`), a galloping cursor through any other (`gallop · |base| · Σⱼ log₂(|Nⱼ|/|base| + 2)`, [`Planner::gallop_cost`]) — the subtrahends are bounded by the base, never materialized against the universe. Over a `BitmapAnd` base whose subtrahends are all terms it is instead a one-child chunk union, priced as one, wherever that is cheaper |
 
 use crate::rewrite::NormExpr;
 use fsi_index::{CostUnit, MultiwayPlan, OperandStats, PlanKind, Planner};
@@ -37,8 +37,10 @@ pub enum AndKind {
     /// the underlying conjunctive cost model (the embedded
     /// [`MultiwayPlan`]'s `order` indexes this node's `pos` children).
     Multiway(MultiwayPlan),
-    /// Sub-expressions among the operands: materialize them, then drive a
-    /// k-way gallop probe over the slices.
+    /// Sub-expressions among the operands: materialize them, copy the
+    /// smallest operand and filter it through the others in ascending
+    /// length — a term by its prepared list (bit tests where it carries a
+    /// bitmap), a sub-expression by a galloping cursor through its result.
     SliceProbe,
 }
 
@@ -106,7 +108,7 @@ pub struct ExprPlan {
 
 impl ExprPlan {
     /// A compact one-line rendering of the operator tree (telemetry and
-    /// bench output), e.g. `And[GallopProbe](t1, t2 \ Or[HeapMerge](t3, t4))`.
+    /// bench output), e.g. `And[HashProbe](t1, t2 \ Or[HeapMerge](t3, t4))`.
     pub fn describe(&self) -> String {
         match &self.node {
             PlanNode::Term(t) => format!("t{t}"),
@@ -219,27 +221,29 @@ impl ExprPlanner {
                 // re-derive driver order from true sizes at run time; the
                 // estimate order is what mixed/materialized nodes use).
                 pos_plans.sort_by(|a, b| a.est_rows.total_cmp(&b.est_rows));
-                let all_terms = pos_plans
+                // Terms are priced by their own stats, a sub-expression as
+                // a bitmap-less list of its estimated size.
+                let op_stats: Vec<OperandStats> = pos_plans
                     .iter()
-                    .all(|p| matches!(p.node, PlanNode::Term(_)));
-                let (kind, and_cost) = if all_terms {
-                    let op_stats: Vec<OperandStats> = pos_plans
-                        .iter()
-                        .map(|p| match p.node {
-                            PlanNode::Term(t) => stats(t),
-                            // audit:allow(hot_path_panic): all_terms() verified every child is a Term before this match
-                            _ => unreachable!("all_terms checked"),
-                        })
-                        .collect();
+                    .map(|p| match p.node {
+                        PlanNode::Term(t) => stats(t),
+                        _ => OperandStats {
+                            n: p.est_rows.round() as usize,
+                            chunks: None,
+                        },
+                    })
+                    .collect();
+                let (kind, and_cost) = if pos_plans
+                    .iter()
+                    .all(|p| matches!(p.node, PlanNode::Term(_)))
+                {
                     let mplan = self.and.plan(&op_stats, u as u64);
                     let cost = mplan.est_cost;
                     (AndKind::Multiway(mplan), cost)
                 } else {
-                    // The conjunctive model's gallop candidate, over
-                    // (possibly estimated) child cardinalities.
-                    let n_min = pos_plans[0].est_rows.max(1.0);
-                    let probed = pos_plans[1..].iter().map(|c| c.est_rows);
-                    (AndKind::SliceProbe, self.and.gallop_cost(n_min, probed))
+                    // The probe's filter, over materialized operands.
+                    let cost = self.and.probe_price(&op_stats, u as u64);
+                    (AndKind::SliceProbe, cost)
                 };
                 let mut base_rows = u;
                 for c in &pos_plans {

@@ -8,9 +8,9 @@
 //! whichever plan runs); values are `Arc`-shared result vectors so hits
 //! never copy documents.
 //!
-//! The cache is split into independently locked segments (selected by key
-//! hash) so concurrent workers rarely contend; each segment runs an exact
-//! LRU over an intrusive free-list slab.
+//! The cache is split into eight independently locked segments
+//! (selected by key hash) so concurrent workers rarely contend; each
+//! segment runs an exact LRU over an intrusive free-list slab.
 //!
 //! The canonical encoding (`fsi_query::encode`) makes a flat conjunctive
 //! query and any boolean expression equivalent to it — reordered,
@@ -293,6 +293,10 @@ fn value_bytes(value: &Arc<Vec<Elem>>) -> usize {
     value.len() * std::mem::size_of::<Elem>()
 }
 
+/// How many independently locked segments a [`QueryCache`] splits into —
+/// enough that the front door's worker threads rarely contend.
+const SEGMENTS: usize = 8;
+
 /// The segmented, counter-instrumented result cache.
 pub struct QueryCache {
     segments: Vec<Mutex<Segment>>,
@@ -319,16 +323,21 @@ impl std::fmt::Debug for QueryCache {
 }
 
 impl QueryCache {
-    /// A cache of `capacity` total entries split over `segments` locks.
-    /// `capacity = 0` builds a disabled cache (every lookup misses, inserts
-    /// are dropped).
+    /// A cache of `capacity` total entries split over eight locks
+    /// (fewer when `capacity` is smaller). `capacity = 0` builds a disabled
+    /// cache (every lookup misses, inserts are dropped).
     ///
     /// Capacity divides evenly across segments, rounding *up* per segment;
     /// the effective total (what [`QueryCache::stats`] reports as
     /// `capacity`) is therefore the configured value rounded up to a
     /// multiple of the segment count. Eviction is per segment: a segment
     /// at its share evicts even if others are underfull.
-    pub fn new(capacity: usize, segments: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
+        Self::with_segments(capacity, SEGMENTS)
+    }
+
+    /// [`QueryCache::new`] over `segments` locks.
+    fn with_segments(capacity: usize, segments: usize) -> Self {
         let segments = segments.max(1).min(capacity.max(1));
         let per_segment = capacity.div_ceil(segments);
         Self {
@@ -496,7 +505,7 @@ mod tests {
         // …and a genuinely different expression does not.
         let other = CacheKey::from_norm(&fsi_query::compile("4 OR 2").expect("ok"));
         assert_ne!(flat, other);
-        let cache = QueryCache::new(8, 2);
+        let cache = QueryCache::with_segments(8, 2);
         cache.insert(flat, val(&[1, 2, 3]));
         assert_eq!(cache.get(&expr).expect("hit").as_slice(), &[1, 2, 3]);
         assert_eq!(cache.get(&shuffled).expect("hit").as_slice(), &[1, 2, 3]);
@@ -505,7 +514,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss_counting() {
-        let cache = QueryCache::new(8, 2);
+        let cache = QueryCache::with_segments(8, 2);
         assert!(cache.get(&key(&[1, 2])).is_none());
         cache.insert(key(&[1, 2]), val(&[7, 9]));
         assert_eq!(cache.get(&key(&[2, 1])).expect("hit").as_slice(), &[7, 9]);
@@ -517,7 +526,7 @@ mod tests {
     #[test]
     fn lru_evicts_the_coldest_entry() {
         // One segment of capacity 3 so eviction order is fully observable.
-        let cache = QueryCache::new(3, 1);
+        let cache = QueryCache::with_segments(3, 1);
         cache.insert(key(&[1]), val(&[1]));
         cache.insert(key(&[2]), val(&[2]));
         cache.insert(key(&[3]), val(&[3]));
@@ -534,7 +543,7 @@ mod tests {
 
     #[test]
     fn reinsert_refreshes_value_without_eviction() {
-        let cache = QueryCache::new(2, 1);
+        let cache = QueryCache::with_segments(2, 1);
         cache.insert(key(&[1]), val(&[1]));
         cache.insert(key(&[1]), val(&[10, 11]));
         assert_eq!(cache.len(), 1);
@@ -554,7 +563,7 @@ mod tests {
         // Regression for accounting drift: the same key re-inserted with a
         // larger, then smaller, result must leave value_bytes equal to the
         // live value's footprint, never the sum of historical sizes.
-        let cache = QueryCache::new(4, 1);
+        let cache = QueryCache::with_segments(4, 1);
         let k = key(&[9]);
         cache.insert(k.clone(), val(&[1]));
         cache.insert(k.clone(), val(&[1, 2, 3, 4, 5]));
@@ -628,7 +637,7 @@ mod tests {
             // value_len = op / 24.
             ops in proptest::collection::vec(0usize..144, 0..300),
         ) {
-            let cache = QueryCache::new(capacity, segments);
+            let cache = QueryCache::with_segments(capacity, segments);
             for &op in &ops {
                 let term = (op / 2) % 12;
                 let k = key(&[term]);
@@ -649,7 +658,7 @@ mod tests {
     #[test]
     fn effective_capacity_is_reported_and_never_exceeded() {
         // 8 entries over 3 segments: 3 per segment, effective total 9.
-        let cache = QueryCache::new(8, 3);
+        let cache = QueryCache::with_segments(8, 3);
         assert_eq!(cache.capacity(), 9);
         for i in 0..100usize {
             cache.insert(key(&[i]), val(&[i as Elem]));
@@ -657,12 +666,12 @@ mod tests {
         assert!(cache.len() <= cache.capacity());
         assert_eq!(cache.stats().capacity, 9);
         // Even division reports exactly the configured value.
-        assert_eq!(QueryCache::new(8, 2).capacity(), 8);
+        assert_eq!(QueryCache::with_segments(8, 2).capacity(), 8);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let cache = QueryCache::new(0, 4);
+        let cache = QueryCache::with_segments(0, 4);
         assert!(!cache.is_enabled());
         cache.insert(key(&[1]), val(&[1]));
         assert!(cache.get(&key(&[1])).is_none());
@@ -671,7 +680,7 @@ mod tests {
 
     #[test]
     fn eviction_slots_are_reused() {
-        let cache = QueryCache::new(2, 1);
+        let cache = QueryCache::with_segments(2, 1);
         for i in 0..100usize {
             cache.insert(key(&[i]), val(&[i as Elem]));
         }
@@ -687,7 +696,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_consistent() {
-        let cache = Arc::new(QueryCache::new(64, 8));
+        let cache = Arc::new(QueryCache::with_segments(64, 8));
         std::thread::scope(|s| {
             for t in 0..4 {
                 let cache = Arc::clone(&cache);

@@ -34,8 +34,8 @@
 //!   conjunctions share the key space with every equivalent boolean
 //!   spelling. Keys are derived internally; callers never build a cache
 //!   key;
-//! * [`config`] / [`stats`] — [`ServeConfig`] (cache capacity and
-//!   segments) and [`ServeStats`] snapshots.
+//! * [`config`] / [`stats`] — [`ServeConfig`] (the cache capacity) and
+//!   [`ServeStats`] snapshots.
 //!
 //! The network front door over this API — TCP framing, admission control,
 //! deadline-aware load shedding — lives in `fsi-net`, one crate up.

@@ -153,13 +153,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Maximum distinct `tenant` label values on per-tenant metrics;
-    /// tenants beyond the cap share the `other` label.
+    /// Maximum distinct `tenant` label values on per-tenant metrics — this
+    /// server's and `fsi-net`'s front-door families alike; tenants beyond
+    /// the cap share the `other` label.
     pub const TENANT_LABEL_CAP: usize = 64;
 
     /// Builds the serving stack over an existing engine.
     pub fn new(engine: &SearchEngine, config: ServeConfig) -> Self {
-        let config = config.normalized();
         let registry = Registry::new();
         let queries_served = registry.counter("fsi_queries_served_total", &[]);
         let expr_queries_served = registry.counter("fsi_expr_queries_served_total", &[]);
@@ -188,7 +188,7 @@ impl Server {
         }
         Self {
             engine,
-            cache: QueryCache::new(config.cache_capacity, config.cache_segments),
+            cache: QueryCache::new(config.cache_capacity),
             registry,
             tenant_labels: LabelCap::new(Self::TENANT_LABEL_CAP),
             queries_served,
@@ -559,10 +559,7 @@ mod tests {
 
     #[test]
     fn single_queries_are_cached() {
-        let s = server(ServeConfig {
-            cache_capacity: 16,
-            ..ServeConfig::default()
-        });
+        let s = server(ServeConfig { cache_capacity: 16 });
         let a = s.execute(&Request::terms(vec![0, 1, 5])).expect("valid");
         let b = s.execute(&Request::terms(vec![5, 1, 0])).expect("valid");
         assert_eq!(a.docs, b.docs, "order-insensitive key");
@@ -578,10 +575,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_still_serves() {
-        let s = server(ServeConfig {
-            cache_capacity: 0,
-            ..ServeConfig::default()
-        });
+        let s = server(ServeConfig { cache_capacity: 0 });
         let a = s.execute(&Request::terms(vec![0, 1])).expect("valid");
         let b = s.execute(&Request::terms(vec![0, 1])).expect("valid");
         assert_eq!(a.docs, b.docs);
@@ -594,10 +588,7 @@ mod tests {
 
     #[test]
     fn expression_queries_are_served_and_cached_canonically() {
-        let s = server(ServeConfig {
-            cache_capacity: 32,
-            ..ServeConfig::default()
-        });
+        let s = server(ServeConfig { cache_capacity: 32 });
         let a = s
             .execute(&Request::expr("(0 OR 1) AND 5 AND NOT 2"))
             .expect("valid");
@@ -617,10 +608,7 @@ mod tests {
 
     #[test]
     fn flat_and_expression_paths_share_the_cache() {
-        let s = server(ServeConfig {
-            cache_capacity: 32,
-            ..ServeConfig::default()
-        });
+        let s = server(ServeConfig { cache_capacity: 32 });
         let flat = s.execute(&Request::terms(vec![1, 0])).expect("valid");
         let expr = s.execute(&Request::expr("0 AND 1")).expect("valid");
         assert_eq!(flat.docs, expr.docs);
@@ -629,10 +617,7 @@ mod tests {
 
     #[test]
     fn expression_matches_flat_conjunction_results() {
-        let s = server(ServeConfig {
-            cache_capacity: 0,
-            ..ServeConfig::default()
-        });
+        let s = server(ServeConfig { cache_capacity: 0 });
         assert_eq!(
             s.execute(&Request::expr("0 AND 1 AND 9"))
                 .expect("valid")
@@ -674,10 +659,7 @@ mod tests {
 
     #[test]
     fn traced_request_matches_untraced_and_carries_spans() {
-        let s = server(ServeConfig {
-            cache_capacity: 16,
-            ..ServeConfig::default()
-        });
+        let s = server(ServeConfig { cache_capacity: 16 });
         let src = "(0 OR 1) AND 5 AND NOT 2";
         let traced = s.execute(&Request::expr(src).traced()).expect("valid");
         let trace = traced.trace.as_ref().expect("trace recorded");
@@ -723,10 +705,7 @@ mod tests {
 
     #[test]
     fn traced_miss_records_exec_and_insert() {
-        let s = server(ServeConfig {
-            cache_capacity: 8,
-            ..ServeConfig::default()
-        });
+        let s = server(ServeConfig { cache_capacity: 8 });
         let resp = s
             .execute(&Request::expr("0 AND 9").traced())
             .expect("valid");
@@ -802,10 +781,7 @@ mod tests {
 
     #[test]
     fn begin_settles_what_needs_no_kernel_and_hands_back_the_rest() {
-        let s = server(ServeConfig {
-            cache_capacity: 16,
-            ..ServeConfig::default()
-        });
+        let s = server(ServeConfig { cache_capacity: 16 });
         let done = |req: &Request| match s.begin(req).expect("valid") {
             Begun::Done(response) => response,
             Begun::Miss(miss) => panic!("{req:?} needs no kernel, got {miss:?}"),
@@ -917,10 +893,7 @@ mod tests {
 
     #[test]
     fn flat_options_route_through_the_expression_engine() {
-        let s = server(ServeConfig {
-            cache_capacity: 16,
-            ..ServeConfig::default()
-        });
+        let s = server(ServeConfig { cache_capacity: 16 });
         let plain = s.execute(&Request::terms(vec![1, 0])).expect("valid");
         // A traced flat request hits the same cache entry and counts as a
         // flat query, not an expression query.
@@ -941,10 +914,7 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_carries_counters_cache_gauges_and_latency() {
-        let s = server(ServeConfig {
-            cache_capacity: 16,
-            cache_segments: 2,
-        });
+        let s = server(ServeConfig { cache_capacity: 16 });
         let plans_before = s.metrics().sum("fsi_plan_kind_total");
         s.execute(&Request::terms(vec![0, 1])).expect("valid");
         s.execute(&Request::terms(vec![0, 1])).expect("valid");
@@ -1000,13 +970,7 @@ mod tests {
                 spread(389).collect(),
             ],
         );
-        let s = Server::new(
-            &engine,
-            ServeConfig {
-                cache_capacity: 0,
-                ..ServeConfig::default()
-            },
-        );
+        let s = Server::new(&engine, ServeConfig { cache_capacity: 0 });
         let whole = engine.planned_executor(Planner::auto());
         let planner = fsi_query::ExprPlanner::auto();
         for terms in [

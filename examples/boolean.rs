@@ -56,7 +56,6 @@ fn main() {
         &engine,
         ServeConfig {
             cache_capacity: 1024,
-            ..ServeConfig::default()
         },
     );
     let first = server.execute(&Request::expr(src)).expect("valid");

@@ -20,7 +20,6 @@ fn main() {
         &engine,
         ServeConfig {
             cache_capacity: 1024,
-            ..ServeConfig::default() // planner-dispatched execution
         },
     );
 

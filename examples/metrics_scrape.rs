@@ -32,7 +32,6 @@ fn main() {
         corpus,
         ServeConfig {
             cache_capacity: 1024,
-            ..ServeConfig::default()
         },
     ));
     // Head-sample everything so even fast successes land in the slow log

@@ -27,7 +27,6 @@ fn main() {
         corpus,
         ServeConfig {
             cache_capacity: 1024,
-            ..ServeConfig::default()
         },
     ));
     let net = NetServer::start(Arc::clone(&serve), NetConfig::default()).expect("bind loopback");

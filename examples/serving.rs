@@ -37,7 +37,6 @@ fn main() {
         corpus,
         ServeConfig {
             cache_capacity: 4096,
-            ..ServeConfig::default()
         },
     );
     let requests: Vec<Request> = stream.iter().map(|q| Request::terms(q.clone())).collect();

@@ -16,9 +16,11 @@
 //!   (§4.1, Appendix B).
 //! * [`kernels`] — portable word-parallel intersection primitives: chunked
 //!   bitmaps ([`kernels::BitmapSet`]), branchless/galloping/SIMD merges
-//!   ([`kernels::GallopingSet`], [`kernels::SimdMerge`]), a common
-//!   [`kernels::Kernel`] trait with runtime selection, and true k-way
-//!   kernels ([`kernels::multiway`]).
+//!   ([`kernels::GallopingSet`], [`kernels::simd::merge_into`]), pair
+//!   kernels as plain functions with runtime selection
+//!   ([`kernels::auto_pair_into`]), the one membership pass
+//!   ([`kernels::retain_members`]), and true k-way kernels
+//!   ([`kernels::multiway`]).
 //! * [`index`] — an inverted-index/search substrate with pluggable
 //!   intersection strategies, plus the bag-semantics extension.
 //! * [`query`] — the boolean expression engine: an `AND`/`OR`/`NOT` query

@@ -1,11 +1,17 @@
 //! Failure injection: adversarial and degenerate inputs must stay *correct*
 //! (slow is acceptable). The paper's guarantees are expectations over the
-//! hash draw; these tests pin the worst cases the structures can encounter.
+//! hash draw; these tests pin the worst cases the structures can encounter
+//! — and a hostile query must get an error, not take the server down.
 
+use fast_set_intersection::index::SearchEngine;
+use fast_set_intersection::net::protocol::{encode_request, Status, MAX_REQUEST_FRAME};
+use fast_set_intersection::net::{Client, NetConfig, NetServer, RequestFrame};
+use fast_set_intersection::serve::{ServeConfig, Server};
 use fast_set_intersection::{
     reference_intersection, HashContext, KIntersect, PairIntersect, RanGroupIndex,
     RanGroupScanIndex, SortedSet,
 };
+use std::sync::Arc;
 
 /// Everything lands in one group: partition level forced to 0.
 #[test]
@@ -122,4 +128,36 @@ fn ragged_k_way() {
     // Drop the empty set: the singleton 50 must survive.
     let refs: Vec<&RanGroupScanIndex> = idx[..3].iter().collect();
     assert_eq!(RanGroupScanIndex::intersect_k_sorted(&refs), vec![50]);
+}
+
+/// A request frame filled with nesting — `(` chains and `NOT` chains as
+/// deep as the largest frame allows — is answered with an error on the
+/// connection's reader thread, and the same connection then answers a
+/// valid query: a query nested past the parser's bound cannot overflow the
+/// reader's stack and abort the process.
+#[test]
+fn deeply_nested_queries_are_refused_over_the_wire() {
+    let postings: Vec<SortedSet> = vec![(0..100u32).collect(), (50..200u32).collect()];
+    let engine = SearchEngine::from_postings(HashContext::new(5), postings);
+    let serve = Arc::new(Server::new(&engine, ServeConfig::default()));
+    let net = NetServer::start(serve, NetConfig::default()).expect("bind loopback");
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    let room = MAX_REQUEST_FRAME - encode_request(&RequestFrame::query(0, "")).len();
+    let depth = (room - 1) / 2;
+    let parens = format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
+    let nots = format!("{}1", "NOT ".repeat((room - 1) / 4));
+    for (id, query) in [(1, parens), (2, nots)] {
+        let frame = RequestFrame::query(id, query);
+        assert!(encode_request(&frame).len() > MAX_REQUEST_FRAME - 4);
+        assert!(encode_request(&frame).len() <= MAX_REQUEST_FRAME);
+        let resp = client.call(&frame).expect("answered, not dropped");
+        assert_eq!(resp.id, id);
+        assert_eq!(resp.status, Status::InvalidQuery, "{}", resp.message);
+    }
+    let resp = client
+        .call(&RequestFrame::query(3, "(1) AND NOT 0"))
+        .expect("the connection survives");
+    assert_eq!(resp.status, Status::Ok, "{}", resp.message);
+    assert_eq!(resp.docs, (100..200u32).collect::<Vec<_>>());
+    net.stop();
 }

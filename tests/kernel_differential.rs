@@ -3,9 +3,11 @@
 //! `Executor` on synthetic and Zipf workloads.
 
 use fast_set_intersection::index::{Corpus, CorpusConfig, SearchEngine, Strategy};
+use fast_set_intersection::PairIntersect;
 use fast_set_intersection::{reference_intersection, HashContext, SortedSet};
 use fsi_kernels::{
-    AutoKernel, BitmapKernel, BranchlessMerge, Galloping, Kernel, ScalarMerge, SimdMerge,
+    auto_pair_into, branchless_merge_into, galloping_into, pairwise_fold_into, scalar_merge_into,
+    simd, BitmapSet,
 };
 use fsi_workloads::{generate_stream, QueryStreamConfig, Zipf};
 use rand::rngs::StdRng;
@@ -13,14 +15,21 @@ use rand::{Rng, SeedableRng};
 
 const KERNEL_STRATEGIES: [Strategy; 2] = [Strategy::Bitmap, Strategy::Galloping];
 
-fn slice_kernels() -> Vec<Box<dyn Kernel>> {
-    vec![
-        Box::new(ScalarMerge),
-        Box::new(BranchlessMerge),
-        Box::new(Galloping),
-        Box::new(BitmapKernel),
-        Box::new(SimdMerge),
-        Box::new(AutoKernel),
+type Pair = fn(&[u32], &[u32], &mut Vec<u32>);
+
+/// Every slice-level pair kernel, by name; the bitmap kernel builds both
+/// chunked bitmaps on the fly.
+fn slice_kernels() -> [(&'static str, Pair); 6] {
+    [
+        ("scalar_merge_into", scalar_merge_into),
+        ("branchless_merge_into", branchless_merge_into),
+        ("galloping_into", galloping_into),
+        ("bitmap (built on the fly)", |a, b, out| {
+            BitmapSet::from_sorted_slice(a)
+                .intersect_pair_into(&BitmapSet::from_sorted_slice(b), out)
+        }),
+        ("simd::merge_into", simd::merge_into),
+        ("auto_pair_into", auto_pair_into),
     ]
 }
 
@@ -49,10 +58,10 @@ fn slice_kernels_match_reference_on_uniform_and_zipf_sets() {
                 .collect();
             let slices: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
             let expect = reference_intersection(&slices);
-            for kernel in slice_kernels() {
+            for (name, kernel) in slice_kernels() {
                 let mut out = Vec::new();
-                kernel.intersect_k(&slices, &mut out);
-                assert_eq!(out, expect, "kernel {} trial {trial} k={k}", kernel.name());
+                pairwise_fold_into(kernel, &slices, &mut out);
+                assert_eq!(out, expect, "kernel {name} trial {trial} k={k}");
             }
         }
     }

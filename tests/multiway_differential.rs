@@ -8,20 +8,16 @@ use fast_set_intersection::index::{
 use fast_set_intersection::query::naive::naive_eval;
 use fast_set_intersection::serve::{Request, ServeConfig, Server};
 use fast_set_intersection::{reference_intersection, HashContext, KIntersect, SortedSet};
-use fsi_kernels::{gallop_probe_into, heap_merge_into, pairwise_fold_into, BitmapSet, ScalarMerge};
+use fsi_kernels::{
+    gallop_probe_into, heap_merge_into, pairwise_fold_into, scalar_merge_into, BitmapSet,
+};
 use fsi_workloads::{generate_stream, QueryStreamConfig, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A cache-off server.
 fn planned_server(engine: &SearchEngine) -> Server {
-    Server::new(
-        engine,
-        ServeConfig {
-            cache_capacity: 0,
-            ..ServeConfig::default()
-        },
-    )
+    Server::new(engine, ServeConfig { cache_capacity: 0 })
 }
 
 fn served(server: &Server, q: &[usize]) -> Vec<u32> {
@@ -54,7 +50,7 @@ fn bitmap_and_into(sets: &[&[u32]], out: &mut Vec<u32>) {
 /// pairwise with the scalar merge, materializing every intermediate.
 fn fold_reference(slices: &[&[u32]]) -> Vec<u32> {
     let mut out = Vec::new();
-    pairwise_fold_into(&ScalarMerge, slices, &mut out);
+    pairwise_fold_into(scalar_merge_into, slices, &mut out);
     out
 }
 

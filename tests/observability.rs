@@ -163,7 +163,6 @@ fn explain_analyze_timings_fit_inside_the_traced_exec_span() {
         &engine,
         ServeConfig {
             cache_capacity: 0, // every run must execute
-            ..ServeConfig::default()
         },
     );
 

@@ -12,7 +12,7 @@ use fast_set_intersection::index::{
 };
 use fast_set_intersection::{HashContext, KIntersect, SortedSet};
 use fsi_kernels::{
-    gallop_probe_into, heap_merge_into, pairwise_fold_into, BitmapSet, ScalarMerge, SimdLevel,
+    gallop_probe_into, heap_merge_into, pairwise_fold_into, scalar_merge_into, BitmapSet, SimdLevel,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -73,7 +73,7 @@ fn skewed(mut sets: Vec<SortedSet>, step: usize, edges: bool) -> Vec<SortedSet> 
 fn fold_reference(sets: &[SortedSet]) -> Vec<u32> {
     let slices: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
     let mut out = Vec::new();
-    pairwise_fold_into(&ScalarMerge, &slices, &mut out);
+    pairwise_fold_into(scalar_merge_into, &slices, &mut out);
     out
 }
 

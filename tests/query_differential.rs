@@ -196,13 +196,20 @@ fn assert_child_walls_fit(node: &NodeReport, expr: &NormExpr) {
     }
 }
 
+/// Mixed `AND`s and `AND NOT`s run as passes of one membership filter
+/// over candidates already in the output: a term operand that carries a
+/// bitmap is bit-tested, every other operand galloped where it lies — down
+/// to `u32::MAX`. The shapes pin the filter's edges — mixed `AND`s over
+/// bitmap-carrying terms, subtrahends with and without a bitmap, exhausted
+/// early, holding `u32::MAX`, empty, or equal to the base — against
+/// `naive_eval` at every tier's cost table and dispatched SIMD level,
+/// through `eval_planned` and through `EXPLAIN ANALYZE`.
 #[test]
 fn differences_with_bitmap_less_subtrahends_match_naive_semantics() {
     // Lists around the first chunk boundary and in the top chunk, each
     // holding the ends of the id space and both sides of the boundary:
-    // terms 0 and 1 are dense enough for a bitmap, 2–5 keep only their
-    // flat list, so a subtrahend among them is galloped where it lies —
-    // down to u32::MAX.
+    // terms 0 and 1 are dense enough for a bitmap, 2–4 keep only their
+    // flat list.
     const BOUNDARY: u32 = 1 << 16;
     let edges = [0, BOUNDARY - 1, BOUNDARY, u32::MAX - 1, u32::MAX];
     let mut rng = StdRng::seed_from_u64(0xD1FD);
@@ -215,20 +222,33 @@ fn differences_with_bitmap_less_subtrahends_match_naive_semantics() {
             .chain(edges)
             .collect()
     };
+    let dense = list(9_000);
     let postings = vec![
-        list(9_000),
+        dense.clone(),
         list(7_000),
         list(40),
         list(600),
         list(2_500),
-        (0..20u32).collect(),
+        (0..20u32).collect(),                          // 5: exhausted early
+        [7, BOUNDARY, u32::MAX].into_iter().collect(), // 6: holds u32::MAX
+        SortedSet::new(),                              // 7: empty
+        dense,                                         // 8: equal to 0
+        (BOUNDARY..BOUNDARY + 3_000).step_by(3).collect(),
     ];
     let engine = SearchEngine::from_postings(HashContext::new(78), postings);
     let slices = posting_slices(&engine);
     let exec = engine.planned_executor(Planner::default());
     let bitmaps: Vec<bool> = (0..6).map(|t| exec.list(t).bitmap().is_some()).collect();
     assert_eq!(bitmaps, [true, true, false, false, false, false]);
-    for src in [
+    let mixed = [
+        "0 AND (1 OR 6)",
+        "0 AND (2 OR 3)",
+        "1 AND (3 OR 9)",
+        "0 1 AND (2 OR 9)",
+        "(0 OR 2) AND (1 OR 3) AND 9",
+        "0 AND (1 OR 3) AND NOT (5 OR 6)",
+    ];
+    let differences = [
         "0 AND NOT 2",
         "0 AND NOT 4",
         "0 1 AND NOT 3",
@@ -241,16 +261,39 @@ fn differences_with_bitmap_less_subtrahends_match_naive_semantics() {
         "(0 OR 4) AND NOT 3",
         "0 1 AND NOT 5",
         "4 3 AND NOT 2",
-    ] {
+        "9 AND NOT 5",
+        "3 AND NOT 6",
+        "0 AND NOT 6",
+        "3 AND NOT 7",
+        "0 AND NOT 7",
+        "4 AND NOT 4",
+        "0 AND NOT 8",
+        "0 AND NOT 3 AND NOT 6 AND NOT 5",
+        "(1 OR 9) AND NOT 0",
+    ];
+    for src in mixed.iter().chain(&differences) {
         let norm = compile(src).expect("compiles");
         let expect: Vec<Elem> = naive_eval(&slices, &norm).into_iter().collect();
         for level in SimdLevel::ALL {
             let planner = ExprPlanner::new(Planner::for_simd(level));
-            assert_eq!(
-                eval_planned(&exec, &planner, &norm),
-                expect,
-                "{level:?} {src}"
-            );
+            let plan = planner.plan(&norm, &|t| exec.list(t).stats(), exec.universe());
+            if mixed.contains(src) {
+                assert_eq!(plan.operator(), "SliceProbe", "{level:?} {src}");
+            }
+            let run = || {
+                let mut analyzed = Vec::new();
+                let report = analyze_plan(&exec, &planner, &plan, &mut analyzed);
+                (eval_planned(&exec, &planner, &norm), analyzed, report)
+            };
+            let (got, analyzed, report) = if fsi_kernels::simd::available_levels().contains(&level)
+            {
+                fsi_kernels::simd::with_level(level, run)
+            } else {
+                run()
+            };
+            assert_eq!(got, expect, "{level:?} {src}");
+            assert_eq!(analyzed, expect, "{level:?} analyzed {src}");
+            assert_eq!(report.rows, Some(expect.len() as u64), "{level:?} {src}");
         }
     }
 }
@@ -276,7 +319,6 @@ fn generated_boolean_streams_run_end_to_end() {
         &engine,
         ServeConfig {
             cache_capacity: 256,
-            ..ServeConfig::default()
         },
     );
     for q in &stream {
@@ -297,13 +339,7 @@ fn generated_boolean_streams_run_end_to_end() {
 #[test]
 fn reordered_duplicate_queries_hit_one_cache_entry() {
     let engine = test_engine(3);
-    let server = Server::new(
-        &engine,
-        ServeConfig {
-            cache_capacity: 64,
-            ..ServeConfig::default()
-        },
-    );
+    let server = Server::new(&engine, ServeConfig { cache_capacity: 64 });
     // Six spellings of one query: 1 miss + 5 hits, one cached entry.
     let spellings = [
         "1 AND 4 AND NOT 7",

@@ -53,13 +53,7 @@ fn terms_and_expr_requests_match_executor_and_naive() {
         ..QueryStreamConfig::default()
     }));
     // Cache off: both spellings must plan, not hit each other's entry.
-    let server = Server::new(
-        &engine,
-        ServeConfig {
-            cache_capacity: 0,
-            ..ServeConfig::default()
-        },
-    );
+    let server = Server::new(&engine, ServeConfig { cache_capacity: 0 });
     for q in &conjunctions {
         let flat = server.execute(&Request::terms(q.clone())).expect("valid");
         assert_eq!(flat.docs.as_slice(), reference.query(q), "q {q:?}");
@@ -85,13 +79,7 @@ fn terms_and_expr_requests_match_executor_and_naive() {
 fn cache_hit_path_equals_miss_path() {
     let engine = engine();
     let reference = engine.executor(Strategy::Merge);
-    let server = Server::new(
-        &engine,
-        ServeConfig {
-            cache_capacity: 64,
-            ..ServeConfig::default()
-        },
-    );
+    let server = Server::new(&engine, ServeConfig { cache_capacity: 64 });
     for q in &queries() {
         // Computed by the kernels, then served by the cache.
         let miss = server.execute(&Request::terms(q.clone())).expect("valid");
@@ -112,7 +100,6 @@ fn evicting_cache_matches_executor() {
         &engine,
         ServeConfig {
             cache_capacity: 32, // small: forces evictions mid-stream
-            cache_segments: 2,
         },
     );
     let terms: Vec<Vec<usize>> = (0..200)
@@ -135,7 +122,6 @@ fn concurrent_clients_smoke() {
         &engine,
         ServeConfig {
             cache_capacity: 128,
-            ..ServeConfig::default()
         },
     );
     let expected: Vec<Vec<u32>> = (0..8)
@@ -195,7 +181,6 @@ fn execute_is_exactly_begin_then_finish() {
     let engine = engine();
     let config = ServeConfig {
         cache_capacity: 48, // smaller than the stream's working set: evictions too
-        cache_segments: 2,
     };
     let whole = Server::new(&engine, config.clone());
     let halves = Server::new(&engine, config);
