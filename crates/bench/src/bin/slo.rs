@@ -233,7 +233,7 @@ fn run_row(
                     }
                 }
                 Status::Shed | Status::Overloaded => shed += 1,
-                Status::InvalidQuery | Status::BadFrame => errors += 1,
+                Status::InvalidQuery | Status::BadFrame | Status::Internal => errors += 1,
             }
         }
     }

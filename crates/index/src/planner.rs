@@ -14,9 +14,14 @@
 //! | kind | estimated cost | regime it owns |
 //! |------|----------------|----------------|
 //! | [`PlanKind::BitmapAnd`] | `bitmap_word · w · (k−1) + scan · w + extract · min(E[survivors], w)`, `w = c_min · 1024` | every operand carries a chunk bitmap |
-//! | [`PlanKind::HashProbe`] | `u₂(n₁) + Σᵢ≥₃ uᵢ(ŝ)`, `uᵢ(c) = bit_test · c` for a probed bitmap, `gallop · c · log₂(nᵢ/c + 2)` for a probed flat list ([`Planner::probe_price`]) | a small driver against bitmaps (`O(n₁)` bit tests), a tiny driver against flat lists, and skewed pairs at the scalar tier (Hwang–Lin) |
-//! | [`PlanKind::SimdMerge`] | `merge · (n₁ + n₂) + Σᵢ≥₃ uᵢ(ŝ)` | bitmap-less pairs at SSE4.1/AVX2, and balanced ones at the scalar tier: the vectorized merge of the two smallest lists, its survivors probed through the rest |
+//! | [`PlanKind::HashProbe`] | `r₁ + u₂(n₁) + Σᵢ≥₃ uᵢ(ŝ)`, `uᵢ(c) = bit_test · c` for a probed bitmap, `gallop · c · log₂(nᵢ/c + 2)` for a probed flat list ([`Planner::probe_price`]) | a small driver against bitmaps (`O(n₁)` bit tests), a tiny driver against flat lists, and skewed pairs at the scalar tier (Hwang–Lin) |
+//! | [`PlanKind::SimdMerge`] | `merge · (n₁ + n₂) + r₁ + r₂ + Σᵢ≥₃ uᵢ(ŝ)` | bitmap-less pairs at SSE4.1/AVX2, and balanced ones at the scalar tier: the vectorized merge of the two smallest lists, its survivors probed through the rest |
 //!
+//! `rᵢ` is what reading operand `i` as a sorted run costs
+//! ([`Planner::sorted_read_cost`]): nothing for a flat list, and for a
+//! bitmap the extraction walk over its chunks, `extract_cost(nᵢ, cᵢ · 1024)`
+//! — a list carries one representation, so the probe's driver and the
+//! merge's inputs are extracted from a bitmap when that is what they carry.
 //! The minimum-cost candidate wins, a tie going to the probe; `c_min` is the
 //! smallest per-operand chunk count, so the bitmap estimate prices the word sweep
 //! [`BitmapSet::intersect_k_into`] executes plus its one extraction walk
@@ -39,15 +44,15 @@
 //! pop and a push per element. A plan naming [`PlanKind::HeapMerge`] runs
 //! it; one naming [`PlanKind::GallopProbe`] runs the probe.
 //!
-//! A [`PlannedList`] keeps the representations a plan can bind and no
-//! other: the flat sorted list (the probe driver, the merge, the heap merge,
-//! and the probe of a list without a bitmap), plus a chunked bitmap when
-//! the list has at least one member per bitmap word of the
-//! chunks it touches (the bitmap then costs ≤ 8 B/posting). So two
-//! structures exist, and a list carries one or both. The choice is computed
-//! from the list and nothing else, and on a Zipf corpus it gives every
-//! stop-word-sized list a bitmap that stays cache-resident (8 KiB per
-//! touched chunk).
+//! A [`PlannedList`] is exactly one representation, chosen from the list
+//! and nothing else (`carries_bitmap`): a chunked bitmap when the list has
+//! at least one member per bitmap word of the chunks it touches, the flat
+//! sorted list otherwise. The bitmap then costs up to 8 B/posting against
+//! the flat list's 4; it is kept for the bit tests and word sweeps it
+//! answers, not for its size. On a Zipf corpus every stop-word-sized list
+//! carries only its bitmap, which stays cache-resident (8 KiB per touched
+//! chunk); on the benchmark corpus dropping the flat copy those lists used
+//! to keep beside it took the index from 4.93 to 3.23 B/posting.
 //!
 //! Three structures are not among them. A hash table per sparse list: it
 //! cost more than half the index (6.57 of 11.50 B/posting on the benchmark
@@ -85,16 +90,18 @@ use fsi_compress::BlockPostings;
 use fsi_core::elem::{Elem, SortedSet};
 use fsi_core::traits::{KIntersect, SetIndex};
 use fsi_kernels::{
-    heap_merge_into, retain_members, simd, BitmapSet, GallopingSet, Member, SimdLevel,
-    WORDS_PER_CHUNK,
+    chunk_union_into, heap_merge_into, retain_members, simd, BitmapSet, Member, SimdLevel,
+    UnionPart, WORDS_PER_CHUNK,
 };
+use std::borrow::Cow;
 
 /// The build rule of [`PlannedList::build`]: a list of `n` elements
-/// touching `chunks` chunks carries a bitmap iff it has at least one member
-/// per bitmap word.
-/// The bitmap then costs at most 8 bytes per posting, so the rule decides
-/// from the list alone, with no density constant to tune.
-fn bitmap_is_smaller(n: usize, chunks: usize) -> bool {
+/// touching `chunks` chunks is kept as a chunked bitmap iff it has at least
+/// one member per bitmap word, and as its flat list otherwise. The bitmap
+/// then costs at most about 8 bytes per posting, twice the flat list's 4;
+/// it is chosen for the bit tests and word sweeps it answers, and the rule
+/// decides from the list alone, with no density constant to tune.
+fn carries_bitmap(n: usize, chunks: usize) -> bool {
     n >= chunks * WORDS_PER_CHUNK
 }
 
@@ -103,7 +110,7 @@ fn bitmap_is_smaller(n: usize, chunks: usize) -> bool {
 /// [`PlannedList::size_in_bytes`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReprBytes {
-    /// Flat sorted lists.
+    /// Flat sorted lists (the lists that carry no bitmap).
     pub flat: usize,
     /// Chunked bitmaps (the lists dense enough to carry one).
     pub bitmap: usize,
@@ -128,51 +135,77 @@ impl std::ops::AddAssign for ReprBytes {
     }
 }
 
-/// A posting list prepared for every representation a plan can bind: the
-/// flat list, and a chunked bitmap when the list is dense enough for one.
+/// A posting list prepared in the one representation a plan binds it by:
+/// its flat sorted list, or — when it is dense enough for one — a chunked
+/// bitmap and nothing else. A plan that must read a bitmap list as a
+/// sorted run extracts it ([`PlannedList::extend_into`]).
 #[derive(Debug, Clone)]
-pub struct PlannedList {
-    flat: GallopingSet,
-    bitmap: Option<BitmapSet>,
+pub enum PlannedList {
+    /// The sorted, duplicate-free list: what the merge reads and a
+    /// galloping cursor moves through.
+    Flat(Box<[Elem]>),
+    /// The chunked bitmap: what the bitmap `AND`/`OR` sweeps bind and a
+    /// bit test probes.
+    Bitmap(BitmapSet),
 }
 
 impl PlannedList {
-    /// Preprocesses `set` for every structure the planner can dispatch to.
+    /// Prepares `set` in the representation the build rule picks for it.
     pub fn build(set: &SortedSet) -> Self {
         let elems = set.as_slice();
-        let bitmap = bitmap_is_smaller(elems.len(), BitmapSet::count_chunks(elems))
-            .then(|| BitmapSet::from_sorted_slice(elems));
-        Self {
-            flat: GallopingSet::build(set),
-            bitmap,
+        if carries_bitmap(elems.len(), BitmapSet::count_chunks(elems)) {
+            Self::Bitmap(BitmapSet::from_sorted_slice(elems))
+        } else {
+            Self::Flat(elems.into())
         }
     }
 
     /// Number of elements.
     pub fn n(&self) -> usize {
-        self.flat.as_slice().len()
+        match self {
+            Self::Flat(elems) => elems.len(),
+            Self::Bitmap(bitmap) => bitmap.n(),
+        }
     }
 
-    /// The flat sorted list — the probe driver, the merge's input, what a
-    /// bitmap-less operand is galloped through, and what boolean-expression
-    /// evaluation (`fsi-query`) feeds to the union/difference slice kernels.
-    pub fn flat(&self) -> &[Elem] {
-        self.flat.as_slice()
-    }
-
-    /// The chunked bitmap, when the list carries one — what the bitmap
+    /// The chunked bitmap, when the list is one — what the bitmap
     /// `AND`/`OR` sweeps bind.
     pub fn bitmap(&self) -> Option<&BitmapSet> {
-        self.bitmap.as_ref()
+        match self {
+            Self::Flat(_) => None,
+            Self::Bitmap(bitmap) => Some(bitmap),
+        }
     }
 
-    /// What a membership test against this list binds: the bitmap when the
-    /// list carries one (a bit test per candidate), the flat list otherwise
-    /// (one galloping cursor) — the probe's and `AND NOT`'s operand.
+    /// What a membership test against this list binds: the bitmap (a bit
+    /// test per candidate) or the flat list (one galloping cursor) — the
+    /// probe's and `AND NOT`'s operand.
     pub fn member(&self) -> Member<'_> {
-        match self.bitmap() {
-            Some(bitmap) => Member::Bitmap(bitmap),
-            None => Member::Sorted(self.flat()),
+        match self {
+            Self::Flat(elems) => Member::Sorted(elems),
+            Self::Bitmap(bitmap) => Member::Bitmap(bitmap),
+        }
+    }
+
+    /// Appends the list's elements to `out`, ascending: copied from the
+    /// flat list, or extracted from the bitmap in one walk over its chunks.
+    pub fn extend_into(&self, out: &mut Vec<Elem>) {
+        match self {
+            Self::Flat(elems) => out.extend_from_slice(elems),
+            Self::Bitmap(bitmap) => chunk_union_into(&[UnionPart::Bitmap(bitmap)], out),
+        }
+    }
+
+    /// The list as a sorted run: the flat list borrowed, or the bitmap
+    /// extracted — what the merge and the heap merge read.
+    pub fn sorted(&self) -> Cow<'_, [Elem]> {
+        match self {
+            Self::Flat(elems) => Cow::Borrowed(elems),
+            Self::Bitmap(_) => {
+                let mut run = Vec::with_capacity(self.n());
+                self.extend_into(&mut run);
+                Cow::Owned(run)
+            }
         }
     }
 
@@ -183,7 +216,7 @@ impl PlannedList {
     }
 
     /// The cost-model inputs of this list: its size, and its chunk count
-    /// when it carries a bitmap.
+    /// when it is a bitmap.
     pub fn stats(&self) -> OperandStats {
         OperandStats {
             n: self.n(),
@@ -191,15 +224,21 @@ impl PlannedList {
         }
     }
 
-    /// Footprint of each prepared structure.
+    /// Footprint of the list's one representation, under its label.
     pub fn bytes_by_repr(&self) -> ReprBytes {
-        ReprBytes {
-            flat: self.flat.size_in_bytes(),
-            bitmap: self.bitmap().map_or(0, BitmapSet::size_in_bytes),
+        match self {
+            Self::Flat(elems) => ReprBytes {
+                flat: std::mem::size_of_val::<[Elem]>(elems),
+                bitmap: 0,
+            },
+            Self::Bitmap(bitmap) => ReprBytes {
+                flat: 0,
+                bitmap: bitmap.size_in_bytes(),
+            },
         }
     }
 
-    /// Total footprint of all prepared structures.
+    /// Total footprint of the list.
     pub fn size_in_bytes(&self) -> usize {
         self.bytes_by_repr().total()
     }
@@ -210,9 +249,9 @@ impl PlannedList {
 pub struct OperandStats {
     /// Number of elements.
     pub n: usize,
-    /// Number of 2¹⁶-value chunks the list touches, if it carries a chunk
-    /// bitmap; `None` means it carries none (fewer than one member per
-    /// bitmap word) and is probed through its flat list.
+    /// Number of 2¹⁶-value chunks the list touches, if it is a chunk
+    /// bitmap; `None` means it is a flat list (fewer than one member per
+    /// bitmap word), probed by a galloping cursor.
     pub chunks: Option<usize>,
 }
 
@@ -222,17 +261,18 @@ pub struct OperandStats {
 pub enum PlanKind {
     /// An empty operand (or no operands): the result is empty, run nothing.
     Empty,
-    /// One operand: copy its list through.
+    /// One operand: copy its list through (extracted, if it is a bitmap).
     Single,
     /// Never emitted by [`Planner::plan`]; [`Planner::execute`] answers it
     /// as [`PlanKind::SimdMerge`], which beat it wherever it was planned.
     /// Kept only because the frozen `benchmark/src/replay.rs` compiles
     /// against it.
     RanGroupScan,
-    /// The membership probe: drive the smallest list's elements through
-    /// every other operand in turn — a bit test where it carries a bitmap,
-    /// one galloping cursor through its flat list where it does not. (The
-    /// name is kept from when a sparse list carried a hash table.)
+    /// The membership probe: drive the smallest list's elements (extracted,
+    /// if it is a bitmap) through every other operand in turn — a bit test
+    /// where it is a bitmap, one galloping cursor through its flat list
+    /// where it is not. The label is what telemetry and the frozen
+    /// `benchmark/src/replay.rs` know this plan by; nothing hashes.
     HashProbe,
     /// Every operand carries a bitmap: k-way chunked-bitmap `AND`, no
     /// intermediates.
@@ -242,7 +282,8 @@ pub enum PlanKind {
     /// the module docs), so [`Planner::execute`] answers it as the probe.
     /// Kept because the frozen `benchmark/src/replay.rs` forces it.
     GallopProbe,
-    /// Heap-based k-way merge (structure-free fallback). Never emitted by
+    /// Heap-based k-way merge (structure-free fallback) over every operand
+    /// as a sorted run, bitmaps extracted. Never emitted by
     /// [`Planner::plan`]; a plan that names it runs it.
     HeapMerge,
     /// Never emitted by [`Planner::plan`]; [`Planner::execute`] answers it
@@ -250,7 +291,8 @@ pub enum PlanKind {
     /// `benchmark/src/replay.rs` compiles against it.
     CompressedGallop,
     /// Balanced sizes: the vectorized merge (`simd::merge_into`) of the two
-    /// smallest flat lists, its survivors then filtered through every
+    /// smallest lists as sorted runs (a bitmap extracted first), its
+    /// survivors then filtered through every
     /// other operand as [`PlanKind::HashProbe`] filters its driver. With
     /// two operands it is a plain merge.
     SimdMerge,
@@ -467,6 +509,18 @@ impl Planner {
         }
     }
 
+    /// The price of reading `operand` as a sorted run — the probe's driver,
+    /// each of the merge's two inputs: nothing for a flat list, and for a
+    /// bitmap the extraction walk over every word of its chunks
+    /// ([`Planner::extract_cost`] of all `n` members), since no list keeps
+    /// a flat copy beside its bitmap. `fsi-query` charges it wherever it
+    /// needs a bitmap term as a slice.
+    pub fn sorted_read_cost(&self, operand: &OperandStats) -> f64 {
+        operand.chunks.map_or(0.0, |chunks| {
+            self.extract_cost(operand.n as f64, (chunks * WORDS_PER_CHUNK) as f64)
+        })
+    }
+
     /// What the survivors of the two smallest lists pay to meet every
     /// other operand, the tail both probing plans share: `ŝ = n₁ · n₂ / U`
     /// candidates (independence over the `universe`) tested against each
@@ -480,16 +534,18 @@ impl Planner {
     }
 
     /// The price of the membership probe ([`PlanKind::HashProbe`]) over
-    /// operands ascending by size (`by_size`, k ≥ 2): every element of the
-    /// smallest tested against the second, and the survivors against the
-    /// rest — a bit test each against a bitmap, a gallop through a flat
-    /// list. `fsi-query` prices its mixed `AND`, the same filter over
-    /// materialized operands, with it too.
+    /// operands ascending by size (`by_size`, k ≥ 2): the smallest read as a
+    /// sorted run, every element of it tested against the second, and the
+    /// survivors against the rest — a bit test each against a bitmap, a
+    /// gallop through a flat list. `fsi-query` prices its mixed `AND`, the
+    /// same filter over materialized operands, with it too.
     pub fn probe_price(&self, by_size: &[OperandStats], universe: u64) -> f64 {
         let [first, second, ..] = by_size else {
             return 0.0;
         };
-        self.probe_cost(first.n as f64, second) + self.survivor_tail(by_size, universe)
+        self.sorted_read_cost(first)
+            + self.probe_cost(first.n as f64, second)
+            + self.survivor_tail(by_size, universe)
     }
 
     /// Cost-models the whole operand list and returns the minimum-cost
@@ -509,7 +565,7 @@ impl Planner {
             };
         }
         if k == 1 {
-            let est_cost = stats[0].n as f64;
+            let est_cost = stats[0].n as f64 + self.sorted_read_cost(&stats[0]);
             return MultiwayPlan {
                 kind: PlanKind::Single,
                 order,
@@ -527,7 +583,9 @@ impl Planner {
         // independence over the universe — meet the remaining operands, in
         // the same filter. Each test is priced by what it probes: a bit
         // test into a bitmap that stays cache-resident, or a galloping step
-        // through a flat list.
+        // through a flat list. A list the plan reads as a sorted run — the
+        // driver, the merge's inputs — pays its extraction if it is a
+        // bitmap.
         let mut best = (PlanKind::HashProbe, self.probe_price(&by_size, universe));
         let mut consider = |kind: PlanKind, cost: f64| {
             if cost < best.1 {
@@ -537,6 +595,8 @@ impl Planner {
         consider(
             PlanKind::SimdMerge,
             self.unit(CostUnit::Merge) * (n_min + n_second)
+                + self.sorted_read_cost(&by_size[0])
+                + self.sorted_read_cost(&by_size[1])
                 + self.survivor_tail(&by_size, universe),
         );
         if let Some(c_min) = stats.iter().map(|s| s.chunks).min().flatten() {
@@ -595,7 +655,7 @@ impl Planner {
         );
         match plan.kind {
             PlanKind::Empty => {}
-            PlanKind::Single => out.extend_from_slice(lists[plan.order[0]].flat.as_slice()),
+            PlanKind::Single => lists[plan.order[0]].extend_into(out),
             // `GallopProbe` never prices below the probe and is never
             // planned, and `CompressedGallop` galloped what its block
             // cursors decoded to: a hand-built plan of either kind runs the
@@ -609,7 +669,7 @@ impl Planner {
                     return;
                 };
                 let start = out.len();
-                out.extend_from_slice(driver.flat());
+                driver.extend_into(out);
                 probe_members(lists, rest, out, start);
             }
             // `RanGroupScan` is never planned; a hand-built plan of that
@@ -619,9 +679,9 @@ impl Planner {
                 let start = out.len();
                 match plan.order.as_slice() {
                     [] => {}
-                    [only] => out.extend_from_slice(lists[*only].flat()),
+                    [only] => lists[*only].extend_into(out),
                     [a, b, rest @ ..] => {
-                        simd::merge_into(lists[*a].flat(), lists[*b].flat(), out);
+                        simd::merge_into(&lists[*a].sorted(), &lists[*b].sorted(), out);
                         probe_members(lists, rest, out, start);
                     }
                 }
@@ -638,7 +698,8 @@ impl Planner {
                 BitmapSet::intersect_k_into(&typed, out);
             }
             PlanKind::HeapMerge => {
-                let slices: Vec<&[Elem]> = lists.iter().map(|l| l.flat.as_slice()).collect();
+                let runs: Vec<Cow<[Elem]>> = lists.iter().map(|l| l.sorted()).collect();
+                let slices: Vec<&[Elem]> = runs.iter().map(|r| &r[..]).collect();
                 heap_merge_into(&slices, out);
             }
         }
@@ -661,8 +722,8 @@ fn probe_members(lists: &[&PlannedList], probed: &[usize], out: &mut Vec<Elem>, 
     }
 }
 
-/// A fully planned, self-contained index: every term prepared for every
-/// representation the cost-model planner can bind. The serving layer
+/// A fully planned, self-contained index: every term prepared in the one
+/// representation the cost-model planner binds it by. The serving layer
 /// holds one per server; `fsi_query` plans and runs expressions on it.
 #[derive(Debug, Clone)]
 pub struct PlannedExecutor {
@@ -705,7 +766,7 @@ impl PlannedExecutor {
         &self.lists[term]
     }
 
-    /// Total heap footprint of all prepared representations.
+    /// Total heap footprint of every prepared list.
     pub fn size_in_bytes(&self) -> usize {
         self.bytes_by_repr().total()
     }
@@ -719,8 +780,7 @@ impl PlannedExecutor {
         sum
     }
 
-    /// How many lists carry a bitmap (every other list carries only its
-    /// flat list).
+    /// How many lists are bitmaps (every other list is a flat list).
     pub fn num_bitmap_lists(&self) -> usize {
         self.lists.iter().filter(|l| l.bitmap().is_some()).count()
     }
@@ -743,7 +803,7 @@ mod tests {
     /// plan over.
     const U: u64 = 2_000_000;
 
-    /// Stats of a sparse list (it carries a hash table, no bitmap).
+    /// Stats of a sparse list (a flat list, no bitmap).
     fn sparse(n: usize) -> OperandStats {
         OperandStats { n, chunks: None }
     }
@@ -765,9 +825,9 @@ mod tests {
     fn run(p: &Planner, lists: &[&PlannedList], out: &mut Vec<Elem>) -> MultiwayPlan {
         let universe = lists
             .iter()
-            .filter_map(|l| l.flat().last())
+            .filter_map(|l| l.sorted().last().copied())
             .max()
-            .map_or(0, |&m| u64::from(m) + 1);
+            .map_or(0, |m| u64::from(m) + 1);
         let plan = p.plan_for_lists(lists, universe);
         p.execute(&plan, lists, out);
         plan
@@ -856,14 +916,14 @@ mod tests {
         );
         // The sweep also pays for what it extracts: a pass over every
         // result word, and a fixed run per word holding a survivor. A
-        // 2 048-member driver against one bitmap, both in one chunk: a
-        // partner that keeps an eighth of it leaves most of the 1 024
-        // result words empty and the sweep cheaper than 2 048 bit tests; a
-        // partner that keeps nearly all of it fills nearly every word,
-        // extraction is the larger cost, and the probe wins.
+        // 2 048-member bitmap driver against one bitmap, both in one chunk:
+        // the probe must first extract all 2 048 members — a pass over the
+        // driver's words and a run per word it fills — so whether the
+        // partner keeps an eighth of it (most result words empty) or nearly
+        // all of it (nearly every word full), the sweep costs less.
         let sweep = |partner_n| kind(&p, &[dense(2048, 1), dense(partner_n, 1)]);
         assert_eq!(sweep(8_000), PlanKind::BitmapAnd);
-        assert_eq!(sweep(64_000), PlanKind::HashProbe);
+        assert_eq!(sweep(64_000), PlanKind::BitmapAnd);
         // The benchmark corpus's shapes (2 M documents, 31 chunks): the
         // `t0 ∧ t3` pair sweeps (≈ 105 µs against a 191 µs probe, and
         // the probe planned before the walk was branch-free), and so does
@@ -1050,8 +1110,9 @@ mod tests {
                 assert!(list.n() >= b.num_chunks() * WORDS_PER_CHUNK);
                 assert!(set.iter().all(|x| b.contains(x)) && !b.contains(7));
             }
+            // One representation: a bitmap list keeps no flat copy.
             let bytes = list.bytes_by_repr();
-            assert_eq!(bytes.flat, 4 * list.n());
+            assert_eq!(bytes.flat, if bitmap { 0 } else { 4 * list.n() });
             assert_eq!(bytes.bitmap == 0, list.bitmap().is_none() || set.is_empty());
             assert_eq!(bytes.total(), list.size_in_bytes());
         }
@@ -1124,7 +1185,9 @@ mod tests {
             let mut by_size = stats.clone();
             by_size.sort_by_key(|s| s.n);
             let n_min = by_size[0].n as f64;
-            let gallop = p.gallop_cost(n_min, by_size[1..].iter().map(|s| s.n as f64));
+            // A gallop reads its driver as a sorted run as the probe does.
+            let gallop = p.sorted_read_cost(&by_size[0])
+                + p.gallop_cost(n_min, by_size[1..].iter().map(|s| s.n as f64));
             let probe = p.probe_price(&by_size, U);
             assert!(probe <= gallop, "{probe} > {gallop}: {p:?} {stats:?}");
         }
@@ -1176,13 +1239,25 @@ mod tests {
                     Some(_) => p.unit(BitTest) * c,
                     None => gallop(c, s.n as f64),
                 };
+                // A bitmap read as a sorted run is extracted: a pass over
+                // its words and a run per word holding a member.
+                let read = |s: &OperandStats| {
+                    s.chunks.map_or(0.0, |c| {
+                        let words = (c * WORDS_PER_CHUNK) as f64;
+                        p.unit(Scan) * words + p.unit(Extract) * (s.n as f64).min(words)
+                    })
+                };
                 // Both probing plans pay the same tail: the first two
                 // lists' estimated survivors, tested against the rest.
                 let survivors = n_min * ns[1] / U as f64;
                 let tail: f64 = by_size[2..].iter().map(|s| probe(survivors, s)).sum();
+                let merge = p.unit(Merge) * (ns[0] + ns[1]) + read(&by_size[0]) + read(&by_size[1]);
                 let mut prices = vec![
-                    (PlanKind::SimdMerge, p.unit(Merge) * (ns[0] + ns[1]) + tail),
-                    (PlanKind::HashProbe, probe(n_min, &by_size[1]) + tail),
+                    (PlanKind::SimdMerge, merge + tail),
+                    (
+                        PlanKind::HashProbe,
+                        read(&by_size[0]) + probe(n_min, &by_size[1]) + tail,
+                    ),
                 ];
                 if owner == PlanKind::BitmapAnd {
                     // Both operands fill their two chunks, so every result
@@ -1204,6 +1279,49 @@ mod tests {
                     "{p:?}"
                 );
             }
+        }
+    }
+
+    /// A list carries one representation, so the merge reads a bitmap
+    /// operand only after extracting it: against a bitmap partner a sparse
+    /// driver the merge used to take is bit-tested instead.
+    #[test]
+    fn a_merge_whose_second_operand_is_a_bitmap_becomes_the_probe() {
+        let p = Planner::for_simd(SimdLevel::Avx2);
+        let pair = [sparse(20_000), dense(32_000, 31)];
+        let plan = p.plan(&pair, U);
+        assert_eq!(plan.kind, PlanKind::HashProbe);
+        assert_eq!(plan.est_cost, p.unit(CostUnit::BitTest) * 20_000.0);
+        // Merging the two would be cheaper than the bit tests, were the
+        // bitmap not extracted first.
+        let merge = p.unit(CostUnit::Merge) * 52_000.0;
+        assert!(merge < plan.est_cost);
+        assert!(merge + p.sorted_read_cost(&pair[1]) > plan.est_cost);
+    }
+
+    /// Between bitmaps the probe pays its driver's extraction before its
+    /// first bit test, and the sweep pays to extract only its result: the
+    /// benchmark corpus's `t3 ∧ t0` pair (31 chunks), once probed, sweeps.
+    #[test]
+    fn an_all_bitmap_pair_sweeps_once_the_probe_extracts_its_driver() {
+        let pair = [dense(40_000, 31), dense(600_000, 31)];
+        let words = (31 * WORDS_PER_CHUNK) as f64;
+        let survivors = 40_000.0 * 600_000.0 / (words * 64.0);
+        for p in SimdLevel::ALL.map(Planner::for_simd) {
+            let plan = p.plan(&pair, U);
+            assert_eq!(plan.kind, PlanKind::BitmapAnd, "{p:?}");
+            // The sweep's price holds its own extraction.
+            let sweep = p.unit(CostUnit::BitmapWord) * words + p.extract_cost(survivors, words);
+            assert!((plan.est_cost - sweep).abs() <= 1e-9 * sweep, "{p:?}");
+            // The bit tests alone cost less than the sweep; the driver's
+            // extraction is what the probe loses by.
+            let tests = p.unit(CostUnit::BitTest) * 40_000.0;
+            assert!(tests < sweep, "{p:?}");
+            assert_eq!(
+                p.sorted_read_cost(&pair[0]),
+                p.extract_cost(40_000.0, words)
+            );
+            assert!(p.sorted_read_cost(&pair[0]) + tests > sweep, "{p:?}");
         }
     }
 

@@ -280,12 +280,15 @@ pub(crate) struct NetObs {
     /// `fsi_net_batch_size`, registered by the first batch.
     batch_size: OnceLock<Arc<Histogram>>,
     /// `fsi_net_responses_total{status}`, indexed by [`Status`].
-    responses: [Arc<Counter>; 5],
+    responses: [Arc<Counter>; 6],
     /// `fsi_net_answered_total{by}`, indexed by [`AnsweredBy`].
     answered: [Arc<Counter>; 2],
     /// `fsi_net_shed_total{reason="deadline_expired"}`: requests shed
     /// because their deadline ran out, on arrival or in the queue.
     pub shed_deadline: Arc<Counter>,
+    /// `fsi_net_worker_panics_total`: requests whose evaluation panicked
+    /// on a worker, each answered [`Status::Internal`].
+    pub worker_panics: Arc<Counter>,
     /// `fsi_net_stage_ns{stage}`, indexed by [`StageKind`].
     stage_ns: [LazyHistogram; 4],
     /// Handles of the anonymous tenant; `None` in stripped mode.
@@ -324,9 +327,11 @@ impl NetObs {
                 response("overloaded"),
                 response("invalid_query"),
                 response("bad_frame"),
+                response("internal"),
             ],
             answered: [answered("reader"), answered("worker")],
             shed_deadline,
+            worker_panics: registry.counter("fsi_net_worker_panics_total", &[]),
             stage_ns: STAGES.map(|(_, name)| LazyHistogram::new("fsi_net_stage_ns", "stage", name)),
             anon: config
                 .lifecycle

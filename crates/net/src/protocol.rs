@@ -127,6 +127,9 @@ pub enum Status {
     /// The frame itself was malformed; the connection closes after this
     /// response.
     BadFrame = 4,
+    /// Evaluating the request panicked on a worker; the message says so.
+    /// The worker lives on and the connection stays open.
+    Internal = 5,
 }
 
 impl Status {
@@ -138,6 +141,7 @@ impl Status {
             2 => Ok(Status::Overloaded),
             3 => Ok(Status::InvalidQuery),
             4 => Ok(Status::BadFrame),
+            5 => Ok(Status::Internal),
             _ => Err(FrameError::Malformed("unknown status byte")),
         }
     }

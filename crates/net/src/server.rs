@@ -34,7 +34,10 @@
 //!    quiet server the hand-off costs no thread wake-up. A request whose
 //!    deadline expired while it waited is shed on dequeue
 //!    ([`Status::Shed`], nothing executed); the rest run through
-//!    [`fsi_serve::Server::finish`] and answer [`Status::Ok`].
+//!    [`fsi_serve::Server::finish`] and answer [`Status::Ok`]. A panic
+//!    inside `finish` is caught on the worker: that request answers
+//!    [`Status::Internal`] (counted in `fsi_net_worker_panics_total`), and
+//!    the worker goes on to the next miss.
 //! 6. **Write**: whichever thread answers encodes the response **once** —
 //!    header, length prefix, and the documents straight out of the
 //!    `Arc` the result cache shares — into the connection's one reused
@@ -73,6 +76,7 @@ use fsi_serve::{
 };
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -724,8 +728,23 @@ fn read_connection(stream: TcpStream, ctx: &Shared) {
     }
 }
 
+/// Answers a request whose evaluation panicked on a worker: one
+/// [`Status::Internal`] response, counted in
+/// `fsi_net_worker_panics_total`. The panic stays this request's own.
+fn answer_panic(obs: &NetObs, writer: &ConnWriter, mut ticket: Ticket) {
+    ticket.stage(StageKind::Execute);
+    obs.worker_panics.inc();
+    let resp = ResponseRef {
+        message: "internal error: evaluating the query panicked",
+        ..ResponseRef::empty(Status::Internal, 0, ticket.id)
+    };
+    let verdict = Verdict::new("internal", "panic");
+    deliver(obs, writer, AnsweredBy::Worker, ticket, &resp, verdict);
+}
+
 /// Takes one dequeued miss to its response: shed if its deadline expired
-/// in the queue, evaluated otherwise.
+/// in the queue, evaluated otherwise — and answered [`Status::Internal`]
+/// if evaluating it panics, so the worker lives to take the next miss.
 fn finish_pending(serve: &fsi_serve::Server, obs: &NetObs, pending: Pending) {
     let Pending {
         mut ticket,
@@ -749,6 +768,93 @@ fn finish_pending(serve: &fsi_serve::Server, obs: &NetObs, pending: Pending) {
             ShedReason::DeadlineExpired,
         );
     }
-    let response = serve.finish(miss);
-    answer(obs, &writer, AnsweredBy::Worker, ticket, Ok(response));
+    // A panic in the kernels leaves nothing shared half-updated: they
+    // write only this request's output, and `finish` touches the result
+    // cache only after they return.
+    let finished = catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(test)]
+        tests::inject_panic(ticket.id);
+        serve.finish(miss)
+    }));
+    match finished {
+        Ok(response) => answer(obs, &writer, AnsweredBy::Worker, ticket, Ok(response)),
+        Err(_) => answer_panic(obs, &writer, ticket),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use fsi_core::HashContext;
+    use fsi_index::{Corpus, CorpusConfig};
+    use fsi_serve::{ServeConfig, Server};
+
+    /// A request with this id panics on the worker, inside the guarded
+    /// evaluation — the fault [`finish_pending`] isolates.
+    const PANIC_ID: u64 = 0xFA17;
+
+    pub(super) fn inject_panic(id: u64) {
+        if id == PANIC_ID {
+            panic!("injected into the worker's evaluation");
+        }
+    }
+
+    #[test]
+    fn a_panicking_request_gets_one_internal_response_and_the_worker_lives() {
+        let corpus = Corpus::generate(CorpusConfig {
+            num_docs: 20_000,
+            num_terms: 24,
+            ..CorpusConfig::default()
+        });
+        // Cache off, so every query is a miss a worker evaluates; one
+        // worker, so the request after the panic can only be served by
+        // the worker that panicked.
+        let serve = Arc::new(Server::from_corpus(
+            HashContext::new(0x2011),
+            corpus,
+            ServeConfig { cache_capacity: 0 },
+        ));
+        let net = NetServer::start(
+            Arc::clone(&serve),
+            NetConfig {
+                workers: 1,
+                ..NetConfig::default()
+            },
+        )
+        .expect("bind loopback");
+        let stream = TcpStream::connect(net.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("timeout");
+        let mut client = Client::from_stream(stream);
+        client
+            .send(&RequestFrame::query(PANIC_ID, "0 AND 1"))
+            .expect("send");
+        client
+            .send(&RequestFrame::query(7, "0 AND 1"))
+            .expect("send");
+        let first = client.recv().expect("recv").expect("a response");
+        assert_eq!((first.id, first.status), (PANIC_ID, Status::Internal));
+        assert!(first.docs.is_empty() && first.message.contains("panicked"));
+        // The next frame answers the next request: the panicking one got
+        // exactly one response, and the same worker served what followed.
+        let second = client.recv().expect("recv").expect("a response");
+        assert_eq!((second.id, second.status), (7, Status::Ok));
+        let expect = serve.execute(&Request::expr("0 AND 1")).expect("valid");
+        assert_eq!(second.docs, *expect.docs);
+        let again = client
+            .call(&RequestFrame::query(8, "0 AND 2"))
+            .expect("call");
+        assert_eq!((again.id, again.status), (8, Status::Ok));
+        let snap = net.metrics();
+        assert_eq!(snap.counter("fsi_net_worker_panics_total", &[]), Some(1));
+        let responses = |status| snap.counter("fsi_net_responses_total", &[("status", status)]);
+        assert_eq!(responses("internal"), Some(1));
+        assert_eq!(responses("ok"), Some(2));
+        assert_eq!(
+            snap.counter("fsi_net_answered_total", &[("by", "worker")]),
+            Some(3)
+        );
+    }
 }

@@ -107,7 +107,7 @@ fn response(
     msg: &[u8],
 ) -> ResponseFrame {
     ResponseFrame {
-        status: Status::from_byte(status).expect("0..5 are valid"),
+        status: Status::from_byte(status).expect("0..6 are valid"),
         detail,
         flags: 0,
         id,
@@ -146,7 +146,7 @@ proptest! {
 
     #[test]
     fn responses_round_trip(
-        status in 0u8..5,
+        status in 0u8..6,
         detail in any::<u8>(),
         id in any::<u64>(),
         latency_us in any::<u32>(),
@@ -159,7 +159,7 @@ proptest! {
 
     #[test]
     fn the_into_buffer_encoder_matches_the_parent_encoder(
-        status in 0u8..5,
+        status in 0u8..6,
         detail in any::<u8>(),
         flags in any::<u8>(),
         id in any::<u64>(),
@@ -190,7 +190,7 @@ proptest! {
 
     #[test]
     fn truncated_responses_are_clean_errors(
-        status in 0u8..5,
+        status in 0u8..6,
         id in any::<u64>(),
         docs in vec(any::<u32>(), 0..64),
         msg in vec(32u8..127, 0..100),

@@ -11,7 +11,9 @@
 //! `BitmapAnd` base with term subtrahends a difference is a one-child chunk
 //! union instead). Term operands of unions, mixed `AND`s and differences
 //! borrow the prepared structures — only genuine sub-expression results
-//! are materialized.
+//! are materialized, and a bitmap term where a slice is needed (the root, a
+//! mixed `AND`'s driver, a heap-union child) is extracted, since a list
+//! keeps no flat copy beside its bitmap.
 //!
 //! `EXPLAIN ANALYZE` ([`analyze_plan`]) is the same walk with a report
 //! sink; without one — every served query — the walk reads no clock.
@@ -25,6 +27,7 @@ use crate::rewrite::NormExpr;
 use fsi_core::elem::Elem;
 use fsi_index::{PlanKind, PlannedExecutor, PlannedList};
 use fsi_kernels::{chunk_union_into, heap_union_into, retain_members, Member, UnionPart};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// A child result: borrowed straight from a prepared list when the child
@@ -34,11 +37,29 @@ enum Operand<'a> {
     Owned(Vec<Elem>),
 }
 
-impl Operand<'_> {
-    fn as_slice(&self) -> &[Elem] {
+impl<'a> Operand<'a> {
+    fn len(&self) -> usize {
         match self {
-            Operand::Term(list) => list.flat(),
-            Operand::Owned(v) => v,
+            Operand::Term(list) => list.n(),
+            Operand::Owned(v) => v.len(),
+        }
+    }
+
+    /// Appends the operand's elements to `out`, ascending — a bitmap term
+    /// extracted.
+    fn extend_into(&self, out: &mut Vec<Elem>) {
+        match self {
+            Operand::Term(list) => list.extend_into(out),
+            Operand::Owned(v) => out.extend_from_slice(v),
+        }
+    }
+
+    /// The operand as a sorted run: a term's flat list borrowed or its
+    /// bitmap extracted, or the materialized result.
+    fn into_sorted(self) -> Cow<'a, [Elem]> {
+        match self {
+            Operand::Term(list) => list.sorted(),
+            Operand::Owned(v) => Cow::Owned(v),
         }
     }
 
@@ -241,10 +262,9 @@ fn union_part<'a>(exec: &'a PlannedExecutor, plan: &ExprPlan) -> Option<UnionPar
                 .collect::<Option<Vec<_>>>()?;
             let (mut bitmaps, mut lists) = (Vec::new(), Vec::new());
             for list in neg.iter().map(|n| term(exec, n)) {
-                let list = list?;
-                match list.bitmap() {
-                    Some(bitmap) => bitmaps.push(bitmap),
-                    None => lists.push(list.flat()),
+                match list?.member() {
+                    Member::Bitmap(bitmap) => bitmaps.push(bitmap),
+                    Member::Sorted(elems) => lists.push(elems),
                 }
             }
             Some(UnionPart::And {
@@ -288,7 +308,7 @@ fn run_node(
     mut sink: Option<&mut Vec<NodeReport>>,
 ) {
     match &plan.node {
-        PlanNode::Term(t) => out.extend_from_slice(exec.list(*t).flat()),
+        PlanNode::Term(t) => exec.list(*t).extend_into(out),
         PlanNode::And { pos, neg, kind } => {
             if neg.is_empty() {
                 run_and_base(exec, planner, pos, kind, out, sink);
@@ -316,7 +336,9 @@ fn run_node(
             }
         }
         PlanNode::Or { children, kind } => {
-            let ops: Vec<Option<Operand>> = children
+            // A child the chunk union does not bind in place is read as a
+            // sorted run; only a heap union has a bitmap term to extract.
+            let runs: Vec<Option<Cow<[Elem]>>> = children
                 .iter()
                 .map(|c| match kind {
                     UnionKind::BitmapOr if in_place(exec, c) => {
@@ -325,13 +347,10 @@ fn run_node(
                         }
                         None
                     }
-                    _ => Some(operand(exec, planner, c, sink.as_deref_mut())),
+                    _ => Some(operand(exec, planner, c, sink.as_deref_mut()).into_sorted()),
                 })
                 .collect();
-            let listed: Vec<Option<&[Elem]>> = ops
-                .iter()
-                .map(|o| o.as_ref().map(Operand::as_slice))
-                .collect();
+            let listed: Vec<Option<&[Elem]>> = runs.iter().map(Option::as_deref).collect();
             match kind {
                 UnionKind::BitmapOr => chunk_union(exec, children, &listed, out),
                 UnionKind::HeapMerge => {
@@ -391,14 +410,15 @@ fn run_and_base(
                 .iter()
                 .map(|p| operand(exec, planner, p, sink.as_deref_mut()))
                 .collect();
-            // The smallest operand's elements are the candidates; the rest
-            // filter them in ascending length, the most selective first.
-            ops.sort_by_key(|o| o.as_slice().len());
+            // The smallest operand's elements are the candidates (a bitmap
+            // term extracted); the rest filter them in ascending length,
+            // the most selective first.
+            ops.sort_by_key(Operand::len);
             let Some((driver, rest)) = ops.split_first() else {
                 return;
             };
             let start = out.len();
-            out.extend_from_slice(driver.as_slice());
+            driver.extend_into(out);
             for op in rest {
                 retain_members(out, start, op.member(), true);
             }
@@ -554,26 +574,27 @@ mod tests {
 
     #[test]
     fn recorded_kinds_are_the_ones_that_run() {
-        // The benchmark corpus's shape: on its own `0 ∧ 3` probes t3's
-        // members, but under a chunk union both groups are re-bound to
-        // `BitmapAnd` — and the walk reports what runs.
-        let corpus = [
-            (600_000, Some(31)),
-            (300_000, Some(31)),
-            (200_000, Some(31)),
-            (40_000, Some(31)),
-        ];
+        // The benchmark corpus's shape (t0–t3), plus a seven-way AND of
+        // bitmaps at one member per word (t4–t10): on its own that AND
+        // probes, since its driver's extraction and bit tests cost less at
+        // the scalar tier than six word passes and an extraction, but under
+        // a chunk union it is re-bound to `BitmapAnd` — its words swept in
+        // place, extracted with the union — and the walk reports what runs.
+        let mut sizes = vec![600_000, 300_000, 200_000, 40_000, 31 * 1024];
+        sizes.extend([75_000; 6]);
         let stats = |t: usize| fsi_index::OperandStats {
-            n: corpus[t].0,
-            chunks: corpus[t].1,
+            n: sizes[t],
+            chunks: Some(31),
         };
         let plan = |src: &str| {
             let norm = normalize(&parse(src).expect("p")).expect("b");
             ExprPlanner::default().plan(&norm, &stats, 2_000_000)
         };
-        assert_eq!(kinds(&plan("0 3")), (vec![PlanKind::HashProbe], vec![]));
+        assert_eq!(kinds(&plan("0 3")), (vec![PlanKind::BitmapAnd], vec![]));
+        let seven = "4 5 6 7 8 9 10";
+        assert_eq!(kinds(&plan(seven)), (vec![PlanKind::HashProbe], vec![]));
         assert_eq!(
-            kinds(&plan("(0 3) OR (0 1)")),
+            kinds(&plan(&format!("({seven}) OR (0 1)"))),
             (vec![PlanKind::BitmapAnd; 2], vec![UnionKind::BitmapOr])
         );
         // Nested: a union inside a mixed AND, under a subtrahend.

@@ -17,13 +17,17 @@
 //!   [`fsi_index::Planner`], so conjunctive sub-plans price exactly what
 //!   the multiway cost model prices.
 //!
+//! A list carries one representation, so a bitmap-carrying term read as a
+//! sorted run — the root of a plan, a mixed `AND`'s driver, a heap-union
+//! child — is extracted, and priced for that walk.
+//!
 //! Physical operator choices:
 //!
 //! | node | candidates |
 //! |------|------------|
 //! | `AND` (all operands are terms) | the full [`fsi_index::Planner`] candidate table — one whole-list [`MultiwayPlan`], zero materialized intermediates |
-//! | `AND` (mixed operands) | materialize sub-results, copy the smallest operand and filter it through the rest in ascending length ([`AndKind::SliceProbe`]; a term is bit-tested where it carries a bitmap), priced as the probe ([`Planner::probe_price`]: terms by their own stats, sub-expressions by `est_rows` as bitmap-less lists) |
-//! | `OR` | heap k-way union over materialized children (`Σ costᵢ + heap_union · Σnᵢ · log₂ k`) vs the chunk union over *any* children (`Σ partᵢ + 2 · bitmap_word · 1024 · span + extract`): a bitmap-carrying term costs its words, a `BitmapAnd` child whose subtrahends are terms its word sweep (no extraction of its own), any other child its own cost plus `set_bit` per row; `span` is the estimated number of chunks the union touches, and the result is extracted once |
+//! | `AND` (mixed operands) | materialize sub-results, copy the smallest operand and filter it through the rest in ascending length ([`AndKind::SliceProbe`]; a term is bit-tested where it carries a bitmap, and extracted where it is the smallest), priced as the probe ([`Planner::probe_price`]: terms by their own stats, sub-expressions by `est_rows` as bitmap-less lists; a bitmap driver pays [`Planner::sorted_read_cost`]) |
+//! | `OR` | heap k-way union over materialized children (`Σ costᵢ + Σ rᵢ + heap_union · Σnᵢ · log₂ k`, `rᵢ` the extraction of a bitmap-carrying term child, [`Planner::sorted_read_cost`]) vs the chunk union over *any* children (`Σ partᵢ + 2 · bitmap_word · 1024 · span + extract`): a bitmap-carrying term costs its words, a `BitmapAnd` child whose subtrahends are terms its word sweep (no extraction of its own), any other child its own cost plus `set_bit` per row; `span` is the estimated number of chunks the union touches, and the result is extracted once |
 //! | `AND NOT` | one membership pass per subtrahend over the base: a bit test per base element for a subtrahend that is a bitmap-carrying term (`bit_test · |base|`), a galloping cursor through any other (`gallop · |base| · Σⱼ log₂(|Nⱼ|/|base| + 2)`, [`Planner::gallop_cost`]) — the subtrahends are bounded by the base, never materialized against the universe. Over a `BitmapAnd` base whose subtrahends are all terms it is instead a one-child chunk union, priced as one, wherever that is cheaper |
 
 use crate::rewrite::NormExpr;
@@ -199,7 +203,20 @@ impl ExprPlanner {
         stats: &impl Fn(usize) -> OperandStats,
         universe: u64,
     ) -> ExprPlan {
-        self.plan_node(expr, stats, (universe as f64).max(1.0))
+        let mut plan = self.plan_node(expr, stats, (universe as f64).max(1.0));
+        // A term at the root is copied out whole.
+        plan.est_cost += self.read_cost(&plan, stats);
+        plan
+    }
+
+    /// What reading `plan`'s result as a sorted run costs beyond its own
+    /// `est_cost`: the extraction of a bitmap-carrying term, and nothing
+    /// for any other node, whose result is materialized as a run.
+    fn read_cost(&self, plan: &ExprPlan, stats: &impl Fn(usize) -> OperandStats) -> f64 {
+        match plan.node {
+            PlanNode::Term(t) => self.and.sorted_read_cost(&stats(t)),
+            _ => 0.0,
+        }
     }
 
     fn plan_node(
@@ -304,7 +321,9 @@ impl ExprPlanner {
                 let total: f64 = plans.iter().map(|p| p.est_rows).sum();
                 let k = plans.len() as f64;
                 let child_cost: f64 = plans.iter().map(|p| p.est_cost).sum();
-                let heap_cost = child_cost + self.and.unit(CostUnit::HeapUnion) * total * k.log2();
+                let read_cost: f64 = plans.iter().map(|p| self.read_cost(p, stats)).sum();
+                let heap_cost =
+                    child_cost + read_cost + self.and.unit(CostUnit::HeapUnion) * total * k.log2();
                 let mut miss = 1.0;
                 for p in &plans {
                     miss *= 1.0 - (p.est_rows / u).min(1.0);
@@ -554,12 +573,13 @@ mod tests {
         let p = plan("(0 1) OR (0 2)", &corpus, u);
         assert_eq!(union_kind(&p), UnionKind::BitmapOr, "{}", p.describe());
         assert_eq!(child_kinds(&p), [PlanKind::BitmapAnd; 2]);
-        // On its own `0 ∧ 3` probes t3's 40 k members (its sweep would pay
-        // an extraction); under the union its words are swept in place.
+        // On its own `0 ∧ 3` sweeps too (probing t3's 40 k members would
+        // first extract them) and pays its own extraction; under the union
+        // its words are swept in place and extracted with the union's.
         let alone = plan("0 3", &corpus, u);
         assert!(matches!(
             &alone.node,
-            PlanNode::And { kind: AndKind::Multiway(m), .. } if m.kind == PlanKind::HashProbe
+            PlanNode::And { kind: AndKind::Multiway(m), .. } if m.kind == PlanKind::BitmapAnd
         ));
         let p = plan("(0 3) OR (0 1)", &corpus, u);
         assert_eq!(union_kind(&p), UnionKind::BitmapOr, "{}", p.describe());
@@ -573,9 +593,7 @@ mod tests {
         let PlanNode::Or { children, .. } = &p.node else {
             unreachable!("checked above");
         };
-        let swept = children
-            .iter()
-            .find(|c| c.describe() == alone.describe().replace("HashProbe", "BitmapAnd"));
+        let swept = children.iter().find(|c| c.describe() == alone.describe());
         assert!(
             swept.is_some_and(|c| c.est_cost < alone.est_cost),
             "{children:?}"
@@ -589,14 +607,14 @@ mod tests {
     }
 
     /// The galloping difference pays per base row and log₂ of each
-    /// subtrahend's size, so a larger subtrahend raises the price — and the
-    /// chunk union, whose price does not rise with it as fast, takes the
-    /// node over once it is cheaper.
+    /// subtrahend's size, so a larger subtrahend raises the price — and
+    /// over a bitmap base the chunk union, whose price does not rise with
+    /// it as fast, binds the node.
     #[test]
     fn the_galloping_difference_is_priced_by_its_subtrahend() {
-        // The benchmark corpus's shape: `t0 ∧ t3` probes t3's 40 k members
-        // (≈ 12 k survivors); t4 holds 40 members and t5 28 000, and
-        // neither carries a bitmap.
+        // The benchmark corpus's shape: t0–t3 carry bitmaps; t4 holds 40
+        // members, t5 28 000 and t6 12 000, and none of those three does.
+        // `t6 ∧ t0` probes t6's members (≈ 3 600 survivors).
         let corpus = [
             (600_000, Some(31)),
             (300_000, Some(31)),
@@ -604,16 +622,9 @@ mod tests {
             (40_000, Some(31)),
             (40, None),
             (28_000, None),
+            (12_000, None),
         ];
         let u = 2_000_000;
-        let base = plan("0 3", &corpus, u);
-        let base_rows = base.est_rows;
-        let gallop = |n: f64| {
-            ExprPlanner::default()
-                .and
-                .gallop_cost(base_rows, std::iter::once(n))
-        };
-        assert!(gallop(28_000.0) > 2.0 * gallop(40.0));
         let kind = |p: &ExprPlan| match &p.node {
             PlanNode::And {
                 kind: AndKind::Multiway(m),
@@ -621,22 +632,33 @@ mod tests {
             } => m.kind,
             other => panic!("expected a multiway And, got {other:?}"),
         };
-        // A 40-member subtrahend is galloped after the probe, at exactly
-        // the gallop's price …
-        let small = plan("0 3 AND NOT 4", &corpus, u);
-        assert_eq!(kind(&small), PlanKind::HashProbe, "{}", small.describe());
-        assert!((small.est_cost - base.est_cost - gallop(40.0)).abs() < 1e-6);
-        // … and a 28 000-member one would cost more than the chunk union,
-        // which therefore binds the node.
-        let large = plan("0 3 AND NOT 5", &corpus, u);
-        assert_eq!(kind(&large), PlanKind::BitmapAnd, "{}", large.describe());
-        assert!(large.est_cost > small.est_cost);
-        assert!(large.est_cost < base.est_cost + gallop(28_000.0));
+        let gallop = |base: &ExprPlan, n: f64| {
+            ExprPlanner::default()
+                .and
+                .gallop_cost(base.est_rows, std::iter::once(n))
+        };
+        let base = plan("0 6", &corpus, u);
+        assert_eq!(kind(&base), PlanKind::HashProbe, "{}", base.describe());
+        assert!(gallop(&base, 28_000.0) > 2.0 * gallop(&base, 40.0));
+        // Each subtrahend is galloped after the probe, at exactly the
+        // gallop's price.
+        for (src, n) in [("0 6 AND NOT 4", 40.0), ("0 6 AND NOT 5", 28_000.0)] {
+            let p = plan(src, &corpus, u);
+            assert_eq!(kind(&p), PlanKind::HashProbe, "{}", p.describe());
+            assert!((p.est_cost - base.est_cost - gallop(&base, n)).abs() < 1e-6);
+        }
         // A bitmap-carrying subtrahend is bit-tested, priced per base row
         // whatever its size.
-        let tested = plan("0 3 AND NOT 1", &corpus, u);
+        let tested = plan("0 6 AND NOT 1", &corpus, u);
         let bit_test = ExprPlanner::default().and.unit(CostUnit::BitTest);
-        assert!((tested.est_cost - base.est_cost - bit_test * base_rows).abs() < 1e-6);
+        assert!((tested.est_cost - base.est_cost - bit_test * base.est_rows).abs() < 1e-6);
+        // Over the `t0 ∧ t3` sweep (≈ 12 k survivors) the 28 000-member
+        // subtrahend comes off word by word in a one-child chunk union,
+        // for less than galloping it.
+        let swept = plan("0 3", &corpus, u);
+        let large = plan("0 3 AND NOT 5", &corpus, u);
+        assert_eq!(kind(&large), PlanKind::BitmapAnd, "{}", large.describe());
+        assert!(large.est_cost < swept.est_cost + gallop(&swept, 28_000.0));
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   [`Server::finish`] (the kernels); a caller with a thread that must
 //!   stay responsive runs the halves on different threads.
 //! * [`index`] — [`PreparedIndex`]: every posting list preprocessed once
-//!   for every representation the planner can bind, plus the expression
-//!   planner queries plan under;
+//!   into the one representation the planner binds it by, plus the
+//!   expression planner queries plan under;
 //! * [`cache`] — [`QueryCache`]: a segmented LRU over results keyed by
 //!   the canonical expression encoding, with hit/miss/eviction counters —
 //!   Zipf-skewed query streams (the realistic case) hit it hard, and flat

@@ -6,7 +6,8 @@
 //! timestamps.
 //!
 //! This is also the CI end-to-end check for the observability wiring: it
-//! exits non-zero if the scrape is missing a registry, if the shed
+//! exits non-zero if the scrape is missing a registry or a family (the
+//! worker-panic counter among them, exported before any panic), if the shed
 //! request's record never lands in the slow log, or if the retained
 //! record lacks its lifecycle stages.
 //!
@@ -79,6 +80,7 @@ fn main() {
         "fsi_net_handoff_total{via=\"park\"}",
         "fsi_net_spin_ns_total",
         "fsi_net_admission_evictions_total",
+        "fsi_net_worker_panics_total",
         "fsi_queries_served_total",
         "fsi_plan_kind_total",
         "fsi_union_kind_total{kind=",

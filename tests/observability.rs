@@ -208,13 +208,21 @@ fn index_bytes_by_representation_sum_to_the_whole() {
     // 40 000 documents fit one 2¹⁶-value chunk, so the build rule gives a
     // bitmap to exactly the terms with ≥ 1 024 postings: the scrape must
     // count the lists with and without one, and show every resident byte
-    // under exactly one representation.
+    // under exactly one representation. A list is one representation, so
+    // the flat bytes are exactly 4 per posting of the lists without a
+    // bitmap — a flat copy kept beside a bitmap would show here.
     let corpus = Corpus::generate(CorpusConfig {
         num_docs: 40_000,
         num_terms: 48,
         ..CorpusConfig::default()
     });
     let dense_terms = corpus.postings().iter().filter(|p| p.len() >= 1024).count();
+    let sparse_postings: usize = corpus
+        .postings()
+        .iter()
+        .map(|p| p.len())
+        .filter(|&n| n < 1024)
+        .sum();
     let engine = SearchEngine::from_corpus(HashContext::new(12), corpus);
     let server = Server::new(&engine, ServeConfig::default());
     let snap = server.metrics();
@@ -240,6 +248,7 @@ fn index_bytes_by_representation_sum_to_the_whole() {
     }
     assert!(parts.iter().all(|&b| b > 0), "{parts:?}");
     assert_eq!(parts.iter().sum::<u64>(), whole, "{parts:?}");
+    assert_eq!(parts[0], 4 * sparse_postings as u64, "{parts:?}");
     let lists = |m| snap.gauge("fsi_index_lists", &[("membership", m)]);
     assert!(dense_terms > 0 && dense_terms < 48);
     assert_eq!(lists("bitmap"), Some(dense_terms as u64));

@@ -6,12 +6,12 @@
 //! exactly for equivalent expressions.
 
 use fsi_core::{Elem, HashContext, SortedSet};
-use fsi_index::{Planner, SearchEngine};
+use fsi_index::{MultiwayPlan, PlanKind, Planner, SearchEngine};
 use fsi_kernels::SimdLevel;
 use fsi_query::naive::{naive_eval, naive_eval_universe};
 use fsi_query::{
-    analyze_plan, compile, encode, eval_planned, fingerprint, normalize, parse, Expr, ExprPlanner,
-    NodeReport, NormExpr, RewriteError,
+    analyze_plan, compile, encode, eval_planned, execute_plan, fingerprint, normalize, parse,
+    AndKind, Expr, ExprPlan, ExprPlanner, NodeReport, NormExpr, PlanNode, RewriteError, UnionKind,
 };
 use fsi_serve::{Request, ServeConfig, Server};
 use rand::rngs::StdRng;
@@ -196,6 +196,22 @@ fn assert_child_walls_fit(node: &NodeReport, expr: &NormExpr) {
     }
 }
 
+/// The first 2¹⁶-value chunk boundary of the bitmaps.
+const BOUNDARY: u32 = 1 << 16;
+
+/// `n` random members around the first chunk boundary and in the top
+/// chunk (three chunks), plus the ends of the id space and both sides of
+/// the boundary.
+fn boundary_list(rng: &mut StdRng, n: usize) -> SortedSet {
+    (0..n)
+        .map(|i| match i % 2 {
+            0 => rng.gen_range(BOUNDARY - 8_000..BOUNDARY + 8_000),
+            _ => rng.gen_range(u32::MAX - 8_000..=u32::MAX),
+        })
+        .chain([0, BOUNDARY - 1, BOUNDARY, u32::MAX - 1, u32::MAX])
+        .collect()
+}
+
 /// Mixed `AND`s and `AND NOT`s run as passes of one membership filter
 /// over candidates already in the output: a term operand that carries a
 /// bitmap is bit-tested, every other operand galloped where it lies — down
@@ -210,18 +226,8 @@ fn differences_with_bitmap_less_subtrahends_match_naive_semantics() {
     // holding the ends of the id space and both sides of the boundary:
     // terms 0 and 1 are dense enough for a bitmap, 2–4 keep only their
     // flat list.
-    const BOUNDARY: u32 = 1 << 16;
-    let edges = [0, BOUNDARY - 1, BOUNDARY, u32::MAX - 1, u32::MAX];
     let mut rng = StdRng::seed_from_u64(0xD1FD);
-    let mut list = |n: usize| -> SortedSet {
-        (0..n)
-            .map(|i| match i % 2 {
-                0 => rng.gen_range(BOUNDARY - 8_000..BOUNDARY + 8_000),
-                _ => rng.gen_range(u32::MAX - 8_000..=u32::MAX),
-            })
-            .chain(edges)
-            .collect()
-    };
+    let mut list = |n| boundary_list(&mut rng, n);
     let dense = list(9_000);
     let postings = vec![
         dense.clone(),
@@ -296,6 +302,127 @@ fn differences_with_bitmap_less_subtrahends_match_naive_semantics() {
             assert_eq!(report.rows, Some(expect.len() as u64), "{level:?} {src}");
         }
     }
+}
+
+/// A list carries one representation, so a bitmap term has no flat copy:
+/// wherever a plan reads one as a sorted run it is extracted. Every role
+/// that extracts — a single dense term, the smallest operand of a mixed
+/// `AND`, a heap-union child, the second operand of a conjunction the merge
+/// would read, every operand of an all-bitmap conjunction under each forced
+/// kind — is pinned against `naive_eval` at every tier's cost table and
+/// dispatched SIMD level, through `execute_plan` and `EXPLAIN ANALYZE`.
+#[test]
+fn bitmap_only_operands_in_every_role_match_naive_semantics() {
+    // Terms 0–2 hold at least one member per bitmap word of their three
+    // chunks, so they are bitmaps only; 3–5 are flat lists.
+    let mut rng = StdRng::seed_from_u64(0xB17A);
+    let mut list = |n| boundary_list(&mut rng, n);
+    let postings = vec![
+        list(9_000),
+        list(7_000),
+        list(3_500),
+        list(40),
+        list(600),
+        list(2_500),
+    ];
+    let engine = SearchEngine::from_postings(HashContext::new(79), postings);
+    let slices = posting_slices(&engine);
+    let exec = engine.planned_executor(Planner::default());
+    let bitmaps: Vec<bool> = (0..6).map(|t| exec.list(t).bitmap().is_some()).collect();
+    assert_eq!(bitmaps, [true, true, true, false, false, false]);
+    // Each query with the operator the planner must give it at every
+    // tier; `None` where only the answer is pinned.
+    let cases: [(&str, Option<&str>); 9] = [
+        ("0", Some("Term")),
+        ("2", Some("Term")),
+        ("2 AND (0 OR 4)", Some("SliceProbe")),
+        ("5 AND 1", Some("HashProbe")),
+        ("3 AND 2 AND 0", Some("HashProbe")),
+        ("0 1", Some("BitmapAnd")),
+        ("2 1 0", None),
+        ("(0 1) OR 2 OR 4", None),
+        ("2 AND NOT 3", None),
+    ];
+    for (src, expect_operator) in cases {
+        let norm = compile(src).expect("compiles");
+        let expect: Vec<Elem> = naive_eval(&slices, &norm).into_iter().collect();
+        for level in SimdLevel::ALL {
+            let planner = ExprPlanner::new(Planner::for_simd(level));
+            let plan = planner.plan(&norm, &|t| exec.list(t).stats(), exec.universe());
+            if let Some(op) = expect_operator {
+                assert_eq!(plan.operator(), op, "{level:?} {src}");
+            }
+            if let PlanNode::And { pos, kind, .. } = &plan.node {
+                if *kind == AndKind::SliceProbe {
+                    // The bitmap term is the smallest operand: the driver.
+                    assert!(matches!(pos[0].node, PlanNode::Term(2)), "{src}");
+                }
+            }
+            let plans = forced_variants(plan);
+            let run = || {
+                plans
+                    .iter()
+                    .map(|plan| {
+                        let (mut got, mut analyzed) = (Vec::new(), Vec::new());
+                        execute_plan(&exec, &planner, plan, &mut got);
+                        analyze_plan(&exec, &planner, plan, &mut analyzed);
+                        (plan.describe(), got, analyzed)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let runs = if fsi_kernels::simd::available_levels().contains(&level) {
+                fsi_kernels::simd::with_level(level, run)
+            } else {
+                run()
+            };
+            for (plan, got, analyzed) in runs {
+                assert_eq!(got, expect, "{level:?} {src}: {plan}");
+                assert_eq!(analyzed, expect, "{level:?} analyzed {src}: {plan}");
+            }
+        }
+    }
+}
+
+/// `plan`, then the same tree with its root operator forced: a union run
+/// as a heap merge over its children, and a conjunction of terms under
+/// every kind that intersects (`BitmapAnd` only over bitmap terms).
+fn forced_variants(plan: ExprPlan) -> Vec<ExprPlan> {
+    let mut forced = Vec::new();
+    match &plan.node {
+        PlanNode::Or { children, .. } => forced.push(ExprPlan {
+            node: PlanNode::Or {
+                children: children.clone(),
+                kind: UnionKind::HeapMerge,
+            },
+            ..plan.clone()
+        }),
+        PlanNode::And {
+            pos,
+            neg,
+            kind: AndKind::Multiway(m),
+        } => {
+            let bitmaps = m.kind == PlanKind::BitmapAnd;
+            for kind in PlanKind::ALL {
+                let skip = kind == PlanKind::Empty
+                    || (kind == PlanKind::Single && pos.len() > 1)
+                    || (kind == PlanKind::BitmapAnd && !bitmaps);
+                if skip {
+                    continue;
+                }
+                forced.push(ExprPlan {
+                    node: PlanNode::And {
+                        pos: pos.clone(),
+                        neg: neg.clone(),
+                        kind: AndKind::Multiway(MultiwayPlan { kind, ..m.clone() }),
+                    },
+                    ..plan.clone()
+                });
+            }
+        }
+        _ => {}
+    }
+    forced.insert(0, plan);
+    forced
 }
 
 #[test]
