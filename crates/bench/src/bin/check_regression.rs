@@ -21,7 +21,12 @@
 //!   `active_level` is `Scalar` (no SIMD hardware, or a `force-scalar`
 //!   build) declines all of its rows instead of reporting fake 1.0x
 //!   speedups — the gate skips them the way it skips oversubscribed serve
-//!   rows;
+//!   rows. Each `chunk_merge` row (`<pair>/u32_over_u16`) is the flat
+//!   `u32` merge's time over the chunked 16-bit merge's on the same pair,
+//!   both timed interleaved in one process at the run's tier; it is held
+//!   to an absolute floor of 1 / 1.10 — the chunked merge may take at most
+//!   1.10 times the `u32` merge — whatever the baseline read and whatever
+//!   the tolerance, at every tier;
 //! * `boolean` files — `qps` per query-stream shape plus the canonical
 //!   cache-keying `hit_rate` (deterministic in the seeded stream);
 //! * `obs` files — the untraced throughput `untraced_qps` and the
@@ -74,7 +79,15 @@ struct Metric {
     /// Stable identity across runs, e.g. `balanced-dense/k=3/Planned`.
     key: String,
     value: f64,
+    /// An absolute floor the current value must reach, in place of
+    /// `baseline / tolerance`: for a ratio measured against a reference
+    /// in the same process, where the box's speed cancels out.
+    floor: Option<f64>,
 }
+
+/// The most time the chunked 16-bit merge may take, as a multiple of the
+/// `u32` merge's on the same pair.
+const CHUNK_MERGE_MAX_TIME_RATIO: f64 = 1.10;
 
 /// Reads and parses one benchmark file. Errors are returned, not panicked:
 /// `main` turns them into a clean `FAIL` + nonzero exit so a missing or
@@ -119,6 +132,7 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
                     out.push(Metric {
                         key: format!("{shape_name}/{kernel}/speedup_vs_merge"),
                         value: num(row, "speedup_vs_merge"),
+                        floor: None,
                     });
                 }
             }
@@ -138,9 +152,21 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
                         out.push(Metric {
                             key,
                             value: num(row, "speedup_vs_scalar"),
+                            floor: None,
                         });
                     }
                 }
+            }
+            for row in doc
+                .get("chunk_merge")
+                .and_then(Json::as_array)
+                .unwrap_or(&[])
+            {
+                out.push(Metric {
+                    key: format!("chunk-merge/{}/u32_over_u16", text(row, "pair")),
+                    value: 1.0 / num(row, "time_ratio"),
+                    floor: Some(1.0 / CHUNK_MERGE_MAX_TIME_RATIO),
+                });
             }
         }
         "multiway" => {
@@ -155,6 +181,7 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
                 out.push(Metric {
                     key: format!("{shape_name}/k={k}/best_fixed_vs_planned"),
                     value: (1.0 / regret).min(1.0),
+                    floor: None,
                 });
                 for row in shape.get("algos").and_then(Json::as_array).unwrap_or(&[]) {
                     let algo = text(row, "algo");
@@ -164,6 +191,7 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
                     out.push(Metric {
                         key: format!("{shape_name}/k={k}/{algo}/speedup_vs_fold"),
                         value: num(row, "speedup_vs_fold"),
+                        floor: None,
                     });
                 }
             }
@@ -173,6 +201,7 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
                 out.push(Metric {
                     key: format!("{}/qps", text(shape, "shape")),
                     value: num(shape, "qps"),
+                    floor: None,
                 });
             }
             if let Some(cache) = doc.get("cache") {
@@ -182,6 +211,7 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
                 out.push(Metric {
                     key: "cache/hit_rate".to_string(),
                     value: num(cache, "hit_rate"),
+                    floor: None,
                 });
             }
         }
@@ -192,10 +222,12 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
             out.push(Metric {
                 key: "overhead/untraced_qps".to_string(),
                 value: num(overhead, "untraced_qps"),
+                floor: None,
             });
             out.push(Metric {
                 key: "overhead/qps_ratio".to_string(),
                 value: num(overhead, "qps_ratio"),
+                floor: None,
             });
         }
         "compress" => {
@@ -208,12 +240,14 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
                     out.push(Metric {
                         key: format!("{shape_name}/{}/compression_ratio", text(row, "codec")),
                         value: num(row, "compression_ratio"),
+                        floor: None,
                     });
                 }
                 for row in shape.get("algos").and_then(Json::as_array).unwrap_or(&[]) {
                     out.push(Metric {
                         key: format!("{shape_name}/{}/qps", text(row, "algo")),
                         value: num(row, "qps"),
+                        floor: None,
                     });
                 }
             }
@@ -223,10 +257,12 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
                 out.push(Metric {
                     key: "cache/cold_qps".to_string(),
                     value: num(cache, "cold_qps"),
+                    floor: None,
                 });
                 out.push(Metric {
                     key: "cache/warm_qps".to_string(),
                     value: num(cache, "warm_qps"),
+                    floor: None,
                 });
             }
         }
@@ -234,6 +270,7 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
             out.push(Metric {
                 key: "capacity_qps".to_string(),
                 value: num(doc, "capacity_qps"),
+                floor: None,
             });
             // Conservation is binary: the binary hard-asserts it in
             // process, and the gate pins it so a baseline or current file
@@ -241,6 +278,7 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
             out.push(Metric {
                 key: "response_accounting".to_string(),
                 value: num(doc, "response_accounting"),
+                floor: None,
             });
             for row in doc.get("rows").and_then(Json::as_array).unwrap_or(&[]) {
                 let mult = num(row, "offered_mult");
@@ -255,6 +293,7 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
                 out.push(Metric {
                     key,
                     value: num(row, "goodput_fraction"),
+                    floor: None,
                 });
             }
             let lifecycle = doc
@@ -263,6 +302,7 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
             out.push(Metric {
                 key: "lifecycle/qps_ratio".to_string(),
                 value: num(lifecycle, "qps_ratio"),
+                floor: None,
             });
             let attribution = doc
                 .get("attribution")
@@ -272,6 +312,7 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
             out.push(Metric {
                 key: "attribution/shed_retained".to_string(),
                 value: num(attribution, "shed_retained").min(1.0),
+                floor: None,
             });
         }
         other => panic!("{path}: unknown bench tag {other:?}"),
@@ -395,18 +436,24 @@ fn main() -> ExitCode {
                 continue;
             };
             checked += 1;
-            let floor = m.value / tolerance;
+            let floor = cur.floor.unwrap_or(m.value / tolerance);
             let verdict = if cur.value >= floor { "ok  " } else { "FAIL" };
             if cur.value < floor {
                 failures += 1;
             }
+            let floor_note = match cur.floor {
+                Some(f) => format!("  floor {f:.2}"),
+                None => String::new(),
+            };
             println!(
-                "  {verdict}  {:<55} baseline {:>10.2}  current {:>10.2}",
+                "  {verdict}  {:<55} baseline {:>10.2}  current {:>10.2}{floor_note}",
                 m.key, m.value, cur.value
             );
         }
     }
-    println!("\n{checked} metrics checked, {failures} regression(s) beyond {tolerance}x");
+    println!(
+        "\n{checked} metrics checked, {failures} below their floor (baseline / {tolerance}, or a row's own)"
+    );
     if failures > 0 {
         println!("bench-regression gate: FAIL");
         ExitCode::FAILURE

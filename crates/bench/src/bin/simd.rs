@@ -12,12 +12,21 @@
 //! tier, and a `Scalar` tier (no SIMD hardware or a `force-scalar` build)
 //! marks every row ungated rather than reporting fake 1.0x speedups.
 //!
+//! The `chunk_merge` rows price the chunked 16-bit merge
+//! ([`ArraySet::intersect_into_at`]) against the flat `u32` merge
+//! ([`simd::merge_into_at`]) on the same pairs, both at the active tier:
+//! 1 k/1 k, 10 k/10 k and 30 k/3 k uniform lists over a 2 M-document
+//! universe, the benchmark corpus's span. The two merges run interleaved
+//! in one process, sample by sample, so a loaded box slows both alike;
+//! `time_ratio` is the chunked merge's fastest sample over the `u32`
+//! merge's, and `check_regression` holds it at or under 1.10.
+//!
 //! Usage: `cargo run --release -p fsi-bench --bin simd -- [out.json] [--smoke]`
 
 use fsi_bench::{min_time, HarnessArgs, Table};
 use fsi_core::{PairIntersect, SortedSet};
 use fsi_kernels::simd::{self, SimdLevel};
-use fsi_kernels::BitmapSet;
+use fsi_kernels::{ArraySet, BitmapSet};
 use fsi_workloads::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,6 +101,69 @@ fn draw_set(rng: &mut StdRng, n: usize, universe: u32, zipf: bool) -> SortedSet 
     } else {
         (0..n).map(|_| rng.gen_range(0..universe)).collect()
     }
+}
+
+/// One chunked-merge pair: `n1` and `n2` uniform members of
+/// `0..CHUNK_UNIVERSE`.
+struct ChunkPair {
+    name: &'static str,
+    n1: usize,
+    n2: usize,
+}
+
+/// The benchmark corpus's document universe: about 31 chunks of 2¹⁶.
+const CHUNK_UNIVERSE: u32 = 2_000_000;
+
+const CHUNK_PAIRS: [ChunkPair; 3] = [
+    ChunkPair {
+        name: "1k/1k",
+        n1: 1_000,
+        n2: 1_000,
+    },
+    ChunkPair {
+        name: "10k/10k",
+        n1: 10_000,
+        n2: 10_000,
+    },
+    ChunkPair {
+        name: "30k/3k",
+        n1: 30_000,
+        n2: 3_000,
+    },
+];
+
+/// Merges per timed sample: enough that the smallest pair's sample spans
+/// tens of microseconds.
+const MERGES_PER_SAMPLE: usize = 64;
+
+/// The chunked 16-bit merge against the flat `u32` merge on one pair, at
+/// `level`, sample by sample in alternation; returns the fastest sample of
+/// each, in microseconds per merge.
+fn chunk_merge_row(level: SimdLevel, a: &[u32], b: &[u32], samples: usize) -> (f64, f64) {
+    let (xa, xb) = (
+        ArraySet::from_sorted_slice(a),
+        ArraySet::from_sorted_slice(b),
+    );
+    let mut out: Vec<u32> = Vec::with_capacity(a.len().min(b.len()));
+    let mut expect: Vec<u32> = Vec::new();
+    simd::merge_into_at(SimdLevel::Scalar, a, b, &mut expect);
+    let mut sample = |f: &mut dyn FnMut(&mut Vec<u32>)| {
+        let start = std::time::Instant::now();
+        for _ in 0..MERGES_PER_SAMPLE {
+            out.clear();
+            f(&mut out);
+            std::hint::black_box(&out);
+        }
+        let us = start.elapsed().as_secs_f64() * 1e6 / MERGES_PER_SAMPLE as f64;
+        assert_eq!(out, expect, "a merge diverged");
+        us
+    };
+    let (mut flat, mut chunked) = (f64::MAX, f64::MAX);
+    for _ in 0..samples.max(1) {
+        flat = flat.min(sample(&mut |out| simd::merge_into_at(level, a, b, out)));
+        chunked = chunked.min(sample(&mut |out| xa.intersect_into_at(level, &xb, out)));
+    }
+    (flat, chunked)
 }
 
 struct Row {
@@ -208,13 +280,41 @@ fn main() {
         ));
     }
 
+    println!(
+        "\n== chunked 16-bit merge vs u32 merge ({}) ==",
+        active.name()
+    );
+    let mut table = Table::new(vec!["pair", "u32 us", "u16 us", "time ratio"]);
+    let mut chunk_json: Vec<String> = Vec::new();
+    for pair in &CHUNK_PAIRS {
+        let a = draw_set(&mut rng, pair.n1, CHUNK_UNIVERSE, false);
+        let b = draw_set(&mut rng, pair.n2, CHUNK_UNIVERSE, false);
+        let (flat_us, chunked_us) = chunk_merge_row(active, a.as_slice(), b.as_slice(), reps);
+        let ratio = chunked_us / flat_us;
+        table.row(vec![
+            pair.name.to_string(),
+            format!("{flat_us:.2}"),
+            format!("{chunked_us:.2}"),
+            format!("{ratio:.3}"),
+        ]);
+        chunk_json.push(format!(
+            "    {{\"pair\": \"{}\", \"n1\": {}, \"n2\": {}, \"universe\": {CHUNK_UNIVERSE}, \
+             \"u32_us\": {flat_us:.3}, \"u16_us\": {chunked_us:.3}, \"time_ratio\": {ratio:.4}}}",
+            pair.name,
+            a.len(),
+            b.len()
+        ));
+    }
+    table.print();
+
     let env = fsi_bench::env_json();
     let json = format!(
         "{{\n  \"bench\": \"simd\",\n  \"reps\": {reps},\n  \"smoke\": {},\n  {env},\n  \
-         \"active_level\": \"{}\",\n  \"shapes\": [\n{}\n  ]\n}}\n",
+         \"active_level\": \"{}\",\n  \"shapes\": [\n{}\n  ],\n  \"chunk_merge\": [\n{}\n  ]\n}}\n",
         args.smoke,
         active.name(),
-        shape_json.join(",\n")
+        shape_json.join(",\n"),
+        chunk_json.join(",\n")
     );
     args.write_output(&json);
     println!("\nwrote {}", args.out_path);

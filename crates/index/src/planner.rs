@@ -14,14 +14,14 @@
 //! | kind | estimated cost | regime it owns |
 //! |------|----------------|----------------|
 //! | [`PlanKind::BitmapAnd`] | `bitmap_word · w · (k−1) + scan · w + extract · min(E[survivors], w)`, `w = c_min · 1024` | every operand carries a chunk bitmap |
-//! | [`PlanKind::HashProbe`] | `r₁ + u₂(n₁) + Σᵢ≥₃ uᵢ(ŝ)`, `uᵢ(c) = bit_test · c` for a probed bitmap, `gallop · c · log₂(nᵢ/c + 2)` for a probed flat list ([`Planner::probe_price`]) | a small driver against bitmaps (`O(n₁)` bit tests), a tiny driver against flat lists, and skewed pairs at the scalar tier (Hwang–Lin) |
-//! | [`PlanKind::SimdMerge`] | `merge · (n₁ + n₂) + r₁ + r₂ + Σᵢ≥₃ uᵢ(ŝ)` | bitmap-less pairs at SSE4.1/AVX2, and balanced ones at the scalar tier: the vectorized merge of the two smallest lists, its survivors probed through the rest |
+//! | [`PlanKind::HashProbe`] | `r₁ + u₂(n₁) + Σᵢ≥₃ uᵢ(ŝ)`, `uᵢ(c) = bit_test · c` for a probed bitmap, `gallop · c · log₂(nᵢ/c + 2)` for probed arrays ([`Planner::probe_price`]) | a small driver against bitmaps (`O(n₁)` bit tests), a tiny driver against arrays, and skewed pairs at the scalar tier (Hwang–Lin) |
+//! | [`PlanKind::SimdMerge`] | `merge · (n₁ + n₂) + r₁ + r₂ + Σᵢ≥₃ uᵢ(ŝ)` | bitmap-less pairs at SSE4.1/AVX2, and balanced ones at the scalar tier: the 16-bit merge of the two smallest lists' chunk runs, its survivors probed through the rest |
 //!
 //! `rᵢ` is what reading operand `i` as a sorted run costs
-//! ([`Planner::sorted_read_cost`]): nothing for a flat list, and for a
-//! bitmap the extraction walk over its chunks, `extract_cost(nᵢ, cᵢ · 1024)`
-//! — a list carries one representation, so the probe's driver and the
-//! merge's inputs are extracted from a bitmap when that is what they carry.
+//! ([`Planner::sorted_read_cost`]): nothing for arrays, and for a bitmap
+//! the extraction walk over its chunks, `extract_cost(nᵢ, cᵢ · 1024)` — a
+//! list carries one representation, so the probe's driver and the merge's
+//! inputs are extracted from a bitmap when that is what they carry.
 //! The minimum-cost candidate wins, a tie going to the probe; `c_min` is the
 //! smallest per-operand chunk count, so the bitmap estimate prices the word sweep
 //! [`BitmapSet::intersect_k_into`] executes plus its one extraction walk
@@ -30,7 +30,7 @@
 //! independence from each operand's density inside its own chunks, and no
 //! more words hold one than were swept). The membership probe is priced **per
 //! probed operand**: a bit test, or a galloping cursor moving through the
-//! operand's flat list.
+//! operand's arrays.
 //! Operands are numbered ascending by size; `ŝ = n₁ · n₂ / U` is the two
 //! smallest lists' intersection under independence over the document
 //! universe `U` — the candidates both probing plans still hold when they
@@ -46,22 +46,26 @@
 //!
 //! A [`PlannedList`] is exactly one representation, chosen from the list
 //! and nothing else (`carries_bitmap`): a chunked bitmap when the list has
-//! at least one member per bitmap word of the chunks it touches, the flat
-//! sorted list otherwise. The bitmap then costs up to 8 B/posting against
-//! the flat list's 4; it is kept for the bit tests and word sweeps it
-//! answers, not for its size. On a Zipf corpus every stop-word-sized list
-//! carries only its bitmap, which stays cache-resident (8 KiB per touched
-//! chunk); on the benchmark corpus dropping the flat copy those lists used
-//! to keep beside it took the index from 4.93 to 3.23 B/posting.
+//! at least one member per bitmap word of the chunks it touches, chunked
+//! 16-bit arrays ([`ArraySet`]) otherwise. Both split the documents into
+//! the same 2¹⁶-value chunks. The bitmap then costs up to 8 B/posting
+//! against the arrays' 2 (plus 6 B per touched chunk); it is kept for the
+//! bit tests and word sweeps it answers, not for its size. On a Zipf corpus
+//! every stop-word-sized list carries only its bitmap, which stays
+//! cache-resident (8 KiB per touched chunk). On the benchmark corpus the
+//! index went from 4.93 to 3.22 B/posting when those lists dropped the
+//! flat copy they kept beside it, and to 2.16 when the sparse lists' flat
+//! `u32` lists became arrays, which store a member's high half once per
+//! chunk.
 //!
 //! Three structures are not among them. A hash table per sparse list: it
 //! cost more than half the index (6.57 of 11.50 B/posting on the benchmark
 //! corpus) and more than half its build time, for probes the merge or a
-//! gallop through the flat list now answer (`fsi_baselines::ProbeTable`
+//! gallop through the arrays now answer (`fsi_baselines::ProbeTable`
 //! runs under the fixed `Strategy::Hash` only). Block postings
 //! (`fsi_compress::BlockPostings`): a decode-then-probe walk costs a gallop
-//! plus the decode, so it never priced below a gallop through the flat
-//! list and was never planned; they run under the fixed
+//! plus the decode, so it never priced below a gallop through the
+//! uncompressed list and was never planned; they run under the fixed
 //! `Strategy::CompressedGallop`
 //! — see `docs/compress.md`. And the paper's RanGroupScan structure: on the
 //! benchmark corpus at AVX2 the merge-then-probe plan beat it on every
@@ -72,7 +76,7 @@
 //! (see `docs/benchmarks.md`, `BENCH_kernels.json`, `BENCH_multiway.json`
 //! and the benchmark's `kernels.forced_ns.*`): between bitmap-less lists
 //! the AVX2 merge holds every pair but a tiny driver's (galloping takes
-//! ratios beyond ≈ 85, ≈ 57 at SSE4.1), and at the scalar tier the merge
+//! ratios beyond ≈ 148, ≈ 60 at SSE4.1), and at the scalar tier the merge
 //! holds balanced pairs until galloping overtakes it near ratio 5; a bit
 //! test costs a fifth of a galloping step, so a bitmap-less driver probes
 //! bitmap operands at almost any skew; and between bitmap-carrying lists
@@ -90,19 +94,25 @@ use fsi_compress::BlockPostings;
 use fsi_core::elem::{Elem, SortedSet};
 use fsi_core::traits::{KIntersect, SetIndex};
 use fsi_kernels::{
-    chunk_union_into, heap_merge_into, retain_members, simd, BitmapSet, Member, SimdLevel,
-    UnionPart, WORDS_PER_CHUNK,
+    chunk_union_into, heap_merge_into, retain_members, simd, ArraySet, BitmapSet, Member,
+    SimdLevel, UnionPart, WORDS_PER_CHUNK,
 };
-use std::borrow::Cow;
 
-/// The build rule of [`PlannedList::build`]: a list of `n` elements
-/// touching `chunks` chunks is kept as a chunked bitmap iff it has at least
-/// one member per bitmap word, and as its flat list otherwise. The bitmap
-/// then costs at most about 8 bytes per posting, twice the flat list's 4;
-/// it is chosen for the bit tests and word sweeps it answers, and the rule
-/// decides from the list alone, with no density constant to tune.
-fn carries_bitmap(n: usize, chunks: usize) -> bool {
-    n >= chunks * WORDS_PER_CHUNK
+/// The build rule of [`PlannedList::build`]: a list is kept as a chunked
+/// bitmap iff it has at least one member per bitmap word of the chunks it
+/// touches, and as chunked 16-bit arrays otherwise. The
+/// bitmap then costs at most about 8 bytes per posting, four times the
+/// arrays' 2; it is chosen for the bit tests and word sweeps it answers,
+/// and the rule decides from the list alone, with no density constant to
+/// tune.
+fn carries_bitmap(elems: &[Elem]) -> bool {
+    // Fewer members than one chunk has words: no chunk can hold one per
+    // word, and most lists end here without their chunks being counted
+    // (an empty list is the empty bitmap).
+    if elems.len() < WORDS_PER_CHUNK {
+        return elems.is_empty();
+    }
+    elems.len() >= BitmapSet::count_chunks(elems) * WORDS_PER_CHUNK
 }
 
 /// Resident heap bytes split by physical representation — what the
@@ -110,8 +120,8 @@ fn carries_bitmap(n: usize, chunks: usize) -> bool {
 /// [`PlannedList::size_in_bytes`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReprBytes {
-    /// Flat sorted lists (the lists that carry no bitmap).
-    pub flat: usize,
+    /// Chunked 16-bit arrays (the lists that carry no bitmap).
+    pub array: usize,
     /// Chunked bitmaps (the lists dense enough to carry one).
     pub bitmap: usize,
 }
@@ -119,7 +129,7 @@ pub struct ReprBytes {
 impl ReprBytes {
     /// The parts under their gauge labels, in a fixed order.
     pub fn parts(&self) -> [(&'static str, usize); 2] {
-        [("flat", self.flat), ("bitmap", self.bitmap)]
+        [("array", self.array), ("bitmap", self.bitmap)]
     }
 
     /// Sum over every representation.
@@ -130,20 +140,21 @@ impl ReprBytes {
 
 impl std::ops::AddAssign for ReprBytes {
     fn add_assign(&mut self, o: Self) {
-        self.flat += o.flat;
+        self.array += o.array;
         self.bitmap += o.bitmap;
     }
 }
 
 /// A posting list prepared in the one representation a plan binds it by:
-/// its flat sorted list, or — when it is dense enough for one — a chunked
-/// bitmap and nothing else. A plan that must read a bitmap list as a
-/// sorted run extracts it ([`PlannedList::extend_into`]).
+/// chunked 16-bit arrays, or — when it is dense enough for one — a chunked
+/// bitmap. Both split the documents into the same 2¹⁶-value chunks. A plan
+/// that must read a list as a sorted run of documents widens or extracts
+/// it ([`PlannedList::extend_into`]).
 #[derive(Debug, Clone)]
 pub enum PlannedList {
-    /// The sorted, duplicate-free list: what the merge reads and a
-    /// galloping cursor moves through.
-    Flat(Box<[Elem]>),
+    /// The chunked arrays: what the 16-bit merge reads and a galloping
+    /// cursor moves through, chunk by chunk.
+    Array(ArraySet),
     /// The chunked bitmap: what the bitmap `AND`/`OR` sweeps bind and a
     /// bit test probes.
     Bitmap(BitmapSet),
@@ -153,17 +164,17 @@ impl PlannedList {
     /// Prepares `set` in the representation the build rule picks for it.
     pub fn build(set: &SortedSet) -> Self {
         let elems = set.as_slice();
-        if carries_bitmap(elems.len(), BitmapSet::count_chunks(elems)) {
+        if carries_bitmap(elems) {
             Self::Bitmap(BitmapSet::from_sorted_slice(elems))
         } else {
-            Self::Flat(elems.into())
+            Self::Array(ArraySet::from_sorted_slice(elems))
         }
     }
 
     /// Number of elements.
     pub fn n(&self) -> usize {
         match self {
-            Self::Flat(elems) => elems.len(),
+            Self::Array(array) => array.len(),
             Self::Bitmap(bitmap) => bitmap.n(),
         }
     }
@@ -172,41 +183,37 @@ impl PlannedList {
     /// `AND`/`OR` sweeps bind.
     pub fn bitmap(&self) -> Option<&BitmapSet> {
         match self {
-            Self::Flat(_) => None,
+            Self::Array(_) => None,
             Self::Bitmap(bitmap) => Some(bitmap),
         }
     }
 
     /// What a membership test against this list binds: the bitmap (a bit
-    /// test per candidate) or the flat list (one galloping cursor) — the
-    /// probe's and `AND NOT`'s operand.
+    /// test per candidate) or the arrays (a chunk cursor and a gallop
+    /// inside the chunk) — the probe's and `AND NOT`'s operand.
     pub fn member(&self) -> Member<'_> {
         match self {
-            Self::Flat(elems) => Member::Sorted(elems),
+            Self::Array(array) => Member::Array(array),
             Self::Bitmap(bitmap) => Member::Bitmap(bitmap),
         }
     }
 
-    /// Appends the list's elements to `out`, ascending: copied from the
-    /// flat list, or extracted from the bitmap in one walk over its chunks.
+    /// Appends the list's elements to `out`, ascending: each array run
+    /// widened to documents, or the bitmap extracted in one walk over its
+    /// chunks.
     pub fn extend_into(&self, out: &mut Vec<Elem>) {
         match self {
-            Self::Flat(elems) => out.extend_from_slice(elems),
+            Self::Array(array) => array.extend_into(out),
             Self::Bitmap(bitmap) => chunk_union_into(&[UnionPart::Bitmap(bitmap)], out),
         }
     }
 
-    /// The list as a sorted run: the flat list borrowed, or the bitmap
-    /// extracted — what the merge and the heap merge read.
-    pub fn sorted(&self) -> Cow<'_, [Elem]> {
-        match self {
-            Self::Flat(elems) => Cow::Borrowed(elems),
-            Self::Bitmap(_) => {
-                let mut run = Vec::with_capacity(self.n());
-                self.extend_into(&mut run);
-                Cow::Owned(run)
-            }
-        }
+    /// The list as a sorted run of documents ([`PlannedList::extend_into`]
+    /// into a fresh `Vec`) — what the heap merge reads.
+    pub fn sorted(&self) -> Vec<Elem> {
+        let mut run = Vec::with_capacity(self.n());
+        self.extend_into(&mut run);
+        run
     }
 
     /// Always `None`: no list carries block postings. Kept only because
@@ -227,12 +234,12 @@ impl PlannedList {
     /// Footprint of the list's one representation, under its label.
     pub fn bytes_by_repr(&self) -> ReprBytes {
         match self {
-            Self::Flat(elems) => ReprBytes {
-                flat: std::mem::size_of_val::<[Elem]>(elems),
+            Self::Array(array) => ReprBytes {
+                array: array.size_in_bytes(),
                 bitmap: 0,
             },
             Self::Bitmap(bitmap) => ReprBytes {
-                flat: 0,
+                array: 0,
                 bitmap: bitmap.size_in_bytes(),
             },
         }
@@ -250,7 +257,7 @@ pub struct OperandStats {
     /// Number of elements.
     pub n: usize,
     /// Number of 2¹⁶-value chunks the list touches, if it is a chunk
-    /// bitmap; `None` means it is a flat list (fewer than one member per
+    /// bitmap; `None` means it is chunked arrays (fewer than one member per
     /// bitmap word), probed by a galloping cursor.
     pub chunks: Option<usize>,
 }
@@ -270,8 +277,8 @@ pub enum PlanKind {
     RanGroupScan,
     /// The membership probe: drive the smallest list's elements (extracted,
     /// if it is a bitmap) through every other operand in turn — a bit test
-    /// where it is a bitmap, one galloping cursor through its flat list
-    /// where it is not. The label is what telemetry and the frozen
+    /// where it is a bitmap, one galloping cursor through its arrays where
+    /// it is not. The label is what telemetry and the frozen
     /// `benchmark/src/replay.rs` know this plan by; nothing hashes.
     HashProbe,
     /// Every operand carries a bitmap: k-way chunked-bitmap `AND`, no
@@ -290,9 +297,11 @@ pub enum PlanKind {
     /// as [`PlanKind::HashProbe`]. Kept only because the frozen
     /// `benchmark/src/replay.rs` compiles against it.
     CompressedGallop,
-    /// Balanced sizes: the vectorized merge (`simd::merge_into`) of the two
-    /// smallest lists as sorted runs (a bitmap extracted first), its
-    /// survivors then filtered through every
+    /// Balanced sizes: the vectorized merge of the two smallest lists — the
+    /// 16-bit merge of their shared chunks' runs
+    /// ([`ArraySet::intersect_into`]), or `simd::merge_into` over sorted
+    /// runs where one is a bitmap (extracted first) — its survivors then
+    /// filtered through every
     /// other operand as [`PlanKind::HashProbe`] filters its driver. With
     /// two operands it is a plain merge.
     SimdMerge,
@@ -361,7 +370,11 @@ pub enum CostUnit {
     /// ratio (rising with the ratio) against 0.8–1.5 ns per merged element;
     /// replaying the planner, the stream's planned time fell from 2.5 up to
     /// 10 and stayed flat beyond, where the merge takes every bitmap-less
-    /// pair the probe lost on.
+    /// pair the probe lost on. Galloping through chunked arrays (a chunk
+    /// cursor, then the gallop inside the chunk's run) costs what it did
+    /// through the flat list: 16.1–16.7 against 15.5–16.4 ns per candidate
+    /// over and_cold's merge pairs (seeds 1 and 2, min of 5), so the unit
+    /// stands.
     Gallop,
     /// Per 64-bit word per operand pass of a chunked bitmap sweep — the
     /// `AND`'s and the chunk union's. One of the two units a SIMD tier
@@ -371,15 +384,17 @@ pub enum CostUnit {
     /// `BENCH_simd.json` measures on the dense shapes).
     BitmapWord,
     /// Per element of the two lists the vectorized merge reads
-    /// ([`PlanKind::SimdMerge`]). A tier changes it: the merge compares a
-    /// block of 4 (SSE4.1) or 8 (AVX2) elements against a block of the
-    /// other list per step, where the scalar tier's branchless merge
-    /// advances one element per step. Fitted on the benchmark corpus
-    /// (and_cold's 16 384 conjunctions, seeds 1 and 2): the merge reads an
+    /// ([`PlanKind::SimdMerge`]). A tier changes it: per shared chunk the
+    /// 16-bit merge compares a block of 8 (SSE4.1) elements against a block
+    /// of 8, or 16 (AVX2) against 8, per step, where the scalar tier's
+    /// branchless merge advances one element per step. Fitted first on the
+    /// flat `u32` merge (and_cold's 16 384 conjunctions, seeds 1 and 2: an
     /// element in 3.7–4.2 / 0.85–1.0 / 0.55–0.67 ns at scalar / SSE4.1 /
-    /// AVX2 against 1.6–1.8 ns per candidate of a two-term bit-test probe
-    /// (its driver copy included); of the merge units from 0.5 to 2.0 the
-    /// SSE4.1 and AVX2 values gave the stream's shortest planned time.
+    /// AVX2 against 1.6–1.8 ns per candidate of a two-term bit-test probe,
+    /// units 4.5 / 1.0 / 0.75), then scaled by what the chunked merge takes
+    /// on the same pairs (and_cold's merge pairs, seeds 1–3, min of 5):
+    /// 0.98–0.99 / 0.95–1.00 / 0.62–0.66 of the `u32` merge's time (the
+    /// scalar unit, 2 % off, stands).
     Merge,
     /// Per candidate per probed *bitmap* in the membership probe: one bit
     /// test through a cursor that looks each chunk up once, in a structure
@@ -479,8 +494,8 @@ impl Planner {
             },
             CostUnit::Merge => match self.simd {
                 SimdLevel::Scalar => 4.5,
-                SimdLevel::Sse41 => 1.0,
-                SimdLevel::Avx2 => 0.75,
+                SimdLevel::Sse41 => 0.97,
+                SimdLevel::Avx2 => 0.49,
             },
             CostUnit::BitTest => 2.0,
             CostUnit::Scan => 1.25,
@@ -501,7 +516,7 @@ impl Planner {
 
     /// The price of testing `candidates` ascending candidates against one
     /// operand: a bit test each where it carries a bitmap, one galloping
-    /// cursor through its flat list where it does not.
+    /// cursor through its arrays where it does not.
     fn probe_cost(&self, candidates: f64, operand: &OperandStats) -> f64 {
         match operand.chunks {
             Some(_) => self.unit(CostUnit::BitTest) * candidates,
@@ -510,11 +525,16 @@ impl Planner {
     }
 
     /// The price of reading `operand` as a sorted run — the probe's driver,
-    /// each of the merge's two inputs: nothing for a flat list, and for a
-    /// bitmap the extraction walk over every word of its chunks
+    /// each of the merge's two inputs: nothing for arrays, and for a bitmap
+    /// the extraction walk over every word of its chunks
     /// ([`Planner::extract_cost`] of all `n` members), since no list keeps
-    /// a flat copy beside its bitmap. `fsi-query` charges it wherever it
-    /// needs a bitmap term as a slice.
+    /// a sorted copy beside its bitmap. Arrays are free because the merge
+    /// reads their runs as they are, and widening a probe's driver costs
+    /// about what copying the flat list it replaced did, which was never
+    /// priced either (and_cold's probe drivers, seed 1: 10.3 ms widened
+    /// against 5.6 ms copied over the whole stream, under 1 % of its
+    /// execution). `fsi-query` charges it wherever it needs a bitmap term
+    /// as a slice.
     pub fn sorted_read_cost(&self, operand: &OperandStats) -> f64 {
         operand.chunks.map_or(0.0, |chunks| {
             self.extract_cost(operand.n as f64, (chunks * WORDS_PER_CHUNK) as f64)
@@ -537,7 +557,7 @@ impl Planner {
     /// operands ascending by size (`by_size`, k ≥ 2): the smallest read as a
     /// sorted run, every element of it tested against the second, and the
     /// survivors against the rest — a bit test each against a bitmap, a
-    /// gallop through a flat list. `fsi-query` prices its mixed `AND`, the
+    /// gallop through arrays. `fsi-query` prices its mixed `AND`, the
     /// same filter over materialized operands, with it too.
     pub fn probe_price(&self, by_size: &[OperandStats], universe: u64) -> f64 {
         let [first, second, ..] = by_size else {
@@ -583,7 +603,7 @@ impl Planner {
         // independence over the universe — meet the remaining operands, in
         // the same filter. Each test is priced by what it probes: a bit
         // test into a bitmap that stays cache-resident, or a galloping step
-        // through a flat list. A list the plan reads as a sorted run — the
+        // through arrays. A list the plan reads as a sorted run — the
         // driver, the merge's inputs — pays its extraction if it is a
         // bitmap.
         let mut best = (PlanKind::HashProbe, self.probe_price(&by_size, universe));
@@ -681,7 +701,12 @@ impl Planner {
                     [] => {}
                     [only] => lists[*only].extend_into(out),
                     [a, b, rest @ ..] => {
-                        simd::merge_into(&lists[*a].sorted(), &lists[*b].sorted(), out);
+                        match (lists[*a], lists[*b]) {
+                            (PlannedList::Array(x), PlannedList::Array(y)) => {
+                                x.intersect_into(y, out)
+                            }
+                            (x, y) => simd::merge_into(&x.sorted(), &y.sorted(), out),
+                        }
                         probe_members(lists, rest, out, start);
                     }
                 }
@@ -698,8 +723,8 @@ impl Planner {
                 BitmapSet::intersect_k_into(&typed, out);
             }
             PlanKind::HeapMerge => {
-                let runs: Vec<Cow<[Elem]>> = lists.iter().map(|l| l.sorted()).collect();
-                let slices: Vec<&[Elem]> = runs.iter().map(|r| &r[..]).collect();
+                let runs: Vec<Vec<Elem>> = lists.iter().map(|l| l.sorted()).collect();
+                let slices: Vec<&[Elem]> = runs.iter().map(Vec::as_slice).collect();
                 heap_merge_into(&slices, out);
             }
         }
@@ -780,7 +805,7 @@ impl PlannedExecutor {
         sum
     }
 
-    /// How many lists are bitmaps (every other list is a flat list).
+    /// How many lists are bitmaps (every other list is chunked arrays).
     pub fn num_bitmap_lists(&self) -> usize {
         self.lists.iter().filter(|l| l.bitmap().is_some()).count()
     }
@@ -803,7 +828,7 @@ mod tests {
     /// plan over.
     const U: u64 = 2_000_000;
 
-    /// Stats of a sparse list (a flat list, no bitmap).
+    /// Stats of a sparse list (chunked arrays, no bitmap).
     fn sparse(n: usize) -> OperandStats {
         OperandStats { n, chunks: None }
     }
@@ -846,7 +871,7 @@ mod tests {
                 "{partner}"
             );
         }
-        // … and the probe, galloping through the flat list, holds the
+        // … and the probe, galloping through the arrays, holds the
         // skewed ones: its price grows with the log of the ratio, the
         // merge's with the ratio itself.
         for partner in [6000, 8000, 64_000] {
@@ -864,7 +889,8 @@ mod tests {
         // At SSE4.1 and AVX2 the vectorized merge owns bitmap-less pairs
         // far into the skew (on the benchmark corpus a galloping step costs
         // ≈ 10 ns per candidate and log₂ of the ratio, a merged element
-        // ≈ 1 ns); only a tiny driver is still probed.
+        // under 1 ns); only a tiny driver is still probed — under 1/148 of
+        // its partner at AVX2, 1/60 at SSE4.1.
         for simd in [SimdLevel::Sse41, SimdLevel::Avx2] {
             let p = Planner::for_simd(simd);
             for shape in [
@@ -877,7 +903,7 @@ mod tests {
             ] {
                 assert_eq!(kind(&p, shape), PlanKind::SimdMerge, "{simd:?} {shape:?}");
             }
-            assert_eq!(kind(&p, &[sparse(20), sparse(2000)]), PlanKind::HashProbe);
+            assert_eq!(kind(&p, &[sparse(10), sparse(2000)]), PlanKind::HashProbe);
         }
         // Every operand carries a bitmap → the chunked-bitmap AND wins.
         assert_eq!(
@@ -1026,7 +1052,7 @@ mod tests {
             out,
             reference_intersection(&[small.as_slice(), b.as_slice()])
         );
-        // Extreme skew: galloped through a flat list, bit-tested against a
+        // Extreme skew: galloped through arrays, bit-tested against a
         // bitmap.
         let tiny: SortedSet = (0..20u32).map(|x| x * 4_000).collect();
         let pt = PlannedList::build(&tiny);
@@ -1091,7 +1117,7 @@ mod tests {
     #[test]
     fn a_list_carries_a_bitmap_only_at_one_member_per_word() {
         // One member per bitmap word is the boundary: exactly 1024 members
-        // in one chunk gets the bitmap, one fewer only the flat list.
+        // in one chunk gets the bitmap, one fewer arrays.
         let at_rule: SortedSet = (0..WORDS_PER_CHUNK as u32).map(|x| x * 64).collect();
         let below_rule: SortedSet = (1..WORDS_PER_CHUNK as u32).map(|x| x * 64).collect();
         // Dense in two chunks far up the id space: under 1/16 of `max + 1`,
@@ -1110,9 +1136,14 @@ mod tests {
                 assert!(list.n() >= b.num_chunks() * WORDS_PER_CHUNK);
                 assert!(set.iter().all(|x| b.contains(x)) && !b.contains(7));
             }
-            // One representation: a bitmap list keeps no flat copy.
+            // One representation: a bitmap list keeps no array copy.
             let bytes = list.bytes_by_repr();
-            assert_eq!(bytes.flat, if bitmap { 0 } else { 4 * list.n() });
+            let arrays = if bitmap {
+                0
+            } else {
+                2 * list.n() + 6 * BitmapSet::count_chunks(set.as_slice()) + 4
+            };
+            assert_eq!(bytes.array, arrays);
             assert_eq!(bytes.bitmap == 0, list.bitmap().is_none() || set.is_empty());
             assert_eq!(bytes.total(), list.size_in_bytes());
         }
@@ -1214,7 +1245,7 @@ mod tests {
                 &[sparse(1000), sparse(7000)],
                 [HashProbe, SimdMerge, SimdMerge],
             ),
-            (&[sparse(20), sparse(2000)], [HashProbe; 3]),
+            (&[sparse(10), sparse(2000)], [HashProbe; 3]),
             (
                 &[sparse(100), sparse(5000), sparse(80_000)],
                 [HashProbe, SimdMerge, SimdMerge],
@@ -1331,7 +1362,7 @@ mod tests {
     /// ascending (`BitmapAnd` only where every operand carries a bitmap).
     /// Every operand holds `0`, `u32::MAX` and the values on both sides of
     /// a 2¹⁶ chunk boundary, so a galloping probe must find them at the
-    /// very ends of a flat list.
+    /// very ends of an array list.
     #[test]
     fn every_forced_kernel_is_correct() {
         const BOUNDARY: u32 = 1 << 16;

@@ -16,6 +16,7 @@
 //! [`BitmapSet::probe`]): a chunk lookup and one bit test, which is what
 //! a sparse list probing a dense one needs instead of a sweep.
 
+use crate::array::ArraySet;
 use fsi_core::elem::{Elem, SortedSet};
 use fsi_core::traits::{KIntersect, PairIntersect, SetIndex};
 
@@ -196,7 +197,7 @@ impl KIntersect for BitmapSet {
             _ => UnionPart::And {
                 pos: indexes.to_vec(),
                 neg: Vec::new(),
-                neg_lists: Vec::new(),
+                neg_arrays: Vec::new(),
             },
         };
         chunk_union_into(&[part], out);
@@ -208,19 +209,23 @@ impl KIntersect for BitmapSet {
 pub enum UnionPart<'a> {
     /// A chunked bitmap: its words are `OR`ed in.
     Bitmap(&'a BitmapSet),
-    /// `(⋂ pos) ∖ (⋃ neg ∪ ⋃ neg_lists)`, formed per chunk without
+    /// `(⋂ pos) ∖ (⋃ neg ∪ ⋃ neg_arrays)`, formed per chunk without
     /// extracting: the `AND` of `pos`'s words, minus `neg`'s words, minus
-    /// the bits of `neg_lists`' members. It contributes only to chunks
+    /// the bits of the members in `neg_arrays`' runs of that chunk. It contributes only to chunks
     /// every set in `pos` touches. `pos` must not be empty.
     And {
         /// Intersected bitmaps.
         pos: Vec<&'a BitmapSet>,
         /// Subtracted bitmaps, removed word by word.
         neg: Vec<&'a BitmapSet>,
-        /// Subtracted sorted lists, removed by clearing their members' bits.
-        neg_lists: Vec<&'a [Elem]>,
+        /// Subtracted chunked arrays, removed by clearing their members'
+        /// bits.
+        neg_arrays: Vec<&'a ArraySet>,
     },
-    /// A sorted, duplicate-free list: its members' bits are set.
+    /// Chunked 16-bit arrays: the bits of each chunk's run are set.
+    Array(&'a ArraySet),
+    /// A sorted, duplicate-free list — a materialized result: its members'
+    /// bits are set.
     List(&'a [Elem]),
 }
 
@@ -266,26 +271,27 @@ pub fn chunk_union_into(parts: &[UnionPart<'_>], out: &mut Vec<Elem>) {
                 UnionPart::List(xs) => {
                     let run = chunk_run(xs, cursor.at, id);
                     cursor.at = run.end;
-                    if !in_acc {
-                        match borrowed {
-                            Some(first) => acc.copy_from_slice(first),
-                            None => acc.fill(0),
-                        }
-                        in_acc = true;
-                    }
+                    start_acc(&mut acc, &mut in_acc, borrowed);
                     for &x in xs.get(run).unwrap_or(&[]) {
                         acc[(x as usize >> 6) % WORDS_PER_CHUNK] |= 1 << (x & 63);
                     }
                 }
+                UnionPart::Array(array) => {
+                    start_acc(&mut acc, &mut in_acc, borrowed);
+                    for &low in array.chunk_run(cursor.at) {
+                        acc[(low as usize >> 6) % WORDS_PER_CHUNK] |= 1 << (low & 63);
+                    }
+                    cursor.at += 1;
+                }
                 UnionPart::And {
                     pos,
                     neg,
-                    neg_lists,
+                    neg_arrays,
                 } => {
                     // Formed in `acc` while the chunk holds nothing of its
                     // own yet, else in `scratch` and then ORed in.
                     let target = if in_acc { &mut scratch } else { &mut acc };
-                    let nonempty = and_not_chunk(level, pos, neg, neg_lists, id, cursor, target);
+                    let nonempty = and_not_chunk(level, pos, neg, neg_arrays, id, cursor, target);
                     if nonempty {
                         if in_acc {
                             crate::simd::or_in_place_at(level, &mut acc, &scratch);
@@ -312,32 +318,45 @@ pub fn chunk_union_into(parts: &[UnionPart<'_>], out: &mut Vec<Elem>) {
     }
 }
 
+/// Makes `acc` the chunk's accumulator before bits are set in it: a copy
+/// of the one bitmap chunk `borrowed` so far, or all zeros.
+fn start_acc(acc: &mut [u64; WORDS_PER_CHUNK], in_acc: &mut bool, borrowed: Option<&[u64]>) {
+    if !*in_acc {
+        match borrowed {
+            Some(first) => acc.copy_from_slice(first),
+            None => acc.fill(0),
+        }
+        *in_acc = true;
+    }
+}
+
 /// Where one [`UnionPart`] is in its walk.
 struct Cursor {
     /// The chunk id the part contributes to next; `None` once it is done.
     next: Option<u32>,
-    /// `Bitmap`: index of its next chunk; `List`: index of its next member.
+    /// `Bitmap` and `Array`: index of its next chunk; `List`: index of its
+    /// next member.
     at: usize,
     /// `And`: per `pos` set, index of its next chunk.
     pos: Vec<usize>,
     /// `And`: per `neg` set, index of its first chunk not yet passed.
     neg: Vec<usize>,
-    /// `And`: per `neg_lists` list, index of its first member not yet
+    /// `And`: per `neg_arrays` set, index of its first chunk not yet
     /// passed.
-    neg_lists: Vec<usize>,
+    neg_arrays: Vec<usize>,
 }
 
 impl Cursor {
     fn new(part: &UnionPart<'_>) -> Self {
-        let (pos, neg, neg_lists) = match part {
+        let (pos, neg, neg_arrays) = match part {
             UnionPart::And {
                 pos,
                 neg,
-                neg_lists,
+                neg_arrays,
             } => (
                 vec![0; pos.len()],
                 vec![0; neg.len()],
-                vec![0; neg_lists.len()],
+                vec![0; neg_arrays.len()],
             ),
             _ => Default::default(),
         };
@@ -346,7 +365,7 @@ impl Cursor {
             at: 0,
             pos,
             neg,
-            neg_lists,
+            neg_arrays,
         };
         c.next = c.align(part);
         c
@@ -358,6 +377,7 @@ impl Cursor {
         match part {
             UnionPart::Bitmap(b) => b.ids.get(self.at).copied(),
             UnionPart::List(xs) => xs.get(self.at).map(|&x| x >> CHUNK_BITS),
+            UnionPart::Array(array) => array.chunk_id(self.at),
             UnionPart::And { pos, .. } => {
                 // Leapfrog over the sorted id lists: chase the largest id
                 // seen until every set sits on it.
@@ -410,7 +430,7 @@ fn and_not_chunk(
     level: crate::simd::SimdLevel,
     pos: &[&BitmapSet],
     neg: &[&BitmapSet],
-    neg_lists: &[&[Elem]],
+    neg_arrays: &[&ArraySet],
     id: u32,
     cursor: &mut Cursor,
     target: &mut [u64; WORDS_PER_CHUNK],
@@ -430,11 +450,12 @@ fn and_not_chunk(
             }
         }
     }
-    for (xs, at) in neg_lists.iter().zip(&mut cursor.neg_lists) {
-        let run = chunk_run(xs, *at, id);
-        *at = run.end;
-        for &x in xs.get(run).unwrap_or(&[]) {
-            target[(x as usize >> 6) % WORDS_PER_CHUNK] &= !(1 << (x & 63));
+    for (array, at) in neg_arrays.iter().zip(&mut cursor.neg_arrays) {
+        *at = array.seek_chunk(*at, id);
+        if array.chunk_id(*at) == Some(id) {
+            for &low in array.chunk_run(*at) {
+                target[(low as usize >> 6) % WORDS_PER_CHUNK] &= !(1 << (low & 63));
+            }
         }
     }
     true
@@ -622,7 +643,7 @@ mod tests {
         }
     }
 
-    /// `(⋂ pos) ∖ (⋃ neg ∪ ⋃ neg_lists)` as one part, and `OR`ed with
+    /// `(⋂ pos) ∖ (⋃ neg ∪ ⋃ neg_arrays)` as one part, and `OR`ed with
     /// bitmaps and lists, against sorted-set arithmetic.
     #[test]
     fn and_parts_match_set_arithmetic() {
@@ -644,10 +665,11 @@ mod tests {
             let pos_bm: Vec<BitmapSet> = pos.iter().map(BitmapSet::build).collect();
             let neg_bm: Vec<BitmapSet> = neg.iter().map(BitmapSet::build).collect();
             let other_bm = BitmapSet::build(&other);
+            let arrays: Vec<ArraySet> = lists.iter().map(ArraySet::build).collect();
             let and = UnionPart::And {
                 pos: pos_bm.iter().collect(),
                 neg: neg_bm.iter().collect(),
-                neg_lists: lists.iter().map(|l| l.as_slice()).collect(),
+                neg_arrays: arrays.iter().collect(),
             };
             let mut expect: BTreeSet<Elem> = pos[0].iter().collect();
             for p in &pos[1..] {

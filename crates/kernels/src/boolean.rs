@@ -16,7 +16,8 @@
 //!   `O(Σ nᵢ · log k)`, emits each value once however many lists carry it.
 //! * [`retain_members`] — one membership pass over candidates already in
 //!   the output buffer, against a [`Member`]: a bitmap (one bit test per
-//!   candidate) or a sorted slice (one galloping cursor). Kept are the
+//!   candidate), chunked 16-bit arrays (a chunk cursor and a gallop inside
+//!   the chunk) or a sorted slice (one galloping cursor). Kept are the
 //!   members (an intersection probe) or the non-members (a difference),
 //!   compacted without a branch on the test's outcome. `fsi-index`'s
 //!   probing plans, `fsi-query`'s mixed `AND` and every `AND NOT` are runs
@@ -31,6 +32,7 @@
 //! All inputs are sorted and duplicate-free; all outputs are appended to
 //! `out` in ascending order and duplicate-free.
 
+use crate::array::ArraySet;
 use crate::bitmap::BitmapSet;
 use fsi_core::elem::Elem;
 use fsi_core::search::gallop;
@@ -102,8 +104,13 @@ pub enum Member<'a> {
     /// A chunked bitmap: one bit test per candidate, through a
     /// [`BitmapProbe`](crate::BitmapProbe) that looks each chunk up once.
     Bitmap(&'a BitmapSet),
-    /// A sorted, duplicate-free slice: one galloping cursor moving forward
-    /// through it as the ascending candidates advance.
+    /// Chunked 16-bit arrays: a chunk cursor, then one galloping cursor
+    /// through each chunk's run, through an
+    /// [`ArrayProbe`](crate::ArrayProbe).
+    Array(&'a ArraySet),
+    /// A sorted, duplicate-free slice — a materialized result: one
+    /// galloping cursor moving forward through it as the ascending
+    /// candidates advance.
     Sorted(&'a [Elem]),
 }
 
@@ -117,6 +124,10 @@ pub fn retain_members(out: &mut Vec<Elem>, start: usize, member: Member<'_>, kee
     match member {
         Member::Bitmap(bitmap) => {
             let mut probe = bitmap.probe();
+            filter_in_place(out, start, |x| probe.contains(x) == keep);
+        }
+        Member::Array(array) => {
+            let mut probe = array.probe();
             filter_in_place(out, start, |x| probe.contains(x) == keep);
         }
         Member::Sorted(list) => {

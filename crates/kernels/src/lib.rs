@@ -12,8 +12,15 @@
 //!   are *dense* in their universe: cost is `O(universe/64)` word ops
 //!   independent of how many elements the chunks hold. The chunk union
 //!   ([`chunk_union_into`]) generalizes the sweep to any mix of
-//!   [`UnionPart`]s — bitmaps, word-wise `AND`-`NOT`s of bitmaps, sorted
-//!   lists — gathered per chunk in one accumulator.
+//!   [`UnionPart`]s — bitmaps, word-wise `AND`-`NOT`s of bitmaps, chunked
+//!   arrays, sorted lists — gathered per chunk in one accumulator.
+//! * [`array`] — [`ArraySet`]: the same 2¹⁶-value chunks holding sorted
+//!   `u16` runs of the members' low halves (2 B/posting plus 6 B per
+//!   touched chunk) — the representation of every list too sparse for a
+//!   bitmap. Intersection merges the runs of each shared chunk
+//!   ([`simd::merge16_into_at`]: 8 or 16 lanes a block where the `u32`
+//!   merge has 4 or 8); membership is a chunk cursor and a gallop inside
+//!   the run.
 //!
 //! Every bitmap result leaves as documents through one walk,
 //! [`simd::extract_into_at`]: reserve the popcount, visit only the nonzero
@@ -30,7 +37,8 @@
 //!   engine (`fsi-query`): k-way heap **union** ([`heap_union_into`]) and
 //!   the one membership pass ([`retain_members`]) that every intersection
 //!   probe and every **difference** runs — a bit test per candidate against
-//!   a bitmap, one galloping cursor through a sorted list; the
+//!   a bitmap, a chunk cursor and a gallop through chunked arrays, one
+//!   galloping cursor through a sorted list; the
 //!   dense-regime union is the chunk union above.
 //! * [`multiway`] — true k-way kernels ([`gallop_probe_into`],
 //!   [`heap_merge_into`], the cursor-based [`compressed_probe_into`]; the
@@ -51,9 +59,9 @@
 //! Serving runs `fsi_index::Planner`'s choice over *prepared* lists — the
 //! one k-way selector: it prices the bitmap sweep, the membership probe
 //! (bit tests through [`BitmapSet::probe`], a galloping cursor through the
-//! flat list elsewhere — both [`retain_members`]) and, for balanced sizes,
-//! the SIMD merge of the two smallest lists with its survivors probed
-//! through the rest, and picks the minimum — see the `fsi_index::planner`
+//! chunked arrays elsewhere — both [`retain_members`]) and, for balanced
+//! sizes, the 16-bit merge of the two smallest lists with its survivors
+//! probed through the rest, and picks the minimum — see the `fsi_index::planner`
 //! module doc for the authoritative cost table.
 //!
 //! The slice-level pair kernels ([`kernel`]) are plain functions the
@@ -98,6 +106,7 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod array;
 pub mod bitmap;
 pub mod boolean;
 pub mod gallop;
@@ -105,6 +114,7 @@ pub mod kernel;
 pub mod multiway;
 pub mod simd;
 
+pub use array::{ArrayProbe, ArraySet};
 pub use bitmap::WORDS_PER_CHUNK;
 pub use bitmap::{chunk_union_into, BitmapProbe, BitmapSet, UnionPart};
 pub use boolean::{heap_union_into, merge_union_into, retain_members, Member};

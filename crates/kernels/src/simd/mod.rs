@@ -13,6 +13,10 @@
 //!   with a permutation lookup, and advance whichever block has the
 //!   smaller maximum. 16 (SSE) or 64 (AVX2) element comparisons per
 //!   iteration against the scalar merge's one.
+//! * [`merge16_into_at`] — the same network over the `u16` runs of every
+//!   chunk two [`ArraySet`]s share: 8 lanes against 8 (SSE), 16 against 8
+//!   (AVX2), each match widened back to a document with the chunk's high
+//!   half as it is stored.
 //! * [`and_in_place`] / [`or_in_place`] — wide bitmap `AND`/`OR` for
 //!   [`BitmapSet`](crate::BitmapSet) chunk sweeps (pairwise and k-way)
 //!   and the chunk union: 2 (SSE) or 4 (AVX2) 64-bit words
@@ -56,7 +60,7 @@
 //! module compiles to the scalar fallbacks; the one `unsafe` left there is
 //! the extraction walk's `set_len` over the slots it wrote (Miri runs it).
 
-use crate::WORDS_PER_CHUNK;
+use crate::{ArraySet, WORDS_PER_CHUNK};
 use fsi_core::elem::Elem;
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -280,6 +284,56 @@ pub fn merge_into_at(level: SimdLevel, a: &[Elem], b: &[Elem], out: &mut Vec<Ele
         SimdLevel::Avx2 => unsafe { x86::merge_avx2(a, b, out) },
         #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
         _ => crate::gallop::branchless_merge_into(a, b, out),
+    }
+}
+
+/// Appends `x ∩ y` to `out`, ascending, at `level` (saturated to the
+/// hardware): the two sets' chunk-id lists walked in lockstep, and the
+/// `u16` runs of every chunk both touch merged, each match widened back to
+/// a document with the chunk's high half. [`SimdLevel::Scalar`] is the
+/// branchless two-pointer merge per chunk; SSE4.1 compares blocks of 8
+/// lanes against 8, AVX2 16 against 8 (the `u32` merge has 4 or 8), the
+/// chunk walk inside the one dispatched call; output is byte-identical
+/// across levels.
+pub fn merge16_into_at(level: SimdLevel, x: &ArraySet, y: &ArraySet, out: &mut Vec<Elem>) {
+    match level.saturate() {
+        SimdLevel::Scalar => merge16_scalar(x, y, out),
+        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+        // SAFETY: saturate() capped the level at SimdLevel::detect(), so
+        // SSE4.1 is present, and detection reports Sse41 only where popcnt
+        // is.
+        SimdLevel::Sse41 => unsafe { x86::merge16_sse(x, y, out) },
+        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+        // SAFETY: saturate() capped the level at SimdLevel::detect(), and detection reports Avx2 only where avx2, sse4.1 and popcnt are present.
+        SimdLevel::Avx2 => unsafe { x86::merge16_avx2(x, y, out) },
+        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
+        _ => merge16_scalar(x, y, out),
+    }
+}
+
+/// The scalar tier of [`merge16_into_at`]: per shared chunk, the
+/// branchless merge of [`branchless_merge_into`](crate::branchless_merge_into)
+/// over the two `u16` runs, each match widened with the chunk's high half.
+fn merge16_scalar(x: &ArraySet, y: &ArraySet, out: &mut Vec<Elem>) {
+    let (mut ci, mut cj) = (0usize, 0usize);
+    while let (Some(idx), Some(idy)) = (x.chunk_id(ci), y.chunk_id(cj)) {
+        if idx != idy {
+            ci += usize::from(idx < idy);
+            cj += usize::from(idy < idx);
+            continue;
+        }
+        let (a, b) = (x.chunk_run(ci), y.chunk_run(cj));
+        (ci, cj) = (ci + 1, cj + 1);
+        let high = idx << 16;
+        let (mut i, mut j) = (0usize, 0usize);
+        while let (Some(&p), Some(&q)) = (a.get(i), b.get(j)) {
+            if p == q {
+                out.push(high | Elem::from(p));
+            }
+            // Both advances are data-dependent arithmetic, not branches.
+            i += (p <= q) as usize;
+            j += (q <= p) as usize;
+        }
     }
 }
 

@@ -18,6 +18,7 @@
 
 use super::extract_branchless;
 use crate::gallop::branchless_merge_into;
+use crate::ArraySet;
 use core::arch::x86_64::*;
 use fsi_core::elem::Elem;
 
@@ -214,6 +215,361 @@ pub unsafe fn merge_avx2(a: &[Elem], b: &[Elem], out: &mut Vec<Elem>) {
     }
     // SAFETY: AVX2 implies SSE4.1, so the callee's CPU requirement holds.
     unsafe { merge_sse(&a[i..], &b[j..], out) };
+}
+
+/// Byte-shuffle masks compacting the set lanes of an 8-lane `u16` match
+/// mask to the front (lane order preserved); unused output lanes read 0x80
+/// (zero).
+static SSE16_COMPACT: [[u8; 16]; 256] = sse16_compact_table();
+
+const fn sse16_compact_table() -> [[u8; 16]; 256] {
+    let mut table = [[0x80u8; 16]; 256];
+    let mut mask = 0usize;
+    while mask < 256 {
+        let mut out_lane = 0usize;
+        let mut lane = 0usize;
+        while lane < 8 {
+            if mask & (1 << lane) != 0 {
+                // audit:allow(hot_path_index): const-eval table builder: mask < 256 and out_lane*2+1 < 16 by the loop bounds; an overrun is a compile error
+                table[mask][out_lane * 2] = (lane * 2) as u8;
+                // audit:allow(hot_path_index): as above
+                table[mask][out_lane * 2 + 1] = (lane * 2 + 1) as u8;
+                out_lane += 1;
+            }
+            lane += 1;
+        }
+        mask += 1;
+    }
+    table
+}
+
+/// Whether each `u16` lane of `va` equals any lane of `vb`: `va` against
+/// every cyclic rotation of `vb`, all 64 lane pairs in 8 compares. Each
+/// 128-bit half of an AVX2 register is rotated on its own, so the 256-bit
+/// twin compares the halves lane-wise.
+macro_rules! any_lane_eq16 {
+    ($cmpeq:ident, $alignr:ident, $or:ident, $va:expr, $vb:expr) => {{
+        let (va, vb) = ($va, $vb);
+        $or(
+            $or(
+                $or($cmpeq(va, vb), $cmpeq(va, $alignr::<2>(vb, vb))),
+                $or(
+                    $cmpeq(va, $alignr::<4>(vb, vb)),
+                    $cmpeq(va, $alignr::<6>(vb, vb)),
+                ),
+            ),
+            $or(
+                $or(
+                    $cmpeq(va, $alignr::<8>(vb, vb)),
+                    $cmpeq(va, $alignr::<10>(vb, vb)),
+                ),
+                $or(
+                    $cmpeq(va, $alignr::<12>(vb, vb)),
+                    $cmpeq(va, $alignr::<14>(vb, vb)),
+                ),
+            ),
+        )
+    }};
+}
+
+/// Compacts the `u16` lanes of `v` that `mask` (bit per lane) selects to
+/// the front, widens them to `u32` with `high` ORed in, and stores all 8
+/// widened lanes at `out[len..]`; returns how many of them are members.
+///
+/// # Safety
+/// The CPU must support SSE4.1 and POPCNT, and `out` must have 8 spare
+/// slots past its length.
+#[target_feature(enable = "sse4.1,popcnt")]
+unsafe fn store_matches16(v: __m128i, mask: usize, high: __m128i, out: &mut Vec<Elem>) -> usize {
+    // SAFETY: mask < 256 (an 8-bit mask) and every table row is exactly 16
+    // bytes.
+    let shuffle = unsafe { _mm_loadu_si128(SSE16_COMPACT[mask & 0xFF].as_ptr() as *const __m128i) };
+    let packed = _mm_shuffle_epi8(v, shuffle);
+    let lo = _mm_or_si128(_mm_cvtepu16_epi32(packed), high);
+    let hi = _mm_or_si128(_mm_cvtepu16_epi32(_mm_srli_si128::<8>(packed)), high);
+    let len = out.len();
+    debug_assert!(out.capacity() - len >= 8);
+    // SAFETY: the caller keeps >= 8 spare slots, so both 4-lane stores
+    // write into allocated capacity; set_len claims only the count_ones()
+    // matched lanes the stores initialized.
+    unsafe {
+        let dst = out.as_mut_ptr().add(len);
+        _mm_storeu_si128(dst as *mut __m128i, lo);
+        _mm_storeu_si128(dst.add(4) as *mut __m128i, hi);
+        let matched = (mask & 0xFF).count_ones() as usize;
+        out.set_len(len + matched);
+        matched
+    }
+}
+
+/// Block `at..at + L` of `run`, copied into `L` lanes with the run's last
+/// value repeated past its end — for a block that would read past the end
+/// of the slice itself.
+#[inline(always)]
+fn padded<const L: usize>(run: &[u16], at: usize) -> [u16; L] {
+    let mut block = [run.last().copied().unwrap_or(0); L];
+    for (lane, &x) in block.iter_mut().zip(run.get(at..).unwrap_or(&[])) {
+        *lane = x;
+    }
+    block
+}
+
+/// Block `at..at + 8` of the run `run[..n]` (`at < n <= run.len()`) as 8
+/// lanes, every lane past the run holding its last value. Read in place
+/// whenever the slice holds 8 lanes from `at` — past the run they hold
+/// whatever follows it, overwritten by the blend — and copied only at the
+/// slice's end. A block's maximum is then still the run's, so the merge's
+/// advance rule holds, and a repeated value can only re-match a lane that
+/// already matched it.
+///
+/// # Safety
+/// The CPU must support SSE4.1.
+#[target_feature(enable = "sse4.1")]
+#[inline]
+unsafe fn load8(run: &[u16], n: usize, at: usize) -> __m128i {
+    let raw = if at + 8 <= run.len() {
+        // SAFETY: at + 8 <= run.len(), so the 16-byte load is in bounds.
+        unsafe { _mm_loadu_si128(run.as_ptr().add(at) as *const __m128i) }
+    } else {
+        let block = padded::<8>(run, at);
+        // SAFETY: the padded block is 8 `u16`s (16 bytes).
+        unsafe { _mm_loadu_si128(block.as_ptr() as *const __m128i) }
+    };
+    if at + 8 <= n {
+        return raw;
+    }
+    let last = _mm_set1_epi16(run.get(n.wrapping_sub(1)).copied().unwrap_or(0) as i16);
+    let lanes = _mm_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7);
+    let inside = _mm_cmpgt_epi16(_mm_set1_epi16((n - at) as i16), lanes);
+    _mm_blendv_epi8(last, raw, inside)
+}
+
+/// [`load8`]'s 16-lane twin.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn load16(run: &[u16], n: usize, at: usize) -> __m256i {
+    let raw = if at + 16 <= run.len() {
+        // SAFETY: at + 16 <= run.len(), so the 32-byte load is in bounds.
+        unsafe { _mm256_loadu_si256(run.as_ptr().add(at) as *const __m256i) }
+    } else {
+        let block = padded::<16>(run, at);
+        // SAFETY: the padded block is 16 `u16`s (32 bytes).
+        unsafe { _mm256_loadu_si256(block.as_ptr() as *const __m256i) }
+    };
+    if at + 16 <= n {
+        return raw;
+    }
+    let last = _mm256_set1_epi16(run.get(n.wrapping_sub(1)).copied().unwrap_or(0) as i16);
+    let lanes = _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let inside = _mm256_cmpgt_epi16(_mm256_set1_epi16((n - at) as i16), lanes);
+    _mm256_blendv_epi8(last, raw, inside)
+}
+
+/// The lanes of a block at `i` of an `n`-member run that hold its own
+/// members (not padding): one bit per lane.
+#[inline(always)]
+fn valid_lanes<const L: usize>(n: usize, i: usize) -> usize {
+    let k = n.saturating_sub(i).min(L);
+    (1usize << k) - 1
+}
+
+/// SSE4.1 merge intersect of two chunked-array sets: per chunk both
+/// touch, the runs `a[..na]` and `b[..nb]` merged 8 lanes a block, all 64
+/// lane pairs compared per step. Appends `high | x` for each common `x` to
+/// `out`, ascending. A run's last block is padded ([`load8`]) rather than
+/// finished on a scalar merge, so a chunk costs no scalar tail however
+/// short its runs are, and the chunk walk runs inside this frame, so a
+/// chunk costs no call either.
+///
+/// # Safety
+/// The CPU must support SSE4.1 (which implies the SSSE3 shuffles) and
+/// POPCNT.
+#[target_feature(enable = "sse4.1,popcnt")]
+pub unsafe fn merge16_sse(x: &ArraySet, y: &ArraySet, out: &mut Vec<Elem>) {
+    let (mut ci, mut cj) = (0usize, 0usize);
+    while let (Some(idx), Some(idy)) = (x.chunk_id(ci), y.chunk_id(cj)) {
+        if idx != idy {
+            ci += usize::from(idx < idy);
+            cj += usize::from(idy < idx);
+            continue;
+        }
+        // Each run with the rest of its set behind it, which the loads may
+        // read as block padding.
+        let ((a, na), (b, nb)) = (x.run_onwards(ci), y.run_onwards(cj));
+        (ci, cj) = (ci + 1, cj + 1);
+        let high = idx << 16;
+        let (Some(&a_last), Some(&b_last)) = (a.get(na.wrapping_sub(1)), b.get(nb.wrapping_sub(1)))
+        else {
+            continue;
+        };
+        // At most min(na, nb) lanes ever match, so this keeps >= 8 spare
+        // slots for every block store below.
+        out.reserve(na.min(nb) + 8);
+        let hv = _mm_set1_epi32(high as i32);
+        // Per block: its lanes, its maximum and (for `a`, whose lanes are
+        // the output) which lanes hold members, set once per advance.
+        // SAFETY (both closures' loads): SSE4.1 is present (this
+        // function's contract) and every `at` passed is below its run's
+        // length.
+        let a_block = |i: usize| {
+            (
+                // SAFETY: see above.
+                unsafe { load8(a, na, i) },
+                a.get((i + 7).min(na - 1)).copied().unwrap_or(a_last),
+                valid_lanes::<8>(na, i),
+            )
+        };
+        let b_block = |j: usize| {
+            (
+                // SAFETY: see above.
+                unsafe { load8(b, nb, j) },
+                b.get((j + 7).min(nb - 1)).copied().unwrap_or(b_last),
+            )
+        };
+        let (mut i, mut j) = (0usize, 0usize);
+        let (mut va, mut a_max, mut valid) = a_block(i);
+        let (mut vb, mut b_max) = b_block(j);
+        loop {
+            let cmp = any_lane_eq16!(_mm_cmpeq_epi16, _mm_alignr_epi8, _mm_or_si128, va, vb);
+            let mask =
+                _mm_movemask_epi8(_mm_packs_epi16(cmp, _mm_setzero_si128())) as usize & valid;
+            // Most blocks of two sparse lists share nothing: skip the store.
+            if mask != 0 {
+                // SAFETY: the reserve above keeps >= 8 spare slots.
+                unsafe { store_matches16(va, mask, hv, out) };
+            }
+            // Advance the block with the smaller maximum (both on a tie); a
+            // run whose last block advances is done, and so is the chunk.
+            let (a_le, b_le) = (a_max <= b_max, b_max <= a_max);
+            if a_le {
+                i += 8;
+                if i >= na {
+                    break;
+                }
+                (va, a_max, valid) = a_block(i);
+            }
+            if b_le {
+                j += 8;
+                if j >= nb {
+                    break;
+                }
+                (vb, b_max) = b_block(j);
+            }
+        }
+    }
+}
+
+/// AVX2 merge intersect of two chunked-array sets: per chunk both touch, a
+/// block of 16 lanes of the longer run against a block of 8 of the
+/// shorter, broadcast to both 128-bit halves — all 128 lane pairs in 8
+/// compares, whose rotations stay inside each half. The longer run, which
+/// sets the number of steps, advances 16 lanes a step for the work
+/// [`merge16_sse`] spends on 8. Matches are taken from the longer run's
+/// lanes, compacted and widened as in [`merge16_sse`]; last blocks are
+/// padded and the chunk walk runs in this frame the same way.
+///
+/// # Safety
+/// The CPU must support AVX2 (which implies SSE4.1) and POPCNT.
+#[target_feature(enable = "avx2,popcnt")]
+pub unsafe fn merge16_avx2(x: &ArraySet, y: &ArraySet, out: &mut Vec<Elem>) {
+    // At most min(|x|, |y|) lanes ever match over every chunk; the low
+    // half's store claims no more than its own matches, so >= 16 spare
+    // slots past them cover both halves of every block store below.
+    out.reserve(x.len().min(y.len()) + 16);
+    let (mut ci, mut cj) = (0usize, 0usize);
+    while let (Some(idx), Some(idy)) = (x.chunk_id(ci), y.chunk_id(cj)) {
+        if idx != idy {
+            ci += usize::from(idx < idy);
+            cj += usize::from(idy < idx);
+            continue;
+        }
+        // Each run with the rest of its set behind it, which the loads may
+        // read as block padding.
+        let ((a, na), (b, nb)) = (x.run_onwards(ci), y.run_onwards(cj));
+        (ci, cj) = (ci + 1, cj + 1);
+        let high = idx << 16;
+        let (wide, nw, narrow, nn) = if na >= nb {
+            (a, na, b, nb)
+        } else {
+            (b, nb, a, na)
+        };
+        let (Some(&w_last), Some(&n_last)) =
+            (wide.get(nw.wrapping_sub(1)), narrow.get(nn.wrapping_sub(1)))
+        else {
+            continue;
+        };
+        let hv = _mm_set1_epi32(high as i32);
+        // Per block: its lanes, its maximum and (for the wide run, whose
+        // lanes are the output) which lanes hold members, set once per
+        // advance.
+        // SAFETY (both closures' loads): AVX2 is present (this function's
+        // contract) and every `at` passed is below its run's length.
+        let wide_block = |i: usize| {
+            // SAFETY: see above.
+            let v = unsafe { load16(wide, nw, i) };
+            match wide.get(i + 15) {
+                Some(&max) if i + 16 <= nw => (v, max, usize::MAX),
+                _ => {
+                    let valid = valid_lanes::<16>(nw, i);
+                    (v, w_last, valid & 0xFF | (valid >> 8) << 16)
+                }
+            }
+        };
+        let narrow_block = |j: usize| {
+            // SAFETY: see above.
+            let v = unsafe { load8(narrow, nn, j) };
+            match narrow.get(j + 7) {
+                Some(&max) if j + 8 <= nn => (v, max),
+                _ => (v, n_last),
+            }
+        };
+        let (mut i, mut j) = (0usize, 0usize);
+        let (mut vw, mut w_max, mut valid) = wide_block(i);
+        let (mut vn, mut n_max) = narrow_block(j);
+        loop {
+            let vb = _mm256_broadcastsi128_si256(vn);
+            let cmp = any_lane_eq16!(
+                _mm256_cmpeq_epi16,
+                _mm256_alignr_epi8,
+                _mm256_or_si256,
+                vw,
+                vb
+            );
+            // Per 128-bit half, 8 mask bytes then 8 zero bytes: bits 0–7
+            // are the low half's lanes, bits 16–23 the high half's.
+            let mask = _mm256_movemask_epi8(_mm256_packs_epi16(cmp, _mm256_setzero_si256()))
+                as usize
+                & valid;
+            // Most blocks of two sparse lists share nothing: skip the store.
+            if mask != 0 {
+                // SAFETY: the reserve at the top keeps >= 16 spare slots.
+                unsafe {
+                    store_matches16(_mm256_castsi256_si128(vw), mask, hv, out);
+                    store_matches16(_mm256_extracti128_si256::<1>(vw), mask >> 16, hv, out);
+                }
+            }
+            // Advance the block with the smaller maximum (both on a tie); a
+            // run whose last block advances is done, and so is the chunk.
+            let (w_le, n_le) = (w_max <= n_max, n_max <= w_max);
+            if w_le {
+                i += 16;
+                if i >= nw {
+                    break;
+                }
+                (vw, w_max, valid) = wide_block(i);
+            }
+            if n_le {
+                j += 8;
+                if j >= nn {
+                    break;
+                }
+                (vn, n_max) = narrow_block(j);
+            }
+        }
+    }
 }
 
 /// The bitmap-to-documents walk compiled with POPCNT — the SSE4.1 tier of

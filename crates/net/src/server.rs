@@ -37,7 +37,8 @@
 //!    [`fsi_serve::Server::finish`] and answer [`Status::Ok`]. A panic
 //!    inside `finish` is caught on the worker: that request answers
 //!    [`Status::Internal`] (counted in `fsi_net_worker_panics_total`), and
-//!    the worker goes on to the next miss.
+//!    the worker goes on to the next miss. A panic in the reader's `begin`
+//!    is caught the same way, and the reader goes on to the next frame.
 //! 6. **Write**: whichever thread answers encodes the response **once** —
 //!    header, length prefix, and the documents straight out of the
 //!    `Arc` the result cache shares — into the connection's one reused
@@ -691,15 +692,27 @@ fn read_connection(stream: TcpStream, ctx: &Shared) {
             continue;
         }
         obs.tenant_outcome(&ticket.lifecycle, TenantOutcome::Admitted);
-        let miss = match ctx.serve.begin(&ticket.request) {
-            Ok(Begun::Miss(miss)) => miss,
+        // A panic while compiling or probing the cache is this request's
+        // own, as a worker's is: it answers `Status::Internal`, and the
+        // reader goes on to the next frame.
+        let begun = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            tests::inject_panic(ticket.id, tests::READER_PANIC_ID);
+            ctx.serve.begin(&ticket.request)
+        }));
+        let miss = match begun {
+            Ok(Ok(Begun::Miss(miss))) => miss,
             // Settled without a kernel: answered by the thread that read it.
-            Ok(Begun::Done(response)) => {
+            Ok(Ok(Begun::Done(response))) => {
                 answer(obs, &writer, AnsweredBy::Reader, ticket, Ok(response));
                 continue;
             }
-            Err(e) => {
+            Ok(Err(e)) => {
                 answer(obs, &writer, AnsweredBy::Reader, ticket, Err(e));
+                continue;
+            }
+            Err(_) => {
+                answer_panic(obs, &writer, AnsweredBy::Reader, ticket);
                 continue;
             }
         };
@@ -728,18 +741,22 @@ fn read_connection(stream: TcpStream, ctx: &Shared) {
     }
 }
 
-/// Answers a request whose evaluation panicked on a worker: one
-/// [`Status::Internal`] response, counted in
-/// `fsi_net_worker_panics_total`. The panic stays this request's own.
-fn answer_panic(obs: &NetObs, writer: &ConnWriter, mut ticket: Ticket) {
-    ticket.stage(StageKind::Execute);
+/// Answers a request whose handling panicked — `begin` on the connection's
+/// reader, or evaluation on a worker: one [`Status::Internal`] response,
+/// counted in `fsi_net_worker_panics_total`. The panic stays this request's
+/// own.
+fn answer_panic(obs: &NetObs, writer: &ConnWriter, by: AnsweredBy, mut ticket: Ticket) {
+    ticket.stage(match by {
+        AnsweredBy::Reader => StageKind::Decode,
+        AnsweredBy::Worker => StageKind::Execute,
+    });
     obs.worker_panics.inc();
     let resp = ResponseRef {
         message: "internal error: evaluating the query panicked",
         ..ResponseRef::empty(Status::Internal, 0, ticket.id)
     };
     let verdict = Verdict::new("internal", "panic");
-    deliver(obs, writer, AnsweredBy::Worker, ticket, &resp, verdict);
+    deliver(obs, writer, by, ticket, &resp, verdict);
 }
 
 /// Takes one dequeued miss to its response: shed if its deadline expired
@@ -773,12 +790,12 @@ fn finish_pending(serve: &fsi_serve::Server, obs: &NetObs, pending: Pending) {
     // cache only after they return.
     let finished = catch_unwind(AssertUnwindSafe(|| {
         #[cfg(test)]
-        tests::inject_panic(ticket.id);
+        tests::inject_panic(ticket.id, tests::PANIC_ID);
         serve.finish(miss)
     }));
     match finished {
         Ok(response) => answer(obs, &writer, AnsweredBy::Worker, ticket, Ok(response)),
-        Err(_) => answer_panic(obs, &writer, ticket),
+        Err(_) => answer_panic(obs, &writer, AnsweredBy::Worker, ticket),
     }
 }
 
@@ -792,11 +809,16 @@ mod tests {
 
     /// A request with this id panics on the worker, inside the guarded
     /// evaluation — the fault [`finish_pending`] isolates.
-    const PANIC_ID: u64 = 0xFA17;
+    pub(super) const PANIC_ID: u64 = 0xFA17;
 
-    pub(super) fn inject_panic(id: u64) {
-        if id == PANIC_ID {
-            panic!("injected into the worker's evaluation");
+    /// A request with this id panics on the connection's reader, inside
+    /// the guarded `begin` — the fault the reader loop isolates.
+    pub(super) const READER_PANIC_ID: u64 = 0xFA18;
+
+    /// Panics when `id` is the seam's `target` id.
+    pub(super) fn inject_panic(id: u64, target: u64) {
+        if id == target {
+            panic!("injected fault for request {id:#x}");
         }
     }
 
@@ -855,6 +877,61 @@ mod tests {
         assert_eq!(
             snap.counter("fsi_net_answered_total", &[("by", "worker")]),
             Some(3)
+        );
+    }
+
+    #[test]
+    fn a_panic_in_begin_answers_internal_and_the_reader_keeps_reading() {
+        let corpus = Corpus::generate(CorpusConfig {
+            num_docs: 20_000,
+            num_terms: 24,
+            ..CorpusConfig::default()
+        });
+        // Cache on, so the request after the panic is a hit the reader
+        // answers itself: the connection's reader is the thread that
+        // panicked, and it must still be reading.
+        let serve = Arc::new(Server::from_corpus(
+            HashContext::new(0x2012),
+            corpus,
+            ServeConfig::default(),
+        ));
+        let net =
+            NetServer::start(Arc::clone(&serve), NetConfig::default()).expect("bind loopback");
+        let stream = TcpStream::connect(net.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("timeout");
+        let mut client = Client::from_stream(stream);
+        let warm = client
+            .call(&RequestFrame::query(1, "0 AND 1"))
+            .expect("call");
+        assert_eq!((warm.id, warm.status), (1, Status::Ok));
+        client
+            .send(&RequestFrame::query(READER_PANIC_ID, "0 AND 1"))
+            .expect("send");
+        client
+            .send(&RequestFrame::query(2, "0 AND 1"))
+            .expect("send");
+        let first = client.recv().expect("recv").expect("a response");
+        assert_eq!(
+            (first.id, first.status),
+            (READER_PANIC_ID, Status::Internal)
+        );
+        assert!(first.docs.is_empty() && first.message.contains("panicked"));
+        let second = client.recv().expect("recv").expect("a response");
+        assert_eq!((second.id, second.status), (2, Status::Ok));
+        assert_eq!(second.docs, warm.docs);
+        let snap = net.metrics();
+        assert_eq!(snap.counter("fsi_net_worker_panics_total", &[]), Some(1));
+        assert_eq!(
+            snap.counter("fsi_net_responses_total", &[("status", "internal")]),
+            Some(1)
+        );
+        // The warm-up miss went to a worker; the panic and the hit after it
+        // were the reader's.
+        assert_eq!(
+            snap.counter("fsi_net_answered_total", &[("by", "reader")]),
+            Some(2)
         );
     }
 }

@@ -2,18 +2,20 @@
 //! [`eval_planned_into`] plans and runs the full cost-based path.
 //! `AND`-of-terms nodes run the embedded [`fsi_index::MultiwayPlan`]
 //! directly on the prepared lists (zero materialization), `OR` nodes
-//! dispatch between the heap union and the chunk union — which binds
-//! bitmap-carrying terms and `BitmapAnd` children in place, word by word,
-//! and extracts the result once. A mixed `AND` and every difference are
-//! runs of one membership pass (`fsi_kernels::retain_members`) over
-//! candidates already in the output: a bit test against a term that
-//! carries a bitmap, a galloping cursor through any other operand (over a
-//! `BitmapAnd` base with term subtrahends a difference is a one-child chunk
-//! union instead). Term operands of unions, mixed `AND`s and differences
-//! borrow the prepared structures — only genuine sub-expression results
-//! are materialized, and a bitmap term where a slice is needed (the root, a
-//! mixed `AND`'s driver, a heap-union child) is extracted, since a list
-//! keeps no flat copy beside its bitmap.
+//! dispatch between the heap union and the chunk union — which binds every
+//! term (a bitmap's words, an array's runs) and `BitmapAnd` children in
+//! place, chunk by chunk, and extracts the result once. A mixed `AND` and
+//! every difference are runs of one membership pass
+//! (`fsi_kernels::retain_members`) over candidates already in the output:
+//! a bit test against a term that carries a bitmap, a chunk cursor and a
+//! gallop through an array term, a galloping cursor through a materialized
+//! operand (over a `BitmapAnd` base with term subtrahends a difference is a
+//! one-child chunk union instead). Term operands of unions, mixed `AND`s
+//! and differences borrow the prepared structures — only genuine
+//! sub-expression results are materialized, and a term where a sorted run
+//! of documents is needed (the root, a mixed `AND`'s driver, a heap-union
+//! child) is widened from its arrays or extracted from its bitmap, since a
+//! list keeps no sorted `u32` copy.
 //!
 //! `EXPLAIN ANALYZE` ([`analyze_plan`]) is the same walk with a report
 //! sink; without one — every served query — the walk reads no clock.
@@ -27,7 +29,6 @@ use crate::rewrite::NormExpr;
 use fsi_core::elem::Elem;
 use fsi_index::{PlanKind, PlannedExecutor, PlannedList};
 use fsi_kernels::{chunk_union_into, heap_union_into, retain_members, Member, UnionPart};
-use std::borrow::Cow;
 use std::time::Instant;
 
 /// A child result: borrowed straight from a prepared list when the child
@@ -54,16 +55,16 @@ impl<'a> Operand<'a> {
         }
     }
 
-    /// The operand as a sorted run: a term's flat list borrowed or its
-    /// bitmap extracted, or the materialized result.
-    fn into_sorted(self) -> Cow<'a, [Elem]> {
+    /// The operand as a sorted run of documents: a term widened or
+    /// extracted, or the materialized result.
+    fn into_sorted(self) -> Vec<Elem> {
         match self {
             Operand::Term(list) => list.sorted(),
-            Operand::Owned(v) => Cow::Owned(v),
+            Operand::Owned(v) => v,
         }
     }
 
-    /// What a membership pass tests against: a term's bitmap or flat list
+    /// What a membership pass tests against: a term's bitmap or arrays
     /// ([`PlannedList::member`]), or the materialized result.
     fn member(&self) -> Member<'_> {
         match self {
@@ -248,39 +249,42 @@ fn in_place(exec: &PlannedExecutor, plan: &ExprPlan) -> bool {
     plan.binds_in_place(|t| exec.list(t).bitmap().is_some())
 }
 
-/// The chunk-union part that binds `plan` in place, when [`in_place`] says
-/// one does.
+/// The chunk-union part that binds `plan` without running it: any term
+/// (its bitmap's words or its arrays' runs), or an `AND` [`in_place`] says
+/// binds in place.
 fn union_part<'a>(exec: &'a PlannedExecutor, plan: &ExprPlan) -> Option<UnionPart<'a>> {
-    if !in_place(exec, plan) {
-        return None;
-    }
     match &plan.node {
-        PlanNode::And { pos, neg, .. } => {
+        PlanNode::Term(t) => Some(match exec.list(*t) {
+            PlannedList::Array(array) => UnionPart::Array(array),
+            PlannedList::Bitmap(bitmap) => UnionPart::Bitmap(bitmap),
+        }),
+        PlanNode::And { pos, neg, .. } if in_place(exec, plan) => {
             let pos = pos
                 .iter()
                 .map(|p| term(exec, p)?.bitmap())
                 .collect::<Option<Vec<_>>>()?;
-            let (mut bitmaps, mut lists) = (Vec::new(), Vec::new());
+            let (mut bitmaps, mut arrays) = (Vec::new(), Vec::new());
             for list in neg.iter().map(|n| term(exec, n)) {
-                match list?.member() {
-                    Member::Bitmap(bitmap) => bitmaps.push(bitmap),
-                    Member::Sorted(elems) => lists.push(elems),
+                match list? {
+                    PlannedList::Bitmap(bitmap) => bitmaps.push(bitmap),
+                    PlannedList::Array(array) => arrays.push(array),
                 }
             }
             Some(UnionPart::And {
                 pos,
                 neg: bitmaps,
-                neg_lists: lists,
+                neg_arrays: arrays,
             })
         }
-        _ => term(exec, plan)?.bitmap().map(UnionPart::Bitmap),
+        _ => None,
     }
 }
 
 /// Runs the chunk union over `children`, appending the ascending result to
-/// `out`: each child binds in place where [`union_part`] finds a part, and
-/// otherwise contributes `listed[i]`, its materialized sorted result. An
-/// `AND NOT` over a bitmap AND runs here as the one child of its own union.
+/// `out`: each child binds without running where [`union_part`] finds a
+/// part, and otherwise contributes `listed[i]`, its materialized sorted
+/// result. An `AND NOT` over a bitmap AND runs here as the one child of its
+/// own union.
 fn chunk_union<'a>(
     exec: &'a PlannedExecutor,
     children: &[ExprPlan],
@@ -336,12 +340,13 @@ fn run_node(
             }
         }
         PlanNode::Or { children, kind } => {
-            // A child the chunk union does not bind in place is read as a
-            // sorted run; only a heap union has a bitmap term to extract.
-            let runs: Vec<Option<Cow<[Elem]>>> = children
+            // The chunk union binds every term and every in-place `AND`
+            // without running it; any other child is read as a sorted run,
+            // and a heap union reads its terms as runs too.
+            let runs: Vec<Option<Vec<Elem>>> = children
                 .iter()
                 .map(|c| match kind {
-                    UnionKind::BitmapOr if in_place(exec, c) => {
+                    UnionKind::BitmapOr if term(exec, c).is_some() || in_place(exec, c) => {
                         if let Some(sink) = sink.as_deref_mut() {
                             sink.push(in_place_report(exec, c));
                         }

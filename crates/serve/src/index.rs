@@ -50,8 +50,8 @@ impl PreparedIndex {
         self.bytes
     }
 
-    /// How many lists are bitmaps (the other `num_terms() − n` are flat
-    /// lists).
+    /// How many lists are bitmaps (the other `num_terms() − n` are chunked
+    /// 16-bit arrays).
     pub fn num_bitmap_lists(&self) -> usize {
         self.exec.num_bitmap_lists()
     }
@@ -121,25 +121,32 @@ mod tests {
     }
 
     /// The hash tables left every prepared list, then the flat copy each
-    /// bitmap list kept beside its bitmap, and nothing else moved: on this
-    /// seeded engine the index weighs what it weighed with them (400 196 B
-    /// over three representations, itself 717 696 B minus the RanGroupScan
-    /// structures an earlier change removed) minus the load-≤½ table of
-    /// each list without a bitmap, which the fixed `Strategy::Hash` still
-    /// builds, and minus 4 B per posting of each list with one.
+    /// bitmap list kept beside its bitmap, then the flat lists became
+    /// chunked 16-bit arrays, and nothing else moved: on this seeded engine
+    /// the index weighs what it weighed with them (400 196 B over three
+    /// representations, itself 717 696 B minus the RanGroupScan structures
+    /// an earlier change removed) minus the load-≤½ table of each list
+    /// without a bitmap, which the fixed `Strategy::Hash` still builds,
+    /// minus 4 B per posting of each list with one, and minus what each
+    /// array list saves over its 4 B per posting: 2 B per posting, less 6 B
+    /// per chunk it touches and 4 B per list.
     #[test]
     fn index_bytes_are_the_parents_minus_the_tables() {
         let engine = engine();
         let index = PreparedIndex::build(&engine);
-        let (mut tables, mut copies) = (0, 0);
+        let (mut tables, mut copies, mut squeezed) = (0, 0, 0);
         for (t, p) in engine.postings().iter().enumerate() {
             match index.exec.list(t).bitmap() {
-                None => tables += ProbeTable::build(p.as_slice()).size_in_bytes(),
+                None => {
+                    tables += ProbeTable::build(p.as_slice()).size_in_bytes();
+                    let chunks = fsi_kernels::BitmapSet::count_chunks(p.as_slice());
+                    squeezed += 2 * p.len() - 6 * chunks - 4;
+                }
                 Some(_) => copies += 4 * p.len(),
             }
         }
-        assert_eq!((tables, copies), (174_120, 97_844));
-        assert_eq!(index.size_in_bytes(), 400_196 - tables - copies);
+        assert_eq!((tables, copies, squeezed), (174_120, 97_844, 30_932));
+        assert_eq!(index.size_in_bytes(), 400_196 - tables - copies - squeezed);
     }
 
     #[test]

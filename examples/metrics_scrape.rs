@@ -84,7 +84,7 @@ fn main() {
         "fsi_queries_served_total",
         "fsi_plan_kind_total",
         "fsi_union_kind_total{kind=",
-        "fsi_index_bytes{repr=\"flat\"}",
+        "fsi_index_bytes{repr=\"array\"}",
         "fsi_index_lists{membership=\"bitmap\"}",
         "fsi_index_lists{membership=\"none\"}",
     ] {

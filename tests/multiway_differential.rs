@@ -199,11 +199,11 @@ fn mixed_density_operands_match_naive_and_the_merge_executor() {
     // u32::MAX — so lists can be dense where they live yet a sliver of
     // `max + 1`. Terms, by the structure the build rule gives them:
     //   0  exactly 2 chunks × 1 024 members          → bitmap (at the rule)
-    //   1  one member fewer                          → flat list only
+    //   1  one member fewer                          → arrays only
     //   2  3 000 members of the top two chunks, u32::MAX among them → bitmap
-    //   3  sparse in both regions, u32::MAX among them             → flat list only
+    //   3  sparse in both regions, u32::MAX among them             → arrays only
     //   4, 5, 6  20 k / 40 k / 60 k members of chunks 0–1          → bitmaps
-    //   7  the sparse driver: 300 low + 40 high members            → flat list only
+    //   7  the sparse driver: 300 low + 40 high members            → arrays only
     const LOW: u32 = (1 << 17) - 1;
     const HIGH: u32 = u32::MAX - LOW;
     let mut rng = StdRng::seed_from_u64(0x0D15);

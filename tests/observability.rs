@@ -209,26 +209,31 @@ fn index_bytes_by_representation_sum_to_the_whole() {
     // bitmap to exactly the terms with ≥ 1 024 postings: the scrape must
     // count the lists with and without one, and show every resident byte
     // under exactly one representation. A list is one representation, so
-    // the flat bytes are exactly 4 per posting of the lists without a
-    // bitmap — a flat copy kept beside a bitmap would show here.
+    // the array bytes are exactly those of the chunked 16-bit arrays of the
+    // lists without a bitmap — 2 per posting, 6 per chunk touched and 4 per
+    // list — and a copy kept beside a bitmap would show here.
     let corpus = Corpus::generate(CorpusConfig {
         num_docs: 40_000,
         num_terms: 48,
         ..CorpusConfig::default()
     });
     let dense_terms = corpus.postings().iter().filter(|p| p.len() >= 1024).count();
-    let sparse_postings: usize = corpus
+    let array_bytes: usize = corpus
         .postings()
         .iter()
-        .map(|p| p.len())
-        .filter(|&n| n < 1024)
+        .filter(|p| p.len() < 1024)
+        .map(|p| {
+            let mut chunks: Vec<u32> = p.iter().map(|x| x >> 16).collect();
+            chunks.dedup();
+            2 * p.len() + 6 * chunks.len() + 4
+        })
         .sum();
     let engine = SearchEngine::from_corpus(HashContext::new(12), corpus);
     let server = Server::new(&engine, ServeConfig::default());
     let snap = server.metrics();
     let whole = snap.gauge("fsi_index_bytes", &[]).expect("total gauge");
     assert_eq!(whole, server.engine().size_in_bytes() as u64);
-    let parts: Vec<u64> = ["flat", "bitmap"]
+    let parts: Vec<u64> = ["array", "bitmap"]
         .iter()
         .map(|repr| {
             snap.gauge("fsi_index_bytes", &[("repr", repr)])
@@ -239,6 +244,7 @@ fn index_bytes_by_representation_sum_to_the_whole() {
         ("compressed", "no list carries block postings"),
         ("rgs", "no list carries the RanGroupScan structure"),
         ("hash", "no list carries a hash table"),
+        ("flat", "no list keeps a flat u32 list"),
     ] {
         assert_eq!(
             snap.gauge("fsi_index_bytes", &[("repr", gone)]),
@@ -248,7 +254,7 @@ fn index_bytes_by_representation_sum_to_the_whole() {
     }
     assert!(parts.iter().all(|&b| b > 0), "{parts:?}");
     assert_eq!(parts.iter().sum::<u64>(), whole, "{parts:?}");
-    assert_eq!(parts[0], 4 * sparse_postings as u64, "{parts:?}");
+    assert_eq!(parts[0], array_bytes as u64, "{parts:?}");
     let lists = |m| snap.gauge("fsi_index_lists", &[("membership", m)]);
     assert!(dense_terms > 0 && dense_terms < 48);
     assert_eq!(lists("bitmap"), Some(dense_terms as u64));

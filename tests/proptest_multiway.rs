@@ -51,7 +51,7 @@ fn with_specials(mut sets: Vec<SortedSet>, special: u64) -> Vec<SortedSet> {
     sets
 }
 
-/// Values at the edges a galloping probe through a flat list must still
+/// Values at the edges a galloping probe through chunked arrays must still
 /// find: the ends of the id space and both sides of a 2¹⁶ chunk boundary.
 const EDGES: [u32; 5] = [0, (1 << 16) - 1, 1 << 16, u32::MAX - 1, u32::MAX];
 

@@ -224,8 +224,8 @@ fn boundary_list(rng: &mut StdRng, n: usize) -> SortedSet {
 fn differences_with_bitmap_less_subtrahends_match_naive_semantics() {
     // Lists around the first chunk boundary and in the top chunk, each
     // holding the ends of the id space and both sides of the boundary:
-    // terms 0 and 1 are dense enough for a bitmap, 2–4 keep only their
-    // flat list.
+    // terms 0 and 1 are dense enough for a bitmap, 2–4 are chunked
+    // arrays.
     let mut rng = StdRng::seed_from_u64(0xD1FD);
     let mut list = |n| boundary_list(&mut rng, n);
     let dense = list(9_000);
@@ -384,18 +384,23 @@ fn bitmap_only_operands_in_every_role_match_naive_semantics() {
 }
 
 /// `plan`, then the same tree with its root operator forced: a union run
-/// as a heap merge over its children, and a conjunction of terms under
+/// as a heap merge and as a chunk union over its children, and a
+/// conjunction of terms under
 /// every kind that intersects (`BitmapAnd` only over bitmap terms).
 fn forced_variants(plan: ExprPlan) -> Vec<ExprPlan> {
     let mut forced = Vec::new();
     match &plan.node {
-        PlanNode::Or { children, .. } => forced.push(ExprPlan {
-            node: PlanNode::Or {
-                children: children.clone(),
-                kind: UnionKind::HeapMerge,
-            },
-            ..plan.clone()
-        }),
+        PlanNode::Or { children, .. } => {
+            for kind in UnionKind::ALL {
+                forced.push(ExprPlan {
+                    node: PlanNode::Or {
+                        children: children.clone(),
+                        kind,
+                    },
+                    ..plan.clone()
+                });
+            }
+        }
         PlanNode::And {
             pos,
             neg,
@@ -423,6 +428,113 @@ fn forced_variants(plan: ExprPlan) -> Vec<ExprPlan> {
     }
     forced.insert(0, plan);
     forced
+}
+
+/// Sparse lists are chunked 16-bit arrays, read natively in every role:
+/// the probe's driver (widened) and a probed operand (a chunk cursor and a
+/// gallop), the merge's inputs (the 16-bit merge per shared chunk), a heap
+/// union's child (widened), a chunk union's part (each run's bits set), and
+/// an `AND NOT` subtrahend — of a membership pass, and of a bitmap `AND`
+/// bound in place. The arrays take the layout's edge shapes: runs
+/// straddling a chunk boundary, single-member chunks with empty chunks
+/// between them, members in chunk `0xFFFF` up to `u32::MAX`, and runs of 1,
+/// 7, 8, 15, 16 and 17 members around the merge's block widths. Every
+/// query runs as planned and under every forced root operator, at every
+/// tier's cost table and dispatched SIMD level, against `naive_eval`.
+#[test]
+fn array_operands_in_every_role_match_naive_semantics() {
+    const C: u32 = BOUNDARY;
+    let mut rng = StdRng::seed_from_u64(0xA77A);
+    let mut list = |n| boundary_list(&mut rng, n);
+    let runs: SortedSet = [1u32, 7, 8, 15, 16, 17]
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &n)| {
+            let base = if i % 2 == 0 {
+                C * (i as u32 + 1) - n / 2
+            } else {
+                u32::MAX - 40 * i as u32
+            };
+            base..base + n
+        })
+        .chain([0, C - 1, C])
+        .collect();
+    let postings = vec![
+        list(9_000),                                            // 0: bitmap
+        list(7_000),                                            // 1: bitmap
+        (C - 9..C + 9).chain(3 * C - 20..3 * C + 20).collect(), // 2: straddling runs
+        (0..60u32)
+            .map(|i| i * 3 * C + i)
+            .chain([u32::MAX])
+            .collect(), // 3: one member a chunk, gaps
+        list(600),                                              // 4
+        list(40),                                               // 5
+        runs,                                                   // 6: block-width runs
+        (u32::MAX - 3_000..=u32::MAX)
+            .step_by(3)
+            .chain([u32::MAX])
+            .collect(), // 7: chunk 0xFFFF
+    ];
+    let engine = SearchEngine::from_postings(HashContext::new(80), postings);
+    let slices = posting_slices(&engine);
+    let exec = engine.planned_executor(Planner::default());
+    let bitmaps: Vec<bool> = (0..8).map(|t| exec.list(t).bitmap().is_some()).collect();
+    assert_eq!(
+        bitmaps,
+        [true, true, false, false, false, false, false, false]
+    );
+    for src in [
+        "4 AND 5",
+        "5 AND 0",
+        "2 AND 4",
+        "6 AND 4 AND 0",
+        "3 AND 7",
+        "7 AND 4",
+        "6 AND 7",
+        "2 AND 6 AND 3",
+        "4 OR 5",
+        "2 OR 6 OR 0",
+        "3 OR 7 OR 1",
+        "(4 5) OR (0 1)",
+        "(0 1 AND NOT 4) OR 6",
+        "0 1 AND NOT 4",
+        "0 1 AND NOT 4 AND NOT 6",
+        "0 AND NOT 7",
+        "0 AND NOT 3 AND NOT 2",
+        "4 AND NOT 5",
+        "7 AND NOT 6",
+        "(0 OR 4) AND NOT 6",
+        "4 AND (5 OR 6)",
+        "(4 OR 6) AND 0",
+    ] {
+        let norm = compile(src).expect("compiles");
+        let expect: Vec<Elem> = naive_eval(&slices, &norm).into_iter().collect();
+        for level in SimdLevel::ALL {
+            let planner = ExprPlanner::new(Planner::for_simd(level));
+            let plan = planner.plan(&norm, &|t| exec.list(t).stats(), exec.universe());
+            let plans = forced_variants(plan);
+            let run = || {
+                plans
+                    .iter()
+                    .map(|plan| {
+                        let (mut got, mut analyzed) = (Vec::new(), Vec::new());
+                        execute_plan(&exec, &planner, plan, &mut got);
+                        analyze_plan(&exec, &planner, plan, &mut analyzed);
+                        (plan.describe(), got, analyzed)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let runs = if fsi_kernels::simd::available_levels().contains(&level) {
+                fsi_kernels::simd::with_level(level, run)
+            } else {
+                run()
+            };
+            for (plan, got, analyzed) in runs {
+                assert_eq!(got, expect, "{level:?} {src}: {plan}");
+                assert_eq!(analyzed, expect, "{level:?} analyzed {src}: {plan}");
+            }
+        }
+    }
 }
 
 #[test]
