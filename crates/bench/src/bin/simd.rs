@@ -19,7 +19,9 @@
 //! universe, the benchmark corpus's span. The two merges run interleaved
 //! in one process, sample by sample, so a loaded box slows both alike;
 //! `time_ratio` is the chunked merge's fastest sample over the `u32`
-//! merge's, and `check_regression` holds it at or under 1.10.
+//! merge's, and `check_regression` holds it at or under 1.10. The rows
+//! take milliseconds, so a smoke run times them with the full run's
+//! samples too.
 //!
 //! Usage: `cargo run --release -p fsi-bench --bin simd -- [out.json] [--smoke]`
 
@@ -289,7 +291,7 @@ fn main() {
     for pair in &CHUNK_PAIRS {
         let a = draw_set(&mut rng, pair.n1, CHUNK_UNIVERSE, false);
         let b = draw_set(&mut rng, pair.n2, CHUNK_UNIVERSE, false);
-        let (flat_us, chunked_us) = chunk_merge_row(active, a.as_slice(), b.as_slice(), reps);
+        let (flat_us, chunked_us) = chunk_merge_row(active, a.as_slice(), b.as_slice(), FULL_REPS);
         let ratio = chunked_us / flat_us;
         table.row(vec![
             pair.name.to_string(),

@@ -15,8 +15,13 @@
 //! |------|----------------|----------------|
 //! | [`PlanKind::BitmapAnd`] | `bitmap_word · w · (k−1) + scan · w + extract · min(E[survivors], w)`, `w = c_min · 1024` | every operand carries a chunk bitmap |
 //! | [`PlanKind::HashProbe`] | `r₁ + u₂(n₁) + Σᵢ≥₃ uᵢ(ŝ)`, `uᵢ(c) = bit_test · c` for a probed bitmap, `gallop · c · log₂(nᵢ/c + 2)` for probed arrays ([`Planner::probe_price`]) | a small driver against bitmaps (`O(n₁)` bit tests), a tiny driver against arrays, and skewed pairs at the scalar tier (Hwang–Lin) |
-//! | [`PlanKind::SimdMerge`] | `merge · (n₁ + n₂) + r₁ + r₂ + Σᵢ≥₃ uᵢ(ŝ)` | bitmap-less pairs at SSE4.1/AVX2, and balanced ones at the scalar tier: the 16-bit merge of the two smallest lists' chunk runs, its survivors probed through the rest |
+//! | [`PlanKind::SimdMerge`] | `merge · (n₁ + n₂ + b · ĉ) + Σᵢ≥₃ uᵢ(ŝ)` between arrays, `merge · (n₁ + n₂) + r₁ + r₂ + …` when one is a bitmap | bitmap-less pairs at SSE4.1/AVX2, and balanced ones at the scalar tier: the 16-bit merge of the two smallest lists' chunk runs, its survivors probed through the rest |
 //!
+//! In the merge, `b` is the tier's block width (1 / 8 / 16 at scalar /
+//! SSE4.1 / AVX2) and `ĉ` the chunks both arrays are expected to touch
+//! under uniformity over the universe: a chunk's setup and its runs' last,
+//! partial blocks cost about a block's elements. A merge that reads a
+//! bitmap runs the flat `u32` merge instead, which walks no chunks.
 //! `rᵢ` is what reading operand `i` as a sorted run costs
 //! ([`Planner::sorted_read_cost`]): nothing for arrays, and for a bitmap
 //! the extraction walk over its chunks, `extract_cost(nᵢ, cᵢ · 1024)` — a
@@ -76,7 +81,7 @@
 //! (see `docs/benchmarks.md`, `BENCH_kernels.json`, `BENCH_multiway.json`
 //! and the benchmark's `kernels.forced_ns.*`): between bitmap-less lists
 //! the AVX2 merge holds every pair but a tiny driver's (galloping takes
-//! ratios beyond ≈ 148, ≈ 60 at SSE4.1), and at the scalar tier the merge
+//! ratios beyond ≈ 85, ≈ 57 at SSE4.1), and at the scalar tier the merge
 //! holds balanced pairs until galloping overtakes it near ratio 5; a bit
 //! test costs a fifth of a galloping step, so a bitmap-less driver probes
 //! bitmap operands at almost any skew; and between bitmap-carrying lists
@@ -384,17 +389,24 @@ pub enum CostUnit {
     /// `BENCH_simd.json` measures on the dense shapes).
     BitmapWord,
     /// Per element of the two lists the vectorized merge reads
-    /// ([`PlanKind::SimdMerge`]). A tier changes it: per shared chunk the
-    /// 16-bit merge compares a block of 8 (SSE4.1) elements against a block
-    /// of 8, or 16 (AVX2) against 8, per step, where the scalar tier's
-    /// branchless merge advances one element per step. Fitted first on the
-    /// flat `u32` merge (and_cold's 16 384 conjunctions, seeds 1 and 2: an
-    /// element in 3.7–4.2 / 0.85–1.0 / 0.55–0.67 ns at scalar / SSE4.1 /
-    /// AVX2 against 1.6–1.8 ns per candidate of a two-term bit-test probe,
-    /// units 4.5 / 1.0 / 0.75), then scaled by what the chunked merge takes
-    /// on the same pairs (and_cold's merge pairs, seeds 1–3, min of 5):
-    /// 0.98–0.99 / 0.95–1.00 / 0.62–0.66 of the `u32` merge's time (the
-    /// scalar unit, 2 % off, stands).
+    /// ([`PlanKind::SimdMerge`]), and per chunk both touch the elements of
+    /// one block (1 / 8 / 16 at scalar / SSE4.1 / AVX2). A tier changes
+    /// it: per shared chunk the 16-bit merge compares a block of 8
+    /// (SSE4.1) elements against a block of 8, or 16 (AVX2) against 16 (8
+    /// in a skewed chunk), per step, where the scalar tier's branchless
+    /// merge advances one element per step. Fitted first on the flat `u32`
+    /// merge (and_cold's 16 384 conjunctions, seeds 1 and 2: an element in
+    /// 3.7–4.2 / 0.85–1.0 / 0.55–0.67 ns at scalar / SSE4.1 / AVX2 against
+    /// 1.6–1.8 ns per candidate of a two-term bit-test probe, units 4.5 /
+    /// 1.0 / 0.75). The chunked merge takes 0.99 / 0.93–0.96 / 0.60 of the
+    /// flat merge's time on and_cold's merge pairs (seeds 1–3, min of 5),
+    /// but the unit is only ever weighed against the probe, and there it
+    /// stands: at the probe/merge crossover (size ratios ≈ 85–110 at AVX2)
+    /// the chunked merge reads 0.75–0.85 of the chunked probe's time yet
+    /// no faster than the probe through the flat lists it replaced, so
+    /// scaling the unit down (0.49 or 0.43 at AVX2) turned 18–23 of
+    /// and_cold's distinct queries per seed from probes into slower merges,
+    /// and the flat fit moves none.
     Merge,
     /// Per candidate per probed *bitmap* in the membership probe: one bit
     /// test through a cursor that looks each chunk up once, in a structure
@@ -494,8 +506,8 @@ impl Planner {
             },
             CostUnit::Merge => match self.simd {
                 SimdLevel::Scalar => 4.5,
-                SimdLevel::Sse41 => 0.97,
-                SimdLevel::Avx2 => 0.49,
+                SimdLevel::Sse41 => 1.0,
+                SimdLevel::Avx2 => 0.75,
             },
             CostUnit::BitTest => 2.0,
             CostUnit::Scan => 1.25,
@@ -539,6 +551,38 @@ impl Planner {
         operand.chunks.map_or(0.0, |chunks| {
             self.extract_cost(operand.n as f64, (chunks * WORDS_PER_CHUNK) as f64)
         })
+    }
+
+    /// The price of merging two lists ([`PlanKind::SimdMerge`]'s first
+    /// step), before its survivors meet any other operand. Between arrays it
+    /// is the chunked 16-bit merge: [`Merge`](CostUnit::Merge) per element
+    /// of both lists, plus per chunk both touch the elements of one block
+    /// (8 at SSE4.1, 16 at AVX2, one at the scalar tier) — what a chunk's
+    /// setup and its runs' last, partial blocks cost. An array's chunks are
+    /// estimated under uniformity over the `universe`, `C · (1 − e^(−n/C))`
+    /// of its `C` chunks, and the two lists are assumed to meet
+    /// independently in them. A merge that reads a bitmap extracts it
+    /// ([`Planner::sorted_read_cost`]) and runs the flat `u32` merge over
+    /// both lists as sorted runs, which walks no chunks: the unit per
+    /// element only (it was fitted on that merge).
+    fn merge_price(&self, first: &OperandStats, second: &OperandStats, universe: u64) -> f64 {
+        let merge = self.unit(CostUnit::Merge);
+        let elements = (first.n + second.n) as f64;
+        let reads = self.sorted_read_cost(first) + self.sorted_read_cost(second);
+        if first.chunks.is_some() || second.chunks.is_some() {
+            return merge * elements + reads;
+        }
+        let all = (universe as f64 / (WORDS_PER_CHUNK * 64) as f64)
+            .ceil()
+            .max(1.0);
+        let touched = |n: usize| all * (1.0 - (-(n as f64) / all).exp());
+        let shared = touched(first.n) * touched(second.n) / all;
+        let block = match self.simd {
+            SimdLevel::Scalar => 1.0,
+            SimdLevel::Sse41 => 8.0,
+            SimdLevel::Avx2 => 16.0,
+        };
+        merge * (elements + block * shared) + reads
     }
 
     /// What the survivors of the two smallest lists pay to meet every
@@ -593,7 +637,6 @@ impl Planner {
             };
         }
         let by_size: Vec<OperandStats> = order.iter().map(|&i| stats[i]).collect();
-        let (n_min, n_second) = (by_size[0].n as f64, by_size[1].n as f64);
         let probes = (k - 1) as f64;
 
         // The two probing plans differ only in how they find the two
@@ -614,9 +657,7 @@ impl Planner {
         };
         consider(
             PlanKind::SimdMerge,
-            self.unit(CostUnit::Merge) * (n_min + n_second)
-                + self.sorted_read_cost(&by_size[0])
-                + self.sorted_read_cost(&by_size[1])
+            self.merge_price(&by_size[0], &by_size[1], universe)
                 + self.survivor_tail(&by_size, universe),
         );
         if let Some(c_min) = stats.iter().map(|s| s.chunks).min().flatten() {
@@ -889,8 +930,8 @@ mod tests {
         // At SSE4.1 and AVX2 the vectorized merge owns bitmap-less pairs
         // far into the skew (on the benchmark corpus a galloping step costs
         // ≈ 10 ns per candidate and log₂ of the ratio, a merged element
-        // under 1 ns); only a tiny driver is still probed — under 1/148 of
-        // its partner at AVX2, 1/60 at SSE4.1.
+        // under 1 ns); only a tiny driver is still probed — under 1/85 of
+        // its partner at AVX2, 1/57 at SSE4.1.
         for simd in [SimdLevel::Sse41, SimdLevel::Avx2] {
             let p = Planner::for_simd(simd);
             for shape in [
@@ -903,7 +944,7 @@ mod tests {
             ] {
                 assert_eq!(kind(&p, shape), PlanKind::SimdMerge, "{simd:?} {shape:?}");
             }
-            assert_eq!(kind(&p, &[sparse(10), sparse(2000)]), PlanKind::HashProbe);
+            assert_eq!(kind(&p, &[sparse(20), sparse(2000)]), PlanKind::HashProbe);
         }
         // Every operand carries a bitmap → the chunked-bitmap AND wins.
         assert_eq!(
@@ -1245,7 +1286,7 @@ mod tests {
                 &[sparse(1000), sparse(7000)],
                 [HashProbe, SimdMerge, SimdMerge],
             ),
-            (&[sparse(10), sparse(2000)], [HashProbe; 3]),
+            (&[sparse(20), sparse(2000)], [HashProbe; 3]),
             (
                 &[sparse(100), sparse(5000), sparse(80_000)],
                 [HashProbe, SimdMerge, SimdMerge],
@@ -1282,7 +1323,18 @@ mod tests {
                 // lists' estimated survivors, tested against the rest.
                 let survivors = n_min * ns[1] / U as f64;
                 let tail: f64 = by_size[2..].iter().map(|s| probe(survivors, s)).sum();
-                let merge = p.unit(Merge) * (ns[0] + ns[1]) + read(&by_size[0]) + read(&by_size[1]);
+                // Two bitmap-less lists spread over the universe's chunks
+                // meet in the chunks both touch, a block's elements each.
+                let chunks = (U as f64 / (WORDS_PER_CHUNK * 64) as f64).ceil();
+                let touched = |n: f64| chunks * (1.0 - (-n / chunks).exp());
+                let block = [1.0, 8.0, 16.0][tier];
+                let merge = match (by_size[0].chunks, by_size[1].chunks) {
+                    (None, None) => {
+                        let shared = touched(ns[0]) * touched(ns[1]) / chunks;
+                        p.unit(Merge) * (ns[0] + ns[1] + block * shared)
+                    }
+                    _ => p.unit(Merge) * (ns[0] + ns[1]) + read(&by_size[0]) + read(&by_size[1]),
+                };
                 let mut prices = vec![
                     (PlanKind::SimdMerge, merge + tail),
                     (
@@ -1311,6 +1363,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The merge pays a block's elements per chunk both arrays touch: the
+    /// same pair spread over more chunks prices higher, and a pair that
+    /// reads a bitmap runs the flat merge, which walks no chunks.
+    #[test]
+    fn the_merge_pays_per_shared_chunk() {
+        let p = Planner::for_simd(SimdLevel::Avx2);
+        let merge = p.unit(CostUnit::Merge);
+        let pair = [sparse(5000), sparse(6000)];
+        // One chunk holds both lists.
+        let near = p.plan(&pair, 1 << 16);
+        assert_eq!(near.kind, PlanKind::SimdMerge);
+        assert!((near.est_cost - merge * (11_000.0 + 16.0)).abs() < 1e-6);
+        // Over 1024 chunks they meet in ≈ 1013.
+        let far = p.plan(&pair, 1 << 26);
+        assert_eq!(far.kind, PlanKind::SimdMerge);
+        let shared = (far.est_cost / merge - 11_000.0) / 16.0;
+        assert!((1000.0..1024.0).contains(&shared), "{shared}");
+        // A bitmap input: the elements and the extraction only.
+        let (bitmap, array) = (dense(5000, 1), sparse(6000));
+        let read = p.sorted_read_cost(&bitmap);
+        assert!(read > 0.0);
+        assert_eq!(
+            p.merge_price(&bitmap, &array, 1 << 26),
+            merge * 11_000.0 + read
+        );
     }
 
     /// A list carries one representation, so the merge reads a bitmap

@@ -14,8 +14,8 @@
 //!
 //! * intersection ([`ArraySet::intersect_into_at`]) walks both chunk-id
 //!   lists in lockstep and merges the two `u16` runs of each shared chunk
-//!   ([`simd::merge16_into_at`](crate::simd::merge16_into_at): 8 or 16
-//!   lanes a block where the `u32` merge has 4 or 8);
+//!   ([`simd::merge16_into_at`](crate::simd::merge16_into_at): blocks of
+//!   8 or 16 lanes where the `u32` merge has 4 or 8);
 //! * membership ([`ArraySet::probe`]) moves a chunk cursor, then gallops
 //!   inside the chunk's run;
 //! * enumeration ([`ArraySet::extend_into`]) widens each run back to
@@ -23,7 +23,7 @@
 //! * the chunk union takes a set's runs chunk by chunk, as a union part and
 //!   as a subtrahend ([`UnionPart`](crate::UnionPart)).
 
-use fsi_core::elem::{Elem, SortedSet};
+use fsi_core::elem::Elem;
 use fsi_core::traits::SetIndex;
 
 use crate::simd::{self, SimdLevel};
@@ -44,14 +44,11 @@ pub struct ArraySet {
 }
 
 impl ArraySet {
-    /// Builds the chunked arrays of `set` in one ascending pass.
-    pub fn build(set: &SortedSet) -> Self {
-        Self::from_sorted_slice(set.as_slice())
-    }
-
     /// Builds from a sorted, duplicate-free slice in one pass over its
     /// members, which keeps their low halves; the chunks' ids and run starts
-    /// come from one binary search per chunk for where it ends.
+    /// come from one gallop per chunk for where it ends, which reads near
+    /// the run it measures (a binary search over the rest of the list read
+    /// cold lines all over it, and cost a fresh index build ≈ 2 ms).
     pub fn from_sorted_slice(elems: &[Elem]) -> Self {
         let lows: Box<[u16]> = elems.iter().map(|&x| x as u16).collect();
         // Sized for every chunk between the first member's and the last's,
@@ -68,9 +65,7 @@ impl ArraySet {
             let id = first >> CHUNK_BITS;
             ids.push(id as u16);
             starts.push(at as u32);
-            at += elems
-                .get(at..)
-                .map_or(1, |rest| rest.partition_point(|&x| x >> CHUNK_BITS == id));
+            at += run_len(elems.get(at..).unwrap_or(&[]), id);
         }
         starts.push(elems.len() as u32);
         Self {
@@ -115,11 +110,42 @@ impl ArraySet {
 
     /// Chunk `ci`'s run with every later run behind it, and the run's
     /// length — what the SIMD merges read, a run's last block in place.
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
     #[inline]
-    pub(crate) fn run_onwards(&self, ci: usize) -> (&[u16], usize) {
-        let run = self.run(ci);
-        (self.lows.get(run.start..).unwrap_or(&[]), run.len())
+    fn run_onwards(&self, ci: usize) -> (&[u16], usize) {
+        match (self.starts.get(ci), self.starts.get(ci + 1)) {
+            (Some(&start), Some(&end)) => (
+                self.lows.get(start as usize..).unwrap_or(&[]),
+                end.saturating_sub(start) as usize,
+            ),
+            _ => (&[], 0),
+        }
+    }
+
+    /// Calls `merge(high, a, b)` for every chunk both sets touch, in
+    /// ascending order: the chunk's first value and each set's run as
+    /// [`ArraySet::run_onwards`] gives it. The two chunk-id lists are walked
+    /// in lockstep. Always inlined, so each merge tier runs the walk inside
+    /// its own `target_feature` frame.
+    #[inline(always)]
+    pub(crate) fn for_each_shared_chunk(
+        &self,
+        other: &Self,
+        mut merge: impl FnMut(Elem, (&[u16], usize), (&[u16], usize)),
+    ) {
+        let (mut ci, mut cj) = (0usize, 0usize);
+        while let (Some(&idx), Some(&idy)) = (self.ids.get(ci), other.ids.get(cj)) {
+            if idx != idy {
+                ci += usize::from(idx < idy);
+                cj += usize::from(idy < idx);
+                continue;
+            }
+            merge(
+                Elem::from(idx) << CHUNK_BITS,
+                self.run_onwards(ci),
+                other.run_onwards(cj),
+            );
+            (ci, cj) = (ci + 1, cj + 1);
+        }
     }
 
     /// Every chunk the set touches, ascending: its first value and its run
@@ -132,29 +158,9 @@ impl ArraySet {
     /// chunk's high half.
     pub fn extend_into(&self, out: &mut Vec<Elem>) {
         out.reserve(self.len());
-        let start = out.len();
-        let spare = out.spare_capacity_mut();
-        let mut written = 0usize;
         for (high, run) in self.chunks() {
-            let dst = spare.get_mut(written..).unwrap_or(&mut []);
-            for (slot, &low) in dst.iter_mut().zip(run) {
-                slot.write(high | Elem::from(low));
-            }
-            written += run.len();
+            out.extend(run.iter().map(|&low| high | Elem::from(low)));
         }
-        // The runs hold `len()` members in all, which the reserve made room
-        // for, so every run was written whole.
-        debug_assert_eq!(written, self.len());
-        // SAFETY: the loop initialized the first `written` spare slots —
-        // each run's slots in turn, all inside the reserved capacity.
-        unsafe { out.set_len(start + written) };
-    }
-
-    /// The members as a sorted `Vec`.
-    pub fn to_vec(&self) -> Vec<Elem> {
-        let mut out = Vec::with_capacity(self.len());
-        self.extend_into(&mut out);
-        out
     }
 
     /// A membership cursor for ascending values: a chunk cursor that only
@@ -216,6 +222,21 @@ impl SetIndex for ArraySet {
             + std::mem::size_of_val::<[u32]>(&self.starts)
             + std::mem::size_of_val::<[u16]>(&self.lows)
     }
+}
+
+/// How many members at the front of `rest` lie in chunk `id` (at least one,
+/// when `rest` is non-empty and starts in it): doubling steps from the
+/// front, then a binary search inside the last step.
+fn run_len(rest: &[Elem], id: u32) -> usize {
+    let in_chunk = |x: &Elem| x >> CHUNK_BITS == id;
+    // `rest[lo]` is in the chunk; the run ends in `lo + 1..=lo + step`.
+    let (mut lo, mut step) = (0usize, 1usize);
+    while rest.get(lo + step).is_some_and(in_chunk) {
+        lo += step;
+        step <<= 1;
+    }
+    let hi = (lo + step).min(rest.len());
+    (lo + 1 + rest.get(lo + 1..hi).map_or(0, |r| r.partition_point(in_chunk))).min(rest.len())
 }
 
 /// Chunk ids are 16 bits wide, so this never names a real chunk.
@@ -287,6 +308,7 @@ mod tests {
     use super::*;
     use crate::boolean::{retain_members, Member};
     use crate::{chunk_union_into, BitmapSet, UnionPart};
+    use fsi_core::elem::SortedSet;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
@@ -349,13 +371,12 @@ mod tests {
     fn round_trips_and_sizes() {
         for set in cases() {
             let array = ArraySet::from_sorted_slice(&set);
-            assert_eq!(array.to_vec(), set);
             assert_eq!(array.len(), set.len());
             let chunks = BitmapSet::count_chunks(&set);
             assert_eq!(array.num_chunks(), chunks);
             assert_eq!(array.size_in_bytes(), 2 * set.len() + 6 * chunks + 4);
             let sorted = SortedSet::from_unsorted(set.clone());
-            assert_eq!(ArraySet::build(&sorted), array);
+            assert_eq!(ArraySet::from_sorted_slice(sorted.as_slice()), array);
             // Appending leaves a prefix alone.
             let mut out = vec![7];
             array.extend_into(&mut out);
@@ -378,6 +399,32 @@ mod tests {
                         let mut out = vec![u32::MAX];
                         p.intersect_into_at(level, q, &mut out);
                         assert_eq!(out[1..], expect[..], "{level:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Dense matches: a set against itself and against every other member
+    /// of itself, so blocks that re-read lanes (a run's overlapping last
+    /// block) meet lanes that already matched.
+    #[test]
+    fn merge_outputs_each_common_member_once() {
+        let mut sets = cases();
+        for n in [16u32, 17, 24, 31, 32, 40, 47, 48, 100] {
+            sets.push((0..n).map(|i| 3 * C + 7 * i).collect());
+            sets.push((0..n).map(|i| C - 3 * n + 3 * i).collect());
+        }
+        for level in crate::simd::available_levels() {
+            for a in &sets {
+                let half: Vec<Elem> = a.iter().copied().step_by(2).collect();
+                let x = ArraySet::from_sorted_slice(a);
+                for (b, expect) in [(a, a), (&half, &half)] {
+                    let y = ArraySet::from_sorted_slice(b);
+                    for (p, q) in [(&x, &y), (&y, &x)] {
+                        let mut out = Vec::new();
+                        p.intersect_into_at(level, q, &mut out);
+                        assert_eq!(&out, expect, "{level:?}");
                     }
                 }
             }

@@ -665,7 +665,10 @@ mod tests {
             let pos_bm: Vec<BitmapSet> = pos.iter().map(BitmapSet::build).collect();
             let neg_bm: Vec<BitmapSet> = neg.iter().map(BitmapSet::build).collect();
             let other_bm = BitmapSet::build(&other);
-            let arrays: Vec<ArraySet> = lists.iter().map(ArraySet::build).collect();
+            let arrays: Vec<ArraySet> = lists
+                .iter()
+                .map(|l| ArraySet::from_sorted_slice(l.as_slice()))
+                .collect();
             let and = UnionPart::And {
                 pos: pos_bm.iter().collect(),
                 neg: neg_bm.iter().collect(),

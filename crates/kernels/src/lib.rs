@@ -18,7 +18,7 @@
 //!   `u16` runs of the members' low halves (2 B/posting plus 6 B per
 //!   touched chunk) — the representation of every list too sparse for a
 //!   bitmap. Intersection merges the runs of each shared chunk
-//!   ([`simd::merge16_into_at`]: 8 or 16 lanes a block where the `u32`
+//!   ([`simd::merge16_into_at`]: blocks of 8 or 16 lanes where the `u32`
 //!   merge has 4 or 8); membership is a chunk cursor and a gallop inside
 //!   the run.
 //!

@@ -14,9 +14,11 @@
 //!   smaller maximum. 16 (SSE) or 64 (AVX2) element comparisons per
 //!   iteration against the scalar merge's one.
 //! * [`merge16_into_at`] — the same network over the `u16` runs of every
-//!   chunk two [`ArraySet`]s share: 8 lanes against 8 (SSE), 16 against 8
-//!   (AVX2), each match widened back to a document with the chunk's high
-//!   half as it is stored.
+//!   chunk two [`ArraySet`]s share: 8 lanes against 8 (SSE); at AVX2 16
+//!   against 16 where the runs are balanced (the longer run's rotations
+//!   reused while the shorter advances) and 16 against 8 where one run has
+//!   4× the other's members; each match widened back to a document with
+//!   the chunk's high half as it is stored.
 //! * [`and_in_place`] / [`or_in_place`] — wide bitmap `AND`/`OR` for
 //!   [`BitmapSet`](crate::BitmapSet) chunk sweeps (pairwise and k-way)
 //!   and the chunk union: 2 (SSE) or 4 (AVX2) 64-bit words
@@ -292,9 +294,9 @@ pub fn merge_into_at(level: SimdLevel, a: &[Elem], b: &[Elem], out: &mut Vec<Ele
 /// `u16` runs of every chunk both touch merged, each match widened back to
 /// a document with the chunk's high half. [`SimdLevel::Scalar`] is the
 /// branchless two-pointer merge per chunk; SSE4.1 compares blocks of 8
-/// lanes against 8, AVX2 16 against 8 (the `u32` merge has 4 or 8), the
-/// chunk walk inside the one dispatched call; output is byte-identical
-/// across levels.
+/// lanes against 8, AVX2 16 against 16, or 16 against 8 in a skewed chunk
+/// (the `u32` merge has 4 or 8), the chunk walk inside the one dispatched
+/// call; output is byte-identical across levels.
 pub fn merge16_into_at(level: SimdLevel, x: &ArraySet, y: &ArraySet, out: &mut Vec<Elem>) {
     match level.saturate() {
         SimdLevel::Scalar => merge16_scalar(x, y, out),
@@ -315,16 +317,8 @@ pub fn merge16_into_at(level: SimdLevel, x: &ArraySet, y: &ArraySet, out: &mut V
 /// branchless merge of [`branchless_merge_into`](crate::branchless_merge_into)
 /// over the two `u16` runs, each match widened with the chunk's high half.
 fn merge16_scalar(x: &ArraySet, y: &ArraySet, out: &mut Vec<Elem>) {
-    let (mut ci, mut cj) = (0usize, 0usize);
-    while let (Some(idx), Some(idy)) = (x.chunk_id(ci), y.chunk_id(cj)) {
-        if idx != idy {
-            ci += usize::from(idx < idy);
-            cj += usize::from(idy < idx);
-            continue;
-        }
-        let (a, b) = (x.chunk_run(ci), y.chunk_run(cj));
-        (ci, cj) = (ci + 1, cj + 1);
-        let high = idx << 16;
+    x.for_each_shared_chunk(y, |high, (a, na), (b, nb)| {
+        let (a, b) = (a.get(..na).unwrap_or(&[]), b.get(..nb).unwrap_or(&[]));
         let (mut i, mut j) = (0usize, 0usize);
         while let (Some(&p), Some(&q)) = (a.get(i), b.get(j)) {
             if p == q {
@@ -334,7 +328,7 @@ fn merge16_scalar(x: &ArraySet, y: &ArraySet, out: &mut Vec<Elem>) {
             i += (p <= q) as usize;
             j += (q <= p) as usize;
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------

@@ -344,6 +344,24 @@ unsafe fn load8(run: &[u16], n: usize, at: usize) -> __m128i {
     _mm_blendv_epi8(last, raw, inside)
 }
 
+/// Lanes `at..at + 16` of `run`: read in place when the slice holds them,
+/// else copied with the slice's last value repeated past its end.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn raw16(run: &[u16], at: usize) -> __m256i {
+    if at + 16 <= run.len() {
+        // SAFETY: at + 16 <= run.len(), so the 32-byte load is in bounds.
+        unsafe { _mm256_loadu_si256(run.as_ptr().add(at) as *const __m256i) }
+    } else {
+        let block = padded::<16>(run, at);
+        // SAFETY: the padded block is 16 `u16`s (32 bytes).
+        unsafe { _mm256_loadu_si256(block.as_ptr() as *const __m256i) }
+    }
+}
+
 /// [`load8`]'s 16-lane twin.
 ///
 /// # Safety
@@ -351,14 +369,8 @@ unsafe fn load8(run: &[u16], n: usize, at: usize) -> __m128i {
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn load16(run: &[u16], n: usize, at: usize) -> __m256i {
-    let raw = if at + 16 <= run.len() {
-        // SAFETY: at + 16 <= run.len(), so the 32-byte load is in bounds.
-        unsafe { _mm256_loadu_si256(run.as_ptr().add(at) as *const __m256i) }
-    } else {
-        let block = padded::<16>(run, at);
-        // SAFETY: the padded block is 16 `u16`s (32 bytes).
-        unsafe { _mm256_loadu_si256(block.as_ptr() as *const __m256i) }
-    };
+    // SAFETY: AVX2 is present (this function's contract).
+    let raw = unsafe { raw16(run, at) };
     if at + 16 <= n {
         return raw;
     }
@@ -389,21 +401,10 @@ fn valid_lanes<const L: usize>(n: usize, i: usize) -> usize {
 /// POPCNT.
 #[target_feature(enable = "sse4.1,popcnt")]
 pub unsafe fn merge16_sse(x: &ArraySet, y: &ArraySet, out: &mut Vec<Elem>) {
-    let (mut ci, mut cj) = (0usize, 0usize);
-    while let (Some(idx), Some(idy)) = (x.chunk_id(ci), y.chunk_id(cj)) {
-        if idx != idy {
-            ci += usize::from(idx < idy);
-            cj += usize::from(idy < idx);
-            continue;
-        }
-        // Each run with the rest of its set behind it, which the loads may
-        // read as block padding.
-        let ((a, na), (b, nb)) = (x.run_onwards(ci), y.run_onwards(cj));
-        (ci, cj) = (ci + 1, cj + 1);
-        let high = idx << 16;
+    x.for_each_shared_chunk(y, |high, (a, na), (b, nb)| {
         let (Some(&a_last), Some(&b_last)) = (a.get(na.wrapping_sub(1)), b.get(nb.wrapping_sub(1)))
         else {
-            continue;
+            return;
         };
         // At most min(na, nb) lanes ever match, so this keeps >= 8 spare
         // slots for every block store below.
@@ -459,115 +460,325 @@ pub unsafe fn merge16_sse(x: &ArraySet, y: &ArraySet, out: &mut Vec<Elem>) {
                 (vb, b_max) = b_block(j);
             }
         }
-    }
+    });
 }
 
-/// AVX2 merge intersect of two chunked-array sets: per chunk both touch, a
-/// block of 16 lanes of the longer run against a block of 8 of the
-/// shorter, broadcast to both 128-bit halves — all 128 lane pairs in 8
-/// compares, whose rotations stay inside each half. The longer run, which
-/// sets the number of steps, advances 16 lanes a step for the work
-/// [`merge16_sse`] spends on 8. Matches are taken from the longer run's
-/// lanes, compacted and widened as in [`merge16_sse`]; last blocks are
-/// padded and the chunk walk runs in this frame the same way.
+/// A chunk whose longer run has at least this many times the shorter's
+/// members is merged by [`merge16_skewed`], any other by
+/// [`merge16_balanced`].
+const SKEW: usize = 4;
+
+/// AVX2 merge intersect of two chunked-array sets. Per chunk both touch,
+/// the longer run and the shorter go to [`merge16_skewed`] when the longer
+/// has at least [`SKEW`] times the members, else to [`merge16_balanced`];
+/// both append `high | x` for each common `x` to `out`, ascending, and the
+/// chunk walk runs inside this frame.
 ///
 /// # Safety
 /// The CPU must support AVX2 (which implies SSE4.1) and POPCNT.
 #[target_feature(enable = "avx2,popcnt")]
 pub unsafe fn merge16_avx2(x: &ArraySet, y: &ArraySet, out: &mut Vec<Elem>) {
-    // At most min(|x|, |y|) lanes ever match over every chunk; the low
-    // half's store claims no more than its own matches, so >= 16 spare
-    // slots past them cover both halves of every block store below.
+    // At most min(|x|, |y|) lanes ever match over every chunk; a store
+    // claims no more than its own matches, so >= 16 spare slots past them
+    // cover the two 8-lane stores of any block.
     out.reserve(x.len().min(y.len()) + 16);
-    let (mut ci, mut cj) = (0usize, 0usize);
-    while let (Some(idx), Some(idy)) = (x.chunk_id(ci), y.chunk_id(cj)) {
-        if idx != idy {
-            ci += usize::from(idx < idy);
-            cj += usize::from(idy < idx);
-            continue;
-        }
-        // Each run with the rest of its set behind it, which the loads may
-        // read as block padding.
-        let ((a, na), (b, nb)) = (x.run_onwards(ci), y.run_onwards(cj));
-        (ci, cj) = (ci + 1, cj + 1);
-        let high = idx << 16;
-        let (wide, nw, narrow, nn) = if na >= nb {
-            (a, na, b, nb)
+    x.for_each_shared_chunk(y, |high, (a, na), (b, nb)| {
+        let ((wide, nw), (narrow, nn)) = if na >= nb {
+            ((a, na), (b, nb))
         } else {
-            (b, nb, a, na)
+            ((b, nb), (a, na))
         };
-        let (Some(&w_last), Some(&n_last)) =
-            (wide.get(nw.wrapping_sub(1)), narrow.get(nn.wrapping_sub(1)))
-        else {
-            continue;
-        };
-        let hv = _mm_set1_epi32(high as i32);
-        // Per block: its lanes, its maximum and (for the wide run, whose
-        // lanes are the output) which lanes hold members, set once per
-        // advance.
-        // SAFETY (both closures' loads): AVX2 is present (this function's
-        // contract) and every `at` passed is below its run's length.
-        let wide_block = |i: usize| {
-            // SAFETY: see above.
-            let v = unsafe { load16(wide, nw, i) };
-            match wide.get(i + 15) {
-                Some(&max) if i + 16 <= nw => (v, max, usize::MAX),
-                _ => {
-                    let valid = valid_lanes::<16>(nw, i);
-                    (v, w_last, valid & 0xFF | (valid >> 8) << 16)
-                }
+        if nn == 0 {
+            return;
+        }
+        // SAFETY: AVX2 and POPCNT are present (this function's contract),
+        // both runs are non-empty and lie inside their slices, and the
+        // reserve above keeps >= 16 spare slots past every match.
+        unsafe {
+            if nw >= SKEW * nn {
+                merge16_skewed(wide, nw, narrow, nn, high, out);
+            } else {
+                merge16_balanced(wide, nw, narrow, nn, high, out);
             }
-        };
-        let narrow_block = |j: usize| {
-            // SAFETY: see above.
-            let v = unsafe { load8(narrow, nn, j) };
-            match narrow.get(j + 7) {
-                Some(&max) if j + 8 <= nn => (v, max),
-                _ => (v, n_last),
+        }
+    });
+}
+
+/// One chunk of [`merge16_avx2`] whose runs are skewed: a block of 16
+/// lanes of the longer run `wide[..nw]` against a block of 8 of the
+/// shorter `narrow[..nn]`, broadcast to both 128-bit halves — all 128 lane
+/// pairs in 8 compares, whose rotations stay inside each half. The longer
+/// run, which sets the number of steps, advances 16 lanes a step. Matches
+/// are taken from the longer run's lanes; last blocks are padded
+/// ([`load16`], [`load8`]).
+///
+/// # Safety
+/// The CPU must support AVX2 and POPCNT; both runs are non-empty and lie
+/// inside their slices; `out` has >= 16 spare slots past every match this
+/// chunk can add.
+#[target_feature(enable = "avx2,popcnt")]
+// Out of line: inlined beside the balanced loop, its registers crowd that
+// loop's rotations onto the stack.
+#[inline(never)]
+unsafe fn merge16_skewed(
+    wide: &[u16],
+    nw: usize,
+    narrow: &[u16],
+    nn: usize,
+    high: Elem,
+    out: &mut Vec<Elem>,
+) {
+    let (Some(&w_last), Some(&n_last)) =
+        (wide.get(nw.wrapping_sub(1)), narrow.get(nn.wrapping_sub(1)))
+    else {
+        return;
+    };
+    let hv = _mm_set1_epi32(high as i32);
+    // Per block: its lanes, its maximum and (for the wide run, whose lanes
+    // are the output) which lanes hold members, set once per advance.
+    // SAFETY (both closures' loads): AVX2 is present (this function's
+    // contract) and every `at` passed is below its run's length.
+    let wide_block = |i: usize| {
+        // SAFETY: see above.
+        let v = unsafe { load16(wide, nw, i) };
+        match wide.get(i + 15) {
+            Some(&max) if i + 16 <= nw => (v, max, usize::MAX),
+            _ => {
+                let valid = valid_lanes::<16>(nw, i);
+                (v, w_last, valid & 0xFF | (valid >> 8) << 16)
             }
-        };
-        let (mut i, mut j) = (0usize, 0usize);
-        let (mut vw, mut w_max, mut valid) = wide_block(i);
-        let (mut vn, mut n_max) = narrow_block(j);
-        loop {
-            let vb = _mm256_broadcastsi128_si256(vn);
-            let cmp = any_lane_eq16!(
-                _mm256_cmpeq_epi16,
-                _mm256_alignr_epi8,
-                _mm256_or_si256,
-                vw,
-                vb
-            );
-            // Per 128-bit half, 8 mask bytes then 8 zero bytes: bits 0–7
-            // are the low half's lanes, bits 16–23 the high half's.
-            let mask = _mm256_movemask_epi8(_mm256_packs_epi16(cmp, _mm256_setzero_si256()))
-                as usize
-                & valid;
-            // Most blocks of two sparse lists share nothing: skip the store.
+        }
+    };
+    let narrow_block = |j: usize| {
+        // SAFETY: see above.
+        let v = unsafe { load8(narrow, nn, j) };
+        match narrow.get(j + 7) {
+            Some(&max) if j + 8 <= nn => (v, max),
+            _ => (v, n_last),
+        }
+    };
+    let (mut i, mut j) = (0usize, 0usize);
+    let (mut vw, mut w_max, mut valid) = wide_block(i);
+    let (mut vn, mut n_max) = narrow_block(j);
+    loop {
+        let vb = _mm256_broadcastsi128_si256(vn);
+        let cmp = any_lane_eq16!(
+            _mm256_cmpeq_epi16,
+            _mm256_alignr_epi8,
+            _mm256_or_si256,
+            vw,
+            vb
+        );
+        // Per 128-bit half, 8 mask bytes then 8 zero bytes: bits 0–7 are
+        // the low half's lanes, bits 16–23 the high half's.
+        let mask =
+            _mm256_movemask_epi8(_mm256_packs_epi16(cmp, _mm256_setzero_si256())) as usize & valid;
+        // Most blocks of two sparse lists share nothing: skip the store.
+        if mask != 0 {
+            // SAFETY: the caller keeps >= 16 spare slots.
+            unsafe {
+                store_matches16(_mm256_castsi256_si128(vw), mask, hv, out);
+                store_matches16(_mm256_extracti128_si256::<1>(vw), mask >> 16, hv, out);
+            }
+        }
+        // Advance the block with the smaller maximum (both on a tie); a run
+        // whose last block advances is done, and so is the chunk.
+        let (w_le, n_le) = (w_max <= n_max, n_max <= w_max);
+        if w_le {
+            i += 16;
+            if i >= nw {
+                break;
+            }
+            (vw, w_max, valid) = wide_block(i);
+        }
+        if n_le {
+            j += 8;
+            if j >= nn {
+                break;
+            }
+            (vn, n_max) = narrow_block(j);
+        }
+    }
+}
+
+/// The eight rotations of each 128-bit half of `v` by 0–7 `u16` lanes:
+/// with them a vector is compared against every lane of the same half of
+/// `v` in 8 compares ([`lanes_in16`]).
+#[target_feature(enable = "avx2")]
+#[inline]
+fn rotations16(v: __m256i) -> [__m256i; 8] {
+    [
+        v,
+        _mm256_alignr_epi8::<2>(v, v),
+        _mm256_alignr_epi8::<4>(v, v),
+        _mm256_alignr_epi8::<6>(v, v),
+        _mm256_alignr_epi8::<8>(v, v),
+        _mm256_alignr_epi8::<10>(v, v),
+        _mm256_alignr_epi8::<12>(v, v),
+        _mm256_alignr_epi8::<14>(v, v),
+    ]
+}
+
+/// All-ones in each `u16` lane of `d` that equals some lane in the same
+/// 128-bit half of the vector whose rotations `rot` holds
+/// ([`rotations16`]).
+#[target_feature(enable = "avx2")]
+#[inline]
+fn lanes_in16(d: __m256i, rot: &[__m256i; 8]) -> __m256i {
+    let [r0, r1, r2, r3, r4, r5, r6, r7] = *rot;
+    let eq = |r| _mm256_cmpeq_epi16(d, r);
+    _mm256_or_si256(
+        _mm256_or_si256(
+            _mm256_or_si256(eq(r0), eq(r1)),
+            _mm256_or_si256(eq(r2), eq(r3)),
+        ),
+        _mm256_or_si256(
+            _mm256_or_si256(eq(r4), eq(r5)),
+            _mm256_or_si256(eq(r6), eq(r7)),
+        ),
+    )
+}
+
+/// One chunk of [`merge16_avx2`] whose runs are balanced: blocks of 16
+/// lanes of both runs, `wide[..nw]` (the longer) and `narrow[..nn]`. The
+/// wide block is kept as its rotations ([`rotations16`]), computed once per
+/// advance of that block; each half of the narrow block is broadcast and
+/// compared against them, all 256 lane pairs in 16 compares, so a step
+/// moves 16 lanes of either run where [`merge16_skewed`] moves 16 of one
+/// and 8 of the other. Matches are taken from the narrow block's lanes. A
+/// run of at least 16 members is read in place, its last block starting at
+/// its 16th member from the end and so overlapping the block before it;
+/// the narrow lanes already passed or already output are masked out, so
+/// none is output twice, and a wide lane read twice can only re-find a
+/// narrow lane that is masked. Runs of at most 16 lanes each take one
+/// step and no loop.
+///
+/// # Safety
+/// The CPU must support AVX2 and POPCNT; `0 < nn <= nw`, `nw <=
+/// wide.len()` and `nn <= narrow.len()`; `out` has >= 16 spare slots past
+/// every match this chunk can add.
+#[target_feature(enable = "avx2,popcnt")]
+#[inline]
+unsafe fn merge16_balanced(
+    wide: &[u16],
+    nw: usize,
+    narrow: &[u16],
+    nn: usize,
+    high: Elem,
+    out: &mut Vec<Elem>,
+) {
+    let (w, n) = (wide.as_ptr(), narrow.as_ptr());
+    // SAFETY (every read through `w` and `n` below): each reads at most
+    // lanes `..nw` of `wide` or `..nn` of `narrow`, which the caller
+    // guarantees the slices hold, and AVX2 is present.
+    // The wide block from `i`: in place when the run has 16 members, else
+    // the one block, padded with the run's last member.
+    let wide_block = |i: usize| {
+        if nw >= 16 {
+            // SAFETY: see above; i.min(nw - 16) + 16 <= nw.
+            unsafe { _mm256_loadu_si256(w.add(i.min(nw - 16)) as *const __m256i) }
+        } else {
+            // SAFETY: see above; 0 < nw <= wide.len().
+            unsafe { load16(wide, nw, 0) }
+        }
+    };
+    // The narrow block from `j` the same way (a short run's lanes past its
+    // end are masked, so they need no padding), and which of its lanes (one
+    // bit each) are members at or past `j`: the lanes before `j` were
+    // settled by earlier steps.
+    let narrow_block = |j: usize| {
+        if nn >= 16 {
+            let from = j.min(nn - 16);
+            (
+                // SAFETY: see above; from + 16 <= nn.
+                unsafe { _mm256_loadu_si256(n.add(from) as *const __m256i) },
+                0xFFFF << (j - from),
+            )
+        } else {
+            // SAFETY: see above.
+            (unsafe { raw16(narrow, 0) }, (1usize << nn) - 1)
+        }
+    };
+    // A block's maximum: its last lane, or the run's last member.
+    let max_at = |run: &[u16], len: usize, at: usize| {
+        run.get((at + 15).min(len - 1)).copied().unwrap_or(u16::MAX)
+    };
+    let w_max_at = |i: usize| max_at(wide, nw, i);
+    let n_max_at = |j: usize| max_at(narrow, nn, j);
+    // Appends the narrow lanes in `fresh` that the rotated wide block
+    // holds, and drops them from `fresh`.
+    let emit = |vn: __m256i, fresh: &mut usize, rot: &[__m256i; 8], out: &mut Vec<Elem>| {
+        let (lo, hi) = (
+            _mm256_castsi256_si128(vn),
+            _mm256_extracti128_si256::<1>(vn),
+        );
+        // Each narrow half against the wide block's low and high halves.
+        let c_lo = lanes_in16(_mm256_broadcastsi128_si256(lo), rot);
+        let c_hi = lanes_in16(_mm256_broadcastsi128_si256(hi), rot);
+        let any = _mm256_or_si256(c_lo, c_hi);
+        // Most blocks of two sparse lists share nothing: one test skips the
+        // mask and the store.
+        if _mm256_testz_si256(any, any) != 0 {
+            return;
+        }
+        let fold =
+            |c: __m256i| _mm_or_si128(_mm256_castsi256_si128(c), _mm256_extracti128_si256::<1>(c));
+        // Bits 0–7 are the narrow block's low lanes, 8–15 its high.
+        let mask = _mm_movemask_epi8(_mm_packs_epi16(fold(c_lo), fold(c_hi))) as usize & *fresh;
+        *fresh &= !mask;
+        if mask != 0 {
+            let hv = _mm_set1_epi32(high as i32);
+            // SAFETY: the caller keeps >= 16 spare slots.
+            unsafe {
+                store_matches16(lo, mask, hv, out);
+                store_matches16(hi, mask >> 8, hv, out);
+            }
+        }
+    };
+    let mut rot = rotations16(wide_block(0));
+    let (mut vn, mut fresh) = narrow_block(0);
+    if nw <= 16 && nn <= 8 {
+        // Both runs fit one block, the narrow one its low half: one
+        // compare, no loop.
+        let lo = _mm256_castsi256_si128(vn);
+        let c = lanes_in16(_mm256_broadcastsi128_si256(lo), &rot);
+        if _mm256_testz_si256(c, c) == 0 {
+            let c = _mm_or_si128(_mm256_castsi256_si128(c), _mm256_extracti128_si256::<1>(c));
+            let mask = _mm_movemask_epi8(_mm_packs_epi16(c, _mm_setzero_si128())) as usize & fresh;
             if mask != 0 {
-                // SAFETY: the reserve at the top keeps >= 16 spare slots.
-                unsafe {
-                    store_matches16(_mm256_castsi256_si128(vw), mask, hv, out);
-                    store_matches16(_mm256_extracti128_si256::<1>(vw), mask >> 16, hv, out);
-                }
+                // SAFETY: the caller keeps >= 16 spare slots.
+                unsafe { store_matches16(lo, mask, _mm_set1_epi32(high as i32), out) };
             }
-            // Advance the block with the smaller maximum (both on a tie); a
-            // run whose last block advances is done, and so is the chunk.
-            let (w_le, n_le) = (w_max <= n_max, n_max <= w_max);
-            if w_le {
-                i += 16;
-                if i >= nw {
-                    break;
-                }
-                (vw, w_max, valid) = wide_block(i);
+        }
+        return;
+    }
+    if nw <= 16 {
+        // One block each: one step, no loop.
+        emit(vn, &mut fresh, &rot, out);
+        return;
+    }
+    let (mut w_max, mut n_max) = (w_max_at(0), n_max_at(0));
+    let (mut i, mut j) = (0usize, 0usize);
+    loop {
+        emit(vn, &mut fresh, &rot, out);
+        // Advance the block with the smaller maximum (both on a tie); a run
+        // whose last block advances is done, and so is the chunk.
+        let (w_le, n_le) = (w_max <= n_max, n_max <= w_max);
+        if w_le {
+            i += 16;
+            if i >= nw {
+                break;
             }
-            if n_le {
-                j += 8;
-                if j >= nn {
-                    break;
-                }
-                (vn, n_max) = narrow_block(j);
+            rot = rotations16(wide_block(i));
+            w_max = w_max_at(i);
+        }
+        if n_le {
+            j += 16;
+            if j >= nn {
+                break;
             }
+            (vn, fresh) = narrow_block(j);
+            n_max = n_max_at(j);
         }
     }
 }

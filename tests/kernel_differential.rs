@@ -185,8 +185,10 @@ proptest::proptest! {
         // The same top-of-space move on both sides, so they can meet.
         let b = chunked_shape(raw_b.clone(), shape_b & !8 | shape_a & 8);
         let (xa, xb) = (ArraySet::from_sorted_slice(&a), ArraySet::from_sorted_slice(&b));
-        proptest::prop_assert_eq!(xa.to_vec(), a.clone());
-        proptest::prop_assert_eq!(&ArraySet::build(&SortedSet::from_unsorted(a.clone())), &xa);
+        proptest::prop_assert_eq!(
+            &ArraySet::from_sorted_slice(SortedSet::from_unsorted(a.clone()).as_slice()),
+            &xa
+        );
         let mut widened = vec![7u32];
         xa.extend_into(&mut widened);
         proptest::prop_assert_eq!(&widened[1..], &a[..]);
