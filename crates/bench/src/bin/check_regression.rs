@@ -39,7 +39,15 @@
 //!   compressed-domain intersection variants;
 //! * `serve` files — the cache-fronted `cold_qps` and `warm_qps` (the
 //!   closed-loop worker-scaling rows were retired in favor of the `slo`
-//!   bench, which measures serving under load properly);
+//!   bench, which measures serving under load properly), and the `build`
+//!   row (`build/copy_over_planned`): the time to clone the benchmark
+//!   corpus's posting lists over the time `PlannedExecutor::build` takes
+//!   on them, both the minimum of interleaved samples in one process. Its
+//!   reference is that copy — the least a build that reads every posting
+//!   and writes an index can cost — and it is held to an absolute floor of
+//!   1 / 1.25: the build may take at most 1.25 times the copy (≈ 1.6 when
+//!   the build read each long list twice, ≈ 1.0 since it reads it once),
+//!   whatever the baseline read and whatever the tolerance;
 //! * `slo` files — `capacity_qps`, the hard `response_accounting`
 //!   conservation check, and per-row `goodput_fraction` for rows offered
 //!   *below* saturation (`offered_mult < 1.0`). Rows at or past
@@ -90,6 +98,25 @@ const CHUNK_MERGE_MAX_TIME_RATIO: f64 = 1.10;
 /// each is a ratio measured against a reference in the same process, where
 /// the box's speed cancels out.
 const CHUNK_MERGE: &str = "chunk-merge/";
+
+/// The most time the index build may take, as a multiple of cloning the
+/// posting lists it is built from.
+const BUILD_MAX_OVER_COPY: f64 = 1.25;
+
+/// Key prefix of the `build` row, which `main` holds to the absolute floor
+/// `1 / BUILD_MAX_OVER_COPY`, for the reason the `chunk_merge` rows are.
+const BUILD: &str = "build/";
+
+/// The absolute floor of a row keyed under one of the prefixes above.
+fn absolute_floor(key: &str) -> Option<f64> {
+    [
+        (CHUNK_MERGE, CHUNK_MERGE_MAX_TIME_RATIO),
+        (BUILD, BUILD_MAX_OVER_COPY),
+    ]
+    .iter()
+    .find(|(prefix, _)| key.starts_with(prefix))
+    .map(|(_, max_time_ratio)| 1.0 / max_time_ratio)
+}
 
 /// Reads and parses one benchmark file. Errors are returned, not panicked:
 /// `main` turns them into a clean `FAIL` + nonzero exit so a missing or
@@ -252,6 +279,12 @@ fn metrics(doc: &Json, path: &str) -> (Vec<Metric>, Vec<(String, &'static str)>)
                 out.push(Metric {
                     key: "cache/warm_qps".to_string(),
                     value: num(cache, "warm_qps"),
+                });
+            }
+            if let Some(build) = doc.get("build") {
+                out.push(Metric {
+                    key: format!("{BUILD}copy_over_planned"),
+                    value: 1.0 / num(build, "planned_over_copy"),
                 });
             }
         }
@@ -420,21 +453,13 @@ fn main() -> ExitCode {
                 continue;
             };
             checked += 1;
-            let absolute = m.key.starts_with(CHUNK_MERGE);
-            let floor = if absolute {
-                1.0 / CHUNK_MERGE_MAX_TIME_RATIO
-            } else {
-                m.value / tolerance
-            };
+            let absolute = absolute_floor(&m.key);
+            let floor = absolute.unwrap_or(m.value / tolerance);
             let verdict = if cur.value >= floor { "ok  " } else { "FAIL" };
             if cur.value < floor {
                 failures += 1;
             }
-            let floor_note = if absolute {
-                format!("  floor {floor:.2}")
-            } else {
-                String::new()
-            };
+            let floor_note = absolute.map_or(String::new(), |f| format!("  floor {f:.2}"));
             println!(
                 "  {verdict}  {:<55} baseline {:>10.2}  current {:>10.2}{floor_note}",
                 m.key, m.value, cur.value

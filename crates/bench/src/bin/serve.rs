@@ -14,14 +14,43 @@
 //! is `BENCH_slo.json`'s job (`fsi-bench --bin slo`), which drives the
 //! TCP front door open-loop.
 //!
+//! The `build` row prices preprocessing: `PlannedExecutor::build` over
+//! the benchmark corpus's shape (2 M documents, 2 048 terms, ≈ 4.9 M
+//! postings) divided by cloning the same posting lists — the cheapest
+//! pass that reads every posting once and writes a copy — both timed
+//! interleaved in one process, the minimum of [`BUILD_SAMPLES`] each, so
+//! the box's speed cancels out. `check_regression` holds it to an absolute
+//! ceiling (`BUILD_MAX_OVER_COPY`), full run or smoke.
+//!
 //! Usage: `cargo run --release -p fsi-bench --bin serve -- [out.json] [--smoke]`
 
 use fsi_bench::{ms, HarnessArgs};
 use fsi_core::HashContext;
-use fsi_index::{Corpus, CorpusConfig};
+use fsi_index::{Corpus, CorpusConfig, PlannedExecutor, Planner, SearchEngine};
 use fsi_serve::{CacheOutcome, Request, ServeConfig, Server};
 use fsi_workloads::stream::{generate_stream, repeat_rate, QueryStreamConfig};
 use std::time::Instant;
+
+/// Interleaved samples of each side of the `build` row; smoke runs take
+/// them all too, since the gate's ceiling does not widen for them.
+const BUILD_SAMPLES: usize = 15;
+
+/// The `build` row: the fastest index build and the fastest clone of the
+/// same posting lists, in seconds, sampled alternately.
+fn build_row(engine: &SearchEngine) -> (f64, f64) {
+    let (mut build, mut copy) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..BUILD_SAMPLES {
+        let start = Instant::now();
+        let lists = engine.postings().to_vec();
+        copy = copy.min(start.elapsed().as_secs_f64());
+        drop(lists);
+        let start = Instant::now();
+        let exec = PlannedExecutor::build(engine, Planner::auto());
+        build = build.min(start.elapsed().as_secs_f64());
+        drop(exec);
+    }
+    (build, copy)
+}
 
 fn main() {
     let args = HarnessArgs::parse("BENCH_serve.json");
@@ -86,6 +115,23 @@ fn main() {
         cache_stats.hit_rate()
     );
 
+    let engine = SearchEngine::from_corpus(
+        HashContext::new(1),
+        Corpus::generate(CorpusConfig {
+            num_docs: 2_000_000,
+            num_terms: 2048,
+            seed: 1,
+            ..CorpusConfig::default()
+        }),
+    );
+    let (build_s, copy_s) = build_row(&engine);
+    let planned_over_copy = build_s / copy_s;
+    println!(
+        "build: {:.2} ms, copying the posting lists {:.2} ms: planned/copy {planned_over_copy:.3}",
+        build_s * 1e3,
+        copy_s * 1e3
+    );
+
     let env = fsi_bench::env_json();
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"smoke\": {},\n  {env},\n  \"config\": {{\n    \
@@ -95,10 +141,15 @@ fn main() {
          \"cache\": {{\n    \"capacity\": 8192,\n    \
          \"cold_qps\": {cold_qps:.1},\n    \"warm_qps\": {warm_qps:.1},\n    \
          \"warm_hits\": {warm_hits},\n    \
-         \"hit_rate\": {:.4},\n    \"evictions\": {}\n  }}\n}}\n",
+         \"hit_rate\": {:.4},\n    \"evictions\": {}\n  }},\n  \
+         \"build\": {{\n    \"samples\": {BUILD_SAMPLES},\n    \
+         \"planned_ms\": {:.3},\n    \"copy_ms\": {:.3},\n    \
+         \"planned_over_copy\": {planned_over_copy:.4}\n  }}\n}}\n",
         args.smoke,
         cache_stats.hit_rate(),
         cache_stats.evictions,
+        build_s * 1e3,
+        copy_s * 1e3,
     );
     args.write_output(&json);
     println!("\nwrote {}", args.out_path);

@@ -63,6 +63,17 @@
 //! `u32` lists became arrays, which store a member's high half once per
 //! chunk.
 //!
+//! The rule is decided on the list's chunk walk — its chunk ids and run
+//! starts, found by one gallop per chunk, the top level both
+//! representations share — and the chosen representation is filled from
+//! that walk, so [`PlannedList::build`] reads each posting once. A list
+//! with 1024 members per chunk of its span (its first member's chunk to
+//! its last's) is a bitmap whatever chunks the walk finds, and is walked
+//! first; any other is narrowed to arrays first, the walk then reading
+//! lines the narrowing brought into cache. Building every list then takes
+//! about as long as cloning the posting lists (`--bin serve`'s `build`
+//! row).
+//!
 //! Three structures are not among them. A hash table per sparse list: it
 //! cost more than half the index (6.57 of 11.50 B/posting on the benchmark
 //! corpus) and more than half its build time, for probes the merge or a
@@ -103,21 +114,16 @@ use fsi_kernels::{
     SimdLevel, UnionPart, WORDS_PER_CHUNK,
 };
 
-/// The build rule of [`PlannedList::build`]: a list is kept as a chunked
-/// bitmap iff it has at least one member per bitmap word of the chunks it
-/// touches, and as chunked 16-bit arrays otherwise. The
-/// bitmap then costs at most about 8 bytes per posting, four times the
-/// arrays' 2; it is chosen for the bit tests and word sweeps it answers,
-/// and the rule decides from the list alone, with no density constant to
-/// tune.
-fn carries_bitmap(elems: &[Elem]) -> bool {
-    // Fewer members than one chunk has words: no chunk can hold one per
-    // word, and most lists end here without their chunks being counted
-    // (an empty list is the empty bitmap).
-    if elems.len() < WORDS_PER_CHUNK {
-        return elems.is_empty();
-    }
-    elems.len() >= BitmapSet::count_chunks(elems) * WORDS_PER_CHUNK
+/// The build rule of [`PlannedList::build`], decided on the list's chunk
+/// walk: a list of `n` members touching `chunks` chunks is kept as
+/// a chunked bitmap iff it has at least one member per bitmap word of those
+/// chunks (`n ≥ 1024 · chunks`; an empty list is the empty bitmap), and as
+/// chunked 16-bit arrays otherwise. The bitmap then costs at most about 8
+/// bytes per posting, four times the arrays' 2; it is chosen for the bit
+/// tests and word sweeps it answers, and the rule decides from the list
+/// alone, with no density constant to tune.
+fn carries_bitmap(n: usize, chunks: usize) -> bool {
+    n >= chunks * WORDS_PER_CHUNK
 }
 
 /// Resident heap bytes split by physical representation — what the
@@ -166,13 +172,26 @@ pub enum PlannedList {
 }
 
 impl PlannedList {
-    /// Prepares `set` in the representation the build rule picks for it.
+    /// Prepares `set` in the representation the build rule picks for it,
+    /// walking its chunks once (a gallop per chunk) and reading each member
+    /// once. A list with at least 1024 members per chunk of its span
+    /// ([`BitmapSet::chunk_span`], read from its ends) holds one per word
+    /// of whatever chunks the walk finds: it is walked, and the bitmap is
+    /// filled from the walk. Any other list is narrowed to chunked arrays
+    /// first, so the walk reads lines the narrowing brought into cache, and
+    /// the rule is decided on that walk; the rare list it makes a bitmap —
+    /// dense in the chunks it touches, with empty chunks between them — is
+    /// filled from the arrays.
     pub fn build(set: &SortedSet) -> Self {
         let elems = set.as_slice();
-        if carries_bitmap(elems) {
-            Self::Bitmap(BitmapSet::from_sorted_slice(elems))
+        if elems.len() >= BitmapSet::chunk_span(elems) * WORDS_PER_CHUNK {
+            return Self::Bitmap(BitmapSet::from_sorted_slice(elems));
+        }
+        let array = ArraySet::from_sorted_slice(elems);
+        if carries_bitmap(array.len(), array.num_chunks()) {
+            Self::Bitmap(BitmapSet::from_array(&array))
         } else {
-            Self::Array(ArraySet::from_sorted_slice(elems))
+            Self::Array(array)
         }
     }
 

@@ -10,6 +10,13 @@
 //! high half of a member is stored once per chunk instead of once per
 //! member.
 //!
+//! A set is built by one pass that narrows its members to their low halves
+//! and one chunk walk — a gallop per chunk for where its run ends — for
+//! the ids and run starts. The walk is the top level both chunked
+//! representations share: [`BitmapSet`](crate::BitmapSet) is built on it
+//! too, or on a built set's ids and runs, so neither builder tests a
+//! member for a chunk change.
+//!
 //! Every reader of a sorted list has a chunked form:
 //!
 //! * intersection ([`ArraySet::intersect_into_at`]) walks both chunk-id
@@ -43,31 +50,96 @@ pub struct ArraySet {
     lows: Box<[u16]>,
 }
 
-impl ArraySet {
-    /// Builds from a sorted, duplicate-free slice in one pass over its
-    /// members, which keeps their low halves; the chunks' ids and run starts
-    /// come from one gallop per chunk for where it ends, which reads near
-    /// the run it measures (a binary search over the rest of the list read
-    /// cold lines all over it, and cost a fresh index build ≈ 2 ms).
-    pub fn from_sorted_slice(elems: &[Elem]) -> Self {
-        let lows: Box<[u16]> = elems.iter().map(|&x| x as u16).collect();
-        // Sized for every chunk between the first member's and the last's,
-        // which a list spread over a small universe touches: one
-        // allocation each.
-        let span = match (elems.first(), elems.last()) {
-            (Some(&lo), Some(&hi)) => ((hi >> CHUNK_BITS) - (lo >> CHUNK_BITS)) as usize + 1,
-            _ => 0,
-        };
-        let mut ids = Vec::with_capacity(span.min(elems.len()));
-        let mut starts = Vec::with_capacity(span.min(elems.len()) + 1);
-        let mut at = 0usize;
-        while let Some(&first) = elems.get(at) {
-            let id = first >> CHUNK_BITS;
+/// The top level of the chunked layout: the sorted ids of the chunks a
+/// sorted list touches and where each chunk's run starts, found by one
+/// gallop per chunk for where its run ends. The gallop reads near the run
+/// it measures (a binary search over the rest of the list read cold lines
+/// all over it, and cost a fresh index build ≈ 2 ms) and a few members per
+/// chunk. Both chunked representations are built on it: an [`ArraySet`]
+/// keeps it beside its low halves, and a
+/// [`BitmapSet`](crate::BitmapSet) sets each run's bits into its own chunk.
+pub(crate) struct ChunkWalk {
+    /// Sorted ids (`value >> 16`) of the chunks the list touches.
+    ids: Vec<u16>,
+    /// `starts[i]..starts[i + 1]` is chunk `i`'s run of the list; one entry
+    /// more than `ids`, the last being the list's length.
+    starts: Vec<u32>,
+}
+
+impl ChunkWalk {
+    /// Walks the chunks of a sorted, duplicate-free slice.
+    pub(crate) fn new(elems: &[Elem]) -> Self {
+        // Sized for every chunk of the span, which a list spread over a
+        // small universe touches: one allocation each.
+        let span = span(elems).min(elems.len());
+        let mut ids = Vec::with_capacity(span);
+        let mut starts = Vec::with_capacity(span + 1);
+        for (id, at) in chunk_starts(elems) {
             ids.push(id as u16);
             starts.push(at as u32);
-            at += run_len(elems.get(at..).unwrap_or(&[]), id);
         }
         starts.push(elems.len() as u32);
+        Self { ids, starts }
+    }
+
+    /// Number of chunks the list touches.
+    pub(crate) fn num_chunks(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Every chunk of `elems` — the list this walk was made from — in
+    /// ascending order: its id and its run of members.
+    pub(crate) fn runs<'a>(
+        &'a self,
+        elems: &'a [Elem],
+    ) -> impl Iterator<Item = (u16, &'a [Elem])> + 'a {
+        self.ids.iter().zip(self.starts.windows(2)).map(|(&id, w)| {
+            let run = match w {
+                [start, end] => elems.get(*start as usize..*end as usize),
+                _ => None,
+            };
+            (id, run.unwrap_or(&[]))
+        })
+    }
+}
+
+/// Number of chunks from the first member's to the last's, both included
+/// (0 for an empty slice): read in `O(1)`, and never fewer than the chunks
+/// the sorted slice touches.
+pub(crate) fn span(elems: &[Elem]) -> usize {
+    match (elems.first(), elems.last()) {
+        (Some(&lo), Some(&hi)) => ((hi >> CHUNK_BITS) - (lo >> CHUNK_BITS)) as usize + 1,
+        _ => 0,
+    }
+}
+
+/// The id and start of every chunk a sorted, duplicate-free slice touches,
+/// ascending: one [`run_len`] gallop per chunk.
+fn chunk_starts(elems: &[Elem]) -> impl Iterator<Item = (u32, usize)> + '_ {
+    let mut at = 0usize;
+    std::iter::from_fn(move || {
+        let &first = elems.get(at)?;
+        let id = first >> CHUNK_BITS;
+        let start = at;
+        at += run_len(elems.get(at..).unwrap_or(&[]), id);
+        Some((id, start))
+    })
+}
+
+/// Number of distinct chunks a sorted, duplicate-free slice touches: one
+/// gallop per chunk, no allocation.
+pub(crate) fn count_chunks(elems: &[Elem]) -> usize {
+    chunk_starts(elems).count()
+}
+
+impl ArraySet {
+    /// Builds from a sorted, duplicate-free slice: one pass over its
+    /// members keeps their low halves, then the chunk walk — a gallop per
+    /// chunk — finds the chunks' ids and run starts in the lines that pass
+    /// brought into cache.
+    pub fn from_sorted_slice(elems: &[Elem]) -> Self {
+        let lows: Box<[u16]> = elems.iter().map(|&x| x as u16).collect();
+        let ChunkWalk { ids, starts } = ChunkWalk::new(elems);
         Self {
             ids: ids.into(),
             starts: starts.into(),
@@ -150,7 +222,7 @@ impl ArraySet {
 
     /// Every chunk the set touches, ascending: its first value and its run
     /// of low halves.
-    fn chunks(&self) -> impl Iterator<Item = (Elem, &[u16])> + '_ {
+    pub(crate) fn chunks(&self) -> impl Iterator<Item = (Elem, &[u16])> + '_ {
         (0..self.ids.len()).map(|ci| self.chunk(ci))
     }
 
@@ -236,7 +308,11 @@ fn run_len(rest: &[Elem], id: u32) -> usize {
         step <<= 1;
     }
     let hi = (lo + step).min(rest.len());
-    (lo + 1 + rest.get(lo + 1..hi).map_or(0, |r| r.partition_point(in_chunk))).min(rest.len())
+    (lo + 1
+        + rest
+            .get(lo + 1..hi)
+            .map_or(0, |r| r.partition_point(in_chunk)))
+    .min(rest.len())
 }
 
 /// Chunk ids are 16 bits wide, so this never names a real chunk.

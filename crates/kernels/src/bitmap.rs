@@ -12,11 +12,15 @@
 //! density: dense chunks amortize the fixed `O(1024)` word sweep over many
 //! members.
 //!
+//! A bitmap is built on a chunk walk of its list (a gallop per chunk, as
+//! [`ArraySet`] is) or on a built [`ArraySet`]'s runs: every chunk's words
+//! are allocated at once, and each run sets its bits in its own chunk.
+//!
 //! The same structure answers point membership ([`BitmapSet::contains`],
 //! [`BitmapSet::probe`]): a chunk lookup and one bit test, which is what
 //! a sparse list probing a dense one needs instead of a sweep.
 
-use crate::array::ArraySet;
+use crate::array::{ArraySet, ChunkWalk};
 use fsi_core::elem::{Elem, SortedSet};
 use fsi_core::traits::{KIntersect, PairIntersect, SetIndex};
 
@@ -38,30 +42,59 @@ pub struct BitmapSet {
 }
 
 impl BitmapSet {
-    /// Builds the chunked bitmap of `set` in one ascending pass.
+    /// Builds the chunked bitmap of `set` ([`BitmapSet::from_sorted_slice`]).
     pub fn build(set: &SortedSet) -> Self {
         Self::from_sorted_slice(set.as_slice())
     }
 
-    /// Builds from a sorted, duplicate-free slice.
+    /// Builds from a sorted, duplicate-free slice: the chunk walk finds the
+    /// chunks it touches by a gallop per chunk, then each chunk's run sets
+    /// its members' bits.
     pub fn from_sorted_slice(elems: &[Elem]) -> Self {
-        let mut ids: Vec<u32> = Vec::new();
-        let mut words: Vec<u64> = Vec::new();
-        for &x in elems {
-            let id = x >> CHUNK_BITS;
-            if ids.last() != Some(&id) {
-                ids.push(id);
-                words.resize(words.len() + WORDS_PER_CHUNK, 0);
+        let walk = ChunkWalk::new(elems);
+        let runs = walk
+            .runs(elems)
+            .map(|(id, run)| (u32::from(id), run.iter().map(|&x| x as u16)));
+        Self::from_runs(elems.len(), walk.num_chunks(), runs)
+    }
+
+    /// The same set as `array`'s chunked arrays, built from its chunk ids
+    /// and low halves without reading the documents again.
+    pub fn from_array(array: &ArraySet) -> Self {
+        let runs = array
+            .chunks()
+            .map(|(high, run)| (high >> CHUNK_BITS, run.iter().copied()));
+        Self::from_runs(array.len(), array.num_chunks(), runs)
+    }
+
+    /// `n` members in `chunks` chunks, given as each chunk's id and its
+    /// members' low halves, ascending: every chunk's 1024 words are
+    /// allocated at once, zeroed, and each run sets its bits in its own
+    /// chunk — no member is tested for a chunk change, and no bitmap grows.
+    fn from_runs<R: Iterator<Item = u16>>(
+        n: usize,
+        chunks: usize,
+        runs: impl Iterator<Item = (u32, R)>,
+    ) -> Self {
+        let mut ids = Vec::with_capacity(chunks);
+        let mut words = vec![0u64; chunks * WORDS_PER_CHUNK];
+        let (bitmaps, _) = words.as_chunks_mut::<WORDS_PER_CHUNK>();
+        for ((id, run), bitmap) in runs.zip(bitmaps) {
+            ids.push(id);
+            // The word being filled is carried in a register and stored
+            // whole after every member, never read back: a dense run's
+            // members would otherwise each wait on the last one's store.
+            // Members ascend, so a word is finished when the next member
+            // leaves it.
+            let (mut at, mut word) = (usize::MAX, 0u64);
+            for low in run.map(usize::from) {
+                let stay = u64::from(low >> 6 == at).wrapping_neg();
+                at = low >> 6;
+                word = (word & stay) | 1u64 << (low & 63);
+                bitmap[at] = word;
             }
-            let low = (x & ((1 << CHUNK_BITS) - 1)) as usize;
-            let base = words.len() - WORDS_PER_CHUNK;
-            words[base + (low >> 6)] |= 1u64 << (low & 63);
         }
-        Self {
-            n: elems.len(),
-            ids,
-            words,
-        }
+        Self { n, ids, words }
     }
 
     /// Number of chunks the set touches.
@@ -71,20 +104,18 @@ impl BitmapSet {
 
     /// Number of distinct chunks a sorted slice touches — exactly what
     /// [`BitmapSet::num_chunks`] would report after
-    /// [`BitmapSet::from_sorted_slice`], without building any bitmap.
-    /// Cost models (the `fsi-index` planner) price the chunk sweep with
-    /// this.
+    /// [`BitmapSet::from_sorted_slice`], without building any bitmap: one
+    /// gallop per chunk, as the builders' chunk walk takes.
     pub fn count_chunks(elems: &[Elem]) -> usize {
-        let mut count = 0usize;
-        let mut last = None;
-        for &x in elems {
-            let id = x >> CHUNK_BITS;
-            if last != Some(id) {
-                count += 1;
-                last = Some(id);
-            }
-        }
-        count
+        crate::array::count_chunks(elems)
+    }
+
+    /// Number of chunks from a sorted slice's first member's to its last's
+    /// (0 when it is empty): read in `O(1)`, and never fewer than
+    /// [`BitmapSet::count_chunks`]. A list with at least 1024 members per
+    /// chunk of its span has one per bitmap word of the chunks it touches.
+    pub fn chunk_span(elems: &[Elem]) -> usize {
+        crate::array::span(elems)
     }
 
     /// Membership test: chunk offset plus one bit test. A value whose

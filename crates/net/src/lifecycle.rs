@@ -289,6 +289,10 @@ pub(crate) struct NetObs {
     /// `fsi_net_worker_panics_total`: requests whose evaluation panicked
     /// on a worker, each answered [`Status::Internal`].
     pub worker_panics: Arc<Counter>,
+    /// `fsi_net_write_timeouts_total`: response writes that blocked past
+    /// the write timeout on a client that stopped reading, each of which
+    /// shut its connection down.
+    pub write_timeouts: Arc<Counter>,
     /// `fsi_net_stage_ns{stage}`, indexed by [`StageKind`].
     stage_ns: [LazyHistogram; 4],
     /// Handles of the anonymous tenant; `None` in stripped mode.
@@ -332,6 +336,7 @@ impl NetObs {
             answered: [answered("reader"), answered("worker")],
             shed_deadline,
             worker_panics: registry.counter("fsi_net_worker_panics_total", &[]),
+            write_timeouts: registry.counter("fsi_net_write_timeouts_total", &[]),
             stage_ns: STAGES.map(|(_, name)| LazyHistogram::new("fsi_net_stage_ns", "stage", name)),
             anon: config
                 .lifecycle

@@ -591,9 +591,13 @@ pub fn decode_response(body: &[u8]) -> Result<ResponseFrame, FrameError> {
     let raw = c
         .take(ndocs.checked_mul(4).ok_or_else(truncated)?)
         .ok_or_else(truncated)?;
+    // Whole 4-byte arrays, so the copy is one sized allocation filled
+    // without a bounds check per document.
     let docs = raw
-        .chunks_exact(4)
-        .map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|&b| u32::from_le_bytes(b))
         .collect();
     let mlen = c.u16().ok_or_else(truncated)? as usize;
     let msg = c.take(mlen).ok_or_else(truncated)?;

@@ -43,7 +43,11 @@
 //!    header, length prefix, and the documents straight out of the
 //!    `Arc` the result cache shares — into the connection's one reused
 //!    buffer, and it leaves in one `write`, under the connection's
-//!    writer lock so frames never interleave.
+//!    writer lock so frames never interleave. A frame not written whole
+//!    within the write timeout (10 s) — a client that stopped reading —
+//!    shuts the connection down, counted in
+//!    `fsi_net_write_timeouts_total`: its reader exits, and the thread that
+//!    was writing goes back to work instead of staying parked on it.
 //!
 //! Every decoded frame gets exactly one response; requests from one
 //! connection may be answered out of order (match on the echoed request
@@ -71,11 +75,11 @@ use crate::protocol::{
     DETAIL_SHED_ADMISSION, DETAIL_SHED_DEADLINE, DETAIL_SHED_QUEUE_FULL, MAX_REQUEST_FRAME,
 };
 use crate::queue::BoundedQueue;
-use fsi_obs::{SlowLogEntry, Snapshot, SnapshotEntry, SnapshotValue};
+use fsi_obs::{Counter, SlowLogEntry, Snapshot, SnapshotEntry, SnapshotValue};
 use fsi_serve::{
     Begun, CacheOutcome, Disposition, Miss, QueryError, QueryInput, Request, Response, ShedReason,
 };
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -127,6 +131,12 @@ impl Default for NetConfig {
 /// after the write instead of being kept for the life of the connection.
 const SCRATCH_KEEP: usize = 1 << 20;
 
+/// How long one response write may block on a client that stopped
+/// reading. Past it the connection is shut down: its reader exits, and the
+/// thread that was writing — a worker, or the reader itself — goes back to
+/// serving other connections instead of staying parked on this one.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// The one writer of a connection: the socket's write half and the
 /// buffer every response is encoded into, behind one lock. Whichever
 /// thread answers a request — the reader or a worker — encodes under the
@@ -134,6 +144,10 @@ const SCRATCH_KEEP: usize = 1 << 20;
 /// is one `write`.
 struct ConnWriter {
     out: Mutex<Outbound>,
+    /// How long one frame's write may take, start to end.
+    timeout: Duration,
+    /// `fsi_net_write_timeouts_total`.
+    timeouts: Arc<Counter>,
 }
 
 struct Outbound {
@@ -142,23 +156,36 @@ struct Outbound {
 }
 
 impl ConnWriter {
-    fn new(stream: TcpStream) -> Self {
+    /// A writer that gives up on a frame not written whole within
+    /// `timeout`, counting each time it does in `timeouts`.
+    fn new(stream: TcpStream, timeout: Duration, timeouts: Arc<Counter>) -> Self {
+        let _ = stream.set_write_timeout(Some(timeout));
         Self {
             out: Mutex::new(Outbound {
                 stream,
                 scratch: Vec::new(),
             }),
+            timeout,
+            timeouts,
         }
     }
 
-    /// Encodes one frame with `encode` and writes it. Write errors are
-    /// swallowed: the client hung up, and closing is its acknowledgement.
+    /// Encodes one frame with `encode` and writes it. A write that times
+    /// out shuts the connection down (a frame may have left half-written),
+    /// so the reader's next read ends and later writes fail at once; other
+    /// write errors are swallowed: the client hung up, and closing is its
+    /// acknowledgement.
     fn send(&self, encode: impl FnOnce(&mut Vec<u8>)) {
         let Ok(mut out) = self.out.lock() else { return };
         let Outbound { stream, scratch } = &mut *out;
         scratch.clear();
         encode(scratch);
-        let _ = stream.write_all(scratch);
+        if let Err(e) = write_within(stream, scratch, self.timeout) {
+            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                self.timeouts.inc();
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
         if scratch.capacity() > SCRATCH_KEEP {
             *scratch = Vec::new();
         }
@@ -169,6 +196,40 @@ impl ConnWriter {
             let _ = out.stream.shutdown(Shutdown::Both);
         }
     }
+}
+
+/// Writes all of `buf` to `stream`, whose write timeout is `timeout`,
+/// within `timeout` in all: a client that reads a trickle — enough for
+/// each blocked `write` to return some bytes before its own timeout —
+/// cannot stretch one frame past it. A frame that fits the socket's
+/// buffer is one `write`; only after a partial one is the timeout cut to
+/// what is left, and restored once the frame is out.
+fn write_within(stream: &mut TcpStream, mut buf: &[u8], timeout: Duration) -> io::Result<()> {
+    let start = Instant::now();
+    let mut cut = false;
+    let result = loop {
+        match stream.write(buf) {
+            Ok(0) if !buf.is_empty() => break Err(ErrorKind::WriteZero.into()),
+            Ok(n) => buf = buf.get(n..).unwrap_or_default(),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => break Err(e),
+        }
+        if buf.is_empty() {
+            break Ok(());
+        }
+        let left = timeout.saturating_sub(start.elapsed());
+        if left.is_zero() {
+            break Err(ErrorKind::TimedOut.into());
+        }
+        if let Err(e) = stream.set_write_timeout(Some(left)) {
+            break Err(e);
+        }
+        cut = true;
+    };
+    if cut {
+        let _ = stream.set_write_timeout(Some(timeout));
+    }
+    result
 }
 
 /// One decoded request on its way to a response: what the wire said, the
@@ -205,6 +266,8 @@ struct Shared {
     default_deadline: Option<Duration>,
     queue_capacity: usize,
     workers: usize,
+    /// [`WRITE_TIMEOUT`], or a test's shorter one.
+    write_timeout: Duration,
 }
 
 /// An accepted connection as the server tracks it: a handle on the socket
@@ -241,6 +304,16 @@ impl NetServer {
     /// immediately. The serving engine is shared — queries admitted here
     /// run through the same cache and counters as in-process callers.
     pub fn start(serve: Arc<fsi_serve::Server>, config: NetConfig) -> io::Result<Self> {
+        Self::with_write_timeout(serve, config, WRITE_TIMEOUT)
+    }
+
+    /// [`NetServer::start`] with every connection's writes timing out
+    /// after `write_timeout`.
+    fn with_write_timeout(
+        serve: Arc<fsi_serve::Server>,
+        config: NetConfig,
+        write_timeout: Duration,
+    ) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let workers = if config.workers == 0 {
@@ -258,6 +331,7 @@ impl NetServer {
             default_deadline: config.default_deadline,
             queue_capacity: config.queue_capacity,
             workers,
+            write_timeout,
         });
 
         let worker_handles = (0..workers)
@@ -633,8 +707,9 @@ fn read_connection(stream: TcpStream, ctx: &Shared) {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let writer = Arc::new(ConnWriter::new(stream));
     let obs = &ctx.obs;
+    let timeouts = Arc::clone(&obs.write_timeouts);
+    let writer = Arc::new(ConnWriter::new(stream, ctx.write_timeout, timeouts));
     let mut body = Vec::new();
     let mut recent_tenant: RecentTenant = None;
     loop {
@@ -803,8 +878,8 @@ fn finish_pending(serve: &fsi_serve::Server, obs: &NetObs, pending: Pending) {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use fsi_core::HashContext;
-    use fsi_index::{Corpus, CorpusConfig};
+    use fsi_core::{HashContext, SortedSet};
+    use fsi_index::{Corpus, CorpusConfig, SearchEngine};
     use fsi_serve::{ServeConfig, Server};
 
     /// A request with this id panics on the worker, inside the guarded
@@ -932,6 +1007,68 @@ mod tests {
         assert_eq!(
             snap.counter("fsi_net_answered_total", &[("by", "reader")]),
             Some(2)
+        );
+    }
+
+    /// A client that pipelines large answers and never reads fills both
+    /// sockets' buffers, and the write blocked on it times out: the
+    /// connection is shut down and counted, its reader exits, and the one
+    /// worker — which was parked writing to it — answers a second client.
+    #[test]
+    fn a_client_that_never_reads_is_cut_off_at_the_write_timeout() {
+        const TIMEOUT: Duration = Duration::from_millis(300);
+        const SLACK: Duration = Duration::from_secs(5);
+        // Every answer is 200 000 documents: 800 KB on the wire.
+        let all: SortedSet = (0..200_000u32).collect();
+        let engine = SearchEngine::from_postings(HashContext::new(9), vec![all.clone(), all]);
+        // Cache off and one worker: every answer is the worker's to write.
+        let serve = Arc::new(Server::new(&engine, ServeConfig { cache_capacity: 0 }));
+        let config = NetConfig {
+            workers: 1,
+            ..NetConfig::default()
+        };
+        let net = NetServer::with_write_timeout(serve, config, TIMEOUT).expect("bind loopback");
+        let mut stalled = TcpStream::connect(net.local_addr()).expect("connect");
+        let mut sender = Client::from_stream(stalled.try_clone().expect("clone"));
+        // 64 answers, 51 MB: far past what the two sockets buffer.
+        for id in 0..64 {
+            sender
+                .send(&RequestFrame::query(id, "0 AND 1"))
+                .expect("send");
+        }
+        let sent = Instant::now();
+        let metric = |read: fn(&Snapshot) -> Option<u64>| read(&net.metrics());
+        while metric(|m| m.counter("fsi_net_write_timeouts_total", &[])) != Some(1) {
+            assert!(sent.elapsed() < TIMEOUT + SLACK, "no write timed out");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // The stalled client reads what was buffered, then the end of the
+        // stream (or a reset): not its own read timeout.
+        stalled.set_read_timeout(Some(SLACK)).expect("timeout");
+        if let Err(e) = io::copy(&mut stalled, &mut io::sink()) {
+            assert!(!matches!(
+                e.kind(),
+                ErrorKind::WouldBlock | ErrorKind::TimedOut
+            ));
+        }
+        let mut other = Client::connect(net.local_addr()).expect("connect");
+        let asked = Instant::now();
+        let resp = other
+            .call(&RequestFrame::query(1, "0 AND 1"))
+            .expect("answered");
+        assert!(asked.elapsed() < SLACK);
+        assert_eq!((resp.status, resp.docs.len()), (Status::Ok, 200_000));
+        // Only the second client's connection is still open.
+        while metric(|m| m.gauge("fsi_net_connections_open", &[])) != Some(1) {
+            assert!(
+                sent.elapsed() < 3 * SLACK,
+                "the stalled reader never exited"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(
+            metric(|m| m.counter("fsi_net_write_timeouts_total", &[])),
+            Some(1)
         );
     }
 }

@@ -55,9 +55,24 @@ struct Spanned {
     pos: usize,
 }
 
+/// How many tokens `bytes` can lex to, so the token list is allocated
+/// once: one per parenthesis, and one per run of other non-space bytes
+/// (which holds one word, or fails to lex).
+fn max_tokens(bytes: &[u8]) -> usize {
+    let mut count = 0;
+    let mut after_break = true;
+    for &c in bytes {
+        let paren = c == b'(' || c == b')';
+        let space = c.is_ascii_whitespace();
+        count += usize::from(paren || (after_break && !space));
+        after_break = paren || space;
+    }
+    count
+}
+
 fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
     let bytes = src.as_bytes();
-    let mut toks = Vec::new();
+    let mut toks = Vec::with_capacity(max_tokens(bytes));
     let mut i = 0usize;
     while i < bytes.len() {
         let c = bytes[i];
@@ -81,10 +96,11 @@ fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
                     i += 1;
                 }
                 let word = &src[start..i];
-                match word.to_ascii_uppercase().as_str() {
-                    "AND" => Tok::And,
-                    "OR" => Tok::Or,
-                    "NOT" => Tok::Not,
+                let keyword = |k: &str| word.eq_ignore_ascii_case(k);
+                match word {
+                    _ if keyword("AND") => Tok::And,
+                    _ if keyword("OR") => Tok::Or,
+                    _ if keyword("NOT") => Tok::Not,
                     _ => {
                         // `t`-prefixed or bare decimal term id.
                         let digits = word
@@ -252,6 +268,25 @@ mod tests {
 
     fn t(id: usize) -> Expr {
         Expr::Term(id)
+    }
+
+    #[test]
+    fn token_list_is_sized_before_lexing() {
+        for src in [
+            "0 AND 1",
+            "  (1 OR t2)AND NOT(3)  ",
+            "((a",
+            "x_1 and Or not",
+            "",
+            "1 $ 2",
+        ] {
+            let bound = max_tokens(src.as_bytes());
+            if let Ok(toks) = lex(src) {
+                assert_eq!(toks.len(), bound, "{src:?}");
+                assert_eq!(toks.capacity(), bound, "{src:?}");
+            }
+            assert!(bound <= src.len());
+        }
     }
 
     #[test]

@@ -289,9 +289,19 @@ const TAG_OR: u32 = 2;
 /// equally iff they are equal — what the serving layer's cache keys
 /// store, so equivalent queries share one entry with zero collision risk.
 pub fn encode(n: &NormExpr) -> Vec<u32> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(encoded_len(n));
     enc(n, &mut out);
     out
+}
+
+/// The length of [`encode`]'s output, so the key is allocated once at its
+/// final size.
+fn encoded_len(n: &NormExpr) -> usize {
+    match n {
+        NormExpr::Term(_) => 2,
+        NormExpr::And { pos, neg } => 3 + pos.iter().chain(neg).map(encoded_len).sum::<usize>(),
+        NormExpr::Or(children) => 2 + children.iter().map(encoded_len).sum::<usize>(),
+    }
 }
 
 fn enc(n: &NormExpr, out: &mut Vec<u32>) {
@@ -460,6 +470,7 @@ mod tests {
         for (i, a) in forms.iter().enumerate() {
             for (j, b) in forms.iter().enumerate() {
                 assert_eq!(encode(a) == encode(b), i == j, "{a} vs {b}");
+                assert_eq!(encode(a).capacity(), encode(a).len(), "{a}");
                 assert_eq!(fingerprint(a) == fingerprint(b), i == j, "{a} vs {b}");
             }
         }

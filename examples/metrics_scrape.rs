@@ -81,6 +81,7 @@ fn main() {
         "fsi_net_spin_ns_total",
         "fsi_net_admission_evictions_total",
         "fsi_net_worker_panics_total",
+        "fsi_net_write_timeouts_total",
         "fsi_queries_served_total",
         "fsi_plan_kind_total",
         "fsi_union_kind_total{kind=",

@@ -92,15 +92,16 @@ fn execute_allocates_a_pinned_number_of_times_on_a_miss_and_on_a_hit() {
     assert_eq!((on_miss, on_hit), (MISS_ALLOCATIONS, HIT_ALLOCATIONS));
 }
 
-/// Allocations of one miss: the hit's thirteen, then planning (four: two
+/// Allocations of one miss: the hit's eight, then planning (four: two
 /// plan nodes, the planner's operand order and stats), execution (six: the
 /// operand list, the bitmap list, the `AND` part's copy of it, the chunk
 /// union's cursors and their positions, the extraction's reserve) and the
 /// cache insert (two: the shared result and the cache's copy of the key).
-const MISS_ALLOCATIONS: usize = 25;
+const MISS_ALLOCATIONS: usize = 20;
 /// Allocations of one hit, all in compiling the query to its cache key: the
-/// lexer's token list and its growth (four), the parser's nodes (three),
-/// normalization (two), the term list (one), the encoded key and its growth
-/// (three). The response itself shares the cached result and allocates
-/// nothing.
-const HIT_ALLOCATIONS: usize = 13;
+/// lexer's token list, sized from the query text before lexing (one), the
+/// parser's nodes (three), normalization (two), the term list (one) and the
+/// encoded key, sized from the expression before encoding (one). Keywords
+/// are matched in place, with no upper-cased copy. The response itself
+/// shares the cached result and allocates nothing.
+const HIT_ALLOCATIONS: usize = 8;

@@ -11,7 +11,10 @@ use fast_set_intersection::{
     reference_intersection, HashContext, KIntersect, PairIntersect, RanGroupIndex,
     RanGroupScanIndex, SortedSet,
 };
+use std::io::{self, ErrorKind};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Everything lands in one group: partition level forced to 0.
 #[test]
@@ -159,5 +162,66 @@ fn deeply_nested_queries_are_refused_over_the_wire() {
         .expect("the connection survives");
     assert_eq!(resp.status, Status::Ok, "{}", resp.message);
     assert_eq!(resp.docs, (100..200u32).collect::<Vec<_>>());
+    net.stop();
+}
+
+/// A client that pipelines large answers and never reads fills both
+/// sockets' buffers; the server's write to it blocks, and after the write
+/// timeout (10 s) the connection is shut down and counted in
+/// `fsi_net_write_timeouts_total`. Meanwhile a second client is answered
+/// at once, by a worker and by its own connection's reader.
+#[test]
+fn a_client_that_never_reads_is_disconnected_and_others_are_still_served() {
+    const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+    const SLACK: Duration = Duration::from_secs(10);
+    // `0 AND 1` answers 200 000 documents: 800 KB on the wire.
+    let all: SortedSet = (0..200_000u32).collect();
+    let evens: SortedSet = (0..1000u32).map(|x| 2 * x).collect();
+    let engine = SearchEngine::from_postings(HashContext::new(6), vec![all.clone(), all, evens]);
+    let serve = Arc::new(Server::new(&engine, ServeConfig::default()));
+    let net = NetServer::start(serve, NetConfig::default()).expect("bind loopback");
+    let timeouts = || net.metrics().counter("fsi_net_write_timeouts_total", &[]);
+    let mut stalled = TcpStream::connect(net.local_addr()).expect("connect");
+    let mut sender = Client::from_stream(stalled.try_clone().expect("clone"));
+    // The first answer is read: every later one is a cache hit, which the
+    // stalled connection's own reader writes.
+    let warm = sender
+        .call(&RequestFrame::query(0, "0 AND 1"))
+        .expect("call");
+    assert_eq!(warm.docs.len(), 200_000);
+    // 64 answers, 51 MB: far past what the two sockets buffer.
+    for id in 1..=64 {
+        sender
+            .send(&RequestFrame::query(id, "0 AND 1"))
+            .expect("send");
+    }
+    let sent = Instant::now();
+    let mut other = Client::connect(net.local_addr()).expect("connect");
+    for (id, query, n) in [(1, "0 AND 2", 1000), (2, "1 AND 0", 200_000)] {
+        let asked = Instant::now();
+        let resp = other
+            .call(&RequestFrame::query(id, query))
+            .expect("answered");
+        assert!(asked.elapsed() < Duration::from_secs(2), "{query}");
+        assert_eq!((resp.status, resp.docs.len()), (Status::Ok, n), "{query}");
+    }
+    while timeouts() != Some(1) {
+        assert!(sent.elapsed() < WRITE_TIMEOUT + SLACK, "no write timed out");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // Cut off: the stalled client reads what was buffered, then the end of
+    // the stream (or a reset), not its own read timeout.
+    stalled.set_read_timeout(Some(SLACK)).expect("timeout");
+    if let Err(e) = io::copy(&mut stalled, &mut io::sink()) {
+        assert!(!matches!(
+            e.kind(),
+            ErrorKind::WouldBlock | ErrorKind::TimedOut
+        ));
+    }
+    let resp = other
+        .call(&RequestFrame::query(3, "2"))
+        .expect("still answered");
+    assert_eq!(resp.docs.len(), 1000);
+    assert_eq!(timeouts(), Some(1));
     net.stop();
 }
