@@ -66,13 +66,11 @@
 //! The rule is decided on the list's chunk walk — its chunk ids and run
 //! starts, found by one gallop per chunk, the top level both
 //! representations share — and the chosen representation is filled from
-//! that walk, so [`PlannedList::build`] reads each posting once. A list
-//! with 1024 members per chunk of its span (its first member's chunk to
-//! its last's) is a bitmap whatever chunks the walk finds, and is walked
-//! first; any other is narrowed to arrays first, the walk then reading
-//! lines the narrowing brought into cache. Building every list then takes
-//! about as long as cloning the posting lists (`--bin serve`'s `build`
-//! row).
+//! that walk, so [`PlannedList::build`] reads each posting once. A list of
+//! fewer than 1024 members cannot be a bitmap (unless it is empty): it is
+//! narrowed to arrays first, the walk then reading lines the narrowing
+//! brought into cache. Building every list takes about as long as cloning
+//! the posting lists (`--bin serve`'s `build` row).
 //!
 //! Three structures are not among them. A hash table per sparse list: it
 //! cost more than half the index (6.57 of 11.50 B/posting on the benchmark
@@ -110,8 +108,8 @@ use fsi_compress::BlockPostings;
 use fsi_core::elem::{Elem, SortedSet};
 use fsi_core::traits::{KIntersect, SetIndex};
 use fsi_kernels::{
-    chunk_union_into, heap_merge_into, retain_members, simd, ArraySet, BitmapSet, Member,
-    SimdLevel, UnionPart, WORDS_PER_CHUNK,
+    chunk_union_into, heap_merge_into, retain_members, simd, ArraySet, BitmapSet, ChunkWalk,
+    Member, SimdLevel, UnionPart, WORDS_PER_CHUNK,
 };
 
 /// The build rule of [`PlannedList::build`], decided on the list's chunk
@@ -173,25 +171,22 @@ pub enum PlannedList {
 
 impl PlannedList {
     /// Prepares `set` in the representation the build rule picks for it,
-    /// walking its chunks once (a gallop per chunk) and reading each member
-    /// once. A list with at least 1024 members per chunk of its span
-    /// ([`BitmapSet::chunk_span`], read from its ends) holds one per word
-    /// of whatever chunks the walk finds: it is walked, and the bitmap is
-    /// filled from the walk. Any other list is narrowed to chunked arrays
-    /// first, so the walk reads lines the narrowing brought into cache, and
-    /// the rule is decided on that walk; the rare list it makes a bitmap —
-    /// dense in the chunks it touches, with empty chunks between them — is
-    /// filled from the arrays.
+    /// reading each member once. A list of at least 1024 members is walked
+    /// once ([`ChunkWalk`]: a gallop per chunk), the rule is decided on the
+    /// walk, and the chosen representation is filled from it. A shorter
+    /// one holds fewer members than one chunk has words, so it is chunked
+    /// arrays unless it is empty; it is narrowed first, so the walk reads
+    /// lines the narrowing brought into cache.
     pub fn build(set: &SortedSet) -> Self {
         let elems = set.as_slice();
-        if elems.len() >= BitmapSet::chunk_span(elems) * WORDS_PER_CHUNK {
-            return Self::Bitmap(BitmapSet::from_sorted_slice(elems));
+        if elems.len() < WORDS_PER_CHUNK && !elems.is_empty() {
+            return Self::Array(ArraySet::from_sorted_slice(elems));
         }
-        let array = ArraySet::from_sorted_slice(elems);
-        if carries_bitmap(array.len(), array.num_chunks()) {
-            Self::Bitmap(BitmapSet::from_array(&array))
+        let walk = ChunkWalk::new(elems);
+        if carries_bitmap(walk.len(), walk.num_chunks()) {
+            Self::Bitmap(BitmapSet::from_walk(&walk))
         } else {
-            Self::Array(array)
+            Self::Array(ArraySet::from_walk(walk))
         }
     }
 

@@ -10,12 +10,12 @@
 //! high half of a member is stored once per chunk instead of once per
 //! member.
 //!
-//! A set is built by one pass that narrows its members to their low halves
-//! and one chunk walk — a gallop per chunk for where its run ends — for
-//! the ids and run starts. The walk is the top level both chunked
-//! representations share: [`BitmapSet`](crate::BitmapSet) is built on it
-//! too, or on a built set's ids and runs, so neither builder tests a
-//! member for a chunk change.
+//! A set is built from one pass that narrows its members to their low
+//! halves and one chunk walk ([`ChunkWalk`]) — a gallop per chunk for where
+//! its run ends — for the ids and run starts. The walk is the top level
+//! both chunked representations share: [`BitmapSet`](crate::BitmapSet) is
+//! filled from it too, so neither builder tests a member for a chunk
+//! change, and a builder choosing between them decides on the walk.
 //!
 //! Every reader of a sorted list has a chunked form:
 //!
@@ -50,15 +50,22 @@ pub struct ArraySet {
     lows: Box<[u16]>,
 }
 
-/// The top level of the chunked layout: the sorted ids of the chunks a
-/// sorted list touches and where each chunk's run starts, found by one
-/// gallop per chunk for where its run ends. The gallop reads near the run
-/// it measures (a binary search over the rest of the list read cold lines
-/// all over it, and cost a fresh index build ≈ 2 ms) and a few members per
-/// chunk. Both chunked representations are built on it: an [`ArraySet`]
-/// keeps it beside its low halves, and a
-/// [`BitmapSet`](crate::BitmapSet) sets each run's bits into its own chunk.
-pub(crate) struct ChunkWalk {
+/// The top level of the chunked layout, walked over a sorted list: the
+/// sorted ids of the chunks it touches and where each chunk's run starts,
+/// found by one gallop per chunk for where its run ends. The gallop reads
+/// near the run it measures (a binary search over the rest of the list
+/// read cold lines all over it, and cost a fresh index build ≈ 2 ms) and a
+/// few members per chunk. Both chunked representations are filled from
+/// it: an [`ArraySet`] keeps it beside its members' low halves
+/// ([`ArraySet::from_walk`]), and a [`BitmapSet`](crate::BitmapSet) sets
+/// each run's bits into its own chunk
+/// ([`BitmapSet::from_walk`](crate::BitmapSet::from_walk)). A builder that
+/// must choose between them decides on [`ChunkWalk::num_chunks`] before
+/// either reads a member.
+#[derive(Debug, Clone)]
+pub struct ChunkWalk<'a> {
+    /// The list walked.
+    elems: &'a [Elem],
     /// Sorted ids (`value >> 16`) of the chunks the list touches.
     ids: Vec<u16>,
     /// `starts[i]..starts[i + 1]` is chunk `i`'s run of the list; one entry
@@ -66,50 +73,55 @@ pub(crate) struct ChunkWalk {
     starts: Vec<u32>,
 }
 
-impl ChunkWalk {
+impl<'a> ChunkWalk<'a> {
     /// Walks the chunks of a sorted, duplicate-free slice.
-    pub(crate) fn new(elems: &[Elem]) -> Self {
-        // Sized for every chunk of the span, which a list spread over a
-        // small universe touches: one allocation each.
-        let span = span(elems).min(elems.len());
-        let mut ids = Vec::with_capacity(span);
-        let mut starts = Vec::with_capacity(span + 1);
+    pub fn new(elems: &'a [Elem]) -> Self {
+        // Sized for every chunk between the first member's and the last's,
+        // which a list spread over a small universe touches: one
+        // allocation each.
+        let span = match (elems.first(), elems.last()) {
+            (Some(&lo), Some(&hi)) => ((hi >> CHUNK_BITS) - (lo >> CHUNK_BITS)) as usize + 1,
+            _ => 0,
+        };
+        let mut ids = Vec::with_capacity(span.min(elems.len()));
+        let mut starts = Vec::with_capacity(span.min(elems.len()) + 1);
         for (id, at) in chunk_starts(elems) {
             ids.push(id as u16);
             starts.push(at as u32);
         }
         starts.push(elems.len() as u32);
-        Self { ids, starts }
+        Self { elems, ids, starts }
+    }
+
+    /// Number of members of the list walked.
+    pub fn len(&self) -> usize {
+        self.elems.len()
+    }
+
+    /// Whether the list walked is empty.
+    pub fn is_empty(&self) -> bool {
+        self.elems.is_empty()
     }
 
     /// Number of chunks the list touches.
-    pub(crate) fn num_chunks(&self) -> usize {
+    pub fn num_chunks(&self) -> usize {
         self.ids.len()
     }
 
-    /// Every chunk of `elems` — the list this walk was made from — in
-    /// ascending order: its id and its run of members.
-    pub(crate) fn runs<'a>(
-        &'a self,
-        elems: &'a [Elem],
-    ) -> impl Iterator<Item = (u16, &'a [Elem])> + 'a {
-        self.ids.iter().zip(self.starts.windows(2)).map(|(&id, w)| {
-            let run = match w {
-                [start, end] => elems.get(*start as usize..*end as usize),
-                _ => None,
-            };
-            (id, run.unwrap_or(&[]))
-        })
-    }
-}
-
-/// Number of chunks from the first member's to the last's, both included
-/// (0 for an empty slice): read in `O(1)`, and never fewer than the chunks
-/// the sorted slice touches.
-pub(crate) fn span(elems: &[Elem]) -> usize {
-    match (elems.first(), elems.last()) {
-        (Some(&lo), Some(&hi)) => ((hi >> CHUNK_BITS) - (lo >> CHUNK_BITS)) as usize + 1,
-        _ => 0,
+    /// Every chunk the list touches, ascending: its id and its run of
+    /// members.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (u16, &'a [Elem])> + '_ {
+        let elems = self.elems;
+        self.ids
+            .iter()
+            .zip(self.starts.windows(2))
+            .map(move |(&id, w)| {
+                let run = match w {
+                    [start, end] => elems.get(*start as usize..*end as usize),
+                    _ => None,
+                };
+                (id, run.unwrap_or(&[]))
+            })
     }
 }
 
@@ -132,17 +144,35 @@ pub(crate) fn count_chunks(elems: &[Elem]) -> usize {
     chunk_starts(elems).count()
 }
 
+/// Every member's low 16 bits, in order.
+fn narrow(elems: &[Elem]) -> Box<[u16]> {
+    elems.iter().map(|&x| x as u16).collect()
+}
+
 impl ArraySet {
     /// Builds from a sorted, duplicate-free slice: one pass over its
     /// members keeps their low halves, then the chunk walk — a gallop per
     /// chunk — finds the chunks' ids and run starts in the lines that pass
-    /// brought into cache.
+    /// brought into cache. A list of a few hundred members is built fastest
+    /// this way; [`ArraySet::from_walk`] serves a builder that walks first
+    /// to choose a representation.
     pub fn from_sorted_slice(elems: &[Elem]) -> Self {
-        let lows: Box<[u16]> = elems.iter().map(|&x| x as u16).collect();
-        let ChunkWalk { ids, starts } = ChunkWalk::new(elems);
+        let lows = narrow(elems);
+        Self::assemble(ChunkWalk::new(elems), lows)
+    }
+
+    /// Builds from a list's chunk walk, which it keeps as its ids and run
+    /// starts; one pass over the members keeps their low halves.
+    pub fn from_walk(walk: ChunkWalk<'_>) -> Self {
+        let lows = narrow(walk.elems);
+        Self::assemble(walk, lows)
+    }
+
+    /// The set of a walk and its list's low halves.
+    fn assemble(walk: ChunkWalk<'_>, lows: Box<[u16]>) -> Self {
         Self {
-            ids: ids.into(),
-            starts: starts.into(),
+            ids: walk.ids.into(),
+            starts: walk.starts.into(),
             lows,
         }
     }
@@ -222,7 +252,7 @@ impl ArraySet {
 
     /// Every chunk the set touches, ascending: its first value and its run
     /// of low halves.
-    pub(crate) fn chunks(&self) -> impl Iterator<Item = (Elem, &[u16])> + '_ {
+    fn chunks(&self) -> impl Iterator<Item = (Elem, &[u16])> + '_ {
         (0..self.ids.len()).map(|ci| self.chunk(ci))
     }
 
@@ -453,6 +483,10 @@ mod tests {
             assert_eq!(array.size_in_bytes(), 2 * set.len() + 6 * chunks + 4);
             let sorted = SortedSet::from_unsorted(set.clone());
             assert_eq!(ArraySet::from_sorted_slice(sorted.as_slice()), array);
+            // Walked first or narrowed first, the same set.
+            let walk = ChunkWalk::new(&set);
+            assert_eq!((walk.len(), walk.num_chunks()), (set.len(), chunks));
+            assert_eq!(ArraySet::from_walk(walk), array);
             // Appending leaves a prefix alone.
             let mut out = vec![7];
             array.extend_into(&mut out);

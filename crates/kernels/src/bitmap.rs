@@ -12,9 +12,9 @@
 //! density: dense chunks amortize the fixed `O(1024)` word sweep over many
 //! members.
 //!
-//! A bitmap is built on a chunk walk of its list (a gallop per chunk, as
-//! [`ArraySet`] is) or on a built [`ArraySet`]'s runs: every chunk's words
-//! are allocated at once, and each run sets its bits in its own chunk.
+//! A bitmap is filled from a chunk walk of its list ([`ChunkWalk`]: a
+//! gallop per chunk, the walk [`ArraySet`] keeps): every chunk's words are
+//! allocated at once, and each run sets its bits in its own chunk.
 //!
 //! The same structure answers point membership ([`BitmapSet::contains`],
 //! [`BitmapSet::probe`]): a chunk lookup and one bit test, which is what
@@ -49,52 +49,38 @@ impl BitmapSet {
 
     /// Builds from a sorted, duplicate-free slice: the chunk walk finds the
     /// chunks it touches by a gallop per chunk, then each chunk's run sets
-    /// its members' bits.
+    /// its members' bits ([`BitmapSet::from_walk`]).
     pub fn from_sorted_slice(elems: &[Elem]) -> Self {
-        let walk = ChunkWalk::new(elems);
-        let runs = walk
-            .runs(elems)
-            .map(|(id, run)| (u32::from(id), run.iter().map(|&x| x as u16)));
-        Self::from_runs(elems.len(), walk.num_chunks(), runs)
+        Self::from_walk(&ChunkWalk::new(elems))
     }
 
-    /// The same set as `array`'s chunked arrays, built from its chunk ids
-    /// and low halves without reading the documents again.
-    pub fn from_array(array: &ArraySet) -> Self {
-        let runs = array
-            .chunks()
-            .map(|(high, run)| (high >> CHUNK_BITS, run.iter().copied()));
-        Self::from_runs(array.len(), array.num_chunks(), runs)
-    }
-
-    /// `n` members in `chunks` chunks, given as each chunk's id and its
-    /// members' low halves, ascending: every chunk's 1024 words are
+    /// Builds from a list's chunk walk: every chunk's 1024 words are
     /// allocated at once, zeroed, and each run sets its bits in its own
     /// chunk — no member is tested for a chunk change, and no bitmap grows.
-    fn from_runs<R: Iterator<Item = u16>>(
-        n: usize,
-        chunks: usize,
-        runs: impl Iterator<Item = (u32, R)>,
-    ) -> Self {
-        let mut ids = Vec::with_capacity(chunks);
-        let mut words = vec![0u64; chunks * WORDS_PER_CHUNK];
+    pub fn from_walk(walk: &ChunkWalk<'_>) -> Self {
+        let mut ids = Vec::with_capacity(walk.num_chunks());
+        let mut words = vec![0u64; walk.num_chunks() * WORDS_PER_CHUNK];
         let (bitmaps, _) = words.as_chunks_mut::<WORDS_PER_CHUNK>();
-        for ((id, run), bitmap) in runs.zip(bitmaps) {
-            ids.push(id);
+        for ((id, run), bitmap) in walk.runs().zip(bitmaps) {
+            ids.push(u32::from(id));
             // The word being filled is carried in a register and stored
             // whole after every member, never read back: a dense run's
             // members would otherwise each wait on the last one's store.
             // Members ascend, so a word is finished when the next member
             // leaves it.
             let (mut at, mut word) = (usize::MAX, 0u64);
-            for low in run.map(usize::from) {
+            for low in run.iter().map(|&x| usize::from(x as u16)) {
                 let stay = u64::from(low >> 6 == at).wrapping_neg();
                 at = low >> 6;
                 word = (word & stay) | 1u64 << (low & 63);
                 bitmap[at] = word;
             }
         }
-        Self { n, ids, words }
+        Self {
+            n: walk.len(),
+            ids,
+            words,
+        }
     }
 
     /// Number of chunks the set touches.
@@ -108,14 +94,6 @@ impl BitmapSet {
     /// gallop per chunk, as the builders' chunk walk takes.
     pub fn count_chunks(elems: &[Elem]) -> usize {
         crate::array::count_chunks(elems)
-    }
-
-    /// Number of chunks from a sorted slice's first member's to its last's
-    /// (0 when it is empty): read in `O(1)`, and never fewer than
-    /// [`BitmapSet::count_chunks`]. A list with at least 1024 members per
-    /// chunk of its span has one per bitmap word of the chunks it touches.
-    pub fn chunk_span(elems: &[Elem]) -> usize {
-        crate::array::span(elems)
     }
 
     /// Membership test: chunk offset plus one bit test. A value whose

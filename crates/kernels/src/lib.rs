@@ -114,7 +114,7 @@ pub mod kernel;
 pub mod multiway;
 pub mod simd;
 
-pub use array::{ArrayProbe, ArraySet};
+pub use array::{ArrayProbe, ArraySet, ChunkWalk};
 pub use bitmap::WORDS_PER_CHUNK;
 pub use bitmap::{chunk_union_into, BitmapProbe, BitmapSet, UnionPart};
 pub use boolean::{heap_union_into, merge_union_into, retain_members, Member};
