@@ -60,9 +60,9 @@ pub struct ArraySet {
 /// ([`ArraySet::from_walk`]), and a [`BitmapSet`](crate::BitmapSet) sets
 /// each run's bits into its own chunk
 /// ([`BitmapSet::from_walk`](crate::BitmapSet::from_walk)). A builder that
-/// must choose between them decides on [`ChunkWalk::num_chunks`] before
-/// either reads a member.
-#[derive(Debug, Clone)]
+/// must choose between them decides on [`ChunkWalk::num_chunks`], before
+/// either is filled.
+#[derive(Debug)]
 pub struct ChunkWalk<'a> {
     /// The list walked.
     elems: &'a [Elem],
