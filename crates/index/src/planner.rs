@@ -183,7 +183,7 @@ impl PlannedList {
             return Self::Array(ArraySet::from_sorted_slice(elems));
         }
         let walk = ChunkWalk::new(elems);
-        if carries_bitmap(walk.len(), walk.num_chunks()) {
+        if carries_bitmap(elems.len(), walk.num_chunks()) {
             Self::Bitmap(BitmapSet::from_walk(&walk))
         } else {
             Self::Array(ArraySet::from_walk(walk))

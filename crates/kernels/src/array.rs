@@ -65,7 +65,7 @@ pub struct ArraySet {
 #[derive(Debug)]
 pub struct ChunkWalk<'a> {
     /// The list walked.
-    elems: &'a [Elem],
+    pub(crate) elems: &'a [Elem],
     /// Sorted ids (`value >> 16`) of the chunks the list touches.
     ids: Vec<u16>,
     /// `starts[i]..starts[i + 1]` is chunk `i`'s run of the list; one entry
@@ -93,16 +93,6 @@ impl<'a> ChunkWalk<'a> {
         Self { elems, ids, starts }
     }
 
-    /// Number of members of the list walked.
-    pub fn len(&self) -> usize {
-        self.elems.len()
-    }
-
-    /// Whether the list walked is empty.
-    pub fn is_empty(&self) -> bool {
-        self.elems.is_empty()
-    }
-
     /// Number of chunks the list touches.
     pub fn num_chunks(&self) -> usize {
         self.ids.len()
@@ -127,7 +117,7 @@ impl<'a> ChunkWalk<'a> {
 
 /// The id and start of every chunk a sorted, duplicate-free slice touches,
 /// ascending: one [`run_len`] gallop per chunk.
-fn chunk_starts(elems: &[Elem]) -> impl Iterator<Item = (u32, usize)> + '_ {
+pub(crate) fn chunk_starts(elems: &[Elem]) -> impl Iterator<Item = (u32, usize)> + '_ {
     let mut at = 0usize;
     std::iter::from_fn(move || {
         let &first = elems.get(at)?;
@@ -136,12 +126,6 @@ fn chunk_starts(elems: &[Elem]) -> impl Iterator<Item = (u32, usize)> + '_ {
         at += run_len(elems.get(at..).unwrap_or(&[]), id);
         Some((id, start))
     })
-}
-
-/// Number of distinct chunks a sorted, duplicate-free slice touches: one
-/// gallop per chunk, no allocation.
-pub(crate) fn count_chunks(elems: &[Elem]) -> usize {
-    chunk_starts(elems).count()
 }
 
 /// Every member's low 16 bits, in order.
@@ -485,7 +469,7 @@ mod tests {
             assert_eq!(ArraySet::from_sorted_slice(sorted.as_slice()), array);
             // Walked first or narrowed first, the same set.
             let walk = ChunkWalk::new(&set);
-            assert_eq!((walk.len(), walk.num_chunks()), (set.len(), chunks));
+            assert_eq!(walk.num_chunks(), chunks);
             assert_eq!(ArraySet::from_walk(walk), array);
             // Appending leaves a prefix alone.
             let mut out = vec![7];

@@ -77,7 +77,7 @@ impl BitmapSet {
             }
         }
         Self {
-            n: walk.len(),
+            n: walk.elems.len(),
             ids,
             words,
         }
@@ -93,7 +93,7 @@ impl BitmapSet {
     /// [`BitmapSet::from_sorted_slice`], without building any bitmap: one
     /// gallop per chunk, as the builders' chunk walk takes.
     pub fn count_chunks(elems: &[Elem]) -> usize {
-        crate::array::count_chunks(elems)
+        crate::array::chunk_starts(elems).count()
     }
 
     /// Membership test: chunk offset plus one bit test. A value whose
