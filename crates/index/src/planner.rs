@@ -14,7 +14,7 @@
 //! | kind | estimated cost | regime it owns |
 //! |------|----------------|----------------|
 //! | [`PlanKind::BitmapAnd`] | `bitmap_word · w · (k−1) + scan · w + extract · min(E[survivors], w)`, `w = c_min · 1024` | every operand carries a chunk bitmap |
-//! | [`PlanKind::HashProbe`] | `r₁ + u₂(n₁) + Σᵢ≥₃ uᵢ(ŝ)`, `uᵢ(c) = bit_test · c` for a probed bitmap, `gallop · c · log₂(nᵢ/c + 2)` for probed arrays ([`Planner::probe_price`]) | a small driver against bitmaps (`O(n₁)` bit tests), a tiny driver against arrays, and skewed pairs at the scalar tier (Hwang–Lin) |
+//! | [`PlanKind::HashProbe`] | `r₁ + u₂(n₁) + Σᵢ≥₃ uᵢ(ŝ)`, `uᵢ(c) = bit_test · c` for a probed bitmap, `gallop · c · log₂(nᵢ/c + 2)` for probed arrays | a small driver against bitmaps (`O(n₁)` bit tests), a tiny driver against arrays, and skewed pairs at the scalar tier (Hwang–Lin) |
 //! | [`PlanKind::SimdMerge`] | `merge · (n₁ + n₂ + b · ĉ) + Σᵢ≥₃ uᵢ(ŝ)` between arrays, `merge · (n₁ + n₂) + r₁ + r₂ + …` when one is a bitmap | bitmap-less pairs at SSE4.1/AVX2, and balanced ones at the scalar tier: the 16-bit merge of the two smallest lists' chunk runs, its survivors probed through the rest |
 //!
 //! In the merge, `b` is the tier's block width (1 / 8 / 16 at scalar /
@@ -99,9 +99,11 @@
 //! word and its extraction.
 //!
 //! The same table prices `fsi-query`'s union and difference nodes, so a
-//! unit is charged in one place. None of it is configurable: a [`Planner`]
-//! is only the SIMD tier it prices for, and the bitmap word and the merged
-//! element are the only units a tier changes.
+//! unit is charged in one place, and every `AND` of an expression runs
+//! [`Planner::execute`] — a sub-expression operand as a list narrowed to
+//! chunked arrays, which a plan reads like a term. None of it is
+//! configurable: a [`Planner`] is only the SIMD tier it prices for, and the
+//! bitmap word and the merged element are the only units a tier changes.
 
 use crate::engine::SearchEngine;
 use fsi_compress::BlockPostings;
@@ -439,11 +441,6 @@ pub enum CostUnit {
     /// (AVX2): ≈ 1 ns per swept word and 2.3 ns per nonzero result word
     /// against 1.3 ns per bit test.
     Extract,
-    /// Per input element per `log₂ k` for the heap k-way union of
-    /// materialized children: a pop, a push and an output push, ≈ 10 ns on
-    /// the benchmark corpus (fitted at 9–17 for two- and three-way unions
-    /// of terms and of materialized `AND`s).
-    HeapUnion,
     /// Per member of a child's sorted result set into the chunk union's
     /// accumulator: one sequential read and one read-modify-write of an
     /// L1-resident word.
@@ -452,14 +449,13 @@ pub enum CostUnit {
 
 impl CostUnit {
     /// Every unit, in table order.
-    pub const ALL: [CostUnit; 8] = [
+    pub const ALL: [CostUnit; 7] = [
         CostUnit::Gallop,
         CostUnit::BitmapWord,
         CostUnit::Merge,
         CostUnit::BitTest,
         CostUnit::Scan,
         CostUnit::Extract,
-        CostUnit::HeapUnion,
         CostUnit::SetBit,
     ];
 
@@ -473,7 +469,6 @@ impl CostUnit {
             CostUnit::BitTest => "bit_test",
             CostUnit::Scan => "scan",
             CostUnit::Extract => "extract",
-            CostUnit::HeapUnion => "heap_union",
             CostUnit::SetBit => "set_bit",
         }
     }
@@ -526,7 +521,6 @@ impl Planner {
             CostUnit::BitTest => 2.0,
             CostUnit::Scan => 1.25,
             CostUnit::Extract => 3.5,
-            CostUnit::HeapUnion => 12.0,
             CostUnit::SetBit => 1.0,
         }
     }
@@ -615,9 +609,8 @@ impl Planner {
     /// operands ascending by size (`by_size`, k ≥ 2): the smallest read as a
     /// sorted run, every element of it tested against the second, and the
     /// survivors against the rest — a bit test each against a bitmap, a
-    /// gallop through arrays. `fsi-query` prices its mixed `AND`, the
-    /// same filter over materialized operands, with it too.
-    pub fn probe_price(&self, by_size: &[OperandStats], universe: u64) -> f64 {
+    /// gallop through arrays.
+    fn probe_price(&self, by_size: &[OperandStats], universe: u64) -> f64 {
         let [first, second, ..] = by_size else {
             return 0.0;
         };

@@ -21,7 +21,7 @@
 //!
 //! * intersection ([`ArraySet::intersect_into_at`]) walks both chunk-id
 //!   lists in lockstep and merges the two `u16` runs of each shared chunk
-//!   ([`simd::merge16_into_at`](crate::simd::merge16_into_at): blocks of
+//!   ([`simd::merge16_into_at`]: blocks of
 //!   8 or 16 lanes where the `u32` merge has 4 or 8);
 //! * membership ([`ArraySet::probe`]) moves a chunk cursor, then gallops
 //!   inside the chunk's run;
@@ -313,7 +313,7 @@ impl SetIndex for ArraySet {
 /// How many members at the front of `rest` lie in chunk `id` (at least one,
 /// when `rest` is non-empty and starts in it): doubling steps from the
 /// front, then a binary search inside the last step.
-fn run_len(rest: &[Elem], id: u32) -> usize {
+pub(crate) fn run_len(rest: &[Elem], id: u32) -> usize {
     let in_chunk = |x: &Elem| x >> CHUNK_BITS == id;
     // `rest[lo]` is in the chunk; the run ends in `lo + 1..=lo + step`.
     let (mut lo, mut step) = (0usize, 1usize);

@@ -16,6 +16,10 @@
 //! gallop per chunk, the walk [`ArraySet`] keeps): every chunk's words are
 //! allocated at once, and each run sets its bits in its own chunk.
 //!
+//! The chunk union ([`chunk_union_into`]) is the engine's one union over
+//! any mix of bitmaps, bitmap `AND`s, chunked arrays and sorted lists; it
+//! chooses per chunk between merging 16-bit runs and a bitmap accumulator.
+//!
 //! The same structure answers point membership ([`BitmapSet::contains`],
 //! [`BitmapSet::probe`]): a chunk lookup and one bit test, which is what
 //! a sparse list probing a dense one needs instead of a sweep.
@@ -231,30 +235,43 @@ pub enum UnionPart<'a> {
         /// bits.
         neg_arrays: Vec<&'a ArraySet>,
     },
-    /// Chunked 16-bit arrays: the bits of each chunk's run are set.
+    /// Chunked 16-bit arrays: each chunk's run is merged where the chunk
+    /// is sparse, and its bits set in the accumulator where it is not.
     Array(&'a ArraySet),
-    /// A sorted, duplicate-free list — a materialized result: its members'
-    /// bits are set.
+    /// A sorted, duplicate-free list — a materialized result: read chunk by
+    /// chunk as [`UnionPart::Array`]'s runs are.
     List(&'a [Elem]),
 }
 
 /// Appends the union of `parts` to `out`, ascending and duplicate-free, one
-/// chunk at a time: for each chunk id any part contributes to, in
-/// ascending order, one 8 KiB accumulator gathers every contribution and
-/// the chunk's members leave through one [`extract_into_at`] walk. A chunk
-/// only one bitmap contributes to is extracted straight from that
-/// bitmap's words. No part is ever extracted on its own, so a union over
-/// intersections pays one extraction for its result and none for its
-/// operands.
+/// chunk at a time, the container chosen per chunk as Roaring chooses it.
+/// A chunk that only [`UnionPart::Array`] and [`UnionPart::List`] parts
+/// reach, holding fewer members than the chunk has bitmap words (the rule
+/// by which a prepared list carries no bitmap), is merged: the runs' 16-bit
+/// lows are gathered into one reused buffer and widened into `out` — as
+/// they are where one run reaches the chunk, merged where two do, sorted
+/// (the stable sort merges the ascending runs it finds) and deduplicated
+/// where more do. Into every other chunk one 8 KiB
+/// accumulator gathers every contribution, and the chunk's members leave
+/// through one [`extract_into_at`] walk; a chunk only one bitmap
+/// contributes to is extracted straight from that bitmap's words. No part
+/// is ever extracted on its own, so a union over intersections pays one
+/// extraction for its result and none for its operands.
 ///
 /// [`extract_into_at`]: crate::simd::extract_into_at
 pub fn chunk_union_into(parts: &[UnionPart<'_>], out: &mut Vec<Elem>) {
     // One dispatch read for the whole sweep, not one per word primitive.
     let level = crate::simd::SimdLevel::active();
     let mut cursors: Vec<Cursor> = parts.iter().map(Cursor::new).collect();
-    let mut acc = [0u64; WORDS_PER_CHUNK];
-    let mut scratch = [0u64; WORDS_PER_CHUNK];
+    // The accumulator and the `And` scratch, zeroed on the first chunk
+    // that needs them: a union whose every chunk merges never touches them.
+    let mut buffers = None;
+    let mut lows = Vec::new();
     while let Some(id) = cursors.iter().filter_map(|c| c.next).min() {
+        if merge_sparse_chunk(parts, &mut cursors, id, &mut lows, out) {
+            continue;
+        }
+        let [acc, scratch] = buffers.get_or_insert([[0u64; WORDS_PER_CHUNK]; 2]);
         // Where the chunk's union is so far: nothing, one bitmap's words
         // (not yet copied), or `acc`.
         let mut borrowed: Option<&[u64]> = None;
@@ -267,10 +284,10 @@ pub fn chunk_union_into(parts: &[UnionPart<'_>], out: &mut Vec<Elem>) {
                 UnionPart::Bitmap(b) => {
                     let words = b.chunk(cursor.at);
                     if in_acc {
-                        crate::simd::or_in_place_at(level, &mut acc, words);
+                        crate::simd::or_in_place_at(level, acc, words);
                     } else if let Some(first) = borrowed {
                         acc.copy_from_slice(first);
-                        crate::simd::or_in_place_at(level, &mut acc, words);
+                        crate::simd::or_in_place_at(level, acc, words);
                         in_acc = true;
                     } else {
                         borrowed = Some(words);
@@ -278,15 +295,14 @@ pub fn chunk_union_into(parts: &[UnionPart<'_>], out: &mut Vec<Elem>) {
                     cursor.at += 1;
                 }
                 UnionPart::List(xs) => {
-                    let run = chunk_run(xs, cursor.at, id);
-                    cursor.at = run.end;
-                    start_acc(&mut acc, &mut in_acc, borrowed);
-                    for &x in xs.get(run).unwrap_or(&[]) {
+                    start_acc(&mut *acc, &mut in_acc, borrowed);
+                    for &x in xs.get(cursor.at..cursor.end).unwrap_or(&[]) {
                         acc[(x as usize >> 6) % WORDS_PER_CHUNK] |= 1 << (x & 63);
                     }
+                    cursor.at = cursor.end;
                 }
                 UnionPart::Array(array) => {
-                    start_acc(&mut acc, &mut in_acc, borrowed);
+                    start_acc(&mut *acc, &mut in_acc, borrowed);
                     for &low in array.chunk_run(cursor.at) {
                         acc[(low as usize >> 6) % WORDS_PER_CHUNK] |= 1 << (low & 63);
                     }
@@ -299,14 +315,14 @@ pub fn chunk_union_into(parts: &[UnionPart<'_>], out: &mut Vec<Elem>) {
                 } => {
                     // Formed in `acc` while the chunk holds nothing of its
                     // own yet, else in `scratch` and then ORed in.
-                    let target = if in_acc { &mut scratch } else { &mut acc };
+                    let target = if in_acc { &mut *scratch } else { &mut *acc };
                     let nonempty = and_not_chunk(level, pos, neg, neg_arrays, id, cursor, target);
                     if nonempty {
                         if in_acc {
-                            crate::simd::or_in_place_at(level, &mut acc, &scratch);
+                            crate::simd::or_in_place_at(level, acc, &scratch[..]);
                         } else {
                             if let Some(first) = borrowed {
-                                crate::simd::or_in_place_at(level, &mut acc, first);
+                                crate::simd::or_in_place_at(level, acc, first);
                             }
                             in_acc = true;
                         }
@@ -325,6 +341,105 @@ pub fn chunk_union_into(parts: &[UnionPart<'_>], out: &mut Vec<Elem>) {
         };
         crate::simd::extract_into_at(level, id << CHUNK_BITS, words, out);
     }
+}
+
+/// Merges chunk `id` straight into `out` when only `Array` and `List` parts
+/// reach it and their runs there hold fewer than [`WORDS_PER_CHUNK`]
+/// members: their lows are gathered into `lows` and widened — one run as it
+/// is, two merged, more sorted and deduplicated. Moves the cursors of the
+/// parts it merged; returns `false`, having moved none, when the chunk
+/// needs the accumulator.
+fn merge_sparse_chunk(
+    parts: &[UnionPart<'_>],
+    cursors: &mut [Cursor],
+    id: u32,
+    lows: &mut Vec<u16>,
+    out: &mut Vec<Elem>,
+) -> bool {
+    let (mut members, mut runs) = (0usize, 0usize);
+    for (part, cursor) in parts.iter().zip(cursors.iter()) {
+        if cursor.next == Some(id) {
+            members += match part {
+                UnionPart::Array(array) => array.chunk_run(cursor.at).len(),
+                UnionPart::List(_) => cursor.end - cursor.at,
+                UnionPart::Bitmap(_) | UnionPart::And { .. } => return false,
+            };
+            runs += 1;
+        }
+    }
+    if members >= WORDS_PER_CHUNK {
+        return false;
+    }
+    lows.clear();
+    lows.reserve(WORDS_PER_CHUNK);
+    // Where the first run ends in `lows` (every run holds a member).
+    let mut first = 0;
+    for (part, cursor) in parts.iter().zip(cursors.iter_mut()) {
+        if cursor.next != Some(id) {
+            continue;
+        }
+        match part {
+            UnionPart::Array(array) => {
+                lows.extend_from_slice(array.chunk_run(cursor.at));
+                cursor.at += 1;
+            }
+            UnionPart::List(xs) => {
+                let run = xs.get(cursor.at..cursor.end).unwrap_or(&[]);
+                lows.extend(run.iter().map(|&x| x as u16));
+                cursor.at = cursor.end;
+            }
+            UnionPart::Bitmap(_) | UnionPart::And { .. } => {}
+        }
+        if first == 0 {
+            first = lows.len();
+        }
+        cursor.next = cursor.align(part);
+    }
+    let high = id << CHUNK_BITS;
+    match runs {
+        1 => {}
+        2 => {
+            let (a, b) = lows.split_at(first);
+            merge_widened(a, b, high, out);
+            return true;
+        }
+        _ => {
+            lows.sort();
+            lows.dedup();
+        }
+    }
+    out.extend(lows.iter().map(|&low| high | Elem::from(low)));
+    true
+}
+
+/// Appends `a ∪ b` to `out`, each low widened with `high`: the two
+/// ascending runs merged, a low both hold emitted once.
+fn merge_widened(a: &[u16], b: &[u16], high: Elem, out: &mut Vec<Elem>) {
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        match x.cmp(&y) {
+            std::cmp::Ordering::Less => {
+                out.push(high | Elem::from(x));
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(high | Elem::from(y));
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push(high | Elem::from(x));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    let rest = a
+        .get(i..)
+        .unwrap_or(&[])
+        .iter()
+        .chain(b.get(j..).unwrap_or(&[]));
+    out.extend(rest.map(|&low| high | Elem::from(low)));
 }
 
 /// Makes `acc` the chunk's accumulator before bits are set in it: a copy
@@ -346,6 +461,8 @@ struct Cursor {
     /// `Bitmap` and `Array`: index of its next chunk; `List`: index of its
     /// next member.
     at: usize,
+    /// `List`: where its run in chunk `next` ends.
+    end: usize,
     /// `And`: per `pos` set, index of its next chunk.
     pos: Vec<usize>,
     /// `And`: per `neg` set, index of its first chunk not yet passed.
@@ -372,6 +489,7 @@ impl Cursor {
         let mut c = Cursor {
             next: None,
             at: 0,
+            end: 0,
             pos,
             neg,
             neg_arrays,
@@ -381,11 +499,17 @@ impl Cursor {
     }
 
     /// The first chunk id at or past the cursor that `part` contributes to;
-    /// for an `And`, moves every `pos` cursor onto it.
+    /// for a `List`, finds where its run there ends, and for an `And`,
+    /// moves every `pos` cursor onto it.
     fn align(&mut self, part: &UnionPart<'_>) -> Option<u32> {
         match part {
             UnionPart::Bitmap(b) => b.ids.get(self.at).copied(),
-            UnionPart::List(xs) => xs.get(self.at).map(|&x| x >> CHUNK_BITS),
+            UnionPart::List(xs) => {
+                let rest = xs.get(self.at..)?;
+                let id = rest.first()? >> CHUNK_BITS;
+                self.end = self.at + crate::array::run_len(rest, id);
+                Some(id)
+            }
             UnionPart::Array(array) => array.chunk_id(self.at),
             UnionPart::And { pos, .. } => {
                 // Leapfrog over the sorted id lists: chase the largest id
@@ -418,18 +542,6 @@ fn seek(ids: &[u32], from: usize, id: u32) -> usize {
     from + ids
         .get(from..)
         .map_or(0, |rest| rest.partition_point(|&x| x < id))
-}
-
-/// Where the members of `xs` in chunk `id` lie, searching from index
-/// `from` (every earlier member lies in an earlier chunk).
-fn chunk_run(xs: &[Elem], from: usize, id: u32) -> std::ops::Range<usize> {
-    let lo = from
-        + xs.get(from..)
-            .map_or(0, |rest| rest.partition_point(|&x| x >> CHUNK_BITS < id));
-    let hi = lo
-        + xs.get(lo..)
-            .map_or(0, |rest| rest.partition_point(|&x| x >> CHUNK_BITS == id));
-    lo..hi
 }
 
 /// Forms one [`UnionPart::And`]'s contribution to chunk `id` in `target`
@@ -476,6 +588,7 @@ mod tests {
     use fsi_core::elem::reference_intersection;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn sorted_pair(a: &BitmapSet, b: &BitmapSet) -> Vec<Elem> {
         let mut out = Vec::new();
@@ -719,5 +832,125 @@ mod tests {
         let a: SortedSet = (0..10_000u32).step_by(7).collect();
         let ia = BitmapSet::build(&a);
         assert_eq!(BitmapSet::intersect_k_sorted(&[&ia]), a.as_slice());
+    }
+
+    /// The chunks the union property draws from: the first ones, one past
+    /// a gap, and the top two, whose members run up to `u32::MAX`.
+    const CHUNKS: [u32; 5] = [0, 1, 3, 0xFFFE, 0xFFFF];
+
+    /// `n` distinct members of chunk `id`, drawn from 2 048 of its values —
+    /// its lowest, or its highest in the top chunk (with `u32::MAX` among
+    /// them) — so parts drawn from one chunk overlap.
+    fn draw_chunk(rng: &mut StdRng, id: u32, n: usize) -> BTreeSet<Elem> {
+        let base = if id == 0xFFFF { 0xFFFF_F800 } else { id << 16 };
+        let mut set: BTreeSet<Elem> = BTreeSet::new();
+        if id == 0xFFFF && n > 0 {
+            set.insert(u32::MAX);
+        }
+        while set.len() < n {
+            set.insert(base + rng.gen_range(0..2048));
+        }
+        set
+    }
+
+    /// Up to `n` members in each of a random subset of `chunks`.
+    fn draw_parts(rng: &mut StdRng, chunks: &[u32], n: usize) -> BTreeSet<Elem> {
+        let mut set = BTreeSet::new();
+        for &id in chunks {
+            if rng.gen_bool(0.6) {
+                let k = rng.gen_range(0..=n);
+                set.extend(draw_chunk(rng, id, k));
+            }
+        }
+        set
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(miri) { 2 } else { 48 }
+        ))]
+
+        /// The chunk union over a shuffled mix of `Array`, `List`, `Bitmap`
+        /// and `And` parts equals the `BTreeSet` union: one chunk's array
+        /// and list runs total 1 023, 1 024 or 1 025 members (merged below
+        /// [`WORDS_PER_CHUNK`], accumulated from it on), bitmap parts reach
+        /// some chunks and not others, parts share members, some are empty,
+        /// and the top chunk runs to `u32::MAX`. The union appends behind a
+        /// prefix that ends with the first value it emits.
+        #[test]
+        fn chunk_union_matches_a_btreeset_over_mixed_parts(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Members per chunk of sparse and of bitmap parts; Miri
+            // interprets, so it gets fewer.
+            let (sparse, dense) = if cfg!(miri) { (30, 200) } else { (300, 2048) };
+            let edge = CHUNKS[rng.gen_range(0..CHUNKS.len())];
+            let others: Vec<u32> = CHUNKS.iter().copied().filter(|&c| c != edge).collect();
+            let total = WORDS_PER_CHUNK - 1 + rng.gen_range(0..3);
+            let split = rng.gen_range(0..=total);
+            let mut lists: Vec<Vec<Elem>> = Vec::new();
+            for n in [split, total - split] {
+                let mut set = draw_chunk(&mut rng, edge, n);
+                set.extend(draw_parts(&mut rng, &others, sparse));
+                lists.push(set.into_iter().collect());
+            }
+            for _ in 0..rng.gen_range(0..4) {
+                let n = if rng.gen_bool(0.2) { 0 } else { sparse };
+                lists.push(draw_parts(&mut rng, &others, n).into_iter().collect());
+            }
+            let bitmap_part = |rng: &mut StdRng| -> Vec<Elem> {
+                draw_parts(rng, &others, dense).into_iter().collect()
+            };
+            let bitmap_sets: Vec<Vec<Elem>> = (0..rng.gen_range(0..3)).map(|_| bitmap_part(&mut rng)).collect();
+            let and_pos: Vec<Vec<Elem>> = (0..rng.gen_range(1..3)).map(|_| bitmap_part(&mut rng)).collect();
+            let and_neg = bitmap_part(&mut rng);
+            let and_neg_array: Vec<Elem> = draw_parts(&mut rng, &others, sparse).into_iter().collect();
+            let with_and = rng.gen_bool(0.5);
+
+            let mut expect: BTreeSet<Elem> = lists.iter().chain(&bitmap_sets).flatten().copied().collect();
+            if with_and {
+                let mut and: BTreeSet<Elem> = and_pos[0].iter().copied().collect();
+                for p in &and_pos[1..] {
+                    and.retain(|x| p.binary_search(x).is_ok());
+                }
+                and.retain(|x| and_neg.binary_search(x).is_err() && and_neg_array.binary_search(x).is_err());
+                expect.extend(and);
+            }
+            let expect: Vec<Elem> = expect.into_iter().collect();
+
+            let arrays: Vec<ArraySet> = lists.iter().map(|l| ArraySet::from_sorted_slice(l)).collect();
+            let bitmaps: Vec<BitmapSet> = bitmap_sets.iter().map(|b| BitmapSet::from_sorted_slice(b)).collect();
+            let pos: Vec<BitmapSet> = and_pos.iter().map(|b| BitmapSet::from_sorted_slice(b)).collect();
+            let neg = BitmapSet::from_sorted_slice(&and_neg);
+            let neg_array = ArraySet::from_sorted_slice(&and_neg_array);
+            // The two edge parts are one array and one list; every other
+            // sparse part is either.
+            let mut parts: Vec<UnionPart> = lists
+                .iter()
+                .zip(&arrays)
+                .enumerate()
+                .map(|(i, (list, array))| match i {
+                    0 => UnionPart::Array(array),
+                    1 => UnionPart::List(list),
+                    _ if rng.gen_bool(0.5) => UnionPart::Array(array),
+                    _ => UnionPart::List(list),
+                })
+                .chain(bitmaps.iter().map(UnionPart::Bitmap))
+                .collect();
+            if with_and {
+                parts.push(UnionPart::And {
+                    pos: pos.iter().collect(),
+                    neg: vec![&neg],
+                    neg_arrays: vec![&neg_array],
+                });
+            }
+            for i in (1..parts.len()).rev() {
+                parts.swap(i, rng.gen_range(0..=i));
+            }
+            let prefix: Vec<Elem> = [7].into_iter().chain(expect.first().copied()).collect();
+            let mut out = prefix.clone();
+            chunk_union_into(&parts, &mut out);
+            proptest::prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+            proptest::prop_assert_eq!(&out[prefix.len()..], &expect[..]);
+        }
     }
 }

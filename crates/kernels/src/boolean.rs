@@ -1,33 +1,26 @@
-//! Boolean-composition kernels: k-way **union** and multi-subtrahend
-//! **difference** over sorted slices.
+//! Boolean-composition kernels: the one membership pass behind every
+//! intersection probe and every **difference**.
 //!
 //! The intersection kernels answer flat conjunctions; a boolean expression
 //! engine (`fsi-query`) additionally needs `OR` (set union) and `AND NOT`
 //! (set difference against a bounded base). Bille–Pagh–Pagh ("Fast
 //! evaluation of union-intersection expressions") make the case that
 //! expression-level evaluation is its own algorithmic problem; these are
-//! the slice-level primitives that evaluation bottoms out in:
+//! the primitives that evaluation bottoms out in:
 //!
-//! * [`merge_union_into`] — two-way linear merge union, the `k = 2` fast
-//!   path (no heap traffic).
-//! * [`heap_union_into`] — k-way union via a binary min-heap over the list
-//!   heads, the union sibling of
-//!   [`heap_merge_into`](crate::multiway::heap_merge_into):
-//!   `O(Σ nᵢ · log k)`, emits each value once however many lists carry it.
 //! * [`retain_members`] — one membership pass over candidates already in
 //!   the output buffer, against a [`Member`]: a bitmap (one bit test per
 //!   candidate), chunked 16-bit arrays (a chunk cursor and a gallop inside
 //!   the chunk) or a sorted slice (one galloping cursor). Kept are the
 //!   members (an intersection probe) or the non-members (a difference),
 //!   compacted without a branch on the test's outcome. `fsi-index`'s
-//!   probing plans, `fsi-query`'s mixed `AND` and every `AND NOT` are runs
-//!   of this one pass — intersection and difference as one membership
-//!   problem, as Bille–Pagh–Pagh treat them.
-//!
-//! The dense-regime union counterpart is the chunk union
-//! ([`chunk_union_into`](crate::chunk_union_into)), which rides the same
-//! SIMD word primitives as the `AND` sweep and accepts sorted lists among
-//! its operands too.
+//!   probing plans and every `AND NOT` are runs of this one pass —
+//!   intersection and difference as one membership problem, as
+//!   Bille–Pagh–Pagh treat them.
+//! * The one union is the chunk union
+//!   ([`chunk_union_into`](crate::chunk_union_into)): per chunk it merges
+//!   the 16-bit runs of sparse operands, or gathers dense ones in a bitmap
+//!   accumulator over the same SIMD word primitives as the `AND` sweep.
 //!
 //! All inputs are sorted and duplicate-free; all outputs are appended to
 //! `out` in ascending order and duplicate-free.
@@ -36,67 +29,6 @@ use crate::array::ArraySet;
 use crate::bitmap::BitmapSet;
 use fsi_core::elem::Elem;
 use fsi_core::search::gallop;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Appends `a ∪ b` (both sorted, duplicate-free) to `out`, ascending.
-pub fn merge_union_into(a: &[Elem], b: &[Elem], out: &mut Vec<Elem>) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        match x.cmp(&y) {
-            std::cmp::Ordering::Less => {
-                out.push(x);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(y);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(x);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-}
-
-/// Appends `⋃ sets` to `out`, ascending and duplicate-free: a binary
-/// min-heap over the k list heads pops the global minimum, emits it once,
-/// and refills from every list that carried it.
-pub fn heap_union_into(sets: &[&[Elem]], out: &mut Vec<Elem>) {
-    match sets {
-        [] => {}
-        [a] => out.extend_from_slice(a),
-        [a, b] => merge_union_into(a, b, out),
-        _ => {
-            // Dedup only against values emitted by *this* call: `out` may
-            // legitimately hold earlier (smaller) results the caller is
-            // concatenating onto.
-            let start = out.len();
-            let mut cursors = vec![0usize; sets.len()];
-            // Min-heap of (head value, list index).
-            let mut heap: BinaryHeap<Reverse<(Elem, usize)>> = sets
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.is_empty())
-                .map(|(i, s)| Reverse((s[0], i)))
-                .collect();
-            while let Some(Reverse((v, i))) = heap.pop() {
-                if out.len() == start || out[out.len() - 1] != v {
-                    out.push(v);
-                }
-                cursors[i] += 1;
-                if cursors[i] < sets[i].len() {
-                    heap.push(Reverse((sets[i][cursors[i]], i)));
-                }
-            }
-        }
-    }
-}
 
 /// The set a [`retain_members`] pass tests its candidates against.
 #[derive(Debug, Clone, Copy)]
@@ -164,6 +96,7 @@ fn filter_in_place(out: &mut Vec<Elem>, start: usize, mut keep: impl FnMut(Elem)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{chunk_union_into, UnionPart};
     use fsi_core::elem::SortedSet;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -192,6 +125,14 @@ mod tests {
         sorted.split_off(prefix.len())
     }
 
+    /// `⋃ sets` through the chunk union, each set a sorted-list part.
+    fn union(sets: &[&[Elem]]) -> Vec<Elem> {
+        let parts: Vec<UnionPart> = sets.iter().map(|s| UnionPart::List(s)).collect();
+        let mut out = Vec::new();
+        chunk_union_into(&parts, &mut out);
+        out
+    }
+
     #[test]
     fn union_matches_reference() {
         let mut rng = StdRng::seed_from_u64(21);
@@ -208,24 +149,9 @@ mod tests {
                     .collect::<BTreeSet<_>>()
                     .into_iter()
                     .collect();
-                let mut out = Vec::new();
-                heap_union_into(&slices, &mut out);
-                assert_eq!(out, expect, "trial {trial} k={k}");
+                assert_eq!(union(&slices), expect, "trial {trial} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn pairwise_union_matches_heap() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let a = random_set(&mut rng, 800, 10_000);
-        let b = random_set(&mut rng, 800, 10_000);
-        let mut two_way = Vec::new();
-        merge_union_into(a.as_slice(), b.as_slice(), &mut two_way);
-        // Force the heap path with a duplicated operand: same answer.
-        let mut heap = Vec::new();
-        heap_union_into(&[a.as_slice(), b.as_slice(), a.as_slice()], &mut heap);
-        assert_eq!(two_way, heap);
     }
 
     #[test]
@@ -262,14 +188,9 @@ mod tests {
     #[test]
     fn degenerate_inputs() {
         let a: SortedSet = (0..50u32).collect();
-        let mut out = Vec::new();
-        heap_union_into(&[], &mut out);
-        assert!(out.is_empty());
-        heap_union_into(&[a.as_slice()], &mut out);
-        assert_eq!(out, a.as_slice());
-        out.clear();
-        heap_union_into(&[a.as_slice(), &[], a.as_slice()], &mut out);
-        assert_eq!(out, a.as_slice());
+        assert!(union(&[]).is_empty());
+        assert_eq!(union(&[a.as_slice()]), a.as_slice());
+        assert_eq!(union(&[a.as_slice(), &[], a.as_slice()]), a.as_slice());
         assert_eq!(difference(a.as_slice(), &[]), a.as_slice());
         assert_eq!(difference(a.as_slice(), &[&[], &[]]), a.as_slice());
         assert!(difference(&[], &[a.as_slice()]).is_empty());
@@ -285,9 +206,10 @@ mod tests {
     fn boundary_values_survive() {
         let a = SortedSet::from_unsorted(vec![0, 65_536, u32::MAX - 1, u32::MAX]);
         let b = SortedSet::from_unsorted(vec![0, 1, u32::MAX]);
-        let mut union = Vec::new();
-        heap_union_into(&[a.as_slice(), b.as_slice(), a.as_slice()], &mut union);
-        assert_eq!(union, vec![0, 1, 65_536, u32::MAX - 1, u32::MAX]);
+        assert_eq!(
+            union(&[a.as_slice(), b.as_slice(), a.as_slice()]),
+            vec![0, 1, 65_536, u32::MAX - 1, u32::MAX]
+        );
         assert_eq!(
             difference(a.as_slice(), &[b.as_slice()]),
             vec![65_536, u32::MAX - 1]

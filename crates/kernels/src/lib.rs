@@ -13,8 +13,10 @@
 //!   independent of how many elements the chunks hold. The chunk union
 //!   ([`chunk_union_into`]) generalizes the sweep to any mix of
 //!   [`UnionPart`]s — bitmaps, word-wise `AND`-`NOT`s of bitmaps, chunked
-//!   arrays, sorted lists — gathered per chunk in one accumulator.
-//! * [`array`] — [`ArraySet`]: the same 2¹⁶-value chunks holding sorted
+//!   arrays, sorted lists — and chooses the container per chunk: a chunk
+//!   only sparse runs reach is merged as 16-bit lows, any other is
+//!   gathered in one bitmap accumulator. It is the engine's only union.
+//! * [`array`](mod@array) — [`ArraySet`]: the same 2¹⁶-value chunks holding sorted
 //!   `u16` runs of the members' low halves (2 B/posting plus 6 B per
 //!   touched chunk) — the representation of every list too sparse for a
 //!   bitmap. Intersection merges the runs of each shared chunk
@@ -33,13 +35,11 @@
 //!   arithmetically, no unpredictable branches) for balanced sizes, and a
 //!   galloping (exponential-search) probe of the smaller list into the
 //!   larger for skewed `n₁/n₂` — the Hwang–Lin/SvS regime.
-//! * [`boolean`] — boolean-composition primitives for the expression
-//!   engine (`fsi-query`): k-way heap **union** ([`heap_union_into`]) and
-//!   the one membership pass ([`retain_members`]) that every intersection
-//!   probe and every **difference** runs — a bit test per candidate against
-//!   a bitmap, a chunk cursor and a gallop through chunked arrays, one
-//!   galloping cursor through a sorted list; the
-//!   dense-regime union is the chunk union above.
+//! * [`boolean`] — the one membership pass ([`retain_members`]) that every
+//!   intersection probe and every **difference** runs — a bit test per
+//!   candidate against a bitmap, a chunk cursor and a gallop through
+//!   chunked arrays, one galloping cursor through a sorted list; the union
+//!   is the chunk union above.
 //! * [`multiway`] — true k-way kernels ([`gallop_probe_into`],
 //!   [`heap_merge_into`], the cursor-based [`compressed_probe_into`]; the
 //!   k-way bitmap `AND` is [`BitmapSet`]'s): the smallest set drives probes
@@ -117,7 +117,7 @@ pub mod simd;
 pub use array::{ArrayProbe, ArraySet, ChunkWalk};
 pub use bitmap::WORDS_PER_CHUNK;
 pub use bitmap::{chunk_union_into, BitmapProbe, BitmapSet, UnionPart};
-pub use boolean::{heap_union_into, merge_union_into, retain_members, Member};
+pub use boolean::{retain_members, Member};
 pub use gallop::{branchless_merge_into, galloping_into, GallopingSet, GALLOP_RATIO};
 pub use kernel::{auto_pair_into, scalar_merge_into, KernelChoice, BITMAP_MIN_DENSITY};
 pub use multiway::{

@@ -315,7 +315,7 @@ mod tests {
                 start_ns: 10,
                 dur_ns: 90,
             }],
-            plan_summary: "SliceProbe".to_string(),
+            plan_summary: "HashProbe".to_string(),
             trace: None,
         }
     }

@@ -1,21 +1,27 @@
 //! Expression execution over an [`fsi_index::PlannedExecutor`]:
-//! [`eval_planned_into`] plans and runs the full cost-based path.
-//! `AND`-of-terms nodes run the embedded [`fsi_index::MultiwayPlan`]
-//! directly on the prepared lists (zero materialization), `OR` nodes
-//! dispatch between the heap union and the chunk union — which binds every
-//! term (a bitmap's words, an array's runs) and `BitmapAnd` children in
-//! place, chunk by chunk, and extracts the result once. A mixed `AND` and
-//! every difference are runs of one membership pass
-//! (`fsi_kernels::retain_members`) over candidates already in the output:
-//! a bit test against a term that carries a bitmap, a chunk cursor and a
-//! gallop through an array term, a galloping cursor through a materialized
-//! operand (over a `BitmapAnd` base with term subtrahends a difference is a
-//! one-child chunk union instead). Term operands of unions, mixed `AND`s
-//! and differences borrow the prepared structures — only genuine
-//! sub-expression results are materialized, and a term where a sorted run
-//! of documents is needed (the root, a mixed `AND`'s driver, a heap-union
-//! child) is widened from its arrays or extracted from its bitmap, since a
-//! list keeps no sorted `u32` copy.
+//! [`eval_planned_into`] plans and runs the full cost-based path, one
+//! operator per node kind.
+//!
+//! * Every `AND` runs its [`fsi_index::MultiwayPlan`] through
+//!   [`fsi_index::Planner::execute`] over prepared lists: a term borrows
+//!   its own, and a sub-expression operand runs and is narrowed to chunked
+//!   arrays (`PlannedList::Array`), so the plan reads it like any term. A
+//!   lone sub-expression operand runs straight into the output.
+//! * Every `OR` is the chunk union (`fsi_kernels::chunk_union_into`). It
+//!   binds every term (a bitmap's words, an array's runs) and `BitmapAnd`
+//!   children in place; any other child runs and is passed as a sorted
+//!   list. Per chunk the kernel merges sparse runs or gathers dense ones in
+//!   a bitmap accumulator, and the result leaves once.
+//! * Every difference is a run of one membership pass
+//!   (`fsi_kernels::retain_members`) per subtrahend over candidates already
+//!   in the output: a bit test against a subtrahend that carries a bitmap,
+//!   a chunk cursor and a gallop through chunked arrays — a sub-expression
+//!   narrowed to them first. Over a `BitmapAnd` base with term subtrahends
+//!   a difference is a one-child chunk union instead.
+//!
+//! A term where a sorted run of documents is needed (the root, a probe's
+//! driver) is widened from its arrays or extracted from its bitmap, since
+//! a list keeps no sorted `u32` copy.
 //!
 //! `EXPLAIN ANALYZE` ([`analyze_plan`]) is the same walk with a report
 //! sink; without one — every served query — the walk reads no clock.
@@ -24,55 +30,13 @@
 //! content is left untouched.
 
 use crate::explain::{estimates, in_place_report, input_report, ns, report_plan, NodeReport};
-use crate::plan::{AndKind, ExprPlan, ExprPlanner, PlanNode, UnionKind};
+use crate::plan::{ExprPlan, ExprPlanner, PlanNode};
 use crate::rewrite::NormExpr;
 use fsi_core::elem::Elem;
-use fsi_index::{PlanKind, PlannedExecutor, PlannedList};
-use fsi_kernels::{chunk_union_into, heap_union_into, retain_members, Member, UnionPart};
+use fsi_index::{MultiwayPlan, PlanKind, PlannedExecutor, PlannedList};
+use fsi_kernels::{chunk_union_into, retain_members, ArraySet, UnionPart};
+use std::borrow::Cow;
 use std::time::Instant;
-
-/// A child result: borrowed straight from a prepared list when the child
-/// is a term, materialized otherwise.
-enum Operand<'a> {
-    Term(&'a PlannedList),
-    Owned(Vec<Elem>),
-}
-
-impl<'a> Operand<'a> {
-    fn len(&self) -> usize {
-        match self {
-            Operand::Term(list) => list.n(),
-            Operand::Owned(v) => v.len(),
-        }
-    }
-
-    /// Appends the operand's elements to `out`, ascending — a bitmap term
-    /// extracted.
-    fn extend_into(&self, out: &mut Vec<Elem>) {
-        match self {
-            Operand::Term(list) => list.extend_into(out),
-            Operand::Owned(v) => out.extend_from_slice(v),
-        }
-    }
-
-    /// The operand as a sorted run of documents: a term widened or
-    /// extracted, or the materialized result.
-    fn into_sorted(self) -> Vec<Elem> {
-        match self {
-            Operand::Term(list) => list.sorted(),
-            Operand::Owned(v) => v,
-        }
-    }
-
-    /// What a membership pass tests against: a term's bitmap or arrays
-    /// ([`PlannedList::member`]), or the materialized result.
-    fn member(&self) -> Member<'_> {
-        match self {
-            Operand::Term(list) => list.member(),
-            Operand::Owned(v) => Member::Sorted(v),
-        }
-    }
-}
 
 /// Plans and evaluates `expr` against a prepared planned index, returning
 /// the ascending result.
@@ -102,8 +66,8 @@ pub fn eval_planned_into(
 /// expression — planning itself records nothing, so `EXPLAIN` counts
 /// nothing and a kind the chunk union re-binds is counted as it ran:
 ///
-/// * every multiway kind in the tree (`fsi_plan_kind_total{kind}`) and
-///   every union kind (`fsi_union_kind_total{kind}`), by [`visit_kinds`];
+/// * the multiway kind of every `AND` in the tree
+///   (`fsi_plan_kind_total{kind}`), by [`visit_kinds`];
 /// * the root's estimated cost (`fsi_plan_est_cost`);
 /// * the cardinality-misprediction magnitude,
 ///   `|log₂((observed+1)/(estimated+1))|` in milli-log₂ units
@@ -114,51 +78,37 @@ fn record_plan(plan: &ExprPlan, observed: usize) {
     use std::sync::{Arc, OnceLock};
     type Handles = (
         [Arc<Counter>; PlanKind::ALL.len()],
-        [Arc<Counter>; UnionKind::ALL.len()],
         Arc<Histogram>,
         Arc<Histogram>,
     );
     static HANDLES: OnceLock<Handles> = OnceLock::new();
-    let (kinds, unions, est_cost, mispredicted) = HANDLES.get_or_init(|| {
+    let (kinds, est_cost, mispredicted) = HANDLES.get_or_init(|| {
         let r = Registry::global();
         (
             PlanKind::ALL.map(|k| r.counter("fsi_plan_kind_total", &[("kind", k.name())])),
-            UnionKind::ALL.map(|k| r.counter("fsi_union_kind_total", &[("kind", k.name())])),
             r.histogram("fsi_plan_est_cost", &[]),
             r.histogram("fsi_plan_misprediction_millilog2", &[]),
         )
     });
     // `ALL` lists every kind at its discriminant, so `get` always finds it.
-    visit_kinds(
-        plan,
-        &mut |k| kinds.get(k as usize).into_iter().for_each(|c| c.inc()),
-        &mut |k| unions.get(k as usize).into_iter().for_each(|c| c.inc()),
-    );
+    visit_kinds(plan, &mut |k| {
+        kinds.get(k as usize).into_iter().for_each(|c| c.inc())
+    });
     est_cost.record(plan.est_cost.max(0.0) as u64);
     let ratio = (observed as f64 + 1.0) / (plan.est_rows.max(0.0) + 1.0);
     mispredicted.record((ratio.log2().abs() * 1000.0) as u64);
 }
 
-/// Calls `and` with the multiway kind of every `AND` of terms in `plan` and
-/// `or` with the union kind of every `OR` node, in preorder: the operators
-/// that run, after every chunk-union re-binding.
-fn visit_kinds(plan: &ExprPlan, and: &mut impl FnMut(PlanKind), or: &mut impl FnMut(UnionKind)) {
+/// Calls `and` with the multiway kind of every `AND` in `plan`, in
+/// preorder: the kinds that run, after every chunk-union re-binding.
+fn visit_kinds(plan: &ExprPlan, and: &mut impl FnMut(PlanKind)) {
     match &plan.node {
         PlanNode::Term(_) => {}
-        PlanNode::And { pos, neg, kind } => {
-            if let AndKind::Multiway(m) = kind {
-                and(m.kind);
-            }
-            for c in pos.iter().chain(neg) {
-                visit_kinds(c, and, or);
-            }
+        PlanNode::And { pos, neg, multiway } => {
+            and(multiway.kind);
+            pos.iter().chain(neg).for_each(|c| visit_kinds(c, and));
         }
-        PlanNode::Or { children, kind } => {
-            or(*kind);
-            for c in children {
-                visit_kinds(c, and, or);
-            }
-        }
+        PlanNode::Or { children } => children.iter().for_each(|c| visit_kinds(c, and)),
     }
 }
 
@@ -211,6 +161,30 @@ fn run_plan(
     }
 }
 
+/// A child as a prepared list: a term borrows its own (an `(input)` report
+/// row), any other child runs and is narrowed to chunked arrays.
+fn operand<'a>(
+    exec: &'a PlannedExecutor,
+    planner: &ExprPlanner,
+    plan: &ExprPlan,
+    sink: Option<&mut Vec<NodeReport>>,
+) -> Cow<'a, PlannedList> {
+    match &plan.node {
+        PlanNode::Term(t) => {
+            let list = exec.list(*t);
+            if let Some(sink) = sink {
+                sink.push(input_report(plan, list));
+            }
+            Cow::Borrowed(list)
+        }
+        _ => {
+            let mut run = Vec::new();
+            run_plan(exec, planner, plan, &mut run, sink);
+            Cow::Owned(PlannedList::Array(ArraySet::from_sorted_slice(&run)))
+        }
+    }
+}
+
 /// The prepared list of `plan` when it is a term.
 fn term<'a>(exec: &'a PlannedExecutor, plan: &ExprPlan) -> Option<&'a PlannedList> {
     match plan.node {
@@ -219,52 +193,24 @@ fn term<'a>(exec: &'a PlannedExecutor, plan: &ExprPlan) -> Option<&'a PlannedLis
     }
 }
 
-/// A child's result for a parent that needs it as a slice: a term borrows
-/// its prepared list (an `(input)` report row), anything else runs.
-fn operand<'a>(
-    exec: &'a PlannedExecutor,
-    planner: &ExprPlanner,
-    plan: &ExprPlan,
-    sink: Option<&mut Vec<NodeReport>>,
-) -> Operand<'a> {
-    match &plan.node {
-        PlanNode::Term(t) => {
-            let list = exec.list(*t);
-            if let Some(sink) = sink {
-                sink.push(input_report(plan, list));
-            }
-            Operand::Term(list)
-        }
-        _ => {
-            let mut v = Vec::new();
-            run_plan(exec, planner, plan, &mut v, sink);
-            Operand::Owned(v)
-        }
-    }
-}
-
-/// Whether a chunk union binds `plan` in place ([`ExprPlan::binds_in_place`]
-/// over this index's bitmaps).
-fn in_place(exec: &PlannedExecutor, plan: &ExprPlan) -> bool {
-    plan.binds_in_place(|t| exec.list(t).bitmap().is_some())
-}
-
 /// The chunk-union part that binds `plan` without running it: any term
-/// (its bitmap's words or its arrays' runs), or an `AND` [`in_place`] says
-/// binds in place.
+/// (its bitmap's words or its arrays' runs), or a `BitmapAnd` over
+/// bitmap-carrying terms whose subtrahends are terms (its word-wise `AND`,
+/// subtrahends removed per chunk). `None` for anything else, which runs.
 fn union_part<'a>(exec: &'a PlannedExecutor, plan: &ExprPlan) -> Option<UnionPart<'a>> {
+    let term = |p| term(exec, p);
     match &plan.node {
         PlanNode::Term(t) => Some(match exec.list(*t) {
             PlannedList::Array(array) => UnionPart::Array(array),
             PlannedList::Bitmap(bitmap) => UnionPart::Bitmap(bitmap),
         }),
-        PlanNode::And { pos, neg, .. } if in_place(exec, plan) => {
+        PlanNode::And { pos, neg, multiway } if multiway.kind == PlanKind::BitmapAnd => {
             let pos = pos
                 .iter()
-                .map(|p| term(exec, p)?.bitmap())
+                .map(|p| term(p)?.bitmap())
                 .collect::<Option<Vec<_>>>()?;
             let (mut bitmaps, mut arrays) = (Vec::new(), Vec::new());
-            for list in neg.iter().map(|n| term(exec, n)) {
+            for list in neg.iter().map(term) {
                 match list? {
                     PlannedList::Bitmap(bitmap) => bitmaps.push(bitmap),
                     PlannedList::Array(array) => arrays.push(array),
@@ -280,28 +226,6 @@ fn union_part<'a>(exec: &'a PlannedExecutor, plan: &ExprPlan) -> Option<UnionPar
     }
 }
 
-/// Runs the chunk union over `children`, appending the ascending result to
-/// `out`: each child binds without running where [`union_part`] finds a
-/// part, and otherwise contributes `listed[i]`, its materialized sorted
-/// result. An `AND NOT` over a bitmap AND runs here as the one child of its
-/// own union.
-fn chunk_union<'a>(
-    exec: &'a PlannedExecutor,
-    children: &[ExprPlan],
-    listed: &[Option<&'a [Elem]>],
-    out: &mut Vec<Elem>,
-) {
-    let parts: Vec<UnionPart> = children
-        .iter()
-        .zip(listed)
-        .map(|(c, l)| match l {
-            Some(list) => UnionPart::List(list),
-            None => union_part(exec, c).unwrap_or(UnionPart::List(&[])),
-        })
-        .collect();
-    chunk_union_into(&parts, out);
-}
-
 /// One node's operator: its children run through [`run_plan`] with `sink`,
 /// which collects their reports in evaluation order.
 fn run_node(
@@ -313,122 +237,103 @@ fn run_node(
 ) {
     match &plan.node {
         PlanNode::Term(t) => exec.list(*t).extend_into(out),
-        PlanNode::And { pos, neg, kind } => {
-            if neg.is_empty() {
-                run_and_base(exec, planner, pos, kind, out, sink);
-            } else if in_place(exec, plan) {
-                chunk_union(exec, std::slice::from_ref(plan), &[None], out);
+        PlanNode::And { pos, neg, multiway } => {
+            // An `AND NOT` over a bitmap `AND` runs as the one child of its
+            // own chunk union.
+            if let Some(part) = (!neg.is_empty()).then(|| union_part(exec, plan)).flatten() {
+                chunk_union_into(&[part], out);
                 if let Some(sink) = sink {
                     sink.extend(in_place_report(exec, plan).children);
                 }
-            } else {
-                let start = out.len();
-                run_and_base(exec, planner, pos, kind, out, sink.as_deref_mut());
-                let first_neg = sink.as_deref().map_or(0, Vec::len);
-                if out.len() > start {
-                    subtract(exec, planner, neg, out, start, sink.as_deref_mut());
-                } else if let Some(sink) = sink.as_deref_mut() {
-                    // Nothing to subtract from: the negs are skipped, but
-                    // listed as the plan's children.
-                    sink.extend(neg.iter().map(report_plan));
+                return;
+            }
+            let start = out.len();
+            run_and_base(exec, planner, pos, multiway, out, sink.as_deref_mut());
+            let first_neg = sink.as_deref().map_or(0, Vec::len);
+            for n in neg {
+                if out.len() == start {
+                    // Nothing left to subtract from: the rest are skipped,
+                    // but listed as the plan's children.
+                    if let Some(sink) = sink.as_deref_mut() {
+                        sink.push(report_plan(n));
+                    }
+                    continue;
                 }
-                if let Some(sink) = sink {
-                    sink.iter_mut()
-                        .skip(first_neg)
-                        .for_each(|r| r.negated = true);
-                }
+                let subtrahend = operand(exec, planner, n, sink.as_deref_mut());
+                retain_members(out, start, subtrahend.member(), false);
+            }
+            if let Some(sink) = sink {
+                sink.iter_mut()
+                    .skip(first_neg)
+                    .for_each(|r| r.negated = true);
             }
         }
-        PlanNode::Or { children, kind } => {
-            // The chunk union binds every term and every in-place `AND`
-            // without running it; any other child is read as a sorted run,
-            // and a heap union reads its terms as runs too.
-            let runs: Vec<Option<Vec<Elem>>> = children
+        PlanNode::Or { children } => {
+            // Every child the union binds in place is a part as it is; any
+            // other runs first and is passed as its sorted result.
+            let bound: Vec<Option<UnionPart>> =
+                children.iter().map(|c| union_part(exec, c)).collect();
+            let runs: Vec<Vec<Elem>> = children
                 .iter()
-                .map(|c| match kind {
-                    UnionKind::BitmapOr if term(exec, c).is_some() || in_place(exec, c) => {
-                        if let Some(sink) = sink.as_deref_mut() {
-                            sink.push(in_place_report(exec, c));
+                .zip(&bound)
+                .map(|(c, part)| {
+                    let mut run = Vec::new();
+                    match part {
+                        Some(_) => {
+                            if let Some(sink) = sink.as_deref_mut() {
+                                sink.push(in_place_report(exec, c));
+                            }
                         }
-                        None
+                        None => run_plan(exec, planner, c, &mut run, sink.as_deref_mut()),
                     }
-                    _ => Some(operand(exec, planner, c, sink.as_deref_mut()).into_sorted()),
+                    run
                 })
                 .collect();
-            let listed: Vec<Option<&[Elem]>> = runs.iter().map(Option::as_deref).collect();
-            match kind {
-                UnionKind::BitmapOr => chunk_union(exec, children, &listed, out),
-                UnionKind::HeapMerge => {
-                    let slices: Vec<&[Elem]> = listed.iter().flatten().copied().collect();
-                    heap_union_into(&slices, out);
-                }
-            }
+            let parts: Vec<UnionPart> = bound
+                .into_iter()
+                .zip(&runs)
+                .map(|(part, run)| part.unwrap_or(UnionPart::List(run)))
+                .collect();
+            chunk_union_into(&parts, out);
         }
     }
 }
 
-/// Removes from the ascending base in `out[start..]` every member of a
-/// subtrahend: one [`retain_members`] pass per subtrahend, in `neg` order
-/// — a term is tested through its prepared list, by bit test where it
-/// carries a bitmap, and any other subtrahend through its materialized
-/// result.
-fn subtract(
-    exec: &PlannedExecutor,
-    planner: &ExprPlanner,
-    neg: &[ExprPlan],
-    out: &mut Vec<Elem>,
-    start: usize,
-    mut sink: Option<&mut Vec<NodeReport>>,
-) {
-    for n in neg {
-        let subtrahend = operand(exec, planner, n, sink.as_deref_mut());
-        retain_members(out, start, subtrahend.member(), false);
-    }
-}
-
-/// Runs an `And` node's positive intersection, appending ascending output.
+/// Runs an `AND` node's positive intersection, appending ascending output:
+/// its multiway plan over every operand as a prepared list, or a lone
+/// sub-expression operand straight into `out`. Terms alone are borrowed
+/// into one list; with a sub-expression among them, each operand is an
+/// [`operand`] first.
 fn run_and_base(
     exec: &PlannedExecutor,
     planner: &ExprPlanner,
     pos: &[ExprPlan],
-    kind: &AndKind,
+    multiway: &MultiwayPlan,
     out: &mut Vec<Elem>,
     mut sink: Option<&mut Vec<NodeReport>>,
 ) {
-    match kind {
-        AndKind::Multiway(mplan) => {
-            let lists: Vec<&PlannedList> = pos
-                .iter()
-                .map(|p| match p.node {
-                    PlanNode::Term(t) => exec.list(t),
-                    // audit:allow(hot_path_panic): the planner only puts Term nodes under Multiway
-                    _ => unreachable!("Multiway only planned over term operands"),
-                })
-                .collect();
-            if let Some(sink) = sink {
-                sink.extend(pos.iter().zip(&lists).map(|(p, l)| input_report(p, l)));
-            }
-            planner.and.execute(mplan, &lists, out);
+    if let [only] = pos {
+        if term(exec, only).is_none() {
+            return run_plan(exec, planner, only, out, sink);
         }
-        AndKind::SliceProbe => {
-            let mut ops: Vec<Operand> = pos
+    }
+    let narrowed: Vec<Cow<PlannedList>>;
+    let lists: Vec<&PlannedList> = match pos.iter().map(|p| term(exec, p)).collect() {
+        Some(terms) => {
+            if let Some(sink) = sink {
+                sink.extend(pos.iter().zip(&terms).map(|(p, &l)| input_report(p, l)));
+            }
+            terms
+        }
+        None => {
+            narrowed = pos
                 .iter()
                 .map(|p| operand(exec, planner, p, sink.as_deref_mut()))
                 .collect();
-            // The smallest operand's elements are the candidates (a bitmap
-            // term extracted); the rest filter them in ascending length,
-            // the most selective first.
-            ops.sort_by_key(Operand::len);
-            let Some((driver, rest)) = ops.split_first() else {
-                return;
-            };
-            let start = out.len();
-            driver.extend_into(out);
-            for op in rest {
-                retain_members(out, start, op.member(), true);
-            }
+            narrowed.iter().map(AsRef::as_ref).collect()
         }
-    }
+    };
+    planner.and.execute(multiway, &lists, out);
 }
 
 #[cfg(test)]
@@ -537,29 +442,24 @@ mod tests {
     }
 
     /// The default plan of `norm`, or with `chunk` that plan forced onto
-    /// the chunk union: every `OR` runs it, and every `AND` of
-    /// bitmap-carrying terms with term subtrahends is swept in place.
+    /// the chunk union's in-place parts: every `AND` of bitmap-carrying
+    /// terms with term subtrahends is swept in place.
     fn plan_for(exec: &PlannedExecutor, norm: &NormExpr, chunk: bool) -> ExprPlan {
         fn force(exec: &PlannedExecutor, plan: &mut ExprPlan) {
             match &mut plan.node {
                 PlanNode::Term(_) => {}
-                PlanNode::And { pos, neg, kind } => {
+                PlanNode::And { pos, neg, multiway } => {
                     let bitmap = |p: &ExprPlan| match p.node {
                         PlanNode::Term(t) => exec.list(t).bitmap().is_some(),
                         _ => false,
                     };
                     let term = |p: &ExprPlan| matches!(p.node, PlanNode::Term(_));
-                    if let AndKind::Multiway(m) = kind {
-                        if pos.iter().all(bitmap) && neg.iter().all(term) {
-                            m.kind = PlanKind::BitmapAnd;
-                        }
+                    if pos.iter().all(bitmap) && neg.iter().all(term) {
+                        multiway.kind = PlanKind::BitmapAnd;
                     }
                     pos.iter_mut().chain(neg).for_each(|c| force(exec, c));
                 }
-                PlanNode::Or { children, kind } => {
-                    *kind = UnionKind::BitmapOr;
-                    children.iter_mut().for_each(|c| force(exec, c));
-                }
+                PlanNode::Or { children } => children.iter_mut().for_each(|c| force(exec, c)),
             }
         }
         let mut plan =
@@ -570,11 +470,11 @@ mod tests {
         plan
     }
 
-    /// The multiway and union kinds [`visit_kinds`] reports, in preorder.
-    fn kinds(plan: &ExprPlan) -> (Vec<PlanKind>, Vec<UnionKind>) {
-        let (mut ands, mut ors) = (Vec::new(), Vec::new());
-        visit_kinds(plan, &mut |k| ands.push(k), &mut |k| ors.push(k));
-        (ands, ors)
+    /// The multiway kinds [`visit_kinds`] reports, in preorder.
+    fn kinds(plan: &ExprPlan) -> Vec<PlanKind> {
+        let mut ands = Vec::new();
+        visit_kinds(plan, &mut |k| ands.push(k));
+        ands
     }
 
     #[test]
@@ -595,23 +495,23 @@ mod tests {
             let norm = normalize(&parse(src).expect("p")).expect("b");
             ExprPlanner::default().plan(&norm, &stats, 2_000_000)
         };
-        assert_eq!(kinds(&plan("0 3")), (vec![PlanKind::BitmapAnd], vec![]));
+        assert_eq!(kinds(&plan("0 3")), [PlanKind::BitmapAnd]);
         let seven = "4 5 6 7 8 9 10";
-        assert_eq!(kinds(&plan(seven)), (vec![PlanKind::HashProbe], vec![]));
+        assert_eq!(kinds(&plan(seven)), [PlanKind::HashProbe]);
         assert_eq!(
             kinds(&plan(&format!("({seven}) OR (0 1)"))),
-            (vec![PlanKind::BitmapAnd; 2], vec![UnionKind::BitmapOr])
+            [PlanKind::BitmapAnd; 2]
         );
-        // Nested: a union inside a mixed AND, under a subtrahend.
-        let (ands, ors) = kinds(&plan("2 AND (0 OR 1) AND NOT (1 3)"));
-        assert_eq!((ands.len(), ors.len()), (1, 1));
+        // Nested: a union inside a mixed AND, under a subtrahend — the
+        // mixed AND's multiway kind is counted as well.
+        assert_eq!(kinds(&plan("2 AND (0 OR 1) AND NOT (1 3)")).len(), 2);
     }
 
     #[test]
     fn every_kind_is_recorded_under_its_own_label() {
-        // `ALL` is each enum's variants at their discriminants; the
-        // exhaustive matches stop a new variant from compiling until it
-        // is counted here too.
+        // `ALL` is the enum's variants at their discriminants; the
+        // exhaustive match stops a new variant from compiling until it is
+        // counted here too.
         let plan_kinds = |k: PlanKind| match k {
             PlanKind::Empty
             | PlanKind::Single
@@ -623,14 +523,8 @@ mod tests {
             | PlanKind::CompressedGallop
             | PlanKind::SimdMerge => 9,
         };
-        let union_kinds = |k: UnionKind| match k {
-            UnionKind::HeapMerge | UnionKind::BitmapOr => 2,
-        };
         for (i, k) in PlanKind::ALL.into_iter().enumerate() {
             assert_eq!((k as usize, PlanKind::ALL.len()), (i, plan_kinds(k)));
-        }
-        for (i, k) in UnionKind::ALL.into_iter().enumerate() {
-            assert_eq!((k as usize, UnionKind::ALL.len()), (i, union_kinds(k)));
         }
         let names: std::collections::HashSet<&str> =
             PlanKind::ALL.iter().map(|k| k.name()).collect();
@@ -646,7 +540,7 @@ mod tests {
         for kind in PlanKind::ALL {
             let counter = registry.counter("fsi_plan_kind_total", &[("kind", kind.name())]);
             let before = counter.get();
-            let multiway = fsi_index::MultiwayPlan {
+            let multiway = MultiwayPlan {
                 kind,
                 order: Vec::new(),
                 est_cost: 0.0,
@@ -655,19 +549,7 @@ mod tests {
                 &plan(PlanNode::And {
                     pos: Vec::new(),
                     neg: Vec::new(),
-                    kind: AndKind::Multiway(multiway),
-                }),
-                0,
-            );
-            assert!(counter.get() > before, "{kind:?}");
-        }
-        for kind in UnionKind::ALL {
-            let counter = registry.counter("fsi_union_kind_total", &[("kind", kind.name())]);
-            let before = counter.get();
-            record_plan(
-                &plan(PlanNode::Or {
-                    children: Vec::new(),
-                    kind,
+                    multiway,
                 }),
                 0,
             );
@@ -778,16 +660,7 @@ mod tests {
         let norm = normalize(&parse("0 OR 1 OR 2").expect("p")).expect("b");
         let mut out = Vec::new();
         let plan = eval_planned_into(&planned, &ExprPlanner::default(), &norm, &mut out);
-        assert!(
-            matches!(
-                plan.node,
-                PlanNode::Or {
-                    kind: UnionKind::BitmapOr,
-                    ..
-                }
-            ),
-            "{plan:?}"
-        );
+        assert_eq!(plan.describe(), "Or[ChunkUnion](t0, t1, t2)");
         let slices: Vec<&[Elem]> = (0..3).map(|t| engine.posting(t).as_slice()).collect();
         let expect: Vec<Elem> = naive_eval(&slices, &norm).into_iter().collect();
         assert_eq!(out, expect);

@@ -8,8 +8,8 @@
 //! its own operator, so a parent's wall clock bounds the sum of its
 //! children's and the root's bounds every node's. This module builds the
 //! rows the walk pushes: term operands that kernels consume *in place*
-//! (multiway operands, chunk-union operands, borrowed union/difference
-//! slices) are `(input)` rows with no timing of their own; a `BitmapAnd`
+//! (multiway operands, chunk-union parts, subtrahends) are `(input)` rows
+//! with no timing of their own; a `BitmapAnd`
 //! child a chunk union binds in place keeps its estimates and shows no
 //! rows or time; subtrahends skipped because the base came out empty
 //! keep their estimates only.
@@ -62,7 +62,7 @@ fn strip_keyword<'a>(s: &'a str, kw: &str) -> Option<&'a str> {
 /// `ANALYZE`) the measured reality.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeReport {
-    /// Operator label (`t3`, `And[HashProbe]`, `Or[BitmapOr]`, …).
+    /// Operator label (`t3`, `And[HashProbe]`, `Or[ChunkUnion]`, …).
     pub label: String,
     /// The cost model's estimated result cardinality.
     pub est_rows: f64,

@@ -19,8 +19,9 @@
 //!   [`encode_flat_and`]);
 //! * [`ExprPlanner`] — cost-based expression planning extending
 //!   `fsi_index::Planner`'s [`fsi_index::OperandStats`] model to `OR`
-//!   (heap k-way union vs chunked-bitmap `OR`) and `AND NOT` (galloping
-//!   multi-subtrahend difference), priced from the same cost table
+//!   (the chunk union) and `AND NOT` (galloping multi-subtrahend
+//!   difference) — one operator per node kind, every `AND` a whole-list
+//!   multiway plan — priced from the same cost table
 //!   ([`fsi_index::CostUnit`]) and ordering evaluation by estimated
 //!   result cardinality;
 //! * [`eval_planned_into`] — execution over the prepared index
@@ -43,7 +44,7 @@ pub use ast::Expr;
 pub use exec::{analyze_plan, eval_planned, eval_planned_into, execute_plan};
 pub use explain::{explain, report_plan, strip_explain, ExplainMode, NodeReport};
 pub use parse::{parse, ParseError};
-pub use plan::{AndKind, ExprPlan, ExprPlanner, PlanNode, UnionKind};
+pub use plan::{ExprPlan, ExprPlanner, PlanNode};
 pub use rewrite::{encode, encode_flat_and, fingerprint, normalize, NormExpr, RewriteError};
 
 /// Why a query string could not be compiled to an evaluable form.

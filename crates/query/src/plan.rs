@@ -1,11 +1,11 @@
 //! Cost-based expression planning: extends `fsi_index::Planner`'s
-//! [`OperandStats`] cost model beyond conjunctions to **OR** (k-way union)
-//! and **AND NOT** (difference by bit test or gallop), pricing every node
-//! from the planner's one cost table ([`CostUnit`]).
+//! [`OperandStats`] cost model beyond conjunctions to **OR** (the chunk
+//! union) and **AND NOT** (difference by bit test or gallop), pricing every
+//! node from the planner's one cost table ([`CostUnit`]).
 //!
 //! [`ExprPlanner::plan`] walks a canonical [`NormExpr`] bottom-up and
-//! produces an [`ExprPlan`] tree carrying, per node, the chosen physical
-//! operator, the evaluation order, and two estimates:
+//! produces an [`ExprPlan`] tree carrying, per node, the physical operator,
+//! the evaluation order, and two estimates:
 //!
 //! * `est_rows` — predicted result cardinality under the independence
 //!   assumption (`|A ∩ B| ≈ U · |A|/U · |B|/U`, inclusion–exclusion for
@@ -18,60 +18,20 @@
 //!   the multiway cost model prices.
 //!
 //! A list carries one representation, so a bitmap-carrying term read as a
-//! sorted run — the root of a plan, a mixed `AND`'s driver, a heap-union
-//! child — is extracted, and priced for that walk.
+//! sorted run — the root of a plan, a probe's driver — is extracted, and
+//! priced for that walk.
 //!
-//! Physical operator choices:
+//! Physical operators — one per node kind:
 //!
-//! | node | candidates |
-//! |------|------------|
-//! | `AND` (all operands are terms) | the full [`fsi_index::Planner`] candidate table — one whole-list [`MultiwayPlan`], zero materialized intermediates |
-//! | `AND` (mixed operands) | materialize sub-results, copy the smallest operand and filter it through the rest in ascending length ([`AndKind::SliceProbe`]; a term is bit-tested where it carries a bitmap, and extracted where it is the smallest), priced as the probe ([`Planner::probe_price`]: terms by their own stats, sub-expressions by `est_rows` as bitmap-less lists; a bitmap driver pays [`Planner::sorted_read_cost`]) |
-//! | `OR` | heap k-way union over materialized children (`Σ costᵢ + Σ rᵢ + heap_union · Σnᵢ · log₂ k`, `rᵢ` the extraction of a bitmap-carrying term child, [`Planner::sorted_read_cost`]) vs the chunk union over *any* children (`Σ partᵢ + 2 · bitmap_word · 1024 · span + extract`): a bitmap-carrying term costs its words, a `BitmapAnd` child whose subtrahends are terms its word sweep (no extraction of its own), any other child its own cost plus `set_bit` per row; `span` is the estimated number of chunks the union touches, and the result is extracted once |
-//! | `AND NOT` | one membership pass per subtrahend over the base: a bit test per base element for a subtrahend that is a bitmap-carrying term (`bit_test · |base|`), a galloping cursor through any other (`gallop · |base| · Σⱼ log₂(|Nⱼ|/|base| + 2)`, [`Planner::gallop_cost`]) — the subtrahends are bounded by the base, never materialized against the universe. Over a `BitmapAnd` base whose subtrahends are all terms it is instead a one-child chunk union, priced as one, wherever that is cheaper |
+//! | node | operator |
+//! |------|----------|
+//! | `AND` | one whole-list [`MultiwayPlan`] from the full [`fsi_index::Planner`] candidate table over every positive operand. A term is priced by its own stats; a sub-expression, which runs and is narrowed to chunked arrays, as a bitmap-less list of its `est_rows` rounded up and at least 1, so an estimate never plans [`PlanKind::Empty`]. A lone sub-expression operand runs straight into the output |
+//! | `OR` | the chunk union (`ChunkUnion`) over any children. Where a child is swept in place — a bitmap-carrying term its words, a `BitmapAnd` child whose subtrahends are terms its word sweep (no extraction of its own) — it costs `Σ partᵢ + 2 · bitmap_word · 1024 · span + extract`, any other child its own cost plus `set_bit` per row and `span` the estimated number of chunks the union touches, the result extracted once. Otherwise every chunk is merged: `Σ costᵢ + merge · Σ nᵢ`. Nothing chooses on this price; it feeds `est_cost`, `EXPLAIN` and the misprediction histogram |
+//! | `AND NOT` | one membership pass per subtrahend over the base: a bit test per base element for a subtrahend that is a bitmap-carrying term (`bit_test · |base|`), a galloping cursor through any other (`gallop · |base| · Σⱼ log₂(|Nⱼ|/|base| + 2)`, [`Planner::gallop_cost`]), a sub-expression narrowed to chunked arrays first — the subtrahends are bounded by the base, never materialized against the universe. Over a `BitmapAnd` base whose subtrahends are all terms it is instead a one-child chunk union, priced as one, wherever that is cheaper |
 
 use crate::rewrite::NormExpr;
 use fsi_index::{CostUnit, MultiwayPlan, OperandStats, PlanKind, Planner};
 use fsi_kernels::WORDS_PER_CHUNK;
-
-/// How an `AND` node's positive intersection runs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AndKind {
-    /// Every positive operand is a term: one whole-list multiway plan from
-    /// the underlying conjunctive cost model (the embedded
-    /// [`MultiwayPlan`]'s `order` indexes this node's `pos` children).
-    Multiway(MultiwayPlan),
-    /// Sub-expressions among the operands: materialize them, copy the
-    /// smallest operand and filter it through the others in ascending
-    /// length — a term by its prepared list (bit tests where it carries a
-    /// bitmap), a sub-expression by a galloping cursor through its result.
-    SliceProbe,
-}
-
-/// How an `OR` node's union runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnionKind {
-    /// Binary min-heap k-way union over sorted slices.
-    HeapMerge,
-    /// The chunk union (`fsi_kernels::chunk_union_into`) over any children:
-    /// per chunk, one accumulator `OR`s bitmap-carrying terms' words,
-    /// `BitmapAnd` children's word-wise `AND`s and every other child's
-    /// bits, and the result is extracted once.
-    BitmapOr,
-}
-
-impl UnionKind {
-    /// Every kind, in declaration order (`UnionKind::ALL[k as usize] == k`).
-    pub const ALL: [UnionKind; 2] = [UnionKind::HeapMerge, UnionKind::BitmapOr];
-
-    /// The label telemetry and EXPLAIN output report.
-    pub fn name(self) -> &'static str {
-        match self {
-            UnionKind::HeapMerge => "HeapMerge",
-            UnionKind::BitmapOr => "BitmapOr",
-        }
-    }
-}
 
 /// The physical operator of one plan node.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,15 +45,14 @@ pub enum PlanNode {
         pos: Vec<ExprPlan>,
         /// Subtracted children, descending by estimated cardinality.
         neg: Vec<ExprPlan>,
-        /// The chosen intersection operator.
-        kind: AndKind,
+        /// The whole-list plan of the intersection; its `order` indexes
+        /// `pos`.
+        multiway: MultiwayPlan,
     },
-    /// `∪ children`.
+    /// `∪ children`, by the chunk union.
     Or {
-        /// United children (order immaterial to the kernels).
+        /// United children (order immaterial to the kernel).
         children: Vec<ExprPlan>,
-        /// The chosen union operator.
-        kind: UnionKind,
     },
 }
 
@@ -112,7 +71,7 @@ pub struct ExprPlan {
 
 impl ExprPlan {
     /// A compact one-line rendering of the operator tree (telemetry and
-    /// bench output), e.g. `And[HashProbe](t1, t2 \ Or[HeapMerge](t3, t4))`.
+    /// bench output), e.g. `And[HashProbe](t1, t2 \ Or[ChunkUnion](t3, t4))`.
     pub fn describe(&self) -> String {
         match &self.node {
             PlanNode::Term(t) => format!("t{t}"),
@@ -126,25 +85,22 @@ impl ExprPlan {
                 };
                 format!("And[{}]({}{tail})", self.operator(), pos.join(", "))
             }
-            PlanNode::Or { children, .. } => {
+            PlanNode::Or { children } => {
                 let children: Vec<String> = children.iter().map(ExprPlan::describe).collect();
                 format!("Or[{}]({})", self.operator(), children.join(", "))
             }
         }
     }
 
-    /// This node's operator label: `Term`, the [`PlanKind`] or
-    /// `SliceProbe` of an `AND`, the [`UnionKind`] of an `OR` — what
-    /// `EXPLAIN`, [`describe`](Self::describe) and the served response's
-    /// plan kind report.
+    /// This node's operator label: `Term`, the [`PlanKind`] of an `AND`,
+    /// `ChunkUnion` for an `OR` — what `EXPLAIN`,
+    /// [`describe`](Self::describe) and the served response's plan kind
+    /// report.
     pub fn operator(&self) -> &'static str {
         match &self.node {
             PlanNode::Term(_) => "Term",
-            PlanNode::And { kind, .. } => match kind {
-                AndKind::Multiway(m) => m.kind.name(),
-                AndKind::SliceProbe => "SliceProbe",
-            },
-            PlanNode::Or { kind, .. } => kind.name(),
+            PlanNode::And { multiway, .. } => multiway.kind.name(),
+            PlanNode::Or { .. } => "ChunkUnion",
         }
     }
 
@@ -156,15 +112,11 @@ impl ExprPlan {
     pub(crate) fn binds_in_place(&self, has_bitmap: impl Fn(usize) -> bool) -> bool {
         match &self.node {
             PlanNode::Term(t) => has_bitmap(*t),
-            PlanNode::And {
-                neg,
-                kind: AndKind::Multiway(m),
-                ..
-            } => {
-                m.kind == PlanKind::BitmapAnd
+            PlanNode::And { neg, multiway, .. } => {
+                multiway.kind == PlanKind::BitmapAnd
                     && neg.iter().all(|n| matches!(n.node, PlanNode::Term(_)))
             }
-            _ => false,
+            PlanNode::Or { .. } => false,
         }
     }
 }
@@ -173,10 +125,10 @@ impl ExprPlan {
 const CHUNK_SPAN: f64 = (WORDS_PER_CHUNK * 64) as f64;
 
 /// The expression-level cost-model dispatcher: the [`Planner`] whose cost
-/// table prices every node — `AND`-of-terms nodes run exactly what it
-/// picks, and the union and difference operators it does not know about
-/// are priced in its units. [`Default`] is the scalar tier, deterministic
-/// across machines (what the plan tests pin).
+/// table prices every node — every `AND` runs exactly what it picks, and
+/// the union and difference operators it does not know about are priced in
+/// its units. [`Default`] is the scalar tier, deterministic across machines
+/// (what the plan tests pin).
 #[derive(Debug, Clone, Default)]
 pub struct ExprPlanner {
     pub(crate) and: Planner,
@@ -204,19 +156,12 @@ impl ExprPlanner {
         universe: u64,
     ) -> ExprPlan {
         let mut plan = self.plan_node(expr, stats, (universe as f64).max(1.0));
-        // A term at the root is copied out whole.
-        plan.est_cost += self.read_cost(&plan, stats);
-        plan
-    }
-
-    /// What reading `plan`'s result as a sorted run costs beyond its own
-    /// `est_cost`: the extraction of a bitmap-carrying term, and nothing
-    /// for any other node, whose result is materialized as a run.
-    fn read_cost(&self, plan: &ExprPlan, stats: &impl Fn(usize) -> OperandStats) -> f64 {
-        match plan.node {
-            PlanNode::Term(t) => self.and.sorted_read_cost(&stats(t)),
-            _ => 0.0,
+        // A term at the root is copied out whole, a bitmap extracted; any
+        // other node's result is materialized as a run already.
+        if let PlanNode::Term(t) = plan.node {
+            plan.est_cost += self.and.sorted_read_cost(&stats(t));
         }
+        plan
     }
 
     fn plan_node(
@@ -234,34 +179,25 @@ impl ExprPlanner {
             NormExpr::And { pos, neg } => {
                 let mut pos_plans: Vec<ExprPlan> =
                     pos.iter().map(|c| self.plan_node(c, stats, u)).collect();
-                // Evaluation order: most selective first (kernels also
-                // re-derive driver order from true sizes at run time; the
-                // estimate order is what mixed/materialized nodes use).
+                // Evaluation order: most selective first (the multiway
+                // plan re-sorts its operands by the same sizes).
                 pos_plans.sort_by(|a, b| a.est_rows.total_cmp(&b.est_rows));
                 // Terms are priced by their own stats, a sub-expression as
-                // a bitmap-less list of its estimated size.
+                // the bitmap-less list it is narrowed to. Its size is only
+                // estimated, so it is rounded up and is never 0: `Empty`
+                // follows only from an exact term size.
                 let op_stats: Vec<OperandStats> = pos_plans
                     .iter()
                     .map(|p| match p.node {
                         PlanNode::Term(t) => stats(t),
                         _ => OperandStats {
-                            n: p.est_rows.round() as usize,
+                            n: (p.est_rows.ceil() as usize).max(1),
                             chunks: None,
                         },
                     })
                     .collect();
-                let (kind, and_cost) = if pos_plans
-                    .iter()
-                    .all(|p| matches!(p.node, PlanNode::Term(_)))
-                {
-                    let mplan = self.and.plan(&op_stats, u as u64);
-                    let cost = mplan.est_cost;
-                    (AndKind::Multiway(mplan), cost)
-                } else {
-                    // The probe's filter, over materialized operands.
-                    let cost = self.and.probe_price(&op_stats, u as u64);
-                    (AndKind::SliceProbe, cost)
-                };
+                let multiway = self.and.plan(&op_stats, u as u64);
+                let and_cost = multiway.est_cost;
                 let mut base_rows = u;
                 for c in &pos_plans {
                     base_rows *= (c.est_rows / u).min(1.0);
@@ -292,7 +228,7 @@ impl ExprPlanner {
                     node: PlanNode::And {
                         pos: pos_plans,
                         neg: neg_plans,
-                        kind,
+                        multiway,
                     },
                     est_rows,
                     est_cost: child_cost + and_cost + diff_cost,
@@ -318,58 +254,48 @@ impl ExprPlanner {
                     .iter()
                     .map(|c| self.plan_node(c, stats, u))
                     .collect();
-                let total: f64 = plans.iter().map(|p| p.est_rows).sum();
-                let k = plans.len() as f64;
-                let child_cost: f64 = plans.iter().map(|p| p.est_cost).sum();
-                let read_cost: f64 = plans.iter().map(|p| self.read_cost(p, stats)).sum();
-                let heap_cost =
-                    child_cost + read_cost + self.and.unit(CostUnit::HeapUnion) * total * k.log2();
                 let mut miss = 1.0;
                 for p in &plans {
                     miss *= 1.0 - (p.est_rows / u).min(1.0);
                 }
                 let est_rows = u * (1.0 - miss);
-                // The chunk union pays per child — swept in place where
-                // that is cheaper than its own cost plus one bit per row —
-                // and per chunk it touches: the chunks of the universe that
-                // no child misses.
+                // A child is swept in place where that is cheaper than its
+                // own cost plus one bit per row; the accumulator then pays
+                // per chunk the union touches — the chunks of the universe
+                // that no child misses. Where no child is swept, every
+                // chunk is merged, at `merge` per member.
                 let universe_chunks = (u / CHUNK_SPAN).ceil();
-                let mut parts_cost = 0.0;
-                let mut chunk_miss = 1.0;
-                let mut sweeps = Vec::with_capacity(plans.len());
-                for p in &plans {
+                let (mut parts_cost, mut chunk_miss, mut swept) = (0.0, 1.0, false);
+                let mut merged_cost = 0.0;
+                for p in &mut plans {
+                    merged_cost += p.est_cost + self.and.unit(CostUnit::Merge) * p.est_rows;
                     let listed = p.est_cost + self.and.unit(CostUnit::SetBit) * p.est_rows;
                     let sweep = self.sweep_cost(p, stats).filter(|&(cost, _)| {
                         cost < listed || p.binds_in_place(|t| stats(t).chunks.is_some())
                     });
-                    let (cost, chunks) = sweep.unwrap_or_else(|| {
-                        let touched =
-                            universe_chunks * (1.0 - (-p.est_rows / universe_chunks).exp());
-                        (listed, touched)
-                    });
+                    let (cost, chunks) = match sweep {
+                        Some((cost, chunks)) => {
+                            bind_sweep(p, cost);
+                            swept = true;
+                            (cost, chunks)
+                        }
+                        None => (
+                            listed,
+                            universe_chunks * (1.0 - (-p.est_rows / universe_chunks).exp()),
+                        ),
+                    };
                     parts_cost += cost;
                     chunk_miss *= 1.0 - (chunks / universe_chunks).min(1.0);
-                    sweeps.push(sweep.map(|(cost, _)| cost));
                 }
                 let span = universe_chunks * (1.0 - chunk_miss);
-                let bitmap_cost = parts_cost + self.chunk_cost(span, est_rows);
-                let (kind, est_cost) = if bitmap_cost < heap_cost {
-                    for (p, sweep) in plans.iter_mut().zip(sweeps) {
-                        if let Some(cost) = sweep {
-                            bind_sweep(p, cost);
-                        }
-                    }
-                    (UnionKind::BitmapOr, bitmap_cost)
-                } else {
-                    (UnionKind::HeapMerge, heap_cost)
-                };
                 ExprPlan {
-                    node: PlanNode::Or {
-                        children: plans,
-                        kind,
-                    },
+                    node: PlanNode::Or { children: plans },
                     est_rows,
-                    est_cost,
+                    est_cost: if swept {
+                        parts_cost + self.chunk_cost(span, est_rows)
+                    } else {
+                        merged_cost
+                    },
                 }
             }
         }
@@ -380,7 +306,7 @@ impl ExprPlanner {
     /// an `AND` of terms whose positive terms all carry bitmaps and whose
     /// subtrahends are terms — one word pass per positive term and per
     /// bitmap subtrahend over the smallest chunk span, one bit per member
-    /// of each table-carrying subtrahend. `None` when the plan can only
+    /// of each bitmap-less subtrahend. `None` when the plan can only
     /// contribute its materialized result.
     fn sweep_cost(
         &self,
@@ -394,11 +320,7 @@ impl ExprPlanner {
         let words = WORDS_PER_CHUNK as f64 * self.and.unit(CostUnit::BitmapWord);
         match &plan.node {
             PlanNode::Term(_) => chunks(plan).map(|c| (c as f64 * words, c as f64)),
-            PlanNode::And {
-                pos,
-                neg,
-                kind: AndKind::Multiway(_),
-            } => {
+            PlanNode::And { pos, neg, .. } => {
                 let c_min = pos
                     .iter()
                     .map(chunks)
@@ -417,7 +339,7 @@ impl ExprPlanner {
                 }
                 Some((cost, c_min))
             }
-            _ => None,
+            PlanNode::Or { .. } => None,
         }
     }
 
@@ -434,13 +356,9 @@ impl ExprPlanner {
 /// place at `cost`: its multiway kind becomes [`PlanKind::BitmapAnd`], which
 /// is what [`ExprPlan::binds_in_place`] — and so the executor — binds.
 fn bind_sweep(plan: &mut ExprPlan, cost: f64) {
-    if let PlanNode::And {
-        kind: AndKind::Multiway(m),
-        ..
-    } = &mut plan.node
-    {
-        m.kind = PlanKind::BitmapAnd;
-        m.est_cost = cost;
+    if let PlanNode::And { multiway, .. } = &mut plan.node {
+        multiway.kind = PlanKind::BitmapAnd;
+        multiway.est_cost = cost;
         plan.est_cost = cost;
     }
 }
@@ -470,12 +388,8 @@ mod tests {
         // HashProbe; the expression plan must carry exactly that choice.
         let p = plan("0 AND 1", &[(1000, None), (64_000, Some(1))], 1 << 24);
         match &p.node {
-            PlanNode::And {
-                kind: AndKind::Multiway(m),
-                neg,
-                ..
-            } => {
-                assert_eq!(m.kind, PlanKind::HashProbe);
+            PlanNode::And { multiway, neg, .. } => {
+                assert_eq!(multiway.kind, PlanKind::HashProbe);
                 assert!(neg.is_empty());
             }
             other => panic!("expected multiway And, got {other:?}"),
@@ -504,13 +418,6 @@ mod tests {
         assert!(p.est_rows <= 100.0);
     }
 
-    fn union_kind(p: &ExprPlan) -> UnionKind {
-        match p.node {
-            PlanNode::Or { kind, .. } => kind,
-            _ => panic!("expected Or, got {p:?}"),
-        }
-    }
-
     /// The multiway kinds of an `Or`'s `And` children, in plan order.
     fn child_kinds(p: &ExprPlan) -> Vec<PlanKind> {
         let PlanNode::Or { children, .. } = &p.node else {
@@ -519,42 +426,38 @@ mod tests {
         children
             .iter()
             .filter_map(|c| match &c.node {
-                PlanNode::And {
-                    kind: AndKind::Multiway(m),
-                    ..
-                } => Some(m.kind),
+                PlanNode::And { multiway, .. } => Some(multiway.kind),
                 _ => None,
             })
             .collect()
     }
 
+    /// Every `OR` is the chunk union. With a child swept in place it is
+    /// priced as today's accumulator — the swept parts, every other child's
+    /// bits, per chunk touched and one extraction — and with none as a
+    /// merge of every child's members.
     #[test]
-    fn or_picks_the_chunk_union_by_cost_over_any_children() {
-        let dense = [(50_000, Some(1)), (60_000, Some(1))];
-        assert_eq!(
-            union_kind(&plan("0 OR 1", &dense, 1 << 17)),
-            UnionKind::BitmapOr
-        );
-        // A child without a bitmap no longer vetoes the sweep: its bits
-        // are set into the accumulator.
-        let mixed = [(50_000, Some(1)), (60_000, None)];
-        assert_eq!(
-            union_kind(&plan("0 OR 1", &mixed, 1 << 17)),
-            UnionKind::BitmapOr
-        );
-        // Sparse-but-bitmapped operands spanning many chunks fall back to
-        // the heap merge: the word sweep would touch more words than the
-        // heap touches elements.
-        let wide = [(300, Some(200)), (300, Some(200))];
-        assert_eq!(
-            union_kind(&plan("0 OR 1", &wide, 1 << 30)),
-            UnionKind::HeapMerge
-        );
-        // Three ≈ 30-row children spread over 20 chunks: too few rows for
-        // the chunks a union would clear and scan.
+    fn or_prices_swept_and_merged_chunks() {
+        let planner = ExprPlanner::default();
+        let unit = |u| planner.and.unit(u);
+        // Three ≈ 30-row children of no bitmap: every chunk is merged.
         let thin = [(30, None), (31, None), (29, None)];
         let p = plan("0 OR 1 OR 2", &thin, 20 << 16);
-        assert_eq!(union_kind(&p), UnionKind::HeapMerge);
+        assert_eq!(p.operator(), "ChunkUnion");
+        assert!((p.est_cost - unit(CostUnit::Merge) * 90.0).abs() < 1e-9);
+        // A bitmap term is swept (its one chunk's words), the other term's
+        // bits are set, and the union touches both chunks of the universe.
+        let mixed = [(50_000, Some(1)), (60_000, None)];
+        let p = plan("0 OR 1", &mixed, 1 << 17);
+        assert_eq!(p.operator(), "ChunkUnion");
+        let expect = unit(CostUnit::BitmapWord) * WORDS_PER_CHUNK as f64
+            + unit(CostUnit::SetBit) * 60_000.0
+            + planner.chunk_cost(2.0, p.est_rows);
+        assert!(
+            (p.est_cost - expect).abs() < 1e-6,
+            "{} vs {expect}",
+            p.est_cost
+        );
     }
 
     #[test]
@@ -571,18 +474,15 @@ mod tests {
         // Two `BitmapAnd` groups over t0: one union, no extraction per
         // group.
         let p = plan("(0 1) OR (0 2)", &corpus, u);
-        assert_eq!(union_kind(&p), UnionKind::BitmapOr, "{}", p.describe());
+        assert_eq!(p.operator(), "ChunkUnion", "{}", p.describe());
         assert_eq!(child_kinds(&p), [PlanKind::BitmapAnd; 2]);
         // On its own `0 ∧ 3` sweeps too (probing t3's 40 k members would
         // first extract them) and pays its own extraction; under the union
         // its words are swept in place and extracted with the union's.
         let alone = plan("0 3", &corpus, u);
-        assert!(matches!(
-            &alone.node,
-            PlanNode::And { kind: AndKind::Multiway(m), .. } if m.kind == PlanKind::BitmapAnd
-        ));
+        assert_eq!(alone.operator(), "BitmapAnd");
         let p = plan("(0 3) OR (0 1)", &corpus, u);
-        assert_eq!(union_kind(&p), UnionKind::BitmapOr, "{}", p.describe());
+        assert_eq!(p.operator(), "ChunkUnion", "{}", p.describe());
         assert_eq!(
             child_kinds(&p),
             [PlanKind::BitmapAnd; 2],
@@ -600,10 +500,7 @@ mod tests {
         );
         // An AND NOT over a bitmap AND is a one-child chunk union.
         let p = plan("0 1 AND NOT 2", &corpus, u);
-        assert!(matches!(
-            &p.node,
-            PlanNode::And { kind: AndKind::Multiway(m), .. } if m.kind == PlanKind::BitmapAnd
-        ));
+        assert_eq!(p.operator(), "BitmapAnd");
     }
 
     /// The galloping difference pays per base row and log₂ of each
@@ -626,11 +523,8 @@ mod tests {
         ];
         let u = 2_000_000;
         let kind = |p: &ExprPlan| match &p.node {
-            PlanNode::And {
-                kind: AndKind::Multiway(m),
-                ..
-            } => m.kind,
-            other => panic!("expected a multiway And, got {other:?}"),
+            PlanNode::And { multiway, .. } => multiway.kind,
+            other => panic!("expected an And, got {other:?}"),
         };
         let gallop = |base: &ExprPlan, n: f64| {
             ExprPlanner::default()
@@ -671,22 +565,46 @@ mod tests {
         assert!(matches!(p.node, PlanNode::Or { .. }));
     }
 
+    /// A mixed `AND` runs the multiway plan the conjunctive model picks
+    /// over its terms and its sub-expressions, each sub-expression as a
+    /// bitmap-less list of its estimated size rounded up.
     #[test]
-    fn mixed_and_uses_slice_probe_and_prices_children() {
+    fn mixed_and_runs_the_multiway_plan_and_prices_children() {
         let sizes = [(4000, None), (3000, None), (2000, None)];
         let p = plan("0 AND (1 OR 2)", &sizes, 1 << 20);
-        let PlanNode::And { pos, kind, .. } = &p.node else {
+        let PlanNode::And { pos, multiway, .. } = &p.node else {
             panic!("expected And");
         };
-        assert_eq!(*kind, AndKind::SliceProbe);
-        // The Or child's union cost is part of the total.
-        let or_cost: f64 = pos
+        let or = pos
             .iter()
-            .filter(|c| matches!(c.node, PlanNode::Or { .. }))
-            .map(|c| c.est_cost)
-            .sum();
-        assert!(or_cost > 0.0);
-        assert!(p.est_cost >= or_cost);
+            .find(|c| matches!(c.node, PlanNode::Or { .. }))
+            .expect("an Or operand");
+        let op_stats: Vec<OperandStats> = pos
+            .iter()
+            .map(|c| OperandStats {
+                n: match c.node {
+                    PlanNode::Term(t) => sizes[t].0,
+                    _ => c.est_rows.ceil() as usize,
+                },
+                chunks: None,
+            })
+            .collect();
+        assert_eq!(
+            *multiway,
+            ExprPlanner::default().and.plan(&op_stats, 1 << 20)
+        );
+        // The Or child's union cost is part of the total.
+        assert!(or.est_cost > 0.0);
+        assert!(p.est_cost >= or.est_cost + multiway.est_cost);
+        // A sub-expression estimated under one row is still planned as a
+        // one-member list: only an exact term size plans `Empty`.
+        let same = [(100, None); 5];
+        let p = plan("0 AND ((1 2) OR (3 4))", &same, 1 << 20);
+        let PlanNode::And { pos, multiway, .. } = &p.node else {
+            panic!("expected And");
+        };
+        assert!(pos[0].est_rows < 0.5, "{}", pos[0].est_rows);
+        assert_ne!(multiway.kind, PlanKind::Empty, "{}", p.describe());
     }
 
     #[test]
@@ -695,7 +613,7 @@ mod tests {
         let p = plan("0 AND (1 OR 2) AND NOT 1", &sizes, 1 << 20);
         let d = p.describe();
         assert!(d.starts_with("And["), "{d}");
-        assert!(d.contains("Or[HeapMerge]"), "{d}");
+        assert!(d.contains("Or[ChunkUnion]"), "{d}");
         assert!(d.contains('\\'), "{d}");
     }
 }

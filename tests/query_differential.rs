@@ -10,8 +10,8 @@ use fsi_index::{MultiwayPlan, PlanKind, Planner, SearchEngine};
 use fsi_kernels::SimdLevel;
 use fsi_query::naive::{naive_eval, naive_eval_universe};
 use fsi_query::{
-    analyze_plan, compile, encode, eval_planned, execute_plan, fingerprint, normalize, parse,
-    AndKind, Expr, ExprPlan, ExprPlanner, NodeReport, NormExpr, PlanNode, RewriteError, UnionKind,
+    analyze_plan, compile, encode, eval_planned, execute_plan, fingerprint, normalize, parse, Expr,
+    ExprPlan, ExprPlanner, NodeReport, NormExpr, PlanNode, RewriteError,
 };
 use fsi_serve::{Request, ServeConfig, Server};
 use rand::rngs::StdRng;
@@ -212,14 +212,16 @@ fn boundary_list(rng: &mut StdRng, n: usize) -> SortedSet {
         .collect()
 }
 
-/// Mixed `AND`s and `AND NOT`s run as passes of one membership filter
+/// Mixed `AND`s run their multiway plan over sub-expressions narrowed to
+/// chunked arrays, and `AND NOT`s run as passes of one membership filter
 /// over candidates already in the output: a term operand that carries a
 /// bitmap is bit-tested, every other operand galloped where it lies — down
-/// to `u32::MAX`. The shapes pin the filter's edges — mixed `AND`s over
+/// to `u32::MAX`. The shapes pin the edges — mixed `AND`s over
 /// bitmap-carrying terms, subtrahends with and without a bitmap, exhausted
 /// early, holding `u32::MAX`, empty, or equal to the base — against
 /// `naive_eval` at every tier's cost table and dispatched SIMD level,
-/// through `eval_planned` and through `EXPLAIN ANALYZE`.
+/// through `eval_planned`, through `EXPLAIN ANALYZE`, and with every
+/// `AND` forced under each kind that intersects.
 #[test]
 fn differences_with_bitmap_less_subtrahends_match_naive_semantics() {
     // Lists around the first chunk boundary and in the top chunk, each
@@ -284,32 +286,95 @@ fn differences_with_bitmap_less_subtrahends_match_naive_semantics() {
             let planner = ExprPlanner::new(Planner::for_simd(level));
             let plan = planner.plan(&norm, &|t| exec.list(t).stats(), exec.universe());
             if mixed.contains(src) {
-                assert_eq!(plan.operator(), "SliceProbe", "{level:?} {src}");
+                // The multiway plan's probe or merge, over a sub-expression
+                // as over a term.
+                assert!(
+                    matches!(plan.operator(), "HashProbe" | "SimdMerge"),
+                    "{level:?} {src}: {}",
+                    plan.describe()
+                );
             }
+            let plans = forced_variants(plan);
             let run = || {
                 let mut analyzed = Vec::new();
-                let report = analyze_plan(&exec, &planner, &plan, &mut analyzed);
-                (eval_planned(&exec, &planner, &norm), analyzed, report)
+                let report = analyze_plan(&exec, &planner, &plans[0], &mut analyzed);
+                let forced: Vec<(String, Vec<Elem>)> = plans
+                    .iter()
+                    .map(|plan| {
+                        let mut got = Vec::new();
+                        execute_plan(&exec, &planner, plan, &mut got);
+                        (plan.describe(), got)
+                    })
+                    .collect();
+                (
+                    eval_planned(&exec, &planner, &norm),
+                    analyzed,
+                    report,
+                    forced,
+                )
             };
-            let (got, analyzed, report) = if fsi_kernels::simd::available_levels().contains(&level)
-            {
-                fsi_kernels::simd::with_level(level, run)
-            } else {
-                run()
-            };
+            let (got, analyzed, report, forced) =
+                if fsi_kernels::simd::available_levels().contains(&level) {
+                    fsi_kernels::simd::with_level(level, run)
+                } else {
+                    run()
+                };
             assert_eq!(got, expect, "{level:?} {src}");
             assert_eq!(analyzed, expect, "{level:?} analyzed {src}");
             assert_eq!(report.rows, Some(expect.len() as u64), "{level:?} {src}");
+            for (plan, got) in forced {
+                assert_eq!(got, expect, "{level:?} {src}: {plan}");
+            }
         }
+    }
+}
+
+/// The estimate trap: over identical lists, independence puts a
+/// sub-expression's size far below its true one. `0 AND ((1 2) OR (3 4))`
+/// over five identical 100-member lists in a 2²⁰-document universe
+/// estimates the `OR` at under one row, yet it holds all 100. A
+/// sub-expression operand is planned at its estimate rounded up, never at
+/// 0, so the `AND` is never planned `Empty` on an estimate and returns
+/// every row, at every tier's cost table and dispatched SIMD level.
+#[test]
+fn a_sub_expression_estimated_under_one_row_still_runs() {
+    let list: SortedSet = (0..99u32)
+        .map(|i| i * 10_000)
+        .chain([(1 << 20) - 1])
+        .collect();
+    assert_eq!(list.len(), 100);
+    let engine = SearchEngine::from_postings(HashContext::new(81), vec![list; 5]);
+    let slices = posting_slices(&engine);
+    let exec = engine.planned_executor(Planner::default());
+    assert_eq!(exec.universe(), 1 << 20);
+    let norm = compile("0 AND ((1 2) OR (3 4))").expect("compiles");
+    let expect: Vec<Elem> = naive_eval(&slices, &norm).into_iter().collect();
+    assert_eq!(expect.len(), 100);
+    for level in SimdLevel::ALL {
+        let planner = ExprPlanner::new(Planner::for_simd(level));
+        let plan = planner.plan(&norm, &|t| exec.list(t).stats(), exec.universe());
+        assert!(plan.est_rows < 1.0, "{level:?}: {}", plan.est_rows);
+        let run = || {
+            let mut analyzed = Vec::new();
+            analyze_plan(&exec, &planner, &plan, &mut analyzed);
+            (eval_planned(&exec, &planner, &norm), analyzed)
+        };
+        let (got, analyzed) = if fsi_kernels::simd::available_levels().contains(&level) {
+            fsi_kernels::simd::with_level(level, run)
+        } else {
+            run()
+        };
+        assert_eq!(got, expect, "{level:?}: {}", plan.describe());
+        assert_eq!(analyzed, expect, "{level:?} analyzed: {}", plan.describe());
     }
 }
 
 /// A list carries one representation, so a bitmap term has no flat copy:
 /// wherever a plan reads one as a sorted run it is extracted. Every role
 /// that extracts — a single dense term, the smallest operand of a mixed
-/// `AND`, a heap-union child, the second operand of a conjunction the merge
-/// would read, every operand of an all-bitmap conjunction under each forced
-/// kind — is pinned against `naive_eval` at every tier's cost table and
+/// `AND` (its driver), the second operand of a conjunction the merge would
+/// read, every operand of an all-bitmap conjunction under each forced kind
+/// — and a bitmap term as a chunk-union part is pinned against `naive_eval` at every tier's cost table and
 /// dispatched SIMD level, through `execute_plan` and `EXPLAIN ANALYZE`.
 #[test]
 fn bitmap_only_operands_in_every_role_match_naive_semantics() {
@@ -335,7 +400,7 @@ fn bitmap_only_operands_in_every_role_match_naive_semantics() {
     let cases: [(&str, Option<&str>); 9] = [
         ("0", Some("Term")),
         ("2", Some("Term")),
-        ("2 AND (0 OR 4)", Some("SliceProbe")),
+        ("2 AND (0 OR 4)", None),
         ("5 AND 1", Some("HashProbe")),
         ("3 AND 2 AND 0", Some("HashProbe")),
         ("0 1", Some("BitmapAnd")),
@@ -352,8 +417,8 @@ fn bitmap_only_operands_in_every_role_match_naive_semantics() {
             if let Some(op) = expect_operator {
                 assert_eq!(plan.operator(), op, "{level:?} {src}");
             }
-            if let PlanNode::And { pos, kind, .. } = &plan.node {
-                if *kind == AndKind::SliceProbe {
+            if let PlanNode::And { pos, .. } = &plan.node {
+                if pos.iter().any(|p| !matches!(p.node, PlanNode::Term(_))) {
                     // The bitmap term is the smallest operand: the driver.
                     assert!(matches!(pos[0].node, PlanNode::Term(2)), "{src}");
                 }
@@ -383,28 +448,18 @@ fn bitmap_only_operands_in_every_role_match_naive_semantics() {
     }
 }
 
-/// `plan`, then the same tree with its root operator forced: a union run
-/// as a heap merge and as a chunk union over its children, and a
-/// conjunction of terms under
-/// every kind that intersects (`BitmapAnd` only over bitmap terms).
+/// `plan`, then the same tree with its root `AND` — of terms or mixed —
+/// forced under every kind that intersects (`Single` only over one
+/// operand, `BitmapAnd` only where the planner picked it, i.e. over bitmap
+/// terms). An `OR` has one operator, the chunk union.
 fn forced_variants(plan: ExprPlan) -> Vec<ExprPlan> {
     let mut forced = Vec::new();
     match &plan.node {
-        PlanNode::Or { children, .. } => {
-            for kind in UnionKind::ALL {
-                forced.push(ExprPlan {
-                    node: PlanNode::Or {
-                        children: children.clone(),
-                        kind,
-                    },
-                    ..plan.clone()
-                });
-            }
-        }
+        PlanNode::Or { .. } => {}
         PlanNode::And {
             pos,
             neg,
-            kind: AndKind::Multiway(m),
+            multiway: m,
         } => {
             let bitmaps = m.kind == PlanKind::BitmapAnd;
             for kind in PlanKind::ALL {
@@ -418,13 +473,13 @@ fn forced_variants(plan: ExprPlan) -> Vec<ExprPlan> {
                     node: PlanNode::And {
                         pos: pos.clone(),
                         neg: neg.clone(),
-                        kind: AndKind::Multiway(MultiwayPlan { kind, ..m.clone() }),
+                        multiway: MultiwayPlan { kind, ..m.clone() },
                     },
                     ..plan.clone()
                 });
             }
         }
-        _ => {}
+        PlanNode::Term(_) => {}
     }
     forced.insert(0, plan);
     forced
@@ -432,8 +487,8 @@ fn forced_variants(plan: ExprPlan) -> Vec<ExprPlan> {
 
 /// Sparse lists are chunked 16-bit arrays, read natively in every role:
 /// the probe's driver (widened) and a probed operand (a chunk cursor and a
-/// gallop), the merge's inputs (the 16-bit merge per shared chunk), a heap
-/// union's child (widened), a chunk union's part (each run's bits set), and
+/// gallop), the merge's inputs (the 16-bit merge per shared chunk), a chunk
+/// union's part (each run merged, or its bits set beside a bitmap), and
 /// an `AND NOT` subtrahend — of a membership pass, and of a bitmap `AND`
 /// bound in place. The arrays take the layout's edge shapes: runs
 /// straddling a chunk boundary, single-member chunks with empty chunks
