@@ -126,6 +126,9 @@ fn carries_bitmap(n: usize, chunks: usize) -> bool {
     n >= chunks * WORDS_PER_CHUNK
 }
 
+/// Values one bitmap chunk covers.
+const CHUNK_SPAN: f64 = (WORDS_PER_CHUNK * 64) as f64;
+
 /// Resident heap bytes split by physical representation — what the
 /// `fsi_index_bytes{repr=…}` gauges export. The parts sum to
 /// [`PlannedList::size_in_bytes`].
@@ -384,7 +387,7 @@ pub enum CostUnit {
     /// bitmap-less operand in [`PlanKind::HashProbe`] and
     /// [`PlanKind::SimdMerge`], and the difference per base element per
     /// bitmap-less subtrahend — the same exponential probe everywhere
-    /// ([`Planner::gallop_cost`]). Fitted on the benchmark corpus (AVX2;
+    /// ([`Planner::probe_cost`]). Fitted on the benchmark corpus (AVX2;
     /// and_cold's 16 384 conjunctions, seeds 1 and 2, every forced kind in
     /// its own cold pass, min of 3): a bitmap-less pair probes at
     /// 9.3–16.5 ns per candidate and log₂ of the
@@ -526,18 +529,18 @@ impl Planner {
     }
 
     /// The price of galloping `n_min` ascending candidates through lists of
-    /// sizes `probed` — the probe of a bitmap-less operand and `fsi-query`'s
-    /// difference against bitmap-less subtrahends. Fewer than one expected
-    /// candidate pays its share of one whole search.
-    pub fn gallop_cost(&self, n_min: f64, probed: impl Iterator<Item = f64>) -> f64 {
+    /// sizes `probed`. Fewer than one expected candidate pays its share of
+    /// one whole search.
+    fn gallop_cost(&self, n_min: f64, probed: impl Iterator<Item = f64>) -> f64 {
         let log_sum: f64 = probed.map(|n| (n / n_min.max(1.0) + 2.0).log2()).sum();
         self.unit(CostUnit::Gallop) * n_min * log_sum
     }
 
     /// The price of testing `candidates` ascending candidates against one
     /// operand: a bit test each where it carries a bitmap, one galloping
-    /// cursor through its arrays where it does not.
-    fn probe_cost(&self, candidates: f64, operand: &OperandStats) -> f64 {
+    /// cursor through its arrays where it does not. It prices every probed
+    /// operand of a plan, and `fsi-query`'s difference per subtrahend.
+    pub fn probe_cost(&self, candidates: f64, operand: &OperandStats) -> f64 {
         match operand.chunks {
             Some(_) => self.unit(CostUnit::BitTest) * candidates,
             None => self.gallop_cost(candidates, std::iter::once(operand.n as f64)),
@@ -561,6 +564,18 @@ impl Planner {
         })
     }
 
+    /// The chunks of a `universe`-document space, at least one.
+    pub fn universe_chunks(universe: u64) -> f64 {
+        (universe as f64 / CHUNK_SPAN).ceil().max(1.0)
+    }
+
+    /// The chunks `n` members spread uniformly over `all` chunks touch,
+    /// `C · (1 − e^(−n/C))`: the merge's estimate for an array, and
+    /// `fsi-query`'s for a chunk union's listed child.
+    pub fn chunks_touched(n: f64, all: f64) -> f64 {
+        all * (1.0 - (-n / all).exp())
+    }
+
     /// The price of merging two lists ([`PlanKind::SimdMerge`]'s first
     /// step), before its survivors meet any other operand. Between arrays it
     /// is the chunked 16-bit merge: [`Merge`](CostUnit::Merge) per element
@@ -580,10 +595,8 @@ impl Planner {
         if first.chunks.is_some() || second.chunks.is_some() {
             return merge * elements + reads;
         }
-        let all = (universe as f64 / (WORDS_PER_CHUNK * 64) as f64)
-            .ceil()
-            .max(1.0);
-        let touched = |n: usize| all * (1.0 - (-(n as f64) / all).exp());
+        let all = Self::universe_chunks(universe);
+        let touched = |n: usize| Self::chunks_touched(n as f64, all);
         let shared = touched(first.n) * touched(second.n) / all;
         let block = match self.simd {
             SimdLevel::Scalar => 1.0,
@@ -678,9 +691,8 @@ impl Planner {
             // only universe the stats carry — and there are no more words
             // holding one than words swept.
             let words = (c_min * WORDS_PER_CHUNK) as f64;
-            let chunk_span = (WORDS_PER_CHUNK * 64) as f64;
-            let survivors = stats.iter().fold(c_min as f64 * chunk_span, |rows, s| {
-                rows * (s.n as f64 / (s.chunks.unwrap_or(1) as f64 * chunk_span)).min(1.0)
+            let survivors = stats.iter().fold(c_min as f64 * CHUNK_SPAN, |rows, s| {
+                rows * (s.n as f64 / (s.chunks.unwrap_or(1) as f64 * CHUNK_SPAN)).min(1.0)
             });
             consider(
                 PlanKind::BitmapAnd,

@@ -604,9 +604,12 @@ unsafe fn merge16_skewed(
 /// The eight rotations of each 128-bit half of `v` by 0–7 `u16` lanes:
 /// with them a vector is compared against every lane of the same half of
 /// `v` in 8 compares ([`lanes_in16`]).
+///
+/// # Safety
+/// The CPU must support AVX2.
 #[target_feature(enable = "avx2")]
 #[inline]
-fn rotations16(v: __m256i) -> [__m256i; 8] {
+unsafe fn rotations16(v: __m256i) -> [__m256i; 8] {
     [
         v,
         _mm256_alignr_epi8::<2>(v, v),
@@ -622,9 +625,12 @@ fn rotations16(v: __m256i) -> [__m256i; 8] {
 /// All-ones in each `u16` lane of `d` that equals some lane in the same
 /// 128-bit half of the vector whose rotations `rot` holds
 /// ([`rotations16`]).
+///
+/// # Safety
+/// The CPU must support AVX2.
 #[target_feature(enable = "avx2")]
 #[inline]
-fn lanes_in16(d: __m256i, rot: &[__m256i; 8]) -> __m256i {
+unsafe fn lanes_in16(d: __m256i, rot: &[__m256i; 8]) -> __m256i {
     let [r0, r1, r2, r3, r4, r5, r6, r7] = *rot;
     let eq = |r| _mm256_cmpeq_epi16(d, r);
     _mm256_or_si256(
@@ -713,8 +719,10 @@ unsafe fn merge16_balanced(
             _mm256_extracti128_si256::<1>(vn),
         );
         // Each narrow half against the wide block's low and high halves.
-        let c_lo = lanes_in16(_mm256_broadcastsi128_si256(lo), rot);
-        let c_hi = lanes_in16(_mm256_broadcastsi128_si256(hi), rot);
+        // SAFETY: the caller guarantees AVX2.
+        let c_lo = unsafe { lanes_in16(_mm256_broadcastsi128_si256(lo), rot) };
+        // SAFETY: as above.
+        let c_hi = unsafe { lanes_in16(_mm256_broadcastsi128_si256(hi), rot) };
         let any = _mm256_or_si256(c_lo, c_hi);
         // Most blocks of two sparse lists share nothing: one test skips the
         // mask and the store.
@@ -735,13 +743,15 @@ unsafe fn merge16_balanced(
             }
         }
     };
-    let mut rot = rotations16(wide_block(0));
+    // SAFETY: the caller guarantees AVX2.
+    let mut rot = unsafe { rotations16(wide_block(0)) };
     let (mut vn, mut fresh) = narrow_block(0);
     if nw <= 16 && nn <= 8 {
         // Both runs fit one block, the narrow one its low half: one
         // compare, no loop.
         let lo = _mm256_castsi256_si128(vn);
-        let c = lanes_in16(_mm256_broadcastsi128_si256(lo), &rot);
+        // SAFETY: the caller guarantees AVX2.
+        let c = unsafe { lanes_in16(_mm256_broadcastsi128_si256(lo), &rot) };
         if _mm256_testz_si256(c, c) == 0 {
             let c = _mm_or_si128(_mm256_castsi256_si128(c), _mm256_extracti128_si256::<1>(c));
             let mask = _mm_movemask_epi8(_mm_packs_epi16(c, _mm_setzero_si128())) as usize & fresh;
@@ -769,7 +779,8 @@ unsafe fn merge16_balanced(
             if i >= nw {
                 break;
             }
-            rot = rotations16(wide_block(i));
+            // SAFETY: the caller guarantees AVX2.
+            rot = unsafe { rotations16(wide_block(i)) };
             w_max = w_max_at(i);
         }
         if n_le {

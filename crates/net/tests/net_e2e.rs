@@ -877,6 +877,59 @@ fn head_sampled_successes_carry_a_full_trace_into_the_slow_log() {
     net.stop();
 }
 
+/// The JSON strings of `json`, decoded, in order. Panics on a raw
+/// control character inside a string, which JSON forbids.
+fn json_strings(json: &str) -> Vec<String> {
+    let (mut strings, mut chars) = (Vec::new(), json.chars());
+    while let Some(c) = chars.next() {
+        if c != '"' {
+            continue;
+        }
+        let mut s = String::new();
+        loop {
+            match chars.next().expect("unterminated string") {
+                '"' => break,
+                '\\' => match chars.next().expect("escape") {
+                    'u' => {
+                        let hex: String = chars.by_ref().take(4).collect();
+                        let code = u32::from_str_radix(&hex, 16).expect("hex escape");
+                        s.push(char::from_u32(code).expect("scalar value"));
+                    }
+                    'n' => s.push('\n'),
+                    't' => s.push('\t'),
+                    'r' => s.push('\r'),
+                    c => s.push(c),
+                },
+                c => {
+                    assert!(c >= ' ', "raw control character {c:?} in a string: {json}");
+                    s.push(c);
+                }
+            }
+        }
+        strings.push(s);
+    }
+    strings
+}
+
+#[test]
+fn control_characters_in_a_query_leave_the_slow_log_as_valid_json() {
+    let (_serve, net) = serving_stack(NetConfig::default());
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    let query = "t0\u{1}\n\"\\";
+    let resp = client.call(&RequestFrame::query(7, query)).expect("call");
+    assert_eq!(resp.status, Status::InvalidQuery);
+    // A malformed query is always retained.
+    wait_for_slowlog_entry(&net, 7);
+    let json = client.slowlog().expect("slowlog");
+    let strings = json_strings(&json);
+    let at = strings
+        .iter()
+        .position(|s| s == "query")
+        .expect("a query field");
+    assert_eq!(strings[at + 1], query, "{json}");
+    net.stop();
+}
+
 #[test]
 fn stripped_lifecycle_mode_still_serves_and_answers_admin_ops() {
     let (_serve, net) = serving_stack(NetConfig {

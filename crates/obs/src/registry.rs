@@ -519,8 +519,26 @@ fn prom_labels(labels: &Labels, le: Option<&str>) -> String {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// `s` as the inside of a JSON string: `"` and `\` escaped, and every
+/// control character below U+0020 written as an escape — the one escaper
+/// every JSON writer of this crate uses, so text from a request (a query
+/// in the slow log or a trace) always leaves as valid JSON.
+pub(crate) fn json_escape(s: &str) -> String {
+    use std::fmt::Write;
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// JSON has no NaN; an empty histogram's percentiles render as null.

@@ -19,7 +19,7 @@
 //! no-tearing guarantee, and oldest-first eviction over exhaustive
 //! interleavings).
 
-use crate::registry::{thread_stripe, STRIPES};
+use crate::registry::{json_escape, thread_stripe, STRIPES};
 use crate::trace::QueryTrace;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,7 +79,7 @@ impl SlowLogEntry {
             .map(|s| {
                 format!(
                     "{{\"name\": \"{}\", \"start_ns\": {}, \"dur_ns\": {}}}",
-                    escape(s.name),
+                    json_escape(s.name),
                     s.start_ns,
                     s.dur_ns
                 )
@@ -99,20 +99,16 @@ impl SlowLogEntry {
              \"plan\": \"{}\", \"stages\": [{}], \"trace\": {}}}",
             self.id,
             tenant,
-            escape(&self.query),
-            escape(self.outcome),
-            escape(self.reason),
+            json_escape(&self.query),
+            json_escape(self.outcome),
+            json_escape(self.reason),
             self.queue_depth,
             self.total_ns,
-            escape(&self.plan_summary),
+            json_escape(&self.plan_summary),
             stages.join(", "),
             trace
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[derive(Debug)]

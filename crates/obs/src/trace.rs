@@ -10,6 +10,7 @@
 //! cache hit/miss/refresh — as plain strings so the trace layer has no
 //! dependency on the layers it describes.
 
+use crate::registry::json_escape;
 use std::time::Instant;
 
 /// One timed stage of a traced query.
@@ -160,11 +161,11 @@ impl QueryTrace {
                 let attrs: Vec<String> = s
                     .attrs
                     .iter()
-                    .map(|(k, v)| format!("\"{}\": \"{}\"", escape(k), escape(v)))
+                    .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
                     .collect();
                 format!(
                     "{{\"name\": \"{}\", \"start_ns\": {}, \"dur_ns\": {}, \"attrs\": {{{}}}}}",
-                    escape(&s.name),
+                    json_escape(&s.name),
                     s.start_ns,
                     s.dur_ns,
                     attrs.join(", ")
@@ -173,15 +174,11 @@ impl QueryTrace {
             .collect();
         format!(
             "{{\"query\": \"{}\", \"total_ns\": {}, \"spans\": [{}]}}",
-            escape(&self.query),
+            json_escape(&self.query),
             self.total_ns,
             spans.join(", ")
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Formats nanoseconds with an adaptive unit.

@@ -64,7 +64,7 @@ pub fn eval_planned_into(
 
 /// Records the plan that ran into the global registry, once per evaluated
 /// expression — planning itself records nothing, so `EXPLAIN` counts
-/// nothing and a kind the chunk union re-binds is counted as it ran:
+/// nothing:
 ///
 /// * the multiway kind of every `AND` in the tree
 ///   (`fsi_plan_kind_total{kind}`), by [`visit_kinds`];
@@ -100,7 +100,7 @@ fn record_plan(plan: &ExprPlan, observed: usize) {
 }
 
 /// Calls `and` with the multiway kind of every `AND` in `plan`, in
-/// preorder: the kinds that run, after every chunk-union re-binding.
+/// preorder: what each runs, the kind [`fsi_index::Planner::plan`] picked.
 fn visit_kinds(plan: &ExprPlan, and: &mut impl FnMut(PlanKind)) {
     match &plan.node {
         PlanNode::Term(_) => {}
@@ -477,14 +477,25 @@ mod tests {
         ands
     }
 
+    /// The multiway plan of every `AND` in `plan`, in preorder.
+    fn multiways(plan: &ExprPlan) -> Vec<&MultiwayPlan> {
+        match &plan.node {
+            PlanNode::Term(_) => Vec::new(),
+            PlanNode::And { pos, neg, multiway } => std::iter::once(multiway)
+                .chain(pos.iter().chain(neg).flat_map(multiways))
+                .collect(),
+            PlanNode::Or { children } => children.iter().flat_map(multiways).collect(),
+        }
+    }
+
     #[test]
-    fn recorded_kinds_are_the_ones_that_run() {
+    fn an_and_plans_the_same_alone_under_a_union_and_as_a_difference_base() {
         // The benchmark corpus's shape (t0–t3), plus a seven-way AND of
-        // bitmaps at one member per word (t4–t10): on its own that AND
-        // probes, since its driver's extraction and bit tests cost less at
-        // the scalar tier than six word passes and an extraction, but under
-        // a chunk union it is re-bound to `BitmapAnd` — its words swept in
-        // place, extracted with the union — and the walk reports what runs.
+        // bitmaps at one member per word (t4–t10): it probes, since its
+        // driver's extraction and bit tests cost less at the scalar tier
+        // than six word passes and an extraction. Under a chunk union and
+        // under a subtrahend it keeps that plan — it is materialized, not
+        // swept — and the walk reports the kinds that run.
         let mut sizes = vec![600_000, 300_000, 200_000, 40_000, 31 * 1024];
         sizes.extend([75_000; 6]);
         let stats = |t: usize| fsi_index::OperandStats {
@@ -495,13 +506,29 @@ mod tests {
             let norm = normalize(&parse(src).expect("p")).expect("b");
             ExprPlanner::default().plan(&norm, &stats, 2_000_000)
         };
-        assert_eq!(kinds(&plan("0 3")), [PlanKind::BitmapAnd]);
         let seven = "4 5 6 7 8 9 10";
-        assert_eq!(kinds(&plan(seven)), [PlanKind::HashProbe]);
-        assert_eq!(
-            kinds(&plan(&format!("({seven}) OR (0 1)"))),
-            [PlanKind::BitmapAnd; 2]
+        let alone = plan(seven);
+        assert_eq!(kinds(&alone), [PlanKind::HashProbe]);
+        let union = plan(&format!("({seven}) OR (0 1)"));
+        let base = plan(&format!("({seven}) AND NOT 3"));
+        assert!(
+            multiways(&union).contains(&multiways(&alone)[0]),
+            "{}",
+            union.describe()
         );
+        assert_eq!(multiways(&base), multiways(&alone));
+        let mut ran = kinds(&union);
+        ran.sort_by_key(|k| *k as usize);
+        assert_eq!(ran, [PlanKind::HashProbe, PlanKind::BitmapAnd]);
+        // A `BitmapAnd` is swept under both and priced so, with the kind
+        // and operand order it plans alone.
+        let pair = plan("0 1");
+        let swept = [plan("(0 1) OR 2"), plan("0 1 AND NOT 3")];
+        for p in &swept {
+            let (got, want) = (multiways(p)[0], multiways(&pair)[0]);
+            assert_eq!((got.kind, &got.order), (want.kind, &want.order));
+            assert_eq!(got.kind, PlanKind::BitmapAnd);
+        }
         // Nested: a union inside a mixed AND, under a subtrahend — the
         // mixed AND's multiway kind is counted as well.
         assert_eq!(kinds(&plan("2 AND (0 OR 1) AND NOT (1 3)")).len(), 2);

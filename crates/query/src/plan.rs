@@ -26,8 +26,12 @@
 //! | node | operator |
 //! |------|----------|
 //! | `AND` | one whole-list [`MultiwayPlan`] from the full [`fsi_index::Planner`] candidate table over every positive operand. A term is priced by its own stats; a sub-expression, which runs and is narrowed to chunked arrays, as a bitmap-less list of its `est_rows` rounded up and at least 1, so an estimate never plans [`PlanKind::Empty`]. A lone sub-expression operand runs straight into the output |
-//! | `OR` | the chunk union (`ChunkUnion`) over any children. Where a child is swept in place — a bitmap-carrying term its words, a `BitmapAnd` child whose subtrahends are terms its word sweep (no extraction of its own) — it costs `Σ partᵢ + 2 · bitmap_word · 1024 · span + extract`, any other child its own cost plus `set_bit` per row and `span` the estimated number of chunks the union touches, the result extracted once. Otherwise every chunk is merged: `Σ costᵢ + merge · Σ nᵢ`. Nothing chooses on this price; it feeds `est_cost`, `EXPLAIN` and the misprediction histogram |
-//! | `AND NOT` | one membership pass per subtrahend over the base: a bit test per base element for a subtrahend that is a bitmap-carrying term (`bit_test · |base|`), a galloping cursor through any other (`gallop · |base| · Σⱼ log₂(|Nⱼ|/|base| + 2)`, [`Planner::gallop_cost`]), a sub-expression narrowed to chunked arrays first — the subtrahends are bounded by the base, never materialized against the universe. Over a `BitmapAnd` base whose subtrahends are all terms it is instead a one-child chunk union, priced as one, wherever that is cheaper |
+//! | `OR` | the chunk union (`ChunkUnion`) over any children. Where a child is swept in place — a bitmap-carrying term its words, a `BitmapAnd` child whose subtrahends are terms its word sweep (no extraction of its own) — it costs `Σ partᵢ + 2 · bitmap_word · 1024 · span + extract`, any other child its own cost plus `set_bit` per row and `span` the estimated number of chunks the union touches ([`Planner::chunks_touched`] for a listed child), the result extracted once. Otherwise every chunk is merged: `Σ costᵢ + merge · Σ nᵢ`. Nothing chooses on this price; it feeds `est_cost`, `EXPLAIN` and the misprediction histogram |
+//! | `AND NOT` | one membership pass per subtrahend over the base, each priced as the conjunctive planner prices a probed operand ([`Planner::probe_cost`] at the base's estimated rows): a bit test per base element against a bitmap-carrying term, a galloping cursor through any other subtrahend — a sub-expression narrowed to chunked arrays first and sized as an `AND` operand is. The subtrahends are bounded by the base, never materialized against the universe. Over a `BitmapAnd` base whose subtrahends are all terms it is a one-child chunk union instead, priced as one |
+//!
+//! Every `AND` runs the [`MultiwayPlan`] [`Planner::plan`] picks for its
+//! operands, whatever its parent: a union or a difference prices a child
+//! as it runs and never re-plans it.
 
 use crate::rewrite::NormExpr;
 use fsi_index::{CostUnit, MultiwayPlan, OperandStats, PlanKind, Planner};
@@ -103,26 +107,7 @@ impl ExprPlan {
             PlanNode::Or { .. } => "ChunkUnion",
         }
     }
-
-    /// Whether a chunk union binds this node in place instead of taking
-    /// its materialized result: a term that carries a bitmap (its words),
-    /// or a `BitmapAnd` node whose subtrahends are all terms (its word-wise
-    /// `AND`, subtrahends removed per chunk). `has_bitmap` says which terms
-    /// carry one.
-    pub(crate) fn binds_in_place(&self, has_bitmap: impl Fn(usize) -> bool) -> bool {
-        match &self.node {
-            PlanNode::Term(t) => has_bitmap(*t),
-            PlanNode::And { neg, multiway, .. } => {
-                multiway.kind == PlanKind::BitmapAnd
-                    && neg.iter().all(|n| matches!(n.node, PlanNode::Term(_)))
-            }
-            PlanNode::Or { .. } => false,
-        }
-    }
 }
-
-/// Values one bitmap chunk covers.
-const CHUNK_SPAN: f64 = (WORDS_PER_CHUNK * 64) as f64;
 
 /// The expression-level cost-model dispatcher: the [`Planner`] whose cost
 /// table prices every node — every `AND` runs exactly what it picks, and
@@ -182,20 +167,8 @@ impl ExprPlanner {
                 // Evaluation order: most selective first (the multiway
                 // plan re-sorts its operands by the same sizes).
                 pos_plans.sort_by(|a, b| a.est_rows.total_cmp(&b.est_rows));
-                // Terms are priced by their own stats, a sub-expression as
-                // the bitmap-less list it is narrowed to. Its size is only
-                // estimated, so it is rounded up and is never 0: `Empty`
-                // follows only from an exact term size.
-                let op_stats: Vec<OperandStats> = pos_plans
-                    .iter()
-                    .map(|p| match p.node {
-                        PlanNode::Term(t) => stats(t),
-                        _ => OperandStats {
-                            n: (p.est_rows.ceil() as usize).max(1),
-                            chunks: None,
-                        },
-                    })
-                    .collect();
+                let op_stats: Vec<OperandStats> =
+                    pos_plans.iter().map(|p| operand_stats(p, stats)).collect();
                 let multiway = self.and.plan(&op_stats, u as u64);
                 let and_cost = multiway.est_cost;
                 let mut base_rows = u;
@@ -207,17 +180,12 @@ impl ExprPlanner {
                 // Probe order: the most-excluding subtrahend first, so a
                 // doomed base element dies on its first probe.
                 neg_plans.sort_by(|a, b| b.est_rows.total_cmp(&a.est_rows));
-                // The difference bit-tests every base row against each
-                // subtrahend that is a bitmap-carrying term, and gallops one
-                // cursor through each other subtrahend — priced like every
-                // other gallop, so a larger subtrahend costs more.
-                let tested = |c: &&ExprPlan| matches!(c.node, PlanNode::Term(t) if stats(t).chunks.is_some());
-                let bit_tests = neg_plans.iter().filter(tested).count() as f64;
-                let galloped = neg_plans.iter().filter(|c| !tested(c));
-                let diff_cost = self.and.unit(CostUnit::BitTest) * base_rows * bit_tests
-                    + self
-                        .and
-                        .gallop_cost(base_rows, galloped.map(|c| c.est_rows));
+                // Every base row is tested against each subtrahend, priced
+                // as the multiway plan prices a probed operand.
+                let diff_cost: f64 = neg_plans
+                    .iter()
+                    .map(|c| self.and.probe_cost(base_rows, &operand_stats(c, stats)))
+                    .sum();
                 let mut est_rows = base_rows;
                 for c in &neg_plans {
                     est_rows *= 1.0 - (c.est_rows / u).min(1.0);
@@ -233,18 +201,12 @@ impl ExprPlanner {
                     est_rows,
                     est_cost: child_cost + and_cost + diff_cost,
                 };
-                // An AND NOT over bitmap-carrying terms may run as a
-                // one-child chunk union instead: the subtrahends come off
-                // word-wise and only the difference is extracted. A
-                // `BitmapAnd` base always does.
+                // An `AND NOT` over a swept base runs as a one-child chunk
+                // union: the subtrahends come off word-wise and only the
+                // difference is extracted.
                 if subtracts {
                     if let Some((sweep, chunks)) = self.sweep_cost(&plan, stats) {
-                        let cost = sweep + self.chunk_cost(chunks, est_rows);
-                        if cost < plan.est_cost
-                            || plan.binds_in_place(|t| stats(t).chunks.is_some())
-                        {
-                            bind_sweep(&mut plan, cost);
-                        }
+                        price_swept(&mut plan, sweep + self.chunk_cost(chunks, est_rows));
                     }
                 }
                 plan
@@ -259,29 +221,25 @@ impl ExprPlanner {
                     miss *= 1.0 - (p.est_rows / u).min(1.0);
                 }
                 let est_rows = u * (1.0 - miss);
-                // A child is swept in place where that is cheaper than its
-                // own cost plus one bit per row; the accumulator then pays
-                // per chunk the union touches — the chunks of the universe
-                // that no child misses. Where no child is swept, every
-                // chunk is merged, at `merge` per member.
-                let universe_chunks = (u / CHUNK_SPAN).ceil();
+                // A child the union sweeps in place is priced so; any other
+                // pays its own cost plus one bit per row. The accumulator
+                // then pays per chunk the union touches — the chunks of the
+                // universe that no child misses. Where no child is swept,
+                // every chunk is merged, at `merge` per member.
+                let universe_chunks = Planner::universe_chunks(u as u64);
                 let (mut parts_cost, mut chunk_miss, mut swept) = (0.0, 1.0, false);
                 let mut merged_cost = 0.0;
                 for p in &mut plans {
                     merged_cost += p.est_cost + self.and.unit(CostUnit::Merge) * p.est_rows;
-                    let listed = p.est_cost + self.and.unit(CostUnit::SetBit) * p.est_rows;
-                    let sweep = self.sweep_cost(p, stats).filter(|&(cost, _)| {
-                        cost < listed || p.binds_in_place(|t| stats(t).chunks.is_some())
-                    });
-                    let (cost, chunks) = match sweep {
+                    let (cost, chunks) = match self.sweep_cost(p, stats) {
                         Some((cost, chunks)) => {
-                            bind_sweep(p, cost);
+                            price_swept(p, cost);
                             swept = true;
                             (cost, chunks)
                         }
                         None => (
-                            listed,
-                            universe_chunks * (1.0 - (-p.est_rows / universe_chunks).exp()),
+                            p.est_cost + self.and.unit(CostUnit::SetBit) * p.est_rows,
+                            Planner::chunks_touched(p.est_rows, universe_chunks),
                         ),
                     };
                     parts_cost += cost;
@@ -301,12 +259,12 @@ impl ExprPlanner {
         }
     }
 
-    /// What a chunk union pays to bind `plan` in place, and how many chunks
-    /// it contributes to: a bitmap-carrying term's words, or the sweep of
-    /// an `AND` of terms whose positive terms all carry bitmaps and whose
-    /// subtrahends are terms — one word pass per positive term and per
+    /// What a chunk union pays to sweep `plan` in place, and how many
+    /// chunks it contributes to — `Some` for exactly what the executor
+    /// sweeps by word: a bitmap-carrying term (its words), or a `BitmapAnd`
+    /// whose subtrahends are terms (one word pass per positive term and per
     /// bitmap subtrahend over the smallest chunk span, one bit per member
-    /// of each bitmap-less subtrahend. `None` when the plan can only
+    /// of each bitmap-less subtrahend). `None` when the plan can only
     /// contribute its materialized result.
     fn sweep_cost(
         &self,
@@ -320,13 +278,10 @@ impl ExprPlanner {
         let words = WORDS_PER_CHUNK as f64 * self.and.unit(CostUnit::BitmapWord);
         match &plan.node {
             PlanNode::Term(_) => chunks(plan).map(|c| (c as f64 * words, c as f64)),
-            PlanNode::And { pos, neg, .. } => {
-                let c_min = pos
-                    .iter()
-                    .map(chunks)
-                    .collect::<Option<Vec<usize>>>()?
-                    .into_iter()
-                    .min()? as f64;
+            PlanNode::And { pos, neg, multiway } if multiway.kind == PlanKind::BitmapAnd => {
+                // `None` orders first: a bitmap-less operand, or none at
+                // all, leaves nothing to sweep.
+                let c_min = pos.iter().map(chunks).min()?? as f64;
                 let mut cost = c_min * words * pos.len() as f64;
                 for n in neg {
                     let PlanNode::Term(t) = n.node else {
@@ -339,7 +294,7 @@ impl ExprPlanner {
                 }
                 Some((cost, c_min))
             }
-            PlanNode::Or { .. } => None,
+            _ => None,
         }
     }
 
@@ -352,12 +307,25 @@ impl ExprPlanner {
     }
 }
 
-/// Marks an `AND` of terms [`ExprPlanner::sweep_cost`] priced as swept in
-/// place at `cost`: its multiway kind becomes [`PlanKind::BitmapAnd`], which
-/// is what [`ExprPlan::binds_in_place`] — and so the executor — binds.
-fn bind_sweep(plan: &mut ExprPlan, cost: f64) {
+/// `plan` as an operand of the conjunctive planner: a term at its own
+/// stats, a sub-expression as the bitmap-less list it is narrowed to. Its
+/// size is only estimated, so it is rounded up and is never 0: `Empty`
+/// follows only from an exact term size.
+fn operand_stats(plan: &ExprPlan, stats: &impl Fn(usize) -> OperandStats) -> OperandStats {
+    match plan.node {
+        PlanNode::Term(t) => stats(t),
+        _ => OperandStats {
+            n: (plan.est_rows.ceil() as usize).max(1),
+            chunks: None,
+        },
+    }
+}
+
+/// Prices an `AND` a chunk union sweeps in place at `cost`, its multiway
+/// plan's estimate included; its kind stays the one [`Planner::plan`]
+/// picked. A swept term is priced by its union alone.
+fn price_swept(plan: &mut ExprPlan, cost: f64) {
     if let PlanNode::And { multiway, .. } = &mut plan.node {
-        multiway.kind = PlanKind::BitmapAnd;
         multiway.est_cost = cost;
         plan.est_cost = cost;
     }
@@ -503,10 +471,11 @@ mod tests {
         assert_eq!(p.operator(), "BitmapAnd");
     }
 
-    /// The galloping difference pays per base row and log₂ of each
-    /// subtrahend's size, so a larger subtrahend raises the price — and
-    /// over a bitmap base the chunk union, whose price does not rise with
-    /// it as fast, binds the node.
+    /// A difference pays the multiway planner's probe price per
+    /// subtrahend: a gallop per base row and log₂ of the subtrahend's size,
+    /// so a larger one raises the price, or a bit test per base row against
+    /// a bitmap. Over a `BitmapAnd` base it is a one-child chunk union,
+    /// whose price does not rise with the subtrahend as fast.
     #[test]
     fn the_galloping_difference_is_priced_by_its_subtrahend() {
         // The benchmark corpus's shape: t0–t3 carry bitmaps; t4 holds 40
@@ -526,33 +495,36 @@ mod tests {
             PlanNode::And { multiway, .. } => multiway.kind,
             other => panic!("expected an And, got {other:?}"),
         };
-        let gallop = |base: &ExprPlan, n: f64| {
+        let probe = |base: &ExprPlan, t: usize| {
+            let (n, chunks) = corpus[t];
             ExprPlanner::default()
                 .and
-                .gallop_cost(base.est_rows, std::iter::once(n))
+                .probe_cost(base.est_rows, &OperandStats { n, chunks })
         };
         let base = plan("0 6", &corpus, u);
         assert_eq!(kind(&base), PlanKind::HashProbe, "{}", base.describe());
-        assert!(gallop(&base, 28_000.0) > 2.0 * gallop(&base, 40.0));
-        // Each subtrahend is galloped after the probe, at exactly the
-        // gallop's price.
-        for (src, n) in [("0 6 AND NOT 4", 40.0), ("0 6 AND NOT 5", 28_000.0)] {
+        assert!(probe(&base, 5) > 2.0 * probe(&base, 4));
+        // Each subtrahend is probed after the base at exactly the probe's
+        // price: galloped through arrays, bit-tested against a bitmap
+        // whatever its size.
+        for (src, t) in [
+            ("0 6 AND NOT 4", 4),
+            ("0 6 AND NOT 5", 5),
+            ("0 6 AND NOT 1", 1),
+        ] {
             let p = plan(src, &corpus, u);
             assert_eq!(kind(&p), PlanKind::HashProbe, "{}", p.describe());
-            assert!((p.est_cost - base.est_cost - gallop(&base, n)).abs() < 1e-6);
+            assert!((p.est_cost - base.est_cost - probe(&base, t)).abs() < 1e-6);
         }
-        // A bitmap-carrying subtrahend is bit-tested, priced per base row
-        // whatever its size.
-        let tested = plan("0 6 AND NOT 1", &corpus, u);
-        let bit_test = ExprPlanner::default().and.unit(CostUnit::BitTest);
-        assert!((tested.est_cost - base.est_cost - bit_test * base.est_rows).abs() < 1e-6);
+        let bit_test = probe(&base, 1) / base.est_rows;
+        assert!((probe(&base, 0) / base.est_rows - bit_test).abs() < 1e-9);
         // Over the `t0 ∧ t3` sweep (≈ 12 k survivors) the 28 000-member
         // subtrahend comes off word by word in a one-child chunk union,
         // for less than galloping it.
         let swept = plan("0 3", &corpus, u);
         let large = plan("0 3 AND NOT 5", &corpus, u);
         assert_eq!(kind(&large), PlanKind::BitmapAnd, "{}", large.describe());
-        assert!(large.est_cost < swept.est_cost + gallop(&swept, 28_000.0));
+        assert!(large.est_cost < swept.est_cost + probe(&swept, 5));
     }
 
     #[test]

@@ -7,33 +7,30 @@
 //!
 //! This file is its own test binary because it installs a counting global
 //! allocator; only allocations made on the thread inside [`counted`] are
-//! counted, so the harness's other threads do not disturb the count.
+//! counted, each thread in its own tally, so the harness's other threads —
+//! the other test among them — do not disturb the count.
 
 use fast_set_intersection::core::HashContext;
 use fast_set_intersection::index::{Corpus, CorpusConfig};
 use fast_set_intersection::serve::{Request, ServeConfig, Server};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The system allocator, counting the allocations of threads that asked.
 struct Counting;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocations while it counts, `None` while it does not.
+    static ALLOCATIONS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 fn note_allocation() {
-    if COUNTING.with(Cell::get) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    }
+    // A thread being torn down has no tally left to bump.
+    let _ = ALLOCATIONS.try_with(|a| a.set(a.get().map(|n| n + 1)));
 }
 
 // SAFETY: every method forwards to `System` unchanged; counting touches
-// only an atomic and a const-initialized thread-local, neither of which
-// allocates.
+// only a const-initialized thread-local, which does not allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_allocation();
@@ -65,11 +62,10 @@ static GLOBAL: Counting = Counting;
 /// Runs `f` and returns its result with the number of allocations
 /// (`alloc`, `alloc_zeroed` and `realloc` calls) it made on this thread.
 fn counted<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
+    ALLOCATIONS.with(|a| a.set(Some(0)));
     let out = f();
-    COUNTING.with(|c| c.set(false));
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    let n = ALLOCATIONS.with(|a| a.take()).expect("counting");
+    (out, n)
 }
 
 /// A server over a small seeded corpus, warmed by a first query that
@@ -132,15 +128,15 @@ const MISS_ALLOCATIONS: usize = 20;
 /// shares the cached result and allocates nothing.
 const HIT_ALLOCATIONS: usize = 8;
 /// Allocations of one `(0 AND 1) OR 2` miss, whose `AND` the union binds
-/// in place: the hit's fourteen, then planning (six: the `OR`'s child
-/// plans, the `AND`'s operand plans, its operand stats, the multiway
-/// planner's operand order and sorted stats, and the sweep price's list of
-/// chunk counts), execution (six: the union's parts, made in place from
+/// in place: the hit's fourteen, then planning (five: the `OR`'s child
+/// plans, the `AND`'s operand plans, its operand stats, and the multiway
+/// planner's operand order and sorted stats; the sweep price folds its
+/// chunk counts and allocates nothing), execution (six: the union's parts, made in place from
 /// the list of children bound in place, the `AND` part's bitmap list, the
 /// list of children's runs, the chunk union's cursors and the `AND`
 /// cursor's positions, the extraction's reserve) and the cache insert
 /// (two, as for `0 AND 1`).
-const OR_MISS_ALLOCATIONS: usize = 28;
+const OR_MISS_ALLOCATIONS: usize = 27;
 /// Allocations of one `(0 AND 1) OR 2` hit, all in compiling the query to
 /// its cache key: the lexer's token list (one), the parser's node lists
 /// (seven: an `OR` list and an `AND` list at each of the two levels, one
