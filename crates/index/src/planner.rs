@@ -15,10 +15,10 @@
 //! |------|----------------|----------------|
 //! | [`PlanKind::BitmapAnd`] | `bitmap_word · w · (k−1) + scan · w + extract · min(E[survivors], w)`, `w = c_min · 1024` | every operand carries a chunk bitmap |
 //! | [`PlanKind::HashProbe`] | `r₁ + u₂(n₁) + Σᵢ≥₃ uᵢ(ŝ)`, `uᵢ(c) = bit_test · c` for a probed bitmap, `gallop · c · log₂(nᵢ/c + 2)` for probed arrays | a small driver against bitmaps (`O(n₁)` bit tests), a tiny driver against arrays, and skewed pairs at the scalar tier (Hwang–Lin) |
-//! | [`PlanKind::SimdMerge`] | `merge · (n₁ + n₂ + b · ĉ) + Σᵢ≥₃ uᵢ(ŝ)` between arrays, `merge · (n₁ + n₂) + r₁ + r₂ + …` when one is a bitmap | bitmap-less pairs at SSE4.1/AVX2, and balanced ones at the scalar tier: the 16-bit merge of the two smallest lists' chunk runs, its survivors probed through the rest |
+//! | [`PlanKind::SimdMerge`] | `merge · (n₁ + n₂ + b · ĉ) + Σᵢ≥₃ uᵢ(ŝ)` between arrays, `merge · (n₁ + n₂) + r₁ + r₂ + …` when one is a bitmap | bitmap-less pairs at AVX2, and balanced ones at the scalar tier: the 16-bit merge of the two smallest lists' chunk runs, its survivors probed through the rest |
 //!
-//! In the merge, `b` is the tier's block width (1 / 8 / 16 at scalar /
-//! SSE4.1 / AVX2) and `ĉ` the chunks both arrays are expected to touch
+//! In the merge, `b` is the tier's block width (1 / 16 at scalar / AVX2)
+//! and `ĉ` the chunks both arrays are expected to touch
 //! under uniformity over the universe: a chunk's setup and its runs' last,
 //! partial blocks cost about a block's elements. A merge that reads a
 //! bitmap runs the flat `u32` merge instead, which walks no chunks.
@@ -90,7 +90,7 @@
 //! (see `docs/benchmarks.md`, `BENCH_kernels.json`, `BENCH_multiway.json`
 //! and the benchmark's `kernels.forced_ns.*`): between bitmap-less lists
 //! the AVX2 merge holds every pair but a tiny driver's (galloping takes
-//! ratios beyond ≈ 85, ≈ 57 at SSE4.1), and at the scalar tier the merge
+//! ratios beyond ≈ 85), and at the scalar tier the merge
 //! holds balanced pairs until galloping overtakes it near ratio 5; a bit
 //! test costs a fifth of a galloping step, so a bitmap-less driver probes
 //! bitmap operands at almost any skew; and between bitmap-carrying lists
@@ -402,23 +402,21 @@ pub enum CostUnit {
     Gallop,
     /// Per 64-bit word per operand pass of a chunked bitmap sweep — the
     /// `AND`'s and the chunk union's. One of the two units a SIMD tier
-    /// changes (with [`Merge`](CostUnit::Merge)): the sweep takes 2/4
-    /// words per instruction and PTEST-skips zero groups, so a word costs
-    /// ~½/~⅓ of scalar at SSE4.1/AVX2 (milder than the lane count, as
-    /// `BENCH_simd.json` measures on the dense shapes).
+    /// changes (with [`Merge`](CostUnit::Merge)): the sweep takes 4 words
+    /// per instruction and PTEST-skips zero groups, so a word costs ~⅓ of
+    /// scalar at AVX2 (milder than the lane count, as `BENCH_simd.json`
+    /// measures on the dense shapes).
     BitmapWord,
     /// Per element of the two lists the vectorized merge reads
     /// ([`PlanKind::SimdMerge`]), and per chunk both touch the elements of
-    /// one block (1 / 8 / 16 at scalar / SSE4.1 / AVX2). A tier changes
-    /// it: per shared chunk the 16-bit merge compares a block of 8
-    /// (SSE4.1) elements against a block of 8, or 16 (AVX2) against 16 (8
-    /// in a skewed chunk), per step, where the scalar tier's branchless
-    /// merge advances one element per step. Fitted first on the flat `u32`
-    /// merge (and_cold's 16 384 conjunctions, seeds 1 and 2: an element in
-    /// 3.7–4.2 / 0.85–1.0 / 0.55–0.67 ns at scalar / SSE4.1 / AVX2 against
+    /// one block (1 / 16 at scalar / AVX2). A tier changes it: per shared
+    /// chunk the AVX2 16-bit merge compares a block of 16 elements against
+    /// a block of 16 (8 in a skewed chunk) per step, where the scalar
+    /// tier's branchless merge advances one element per step. Fitted first
+    /// on the flat `u32` merge (and_cold's 16 384 conjunctions, seeds 1 and
+    /// 2: an element in 3.7–4.2 / 0.55–0.67 ns at scalar / AVX2 against
     /// 1.6–1.8 ns per candidate of a two-term bit-test probe, units 4.5 /
-    /// 1.0 / 0.75). The chunked merge takes 0.99 / 0.93–0.96 / 0.60 of the
-    /// flat merge's time on and_cold's merge pairs (seeds 1–3, min of 5),
+    /// 0.75). The chunked merge takes 0.99 / 0.60 of the flat merge's time on and_cold's merge pairs (seeds 1–3, min of 5),
     /// but the unit is only ever weighed against the probe, and there it
     /// stands: at the probe/merge crossover (size ratios ≈ 85–110 at AVX2)
     /// the chunked merge reads 0.75–0.85 of the chunked probe's time yet
@@ -513,12 +511,10 @@ impl Planner {
             CostUnit::Gallop => 10.0,
             CostUnit::BitmapWord => match self.simd {
                 SimdLevel::Scalar => 1.0,
-                SimdLevel::Sse41 => 0.55,
                 SimdLevel::Avx2 => 0.35,
             },
             CostUnit::Merge => match self.simd {
                 SimdLevel::Scalar => 4.5,
-                SimdLevel::Sse41 => 1.0,
                 SimdLevel::Avx2 => 0.75,
             },
             CostUnit::BitTest => 2.0,
@@ -580,7 +576,7 @@ impl Planner {
     /// step), before its survivors meet any other operand. Between arrays it
     /// is the chunked 16-bit merge: [`Merge`](CostUnit::Merge) per element
     /// of both lists, plus per chunk both touch the elements of one block
-    /// (8 at SSE4.1, 16 at AVX2, one at the scalar tier) — what a chunk's
+    /// (16 at AVX2, one at the scalar tier) — what a chunk's
     /// setup and its runs' last, partial blocks cost. An array's chunks are
     /// estimated under uniformity over the `universe`, `C · (1 − e^(−n/C))`
     /// of its `C` chunks, and the two lists are assumed to meet
@@ -600,7 +596,6 @@ impl Planner {
         let shared = touched(first.n) * touched(second.n) / all;
         let block = match self.simd {
             SimdLevel::Scalar => 1.0,
-            SimdLevel::Sse41 => 8.0,
             SimdLevel::Avx2 => 16.0,
         };
         merge * (elements + block * shared) + reads
@@ -946,25 +941,25 @@ mod tests {
             kind(&p, &[sparse(100), sparse(5000), sparse(80_000)]),
             PlanKind::HashProbe
         );
-        // At SSE4.1 and AVX2 the vectorized merge owns bitmap-less pairs
-        // far into the skew (on the benchmark corpus a galloping step costs
-        // ≈ 10 ns per candidate and log₂ of the ratio, a merged element
-        // under 1 ns); only a tiny driver is still probed — under 1/85 of
-        // its partner at AVX2, 1/57 at SSE4.1.
-        for simd in [SimdLevel::Sse41, SimdLevel::Avx2] {
-            let p = Planner::for_simd(simd);
-            for shape in [
-                &[sparse(1000), sparse(1000)][..],
-                &[sparse(1000), sparse(4000)],
-                &[sparse(1000), sparse(32_000)],
-                &[sparse(20_000), sparse(20_000), sparse(20_000)],
-                &[sparse(3000), sparse(4000), dense(4000, 1)],
-                &[sparse(100), sparse(5000), sparse(80_000)],
-            ] {
-                assert_eq!(kind(&p, shape), PlanKind::SimdMerge, "{simd:?} {shape:?}");
-            }
-            assert_eq!(kind(&p, &[sparse(20), sparse(2000)]), PlanKind::HashProbe);
+        // At AVX2 the vectorized merge owns bitmap-less pairs far into the
+        // skew (on the benchmark corpus a galloping step costs ≈ 10 ns per
+        // candidate and log₂ of the ratio, a merged element under 1 ns);
+        // only a tiny driver, under 1/85 of its partner, is still probed.
+        let avx2 = Planner::for_simd(SimdLevel::Avx2);
+        for shape in [
+            &[sparse(1000), sparse(1000)][..],
+            &[sparse(1000), sparse(4000)],
+            &[sparse(1000), sparse(32_000)],
+            &[sparse(20_000), sparse(20_000), sparse(20_000)],
+            &[sparse(3000), sparse(4000), dense(4000, 1)],
+            &[sparse(100), sparse(5000), sparse(80_000)],
+        ] {
+            assert_eq!(kind(&avx2, shape), PlanKind::SimdMerge, "{shape:?}");
         }
+        assert_eq!(
+            kind(&avx2, &[sparse(20), sparse(2000)]),
+            PlanKind::HashProbe
+        );
         // Every operand carries a bitmap → the chunked-bitmap AND wins.
         assert_eq!(
             kind(&p, &[dense(50_000, 2), dense(60_000, 2)]),
@@ -1254,7 +1249,7 @@ mod tests {
     /// `plan` emits only the kinds it prices — no swept shape makes it
     /// emit `RanGroupScan` (no list carries its structure; a hand-built plan
     /// of that kind runs the merge), `GallopProbe` or `HeapMerge` — while
-    /// the merge itself is planned at the vectorized tiers. The probe never
+    /// the merge itself is planned at the AVX2 tier. The probe never
     /// prices above a gallop of the smallest list through every other,
     /// which is why `GallopProbe` needs no price of its own.
     #[test]
@@ -1282,11 +1277,10 @@ mod tests {
             let probe = p.probe_price(&by_size, U);
             assert!(probe <= gallop, "{probe} > {gallop}: {p:?} {stats:?}");
         }
-        for simd in [SimdLevel::Sse41, SimdLevel::Avx2] {
-            assert!(plans.iter().any(
-                |(p, _, kind, _)| *p == Planner::for_simd(simd) && *kind == PlanKind::SimdMerge
-            ));
-        }
+        let avx2 = Planner::for_simd(SimdLevel::Avx2);
+        assert!(plans
+            .iter()
+            .any(|(p, _, kind, _)| *p == avx2 && *kind == PlanKind::SimdMerge));
     }
 
     /// The cost table alone picks the kernel: for a shape each plannable
@@ -1298,20 +1292,17 @@ mod tests {
         use CostUnit::*;
         use PlanKind::{BitmapAnd, HashProbe, SimdMerge};
         let dense_pair = [dense(50_000, 2), dense(60_000, 2)];
-        // The owner at scalar, SSE4.1 and AVX2.
-        let shapes: [(&[OperandStats], [PlanKind; 3]); 6] = [
-            (&[sparse(3000), sparse(4000), sparse(5000)], [SimdMerge; 3]),
-            (
-                &[sparse(1000), sparse(7000)],
-                [HashProbe, SimdMerge, SimdMerge],
-            ),
-            (&[sparse(20), sparse(2000)], [HashProbe; 3]),
+        // The owner at scalar and AVX2.
+        let shapes: [(&[OperandStats], [PlanKind; 2]); 6] = [
+            (&[sparse(3000), sparse(4000), sparse(5000)], [SimdMerge; 2]),
+            (&[sparse(1000), sparse(7000)], [HashProbe, SimdMerge]),
+            (&[sparse(20), sparse(2000)], [HashProbe; 2]),
             (
                 &[sparse(100), sparse(5000), sparse(80_000)],
-                [HashProbe, SimdMerge, SimdMerge],
+                [HashProbe, SimdMerge],
             ),
-            (&[sparse(1000), dense(80_000, 2)], [HashProbe; 3]),
-            (&dense_pair, [BitmapAnd; 3]),
+            (&[sparse(1000), dense(80_000, 2)], [HashProbe; 2]),
+            (&dense_pair, [BitmapAnd; 2]),
         ];
         for (tier, p) in SimdLevel::ALL
             .map(Planner::for_simd)
@@ -1346,7 +1337,7 @@ mod tests {
                 // meet in the chunks both touch, a block's elements each.
                 let chunks = (U as f64 / (WORDS_PER_CHUNK * 64) as f64).ceil();
                 let touched = |n: f64| chunks * (1.0 - (-n / chunks).exp());
-                let block = [1.0, 8.0, 16.0][tier];
+                let block = [1.0, 16.0][tier];
                 let merge = match (by_size[0].chunks, by_size[1].chunks) {
                     (None, None) => {
                         let shared = touched(ns[0]) * touched(ns[1]) / chunks;

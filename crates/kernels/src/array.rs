@@ -499,6 +499,43 @@ mod tests {
         }
     }
 
+    /// The AVX2 merge sends a chunk to its skewed kernel (16 lanes against
+    /// 8) when the longer run has at least 4 times the shorter's members,
+    /// else to its balanced one (16 against 16): runs of `4·nn − 1` and
+    /// `4·nn` members against `nn`, in one chunk, with matches in both
+    /// runs' last, padded blocks.
+    #[test]
+    fn merge_matches_naive_on_both_sides_of_the_skew_boundary() {
+        for base in [3 * C, u32::MAX - (C - 1)] {
+            for nn in [1u32, 7, 8, 9, 16, 17] {
+                for nw in [4 * nn - 1, 4 * nn] {
+                    let wide: Vec<Elem> = (0..nw).map(|i| base + 2 * i).collect();
+                    // Misses spread over the longer run, then its last `k`
+                    // members; or its last `nn` members, every one a match.
+                    let k = nn.min(3);
+                    let misses = (0..nn - k).map(|j| base + 2 * (j * (nw - k) / (nn - k)) + 1);
+                    let last = |m: u32| wide[(nw - m) as usize..].to_vec();
+                    for (narrow, hits) in [(misses.chain(last(k)).collect(), k), (last(nn), nn)] {
+                        let expect = naive_and(&wide, &narrow);
+                        assert_eq!(expect.len(), hits as usize);
+                        let (x, y) = (
+                            ArraySet::from_sorted_slice(&wide),
+                            ArraySet::from_sorted_slice(&narrow),
+                        );
+                        assert_eq!((x.num_chunks(), y.num_chunks()), (1, 1));
+                        for level in crate::simd::available_levels() {
+                            for (p, q) in [(&x, &y), (&y, &x)] {
+                                let mut out = vec![u32::MAX];
+                                p.intersect_into_at(level, q, &mut out);
+                                assert_eq!(out[1..], expect[..], "{level:?} nn={nn} nw={nw}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Dense matches: a set against itself and against every other member
     /// of itself, so blocks that re-read lanes (a run's overlapping last
     /// block) meet lanes that already matched.

@@ -29,7 +29,7 @@
 //! words, write each one's members with a fixed-length run of
 //! trailing-zeros/clear-lowest-bit stores, and advance by its popcount —
 //! the paper's footnote-1 enumeration with no branch on where a word's
-//! members end, compiled with `popcnt`/`bmi1` at the SIMD tiers.
+//! members end, compiled with `popcnt`/`bmi1` at the AVX2 tier.
 //! * [`gallop`] — [`GallopingSet`]: sorted-slice kernels with no auxiliary
 //!   structure. A *branchless* two-pointer merge (cursor advances computed
 //!   arithmetically, no unpredictable branches) for balanced sizes, and a
@@ -92,15 +92,14 @@
 //!
 //! ## SIMD acceleration
 //!
-//! Underneath all of the above sits [`simd`]: explicit SSE4.1/AVX2
-//! `std::arch` paths with `is_x86_feature_detected!` runtime dispatch and
-//! a portable scalar fallback. The balanced merge, the bitmap chunk
+//! Underneath all of the above sits [`simd`], two tiers: explicit AVX2
+//! `std::arch` paths with `is_x86_feature_detected!` runtime dispatch, and
+//! a portable scalar fallback every other CPU runs. The balanced merge, the bitmap chunk
 //! sweeps, the bitmap extraction and the block decode all route through
 //! it, so every kernel
 //! and strategy above is transparently vectorized where the hardware
 //! allows. The `force-scalar` cargo feature compiles the `std::arch` paths
-//! out; the `FSI_SIMD` environment variable and
-//! [`simd::with_level`] clamp the dispatched [`SimdLevel`] at runtime so
+//! out; [`simd::with_level`] clamps the dispatched [`SimdLevel`] at runtime so
 //! the scalar twins stay testable on the same machine — see `docs/simd.md`
 //! for the dispatch rules and the `BENCH_simd.json` schema.
 

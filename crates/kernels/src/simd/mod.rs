@@ -1,28 +1,27 @@
-//! SIMD acceleration layer: explicit SSE4.1/AVX2 paths with runtime
-//! dispatch, and a portable scalar fallback that compiles on any target.
+//! SIMD acceleration layer: two tiers, explicit AVX2 paths with runtime
+//! dispatch and a portable scalar fallback that compiles on any target.
 //!
 //! The paper's word-RAM algorithms buy their speedup from packing set
-//! structure into `u64`s and intersecting with single `AND`s; modern x86
-//! exposes 128- and 256-bit lanes for exactly the same shapes. This module
-//! holds the primitives the kernels above bottom out in:
+//! structure into `u64`s and intersecting with single `AND`s; AVX2 exposes
+//! 256-bit lanes for exactly the same shapes. This module holds the
+//! primitives the kernels above bottom out in:
 //!
 //! * [`merge_into`] — the shuffle-network vectorized merge intersect for
 //!   sorted `u32` slices (the balanced-size regime of
 //!   [`GallopingSet`](crate::GallopingSet)): load a block from each side,
 //!   compare **all lane pairs** via cyclic rotations, compact the matches
 //!   with a permutation lookup, and advance whichever block has the
-//!   smaller maximum. 16 (SSE) or 64 (AVX2) element comparisons per
-//!   iteration against the scalar merge's one.
+//!   smaller maximum. 64 element comparisons per iteration (a ragged
+//!   tail of 4-lane blocks, 16) against the scalar merge's one.
 //! * [`merge16_into_at`] — the same network over the `u16` runs of every
-//!   chunk two [`ArraySet`]s share: 8 lanes against 8 (SSE); at AVX2 16
-//!   against 16 where the runs are balanced (the longer run's rotations
-//!   reused while the shorter advances) and 16 against 8 where one run has
-//!   4× the other's members; each match widened back to a document with
-//!   the chunk's high half as it is stored.
+//!   chunk two [`ArraySet`]s share: 16 lanes against 16 where the runs are
+//!   balanced (the longer run's rotations reused while the shorter
+//!   advances) and 16 against 8 where one run has 4× the other's members;
+//!   each match widened back to a document with the chunk's high half as
+//!   it is stored.
 //! * [`and_in_place`] / [`or_in_place`] — wide bitmap `AND`/`OR` for
 //!   [`BitmapSet`](crate::BitmapSet) chunk sweeps (pairwise and k-way)
-//!   and the chunk union: 2 (SSE) or 4 (AVX2) 64-bit words
-//!   per instruction, the `AND` folding its all-zero test into one final
+//!   and the chunk union: 4 64-bit words per instruction, the `AND` folding its all-zero test into one final
 //!   `PTEST`; [`and_extract`] is an `AND` into a stack copy followed by the
 //!   extraction below.
 //! * [`extract_into_at`] — bitmap-to-documents extraction, the one walk every
@@ -41,16 +40,16 @@
 //! ## Dispatch
 //!
 //! [`SimdLevel::detect`] probes the CPU once (via
-//! `is_x86_feature_detected!`) and caches the answer; every public entry
-//! point reads [`SimdLevel::active`], which is the hardware level clamped
-//! by two knobs:
+//! `is_x86_feature_detected!`) and caches the answer: AVX2 where the CPU
+//! has AVX2, POPCNT and BMI1, scalar anywhere else (a pre-AVX2 x86 CPU
+//! included — same answers, slower). Every public entry point reads
+//! [`SimdLevel::active`], which is the hardware level clamped two ways:
 //!
 //! 1. the `force-scalar` cargo feature compiles the `std::arch` paths out
 //!    entirely (the build is byte-for-byte portable — this is what the CI
 //!    `force-scalar` matrix leg and the `aarch64` cross-check build);
-//! 2. the `FSI_SIMD` environment variable (`scalar` | `sse4.1` | `avx2`,
-//!    read once) and the [`with_level`] test/bench override clamp at
-//!    runtime, so both paths are exercisable on one machine in one build.
+//! 2. the [`with_level`] test/bench override clamps at runtime, so both
+//!    tiers are exercisable on one machine in one build.
 //!
 //! A clamp can only *lower* the level: nothing can select an instruction
 //! set the CPU does not report. Every `*_at` function takes the level
@@ -69,48 +68,31 @@ use std::sync::atomic::{AtomicU8, Ordering};
 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 mod x86;
 
-/// An instruction-set tier the dispatcher can select. Ordered: higher
-/// levels strictly extend lower ones on real hardware (any CPU with AVX2
-/// has SSE4.1).
+/// An instruction-set tier the dispatcher can select. Ordered: the AVX2
+/// tier needs what the scalar one does and more.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum SimdLevel {
     /// Portable scalar code — compiles and runs on any target.
     Scalar = 0,
-    /// 128-bit `std::arch` paths (SSE4.1, which implies SSSE3's shuffles).
-    Sse41 = 1,
-    /// 256-bit `std::arch` paths (AVX2).
-    Avx2 = 2,
+    /// 256-bit `std::arch` paths (AVX2, with POPCNT and BMI1).
+    Avx2 = 1,
 }
 
 /// Cached hardware detection; `u8::MAX` = not probed yet.
 static DETECTED: AtomicU8 = AtomicU8::new(u8::MAX);
-/// Runtime clamp from `FSI_SIMD`/[`with_level`]; `u8::MAX` = none.
+/// Runtime clamp from [`with_level`]; `u8::MAX` = none.
 static OVERRIDE: AtomicU8 = AtomicU8::new(u8::MAX);
-/// Whether `FSI_SIMD` has been consulted; folds into `OVERRIDE` once.
-static ENV_READ: AtomicU8 = AtomicU8::new(0);
 
 impl SimdLevel {
     /// Every tier, ascending.
-    pub const ALL: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Sse41, SimdLevel::Avx2];
+    pub const ALL: [SimdLevel; 2] = [SimdLevel::Scalar, SimdLevel::Avx2];
 
     /// The label benchmarks and telemetry report.
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "Scalar",
-            SimdLevel::Sse41 => "Sse4.1",
             SimdLevel::Avx2 => "Avx2",
-        }
-    }
-
-    /// Parses the [`SimdLevel::name`] spellings plus the `FSI_SIMD`
-    /// environment-variable spellings (case-insensitive).
-    pub fn parse(s: &str) -> Option<SimdLevel> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Some(SimdLevel::Scalar),
-            "sse4.1" | "sse41" | "sse" => Some(SimdLevel::Sse41),
-            "avx2" => Some(SimdLevel::Avx2),
-            _ => None,
         }
     }
 
@@ -120,7 +102,6 @@ impl SimdLevel {
     pub fn lanes32(self) -> usize {
         match self {
             SimdLevel::Scalar => 1,
-            SimdLevel::Sse41 => 4,
             SimdLevel::Avx2 => 8,
         }
     }
@@ -130,15 +111,13 @@ impl SimdLevel {
     pub fn lanes64(self) -> usize {
         match self {
             SimdLevel::Scalar => 1,
-            SimdLevel::Sse41 => 2,
             SimdLevel::Avx2 => 4,
         }
     }
 
     fn from_u8(v: u8) -> SimdLevel {
         match v {
-            1 => SimdLevel::Sse41,
-            2 => SimdLevel::Avx2,
+            1 => SimdLevel::Avx2,
             _ => SimdLevel::Scalar,
         }
     }
@@ -156,16 +135,13 @@ impl SimdLevel {
         level
     }
 
-    /// Each tier also requires what its bitmap extraction is compiled
-    /// with: `popcnt` from SSE4.1 up, plus `bmi1` at AVX2 (every AVX2 part
-    /// has both).
+    /// The AVX2 tier also requires what its bitmap extraction is compiled
+    /// with, `popcnt` and `bmi1` (every AVX2 part has both).
     #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
     fn probe() -> SimdLevel {
         use std::arch::is_x86_feature_detected as has;
         if has!("avx2") && has!("popcnt") && has!("bmi1") {
             SimdLevel::Avx2
-        } else if has!("sse4.1") && has!("popcnt") {
-            SimdLevel::Sse41
         } else {
             SimdLevel::Scalar
         }
@@ -177,22 +153,10 @@ impl SimdLevel {
     }
 
     /// The tier the dispatched entry points run right now:
-    /// [`SimdLevel::detect`] clamped by `FSI_SIMD` and any [`with_level`]
-    /// override. This is what `BENCH_simd.json` stamps as `active_level`.
+    /// [`SimdLevel::detect`] clamped by any [`with_level`] override. This
+    /// is what `BENCH_simd.json` stamps as `active_level`.
     pub fn active() -> SimdLevel {
         let hw = Self::detect();
-        // Plain load on the hot path; the one-time env fold races benignly
-        // (parsing is idempotent) and never RMWs a shared line per call.
-        if ENV_READ.load(Ordering::Relaxed) == 0 {
-            if let Some(l) = std::env::var("FSI_SIMD")
-                .ok()
-                .as_deref()
-                .and_then(Self::parse)
-            {
-                OVERRIDE.store(l as u8, Ordering::Relaxed);
-            }
-            ENV_READ.store(1, Ordering::Relaxed);
-        }
         let ov = OVERRIDE.load(Ordering::Relaxed);
         if ov == u8::MAX {
             hw
@@ -244,8 +208,6 @@ pub fn with_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
         None
     };
     DEPTH.with(|d| d.set(d.get() + 1));
-    // Make sure FSI_SIMD is folded in before saving the previous clamp.
-    let _ = SimdLevel::active();
     let prev = OVERRIDE.swap(level as u8, Ordering::Relaxed);
     struct Restore(u8);
     impl Drop for Restore {
@@ -270,19 +232,15 @@ pub fn merge_into(a: &[Elem], b: &[Elem], out: &mut Vec<Elem>) {
 }
 
 /// [`merge_into`] at an explicit level (saturated to the hardware).
-/// [`SimdLevel::Scalar`] is the branchless two-pointer merge; the SIMD
-/// tiers run the block compare-and-compact network and finish the ragged
-/// tail with the same scalar merge, so output is byte-identical across
-/// levels.
+/// [`SimdLevel::Scalar`] is the branchless two-pointer merge; the AVX2
+/// tier runs the block compare-and-compact network, 8 lanes a block, then
+/// 4 lanes a block, and finishes the ragged tail with the same scalar
+/// merge, so output is byte-identical across levels.
 pub fn merge_into_at(level: SimdLevel, a: &[Elem], b: &[Elem], out: &mut Vec<Elem>) {
     match level.saturate() {
         SimdLevel::Scalar => crate::gallop::branchless_merge_into(a, b, out),
         #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        // SAFETY: saturate() capped the level at SimdLevel::detect(), so
-        // the corresponding CPU features are present.
-        SimdLevel::Sse41 => unsafe { x86::merge_sse(a, b, out) },
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        // SAFETY: saturate() capped the level at SimdLevel::detect(), and Avx2 implies the avx2 feature (plus sse4.1) is present on this CPU.
+        // SAFETY: saturate() capped the level at SimdLevel::detect(), and detection reports Avx2 only where avx2 (which implies sse4.1) is present.
         SimdLevel::Avx2 => unsafe { x86::merge_avx2(a, b, out) },
         #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
         _ => crate::gallop::branchless_merge_into(a, b, out),
@@ -293,18 +251,13 @@ pub fn merge_into_at(level: SimdLevel, a: &[Elem], b: &[Elem], out: &mut Vec<Ele
 /// hardware): the two sets' chunk-id lists walked in lockstep, and the
 /// `u16` runs of every chunk both touch merged, each match widened back to
 /// a document with the chunk's high half. [`SimdLevel::Scalar`] is the
-/// branchless two-pointer merge per chunk; SSE4.1 compares blocks of 8
-/// lanes against 8, AVX2 16 against 16, or 16 against 8 in a skewed chunk
-/// (the `u32` merge has 4 or 8), the chunk walk inside the one dispatched
-/// call; output is byte-identical across levels.
+/// branchless two-pointer merge per chunk; AVX2 compares blocks of 16
+/// lanes against 16, or 16 against 8 in a skewed chunk (the `u32` merge
+/// has 8), the chunk walk inside the one dispatched call; output is
+/// byte-identical across levels.
 pub fn merge16_into_at(level: SimdLevel, x: &ArraySet, y: &ArraySet, out: &mut Vec<Elem>) {
     match level.saturate() {
         SimdLevel::Scalar => merge16_scalar(x, y, out),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        // SAFETY: saturate() capped the level at SimdLevel::detect(), so
-        // SSE4.1 is present, and detection reports Sse41 only where popcnt
-        // is.
-        SimdLevel::Sse41 => unsafe { x86::merge16_sse(x, y, out) },
         #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
         // SAFETY: saturate() capped the level at SimdLevel::detect(), and detection reports Avx2 only where avx2, sse4.1 and popcnt are present.
         SimdLevel::Avx2 => unsafe { x86::merge16_avx2(x, y, out) },
@@ -377,8 +330,7 @@ pub fn unpack_deltas(
 
 /// [`unpack_deltas`] at an explicit level (saturated to the hardware).
 /// The AVX2 tier gathers 8 fields per iteration and prefix-sums them in
-/// register; SSE4.1 has no gather, so it shares the scalar twin. Output is
-/// byte-identical across levels.
+/// register. Output is byte-identical across levels.
 ///
 /// Panics when `width` exceeds [`MAX_PACK_WIDTH`] or when `bytes` does not
 /// extend at least 8 bytes past the last field's starting byte — every
@@ -416,7 +368,7 @@ pub fn unpack_deltas_at(
         SimdLevel::Avx2 if width <= MAX_GATHER_WIDTH => unsafe {
             x86::unpack_deltas_avx2(bytes, bit_offset, width, first, count, out)
         },
-        // SSE4.1 lacks a gather; wide fields skip the gather path too.
+        // Wide fields skip the gather path.
         _ => unpack_deltas_scalar(bytes, bit_offset, width, first, count, out),
     }
 }
@@ -470,7 +422,7 @@ pub fn and_extract(base: Elem, a: &[u64], b: &[u64], out: &mut Vec<Elem>) {
 /// at a time, then one [`extract_into_at`] walk per block that is not
 /// all-zero.
 ///
-/// Panics when `a` and `b` differ in length — the SIMD tiers read whole
+/// Panics when `a` and `b` differ in length — the AVX2 tier reads whole
 /// blocks from both slices, so the precondition is enforced in release
 /// builds too (a safe API must never load out of bounds).
 pub fn and_extract_at(level: SimdLevel, base: Elem, a: &[u64], b: &[u64], out: &mut Vec<Elem>) {
@@ -494,7 +446,7 @@ pub fn and_extract_at(level: SimdLevel, base: Elem, a: &[u64], b: &[u64], out: &
 
 /// ANDs `other` into `acc` word-by-word at the dispatched level; returns
 /// `true` iff `acc` is all-zero afterwards (the k-way sweep's early-exit
-/// signal). The SIMD tiers fold the zero test into the `AND` pass with an
+/// signal). The AVX2 tier folds the zero test into the `AND` pass with an
 /// OR-accumulator and one final `PTEST`.
 #[inline]
 pub fn and_in_place(acc: &mut [u64], other: &[u64]) -> bool {
@@ -503,7 +455,7 @@ pub fn and_in_place(acc: &mut [u64], other: &[u64]) -> bool {
 
 /// [`and_in_place`] at an explicit level (saturated to the hardware).
 ///
-/// Panics when `acc` and `other` differ in length — the SIMD tiers read
+/// Panics when `acc` and `other` differ in length — the AVX2 tier reads
 /// whole blocks from both slices, so the precondition is enforced in
 /// release builds too.
 pub fn and_in_place_at(level: SimdLevel, acc: &mut [u64], other: &[u64]) -> bool {
@@ -515,10 +467,7 @@ pub fn and_in_place_at(level: SimdLevel, acc: &mut [u64], other: &[u64]) -> bool
     match level.saturate() {
         SimdLevel::Scalar => and_in_place_scalar(acc, other),
         #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        // SAFETY: level saturated to the detected hardware tier.
-        SimdLevel::Sse41 => unsafe { x86::and_in_place_sse(acc, other) },
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        // SAFETY: saturate() capped the level at SimdLevel::detect(), and Avx2 implies the avx2 feature (plus sse4.1) is present on this CPU.
+        // SAFETY: saturate() capped the level at SimdLevel::detect(), and detection reports Avx2 only where avx2 is present.
         SimdLevel::Avx2 => unsafe { x86::and_in_place_avx2(acc, other) },
         #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
         _ => and_in_place_scalar(acc, other),
@@ -536,7 +485,7 @@ pub fn or_in_place(acc: &mut [u64], other: &[u64]) {
 
 /// [`or_in_place`] at an explicit level (saturated to the hardware).
 ///
-/// Panics when `acc` and `other` differ in length — the SIMD tiers read
+/// Panics when `acc` and `other` differ in length — the AVX2 tier reads
 /// whole blocks from both slices, so the precondition is enforced in
 /// release builds too.
 pub fn or_in_place_at(level: SimdLevel, acc: &mut [u64], other: &[u64]) {
@@ -548,10 +497,7 @@ pub fn or_in_place_at(level: SimdLevel, acc: &mut [u64], other: &[u64]) {
     match level.saturate() {
         SimdLevel::Scalar => or_in_place_scalar(acc, other),
         #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        // SAFETY: level saturated to the detected hardware tier.
-        SimdLevel::Sse41 => unsafe { x86::or_in_place_sse(acc, other) },
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        // SAFETY: saturate() capped the level at SimdLevel::detect(), and Avx2 implies the avx2 feature (plus sse4.1) is present on this CPU.
+        // SAFETY: saturate() capped the level at SimdLevel::detect(), and detection reports Avx2 only where avx2 is present.
         SimdLevel::Avx2 => unsafe { x86::or_in_place_avx2(acc, other) },
         #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
         _ => or_in_place_scalar(acc, other),
@@ -578,16 +524,12 @@ pub fn or_in_place_at(level: SimdLevel, acc: &mut [u64], other: &[u64]) {
 /// write position by its popcount — so no branch depends on whether a
 /// word is empty or where its members end. The run is four members, or
 /// eight once the nonzero words average more than two and a half, so few
-/// words continue past it either way. The SIMD tiers compile the same walk
-/// with `popcnt` (and at AVX2 `bmi1`'s `tzcnt`/`blsr`) enabled; detection
-/// requires both. Output is byte-identical across levels.
+/// words continue past it either way. The AVX2 tier compiles the same walk
+/// with `popcnt` and `bmi1`'s `tzcnt`/`blsr` enabled; detection requires
+/// both. Output is byte-identical across levels.
 pub fn extract_into_at(level: SimdLevel, base: Elem, words: &[u64], out: &mut Vec<Elem>) {
     match level.saturate() {
         SimdLevel::Scalar => extract_branchless(base, words, out),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        // SAFETY: saturate() capped the level at SimdLevel::detect(), and
-        // detection reports Sse41 only where popcnt is present.
-        SimdLevel::Sse41 => unsafe { x86::extract_sse(base, words, out) },
         #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
         // SAFETY: saturate() capped the level at SimdLevel::detect(), and
         // detection reports Avx2 only where popcnt and bmi1 are present.
@@ -598,7 +540,7 @@ pub fn extract_into_at(level: SimdLevel, base: Elem, words: &[u64], out: &mut Ve
 }
 
 /// The one extraction walk behind every level of [`extract_into_at`] (the
-/// x86 tiers inline it into a frame with `popcnt` and `bmi1` enabled).
+/// AVX2 tier inlines it into a frame with `popcnt` and `bmi1` enabled).
 #[inline(always)]
 pub(crate) fn extract_branchless(base: Elem, words: &[u64], out: &mut Vec<Elem>) {
     // Positions of the block's nonzero words: the walk below visits only
@@ -739,19 +681,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_round_trips_names() {
-        for l in SimdLevel::ALL {
-            assert_eq!(SimdLevel::parse(l.name()), Some(l));
-        }
-        assert_eq!(SimdLevel::parse("sse41"), Some(SimdLevel::Sse41));
-        assert_eq!(SimdLevel::parse("nope"), None);
-    }
-
-    #[test]
     fn lanes_match_register_widths() {
         assert_eq!(SimdLevel::Scalar.lanes32(), 1);
-        assert_eq!(SimdLevel::Sse41.lanes32(), 4);
         assert_eq!(SimdLevel::Avx2.lanes32(), 8);
+        assert_eq!(SimdLevel::Scalar.lanes64(), 1);
         assert_eq!(SimdLevel::Avx2.lanes64(), 4);
     }
 

@@ -1,7 +1,7 @@
 //! Exact operator counts of the plans of seeded `bool_cold`- and
-//! `and_cold`-shaped streams over one small seeded corpus, at the scalar,
-//! SSE4.1 and AVX2 cost tables (`Planner::for_simd`: a table only prices,
-//! so it reads the same on every machine). Plans are deterministic, like
+//! `and_cold`-shaped streams over one small seeded corpus, at the scalar
+//! and AVX2 cost tables (`Planner::for_simd`: a table only prices, so it
+//! reads the same on every machine). Plans are deterministic, like
 //! allocation counts, so the count of each operator label is pinned
 //! exactly: a cost-model change that moves a plan fails here by label,
 //! where a timing gate would read it as noise. Re-pin on purpose, and say
@@ -30,11 +30,11 @@ fn count_operators(plan: &ExprPlan, counts: &mut BTreeMap<&'static str, usize>) 
 
 /// The operator counts of a 2,048-query stream with the given `OR` and
 /// `NOT` probabilities (the benchmark's traffic model, shortened), planned
-/// at the scalar, SSE4.1 and AVX2 tables in turn.
+/// at the scalar and AVX2 tables in turn.
 fn operator_counts(
     or_probability: f64,
     not_probability: f64,
-) -> [BTreeMap<&'static str, usize>; 3] {
+) -> [BTreeMap<&'static str, usize>; 2] {
     const NUM_TERMS: usize = 256;
     let corpus = Corpus::generate(CorpusConfig {
         num_docs: 100_000,
@@ -53,7 +53,7 @@ fn operator_counts(
         seed: 1,
         ..BooleanStreamConfig::default()
     });
-    [SimdLevel::Scalar, SimdLevel::Sse41, SimdLevel::Avx2].map(|simd| {
+    SimdLevel::ALL.map(|simd| {
         let planner = ExprPlanner::new(Planner::for_simd(simd));
         let mut counts = BTreeMap::new();
         for query in &stream {
@@ -67,7 +67,7 @@ fn operator_counts(
 
 #[test]
 fn a_bool_cold_shaped_stream_plans_to_pinned_operator_counts() {
-    let [scalar, sse41, avx2] = operator_counts(0.6, 0.4);
+    let [scalar, avx2] = operator_counts(0.6, 0.4);
     let pinned = BTreeMap::from([
         ("BitmapAnd", 853),
         ("ChunkUnion", 1252),
@@ -75,21 +75,21 @@ fn a_bool_cold_shaped_stream_plans_to_pinned_operator_counts() {
         ("SimdMerge", 1089),
     ]);
     assert_eq!(scalar, pinned);
-    // The vectorized tiers' cheaper merge takes 180 probes.
+    // The AVX2 tier's cheaper merge takes 180 probes.
     let pinned = BTreeMap::from([
         ("BitmapAnd", 853),
         ("ChunkUnion", 1252),
         ("HashProbe", 1813),
         ("SimdMerge", 1269),
     ]);
-    assert_eq!((sse41, avx2), (pinned.clone(), pinned));
+    assert_eq!(avx2, pinned);
 }
 
 #[test]
 fn an_and_cold_shaped_stream_plans_to_pinned_operator_counts() {
-    let [scalar, sse41, avx2] = operator_counts(0.0, 0.0);
+    let [scalar, avx2] = operator_counts(0.0, 0.0);
     let pinned = BTreeMap::from([("BitmapAnd", 409), ("HashProbe", 1059), ("SimdMerge", 580)]);
     assert_eq!(scalar, pinned);
     let pinned = BTreeMap::from([("BitmapAnd", 409), ("HashProbe", 962), ("SimdMerge", 677)]);
-    assert_eq!((sse41, avx2), (pinned.clone(), pinned));
+    assert_eq!(avx2, pinned);
 }

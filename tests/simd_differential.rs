@@ -1,13 +1,14 @@
 //! Differential correctness of the SIMD layer: every vectorized path must
 //! be byte-identical to its scalar twin — across remainder-hostile lengths
-//! (0, 1, lane−1, lane, lane+1, 127..=130), unaligned slice offsets,
+//! (0, 1, block−1, block, block+1 for each block width a kernel finishes
+//! on, 127..=130), unaligned slice offsets,
 //! dense/sparse/Zipf value streams, and the full `Strategy` lineup plus
 //! the planned executor.
 //!
 //! Every comparison pins both sides explicitly: the scalar result under
 //! `with_level(Scalar)` (or a `*_at(Scalar, ..)` call), the SIMD result
 //! under each level `available_levels()` reports. On hardware without
-//! SSE4.1/AVX2, or under the `force-scalar` feature, the available list
+//! AVX2, or under the `force-scalar` feature, the available list
 //! degenerates to `[Scalar]` and the suite still passes — scalar versus
 //! itself — so the same test runs on every CI matrix leg.
 
@@ -20,18 +21,18 @@ use fsi_workloads::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The SIMD tiers to pin against scalar (just `[Scalar]` where no SIMD is
+/// The tiers to pin against scalar (just `[Scalar]` where AVX2 is not
 /// available — the suite then checks scalar against itself and passes).
 fn simd_levels() -> Vec<SimdLevel> {
     simd::available_levels()
 }
 
-/// Remainder-hostile lengths for a given lane count: the empty and
-/// singleton sets, lane−1/lane/lane+1 (and the same around 2·lanes), plus
-/// the issue's 127..=130 band straddling both 4- and 8-lane multiples.
-fn hostile_lengths(lanes: usize) -> Vec<usize> {
+/// Remainder-hostile lengths around the block boundaries `bases`: the
+/// empty and singleton sets, base−1/base/base+1 for each base, plus the
+/// 127..=130 band straddling both 4- and 8-lane multiples.
+fn hostile_lengths(bases: &[usize]) -> Vec<usize> {
     let mut v = vec![0, 1];
-    for base in [lanes, 2 * lanes] {
+    for &base in bases {
         v.extend([base - 1, base, base + 1]);
     }
     v.extend(127..=130);
@@ -66,7 +67,11 @@ fn draw(rng: &mut StdRng, n: usize, profile: usize) -> SortedSet {
 fn merge_matches_scalar_on_remainder_hostile_lengths() {
     let mut rng = StdRng::seed_from_u64(0x51D1);
     for level in simd_levels() {
-        let lengths = hostile_lengths(level.lanes32().max(4));
+        // The AVX2 merge runs 8-lane blocks, then finishes on 4-lane
+        // blocks: straddle both widths, and the tail after one 8-lane
+        // block (11/12/13).
+        let lanes = level.lanes32().max(4);
+        let lengths = hostile_lengths(&[4, lanes, lanes + 4, 2 * lanes]);
         for profile in 0..3 {
             for &na in &lengths {
                 for &nb in &lengths {
@@ -133,7 +138,8 @@ fn merge_preserves_existing_output_prefix() {
 fn word_and_primitives_match_scalar_on_hostile_word_counts() {
     let mut rng = StdRng::seed_from_u64(0x51D3);
     for level in simd_levels() {
-        let lengths = hostile_lengths(level.lanes64().max(2));
+        let lanes = level.lanes64().max(2);
+        let lengths = hostile_lengths(&[lanes, 2 * lanes]);
         for &n in &lengths {
             let a: Vec<u64> = (0..n)
                 .map(|_| rng.gen::<u64>() & rng.gen::<u64>())
