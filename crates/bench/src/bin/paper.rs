@@ -20,6 +20,8 @@
 //!   intro_stat  the introduction's Bing-Shopping statistic
 //!   ablation_group_size  sweep IntGroup width / RanGroupScan level offset
 //!   ablation_m  sweep RanGroupScan hash-image count m
+//!   ablation_bucket_width  sweep the Lookup baseline's bucket width B
+//!   planner_eval  per-query planner choice against every fixed strategy
 //!   all         everything above, in order
 //!
 //! options:
@@ -37,7 +39,7 @@ use fsi_core::elem::SortedSet;
 use fsi_core::hash::HashContext;
 use fsi_core::traits::SetIndex;
 use fsi_core::{filtering_stats, HashBinIndex, IntGroupIndex, RanGroupIndex, RanGroupScanIndex};
-use fsi_index::strategy::{intersect_into, PreparedList, Strategy};
+use fsi_index::strategy::{PreparedList, Strategy};
 use fsi_workloads::querylog::{self, QueryLogConfig, WorkloadProfile};
 use fsi_workloads::synthetic::{k_sets_uniform, pair_with_intersection};
 use rand::rngs::StdRng;
@@ -1090,13 +1092,4 @@ fn verify(opts: &Opts) {
         "all {} strategies agree with the reference on {trials} random k-way inputs",
         strategies.len()
     );
-}
-
-// ---------------------------------------------------------------- shared helpers
-
-#[allow(dead_code)]
-fn check(lists: &[&PreparedList]) -> usize {
-    let mut out = Vec::new();
-    intersect_into(lists, &mut out);
-    out.len()
 }

@@ -1,11 +1,11 @@
 //! # fsi-bench — shared measurement utilities for the paper harness
 //!
 //! The `paper` binary (`cargo run --release -p fsi-bench --bin paper`)
-//! regenerates every figure and table of the paper's evaluation; the
-//! criterion benches exercise the same code on reduced sizes. This library
-//! holds what they share: timing helpers, plain-text table rendering,
-//! seeded dataset construction, harness CLI conventions ([`HarnessArgs`]),
-//! and a registry-free JSON reader ([`json`]) for the regression gate.
+//! regenerates every figure and table of the paper's evaluation. This
+//! library holds what it shares with the other bins: timing helpers,
+//! plain-text table rendering, seeded dataset construction, harness CLI
+//! conventions ([`HarnessArgs`]), and a registry-free JSON reader
+//! ([`json`]) for the regression gate.
 
 #![forbid(unsafe_code)]
 

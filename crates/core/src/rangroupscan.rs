@@ -106,11 +106,6 @@ impl RanGroupScanIndex {
         self.t
     }
 
-    /// Number of hash images per group (`m`).
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
     /// Number of groups, `2^t`.
     pub fn num_groups(&self) -> usize {
         1usize << self.t
@@ -129,11 +124,6 @@ impl RanGroupScanIndex {
     /// Elements of group `z`, ascending by value.
     pub fn group_elems(&self, z: usize) -> &[Elem] {
         &self.elems[self.offsets[z] as usize..self.offsets[z + 1] as usize]
-    }
-
-    /// Positions of group `z` within [`Self::elems`].
-    pub fn group_bounds(&self, z: usize) -> (usize, usize) {
-        (self.offsets[z] as usize, self.offsets[z + 1] as usize)
     }
 
     /// The `m` word representations of group `z`.

@@ -173,28 +173,11 @@ impl SetIndex for BitmapSet {
 }
 
 impl PairIntersect for BitmapSet {
-    /// Word-parallel `AND` over chunks present in both sets; output is
+    /// Word-parallel `AND` over chunks present in both sets: the two-set
+    /// case of [`KIntersect::intersect_k_into`]'s chunk walk. Output is
     /// ascending.
     fn intersect_pair_into(&self, other: &Self, out: &mut Vec<Elem>) {
-        // One dispatch read for the whole sweep, not one per chunk.
-        let level = crate::simd::SimdLevel::active();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.ids.len() && j < other.ids.len() {
-            match self.ids[i].cmp(&other.ids[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let a = &self.words[i * WORDS_PER_CHUNK..][..WORDS_PER_CHUNK];
-                    let b = &other.words[j * WORDS_PER_CHUNK..][..WORDS_PER_CHUNK];
-                    let hi = self.ids[i] << CHUNK_BITS;
-                    // Wide AND at the dispatched SIMD level (2/4 words per
-                    // instruction), then the branch-free extraction walk.
-                    crate::simd::and_extract_at(level, hi, a, b, out);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
+        Self::intersect_k_into(&[self, other], out);
     }
 }
 
@@ -607,11 +590,15 @@ mod tests {
             let b: SortedSet = (0..n2).map(|_| rng.gen_range(0..universe)).collect();
             let ia = BitmapSet::build(&a);
             let ib = BitmapSet::build(&b);
-            assert_eq!(
-                sorted_pair(&ia, &ib),
-                reference_intersection(&[a.as_slice(), b.as_slice()]),
-                "trial {trial}"
-            );
+            let expect = reference_intersection(&[a.as_slice(), b.as_slice()]);
+            for level in crate::simd::available_levels() {
+                assert_eq!(
+                    crate::simd::with_level(level, || sorted_pair(&ia, &ib)),
+                    expect,
+                    "{} trial {trial}",
+                    level.name()
+                );
+            }
         }
     }
 
@@ -650,7 +637,14 @@ mod tests {
         let b = SortedSet::from_unsorted(vec![0, 65_536, u32::MAX]);
         let ia = BitmapSet::build(&a);
         let ib = BitmapSet::build(&b);
-        assert_eq!(sorted_pair(&ia, &ib), vec![0, 65_536, u32::MAX]);
+        for level in crate::simd::available_levels() {
+            assert_eq!(
+                crate::simd::with_level(level, || sorted_pair(&ia, &ib)),
+                vec![0, 65_536, u32::MAX],
+                "{}",
+                level.name()
+            );
+        }
         assert_eq!(ia.num_chunks(), 3);
     }
 

@@ -21,9 +21,8 @@
 //!   it is stored.
 //! * [`and_in_place`] / [`or_in_place`] — wide bitmap `AND`/`OR` for
 //!   [`BitmapSet`](crate::BitmapSet) chunk sweeps (pairwise and k-way)
-//!   and the chunk union: 4 64-bit words per instruction, the `AND` folding its all-zero test into one final
-//!   `PTEST`; [`and_extract`] is an `AND` into a stack copy followed by the
-//!   extraction below.
+//!   and the chunk union: 4 64-bit words per instruction, the `AND` folding
+//!   its all-zero test into one final `PTEST`.
 //! * [`extract_into_at`] — bitmap-to-documents extraction, the one walk every
 //!   bitmap result leaves through: reserve the popcount, visit only the
 //!   nonzero words, write each one's members with a fixed-length unrolled
@@ -400,47 +399,6 @@ pub(crate) fn unpack_deltas_scalar(
         val += ((word >> (pos & 7)) & mask) as u32 + 1;
         out.push(val);
         pos += width as usize;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Wide bitmap AND
-// ---------------------------------------------------------------------------
-
-/// Appends the members of `a AND b` to `out`, ascending, where `a` and `b`
-/// are equal-length 64-bit bitmap slices covering values
-/// `base .. base + 64·len`, at the dispatched level: the words are
-/// [`and_in_place`]d into a stack copy and leave through the
-/// [`extract_into_at`] walk.
-#[inline]
-pub fn and_extract(base: Elem, a: &[u64], b: &[u64], out: &mut Vec<Elem>) {
-    and_extract_at(SimdLevel::active(), base, a, b, out)
-}
-
-/// [`and_extract`] at an explicit level (saturated to the hardware):
-/// [`and_in_place_at`] into a stack copy of `a`, a chunk's worth of words
-/// at a time, then one [`extract_into_at`] walk per block that is not
-/// all-zero.
-///
-/// Panics when `a` and `b` differ in length — the AVX2 tier reads whole
-/// blocks from both slices, so the precondition is enforced in release
-/// builds too (a safe API must never load out of bounds).
-pub fn and_extract_at(level: SimdLevel, base: Elem, a: &[u64], b: &[u64], out: &mut Vec<Elem>) {
-    assert_eq!(a.len(), b.len(), "bitmap AND operands differ in length");
-    let mut buf = [0u64; WORDS_PER_CHUNK];
-    for (i, (wa, wb)) in a
-        .chunks(WORDS_PER_CHUNK)
-        .zip(b.chunks(WORDS_PER_CHUNK))
-        .enumerate()
-    {
-        let Some(anded) = buf.get_mut(..wa.len()) else {
-            break;
-        };
-        anded.copy_from_slice(wa);
-        if !and_in_place_at(level, anded, wb) {
-            let block_base = base | ((i * WORDS_PER_CHUNK) as u32) << 6;
-            extract_into_at(level, block_base, anded, out);
-        }
     }
 }
 
@@ -856,16 +814,6 @@ mod tests {
             }
         }
         assert_eq!(words.iter().map(|w| w.count_ones()).max(), Some(64));
-        // `and_extract` is the same walk over `a AND b`.
-        let b: Vec<u64> = mixed.iter().rev().copied().collect();
-        let anded: Vec<u64> = mixed.iter().zip(&b).map(|(x, y)| x & y).collect();
-        let mut expect = vec![5];
-        push_walk(1 << 20, &anded, &mut expect);
-        for level in available_levels() {
-            let mut out = vec![5];
-            and_extract_at(level, 1 << 20, &mixed, &b, &mut out);
-            assert_eq!(out, expect, "{} and_extract", level.name());
-        }
     }
 
     #[test]

@@ -105,8 +105,6 @@ pub struct NetConfig {
     pub tenant_rate: f64,
     /// Per-tenant token-bucket capacity (maximum burst).
     pub tenant_burst: f64,
-    /// Deadline applied to requests that carry none of their own.
-    pub default_deadline: Option<Duration>,
     /// Lifecycle observability: stage timestamps, tail sampling, the
     /// slow log, and per-tenant metrics.
     pub obs: ObsConfig,
@@ -121,7 +119,6 @@ impl Default for NetConfig {
             batch_max: 32,
             tenant_rate: f64::INFINITY,
             tenant_burst: 64.0,
-            default_deadline: None,
             obs: ObsConfig::default(),
         }
     }
@@ -232,7 +229,6 @@ struct Shared {
     obs: NetObs,
     admission: Admission,
     serve: Arc<fsi_serve::Server>,
-    default_deadline: Option<Duration>,
     queue_capacity: usize,
     workers: usize,
     /// [`WRITE_TIMEOUT`], or a test's shorter one.
@@ -297,7 +293,6 @@ impl NetServer {
             obs: NetObs::new(&config.obs),
             admission: Admission::new(config.tenant_rate, config.tenant_burst),
             serve,
-            default_deadline: config.default_deadline,
             queue_capacity: config.queue_capacity,
             workers,
             write_timeout,
@@ -710,11 +705,8 @@ fn read_connection(stream: TcpStream, ctx: &Shared) {
         let lifecycle = obs.begin(origin, tenant, &mut recent_tenant);
         let mut request = Request::expr(query);
         request.options.tenant = tenant;
-        request.options.deadline = if deadline_us > 0 {
-            Some(origin + Duration::from_micros(u64::from(deadline_us)))
-        } else {
-            ctx.default_deadline.map(|d| origin + d)
-        };
+        request.options.deadline =
+            (deadline_us > 0).then(|| origin + Duration::from_micros(u64::from(deadline_us)));
         // Head-sampled requests run fully traced, so the slow-log entry can
         // carry the execution span tree alongside the stage timeline.
         request.options.trace = lifecycle.as_ref().is_some_and(|lc| lc.head_sampled);
