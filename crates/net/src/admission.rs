@@ -60,7 +60,7 @@ impl Admission {
     }
 
     /// Whether admission control is a no-op under this policy.
-    pub fn is_unlimited(&self) -> bool {
+    fn is_unlimited(&self) -> bool {
         self.rate.is_infinite()
     }
 

@@ -126,10 +126,4 @@ impl Client {
     pub fn slowlog(&mut self) -> Result<String, FrameError> {
         self.admin(AdminOp::SlowLog, 0).map(|r| r.payload)
     }
-
-    /// Half-closes the write side, telling the server no more requests
-    /// are coming; in-flight responses still arrive.
-    pub fn finish_sending(&self) -> io::Result<()> {
-        self.stream.get_ref().shutdown(std::net::Shutdown::Write)
-    }
 }

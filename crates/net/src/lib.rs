@@ -24,9 +24,12 @@
 //!   worker pool. The reader that decoded a frame runs
 //!   [`fsi_serve::Server::begin`] and **answers there whatever needs no
 //!   kernel** — a cache hit, an invalid query, an unknown term, a
-//!   deadline already expired; only a cache miss is queued (with its
+//!   deadline already expired, a plain `EXPLAIN`; only a cache miss (or an
+//!   `EXPLAIN ANALYZE`, which runs the query) is queued (with its
 //!   compiled expression) for a worker to [`fsi_serve::Server::finish`],
-//!   and a miss always is: the reader does bounded work only. Every
+//!   and a miss always is: the reader does bounded work only. A query
+//!   sent with an `EXPLAIN [ANALYZE]` prefix gets a [`Status::Ok`] frame
+//!   with no documents and the rendered plan as its message. Every
 //!   response is encoded once, straight from the result the cache
 //!   shares, into the connection's one reused buffer. Deadline-aware
 //!   shedding happens on arrival and again at dequeue: a request that

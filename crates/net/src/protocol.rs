@@ -24,10 +24,14 @@
 //!
 //! `status` is a [`Status`]; `detail` refines it (the cache outcome for
 //! [`Status::Ok`], the shed reason for [`Status::Shed`] /
-//! [`Status::Overloaded`]). Every decoded request frame receives **exactly
-//! one** response frame, echoing its request id — shed and overloaded
-//! requests get an explicit [`Status::Shed`] / [`Status::Overloaded`]
-//! frame, never silence.
+//! [`Status::Overloaded`]). The message is empty on an ordinary answer; it
+//! carries the error text of an error status, and the rendered plan of a
+//! query sent with an `EXPLAIN [ANALYZE]` prefix (an [`Status::Ok`] frame
+//! with no documents and detail [`DETAIL_CACHE_BYPASSED`]). Strings that
+//! outgrow their `u16` length are cut at a character boundary. Every
+//! decoded request frame receives **exactly one** response frame, echoing
+//! its request id — shed and overloaded requests get an explicit
+//! [`Status::Shed`] / [`Status::Overloaded`] frame, never silence.
 //!
 //! ## Admin frames
 //!
@@ -238,7 +242,8 @@ pub struct ResponseFrame {
     pub latency_us: u32,
     /// Matching document ids, ascending. Empty unless [`Status::Ok`].
     pub docs: Vec<u32>,
-    /// Human-readable detail for error statuses.
+    /// The error text of an error status, or the rendered plan of an
+    /// `EXPLAIN [ANALYZE]` query; empty otherwise.
     pub message: String,
 }
 
@@ -274,7 +279,8 @@ pub struct ResponseRef<'a> {
     pub latency_us: u32,
     /// Matching document ids, ascending.
     pub docs: &'a [u32],
-    /// Human-readable detail for error statuses.
+    /// The error text, or an `EXPLAIN [ANALYZE]` rendering (see
+    /// [`ResponseFrame::message`]).
     pub message: &'a str,
 }
 
@@ -387,9 +393,20 @@ pub fn frame_into(buf: &mut Vec<u8>, body: &[u8]) {
     framed(buf, |out| out.extend_from_slice(body));
 }
 
+/// The longest prefix of `s` that fits in `max` bytes and ends on a
+/// character boundary, so a truncated string is still valid UTF-8 on the
+/// other side.
+fn utf8_prefix(s: &str, max: usize) -> &[u8] {
+    let mut len = s.len().min(max);
+    while !s.is_char_boundary(len) {
+        len -= 1;
+    }
+    s.as_bytes().get(..len).unwrap_or(&[])
+}
+
 fn put_request(out: &mut Vec<u8>, frame: &RequestFrame) {
-    let query = frame.query.as_bytes();
-    let qlen = query.len().min(u16::MAX as usize);
+    let query = utf8_prefix(&frame.query, u16::MAX as usize);
+    let qlen = query.len();
     out.reserve(REQUEST_HEADER + qlen);
     out.push(MAGIC);
     out.push(VERSION);
@@ -403,7 +420,7 @@ fn put_request(out: &mut Vec<u8>, frame: &RequestFrame) {
     out.extend_from_slice(&frame.tenant.unwrap_or(0).to_le_bytes());
     out.extend_from_slice(&frame.deadline_us.to_le_bytes());
     out.extend_from_slice(&(qlen as u16).to_le_bytes());
-    out.extend_from_slice(&query[..qlen]);
+    out.extend_from_slice(query);
 }
 
 /// Encodes a request body (no length prefix).
@@ -421,8 +438,8 @@ pub fn encode_request_into(buf: &mut Vec<u8>, frame: &RequestFrame) {
 fn put_response(out: &mut Vec<u8>, resp: &ResponseRef<'_>) {
     let ndocs = resp.docs.len().min(MAX_RESPONSE_DOCS);
     let truncated = ndocs < resp.docs.len();
-    let msg = resp.message.as_bytes();
-    let mlen = msg.len().min(u16::MAX as usize);
+    let msg = utf8_prefix(resp.message, u16::MAX as usize);
+    let mlen = msg.len();
     out.reserve(RESPONSE_HEADER + ndocs * 4 + 2 + mlen);
     out.push(MAGIC);
     out.push(VERSION);
@@ -441,7 +458,7 @@ fn put_response(out: &mut Vec<u8>, resp: &ResponseRef<'_>) {
         slot.copy_from_slice(&doc.to_le_bytes());
     }
     out.extend_from_slice(&(mlen as u16).to_le_bytes());
-    out.extend_from_slice(&msg[..mlen]);
+    out.extend_from_slice(msg);
 }
 
 /// Encodes a response body (no length prefix), truncating the document
@@ -473,13 +490,8 @@ pub fn encode_admin_request(frame: &AdminRequest) -> Vec<u8> {
 /// Encodes an admin response body (no length prefix), truncating the
 /// payload to [`MAX_ADMIN_PAYLOAD`] at a UTF-8 boundary.
 pub fn encode_admin_response(frame: &AdminResponse) -> Vec<u8> {
-    let payload = frame.payload.as_bytes();
-    let mut plen = payload.len().min(MAX_ADMIN_PAYLOAD);
-    // Back off to a character boundary so a truncated payload is still
-    // valid UTF-8 on the other side.
-    while plen > 0 && !frame.payload.is_char_boundary(plen) {
-        plen -= 1;
-    }
+    let payload = utf8_prefix(&frame.payload, MAX_ADMIN_PAYLOAD);
+    let plen = payload.len();
     let mut out = Vec::with_capacity(16 + plen);
     out.push(MAGIC);
     out.push(VERSION);
@@ -487,7 +499,7 @@ pub fn encode_admin_response(frame: &AdminResponse) -> Vec<u8> {
     out.push(frame.op as u8);
     out.extend_from_slice(&frame.id.to_le_bytes());
     out.extend_from_slice(&(plen as u32).to_le_bytes());
-    out.extend_from_slice(payload.get(..plen).unwrap_or(&[]));
+    out.extend_from_slice(payload);
     out
 }
 
@@ -949,6 +961,27 @@ mod tests {
         };
         let decoded = decode_admin_response(&encode_admin_response(&resp)).expect("round trip");
         assert_eq!(decoded, resp);
+    }
+
+    #[test]
+    fn message_and_query_truncate_at_a_utf8_boundary() {
+        // A two-byte character straddling the u16 length cap: the encoders
+        // drop it whole rather than cut it, so the frames still decode.
+        let long = format!("{}é tail", "a".repeat(u16::MAX as usize - 1));
+        let frame = ResponseFrame {
+            status: Status::Ok,
+            detail: DETAIL_CACHE_BYPASSED,
+            flags: 0,
+            id: 3,
+            latency_us: 0,
+            docs: vec![],
+            message: long.clone(),
+        };
+        let decoded = decode_response(&encode_response(&frame)).expect("valid UTF-8");
+        assert_eq!(decoded.message, long[..u16::MAX as usize - 1]);
+        let request = RequestFrame::query(4, long.as_str());
+        let decoded = decode_request(&encode_request(&request)).expect("valid UTF-8");
+        assert_eq!(decoded.query, long[..u16::MAX as usize - 1]);
     }
 
     #[test]

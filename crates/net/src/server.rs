@@ -20,7 +20,10 @@
 //!    term, a deadline already expired on arrival, a plain `EXPLAIN` —
 //!    **is answered here**, by the thread that read the frame: no queue,
 //!    no hand-off, no second thread woken. This is work bounded by the
-//!    size of the request.
+//!    size of the request. An `EXPLAIN` answers [`Status::Ok`] with no
+//!    documents and the rendered plan as the message; `EXPLAIN ANALYZE`
+//!    runs the query, so it is queued like a miss and answered the same
+//!    way by a worker.
 //! 4. **Queueing**: a cache miss — the one outcome that needs the kernels,
 //!    work bounded only by the index — goes onto the bounded queue
 //!    carrying its compiled expression. The queue is the only buffering
@@ -557,7 +560,7 @@ fn refuse_connection(obs: &NetObs, writer: &ConnWriter, error: &FrameError) {
 fn query_text(request: &Request) -> &str {
     match &request.input {
         QueryInput::Text(query) => query,
-        QueryInput::Terms(_) | QueryInput::Norm(_) => "",
+        QueryInput::Norm(_) => "",
     }
 }
 
@@ -616,7 +619,8 @@ fn refuse(obs: &NetObs, writer: &ConnWriter, by: AnsweredBy, ticket: Ticket, rea
 
 /// Answers a request with what the serving engine made of it — from
 /// `begin` on the reader, from `finish` on a worker. The documents are
-/// encoded straight out of the `Arc` the response shares with the cache.
+/// encoded straight out of the `Arc` the response shares with the cache;
+/// an `EXPLAIN [ANALYZE]` rendering rides in the message.
 fn answer(
     obs: &NetObs,
     writer: &ConnWriter,
@@ -638,6 +642,7 @@ fn answer(
                 let wire = ResponseRef {
                     latency_us: resp.latency.as_micros().min(u128::from(u32::MAX)) as u32,
                     docs: &resp.docs,
+                    message: resp.explain.as_deref().unwrap_or(""),
                     ..ResponseRef::empty(Status::Ok, detail, id)
                 };
                 let verdict = Verdict {

@@ -1,5 +1,5 @@
 //! End-to-end serving over a real loopback socket: round trips,
-//! protocol errors, admission control, deadline shedding, who answers
+//! `EXPLAIN` renderings, protocol errors, admission control, deadline shedding, who answers
 //! what (the reader: everything that needs no kernel; a worker: every
 //! cache miss), framing under segmentation and overtaking, connection
 //! reaping, the exactly-one-response guarantee under flood, the bounded
@@ -8,8 +8,8 @@
 use fsi_core::HashContext;
 use fsi_index::{Corpus, CorpusConfig};
 use fsi_net::protocol::{
-    encode_request_into, frame_into, Status, DETAIL_CACHE_HIT, DETAIL_CACHE_MISS,
-    DETAIL_SHED_ADMISSION,
+    encode_request_into, frame_into, Status, DETAIL_CACHE_BYPASSED, DETAIL_CACHE_HIT,
+    DETAIL_CACHE_MISS, DETAIL_SHED_ADMISSION,
 };
 use fsi_net::{Client, NetConfig, NetServer, ObsConfig, RequestFrame};
 use fsi_obs::Snapshot;
@@ -139,6 +139,46 @@ fn invalid_queries_get_error_responses_not_hangups() {
         .call(&RequestFrame::query(3, "0 AND 1"))
         .expect("call");
     assert_eq!(resp.status, Status::Ok);
+    net.stop();
+}
+
+#[test]
+fn explain_answers_ok_with_the_rendered_plan_as_the_message() {
+    let (serve, net) = serving_stack(NetConfig::default());
+    let mut client = Client::connect(net.local_addr()).expect("connect");
+    for (id, query, header) in [
+        (1, "EXPLAIN (0 OR 1) AND 2", "EXPLAIN\n"),
+        (2, "EXPLAIN ANALYZE (0 OR 1) AND 2", "EXPLAIN ANALYZE\n"),
+    ] {
+        let resp = client.call(&RequestFrame::query(id, query)).expect("call");
+        assert_eq!(
+            (resp.status, resp.detail),
+            (Status::Ok, DETAIL_CACHE_BYPASSED)
+        );
+        assert!(resp.docs.is_empty(), "{query}: a plan, not documents");
+        assert!(
+            resp.message.starts_with(header),
+            "{query}: {}",
+            resp.message
+        );
+        assert!(resp.message.contains("est_cost"), "{}", resp.message);
+    }
+    // The plain rendering is the in-process one, byte for byte.
+    let resp = client
+        .call(&RequestFrame::query(3, "EXPLAIN 0 AND 1"))
+        .expect("call");
+    let local = serve
+        .execute(&Request::expr("EXPLAIN 0 AND 1"))
+        .expect("valid");
+    assert_eq!(Some(resp.message), local.explain);
+    // A plain EXPLAIN is the reader's; ANALYZE runs the query on a worker.
+    let snap = settled_metrics(&net, |snap| {
+        answered(snap, "reader") + answered(snap, "worker") >= 3
+    });
+    assert_eq!(
+        (answered(&snap, "reader"), answered(&snap, "worker")),
+        (2, 1)
+    );
     net.stop();
 }
 

@@ -15,8 +15,7 @@
 //!   by a positive intersection), flattening into n-ary nodes,
 //!   deduplication, and canonical child ordering, so equivalent
 //!   expressions are structurally identical and [`fingerprint`]
-//!   identically — the property the serving cache keys on ([`encode`] /
-//!   [`encode_flat_and`]);
+//!   identically — the property the serving cache keys on ([`encode`]);
 //! * [`ExprPlanner`] — cost-based expression planning extending
 //!   `fsi_index::Planner`'s [`fsi_index::OperandStats`] model to `OR`
 //!   (the chunk union) and `AND NOT` (galloping multi-subtrahend
@@ -45,7 +44,7 @@ pub use exec::{analyze_plan, eval_planned, eval_planned_into, execute_plan};
 pub use explain::{explain, report_plan, strip_explain, ExplainMode, NodeReport};
 pub use parse::{parse, ParseError};
 pub use plan::{ExprPlan, ExprPlanner, PlanNode};
-pub use rewrite::{encode, encode_flat_and, fingerprint, normalize, NormExpr, RewriteError};
+pub use rewrite::{encode, fingerprint, normalize, NormExpr, RewriteError};
 
 /// Why a query string could not be compiled to an evaluable form.
 #[derive(Debug, Clone, PartialEq, Eq)]

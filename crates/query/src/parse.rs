@@ -115,11 +115,16 @@ fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
                     }
                 }
             }
-            other => {
+            _ => {
+                // Only ASCII has been consumed, so `pos` starts a character.
+                let found = src.get(pos..).and_then(|rest| rest.chars().next());
                 return Err(ParseError {
                     pos,
-                    msg: format!("unexpected character {:?}", other as char),
-                })
+                    msg: format!(
+                        "unexpected character {:?}",
+                        found.unwrap_or(char::REPLACEMENT_CHARACTER)
+                    ),
+                });
             }
         };
         toks.push(Spanned { tok, pos });
@@ -349,6 +354,10 @@ mod tests {
         assert_eq!(parse("   ").expect_err("blank").pos, 0);
         let e = parse("1 AND $").expect_err("bad char");
         assert_eq!(e.pos, 6);
+        // A non-ASCII character is named whole, not by its first byte.
+        let e = parse("0 AND é").expect_err("bad char");
+        assert_eq!(e.pos, 6);
+        assert!(e.msg.contains("'é'"), "{e}");
         let e = parse("(1 OR 2").expect_err("unclosed");
         assert!(e.msg.contains(')'), "{e}");
         assert!(parse("1 )").is_err(), "trailing close paren");

@@ -329,34 +329,6 @@ fn enc(n: &NormExpr, out: &mut Vec<u32>) {
     }
 }
 
-/// The canonical encoding of a **flat conjunctive** query (the legacy
-/// serving path): bit-identical to `encode(&normalize(a AND b AND …))`,
-/// so a flat `[a, b]` query and the parsed expression `b AND a` produce
-/// the same cache key. Zero terms encode as the (otherwise unreachable)
-/// empty conjunction.
-pub fn encode_flat_and(terms: &[usize]) -> Vec<u32> {
-    let mut t: Vec<usize> = terms.to_vec();
-    t.sort_unstable();
-    t.dedup();
-    match t.as_slice() {
-        [] => vec![TAG_AND, 0, 0],
-        // audit:allow(hot_path_panic): term ids are corpus indices, far below u32::MAX
-        [only] => vec![TAG_TERM, u32::try_from(*only).expect("term id fits u32")],
-        many => {
-            let mut out = Vec::with_capacity(3 + 2 * many.len());
-            out.push(TAG_AND);
-            out.push(many.len() as u32);
-            out.push(0);
-            for &term in many {
-                out.push(TAG_TERM);
-                // audit:allow(hot_path_panic): term ids are corpus indices, far below u32::MAX
-                out.push(u32::try_from(term).expect("term id fits u32"));
-            }
-            out
-        }
-    }
-}
-
 /// A 64-bit FNV-1a digest of [`encode`] — the canonical hash: equivalent
 /// expressions (under commutativity, associativity, idempotence, double
 /// negation, and De Morgan) collide by construction, and the proptests
@@ -474,17 +446,6 @@ mod tests {
                 assert_eq!(fingerprint(a) == fingerprint(b), i == j, "{a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    fn flat_and_encoding_matches_normalized_expression() {
-        assert_eq!(encode_flat_and(&[2, 1, 2]), encode(&norm("1 AND 2")));
-        assert_eq!(encode_flat_and(&[7]), encode(&norm("7")));
-        assert_eq!(encode_flat_and(&[7, 7]), encode(&norm("7 AND 7")));
-        assert_eq!(encode_flat_and(&[5, 3, 9]), encode(&norm("9 AND 3 AND 5")));
-        // The zero-term key exists and collides with nothing normalize
-        // can produce (normalize never emits an empty conjunction).
-        assert_eq!(encode_flat_and(&[]), vec![TAG_AND, 0, 0]);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! (selected by key hash) so concurrent workers rarely contend; each
 //! segment runs an exact LRU over an intrusive free-list slab.
 //!
-//! The canonical encoding (`fsi_query::encode`) makes a flat conjunctive
-//! query and any boolean expression equivalent to it — reordered,
+//! The canonical encoding (`fsi_query::encode`) makes a conjunction and
+//! any boolean expression equivalent to it — reordered,
 //! duplicated, De Morgan'd — produce bit-identical keys, so `a b`, `b a`,
 //! and `b AND a AND b` all share one entry.
 
@@ -27,8 +27,8 @@ use std::sync::{Arc, Mutex};
 
 /// A cache key: the canonical encoding of the query expression.
 ///
-/// Every request is keyed through its normalized expression, so a flat
-/// `[a, b]` query hits an entry inserted by the expression `b AND a` and
+/// Every request is keyed through its normalized expression, so a
+/// compiled `a AND b` hits an entry inserted by the text `b AND a` and
 /// vice versa.
 ///
 /// Keys are derived only inside the crate (from a [`crate::Request`]) —
@@ -439,7 +439,7 @@ impl QueryCache {
     }
 
     /// Per-segment counter snapshots, indexed by segment id.
-    pub fn segment_stats(&self) -> Vec<SegmentCacheStats> {
+    fn segment_stats(&self) -> Vec<SegmentCacheStats> {
         self.segments
             .iter()
             // audit:allow(hot_path_panic): mutex poisoning means another request already panicked; propagating is correct
@@ -469,12 +469,10 @@ impl QueryCache {
 mod tests {
     use super::*;
 
-    /// The key of a flat conjunction (`encode_flat_and ≡ encode ∘
-    /// normalize`, and unlike the latter it can spell the empty query).
+    /// The key of a conjunction of `terms`, spelled as a client would.
     fn key(terms: &[usize]) -> CacheKey {
-        CacheKey {
-            expr: fsi_query::encode_flat_and(terms).into_boxed_slice(),
-        }
+        let text: Vec<String> = terms.iter().map(usize::to_string).collect();
+        CacheKey::from_norm(&fsi_query::compile(&text.join(" AND ")).expect("compiles"))
     }
 
     fn val(xs: &[Elem]) -> Arc<Vec<Elem>> {
@@ -486,14 +484,13 @@ mod tests {
         assert_eq!(key(&[3, 1, 2]), key(&[1, 2, 3]));
         assert_eq!(key(&[5, 5, 1]), key(&[1, 5]));
         assert_ne!(key(&[1, 2]), key(&[1, 3]));
-        assert_ne!(key(&[]), key(&[1]));
+        assert_ne!(key(&[1]), key(&[1, 2]));
     }
 
     #[test]
     fn flat_and_expression_keys_share_one_entry() {
-        // The canonical-keying satellite: a flat `[a, b]` query, its
-        // reordered-duplicated variant, and any equivalent parsed boolean
-        // expression must all land on the same cache slot.
+        // A flat `a AND b`, its reordered-duplicated variant, and any
+        // equivalent boolean expression must all land on the same slot.
         let flat = key(&[4, 2]);
         let shuffled = key(&[2, 4, 2]);
         let expr = CacheKey::from_norm(&fsi_query::compile("4 AND 2").expect("ok"));

@@ -81,7 +81,6 @@ impl PreparedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::flat_to_norm;
     use fsi_baselines::ProbeTable;
     use fsi_core::{HashContext, SortedSet};
     use fsi_index::{Corpus, CorpusConfig};
@@ -97,7 +96,8 @@ mod tests {
 
     /// A non-empty flat conjunction through the one evaluation path.
     fn flat(index: &PreparedIndex, terms: &[usize]) -> Vec<Elem> {
-        index.query_expr(&flat_to_norm(terms).expect("non-empty conjunction"))
+        let text: Vec<String> = terms.iter().map(usize::to_string).collect();
+        index.query_expr(&fsi_query::compile(&text.join(" AND ")).expect("compiles"))
     }
 
     fn assert_send_sync<T: Send + Sync>() {}

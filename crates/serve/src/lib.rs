@@ -9,16 +9,17 @@
 //! [`fsi_index`]:
 //!
 //! * [`request`] — [`Request`] / [`Response`]: the request-lifetime API.
-//!   A request carries its query ([`QueryInput`]: flat term ids, a boolean
-//!   expression string, or a pre-compiled [`fsi_query::NormExpr`]) plus
-//!   [`QueryOptions`] (deadline, tenant, trace, explain); a response
-//!   carries the documents plus per-request metadata (served vs shed,
-//!   cache outcome, chosen plan kind, measured latency).
+//!   A request carries its query ([`QueryInput`]: a boolean expression
+//!   string — the wire's form, where an `EXPLAIN [ANALYZE]` prefix asks
+//!   for the plan — or a pre-compiled [`fsi_query::NormExpr`]) plus
+//!   [`QueryOptions`] (deadline, tenant, trace); a response carries the
+//!   documents plus per-request metadata (served vs shed, cache outcome,
+//!   chosen plan kind, measured latency).
 //! * [`server`] — [`Server`]: the assembled stack behind the single
-//!   [`Server::execute`] entry point. Every input — term list, query
-//!   string, pre-compiled expression — becomes one canonical expression,
-//!   then takes one path: validate → cache → one cost-based plan over
-//!   the whole index, with malformed or unbounded queries rejected as
+//!   [`Server::execute`] entry point. Every input — query string or
+//!   pre-compiled expression — becomes one canonical expression, then
+//!   takes one path: validate → cache → one cost-based plan over the
+//!   whole index, with malformed or unbounded queries rejected as
 //!   [`QueryError`]s and already-expired deadlines shed
 //!   ([`Disposition::Shed`]) instead of executed. `execute` is
 //!   [`Server::begin`] (everything up to and including the cache probe —
@@ -30,10 +31,9 @@
 //!   expression planner queries plan under;
 //! * [`cache`] — [`QueryCache`]: a segmented LRU over results keyed by
 //!   the canonical expression encoding, with hit/miss/eviction counters —
-//!   Zipf-skewed query streams (the realistic case) hit it hard, and flat
-//!   conjunctions share the key space with every equivalent boolean
-//!   spelling. Keys are derived internally; callers never build a cache
-//!   key;
+//!   Zipf-skewed query streams (the realistic case) hit it hard, and
+//!   every equivalent boolean spelling shares one key. Keys are derived
+//!   internally; callers never build a cache key;
 //! * [`config`] / [`stats`] — [`ServeConfig`] (the cache capacity) and
 //!   [`ServeStats`] snapshots.
 //!
@@ -44,8 +44,8 @@
 //!
 //! `Server::execute` returns exactly the bytes the naive set-semantics
 //! evaluator (`fsi_query::naive`) returns on the same postings, whether a
-//! conjunction arrives as a term list or as an expression — asserted by
-//! the differential test suites at the workspace root
+//! query arrives as text or compiled — asserted by the differential test
+//! suites at the workspace root
 //! (`tests/serve_differential.rs`, `tests/query_differential.rs`, and
 //! `tests/wire_differential.rs` through a live `fsi-net` front door).
 //!
@@ -63,14 +63,14 @@
 //! });
 //! let server = Server::from_corpus(HashContext::new(42), corpus, ServeConfig::default());
 //!
-//! // One entry point for every query shape and option.
+//! // One entry point for every query and option.
 //! let hits = server.execute(&Request::expr("(0 OR 1) AND 9")).expect("valid");
 //! println!("{} docs, cache {:?}, {}us", hits.docs.len(), hits.cache,
 //!     hits.latency.as_micros());
 //!
-//! // A flat term list is its AND: same path, same cache entry.
-//! let flat = server.execute(&Request::terms(vec![0, 9])).expect("valid");
-//! assert_eq!(flat.docs, server.execute(&Request::expr("9 AND 0")).expect("valid").docs);
+//! // Equivalent spellings share one plan and one cache entry.
+//! let again = server.execute(&Request::expr("9 AND (1 OR 0)")).expect("valid");
+//! assert_eq!(again.docs, hits.docs);
 //! println!("p99 {:.0}us", server.stats().latency.p99_us);
 //! ```
 

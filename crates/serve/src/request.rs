@@ -6,25 +6,24 @@
 //! [`Response`] carries the documents plus per-request metadata (cache
 //! outcome, chosen plan kind, served/shed disposition, measured latency,
 //! optional trace and `EXPLAIN` rendering). Every per-request concern
-//! (deadlines, tenants, tracing) is an option, not a method.
+//! (deadlines, tenants, tracing) is an option, not a method; a plan is
+//! asked for in the query text, with its `EXPLAIN [ANALYZE]` prefix.
 
 use fsi_core::Elem;
 use fsi_obs::QueryTrace;
-use fsi_query::{ExplainMode, NormExpr};
+use fsi_query::NormExpr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What a request asks the engine to answer.
 #[derive(Debug, Clone)]
 pub enum QueryInput {
-    /// A flat conjunctive query: intersect these posting lists. Served as
-    /// the equivalent `AND` expression — same plan, same cache entry.
-    Terms(Vec<usize>),
     /// A boolean query string in the [`fsi_query`] language
     /// (`AND`/`OR`/`NOT`, parentheses, implicit `AND`, optional
-    /// `EXPLAIN [ANALYZE]` prefix).
+    /// `EXPLAIN [ANALYZE]` prefix) — the form every wire frame carries.
     Text(String),
-    /// A pre-compiled canonical expression.
+    /// An expression compiled in process: served exactly as its text
+    /// would be — same plan, same cache entry.
     Norm(NormExpr),
 }
 
@@ -34,11 +33,6 @@ pub struct QueryOptions {
     /// Record a [`QueryTrace`] (one span per stage) into
     /// [`Response::trace`].
     pub trace: bool,
-    /// Render the plan instead of serving documents: `Some(mode)` turns
-    /// the request into `EXPLAIN` with that default mode. A textual query
-    /// carrying its own `EXPLAIN [ANALYZE]` prefix triggers this too (the
-    /// prefix wins over the option's mode).
-    pub explain: Option<ExplainMode>,
     /// Drop the request (a [`ShedReason::DeadlineExpired`] response,
     /// nothing executed) if this instant has passed by the time the engine
     /// picks it up — the load-shedding contract the network layer builds
@@ -70,14 +64,6 @@ pub struct Request {
 }
 
 impl Request {
-    /// A flat conjunctive query over term ids.
-    pub fn terms(terms: impl Into<Vec<usize>>) -> Self {
-        Self {
-            input: QueryInput::Terms(terms.into()),
-            options: QueryOptions::default(),
-        }
-    }
-
     /// A boolean query string.
     pub fn expr(query: impl Into<String>) -> Self {
         Self {
@@ -97,12 +83,6 @@ impl Request {
     /// Record a full [`QueryTrace`] into the response.
     pub fn traced(mut self) -> Self {
         self.options.trace = true;
-        self
-    }
-
-    /// Render `EXPLAIN` under `mode` instead of serving documents.
-    pub fn explain(mut self, mode: ExplainMode) -> Self {
-        self.options.explain = Some(mode);
         self
     }
 
@@ -134,8 +114,7 @@ pub enum CacheOutcome {
     Miss,
     /// The cache is disabled (`cache_capacity: 0`).
     Disabled,
-    /// The request never consulted the cache (shed, `EXPLAIN`, or the
-    /// empty conjunction).
+    /// The request never consulted the cache (shed, or `EXPLAIN`).
     Bypassed,
 }
 
@@ -182,14 +161,14 @@ pub struct Response {
     /// How the result cache participated.
     pub cache: CacheOutcome,
     /// The root operator of the executed plan. `None` when nothing was
-    /// planned: cache hits, shed requests, `EXPLAIN`, and the empty
-    /// conjunction.
+    /// planned: cache hits, shed requests, and `EXPLAIN`.
     pub plan_kind: Option<&'static str>,
     /// Wall-clock service time of this request as the server measured it.
     pub latency: Duration,
     /// The trace, when [`QueryOptions::trace`] was set.
     pub trace: Option<QueryTrace>,
-    /// The rendered plan, when the request was an `EXPLAIN`.
+    /// The rendered plan, when the query text carried an `EXPLAIN` or
+    /// `EXPLAIN ANALYZE` prefix.
     pub explain: Option<String>,
 }
 
@@ -200,7 +179,7 @@ impl Response {
     }
 
     /// A response that carries no documents and never consulted the cache
-    /// or the engine: shed requests, `EXPLAIN`, the empty conjunction.
+    /// or the engine: shed requests and `EXPLAIN`.
     pub(crate) fn bypassed(disposition: Disposition, latency: Duration) -> Self {
         Self {
             docs: Arc::new(Vec::new()),
@@ -214,53 +193,22 @@ impl Response {
     }
 }
 
-/// Canonical [`NormExpr`] of a non-empty flat conjunction: sorted,
-/// deduplicated; one term collapses to [`NormExpr::Term`]. Returns `None`
-/// for the empty query (the canonical language has no ⊤ — the server
-/// answers it empty without consulting the engine).
-pub(crate) fn flat_to_norm(terms: &[usize]) -> Option<NormExpr> {
-    let mut sorted = terms.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    match sorted.len() {
-        0 => None,
-        1 => Some(NormExpr::Term(sorted[0])),
-        _ => Some(NormExpr::And {
-            pos: sorted.into_iter().map(NormExpr::Term).collect(),
-            neg: Vec::new(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn builders_set_options() {
-        let r = Request::terms(vec![3, 1])
+        let r = Request::expr("3 AND 1")
             .tenant(9)
             .traced()
-            .explain(ExplainMode::Plan)
             .deadline(Instant::now());
-        assert!(matches!(r.input, QueryInput::Terms(ref t) if t == &[3, 1]));
+        assert!(matches!(r.input, QueryInput::Text(ref t) if t == "3 AND 1"));
         assert_eq!(r.options.tenant, Some(9));
         assert!(r.options.trace);
-        assert!(r.options.explain.is_some());
         assert!(r.options.deadline.is_some());
-    }
-
-    #[test]
-    fn flat_to_norm_is_canonical() {
-        assert_eq!(flat_to_norm(&[]), None);
-        assert_eq!(flat_to_norm(&[4]), Some(NormExpr::Term(4)));
-        // Sorted + deduplicated, exactly like fsi_query::encode_flat_and
-        // keys it.
-        let norm = flat_to_norm(&[5, 2, 5, 9]).expect("non-empty");
-        assert_eq!(
-            fsi_query::encode(&norm),
-            fsi_query::encode_flat_and(&[5, 2, 5, 9])
-        );
+        let norm = Request::norm(NormExpr::Term(4));
+        assert!(matches!(norm.input, QueryInput::Norm(NormExpr::Term(4))));
     }
 
     #[test]

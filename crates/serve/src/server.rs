@@ -5,9 +5,7 @@
 use crate::cache::{CacheKey, QueryCache};
 use crate::config::ServeConfig;
 use crate::index::PreparedIndex;
-use crate::request::{
-    flat_to_norm, CacheOutcome, Disposition, QueryInput, Request, Response, ShedReason,
-};
+use crate::request::{CacheOutcome, Disposition, QueryInput, Request, Response, ShedReason};
 use crate::stats::{LatencySummary, ServeStats};
 use fsi_core::HashContext;
 use fsi_index::{Corpus, SearchEngine};
@@ -47,10 +45,6 @@ pub enum QueryError {
         /// The vocabulary size (valid ids are `0..num_terms`).
         num_terms: usize,
     },
-    /// The requested option combination is not expressible — e.g.
-    /// `EXPLAIN` of the empty conjunction, which the canonical expression
-    /// language cannot represent.
-    Unsupported(&'static str),
 }
 
 impl std::fmt::Display for QueryError {
@@ -60,7 +54,6 @@ impl std::fmt::Display for QueryError {
             QueryError::UnknownTerm { term, num_terms } => {
                 write!(f, "unknown term t{term} (index has {num_terms} terms)")
             }
-            QueryError::Unsupported(what) => write!(f, "unsupported request: {what}"),
         }
     }
 }
@@ -76,8 +69,8 @@ impl From<CompileError> for QueryError {
 /// What [`Server::begin`] made of a request.
 #[derive(Debug)]
 pub enum Begun {
-    /// Answered without touching a kernel: a shed, a rendered plan, the
-    /// empty conjunction, or a cache hit.
+    /// Answered without touching a kernel: a shed, a rendered plan, or a
+    /// cache hit.
     Done(Response),
     /// The answer has to be computed: hand this to [`Server::finish`].
     Miss(Miss),
@@ -102,7 +95,6 @@ enum Work {
     /// documents.
     Serve {
         key: Option<CacheKey>,
-        flat: bool,
         tb: Option<TraceBuilder>,
     },
     /// `EXPLAIN ANALYZE`: evaluate with per-node timing, respond with the
@@ -127,7 +119,7 @@ enum Work {
 ///     ],
 /// );
 /// let server = Server::new(&engine, ServeConfig::default());
-/// let response = server.execute(&Request::terms(vec![0, 1])).expect("valid");
+/// let response = server.execute(&Request::expr("0 AND 1")).expect("valid");
 /// assert_eq!(response.docs.as_slice(), &[5, 9]);
 /// assert!(response.is_served());
 /// ```
@@ -144,8 +136,10 @@ pub struct Server {
     /// Bounds the distinct `tenant` label values on per-tenant counters
     /// (tenant ids come off the wire; see [`Server::TENANT_LABEL_CAP`]).
     tenant_labels: LabelCap,
+    /// Requests answered with documents — a hit in `begin`, a computed
+    /// result in `finish` — so a [`Miss`] that is dropped instead of
+    /// finished (shed from a queue) was never served.
     queries_served: Arc<Counter>,
-    expr_queries_served: Arc<Counter>,
     queries_shed: Arc<Counter>,
     /// Per-query service-time distribution in nanoseconds: every executed
     /// request records here.
@@ -162,7 +156,6 @@ impl Server {
     pub fn new(engine: &SearchEngine, config: ServeConfig) -> Self {
         let registry = Registry::new();
         let queries_served = registry.counter("fsi_queries_served_total", &[]);
-        let expr_queries_served = registry.counter("fsi_expr_queries_served_total", &[]);
         let queries_shed = registry.counter("fsi_queries_shed_total", &[]);
         let latency_ns = registry.histogram("fsi_query_latency_ns", &[]);
         let engine = PreparedIndex::build(engine);
@@ -192,7 +185,6 @@ impl Server {
             registry,
             tenant_labels: LabelCap::new(Self::TENANT_LABEL_CAP),
             queries_served,
-            expr_queries_served,
             queries_shed,
             latency_ns,
             config,
@@ -215,11 +207,11 @@ impl Server {
     ///    nothing executed).
     /// 2. **Compile & validate** — every input becomes one canonical
     ///    expression: textual queries parse and normalize (an
-    ///    `EXPLAIN [ANALYZE]` prefix turns the request into an explain),
-    ///    a flat term list is its `AND`; out-of-vocabulary terms are
+    ///    `EXPLAIN [ANALYZE]` prefix turns the request into an explain), a
+    ///    compiled expression is taken as is; out-of-vocabulary terms are
     ///    rejected. Rejected requests count toward no serving counter.
-    /// 3. **Cache** — keyed by the canonical encoding, so flat
-    ///    conjunctions and equivalent boolean spellings share entries.
+    /// 3. **Cache** — keyed by the canonical encoding, so every equivalent
+    ///    spelling, text or compiled, shares one entry.
     /// 4. **Execute** — one plan over the whole index, under the server's
     ///    planner; the response reports the plan's root operator, cache
     ///    outcome, and measured service time, plus a trace or a rendered
@@ -256,9 +248,9 @@ impl Server {
     /// bounded by the size of the request rather than of the index:
     /// deadline check, compile, vocabulary check, plain `EXPLAIN`, and
     /// the cache probe. Whatever those settle — a shed, a rejection, a
-    /// rendered plan, the empty conjunction, a cache hit — comes back as
-    /// [`Begun::Done`] (or the `Err`); only a request that needs the
-    /// kernels comes back as a [`Begun::Miss`] for [`Server::finish`].
+    /// rendered plan, a cache hit — comes back as [`Begun::Done`] (or the
+    /// `Err`); only a request that needs the kernels comes back as a
+    /// [`Begun::Miss`] for [`Server::finish`].
     ///
     /// A caller that owns a thread which must stay responsive (the
     /// network reader) calls `begin` there and hands the miss elsewhere.
@@ -272,12 +264,10 @@ impl Server {
                 return Ok(Begun::Done(Response::bypassed(shed, start.elapsed())));
             }
         }
-        let mut explain = req.options.explain;
         let mut tb = None;
-        let norm = match &req.input {
+        let (explain, norm) = match &req.input {
             QueryInput::Text(src) => {
-                let (prefix_mode, rest) = fsi_query::strip_explain(src);
-                explain = prefix_mode.or(explain);
+                let (explain, rest) = fsi_query::strip_explain(src);
                 if req.options.trace && explain.is_none() {
                     tb = Some(TraceBuilder::new(rest));
                 }
@@ -291,28 +281,9 @@ impl Server {
                     span.attr("canonical", &norm)
                         .attr("fingerprint", fingerprint);
                 }
-                Cow::Owned(norm)
+                (explain, Cow::Owned(norm))
             }
-            QueryInput::Norm(expr) => Cow::Borrowed(expr),
-            QueryInput::Terms(terms) => match flat_to_norm(terms) {
-                Some(norm) => Cow::Owned(norm),
-                None if req.options.trace || explain.is_some() => {
-                    return Err(QueryError::Unsupported(
-                        "the empty conjunction has no expression form to explain or trace",
-                    ));
-                }
-                // The canonical language has no ⊤: the empty conjunction
-                // is served empty by convention, nothing planned or cached.
-                None => {
-                    self.queries_served.inc();
-                    self.note_tenant(req);
-                    let latency = self.record(start.elapsed());
-                    return Ok(Begun::Done(Response::bypassed(
-                        Disposition::Served,
-                        latency,
-                    )));
-                }
-            },
+            QueryInput::Norm(expr) => (None, Cow::Borrowed(expr)),
         };
         let num_terms = self.engine.num_terms();
         if let Some(&term) = norm.terms().iter().find(|&&t| t >= num_terms) {
@@ -336,8 +307,6 @@ impl Server {
                 if req.options.trace && tb.is_none() {
                     tb = Some(TraceBuilder::new(norm.to_string()));
                 }
-                // A flat request is a served query, not an expression query.
-                let flat = matches!(req.input, QueryInput::Terms(_));
                 let key = self.cache.is_enabled().then(|| CacheKey::from_norm(&norm));
                 let s = span_start(&tb);
                 let hit = key.as_ref().and_then(|k| self.cache.get(k));
@@ -352,7 +321,7 @@ impl Server {
                     );
                 }
                 if let Some(docs) = hit {
-                    self.note_served(flat);
+                    self.queries_served.inc();
                     return Ok(Begun::Done(Response {
                         docs,
                         disposition: Disposition::Served,
@@ -363,7 +332,7 @@ impl Server {
                         explain: None,
                     }));
                 }
-                Work::Serve { key, flat, tb }
+                Work::Serve { key, tb }
             }
         };
         Ok(Begun::Miss(Miss {
@@ -383,7 +352,7 @@ impl Server {
     pub fn finish(&self, miss: Miss) -> Response {
         let start = Instant::now();
         let Miss { norm, work, spent } = miss;
-        let (key, flat, mut tb) = match work {
+        let (key, mut tb) = match work {
             Work::Analyze => {
                 let text = self.engine.explain(&norm, ExplainMode::Analyze);
                 return Response {
@@ -391,9 +360,9 @@ impl Server {
                     ..Response::bypassed(Disposition::Served, spent + start.elapsed())
                 };
             }
-            Work::Serve { key, flat, tb } => (key, flat, tb),
+            Work::Serve { key, tb } => (key, tb),
         };
-        self.note_served(flat);
+        self.queries_served.inc();
         let s = span_start(&tb);
         let (docs, plan) = self.engine.eval(&norm);
         let docs = Arc::new(docs);
@@ -429,16 +398,6 @@ impl Server {
             latency: self.record(spent + start.elapsed()),
             trace: tb.map(TraceBuilder::finish),
             explain: None,
-        }
-    }
-
-    /// Counts one request answered with documents — a hit in `begin`, a
-    /// computed result in `finish` — so a [`Miss`] that is dropped instead
-    /// of finished (shed from a queue) was never "served".
-    fn note_served(&self, flat: bool) {
-        self.queries_served.inc();
-        if !flat {
-            self.expr_queries_served.inc();
         }
     }
 
@@ -527,9 +486,6 @@ impl Server {
             .unwrap_or(&empty);
         ServeStats {
             queries_served: snap.counter("fsi_queries_served_total", &[]).unwrap_or(0),
-            expr_queries_served: snap
-                .counter("fsi_expr_queries_served_total", &[])
-                .unwrap_or(0),
             queries_shed: snap.counter("fsi_queries_shed_total", &[]).unwrap_or(0),
             latency: LatencySummary::from_histogram(latency_hist),
             cache: self.cache.stats(),
@@ -542,7 +498,6 @@ impl Server {
 mod tests {
     use super::*;
     use fsi_index::{CorpusConfig, Planner, Strategy};
-    use fsi_query::ExplainMode;
 
     fn engine() -> SearchEngine {
         let corpus = Corpus::generate(CorpusConfig {
@@ -557,12 +512,23 @@ mod tests {
         Server::new(&engine(), config)
     }
 
+    /// The conjunction of `terms` as query text.
+    fn and(terms: &[usize]) -> String {
+        let text: Vec<String> = terms.iter().map(usize::to_string).collect();
+        text.join(" AND ")
+    }
+
+    /// `src` compiled in process.
+    fn compiled(src: &str) -> Request {
+        Request::norm(fsi_query::compile(src).expect("compiles"))
+    }
+
     #[test]
     fn single_queries_are_cached() {
         let s = server(ServeConfig { cache_capacity: 16 });
-        let a = s.execute(&Request::terms(vec![0, 1, 5])).expect("valid");
-        let b = s.execute(&Request::terms(vec![5, 1, 0])).expect("valid");
-        assert_eq!(a.docs, b.docs, "order-insensitive key");
+        let a = s.execute(&Request::expr("0 AND 1 AND 5")).expect("valid");
+        let b = s.execute(&Request::expr("5 1 0 1")).expect("valid");
+        assert_eq!(a.docs, b.docs, "order- and duplicate-insensitive key");
         assert_eq!(a.cache, CacheOutcome::Miss);
         assert_eq!(b.cache, CacheOutcome::Hit);
         assert!(a.plan_kind.is_some(), "planned default reports a kind");
@@ -576,8 +542,8 @@ mod tests {
     #[test]
     fn disabled_cache_still_serves() {
         let s = server(ServeConfig { cache_capacity: 0 });
-        let a = s.execute(&Request::terms(vec![0, 1])).expect("valid");
-        let b = s.execute(&Request::terms(vec![0, 1])).expect("valid");
+        let a = s.execute(&Request::expr("0 AND 1")).expect("valid");
+        let b = s.execute(&Request::expr("0 AND 1")).expect("valid");
         assert_eq!(a.docs, b.docs);
         assert_eq!(a.cache, CacheOutcome::Disabled);
         assert_eq!(b.cache, CacheOutcome::Disabled);
@@ -602,17 +568,19 @@ mod tests {
         assert_eq!(a.docs, b.docs);
         let stats = s.stats();
         assert_eq!(stats.cache.hits, 1);
-        assert_eq!(stats.expr_queries_served, 2);
         assert_eq!(stats.queries_served, 2);
     }
 
     #[test]
     fn flat_and_expression_paths_share_the_cache() {
         let s = server(ServeConfig { cache_capacity: 32 });
-        let flat = s.execute(&Request::terms(vec![1, 0])).expect("valid");
-        let expr = s.execute(&Request::expr("0 AND 1")).expect("valid");
+        let flat = s.execute(&compiled("1 AND 0")).expect("valid");
+        let expr = s.execute(&Request::expr("0 AND 1 AND 0")).expect("valid");
         assert_eq!(flat.docs, expr.docs);
-        assert_eq!(s.stats().cache.hits, 1, "expression hit the flat entry");
+        assert_eq!(expr.cache, CacheOutcome::Hit, "text hit the compiled entry");
+        let again = s.execute(&compiled("0 1")).expect("valid");
+        assert_eq!(again.cache, CacheOutcome::Hit, "and the compiled form hits");
+        assert_eq!(s.stats().cache.hits, 2);
     }
 
     #[test]
@@ -622,9 +590,7 @@ mod tests {
             s.execute(&Request::expr("0 AND 1 AND 9"))
                 .expect("valid")
                 .docs,
-            s.execute(&Request::terms(vec![0, 1, 9]))
-                .expect("valid")
-                .docs
+            s.execute(&compiled("9 AND 1 AND 0")).expect("valid").docs
         );
     }
 
@@ -647,7 +613,7 @@ mod tests {
             "{err}"
         );
         let err = s
-            .execute(&Request::terms(vec![0, 99999]))
+            .execute(&Request::norm(fsi_query::NormExpr::Term(99999)))
             .expect_err("unknown term");
         assert!(matches!(err, QueryError::UnknownTerm { term: 99999, .. }));
         assert_eq!(
@@ -718,8 +684,8 @@ mod tests {
         assert!(exec.get("simd").is_some());
         let insert = trace.span("cache_insert").expect("insert event");
         assert_eq!(insert.get("fresh"), Some("true"));
-        // Traced queries count like any other expression query.
-        assert_eq!(s.stats().expr_queries_served, 1);
+        // Traced queries count like any other query.
+        assert_eq!(s.stats().queries_served, 1);
     }
 
     #[test]
@@ -743,24 +709,19 @@ mod tests {
             .expect("explain rendered");
         assert!(analyzed.contains("EXPLAIN ANALYZE"), "{analyzed}");
         assert!(analyzed.contains("rows"), "{analyzed}");
-        // Bare queries take the option's default mode.
-        let defaulted = planned
-            .execute(&Request::expr("0 AND 5").explain(ExplainMode::Analyze))
-            .expect("valid")
-            .explain
-            .expect("explain rendered");
-        assert!(defaulted.contains("EXPLAIN ANALYZE"), "{defaulted}");
         // EXPLAIN does not serve documents.
         assert_eq!(planned.stats().queries_served, 0);
+        // A compiled expression has no prefix to ask for a plan: it serves.
+        let served = planned.execute(&compiled("0 AND 5")).expect("valid");
+        assert!(served.explain.is_none());
+        assert_eq!(planned.stats().queries_served, 1);
     }
 
     #[test]
     fn expired_deadline_sheds_without_executing() {
         let s = server(ServeConfig::default());
         let resp = s
-            .execute(
-                &Request::terms(vec![0, 1]).deadline(Instant::now() - Duration::from_millis(1)),
-            )
+            .execute(&Request::expr("0 AND 1").deadline(Instant::now() - Duration::from_millis(1)))
             .expect("shed is not an error");
         assert_eq!(
             resp.disposition,
@@ -773,7 +734,7 @@ mod tests {
         assert_eq!(stats.queries_shed, 1);
         // A generous deadline serves normally.
         let ok = s
-            .execute(&Request::terms(vec![0, 1]).deadline_in(Duration::from_secs(60)))
+            .execute(&Request::expr("0 AND 1").deadline_in(Duration::from_secs(60)))
             .expect("valid");
         assert!(ok.is_served());
         assert_eq!(s.stats().queries_served, 1);
@@ -799,7 +760,6 @@ mod tests {
         assert_eq!(s.stats().cache.misses, 1, "but the probe missed");
         // Everything else `begin` answers itself.
         assert!(done(&Request::expr("EXPLAIN 0 AND 1")).explain.is_some());
-        assert!(done(&Request::terms(vec![])).docs.is_empty());
         let shed = done(&Request::expr("0 AND 1").deadline(Instant::now()));
         assert!(!shed.is_served());
         assert!(s.begin(&Request::expr("0 AND")).is_err());
@@ -814,19 +774,18 @@ mod tests {
         let hit = done(&Request::expr("1 AND 0"));
         assert_eq!(hit.cache, CacheOutcome::Hit);
         assert!(Arc::ptr_eq(&hit.docs, &computed.docs), "shared, not copied");
-        assert_eq!(s.stats().queries_served, 3, "empty conjunction, miss, hit");
+        assert_eq!(s.stats().queries_served, 2, "miss, hit");
     }
 
     #[test]
     fn tenant_requests_are_billed_per_tenant() {
         let s = server(ServeConfig::default());
-        s.execute(&Request::terms(vec![0, 1]).tenant(7))
+        s.execute(&Request::expr("0 AND 1").tenant(7))
             .expect("valid");
-        s.execute(&Request::terms(vec![0, 2]).tenant(7))
+        s.execute(&Request::expr("0 AND 2").tenant(7))
             .expect("valid");
-        s.execute(&Request::terms(vec![0, 3]).tenant(9))
-            .expect("valid");
-        s.execute(&Request::terms(vec![0, 4])).expect("valid");
+        s.execute(&compiled("0 AND 3").tenant(9)).expect("valid");
+        s.execute(&Request::expr("0 AND 4")).expect("valid");
         let snap = s.metrics();
         assert_eq!(
             snap.counter("fsi_tenant_queries_total", &[("tenant", "7")]),
@@ -847,7 +806,7 @@ mod tests {
         let s = server(ServeConfig::default());
         let sweep = Server::TENANT_LABEL_CAP as u32 + 10;
         for t in 0..sweep {
-            s.execute(&Request::terms(vec![0, 1]).tenant(t))
+            s.execute(&Request::expr("0 AND 1").tenant(t))
                 .expect("valid");
         }
         let snap = s.metrics();
@@ -871,57 +830,20 @@ mod tests {
     }
 
     #[test]
-    fn empty_conjunction_options_are_rejected_cleanly() {
-        let s = server(ServeConfig::default());
-        // The empty flat query itself is served — an empty result by
-        // convention — and counts like any other flat query.
-        let resp = s.execute(&Request::terms(vec![])).expect("valid");
-        assert!(resp.is_served());
-        assert!(resp.docs.is_empty());
-        assert_eq!(s.stats().queries_served, 1);
-        assert_eq!(s.stats().expr_queries_served, 0);
-        // But it has no expression form to explain or trace.
-        assert!(matches!(
-            s.execute(&Request::terms(vec![]).explain(ExplainMode::Plan)),
-            Err(QueryError::Unsupported(_))
-        ));
-        assert!(matches!(
-            s.execute(&Request::terms(vec![]).traced()),
-            Err(QueryError::Unsupported(_))
-        ));
-    }
-
-    #[test]
-    fn flat_options_route_through_the_expression_engine() {
-        let s = server(ServeConfig { cache_capacity: 16 });
-        let plain = s.execute(&Request::terms(vec![1, 0])).expect("valid");
-        // A traced flat request hits the same cache entry and counts as a
-        // flat query, not an expression query.
-        let traced = s
-            .execute(&Request::terms(vec![0, 1]).traced())
-            .expect("valid");
-        assert_eq!(plain.docs, traced.docs);
-        assert_eq!(traced.cache, CacheOutcome::Hit);
-        assert!(traced.trace.is_some());
-        assert_eq!(s.stats().expr_queries_served, 0);
-        assert_eq!(s.stats().queries_served, 2);
-        // EXPLAIN of a flat request renders the conjunction's plan.
-        let explained = s
-            .execute(&Request::terms(vec![0, 1]).explain(ExplainMode::Plan))
-            .expect("valid");
-        assert!(explained.explain.expect("rendered").contains("est_cost"));
-    }
-
-    #[test]
     fn metrics_snapshot_carries_counters_cache_gauges_and_latency() {
         let s = server(ServeConfig { cache_capacity: 16 });
         let plans_before = s.metrics().sum("fsi_plan_kind_total");
-        s.execute(&Request::terms(vec![0, 1])).expect("valid");
-        s.execute(&Request::terms(vec![0, 1])).expect("valid");
-        s.execute(&Request::expr("3 AND 4")).expect("valid");
+        s.execute(&Request::expr("0 AND 1")).expect("valid");
+        s.execute(&Request::expr("0 AND 1")).expect("valid");
+        s.execute(&compiled("3 AND 4")).expect("valid");
+        // Neither a shed request nor an EXPLAIN counts as served.
+        s.execute(&Request::expr("3 AND 4").deadline(Instant::now()))
+            .expect("shed");
+        s.execute(&Request::expr("EXPLAIN ANALYZE 0 AND 1"))
+            .expect("valid");
         let snap = s.metrics();
         assert_eq!(snap.counter("fsi_queries_served_total", &[]), Some(3));
-        assert_eq!(snap.counter("fsi_expr_queries_served_total", &[]), Some(1));
+        assert_eq!(snap.counter("fsi_queries_shed_total", &[]), Some(1));
         assert_eq!(snap.gauge("fsi_cache_hits", &[]), Some(1));
         assert_eq!(
             snap.gauge("fsi_index_bytes", &[]),
@@ -980,13 +902,13 @@ mod tests {
             vec![1, 2],
             vec![3],
         ] {
-            let norm = flat_to_norm(&terms).expect("non-empty");
+            let norm = fsi_query::compile(&and(&terms)).expect("compiles");
             let plan = planner.plan(&norm, &|t| whole.list(t).stats(), whole.universe());
             let expect = Some(plan.operator());
-            let flat = s.execute(&Request::terms(terms.clone())).expect("valid");
-            let expr = s.execute(&Request::expr(norm.to_string())).expect("valid");
-            assert_eq!(flat.plan_kind, expect, "{terms:?}");
-            assert_eq!(expr.plan_kind, expect, "{terms:?}");
+            let text = s.execute(&Request::expr(and(&terms))).expect("valid");
+            let norm = s.execute(&Request::norm(norm)).expect("valid");
+            assert_eq!(text.plan_kind, expect, "{terms:?}");
+            assert_eq!(norm.plan_kind, expect, "{terms:?}");
         }
         // The dense pair sweeps. A sparse driver (413 postings, a hash
         // table) against a dense term (15 002, a bitmap) at a 1:36 size
@@ -994,13 +916,13 @@ mod tests {
         // two tables it would gallop. Both win at every SIMD tier, so the
         // pins hold on any machine.
         for (terms, kind) in [(vec![0, 1], "BitmapAnd"), (vec![1, 2], "HashProbe")] {
-            let norm = flat_to_norm(&terms).expect("non-empty");
+            let norm = fsi_query::compile(&and(&terms)).expect("compiles");
             for level in SimdLevel::ALL {
                 let planner = fsi_query::ExprPlanner::new(Planner::for_simd(level));
                 let plan = planner.plan(&norm, &|t| whole.list(t).stats(), whole.universe());
                 assert_eq!(plan.operator(), kind, "{level:?}");
             }
-            let resp = s.execute(&Request::terms(terms)).expect("valid");
+            let resp = s.execute(&Request::norm(norm)).expect("valid");
             assert_eq!(resp.plan_kind, Some(kind));
         }
     }
@@ -1012,7 +934,7 @@ mod tests {
         let fixed = engine.executor(Strategy::Merge);
         for q in [vec![0usize, 1], vec![2, 3, 10], vec![20]] {
             assert_eq!(
-                s.execute(&Request::terms(q.clone()))
+                s.execute(&Request::expr(and(&q)))
                     .expect("valid")
                     .docs
                     .as_slice(),

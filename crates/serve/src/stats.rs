@@ -70,11 +70,9 @@ impl LatencySummary {
 /// registry snapshot this is a typed view over).
 #[derive(Debug, Clone)]
 pub struct ServeStats {
-    /// Queries answered since the server was built (cache hits included).
+    /// Queries answered with documents since the server was built (cache
+    /// hits included; `EXPLAIN [ANALYZE]` excluded).
     pub queries_served: u64,
-    /// The subset of `queries_served` that arrived as boolean expressions
-    /// ([`crate::QueryInput::Text`] / [`crate::QueryInput::Norm`]).
-    pub expr_queries_served: u64,
     /// Requests shed instead of served — their deadline had already
     /// expired when the server picked them up. Disjoint from
     /// `queries_served`.

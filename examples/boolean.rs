@@ -67,6 +67,6 @@ fn main() {
     let stats = server.stats();
     println!(
         "\nserved {} boolean queries; cache hits {} (canonical keying)",
-        stats.expr_queries_served, stats.cache.hits
+        stats.queries_served, stats.cache.hits
     );
 }

@@ -39,7 +39,14 @@ fn main() {
             cache_capacity: 4096,
         },
     );
-    let requests: Vec<Request> = stream.iter().map(|q| Request::terms(q.clone())).collect();
+    // Each conjunction as the text a client sends over the wire.
+    let requests: Vec<Request> = stream
+        .iter()
+        .map(|q| {
+            let terms: Vec<String> = q.iter().map(usize::to_string).collect();
+            Request::expr(terms.join(" AND "))
+        })
+        .collect();
     let pass_qps = || {
         let start = Instant::now();
         for req in &requests {

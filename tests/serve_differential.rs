@@ -1,8 +1,9 @@
 //! Differential correctness of the serving layer against the
 //! single-threaded `Executor` and the naive evaluator:
 //!
-//! * a conjunction served as a term list and as an expression returns
-//!   identical documents and plan kind, equal to `naive_eval`;
+//! * a conjunction served as text and compiled in process returns
+//!   identical documents and plan kind, equal to the executor's answer
+//!   and to `naive_eval`;
 //! * the cache hit path returns exactly what the miss path computed, also
 //!   while a small cache evicts mid-stream;
 //! * concurrent callers of one shared server agree with serial queries;
@@ -10,7 +11,6 @@
 //!   through either leaves the same results, stats, and counters.
 
 use fast_set_intersection::index::{Corpus, CorpusConfig, SearchEngine, Strategy};
-use fast_set_intersection::query::ExplainMode;
 use fast_set_intersection::query::{compile, naive::naive_eval};
 use fast_set_intersection::serve::{Begun, QueryError, Request, Response, ServeConfig, Server};
 use fast_set_intersection::workloads::stream::{generate_boolean_stream, BooleanStreamConfig};
@@ -27,6 +27,12 @@ fn engine() -> SearchEngine {
     SearchEngine::from_corpus(HashContext::new(2011), corpus)
 }
 
+/// The conjunction of `terms` as query text.
+fn and(terms: &[usize]) -> String {
+    let text: Vec<String> = terms.iter().map(usize::to_string).collect();
+    text.join(" AND ")
+}
+
 fn queries() -> Vec<Vec<usize>> {
     vec![
         vec![0, 1],
@@ -35,7 +41,6 @@ fn queries() -> Vec<Vec<usize>> {
         vec![35, 38],   // sparse tail terms
         vec![0, 39],    // most vs least frequent
         vec![7],        // single term
-        vec![],         // empty query
         vec![4, 4, 12], // duplicate term
     ]
 }
@@ -55,22 +60,15 @@ fn terms_and_expr_requests_match_executor_and_naive() {
     // Cache off: both spellings must plan, not hit each other's entry.
     let server = Server::new(&engine, ServeConfig { cache_capacity: 0 });
     for q in &conjunctions {
-        let flat = server.execute(&Request::terms(q.clone())).expect("valid");
-        assert_eq!(flat.docs.as_slice(), reference.query(q), "q {q:?}");
-        // The empty conjunction has no expression spelling.
-        if q.is_empty() {
-            assert!(flat.docs.is_empty());
-            continue;
-        }
-        let text: Vec<String> = q.iter().map(usize::to_string).collect();
-        let text = text.join(" AND ");
-        let expr = server.execute(&Request::expr(&*text)).expect("valid");
-        let naive: Vec<u32> = naive_eval(&slices, &compile(&text).expect("compiles"))
-            .into_iter()
-            .collect();
-        assert_eq!(flat.docs, expr.docs, "q {q:?}");
-        assert_eq!(flat.plan_kind, expr.plan_kind, "q {q:?}");
-        assert!(flat.plan_kind.is_some(), "q {q:?}");
+        let text = and(q);
+        let norm = compile(&text).expect("compiles");
+        let naive: Vec<u32> = naive_eval(&slices, &norm).into_iter().collect();
+        let compiled = server.execute(&Request::norm(norm)).expect("valid");
+        let expr = server.execute(&Request::expr(text)).expect("valid");
+        assert_eq!(expr.docs.as_slice(), reference.query(q), "q {q:?}");
+        assert_eq!(compiled.docs, expr.docs, "q {q:?}");
+        assert_eq!(compiled.plan_kind, expr.plan_kind, "q {q:?}");
+        assert!(expr.plan_kind.is_some(), "q {q:?}");
         assert_eq!(expr.docs.as_slice(), naive, "q {q:?}");
     }
 }
@@ -82,14 +80,14 @@ fn cache_hit_path_equals_miss_path() {
     let server = Server::new(&engine, ServeConfig { cache_capacity: 64 });
     for q in &queries() {
         // Computed by the kernels, then served by the cache.
-        let miss = server.execute(&Request::terms(q.clone())).expect("valid");
-        let hit = server.execute(&Request::terms(q.clone())).expect("valid");
+        let miss = server.execute(&Request::expr(and(q))).expect("valid");
+        let hit = server.execute(&Request::expr(and(q))).expect("valid");
         assert_eq!(miss.docs, hit.docs, "{q:?}");
         assert_eq!(hit.docs.as_slice(), reference.query(q), "{q:?}");
     }
-    // Every query but the empty one (nothing to cache) hit on its repeat.
+    // Every query hit on its repeat.
     let stats = server.stats();
-    assert_eq!(stats.cache.hits, queries().len() as u64 - 1);
+    assert_eq!(stats.cache.hits, queries().len() as u64);
 }
 
 #[test]
@@ -107,7 +105,7 @@ fn evicting_cache_matches_executor() {
         .collect();
     for _round in 0..3 {
         for q in &terms {
-            let resp = server.execute(&Request::terms(q.clone())).expect("valid");
+            let resp = server.execute(&Request::expr(and(q))).expect("valid");
             assert_eq!(resp.docs.as_slice(), reference.query(q), "{q:?}");
         }
     }
@@ -135,7 +133,7 @@ fn concurrent_clients_smoke() {
                 for i in 0..100usize {
                     let t = (client + i) % 8;
                     let got = server
-                        .execute(&Request::terms(vec![t, 8 + t, 16 + t]))
+                        .execute(&Request::expr(and(&[t, 8 + t, 16 + t])))
                         .expect("valid");
                     assert_eq!(got.docs.as_slice(), expected[t], "client {client} t {t}");
                 }
@@ -202,12 +200,11 @@ fn execute_is_exactly_begin_then_finish() {
             3 => Request::expr(format!("{q} AND")), // does not parse
             4 => Request::expr(format!("{q} AND 99999")), // unknown term
             5 => Request::expr(format!("EXPLAIN {q}")),
-            6 => Request::expr(q.as_str()).explain(ExplainMode::Analyze),
+            6 => Request::expr(format!("EXPLAIN ANALYZE {q}")),
             7 => Request::expr(q.as_str()).deadline(expired),
             8 => Request::expr(q.as_str()).tenant((i % 5) as u32),
             9 => Request::expr(q.as_str()).traced(),
-            10 => Request::terms(vec![i % 40, (i * 7) % 40]).tenant(2),
-            11 if i % 24 == 11 => Request::terms(vec![]),
+            10 => Request::norm(compile(q).expect("compiles")).tenant(2),
             _ => Request::expr(q.as_str()),
         })
         .collect();
@@ -230,10 +227,10 @@ fn execute_is_exactly_begin_then_finish() {
 
     let (a, b) = (whole.stats(), halves.stats());
     assert_eq!(
-        (a.queries_served, a.expr_queries_served, a.queries_shed),
-        (b.queries_served, b.expr_queries_served, b.queries_shed)
+        (a.queries_served, a.queries_shed),
+        (b.queries_served, b.queries_shed)
     );
-    assert!(a.queries_shed > 0 && a.queries_served > a.expr_queries_served);
+    assert!(a.queries_shed > 0 && a.queries_served > 0);
     assert_eq!(a.latency.count, b.latency.count);
     let counters = |c: &fast_set_intersection::serve::CacheStats| {
         (
